@@ -82,8 +82,10 @@ def even_decomposition_verify(
     """Character of L(lam) against the sum of even-simple characters over the
     included labels, compared up to the truncation height."""
     height = Fraction(height)
-    prediction = even_decomposition(datum, lam, height)
-    left = modules.character(modules.simple_truncation(datum, lam, height))
+    module = modules.simple_truncation(datum, lam, height)
+    certified = modules.certify_unitarity(datum, lam, height, module=module).certified
+    prediction = even_decomposition(datum, lam, height, certified=certified)
+    left = modules.character(module)
     total: dict[Weight, int] = {}
     for label in prediction.included_labels():
         offset = datum.height(lam - label)

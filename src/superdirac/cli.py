@@ -74,15 +74,20 @@ def cache_key(parts: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def cache_lookup(cache_dir: str | None, key: str) -> dict | None:
+def cache_lookup(cache_dir: str | None, key: str, required: tuple[str, ...]) -> dict | None:
+    """The cached payload, or None (a miss) when it is absent, unreadable, or
+    lacks one of the ``required`` keys its command reads or emits."""
     if not cache_dir:
         return None
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
+    if not isinstance(payload, dict) or any(k not in payload for k in required):
+        return None
+    return payload
 
 
 def cache_store(cache_dir: str | None, key: str, payload: dict) -> None:
@@ -144,8 +149,15 @@ def main() -> None:
     A(m|n) with real form su(p,q|n)."""
 
 
-def _run(fn) -> None:
+def _at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{option} must be at least {least}, got {value}")
+
+
+def _run(fn, jobs: int, height: int = 0) -> None:
     try:
+        _at_least("--jobs", jobs, 1)
+        _at_least("--height", height, 0)
         code = fn()
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
@@ -163,7 +175,7 @@ def cmd_root_data(m, n, p, q, json_out, cache_dir, jobs):
         pp, qq = _resolve_pq(m, p, q)
         datum = _datum(m, n, pp, qq)
         key = cache_key({"cmd": "root-data", "m": m, "n": n, "p": pp, "q": qq})
-        cached = cache_lookup(cache_dir, key)
+        cached = cache_lookup(cache_dir, key, ("rho", "odd_basis_table"))
         if cached is not None:
             _emit(cached, json_out)
             return EXIT_OK
@@ -196,7 +208,7 @@ def cmd_root_data(m, n, p, q, json_out, cache_dir, jobs):
         _emit(payload, json_out)
         return EXIT_OK
 
-    _run(go)
+    _run(go, jobs)
 
 
 @main.command("decompose")
@@ -211,10 +223,10 @@ def cmd_decompose(m, n, p, q, json_out, cache_dir, jobs, weight, height):
         key = cache_key(
             {"cmd": "decompose", "m": m, "n": n, "p": pp, "q": qq, "w": lam.text(), "N": height}
         )
-        cached = cache_lookup(cache_dir, key)
+        cached = cache_lookup(cache_dir, key, ("prediction", "character_verified"))
         if cached is not None:
             _emit(cached, json_out)
-            return EXIT_OK
+            return EXIT_OK if cached["character_verified"] else EXIT_ASSERTION
         ok, diff, pred = analysis.even_decomposition_verify(datum, lam, height)
         payload = {
             "weight": lam.text(),
@@ -228,7 +240,7 @@ def cmd_decompose(m, n, p, q, json_out, cache_dir, jobs, weight, height):
         _emit(payload, json_out)
         return EXIT_OK if ok else EXIT_ASSERTION
 
-    _run(go)
+    _run(go, jobs, height)
 
 
 @main.command("dirac-cohomology")
@@ -253,7 +265,9 @@ def cmd_dirac_cohomology(m, n, p, q, json_out, cache_dir, jobs, weight, height, 
                 "kind": kind,
             }
         )
-        cached = cache_lookup(cache_dir, key)
+        cached = cache_lookup(
+            cache_dir, key, ("blocks", "character", "ktypes_plus", "ktypes_minus")
+        )
         if cached is not None:
             _emit(cached, json_out)
             return EXIT_OK
@@ -278,7 +292,7 @@ def cmd_dirac_cohomology(m, n, p, q, json_out, cache_dir, jobs, weight, height, 
         _emit(payload, json_out)
         return EXIT_OK
 
-    _run(go)
+    _run(go, jobs, height)
 
 
 def _table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list:
@@ -299,7 +313,7 @@ def cmd_certify(m, n, p, q, json_out, cache_dir, jobs, weight, height, expect_un
         key = cache_key(
             {"cmd": "certify", "m": m, "n": n, "p": pp, "q": qq, "w": lam.text(), "N": height}
         )
-        cached = cache_lookup(cache_dir, key)
+        cached = cache_lookup(cache_dir, key, ("verdict",))
         if cached is None:
             cert = modules.certify_unitarity(datum, lam, height)
             cached = {"weight": lam.text(), "height": height, **cert.to_json()}
@@ -309,7 +323,7 @@ def cmd_certify(m, n, p, q, json_out, cache_dir, jobs, weight, height, expect_un
             return 1
         return EXIT_OK
 
-    _run(go)
+    _run(go, jobs, height)
 
 
 @main.command("character")
@@ -338,7 +352,7 @@ def cmd_character(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
                 "kind": kind,
             }
         )
-        cached = cache_lookup(cache_dir, key)
+        cached = cache_lookup(cache_dir, key, ("character", "ktypes"))
         if cached is not None:
             _emit(cached, json_out)
             return EXIT_OK
@@ -362,7 +376,7 @@ def cmd_character(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
         _emit(payload, json_out)
         return EXIT_OK
 
-    _run(go)
+    _run(go, jobs, height)
 
 
 @main.command("index")
@@ -387,7 +401,7 @@ def cmd_index(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
                 "kind": kind,
             }
         )
-        cached = cache_lookup(cache_dir, key)
+        cached = cache_lookup(cache_dir, key, ("index",))
         if cached is not None:
             _emit(cached, json_out)
             return EXIT_OK
@@ -407,7 +421,7 @@ def cmd_index(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
         _emit(payload, json_out)
         return EXIT_OK
 
-    _run(go)
+    _run(go, jobs, height)
 
 
 SUITES = (
@@ -445,11 +459,12 @@ def cmd_verify(m, n, p, q, json_out, cache_dir, jobs, weight, height, suite, exp
                 "N": height,
             }
         )
-        cached = cache_lookup(cache_dir, key)
+        required = ("status", "exit_code") + (("verdict",) if suite == "unitarity" else ())
+        cached = cache_lookup(cache_dir, key, required)
         if cached is not None:
             _emit(cached, json_out)
-            code = cached.get("exit_code", EXIT_OK)
-            if expect_unitarizable and suite == "unitarity" and cached.get("verdict") != "certified-up-to-N":
+            code = cached["exit_code"]
+            if expect_unitarizable and suite == "unitarity" and cached["verdict"] != "certified-up-to-N":
                 return 1
             return code
         payload, code = _run_suite(datum, lam, height, suite, jobs)
@@ -460,7 +475,7 @@ def cmd_verify(m, n, p, q, json_out, cache_dir, jobs, weight, height, suite, exp
             return 1
         return code
 
-    _run(go)
+    _run(go, jobs, height)
 
 
 def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str, jobs: int):
@@ -488,9 +503,9 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str, jobs: int
             payload["first_diff"] = diff.text()
         return payload, EXIT_OK if ok else EXIT_ASSERTION
 
-    cert = modules.certify_unitarity(datum, lam, height)
-    payload["certification"] = cert.verdict
     module = modules.simple_truncation(datum, lam, height)
+    cert = modules.certify_unitarity(datum, lam, height, module=module)
+    payload["certification"] = cert.verdict
     coll = assemble_all_parallel(module, height, jobs)
     if suite == "square":
         report = dirac.dirac_square_audit(coll)

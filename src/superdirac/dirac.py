@@ -21,10 +21,6 @@ from .weights import RootDatum, Weight, pairing
 
 
 # ----- module-side generator matrices -----------------------------------------------
-def _module_basis_dim(module: TruncatedModule, w: Weight) -> int:
-    return module.block_dim(w)
-
-
 def _module_basis_lifts(module: TruncatedModule, w: Weight):
     b = module.blocks[w]
     if module.kind.endswith("simple") and b.qmap is not None:
@@ -419,10 +415,6 @@ class SquareAuditReport:
         }
 
 
-def dirac_scalar(datum: RootDatum, lam: Weight, mu: Weight) -> Fraction:
-    return modules.dirac_scalar(datum, lam, mu)
-
-
 def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     """Verify that the squared Dirac matrix acts on each g0-isotypic component
     (identified by its highest vectors) by one scalar, and compare it with the
@@ -440,7 +432,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         if not hvs:
             continue
         mu = nu + datum.rho1
-        s = dirac_scalar(datum, lam, mu)
+        s = modules.dirac_scalar(datum, lam, mu)
         # measured scalar: D^2 must map each highest vector to a multiple of it
         measured_vals = set()
         for v in hvs:

@@ -343,29 +343,6 @@ def quotient_map(kernel: list[Vector], ambient_dim: int) -> QuotientMap:
     return QuotientMap(kept, [tuple(v) for v in kernel], ambient_dim, red)
 
 
-def restrict_quotient(a: SparseRationalMatrix, k: list[Vector]) -> SparseRationalMatrix:
-    """Matrix of the map induced by A on V / span(K).
-
-    Requires A(span K) ⊆ span K so the induced map is well defined.
-    """
-    if a.rows != a.cols:
-        raise ValueError("restrict_quotient expects a square operator matrix")
-    q = quotient_map(k, a.cols)
-    for v in k:
-        img = a.apply(v)
-        if any(x != 0 for x in q.reduce_vector(img)):
-            raise ValueError("operator does not preserve the kernel subspace")
-    dim = len(q.kept)
-    out = SparseRationalMatrix(dim, dim)
-    for qj, c in enumerate(q.kept):
-        col = a.apply(tuple(Fraction(1 if i == c else 0) for i in range(a.cols)))
-        red = q.reduce_vector(col)
-        for qi, x in enumerate(red):
-            if x:
-                out.set(qi, qj, x)
-    return out
-
-
 def gram_on_quotient(
     g: SparseRationalMatrix, kernel: list[Vector]
 ) -> tuple[SparseRationalMatrix, QuotientMap]:

@@ -165,6 +165,56 @@ def _enumerate_monomials(
     return out
 
 
+def _gram_block(
+    alg: Algebra,
+    lam: Weight,
+    nu: Weight,
+    monos: list[Word],
+    blocks: dict[Weight, Block],
+    index: dict[Weight, dict[Word, int]],
+) -> SparseRationalMatrix:
+    """Shapovalov Gram of one weight block by the contravariant recursion.
+
+    For X = g X' (g the first PBW letter), omega(X) Y = omega(X') omega(g) Y
+    with omega(g) = s E and E a raising generator. If E Y v = sum_Z c_Z Z v,
+    then (X, Y) = s sum_Z c_Z (X', Z), read off the Gram of the block of X'.
+    That block lies higher, so building blocks from the top down has it ready.
+    E stays in the subalgebra of the module's kind, so every Z is one of its
+    monomials. uea.shapovalov_pairing computes the same entries by
+    straightening the whole product omega(X) Y and serves as the reference in
+    the tests.
+    """
+    dim = len(monos)
+    gram = SparseRationalMatrix(dim, dim)
+    if monos == [()]:
+        gram.set(0, 0, Fraction(1))  # the highest weight block
+        return gram
+    images: dict[tuple[Gen, int], ModuleVector] = {}
+    for i, x in enumerate(monos):
+        g = x[0]
+        og, s = alg.omega_gen(g)
+        above = nu - alg.gen_root(g)
+        above_index = index[above]
+        above_gram = blocks[above].gram.entries
+        row = above_index[x[1:]]
+        for j in range(i, dim):
+            img = images.get((g, j))
+            if img is None:
+                img = act_word(alg, lam, (og,), {monos[j]: Fraction(1)})
+                images[(g, j)] = img
+            v = Fraction(0)
+            for z, c in img.items():
+                e = above_gram.get((row, above_index[z]))
+                if e:
+                    v += c * e
+            if v:
+                v *= s
+                gram.set(i, j, v)
+                if i != j:
+                    gram.set(j, i, v)
+    return gram
+
+
 def _build(
     datum: RootDatum,
     lam: Weight,
@@ -188,18 +238,11 @@ def _build(
         by_weight.setdefault(monomial_weight(alg, lam, mono), []).append(mono)
     mod = TruncatedModule(datum, alg, lam, Fraction(height), kind)
     simple = kind.endswith("simple")
+    index: dict[Weight, dict[Word, int]] = {}
     for nu in sorted(by_weight, key=lambda w: datum.root_sort_key(lam - w)):
         monos = sorted(by_weight[nu], key=lambda m: [alg.order_key(g) for g in m])
-        dim = len(monos)
-        gram = SparseRationalMatrix(dim, dim)
-        for i in range(dim):
-            xi = {monos[i]: Fraction(1)}
-            for j in range(i, dim):
-                v = uea.shapovalov_pairing(alg, xi, {monos[j]: Fraction(1)}, lam)
-                if v:
-                    gram.set(i, j, v)
-                    if i != j:
-                        gram.set(j, i, v)
+        index[nu] = {m: i for i, m in enumerate(monos)}
+        gram = _gram_block(alg, lam, nu, monos, mod.blocks, index)
         radical = exactla.kernel_basis(gram)
         block = Block(
             weight=nu,

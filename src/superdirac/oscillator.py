@@ -131,19 +131,6 @@ def weyl_commutator(u: WeylElement, v: WeylElement) -> WeylElement:
     return out
 
 
-def weyl_scale(u: WeylElement, c) -> WeylElement:
-    c = Fraction(c)
-    return {k: c * v for k, v in u.items()} if c else {}
-
-
-def weyl_sum(*elems: WeylElement) -> WeylElement:
-    out: WeylElement = {}
-    for e in elems:
-        for k, c in e.items():
-            weyl_add_into(out, k, c)
-    return out
-
-
 # ----- the embedding alpha ---------------------------------------------------------
 class Oscillator:
     """Oscillator module bookkeeping for a fixed root datum."""
@@ -268,41 +255,3 @@ def monomials_of_degree(dim: int, deg: int) -> list[OscMonomial]:
         for rest in monomials_of_degree(dim - 1, deg - first):
             out.append((first,) + rest)
     return out
-
-
-def oscillator_ktype_character(osc: Oscillator, n_deg: int) -> dict[Weight, int]:
-    """Compact-type multiplicities of the oscillator module up to degree n_deg:
-    weights of vectors killed by alpha of every compact raising generator."""
-    from . import exactla, modules
-
-    alg = osc.alg
-    datum = osc.datum
-    raising = modules._compact_raising_generators(alg)
-    table: dict[Weight, int] = {}
-    monos = [m for d in range(n_deg + 1) for m in monomials_of_degree(osc.dim, d)]
-    by_weight: dict[Weight, list[OscMonomial]] = {}
-    for m in monos:
-        by_weight.setdefault(osc.monomial_weight(m), []).append(m)
-    alpha_ops = [osc.alpha_embed_gen(g) for g in raising]
-    for w, ms in sorted(by_weight.items(), key=lambda kv: datum.root_sort_key(-kv[0])):
-        if not raising:
-            table[w] = len(ms)
-            continue
-        stacked: list[list[Fraction]] = []
-        # images stay within degree <= n_deg: alpha preserves total degree
-        target_index: dict[OscMonomial, int] = {}
-        rows_per_img: list[dict[OscMonomial, list[Fraction]]] = []
-        cols: list[Polynomial] = [{m: Fraction(1)} for m in ms]
-        images = [[weyl_apply(op, c) for c in cols] for op in alpha_ops]
-        for op_imgs in images:
-            support = sorted({m for img in op_imgs for m in img})
-            for m in support:
-                stacked.append([img.get(m, Fraction(0)) for img in op_imgs])
-        if not stacked:
-            table[w] = len(ms)
-            continue
-        a = exactla.SparseRationalMatrix.from_rows(stacked)
-        k = len(exactla.kernel_basis(a))
-        if k:
-            table[w] = k
-    return table

@@ -92,7 +92,10 @@ def parse_weight(text: str, m: int, n: int) -> Weight:
         parts = [s.strip() for s in side.split(",")] if side.strip() else []
         if len(parts) != count:
             raise ValueError(f"expected {count} {what} coordinates, got {len(parts)}")
-        return tuple(Fraction(s) for s in parts)
+        try:
+            return tuple(Fraction(s) for s in parts)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in the {what} coordinates") from exc
 
     return Weight(parse_side(left, m, "eps"), parse_side(right, n, "del"))
 

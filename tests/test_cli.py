@@ -213,3 +213,48 @@ def test_index_command(runner):
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out["schema"] == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify-unitarity", *BASE21, "--weight", "-2,1|1", "--height", "-1"],
+        ["verify", *BASE21, "--weight", "-2,1|1", "--height", "-1", "--suite", "square"],
+        ["certify-unitarity", *BASE21, "--weight", "1/0,1|1", "--height", "2"],
+        ["dirac-cohomology", *BASE21, "--weight", "-2,1|1", "--height", "2", "--jobs", "0"],
+        ["root-data", *BASE21, "--jobs", "0"],
+    ],
+    ids=["negative-height-certify", "negative-height-verify", "zero-denominator", "jobs-0",
+         "jobs-0-root-data"],
+)
+def test_bad_input_is_config_error(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 3
+    assert "configuration error" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify-unitarity", *BASE21, "--weight", "0,0|-1", "--height", "2",
+         "--expect-unitarizable"],
+        ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square"],
+        ["verify", *BASE21, "--weight", "0,0|-1", "--height", "2", "--suite", "unitarity",
+         "--expect-unitarizable"],
+        # branching fails here (exit 2), so a warm hit must exit 2 as well
+        ["decompose", "--m", "2", "--n", "2", "--p", "1", "--q", "1",
+         "--weight", "-3,1|1,1", "--height", "2"],
+    ],
+    ids=["certify", "verify-square", "verify-unitarity", "decompose-failing"],
+)
+def test_malformed_cache_entry_is_a_miss(runner, tmp_path, args):
+    cache = tmp_path / "cache"
+    args = [*args, "--cache-dir", str(cache)]
+    cold = invoke(runner, args)
+    warm = invoke(runner, args)
+    assert (warm.exit_code, warm.output) == (cold.exit_code, cold.output)
+    (entry,) = cache.glob("*.json")
+    entry.write_text('{"schema": 1}')
+    again = invoke(runner, args)
+    assert (again.exit_code, again.output) == (cold.exit_code, cold.output)
+    assert json.loads(entry.read_text()) != {"schema": 1}  # stored again

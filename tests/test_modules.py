@@ -3,8 +3,14 @@ characters, the Verma filtration identity, and unitarity certification."""
 
 from fractions import Fraction
 
-from superdirac import exactla, modules
-from superdirac.weights import parse_weight
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superdirac import exactla, modules, uea
+from superdirac.weights import build_root_datum, parse_weight
+
+KINDS = ("verma", "simple", "even-verma", "even-simple", "compact-simple")
 
 
 # ----- block dimensions ---------------------------------------------------------------
@@ -59,6 +65,44 @@ def test_gram_blocks_symmetric_and_radical_consistent(d21, lam_typical):
             continue
         assert b.gram.is_symmetric()
         assert b.verma_dim - len(b.radical) == b.simple_dim
+
+
+# ----- Gram blocks against the PBW straightening oracle --------------------------------
+def _assert_grams_match_oracle(datum, lam, height):
+    """Every Gram block of every kind equals the one paired entry by entry by
+    straightening omega(X) Y in U(g), at exact Fraction equality."""
+    for kind in KINDS:
+        mod = modules._build(datum, lam, Fraction(height), kind)
+        for nu, b in mod.blocks.items():
+            oracle = [
+                [
+                    uea.shapovalov_pairing(mod.alg, {x: Fraction(1)}, {y: Fraction(1)}, lam)
+                    for y in b.monomials
+                ]
+                for x in b.monomials
+            ]
+            assert b.gram.to_rows() == oracle, (kind, nu.text())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.tuples(*[st.integers(-3, 3)] * 3), st.integers(0, 4))
+def test_gram_recursion_matches_pairing_oracle_sl21(d21, coords, height):
+    lam = parse_weight(f"{coords[0]},{coords[1]}|{coords[2]}", 2, 1)
+    _assert_grams_match_oracle(d21, lam, height)
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        ((2, 1, 1, 1), "0,0|-1", 4),  # refuted
+        ((2, 2, 1, 1), "-3,1|1,1", 2),
+        ((2, 3, 1, 1), "-3,0|1,1,1", 2),
+        ((3, 3, 2, 1), "-3,0,0|1,1,1", 2),
+    ],
+)
+def test_gram_recursion_matches_pairing_oracle(group, weight, height):
+    datum = build_root_datum(*group)
+    _assert_grams_match_oracle(datum, parse_weight(weight, group[0], group[1]), height)
 
 
 # ----- characters ----------------------------------------------------------------------

@@ -78,6 +78,8 @@ def test_parse_weight_errors():
         parse_weight("1,2", 2, 1)  # missing bar
     with pytest.raises(ValueError):
         parse_weight("1|2", 2, 1)  # wrong arity
+    with pytest.raises(ValueError):
+        parse_weight("1/0,1|1", 2, 1)  # zero denominator
 
 
 # ----- the pairing -----------------------------------------------------------------
