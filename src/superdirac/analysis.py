@@ -10,13 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import dirac, exactla, modules, oscillator
+from . import dirac, exactla, modules
 from .dirac import BlockCollection
 from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule, VirtualCharacter
 from .oscillator import OscMonomial
-from .uea import Algebra
-from .weights import RootDatum, Weight, atypicality_set, pairing
+from .weights import RootDatum, Weight, atypicality_set
 
 
 # ----- even decomposition ----------------------------------------------------------

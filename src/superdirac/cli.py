@@ -9,12 +9,14 @@ Exit codes: 0 = all checks concluded (pass or expected refutation),
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import click
 
@@ -69,8 +71,20 @@ def _emit(payload: dict, json_out: str | None) -> None:
 
 
 # ----- cache --------------------------------------------------------------------------
+@functools.cache
+def _source_hash() -> str:
+    """SHA-256 over the package's Python sources, read once per process, so
+    an edit that changes a result also changes every cache key."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(parts: dict) -> str:
-    canonical = json.dumps({"engine": __version__, **parts}, sort_keys=True)
+    canonical = json.dumps(
+        {"engine": __version__, "source": _source_hash(), **parts}, sort_keys=True
+    )
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -461,6 +475,8 @@ def cmd_verify(m, n, p, q, json_out, cache_dir, jobs, weight, height, suite, exp
         )
         required = ("status", "exit_code") + (("verdict",) if suite == "unitarity" else ())
         cached = cache_lookup(cache_dir, key, required)
+        if cached is not None and not _is_exit_code(cached["exit_code"]):
+            cached = None
         if cached is not None:
             _emit(cached, json_out)
             code = cached["exit_code"]
@@ -476,6 +492,11 @@ def cmd_verify(m, n, p, q, json_out, cache_dir, jobs, weight, height, suite, exp
         return code
 
     _run(go, jobs, height)
+
+
+def _is_exit_code(value) -> bool:
+    # bool is an int subclass, and sys.exit(True) would exit 1
+    return type(value) is int and value in (EXIT_OK, 1, EXIT_ASSERTION, EXIT_CONFIG)
 
 
 def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str, jobs: int):

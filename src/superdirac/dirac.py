@@ -6,52 +6,17 @@ audits.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from . import exactla, modules, oscillator, uea
+from . import exactla, modules, oscillator
 from .exactla import SparseRationalMatrix
-from .modules import TruncatedModule, act_elem
+from .modules import TruncatedModule
 from .oscillator import OscMonomial, Oscillator
-from .uea import Algebra, Gen, UEAElement
+from .uea import Algebra, Gen
 from .weights import RootDatum, Weight, pairing
-
-
-# ----- module-side generator matrices -----------------------------------------------
-def _module_basis_lifts(module: TruncatedModule, w: Weight):
-    b = module.blocks[w]
-    if module.kind.endswith("simple") and b.qmap is not None:
-        return [b.monomials[i] for i in b.qmap.kept]
-    return list(b.monomials)
-
-
-def _module_gen_matrix(
-    module: TruncatedModule, elem: UEAElement, source: Weight, target: Weight
-) -> SparseRationalMatrix:
-    """Matrix of a weight-homogeneous element of g from block(source) to
-    block(target), in the module's stored (quotient) coordinates."""
-    alg = module.alg
-    lam = module.highest_weight
-    sdim = module.block_dim(source)
-    tdim = module.block_dim(target) if target in module.blocks else 0
-    out = SparseRationalMatrix(tdim, sdim)
-    if sdim == 0 or tdim == 0:
-        return out
-    tb = module.blocks[target]
-    index = {m: i for i, m in enumerate(tb.monomials)}
-    for j, mono in enumerate(_module_basis_lifts(module, source)):
-        img = act_elem(alg, lam, elem, {mono: Fraction(1)})
-        vec = [Fraction(0)] * len(tb.monomials)
-        for m, c in img.items():
-            vec[index[m]] += c
-        red = module.reduce(target, vec)
-        for i, c in enumerate(red):
-            if c:
-                out.set(i, j, c)
-    return out
 
 
 # ----- Dirac blocks -------------------------------------------------------------------
@@ -68,12 +33,19 @@ class DiracBlock:
     d_q2: SparseRationalMatrix
     delta_q2: SparseRationalMatrix
     D: SparseRationalMatrix
-    D2: SparseRationalMatrix
     gram: SparseRationalMatrix
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def D2(self) -> SparseRationalMatrix:
+        return self.D.matmul(self.D)
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[Weight, int, OscMonomial], int]:
+        return {e: i for i, e in enumerate(self.basis)}
 
     def to_json(self) -> dict:
         return {
@@ -87,25 +59,34 @@ class DiracBlock:
 def _exponent_solutions(
     datum: RootDatum, gammas: list[Weight], target: Weight
 ) -> list[OscMonomial]:
-    """All exponent tuples a >= 0 with sum a_k gamma_k = target."""
-    ht = datum.height(target)
-    if ht < 0 or ht != int(ht):
+    """All exponent tuples a >= 0 with sum a_k gamma_k = target.
+
+    The gamma_k are roots, so a target with a non-integer coordinate has no
+    solution; otherwise the search runs on integer coordinate tuples."""
+    coords = target.coords()
+    if any(c.denominator != 1 for c in coords):
         return []
+    ht = int(datum.height(target))
+    if ht < 0:
+        return []
+    vecs = [tuple(int(c) for c in g.coords()) for g in gammas]
     heights = [int(datum.height(g)) for g in gammas]
     out: list[OscMonomial] = []
 
-    def rec(k: int, rem: Weight, rem_ht: int, prefix: tuple[int, ...]) -> None:
-        if k == len(gammas):
-            if rem.is_zero():
-                out.append(prefix)
-            return
-        top = rem_ht // heights[k]
-        acc = rem
-        for ak in range(top + 1):
-            rec(k + 1, acc, rem_ht - ak * heights[k], prefix + (ak,))
-            acc = acc - gammas[k]
+    last = len(vecs) - 1
 
-    rec(0, target, int(ht), ())
+    def rec(k: int, rem: tuple[int, ...], rem_ht: int, prefix: tuple[int, ...]) -> None:
+        g, h = vecs[k], heights[k]
+        if k == last:  # the remaining height fixes the last exponent
+            ak, extra = divmod(rem_ht, h)
+            if not extra and all(r == ak * x for r, x in zip(rem, g)):
+                out.append(prefix + (ak,))
+            return
+        for ak in range(rem_ht // h + 1):
+            rec(k + 1, rem, rem_ht - ak * h, prefix + (ak,))
+            rem = tuple(r - x for r, x in zip(rem, g))
+
+    rec(0, tuple(int(c) for c in coords), ht, ())
     return out
 
 
@@ -113,8 +94,7 @@ def assemble_block(
     module: TruncatedModule, nu: Weight, osc: Oscillator | None = None
 ) -> DiracBlock:
     datum = module.datum
-    alg = module.alg
-    osc = osc or Oscillator(alg)
+    osc = osc or Oscillator(module.alg)
     lam = module.highest_weight
     h = datum.height(lam - datum.rho1 - nu)
     if h < 0 or h != int(h):
@@ -143,19 +123,6 @@ def assemble_block(
     index = {e: i for i, e in enumerate(basis)}
     parity = [oscillator.monomial_parity(a) for (_, _, a) in basis]
 
-    # per-weight generator matrices for d_k (raising) and x_k (lowering)
-    gen_mats: dict[tuple[int, str, Weight], SparseRationalMatrix] = {}
-
-    def gen_matrix(k: int, which: str, source: Weight) -> SparseRationalMatrix:
-        key = (k, which, source)
-        m = gen_mats.get(key)
-        if m is None:
-            elem = alg.partial_k(k) if which == "d" else alg.x_k(k)
-            target = source + (gammas[k] if which == "d" else -gammas[k])
-            m = _module_gen_matrix(module, elem, source, target)
-            gen_mats[key] = m
-        return m
-
     d_p1 = SparseRationalMatrix(dim, dim)
     delta_p1 = SparseRationalMatrix(dim, dim)
     d_q2 = SparseRationalMatrix(dim, dim)
@@ -166,47 +133,38 @@ def assemble_block(
             dmat = d_p1 if k < pn else d_q2
             deltamat = delta_p1 if k < pn else delta_q2
             # d_k (x) x_k: module vector raised, oscillator exponent +1
-            anew = tuple(a[j] + (1 if j == k else 0) for j in range(mn))
-            m = gen_matrix(k, "d", lam_m)
+            anew = a[:k] + (a[k] + 1,) + a[k + 1 :]
             target = lam_m + gammas[k]
-            for r in range(m.rows):
-                c = m.get(r, i)
-                if c:
-                    row = index.get((target, r, anew))
-                    if row is not None:
-                        dmat.add_to(row, col, c)
-            # x_k (x) d_k: module vector lowered, derivative on the oscillator
+            for r, c in module.gen_columns(datum.odd_raising[k], lam_m)[i]:
+                row = index.get((target, r, anew))
+                if row is not None:
+                    dmat.add_to(row, col, c)
+            # x_k (x) d_k: module vector lowered, derivative on the oscillator;
+            # x_k is the lowering matrix unit times its sign
             if a[k] > 0:
-                anew2 = tuple(a[j] - (1 if j == k else 0) for j in range(mn))
-                m2 = gen_matrix(k, "x", lam_m)
+                anew2 = a[:k] + (a[k] - 1,) + a[k + 1 :]
                 target2 = lam_m - gammas[k]
-                for r in range(m2.rows):
-                    c = m2.get(r, i)
-                    if c:
-                        row = index.get((target2, r, anew2))
-                        if row is not None:
-                            deltamat.add_to(row, col, Fraction(a[k]) * c)
+                f = a[k] * datum.odd_lowering_sign[k]
+                for r, c in module.gen_columns(datum.odd_lowering[k], lam_m)[i]:
+                    row = index.get((target2, r, anew2))
+                    if row is not None:
+                        deltamat.add_to(row, col, f * c)
     D = (
         d_p1.add(d_q2).add(delta_p1.scale(-1)).add(delta_q2.scale(-1))
     ).scale(2)
-    D2 = D.matmul(D)
 
+    # G = (module Gram) (x) (Bargmann-Fock form), diagonal in the monomials
     gram = SparseRationalMatrix(dim, dim)
+    simple = module.kind.endswith("simple")
     for col, (lam_m, i, a) in enumerate(basis):
-        bf = Fraction(1)
-        for e in a:
-            bf *= math.factorial(e)
+        bf = math.prod(math.factorial(e) for e in a)
         b = module.blocks[lam_m]
-        g = b.gram_quot if (module.kind.endswith("simple") and b.gram_quot is not None) else b.gram
-        for row, (lam_m2, i2, a2) in enumerate(basis):
-            if lam_m2 != lam_m or a2 != a:
-                continue
+        g = b.gram_quot if (simple and b.gram_quot is not None) else b.gram
+        for i2 in range(module.block_dim(lam_m)):
             v = g.get(i2, i)
             if v:
-                gram.set(row, col, v * bf)
-    return DiracBlock(
-        nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, D2, gram
-    )
+                gram.set(index[(lam_m, i2, a)], col, v * bf)
+    return DiracBlock(nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, gram)
 
 
 def diagonal_weights(module: TruncatedModule, height) -> list[Weight]:
@@ -252,27 +210,17 @@ def diagonal_action_matrix(
     """Matrix of X_D = X (x) 1 + 1 (x) alpha(X) from one diagonal block to the
     block of weight nu + root(X)."""
     module = block_src.module
-    alg = module.alg
-    osc = block_src.osc
     out = SparseRationalMatrix(block_tgt.dim, block_src.dim)
-    tgt_index = {e: i for i, e in enumerate(block_tgt.basis)}
-    alpha = osc.alpha_embed_gen(g)
-    root = alg.gen_root(g)
-    mat_cache: dict[Weight, SparseRationalMatrix] = {}
+    tgt_index = block_tgt.index
+    alpha = block_src.osc.alpha_embed_gen(g)
+    root = module.alg.gen_root(g)
     for col, (lam_m, i, a) in enumerate(block_src.basis):
         # X (x) 1
-        m = mat_cache.get(lam_m)
-        if m is None:
-            m = _module_gen_matrix(
-                module, {(g,): Fraction(1)}, lam_m, lam_m + root
-            )
-            mat_cache[lam_m] = m
-        for r in range(m.rows):
-            c = m.get(r, i)
-            if c:
-                row = tgt_index.get((lam_m + root, r, a))
-                if row is not None:
-                    out.add_to(row, col, c)
+        target = lam_m + root
+        for r, c in module.gen_columns(g, lam_m)[i]:
+            row = tgt_index.get((target, r, a))
+            if row is not None:
+                out.add_to(row, col, c)
         # 1 (x) alpha(X)
         img = oscillator.weyl_apply(alpha, {a: Fraction(1)})
         for mono, c in img.items():
@@ -466,7 +414,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
             {
                 m
                 for nu0, m in by_nu0.items()
-                if _in_even_cone(datum, nu0 - nu)
+                if _in_even_cone(nu0 - nu)
             }
         )
         prod = SparseRationalMatrix.identity(block.dim)
@@ -488,27 +436,23 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     )
 
 
-def _in_even_cone(datum: RootDatum, w: Weight) -> bool:
-    """Is w a nonnegative integer combination of positive even roots?"""
-    if w.is_zero():
-        return True
-    pos = [r.weight for r in datum.pos_even]
-    target_h = datum.height(w)
-    if target_h < 0 or target_h != int(target_h):
-        return False
+def _in_even_cone(w: Weight) -> bool:
+    """Is w a nonnegative integer combination of positive even roots?
 
-    def rec(idx: int, rem: Weight) -> bool:
-        if rem.is_zero():
-            return True
-        h = datum.height(rem)
-        if h < 0 or idx == len(pos):
+    These are eps_i - eps_j and del_k - del_l (i < j, k < l), the positive
+    roots of gl(m) and gl(n), whose simple roots e_i - e_{i+1} span the same
+    cone; w = sum c_i (e_i - e_{i+1}) has c_i the i-th partial sum of its
+    coordinates. So w lies in the cone iff, in the eps part and in the del
+    part, every partial sum is a nonnegative integer and the last is zero."""
+    for part in (w.eps, w.del_):
+        total = Fraction(0)
+        for x in part:
+            total += x
+            if total < 0 or total.denominator != 1:
+                return False
+        if total:
             return False
-        for i in range(idx, len(pos)):
-            if rec(i, rem - pos[i]):
-                return True
-        return False
-
-    return rec(0, w)
+    return True
 
 
 # ----- cohomology -----------------------------------------------------------------------
@@ -578,114 +522,68 @@ class CohomologyReport:
         return {"blocks": [self.per_block[nu].to_json() for nu in keys]}
 
 
-def _intersect(
-    space_a: list[tuple[Fraction, ...]], space_b: list[tuple[Fraction, ...]], dim: int
-) -> list[tuple[Fraction, ...]]:
-    """Basis of span(a) intersect span(b)."""
-    if not space_a or not space_b:
-        return []
-    cols = [list(v) for v in space_a] + [list(v) for v in space_b]
-    a = SparseRationalMatrix(dim, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x:
-                a.set(i, j, x)
-    out = []
-    for kv in exactla.kernel_basis(a):
-        vec = [Fraction(0)] * dim
-        for j in range(len(space_a)):
-            if kv[j]:
-                for i in range(dim):
-                    vec[i] += kv[j] * space_a[j][i]
-        if any(vec):
-            out.append(tuple(vec))
-    # reduce to an independent set
-    rows, pivots = exactla._rref([list(v) for v in out]) if out else ([], [])
-    return [tuple(rows[i]) for i in range(len(pivots))]
+def _submatrix(
+    a: SparseRationalMatrix, rows: list[int], cols: list[int]
+) -> SparseRationalMatrix:
+    row_pos = {r: i for i, r in enumerate(rows)}
+    col_pos = {c: j for j, c in enumerate(cols)}
+    out = SparseRationalMatrix(len(rows), len(cols))
+    for (i, j), v in a.entries.items():
+        if i in row_pos and j in col_pos:
+            out.entries[(row_pos[i], col_pos[j])] = v
+    return out
 
 
 def block_cohomology(block: DiracBlock) -> BlockCohomology:
-    dim = block.dim
-    even_idx = [i for i, p in enumerate(block.parity) if p == 0]
-    odd_idx = [i for i, p in enumerate(block.parity) if p == 1]
-    ker = exactla.kernel_basis(block.D)
-    # kernel splits by oscillator parity since D swaps it
-    ker_even, ker_odd = [], []
-    for v in ker:
-        ve = tuple(v[i] if block.parity[i] == 0 else Fraction(0) for i in range(dim))
-        vo = tuple(v[i] if block.parity[i] == 1 else Fraction(0) for i in range(dim))
-        if any(ve):
-            ker_even.append(ve)
-        if any(vo):
-            ker_odd.append(vo)
-    ker_even = _independent(ker_even)
-    ker_odd = _independent(ker_odd)
-    # image of D
-    cols = [
-        tuple(block.D.get(i, j) for i in range(dim)) for j in range(dim)
-    ]
-    _, im_basis = exactla.column_space_coords([c for c in cols if any(c)])
-    ker_all = ker_even + ker_odd
-    cap = _intersect(ker_all, im_basis, dim)
-    cap_even = [v for v in cap if all(v[i] == 0 for i in odd_idx)]
-    cap_odd = [v for v in cap if all(v[i] == 0 for i in even_idx)]
-    # the intersection is parity graded too; split defensively
-    graded = _independent(cap_even) + _independent(cap_odd)
-    if len(graded) != len(cap):
-        # regrade by projecting
-        cap_even, cap_odd = [], []
-        for v in cap:
-            ve = tuple(v[i] if block.parity[i] == 0 else Fraction(0) for i in range(dim))
-            vo = tuple(v[i] if block.parity[i] == 1 else Fraction(0) for i in range(dim))
-            if any(ve):
-                cap_even.append(ve)
-            if any(vo):
-                cap_odd.append(vo)
-        cap_even = _independent(cap_even)
-        cap_odd = _independent(cap_odd)
-    hd_plus = len(ker_even) - len(cap_even)
-    hd_minus = len(ker_odd) - len(cap_odd)
-    # explicit class representatives: kernel vectors independent mod cap
-    plus_classes = _classes_mod(ker_even, cap_even, dim)
-    minus_classes = _classes_mod(ker_odd, cap_odd, dim)
+    """H_D of one block from four ranks.
+
+    D swaps oscillator parity, so on (even, odd) coordinates D = [[0, B], [C, 0]]
+    with B: odd -> even and C: even -> odd. Then ker D = ker C + ker B and
+    ker D cap im D = (im B cap ker C) + (im C cap ker B), where
+    dim(im B cap ker C) = rk B - rk CB and dim(im C cap ker B) = rk C - rk BC.
+    """
+    even = [i for i, p in enumerate(block.parity) if p == 0]
+    odd = [i for i, p in enumerate(block.parity) if p == 1]
+    b = _submatrix(block.D, even, odd)
+    c = _submatrix(block.D, odd, even)
+    rk_b, rk_c = exactla.rank(b), exactla.rank(c)
+    both = rk_b and rk_c  # CB and BC vanish when B or C does
+    cap_plus = rk_b - (exactla.rank(c.matmul(b)) if both else 0)
+    cap_minus = rk_c - (exactla.rank(b.matmul(c)) if both else 0)
+    ker_plus = len(even) - rk_c
+    ker_minus = len(odd) - rk_b
+    hd_plus = ker_plus - cap_plus
+    hd_minus = ker_minus - cap_minus
     return BlockCohomology(
         block.nu,
-        dim,
-        len(even_idx),
-        len(odd_idx),
-        len(ker_even) + len(ker_odd),
-        len(cap_even) + len(cap_odd),
+        block.dim,
+        len(even),
+        len(odd),
+        ker_plus + ker_minus,
+        cap_plus + cap_minus,
         hd_plus,
         hd_minus,
-        plus_classes,
-        minus_classes,
+        _classes(c, b, even, block.dim) if hd_plus else [],
+        _classes(b, c, odd, block.dim) if hd_minus else [],
     )
 
 
-def _independent(vectors: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    if not vectors:
-        return []
-    rows, pivots = exactla._rref([list(v) for v in vectors])
-    return [tuple(rows[i]) for i in range(len(pivots))]
-
-
-def _classes_mod(
-    kernel: list[tuple[Fraction, ...]],
-    cap: list[tuple[Fraction, ...]],
-    dim: int,
+def _classes(
+    kill: SparseRationalMatrix, image: SparseRationalMatrix, support: list[int], dim: int
 ) -> list[tuple[Fraction, ...]]:
-    """Kernel vectors extending a basis of cap to a basis of the kernel."""
-    chosen: list[tuple[Fraction, ...]] = []
-    rows = [list(v) for v in cap]
-    cur_rank = len(exactla._rref(rows)[1]) if rows else 0
-    for v in kernel:
-        trial = rows + [list(v)]
-        r = len(exactla._rref(trial)[1])
-        if r > cur_rank:
-            chosen.append(v)
-            rows = trial
-            cur_rank = r
-    return chosen
+    """Class representatives for ker(kill) / (ker(kill) cap im(image)), lifted
+    from the coordinates `support` to the whole block. Kernel vectors are
+    independent modulo that intersection exactly when they are independent
+    modulo im(image), so one echelon pass over the columns of `image` and then
+    the kernel vectors picks them."""
+    kernel = exactla.kernel_basis(kill)
+    out = []
+    for k in exactla.independent_modulo(image.transpose().to_rows(), kernel):
+        vec = [Fraction(0)] * dim
+        for pos, x in zip(support, kernel[k]):
+            vec[pos] = x
+        out.append(tuple(vec))
+    return out
 
 
 def dirac_cohomology(coll: BlockCollection) -> CohomologyReport:
@@ -711,6 +609,11 @@ def hd_ktype_table(
         raising = [g for g in raising if alg.gen_root(g).coords() in compact_roots]
     elif raising_set != "even":
         raise ValueError("raising_set must be 'compact' or 'even'")
+    # X_D commutes with D, so it maps kernel vectors to ker D of the target
+    # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
+    # reducing modulo im D gives the target class. Where ker D cap im D = 0
+    # the reduction is injective on ker D and is skipped.
+    reducers: dict[Weight, exactla.QuotientMap | None] = {}
     table: dict[Weight, int] = {}
     for nu, bc in report.per_block.items():
         classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
@@ -726,16 +629,18 @@ def hd_ktype_table(
             tgt = coll.blocks.get(target_nu)
             if tgt is None:
                 continue
+            if target_nu not in reducers:
+                reducers[target_nu] = (
+                    exactla.image_quotient(tgt.D)
+                    if report.per_block[target_nu].ker_cap_im
+                    else None
+                )
+            qm = reducers[target_nu]
             m = diagonal_action_matrix(block, tgt, g)
-            # image in the target H_D quotient: reduce mod (cap + complement of ker)?
-            # X_D preserves ker D, so images lie in ker(target); reduce mod cap.
-            cap_basis = _cap_basis(report, target_nu, tgt)
-            qm = exactla.quotient_map(cap_basis, tgt.dim) if cap_basis else None
             imgs = []
             for v in classes:
                 img = m.apply(v)
-                red = qm.reduce_vector(img) if qm else img
-                imgs.append(red)
+                imgs.append(qm.reduce_vector(img) if qm else img)
             tdim = len(imgs[0]) if imgs else 0
             for r in range(tdim):
                 stacked.append([imgs[c][r] for c in range(len(classes))])
@@ -747,20 +652,6 @@ def hd_ktype_table(
         if k:
             table[nu] = k
     return table
-
-
-def _cap_basis(
-    report: CohomologyReport, nu: Weight, block: DiracBlock
-) -> list[tuple[Fraction, ...]]:
-    """Basis of ker D intersect Im D at a block (recomputed on demand)."""
-    bc = report.per_block[nu]
-    if bc.ker_cap_im == 0:
-        return []
-    dim = block.dim
-    ker = exactla.kernel_basis(block.D)
-    cols = [tuple(block.D.get(i, j) for i in range(dim)) for j in range(dim)]
-    _, im_basis = exactla.column_space_coords([c for c in cols if any(c)])
-    return _intersect(ker, im_basis, dim)
 
 
 # ----- anti-selfadjointness ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -90,19 +90,21 @@ class SparseRationalMatrix:
         by_row: dict[int, list[tuple[int, Fraction]]] = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
-        out = SparseRationalMatrix(self.rows, other.cols)
+        acc: dict[tuple[int, int], Fraction] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                out.add_to(i, j, a * b)
-        return out
+                acc[i, j] = acc.get((i, j), 0) + a * b
+        entries = {key: v for key, v in acc.items() if v}
+        return SparseRationalMatrix(self.rows, other.cols, entries)
 
     def add(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in add")
-        out = self.copy()
-        for (i, j), v in other.entries.items():
-            out.add_to(i, j, v)
-        return out
+        acc = dict(self.entries)
+        for key, v in other.entries.items():
+            acc[key] = acc.get(key, 0) + v
+        entries = {key: v for key, v in acc.items() if v}
+        return SparseRationalMatrix(self.rows, self.cols, entries)
 
     def scale(self, c) -> "SparseRationalMatrix":
         c = _rat(c)
@@ -156,7 +158,7 @@ def _rref(rows_data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
 
 
 def rank(a: SparseRationalMatrix) -> int:
-    if a.rows == 0 or a.cols == 0:
+    if not a.entries:
         return 0
     _, pivots = _rref(a.to_rows())
     return len(pivots)
@@ -181,25 +183,33 @@ def kernel_basis(a: SparseRationalMatrix) -> list[Vector]:
     return basis
 
 
-def column_space_coords(
-    columns: list[Vector],
-) -> tuple[list[int], list[Vector]]:
-    """Select a maximal independent subset of columns (deterministic order).
+def independent_modulo(
+    span: Sequence[Sequence[Fraction]], candidates: Sequence[Vector]
+) -> list[int]:
+    """Indices of the candidates that, taken in order, are independent modulo
+    span(span) and the candidates chosen before them.
 
-    Returns (indices of selected columns, the selected columns).
+    One incremental echelon pass: each vector is reduced against the rows kept
+    so far and kept (normalized) when a nonzero remainder is left.
     """
-    if not columns:
-        return [], []
-    dim = len(columns[0])
-    chosen: list[int] = []
-    rows: list[list[Fraction]] = []
-    for idx, col in enumerate(columns):
-        trial = rows + [list(col)]
-        rr, pivots = _rref(trial)
-        if len(pivots) > len(chosen):
-            chosen.append(idx)
-            rows = trial
-    return chosen, [columns[i] for i in chosen]
+    echelon: list[tuple[int, list[Fraction]]] = []
+
+    def insert(v: Sequence[Fraction]) -> bool:
+        v = list(v)
+        for p, row in echelon:
+            f = v[p]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        echelon.append((p, [x * inv for x in v]))
+        return True
+
+    for v in span:
+        insert(v)
+    return [k for k, v in enumerate(candidates) if insert(v)]
 
 
 def solve(a: SparseRationalMatrix, b: Sequence[Fraction]) -> Vector | None:
@@ -325,12 +335,32 @@ def quotient_map(kernel: list[Vector], ambient_dim: int) -> QuotientMap:
         if len(v) != ambient_dim:
             raise ValueError("kernel vector dimension mismatch")
     if not kernel:
-        q = QuotientMap(list(range(ambient_dim)), [], ambient_dim)
-        q.reduction = SparseRationalMatrix.identity(ambient_dim)
-        return q
+        return _identity_quotient(ambient_dim)
     rr, pivots = _rref([list(v) for v in kernel])
     if len(pivots) != len(kernel):
         raise ValueError("dependent kernel basis rejected")
+    return _quotient_from_rref(rr, pivots, ambient_dim, [tuple(v) for v in kernel])
+
+
+def image_quotient(a: SparseRationalMatrix) -> QuotientMap:
+    """Coordinates on the target of A modulo im A, from one RREF of A^T (its
+    nonzero rows are a basis of im A)."""
+    if not a.entries:
+        return _identity_quotient(a.rows)
+    rr, pivots = _rref(a.transpose().to_rows())
+    basis = [tuple(rr[r]) for r in range(len(pivots))]
+    return _quotient_from_rref(rr, pivots, a.rows, basis)
+
+
+def _identity_quotient(ambient_dim: int) -> QuotientMap:
+    q = QuotientMap(list(range(ambient_dim)), [], ambient_dim)
+    q.reduction = SparseRationalMatrix.identity(ambient_dim)
+    return q
+
+
+def _quotient_from_rref(
+    rr: list[list[Fraction]], pivots: list[int], ambient_dim: int, kernel: list[Vector]
+) -> QuotientMap:
     pivot_set = set(pivots)
     kept = [c for c in range(ambient_dim) if c not in pivot_set]
     red = SparseRationalMatrix(len(kept), ambient_dim)
@@ -340,7 +370,7 @@ def quotient_map(kernel: list[Vector], ambient_dim: int) -> QuotientMap:
     for r, pc in enumerate(pivots):
         for qi, c in enumerate(kept):
             red.add_to(qi, pc, -rr[r][c])
-    return QuotientMap(kept, [tuple(v) for v in kernel], ambient_dim, red)
+    return QuotientMap(kept, kernel, ambient_dim, red)
 
 
 def gram_on_quotient(

@@ -105,12 +105,51 @@ class TruncatedModule:
     height: Fraction
     kind: str  # verma | simple | even-verma | even-simple
     blocks: dict[Weight, Block] = field(default_factory=dict)
+    # generator matrices by (generator, source weight), filled by gen_columns
+    _gen_columns: dict[tuple[Gen, Weight], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def block_dim(self, nu: Weight) -> int:
         b = self.blocks.get(nu)
         if b is None:
             return 0
         return b.verma_dim if self.kind.endswith("verma") else b.simple_dim
+
+    def gen_columns(
+        self, g: Gen, source: Weight
+    ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Matrix of the generator g from block(source) to block(source +
+        root(g)) in the stored (quotient) coordinates: for each source basis
+        vector, its nonzero (row, entry) pairs. Built once per module; callers
+        must not mutate it."""
+        key = (g, source)
+        cols = self._gen_columns.get(key)
+        if cols is None:
+            cols = self._gen_columns[key] = self._build_gen_columns(g, source)
+        return cols
+
+    def _build_gen_columns(self, g: Gen, source: Weight) -> tuple:
+        sdim = self.block_dim(source)
+        target = source + self.alg.gen_root(g)
+        if sdim == 0 or self.block_dim(target) == 0:
+            return ((),) * sdim
+        b = self.blocks[source]
+        if self.kind.endswith("simple") and b.qmap is not None:
+            lifts = [b.monomials[i] for i in b.qmap.kept]
+        else:
+            lifts = b.monomials
+        tmonos = self.blocks[target].monomials
+        index = {m: i for i, m in enumerate(tmonos)}
+        cols = []
+        for mono in lifts:
+            vec = [Fraction(0)] * len(tmonos)
+            img = act_word(self.alg, self.highest_weight, (g,), {mono: Fraction(1)})
+            for m, c in img.items():
+                vec[index[m]] += c
+            red = self.reduce(target, vec)
+            cols.append(tuple((i, c) for i, c in enumerate(red) if c))
+        return tuple(cols)
 
     def sorted_weights(self) -> list[Weight]:
         return sorted(

@@ -6,13 +6,10 @@ the Bargmann-Fock form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from . import uea
 from .uea import Algebra, Gen, UEAElement
-from .weights import RootDatum, Weight
+from .weights import Weight
 
 # A polynomial in x_1..x_mn: exponent tuple -> coefficient.
 OscMonomial = tuple[int, ...]

@@ -11,7 +11,6 @@ of the roots.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Iterable
 
@@ -67,6 +66,8 @@ class Algebra:
         self.n = datum.n
         self.dim = datum.m + datum.n
         self._order_cache: dict[Gen, tuple] = {}
+        self._class_cache: dict[Gen, str] = {}
+        self._root_cache: dict[Gen, Weight] = {}
         self._normal_cache: dict[Word, UEAElement] = {}
 
     # ----- generator classification ------------------------------------------
@@ -78,13 +79,20 @@ class Algebra:
         return g[0] == g[1]
 
     def triangular_class(self, g: Gen) -> str:
-        if self.is_cartan(g):
-            return "cartan"
-        h = self.datum.height(self.datum.root_of_unit(*g))
-        return "positive" if h > 0 else "negative"
+        cls = self._class_cache.get(g)
+        if cls is None:
+            if self.is_cartan(g):
+                cls = "cartan"
+            else:
+                cls = "positive" if self.datum.height(self.gen_root(g)) > 0 else "negative"
+            self._class_cache[g] = cls
+        return cls
 
     def gen_root(self, g: Gen) -> Weight:
-        return self.datum.root_of_unit(*g)
+        root = self._root_cache.get(g)
+        if root is None:
+            root = self._root_cache[g] = self.datum.root_of_unit(*g)
+        return root
 
     def order_key(self, g: Gen) -> tuple:
         key = self._order_cache.get(g)

@@ -9,7 +9,9 @@ and del_c - eps_l for l > p.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -210,20 +212,19 @@ class RootDatum:
     # u-order: eps_1..eps_p, del_1..del_n, eps_{p+1}..eps_m.  In this coordinate
     # order the non-standard positive system is the standard one, so height is
     # the linear functional with ht(u_a - u_b) = b - a.
-    def _u_positions(self) -> list[int]:
+    @functools.cached_property
+    def _u_positions(self) -> tuple[int, ...]:
         pos = [0] * (self.m + self.n)
         order = list(range(self.p)) + [self.m + c for c in range(self.n)] + list(
             range(self.p, self.m)
         )
         for place, idx in enumerate(order):
             pos[idx] = place
-        return pos
+        return tuple(pos)
 
     def height(self, w: Weight) -> Fraction:
         """Height of a nonnegative-root-lattice element (linear functional)."""
-        upos = self._u_positions()
-        coords = w.coords()
-        return -sum(Fraction(upos[i]) * coords[i] for i in range(self.m + self.n))
+        return -sum(map(operator.mul, self._u_positions, w.coords()), Fraction(0))
 
     def root_sort_key(self, w: Weight):
         return (self.height(w), w.coords())

@@ -233,28 +233,57 @@ def test_bad_input_is_config_error(runner, args):
     assert "configuration error" in res.output
 
 
+def _schema_only(stored: dict) -> dict:
+    return {"schema": 1}
+
+
+def _exit_code(value):
+    return lambda stored: {**stored, "exit_code": value}
+
+
+VERIFY_SQUARE = ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square"]
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, corrupt",
     [
-        ["certify-unitarity", *BASE21, "--weight", "0,0|-1", "--height", "2",
-         "--expect-unitarizable"],
-        ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square"],
-        ["verify", *BASE21, "--weight", "0,0|-1", "--height", "2", "--suite", "unitarity",
-         "--expect-unitarizable"],
+        (["certify-unitarity", *BASE21, "--weight", "0,0|-1", "--height", "2",
+          "--expect-unitarizable"], _schema_only),
+        (VERIFY_SQUARE, _schema_only),
+        (["verify", *BASE21, "--weight", "0,0|-1", "--height", "2", "--suite", "unitarity",
+          "--expect-unitarizable"], _schema_only),
         # branching fails here (exit 2), so a warm hit must exit 2 as well
-        ["decompose", "--m", "2", "--n", "2", "--p", "1", "--q", "1",
-         "--weight", "-3,1|1,1", "--height", "2"],
+        (["decompose", "--m", "2", "--n", "2", "--p", "1", "--q", "1",
+          "--weight", "-3,1|1,1", "--height", "2"], _schema_only),
+        # an exit code that is not one of the CLI's codes, or a bool, would
+        # otherwise reach sys.exit and exit 1 on the warm hit
+        (VERIFY_SQUARE, _exit_code("x")),
+        (VERIFY_SQUARE, _exit_code(True)),
+        (VERIFY_SQUARE, _exit_code(7)),
     ],
-    ids=["certify", "verify-square", "verify-unitarity", "decompose-failing"],
+    ids=["certify", "verify-square", "verify-unitarity", "decompose-failing",
+         "verify-exit-code-str", "verify-exit-code-bool", "verify-exit-code-7"],
 )
-def test_malformed_cache_entry_is_a_miss(runner, tmp_path, args):
+def test_malformed_cache_entry_is_a_miss(runner, tmp_path, args, corrupt):
     cache = tmp_path / "cache"
     args = [*args, "--cache-dir", str(cache)]
     cold = invoke(runner, args)
     warm = invoke(runner, args)
     assert (warm.exit_code, warm.output) == (cold.exit_code, cold.output)
     (entry,) = cache.glob("*.json")
-    entry.write_text('{"schema": 1}')
+    bad = corrupt(json.loads(entry.read_text()))
+    entry.write_text(json.dumps(bad))
     again = invoke(runner, args)
     assert (again.exit_code, again.output) == (cold.exit_code, cold.output)
-    assert json.loads(entry.read_text()) != {"schema": 1}  # stored again
+    assert json.loads(entry.read_text()) != bad  # stored again
+
+
+def test_cache_key_depends_on_package_sources(monkeypatch):
+    from superdirac import cli
+
+    parts = {"cmd": "root-data", "m": 2, "n": 1, "p": 1, "q": 1}
+    before = cli.cache_key(parts)
+    assert cli.cache_key(parts) == before
+    assert len(cli._source_hash()) == 64
+    monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
+    assert cli.cache_key(parts) != before

@@ -1,10 +1,20 @@
 """Dirac blocks: the operator, its square, adjointness, cohomology, index."""
 
+import functools
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
-from superdirac import dirac, exactla, modules
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superdirac import dirac, exactla, modules, oscillator
 from superdirac.exactla import SparseRationalMatrix
-from superdirac.weights import parse_weight
+from superdirac.oscillator import Oscillator
+from superdirac.uea import Algebra
+from superdirac.weights import Weight, build_root_datum, parse_weight
 
 
 def test_highest_weight_vector_in_kernel(coll_typical3, d21, lam_typical):
@@ -190,9 +200,6 @@ def test_assemble_by_degree_matches_heights_sl21(d21):
 
 
 def test_exponent_solutions(d21):
-    from superdirac.oscillator import Oscillator
-    from superdirac.uea import Algebra
-
     osc = Oscillator(Algebra(d21))
     gammas = osc.partial_roots()
     # gamma1 + gamma2 = eps1 - eps2 has the single solution (1, 1)
@@ -200,6 +207,28 @@ def test_exponent_solutions(d21):
     assert dirac._exponent_solutions(d21, gammas, target) == [(1, 1)]
     assert dirac._exponent_solutions(d21, gammas, d21.zero()) == [(0, 0)]
     assert dirac._exponent_solutions(d21, gammas, gammas[0].scale(-1)) == []
+    # a half-integer target has integral height here but no integer solution
+    half = Weight.make([Fraction(1, 2), Fraction(-1, 2)], [0])
+    assert d21.height(half) == 1
+    assert dirac._exponent_solutions(d21, gammas, half) == []
+
+
+@pytest.mark.parametrize("group", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)])
+def test_exponent_solutions_match_brute_force(group):
+    """The oscillator degree is a function of the weight, so enumerating every
+    monomial of degree <= 3 lists all solutions for each weight it reaches."""
+    datum = build_root_datum(*group)
+    gammas = Oscillator(Algebra(datum)).partial_roots()
+    expected: dict = {}
+    for deg in range(4):
+        for a in oscillator.monomials_of_degree(datum.mn, deg):
+            w = datum.zero()
+            for k, ak in enumerate(a):
+                w = w + gammas[k].scale(ak)
+            expected.setdefault(w, set()).add(a)
+    for w, sols in expected.items():
+        found = dirac._exponent_solutions(datum, gammas, w)
+        assert len(found) == len(set(found)) and set(found) == sols
 
 
 def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
@@ -213,3 +242,253 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
             for row, (lam_m2, i2, a2) in enumerate(block.basis):
                 expected = g.get(i2, i) * bf if (lam_m2 == lam_m and a2 == a) else 0
                 assert block.gram.get(row, col) == expected
+
+
+# ----- oracles: intersection-based cohomology and the even-cone search ---------------
+def _independent(vectors):
+    if not vectors:
+        return []
+    rows, pivots = exactla._rref([list(v) for v in vectors])
+    return [tuple(rows[i]) for i in range(len(pivots))]
+
+
+def _column_space(columns):
+    """A maximal independent subset of the columns, in order."""
+    chosen, rows = [], []
+    for col in columns:
+        trial = rows + [list(col)]
+        if len(exactla._rref(trial)[1]) > len(chosen):
+            chosen.append(col)
+            rows = trial
+    return chosen
+
+
+def _intersect(space_a, space_b, dim):
+    """Basis of span(a) intersect span(b)."""
+    if not space_a or not space_b:
+        return []
+    a = SparseRationalMatrix.from_rows(
+        [[v[i] for v in space_a] + [v[i] for v in space_b] for i in range(dim)]
+    )
+    out = []
+    for kv in exactla.kernel_basis(a):
+        vec = [sum((kv[j] * space_a[j][i] for j in range(len(space_a))), Fraction(0))
+               for i in range(dim)]
+        if any(vec):
+            out.append(tuple(vec))
+    return _independent(out)
+
+
+def _classes_mod(kernel, cap):
+    """Kernel vectors extending a basis of cap to a basis of the kernel."""
+    chosen = []
+    rows = [list(v) for v in cap]
+    cur_rank = len(exactla._rref(rows)[1]) if rows else 0
+    for v in kernel:
+        trial = rows + [list(v)]
+        r = len(exactla._rref(trial)[1])
+        if r > cur_rank:
+            chosen.append(v)
+            rows = trial
+            cur_rank = r
+    return chosen
+
+
+def _cap_basis(block):
+    """Basis of ker D intersect im D."""
+    dim = block.dim
+    cols = [tuple(block.D.get(i, j) for i in range(dim)) for j in range(dim)]
+    im_basis = _column_space([c for c in cols if any(c)])
+    return _intersect(exactla.kernel_basis(block.D), im_basis, dim)
+
+
+def _parity_split(block, vectors):
+    even, odd = [], []
+    for v in vectors:
+        ve = tuple(x if p == 0 else Fraction(0) for x, p in zip(v, block.parity))
+        vo = tuple(x if p == 1 else Fraction(0) for x, p in zip(v, block.parity))
+        if any(ve):
+            even.append(ve)
+        if any(vo):
+            odd.append(vo)
+    return _independent(even), _independent(odd)
+
+
+def _oracle_block_cohomology(block):
+    """H_D = ker D / (ker D cap im D) from explicit bases of both spaces."""
+    ker_even, ker_odd = _parity_split(block, exactla.kernel_basis(block.D))
+    cap_even, cap_odd = _parity_split(block, _cap_basis(block))
+    n_even = sum(1 for p in block.parity if p == 0)
+    return dirac.BlockCohomology(
+        block.nu,
+        block.dim,
+        n_even,
+        block.dim - n_even,
+        len(ker_even) + len(ker_odd),
+        len(cap_even) + len(cap_odd),
+        len(ker_even) - len(cap_even),
+        len(ker_odd) - len(cap_odd),
+        _classes_mod(ker_even, cap_even),
+        _classes_mod(ker_odd, cap_odd),
+    )
+
+
+def _oracle_ktype_table(coll, per_block, sign, raising_set):
+    """Classes killed by the raising operators, images reduced modulo
+    ker D cap im D of the target block."""
+    alg = coll.module.alg
+    raising = dirac._even_raising_generators(alg)
+    if raising_set == "compact":
+        compact = {r.weight.coords() for r in coll.module.datum.pos_compact}
+        raising = [g for g in raising if alg.gen_root(g).coords() in compact]
+    table = {}
+    for nu, bc in per_block.items():
+        classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
+        if not classes:
+            continue
+        stacked = []
+        for g in raising:
+            target_nu = nu + alg.gen_root(g)
+            tgt = coll.blocks.get(target_nu)
+            if tgt is None:
+                continue
+            m = dirac.diagonal_action_matrix(coll.blocks[nu], tgt, g)
+            cap = _cap_basis(tgt) if per_block[target_nu].ker_cap_im else []
+            qm = exactla.quotient_map(cap, tgt.dim) if cap else None
+            imgs = [qm.reduce_vector(m.apply(v)) if qm else m.apply(v) for v in classes]
+            for r in range(len(imgs[0])):
+                stacked.append([img[r] for img in imgs])
+        if not stacked:
+            table[nu] = len(classes)
+            continue
+        k = len(exactla.kernel_basis(SparseRationalMatrix.from_rows(stacked)))
+        if k:
+            table[nu] = k
+    return table
+
+
+def _even_cone_search(datum):
+    """Membership in the cone of positive even roots by depth-first search
+    over the roots; the search memo is shared by every call for this datum."""
+    pos = [r.weight for r in datum.pos_even]
+
+    @functools.cache
+    def rec(idx, rem):
+        if rem.is_zero():
+            return True
+        if datum.height(rem) < 0 or idx == len(pos):
+            return False
+        return any(rec(i, rem - pos[i]) for i in range(idx, len(pos)))
+
+    def in_cone(w):
+        if w.is_zero():
+            return True
+        target_h = datum.height(w)
+        if target_h < 0 or target_h != int(target_h):
+            return False
+        return rec(0, w)
+
+    return in_cone
+
+
+SL21, SL22, SL23, GL33 = (2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "group, weight, height, kind, ker_cap_im",
+    [
+        (SL21, "-2,1|1", 6, "simple", None),
+        (SL21, "-1,0|0", 6, "simple", None),
+        (SL21, "0,0|-1", 6, "simple", None),
+        (SL21, "0,0|0", 4, "verma", 12),
+        (SL21, "1,0|-3", 4, "verma", 4),
+        (SL22, "-3,1|1,1", 2, "simple", None),
+        (SL23, "-3,0|1,1,1", 2, "simple", None),
+        (GL33, "-3,0,0|1,1,1", 2, "simple", 2),
+    ],
+)
+def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind, ker_cap_im):
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    build = modules.simple_truncation if kind == "simple" else modules.verma_truncation
+    coll = dirac.assemble_all(build(datum, lam, height), height)
+    report = dirac.dirac_cohomology(coll)
+    oracle = {nu: _oracle_block_cohomology(b) for nu, b in coll.blocks.items()}
+    for nu, bc in report.per_block.items():
+        assert bc.to_json() == oracle[nu].to_json()
+        classes = bc.hd_plus_classes + bc.hd_minus_classes
+        assert (len(bc.hd_plus_classes), len(bc.hd_minus_classes)) == (bc.hd_plus, bc.hd_minus)
+        assert all(not any(coll.blocks[nu].D.apply(v)) for v in classes)
+    if ker_cap_im is not None:
+        assert sum(bc.ker_cap_im for bc in report.per_block.values()) == ker_cap_im
+    for sign in (+1, -1):
+        for raising_set in ("compact", "even"):
+            assert dirac.hd_ktype_table(coll, report, sign, raising_set) == _oracle_ktype_table(
+                coll, oracle, sign, raising_set
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_block_ranks_match_sympy(data):
+    """D = [[0, B], [C, 0]] on interleaved parities: the ranks of B, C, CB and
+    BC agree with sympy, and the block cohomology with its formulas and with
+    the intersection oracle."""
+    n_even = data.draw(st.integers(0, 4))
+    n_odd = data.draw(st.integers(0, 4))
+    entry = st.integers(-2, 2)
+    b = [[data.draw(entry) for _ in range(n_odd)] for _ in range(n_even)]
+    c = [[data.draw(entry) for _ in range(n_even)] for _ in range(n_odd)]
+    parity = data.draw(st.permutations([0] * n_even + [1] * n_odd))
+    even = [i for i, p in enumerate(parity) if p == 0]
+    odd = [i for i, p in enumerate(parity) if p == 1]
+    dim = len(parity)
+    d = SparseRationalMatrix(dim, dim)
+    for i in range(n_even):
+        for j in range(n_odd):
+            d.set(even[i], odd[j], Fraction(b[i][j]))
+            d.set(odd[j], even[i], Fraction(c[j][i]))
+    bm, cm = sympy.Matrix(n_even, n_odd, sum(b, [])), sympy.Matrix(n_odd, n_even, sum(c, []))
+    rk_b, rk_c, rk_cb, rk_bc = (m.rank() for m in (bm, cm, cm * bm, bm * cm))
+    bs = SparseRationalMatrix.from_rows(b) if n_even else SparseRationalMatrix(0, n_odd)
+    cs = SparseRationalMatrix.from_rows(c) if n_odd else SparseRationalMatrix(0, n_even)
+    assert [exactla.rank(bs), exactla.rank(cs)] == [rk_b, rk_c]
+    assert [exactla.rank(cs.matmul(bs)), exactla.rank(bs.matmul(cs))] == [rk_cb, rk_bc]
+    block = SimpleNamespace(nu=Weight.make([0], [0]), dim=dim, parity=list(parity), D=d)
+    bc = dirac.block_cohomology(block)
+    assert bc.ker == dim - rk_b - rk_c
+    assert bc.ker_cap_im == (rk_b - rk_cb) + (rk_c - rk_bc)
+    assert bc.hd_plus == (n_even - rk_c) - (rk_b - rk_cb)
+    assert bc.hd_minus == (n_odd - rk_b) - (rk_c - rk_bc)
+    assert bc.to_json() == _oracle_block_cohomology(block).to_json()
+
+
+@pytest.mark.parametrize(
+    "group", [SL21, (2, 1, 2, 0), SL22, SL23, GL33, (3, 2, 1, 2)],
+    ids=["sl21-p1", "sl21-p2", "sl22", "sl23", "gl33-p2", "gl32-p1"],
+)
+def test_even_cone_matches_search(group):
+    datum = build_root_datum(*group)
+    rng = random.Random(str(group))
+    halves = [Fraction(k, 2) for k in range(-2, 3)]
+    roots = [r.weight for r in datum.pos_even]
+    oracle = _even_cone_search(datum)
+    seen = set()
+    for _ in range(1500):
+        if rng.random() < 0.5:
+            w = Weight.make(
+                [rng.choice(halves) for _ in range(datum.m)],
+                [rng.choice(halves) for _ in range(datum.n)],
+            )
+        else:  # near the cone: a small combination of roots, sometimes nudged
+            w = datum.zero()
+            for r in roots:
+                w = w + r.scale(rng.randint(-1, 1))
+            if rng.random() < 0.3:
+                w = w + datum.basis_weight(rng.randrange(datum.m + datum.n)).scale(
+                    rng.choice(halves)
+                )
+        got = dirac._in_even_cone(w)
+        assert got == oracle(w), w.text()
+        seen.add(got)
+    assert seen == {True, False}

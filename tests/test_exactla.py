@@ -147,3 +147,32 @@ def test_deterministic_rref_pivots():
     k1 = exactla.kernel_basis(a)
     k2 = exactla.kernel_basis(SparseRationalMatrix.from_rows(rows))
     assert k1 == k2
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(4, 3), st.lists(rat, min_size=4, max_size=4))
+def test_image_quotient(rows, v):
+    """Coordinates modulo im A: every column of A reduces to zero, the
+    quotient has rows - rank A coordinates, and v reduces to zero exactly
+    when A x = v is solvable."""
+    a = SparseRationalMatrix.from_rows(rows)
+    q = exactla.image_quotient(a)
+    assert len(q.kept) == a.rows - exactla.rank(a)
+    for j in range(a.cols):
+        assert not any(q.reduce_vector([rows[i][j] for i in range(a.rows)]))
+    assert (not any(q.reduce_vector(v))) == (exactla.solve(a, v) is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(2, 4), matrices(3, 4))
+def test_independent_modulo(span, candidates):
+    """The chosen candidates extend the span one dimension each, and together
+    with the span they reach the rank of everything."""
+    chosen = exactla.independent_modulo(span, candidates)
+    assert chosen == sorted(set(chosen))
+
+    def rank(vectors):
+        return exactla.rank(SparseRationalMatrix.from_rows(vectors)) if vectors else 0
+
+    assert rank(span + [candidates[k] for k in chosen]) == rank(span) + len(chosen)
+    assert rank(span + candidates) == rank(span) + len(chosen)
