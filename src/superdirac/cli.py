@@ -3,12 +3,13 @@ cohomology, unitarity certification, characters, the Dirac index, and the
 theorem verification suites, with a content-addressed JSON result cache.
 
 Exit codes: 0 = all checks concluded (pass or expected refutation),
-2 = assertion failure, 3 = configuration error.
+1 = ``--expect-unitarizable`` met a refutation, 2 = assertion failure,
+3 = configuration error (including every usage error and an unwritable
+``--json-out``).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 import json
@@ -21,9 +22,6 @@ from pathlib import Path
 import click
 
 from . import __version__, analysis, dirac, modules, oscillator
-from .dirac import BlockCollection
-from .modules import TruncatedModule
-from .oscillator import Oscillator
 from .weights import (
     RootDatum,
     Weight,
@@ -33,8 +31,10 @@ from .weights import (
 )
 
 EXIT_OK = 0
+EXIT_REFUTED = 1
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
+EXIT_CODES = (EXIT_OK, EXIT_REFUTED, EXIT_ASSERTION, EXIT_CONFIG)
 
 
 class ConfigError(Exception):
@@ -61,12 +61,40 @@ def _weight(datum: RootDatum, text: str) -> Weight:
     return w
 
 
+def _resolve_pq(m: int, p: int | None, q: int | None) -> tuple[int, int]:
+    if p is None and q is None:
+        p = m
+        q = 0
+    elif p is None:
+        p = m - q
+    elif q is None:
+        q = m - p
+    return p, q
+
+
+# --kind -> builder name in `modules`, looked up on each call so that a wrapper
+# installed on the module attribute (as perfbench/tracer.py does) sees the build
+BUILDERS = {
+    "simple": "simple_truncation",
+    "verma": "verma_truncation",
+    "even-simple": "even_simple_truncation",
+    "even-verma": "even_verma_truncation",
+}
+
+
+def _build(kind: str, datum: RootDatum, lam: Weight, height: int):
+    return getattr(modules, BUILDERS[kind])(datum, lam, height)
+
+
 def _emit(payload: dict, json_out: str | None) -> None:
     payload = {"schema": 1, "engine": __version__, **payload}
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(json_out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --json-out: {exc}") from exc
     click.echo(text, nl=False)
 
 
@@ -89,8 +117,9 @@ def cache_key(parts: dict) -> str:
 
 
 def cache_lookup(cache_dir: str | None, key: str, required: tuple[str, ...]) -> dict | None:
-    """The cached payload, or None (a miss) when it is absent, unreadable, or
-    lacks one of the ``required`` keys its command reads or emits."""
+    """The cached payload, or None (a miss) when it is absent, unreadable,
+    lacks one of the ``required`` keys its command reads or emits, or holds an
+    ``exit_code`` that is not one of the CLI's exit codes."""
     if not cache_dir:
         return None
     path = os.path.join(cache_dir, key + ".json")
@@ -100,6 +129,10 @@ def cache_lookup(cache_dir: str | None, key: str, required: tuple[str, ...]) -> 
     except (OSError, json.JSONDecodeError):
         return None
     if not isinstance(payload, dict) or any(k not in payload for k in required):
+        return None
+    # bool is an int subclass, and sys.exit(True) would exit 1
+    code = payload.get("exit_code", EXIT_OK)
+    if type(code) is not int or code not in EXIT_CODES:
         return None
     return payload
 
@@ -117,62 +150,45 @@ def cache_store(cache_dir: str | None, key: str, payload: dict) -> None:
         click.echo(f"warning: cache unwritable ({exc}); continuing without cache", err=True)
 
 
-# ----- parallel assembly -----------------------------------------------------------------
-def assemble_all_parallel(module: TruncatedModule, height, jobs: int) -> BlockCollection:
-    osc = Oscillator(module.alg)
-    height = min(Fraction(height), module.height)
-    weights = dirac.diagonal_weights(module, height)
-    if jobs <= 1:
-        blocks = {nu: dirac.assemble_block(module, nu, osc) for nu in weights}
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda nu: dirac.assemble_block(module, nu, osc), weights)
-            )
-        # merge in sorted weight order so parallelism never affects output
-        blocks = {b.nu: b for b in sorted(results, key=lambda b: weights.index(b.nu))}
-    return BlockCollection(module, osc, height, blocks)
-
-
-# ----- shared options ----------------------------------------------------------------------
-def common_options(fn):
-    fn = click.option("--m", "m", type=int, required=True)(fn)
-    fn = click.option("--n", "n", type=int, required=True)(fn)
-    fn = click.option("--p", "p", type=int, default=None)(fn)
-    fn = click.option("--q", "q", type=int, default=None)(fn)
-    fn = click.option("--json-out", type=click.Path(), default=None)(fn)
-    fn = click.option("--cache-dir", type=click.Path(), default=None)(fn)
-    fn = click.option("--jobs", type=int, default=1)(fn)
-    return fn
-
-
-def _resolve_pq(m: int, p: int | None, q: int | None) -> tuple[int, int]:
-    if p is None and q is None:
-        p = m
-        q = 0
-    elif p is None:
-        p = m - q
-    elif q is None:
-        q = m - p
-    return p, q
-
-
-@click.group()
-def main() -> None:
-    """Exact Dirac-operator computations for basic Lie superalgebras of type
-    A(m|n) with real form su(p,q|n)."""
-
-
-def _at_least(option: str, value: int, least: int) -> None:
-    if value < least:
-        raise ConfigError(f"{option} must be at least {least}, got {value}")
-
-
-def _run(fn, jobs: int, height: int = 0) -> None:
+# ----- the one command path ----------------------------------------------------------
+def _serve(
+    cmd: str,
+    common: dict,
+    required: tuple[str, ...],
+    compute,
+    *,
+    weight: str | None = None,
+    height: int = 0,
+    expect_unitarizable: bool = False,
+    exit_code=lambda payload: EXIT_OK,
+    **extras,
+) -> None:
+    """Run one command and exit: resolve p and q, build the datum and (when
+    ``weight`` is given) the weight, take the payload from the cache or from
+    ``compute(datum, lam)`` (stored on a miss), emit it, and exit with
+    ``exit_code(payload)``, or 1 when ``expect_unitarizable`` meets a verdict
+    other than certified. Cold runs and warm hits leave by this one path.
+    ``extras`` join the cache key."""
+    m, n, cache_dir = common["m"], common["n"], common["cache_dir"]
     try:
-        _at_least("--jobs", jobs, 1)
-        _at_least("--height", height, 0)
-        code = fn()
+        if height < 0:
+            raise ConfigError(f"--height must be at least 0, got {height}")
+        p, q = _resolve_pq(m, common["p"], common["q"])
+        datum = _datum(m, n, p, q)
+        parts = {"cmd": cmd, "m": m, "n": n, "p": p, "q": q, **extras}
+        lam = None
+        if weight is not None:
+            lam = _weight(datum, weight)
+            parts.update(w=lam.text(), N=height)
+        key = cache_key(parts)
+        payload = cache_lookup(cache_dir, key, required)
+        if payload is None:
+            payload = compute(datum, lam)
+            cache_store(cache_dir, key, payload)
+        _emit(payload, common["json_out"])
+        code = exit_code(payload)
+        if expect_unitarizable and payload["verdict"] != "certified-up-to-N":
+            code = EXIT_REFUTED
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -182,22 +198,64 @@ def _run(fn, jobs: int, height: int = 0) -> None:
     sys.exit(code)
 
 
+def _table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list:
+    items = sorted(table.items(), key=lambda kv: datum.root_sort_key(base - kv[0]))
+    return [[w.text(), mult] for w, mult in items if mult]
+
+
+# ----- commands ----------------------------------------------------------------------
+class _Main(click.Group):
+    """Click exits 2 on a usage error (an unknown option or command, a bad or
+    missing value), but 2 means a failed assertion here: usage errors exit 3.
+    The group parses its own arguments in ``make_context`` and resolves and
+    parses a subcommand in ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG
+            raise
+
+
+@click.group(cls=_Main)
+def main() -> None:
+    """Exact Dirac-operator computations for basic Lie superalgebras of type
+    A(m|n) with real form su(p,q|n)."""
+
+
+def common_options(fn):
+    fn = click.option("--m", "m", type=int, required=True)(fn)
+    fn = click.option("--n", "n", type=int, required=True)(fn)
+    fn = click.option("--p", "p", type=int, default=None)(fn)
+    fn = click.option("--q", "q", type=int, default=None)(fn)
+    fn = click.option("--json-out", type=click.Path(), default=None)(fn)
+    fn = click.option("--cache-dir", type=click.Path(), default=None)(fn)
+    return fn
+
+
+def weight_options(fn):
+    fn = click.option("--height", type=int, default=3)(fn)
+    fn = click.option("--weight", required=True)(fn)
+    return fn
+
+
 @main.command("root-data")
 @common_options
-def cmd_root_data(m, n, p, q, json_out, cache_dir, jobs):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        key = cache_key({"cmd": "root-data", "m": m, "n": n, "p": pp, "q": qq})
-        cached = cache_lookup(cache_dir, key, ("rho", "odd_basis_table"))
-        if cached is not None:
-            _emit(cached, json_out)
-            return EXIT_OK
-        payload = {
-            "m": m,
-            "n": n,
-            "p": pp,
-            "q": qq,
+def cmd_root_data(**common):
+    def compute(datum, _lam):
+        return {
+            "m": datum.m,
+            "n": datum.n,
+            "p": datum.p,
+            "q": datum.q,
             "positive_even": [r.weight.text() for r in datum.pos_even],
             "positive_odd": [r.weight.text() for r in datum.pos_odd],
             "positive_compact": [r.weight.text() for r in datum.pos_compact],
@@ -218,29 +276,15 @@ def cmd_root_data(m, n, p, q, json_out, cache_dir, jobs):
             ],
             "warnings": datum.warnings,
         }
-        cache_store(cache_dir, key, payload)
-        _emit(payload, json_out)
-        return EXIT_OK
 
-    _run(go, jobs)
+    _serve("root-data", common, ("rho", "odd_basis_table"), compute)
 
 
 @main.command("decompose")
 @common_options
-@click.option("--weight", required=True)
-@click.option("--height", type=int, default=3)
-def cmd_decompose(m, n, p, q, json_out, cache_dir, jobs, weight, height):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        lam = _weight(datum, weight)
-        key = cache_key(
-            {"cmd": "decompose", "m": m, "n": n, "p": pp, "q": qq, "w": lam.text(), "N": height}
-        )
-        cached = cache_lookup(cache_dir, key, ("prediction", "character_verified"))
-        if cached is not None:
-            _emit(cached, json_out)
-            return EXIT_OK if cached["character_verified"] else EXIT_ASSERTION
+@weight_options
+def cmd_decompose(weight, height, **common):
+    def compute(datum, lam):
         ok, diff, pred = analysis.even_decomposition_verify(datum, lam, height)
         payload = {
             "weight": lam.text(),
@@ -250,50 +294,26 @@ def cmd_decompose(m, n, p, q, json_out, cache_dir, jobs, weight, height):
         }
         if diff is not None:
             payload["first_diff"] = diff.text()
-        cache_store(cache_dir, key, payload)
-        _emit(payload, json_out)
-        return EXIT_OK if ok else EXIT_ASSERTION
+        return payload
 
-    _run(go, jobs, height)
+    _serve(
+        "decompose", common, ("prediction", "character_verified"), compute,
+        weight=weight, height=height,
+        exit_code=lambda payload: EXIT_OK if payload["character_verified"] else EXIT_ASSERTION,
+    )
 
 
 @main.command("dirac-cohomology")
 @common_options
-@click.option("--weight", required=True)
-@click.option("--height", type=int, default=3)
+@weight_options
 @click.option("--kind", type=click.Choice(["simple", "verma"]), default="simple")
-def cmd_dirac_cohomology(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        lam = _weight(datum, weight)
-        key = cache_key(
-            {
-                "cmd": "dirac-cohomology",
-                "m": m,
-                "n": n,
-                "p": pp,
-                "q": qq,
-                "w": lam.text(),
-                "N": height,
-                "kind": kind,
-            }
-        )
-        cached = cache_lookup(
-            cache_dir, key, ("blocks", "character", "ktypes_plus", "ktypes_minus")
-        )
-        if cached is not None:
-            _emit(cached, json_out)
-            return EXIT_OK
-        build = (
-            modules.simple_truncation if kind == "simple" else modules.verma_truncation
-        )
-        module = build(datum, lam, height)
-        coll = assemble_all_parallel(module, height, jobs)
+def cmd_dirac_cohomology(weight, height, kind, **common):
+    def compute(datum, lam):
+        coll = dirac.assemble_all(_build(kind, datum, lam, height), height)
         report = dirac.dirac_cohomology(coll)
         ktypes_plus = dirac.hd_ktype_table(coll, report, +1)
         ktypes_minus = dirac.hd_ktype_table(coll, report, -1)
-        payload = {
+        return {
             "weight": lam.text(),
             "height": height,
             "kind": kind,
@@ -302,140 +322,66 @@ def cmd_dirac_cohomology(m, n, p, q, json_out, cache_dir, jobs, weight, height, 
             "ktypes_plus": _table_json(datum, lam - datum.rho1, ktypes_plus),
             "ktypes_minus": _table_json(datum, lam - datum.rho1, ktypes_minus),
         }
-        cache_store(cache_dir, key, payload)
-        _emit(payload, json_out)
-        return EXIT_OK
 
-    _run(go, jobs, height)
-
-
-def _table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list:
-    items = sorted(table.items(), key=lambda kv: datum.root_sort_key(base - kv[0]))
-    return [[w.text(), mult] for w, mult in items if mult]
+    _serve(
+        "dirac-cohomology", common, ("blocks", "character", "ktypes_plus", "ktypes_minus"),
+        compute, weight=weight, height=height, kind=kind,
+    )
 
 
 @main.command("certify-unitarity")
 @common_options
-@click.option("--weight", required=True)
-@click.option("--height", type=int, default=3)
+@weight_options
 @click.option("--expect-unitarizable", is_flag=True, default=False)
-def cmd_certify(m, n, p, q, json_out, cache_dir, jobs, weight, height, expect_unitarizable):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        lam = _weight(datum, weight)
-        key = cache_key(
-            {"cmd": "certify", "m": m, "n": n, "p": pp, "q": qq, "w": lam.text(), "N": height}
-        )
-        cached = cache_lookup(cache_dir, key, ("verdict",))
-        if cached is None:
-            cert = modules.certify_unitarity(datum, lam, height)
-            cached = {"weight": lam.text(), "height": height, **cert.to_json()}
-            cache_store(cache_dir, key, cached)
-        _emit(cached, json_out)
-        if expect_unitarizable and cached["verdict"] != "certified-up-to-N":
-            return 1
-        return EXIT_OK
+def cmd_certify(weight, height, expect_unitarizable, **common):
+    def compute(datum, lam):
+        cert = modules.certify_unitarity(datum, lam, height)
+        return {"weight": lam.text(), "height": height, **cert.to_json()}
 
-    _run(go, jobs, height)
+    _serve(
+        "certify", common, ("verdict",), compute,
+        weight=weight, height=height, expect_unitarizable=expect_unitarizable,
+    )
 
 
 @main.command("character")
 @common_options
-@click.option("--weight", required=True)
-@click.option("--height", type=int, default=3)
-@click.option(
-    "--kind",
-    type=click.Choice(["simple", "verma", "even-simple", "even-verma"]),
-    default="simple",
-)
-def cmd_character(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        lam = _weight(datum, weight)
-        key = cache_key(
-            {
-                "cmd": "character",
-                "m": m,
-                "n": n,
-                "p": pp,
-                "q": qq,
-                "w": lam.text(),
-                "N": height,
-                "kind": kind,
-            }
-        )
-        cached = cache_lookup(cache_dir, key, ("character", "ktypes"))
-        if cached is not None:
-            _emit(cached, json_out)
-            return EXIT_OK
-        builders = {
-            "simple": modules.simple_truncation,
-            "verma": modules.verma_truncation,
-            "even-simple": modules.even_simple_truncation,
-            "even-verma": modules.even_verma_truncation,
-        }
-        module = builders[kind](datum, lam, height)
+@weight_options
+@click.option("--kind", type=click.Choice(list(BUILDERS)), default="simple")
+def cmd_character(weight, height, kind, **common):
+    def compute(datum, lam):
+        module = _build(kind, datum, lam, height)
         ch = modules.character(module)
         kt = modules.ktype_table(module)
-        payload = {
+        return {
             "weight": lam.text(),
             "height": height,
             "kind": kind,
             "character": ch.to_json(datum),
             "ktypes": kt.to_json(datum, lam),
         }
-        cache_store(cache_dir, key, payload)
-        _emit(payload, json_out)
-        return EXIT_OK
 
-    _run(go, jobs, height)
+    _serve(
+        "character", common, ("character", "ktypes"), compute,
+        weight=weight, height=height, kind=kind,
+    )
 
 
 @main.command("index")
 @common_options
-@click.option("--weight", required=True)
-@click.option("--height", type=int, default=3)
+@weight_options
 @click.option("--kind", type=click.Choice(["simple", "verma"]), default="simple")
-def cmd_index(m, n, p, q, json_out, cache_dir, jobs, weight, height, kind):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        lam = _weight(datum, weight)
-        key = cache_key(
-            {
-                "cmd": "index",
-                "m": m,
-                "n": n,
-                "p": pp,
-                "q": qq,
-                "w": lam.text(),
-                "N": height,
-                "kind": kind,
-            }
-        )
-        cached = cache_lookup(cache_dir, key, ("index",))
-        if cached is not None:
-            _emit(cached, json_out)
-            return EXIT_OK
-        build = (
-            modules.simple_truncation if kind == "simple" else modules.verma_truncation
-        )
-        module = build(datum, lam, height)
-        coll = assemble_all_parallel(module, height, jobs)
-        idx = dirac.dirac_index(coll)
-        payload = {
+def cmd_index(weight, height, kind, **common):
+    def compute(datum, lam):
+        coll = dirac.assemble_all(_build(kind, datum, lam, height), height)
+        return {
             "weight": lam.text(),
             "height": height,
             "kind": kind,
-            "index": _table_json(datum, lam - datum.rho1, idx),
+            "index": _table_json(datum, lam - datum.rho1, dirac.dirac_index(coll)),
         }
-        cache_store(cache_dir, key, payload)
-        _emit(payload, json_out)
-        return EXIT_OK
 
-    _run(go, jobs, height)
+    _serve("index", common, ("index",), compute, weight=weight, height=height, kind=kind)
 
 
 SUITES = (
@@ -452,54 +398,25 @@ SUITES = (
 
 @main.command("verify")
 @common_options
-@click.option("--weight", required=True)
-@click.option("--height", type=int, default=3)
+@weight_options
 @click.option("--suite", type=click.Choice(SUITES), required=True)
 @click.option("--expect-unitarizable", is_flag=True, default=False)
-def cmd_verify(m, n, p, q, json_out, cache_dir, jobs, weight, height, suite, expect_unitarizable):
-    def go():
-        pp, qq = _resolve_pq(m, p, q)
-        datum = _datum(m, n, pp, qq)
-        lam = _weight(datum, weight)
-        key = cache_key(
-            {
-                "cmd": "verify",
-                "suite": suite,
-                "m": m,
-                "n": n,
-                "p": pp,
-                "q": qq,
-                "w": lam.text(),
-                "N": height,
-            }
-        )
-        required = ("status", "exit_code") + (("verdict",) if suite == "unitarity" else ())
-        cached = cache_lookup(cache_dir, key, required)
-        if cached is not None and not _is_exit_code(cached["exit_code"]):
-            cached = None
-        if cached is not None:
-            _emit(cached, json_out)
-            code = cached["exit_code"]
-            if expect_unitarizable and suite == "unitarity" and cached["verdict"] != "certified-up-to-N":
-                return 1
-            return code
-        payload, code = _run_suite(datum, lam, height, suite, jobs)
-        payload["exit_code"] = code
-        cache_store(cache_dir, key, payload)
-        _emit(payload, json_out)
-        if expect_unitarizable and suite == "unitarity" and payload.get("verdict") != "certified-up-to-N":
-            return 1
-        return code
+def cmd_verify(weight, height, suite, expect_unitarizable, **common):
+    def compute(datum, lam):
+        payload, code = _run_suite(datum, lam, height, suite)
+        return {**payload, "exit_code": code}
 
-    _run(go, jobs, height)
+    unitarity = suite == "unitarity"
+    _serve(
+        "verify", common,
+        ("status", "exit_code", "verdict") if unitarity else ("status", "exit_code"),
+        compute, weight=weight, height=height, suite=suite,
+        expect_unitarizable=expect_unitarizable and unitarity,
+        exit_code=lambda payload: payload["exit_code"],
+    )
 
 
-def _is_exit_code(value) -> bool:
-    # bool is an int subclass, and sys.exit(True) would exit 1
-    return type(value) is int and value in (EXIT_OK, 1, EXIT_ASSERTION, EXIT_CONFIG)
-
-
-def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str, jobs: int):
+def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
     payload: dict = {
         "theorem": suite,
         "weight": lam.text(),
@@ -527,7 +444,7 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str, jobs: int
     module = modules.simple_truncation(datum, lam, height)
     cert = modules.certify_unitarity(datum, lam, height, module=module)
     payload["certification"] = cert.verdict
-    coll = assemble_all_parallel(module, height, jobs)
+    coll = dirac.assemble_all(module, height)
     if suite == "square":
         report = dirac.dirac_square_audit(coll)
         payload["scalar_audit"] = report.to_json()

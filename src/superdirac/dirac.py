@@ -34,6 +34,8 @@ class DiracBlock:
     delta_q2: SparseRationalMatrix
     D: SparseRationalMatrix
     gram: SparseRationalMatrix
+    # basis entry -> its position in basis, built once by assemble_block
+    index: dict[tuple[Weight, int, OscMonomial], int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -42,10 +44,6 @@ class DiracBlock:
     @functools.cached_property
     def D2(self) -> SparseRationalMatrix:
         return self.D.matmul(self.D)
-
-    @functools.cached_property
-    def index(self) -> dict[tuple[Weight, int, OscMonomial], int]:
-        return {e: i for i, e in enumerate(self.basis)}
 
     def to_json(self) -> dict:
         return {
@@ -164,7 +162,9 @@ def assemble_block(
             v = g.get(i2, i)
             if v:
                 gram.set(index[(lam_m, i2, a)], col, v * bf)
-    return DiracBlock(nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, gram)
+    return DiracBlock(
+        nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, gram, index
+    )
 
 
 def diagonal_weights(module: TruncatedModule, height) -> list[Weight]:
@@ -417,9 +417,11 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
                 if _in_even_cone(nu0 - nu)
             }
         )
-        prod = SparseRationalMatrix.identity(block.dim)
-        for c in cs:
-            step = block.D2.add(SparseRationalMatrix.identity(block.dim).scale(-c))
+        steps = [
+            block.D2.add(SparseRationalMatrix.identity(block.dim).scale(-c)) for c in cs
+        ]
+        prod = steps[0] if steps else SparseRationalMatrix.identity(block.dim)
+        for step in steps[1:]:
             prod = prod.matmul(step)
         if not prod.is_zero():
             raise AssertionError(

@@ -47,9 +47,6 @@ class SparseRationalMatrix:
     def zero(rows: int, cols: int) -> "SparseRationalMatrix":
         return SparseRationalMatrix(rows, cols)
 
-    def copy(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(self.rows, self.cols, dict(self.entries))
-
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
 
@@ -122,10 +119,6 @@ class SparseRationalMatrix:
             if v[j]:
                 out[i] += a * v[j]
         return tuple(out)
-
-    def json_entries(self) -> list[list]:
-        items = sorted(self.entries.items())
-        return [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in items]
 
 
 def _rref(rows_data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

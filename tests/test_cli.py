@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schema, determinism, caching."""
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -142,37 +143,32 @@ def test_output_bytes_deterministic(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_do_not_change_output(runner, tmp_path):
-    outs = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"j{jobs}.json"
-        res = invoke(
-            runner,
-            [
-                "dirac-cohomology", *BASE21,
-                "--weight", "-2,1|1", "--height", "2", "--jobs", jobs,
-                "--json-out", str(out),
-            ],
-        )
-        assert res.exit_code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
-def test_cache_roundtrip(runner, tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["root-data", *BASE21],
+        ["decompose", "--m", "2", "--n", "2", "--p", "1", "--q", "1",
+         "--weight", "-3,1|1,1", "--height", "2"],
+        ["dirac-cohomology", *BASE21, "--weight", "-2,1|1", "--height", "2", "--kind", "verma"],
+        ["certify-unitarity", *BASE21, "--weight", "0,0|-1", "--height", "2",
+         "--expect-unitarizable"],
+        ["character", *BASE21, "--weight", "-2,1|1", "--height", "2", "--kind", "even-simple"],
+        ["index", *BASE21, "--weight", "-2,1|1", "--height", "2"],
+        ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square"],
+    ],
+    ids=["root-data", "decompose", "dirac-cohomology", "certify-unitarity", "character",
+         "index", "verify"],
+)
+def test_cache_roundtrip(runner, tmp_path, args):
     cache = tmp_path / "cache"
-    args = [
-        "verify", *BASE21,
-        "--weight", "-2,1|1", "--height", "2", "--suite", "square",
-        "--cache-dir", str(cache),
-    ]
-    r1 = invoke(runner, args)
-    assert r1.exit_code == 0
-    files = list(cache.glob("*.json"))
-    assert files
-    r2 = invoke(runner, args)
-    assert r2.exit_code == 0
-    assert r1.output == r2.output
+    args = [*args, "--cache-dir", str(cache)]
+    cold = invoke(runner, args)
+    (entry,) = cache.glob("*.json")
+    inode = entry.stat().st_ino
+    warm = invoke(runner, args)
+    assert (warm.exit_code, warm.output) == (cold.exit_code, cold.output)
+    # a hit: a store would have replaced the entry by a new file
+    assert entry.stat().st_ino == inode
 
 
 def test_corrupted_cache_entry_recomputes(runner, tmp_path):
@@ -221,16 +217,38 @@ def test_index_command(runner):
         ["certify-unitarity", *BASE21, "--weight", "-2,1|1", "--height", "-1"],
         ["verify", *BASE21, "--weight", "-2,1|1", "--height", "-1", "--suite", "square"],
         ["certify-unitarity", *BASE21, "--weight", "1/0,1|1", "--height", "2"],
-        ["dirac-cohomology", *BASE21, "--weight", "-2,1|1", "--height", "2", "--jobs", "0"],
-        ["root-data", *BASE21, "--jobs", "0"],
+        # the parent of this path is a regular file, so it cannot be written
+        ["root-data", *BASE21, "--json-out", os.path.join(__file__, "x.json")],
     ],
-    ids=["negative-height-certify", "negative-height-verify", "zero-denominator", "jobs-0",
-         "jobs-0-root-data"],
+    ids=["negative-height-certify", "negative-height-verify", "zero-denominator",
+         "unwritable-json-out"],
 )
 def test_bad_input_is_config_error(runner, args):
     res = invoke(runner, args)
     assert res.exit_code == 3
     assert "configuration error" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dirac-cohomology", *BASE21, "--weight", "-2,1|1", "--height", "2", "--jobs", "1"],
+        ["verify", *BASE21, "--weight", "-2,1|1", "--height", "abc", "--suite", "square"],
+        ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "nope"],
+        ["certify-unitarity", *BASE21, "--height", "2"],
+    ],
+    ids=["jobs", "height-abc", "suite-nope", "missing-weight"],
+)
+def test_usage_error_is_config_error(runner, args):
+    # click's own code for a usage error is 2, which means a failed assertion here
+    res = invoke(runner, args)
+    assert res.exit_code == 3
+    assert "Error:" in res.output
+
+
+def test_help_exits_0(runner):
+    assert invoke(runner, ["--help"]).exit_code == 0
+    assert invoke(runner, ["verify", "--help"]).exit_code == 0
 
 
 def _schema_only(stored: dict) -> dict:
