@@ -12,7 +12,6 @@ from typing import Iterable
 
 from . import dirac, exactla, modules
 from .dirac import BlockCollection
-from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule, VirtualCharacter
 from .oscillator import OscMonomial
 from .weights import RootDatum, Weight, atypicality_set
@@ -159,22 +158,9 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
             cols = idx_by_deg[k]
             rows_out = idx_by_deg.get(k + 1, [])
             rows_in = idx_by_deg.get(k - 1, [])
-            # d restricted: C^k -> C^{k+1}
-            dk = SparseRationalMatrix(len(rows_out), len(cols))
-            for ri, r in enumerate(rows_out):
-                for ci, c in enumerate(cols):
-                    v = d.get(r, c)
-                    if v:
-                        dk.set(ri, ci, v)
-            ker_dim = len(cols) - exactla.rank(dk)
-            # image of d from C^{k-1}
-            dprev = SparseRationalMatrix(len(cols), len(rows_in))
-            for ri, r in enumerate(cols):
-                for ci, c in enumerate(rows_in):
-                    v = d.get(r, c)
-                    if v:
-                        dprev.set(ri, ci, v)
-            im_dim = exactla.rank(dprev)
+            # d restricted: C^k -> C^{k+1}, and the image of d from C^{k-1}
+            ker_dim = len(cols) - exactla.rank(d.submatrix(rows_out, cols))
+            im_dim = exactla.rank(d.submatrix(cols, rows_in))
             h = ker_dim - im_dim
             if h:
                 w = nu + datum.rho1
@@ -194,15 +180,12 @@ def injection_check(
     kost = kostant_cohomology(coll)
     if not kost.dd_zero:
         return False, None
-    left = cohom.character().multiplicities
-    right = kost.total_character_shifted_back()
+    # every weight of both characters lies within the collection's height
     base = module.highest_weight - datum.rho1
-    for nu in sorted(
-        set(left) | set(right), key=lambda w: datum.root_sort_key(base - w)
-    ):
-        if left.get(nu, 0) != right.get(nu, 0):
-            return False, nu
-    return True, None
+    right = VirtualCharacter(kost.total_character_shifted_back(), coll.height, base)
+    return modules.characters_equal_to_height(
+        datum, cohom.character(), right, base, coll.height
+    )
 
 
 # ----- character formulas ----------------------------------------------------------------
@@ -258,7 +241,6 @@ def character_formula_check(
     datum = module.datum
     lam = module.highest_weight
     height = coll.height
-    left = modules.character(module).multiplicities
     right: dict[Weight, int] = {}
     if which == "kostant":
         kost = kostant_cohomology(coll)
@@ -280,14 +262,9 @@ def character_formula_check(
                     right[w] = right.get(w, 0) + sign * m * c
     else:
         raise ValueError("which must be 'kostant' or 'dirac-index'")
-    for nu in sorted(
-        set(left) | set(right), key=lambda w: datum.root_sort_key(lam - w)
-    ):
-        if datum.height(lam - nu) > height:
-            continue
-        if left.get(nu, 0) != right.get(nu, 0):
-            return False, nu
-    return True, None
+    return modules.characters_equal_to_height(
+        datum, modules.character(module), VirtualCharacter(right, height, lam), lam, height
+    )
 
 
 # ----- Vogan / Harish-Chandra consistency ---------------------------------------------------

@@ -116,10 +116,16 @@ def cache_key(parts: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# the payload fields an exit code is read from, and the type each must have
+# (bool is an int subclass, and sys.exit(True) would exit 1, hence `type is`)
+EXIT_FIELDS = {"exit_code": int, "character_verified": bool, "verdict": str, "certification": str}
+
+
 def cache_lookup(cache_dir: str | None, key: str, required: tuple[str, ...]) -> dict | None:
     """The cached payload, or None (a miss) when it is absent, unreadable,
-    lacks one of the ``required`` keys its command reads or emits, or holds an
-    ``exit_code`` that is not one of the CLI's exit codes."""
+    lacks one of the ``required`` keys its command reads or emits, holds one
+    of the ``EXIT_FIELDS`` with another type, or holds an ``exit_code`` that
+    is not one of the CLI's exit codes."""
     if not cache_dir:
         return None
     path = os.path.join(cache_dir, key + ".json")
@@ -130,9 +136,9 @@ def cache_lookup(cache_dir: str | None, key: str, required: tuple[str, ...]) -> 
         return None
     if not isinstance(payload, dict) or any(k not in payload for k in required):
         return None
-    # bool is an int subclass, and sys.exit(True) would exit 1
-    code = payload.get("exit_code", EXIT_OK)
-    if type(code) is not int or code not in EXIT_CODES:
+    if any(k in payload and type(payload[k]) is not t for k, t in EXIT_FIELDS.items()):
+        return None
+    if payload.get("exit_code", EXIT_OK) not in EXIT_CODES:
         return None
     return payload
 
@@ -160,19 +166,23 @@ def _serve(
     weight: str | None = None,
     height: int = 0,
     expect_unitarizable: bool = False,
+    verdict: str | None = None,
     exit_code=lambda payload: EXIT_OK,
     **extras,
 ) -> None:
     """Run one command and exit: resolve p and q, build the datum and (when
     ``weight`` is given) the weight, take the payload from the cache or from
     ``compute(datum, lam)`` (stored on a miss), emit it, and exit with
-    ``exit_code(payload)``, or 1 when ``expect_unitarizable`` meets a verdict
-    other than certified. Cold runs and warm hits leave by this one path.
-    ``extras`` join the cache key."""
+    ``exit_code(payload)``, or 1 when ``expect_unitarizable`` meets a
+    ``payload[verdict]`` other than certified. ``expect_unitarizable`` with no
+    ``verdict`` field is a configuration error. Cold runs and warm hits leave
+    by this one path. ``extras`` join the cache key."""
     m, n, cache_dir = common["m"], common["n"], common["cache_dir"]
     try:
         if height < 0:
             raise ConfigError(f"--height must be at least 0, got {height}")
+        if expect_unitarizable and verdict is None:
+            raise ConfigError("--expect-unitarizable needs a result with a unitarity verdict")
         p, q = _resolve_pq(m, common["p"], common["q"])
         datum = _datum(m, n, p, q)
         parts = {"cmd": cmd, "m": m, "n": n, "p": p, "q": q, **extras}
@@ -187,7 +197,7 @@ def _serve(
             cache_store(cache_dir, key, payload)
         _emit(payload, common["json_out"])
         code = exit_code(payload)
-        if expect_unitarizable and payload["verdict"] != "certified-up-to-N":
+        if expect_unitarizable and payload[verdict] != "certified-up-to-N":
             code = EXIT_REFUTED
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
@@ -196,11 +206,6 @@ def _serve(
         click.echo(f"assertion failure: {exc}", err=True)
         sys.exit(EXIT_ASSERTION)
     sys.exit(code)
-
-
-def _table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list:
-    items = sorted(table.items(), key=lambda kv: datum.root_sort_key(base - kv[0]))
-    return [[w.text(), mult] for w, mult in items if mult]
 
 
 # ----- commands ----------------------------------------------------------------------
@@ -319,8 +324,8 @@ def cmd_dirac_cohomology(weight, height, kind, **common):
             "kind": kind,
             **report.to_json(),
             "character": report.character().to_json(datum),
-            "ktypes_plus": _table_json(datum, lam - datum.rho1, ktypes_plus),
-            "ktypes_minus": _table_json(datum, lam - datum.rho1, ktypes_minus),
+            "ktypes_plus": modules.table_json(datum, lam - datum.rho1, ktypes_plus),
+            "ktypes_minus": modules.table_json(datum, lam - datum.rho1, ktypes_minus),
         }
 
     _serve(
@@ -340,7 +345,7 @@ def cmd_certify(weight, height, expect_unitarizable, **common):
 
     _serve(
         "certify", common, ("verdict",), compute,
-        weight=weight, height=height, expect_unitarizable=expect_unitarizable,
+        weight=weight, height=height, expect_unitarizable=expect_unitarizable, verdict="verdict",
     )
 
 
@@ -358,7 +363,7 @@ def cmd_character(weight, height, kind, **common):
             "height": height,
             "kind": kind,
             "character": ch.to_json(datum),
-            "ktypes": kt.to_json(datum, lam),
+            "ktypes": modules.table_json(datum, lam, kt.multiplicities),
         }
 
     _serve(
@@ -378,7 +383,7 @@ def cmd_index(weight, height, kind, **common):
             "weight": lam.text(),
             "height": height,
             "kind": kind,
-            "index": _table_json(datum, lam - datum.rho1, dirac.dirac_index(coll)),
+            "index": modules.table_json(datum, lam - datum.rho1, dirac.dirac_index(coll)),
         }
 
     _serve("index", common, ("index",), compute, weight=weight, height=height, kind=kind)
@@ -394,6 +399,13 @@ SUITES = (
     "branching",
     "unitarity",
 )
+# the payload field `--expect-unitarizable` reads for each suite: the verdict
+# of `unitarity` and the certification the five Dirac suites record;
+# `filtration` and `branching` certify nothing
+VERDICT_FIELDS = {
+    "unitarity": "verdict",
+    **{s: "certification" for s in ("square", "cohomology", "kostant", "character", "index")},
+}
 
 
 @main.command("verify")
@@ -406,12 +418,12 @@ def cmd_verify(weight, height, suite, expect_unitarizable, **common):
         payload, code = _run_suite(datum, lam, height, suite)
         return {**payload, "exit_code": code}
 
-    unitarity = suite == "unitarity"
+    verdict = VERDICT_FIELDS.get(suite)
     _serve(
         "verify", common,
-        ("status", "exit_code", "verdict") if unitarity else ("status", "exit_code"),
+        ("status", "exit_code", verdict) if verdict else ("status", "exit_code"),
         compute, weight=weight, height=height, suite=suite,
-        expect_unitarizable=expect_unitarizable and unitarity,
+        expect_unitarizable=expect_unitarizable, verdict=verdict,
         exit_code=lambda payload: payload["exit_code"],
     )
 
@@ -444,7 +456,14 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
     module = modules.simple_truncation(datum, lam, height)
     cert = modules.certify_unitarity(datum, lam, height, module=module)
     payload["certification"] = cert.verdict
-    coll = dirac.assemble_all(module, height)
+    # for the zero weight the `cohomology` suite reads the truncation parameter
+    # as the oscillator polynomial degree (degree and height differ once the
+    # odd roots have height > 1)
+    by_degree = suite == "cohomology" and lam.is_zero()
+    if by_degree:
+        coll = dirac.assemble_by_degree(module, int(height))
+    else:
+        coll = dirac.assemble_all(module, height)
     if suite == "square":
         report = dirac.dirac_square_audit(coll)
         payload["scalar_audit"] = report.to_json()
@@ -455,14 +474,7 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
         report = dirac.dirac_cohomology(coll)
         payload["blocks"] = report.to_json()["blocks"]
         hd = report.character()
-        if lam.is_zero():
-            # for the zero weight the truncation parameter is read as the
-            # oscillator polynomial degree (degree and height differ once the
-            # odd roots have height > 1)
-            coll = dirac.assemble_by_degree(module, int(height))
-            report = dirac.dirac_cohomology(coll)
-            payload["blocks"] = report.to_json()["blocks"]
-            hd = report.character()
+        if by_degree:
             osc = coll.osc
             expected: dict[Weight, int] = {}
             for deg in range(int(height) + 1):
@@ -522,7 +534,7 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
         idx = dirac.dirac_index(coll)
         ok = idx == report.signed_table()
         payload["status"] = "pass" if ok else "fail"
-        payload["index"] = _table_json(datum, lam - datum.rho1, idx)
+        payload["index"] = modules.table_json(datum, lam - datum.rho1, idx)
         return payload, EXIT_OK if ok else EXIT_ASSERTION
     raise ConfigError(f"unknown suite {suite!r}")
 

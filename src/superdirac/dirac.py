@@ -7,6 +7,7 @@ audits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -15,7 +16,7 @@ from . import exactla, modules, oscillator
 from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule
 from .oscillator import OscMonomial, Oscillator
-from .uea import Algebra, Gen
+from .uea import Gen
 from .weights import RootDatum, Weight, pairing
 
 
@@ -153,13 +154,12 @@ def assemble_block(
 
     # G = (module Gram) (x) (Bargmann-Fock form), diagonal in the monomials
     gram = SparseRationalMatrix(dim, dim)
-    simple = module.kind.endswith("simple")
     for col, (lam_m, i, a) in enumerate(basis):
         bf = math.prod(math.factorial(e) for e in a)
         b = module.blocks[lam_m]
-        g = b.gram_quot if (simple and b.gram_quot is not None) else b.gram
-        for i2 in range(module.block_dim(lam_m)):
-            v = g.get(i2, i)
+        form = b.form
+        for i2 in range(b.dim):
+            v = form.get(i2, i)
             if v:
                 gram.set(index[(lam_m, i2, a)], col, v * bf)
     return DiracBlock(
@@ -200,10 +200,6 @@ def diagonal_weights(module: TruncatedModule, height) -> list[Weight]:
 
 
 # ----- even (g0) structure inside blocks ---------------------------------------------
-def _even_raising_generators(alg: Algebra) -> list[Gen]:
-    return [g for g in alg.positive_generators() if alg.parity(g) == 0]
-
-
 def diagonal_action_matrix(
     block_src: DiracBlock, block_tgt: DiracBlock, g: Gen
 ) -> SparseRationalMatrix:
@@ -295,28 +291,15 @@ def highest_vectors(
 ) -> list[tuple[Fraction, ...]]:
     """Vectors of the block killed by every even raising operator X_D."""
     block = coll.blocks[nu]
-    if block.dim == 0:
-        return []
     alg = coll.module.alg
-    datum = coll.module.datum
-    stacked: list[list[Fraction]] = []
-    for g in _even_raising_generators(alg):
-        target_nu = nu + alg.gen_root(g)
-        tgt = coll.blocks.get(target_nu)
-        if tgt is None:
-            # raising decreases the height drop, so a missing target block is
-            # empty; the map is zero there
-            continue
-        m = diagonal_action_matrix(block, tgt, g)
-        rows = m.to_rows()
-        stacked.extend(rows)
-    if not stacked:
-        return [
-            tuple(Fraction(1 if i == j else 0) for i in range(block.dim))
-            for j in range(block.dim)
-        ]
-    a = SparseRationalMatrix.from_rows(stacked)
-    return exactla.kernel_basis(a)
+    mats = []
+    for g in modules.generators(alg, +1, "even"):
+        tgt = coll.blocks.get(nu + alg.gen_root(g))
+        # raising decreases the height drop, so a missing target block is
+        # empty; the map is zero there
+        if tgt is not None:
+            mats.append(diagonal_action_matrix(block, tgt, g))
+    return exactla.kernel_basis(exactla.vstack(mats, block.dim))
 
 
 # ----- audits --------------------------------------------------------------------------
@@ -414,7 +397,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
             {
                 m
                 for nu0, m in by_nu0.items()
-                if _in_even_cone(nu0 - nu)
+                if _in_even_cone(nu0, nu)
             }
         )
         steps = [
@@ -438,18 +421,21 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     )
 
 
-def _in_even_cone(w: Weight) -> bool:
-    """Is w a nonnegative integer combination of positive even roots?
+def _in_even_cone(w: Weight, below: Weight | None = None) -> bool:
+    """Is w - below (w itself when below is None) a nonnegative integer
+    combination of positive even roots? The difference is read coordinate
+    by coordinate; no Weight is built for it.
 
     These are eps_i - eps_j and del_k - del_l (i < j, k < l), the positive
     roots of gl(m) and gl(n), whose simple roots e_i - e_{i+1} span the same
     cone; w = sum c_i (e_i - e_{i+1}) has c_i the i-th partial sum of its
     coordinates. So w lies in the cone iff, in the eps part and in the del
     part, every partial sum is a nonnegative integer and the last is zero."""
-    for part in (w.eps, w.del_):
+    lows = (below.eps, below.del_) if below is not None else ((), ())
+    for part, low in zip((w.eps, w.del_), lows):
         total = Fraction(0)
-        for x in part:
-            total += x
+        for x, y in itertools.zip_longest(part, low, fillvalue=0):
+            total += x - y
             if total < 0 or total.denominator != 1:
                 return False
         if total:
@@ -524,18 +510,6 @@ class CohomologyReport:
         return {"blocks": [self.per_block[nu].to_json() for nu in keys]}
 
 
-def _submatrix(
-    a: SparseRationalMatrix, rows: list[int], cols: list[int]
-) -> SparseRationalMatrix:
-    row_pos = {r: i for i, r in enumerate(rows)}
-    col_pos = {c: j for j, c in enumerate(cols)}
-    out = SparseRationalMatrix(len(rows), len(cols))
-    for (i, j), v in a.entries.items():
-        if i in row_pos and j in col_pos:
-            out.entries[(row_pos[i], col_pos[j])] = v
-    return out
-
-
 def block_cohomology(block: DiracBlock) -> BlockCohomology:
     """H_D of one block from four ranks.
 
@@ -546,8 +520,8 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
     """
     even = [i for i, p in enumerate(block.parity) if p == 0]
     odd = [i for i, p in enumerate(block.parity) if p == 1]
-    b = _submatrix(block.D, even, odd)
-    c = _submatrix(block.D, odd, even)
+    b = block.D.submatrix(even, odd)
+    c = block.D.submatrix(odd, even)
     rk_b, rk_c = exactla.rank(b), exactla.rank(c)
     both = rk_b and rk_c  # CB and BC vanish when B or C does
     cap_plus = rk_b - (exactla.rank(c.matmul(b)) if both else 0)
@@ -602,15 +576,10 @@ def hd_ktype_table(
     classes killed by every compact raising operator (raising_set="compact",
     the compact-type table) or by every even raising operator
     (raising_set="even", the g0-highest weights)."""
-    module = coll.module
-    alg = module.alg
-    datum = module.datum
-    raising = _even_raising_generators(alg)
-    if raising_set == "compact":
-        compact_roots = {r.weight.coords() for r in datum.pos_compact}
-        raising = [g for g in raising if alg.gen_root(g).coords() in compact_roots]
-    elif raising_set != "even":
+    if raising_set not in ("compact", "even"):
         raise ValueError("raising_set must be 'compact' or 'even'")
+    alg = coll.module.alg
+    raising = modules.generators(alg, +1, raising_set)
     # X_D commutes with D, so it maps kernel vectors to ker D of the target
     # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
     # reducing modulo im D gives the target class. Where ker D cap im D = 0
@@ -621,11 +590,14 @@ def hd_ktype_table(
         classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
         if not classes:
             continue
-        if not raising:
-            table[nu] = len(classes)
-            continue
         block = coll.blocks[nu]
-        stacked: list[list[Fraction]] = []
+        # the classes as the columns of one matrix
+        reps = SparseRationalMatrix(
+            block.dim,
+            len(classes),
+            {(i, j): x for j, v in enumerate(classes) for i, x in enumerate(v) if x},
+        )
+        mats = []
         for g in raising:
             target_nu = nu + alg.gen_root(g)
             tgt = coll.blocks.get(target_nu)
@@ -638,19 +610,9 @@ def hd_ktype_table(
                     else None
                 )
             qm = reducers[target_nu]
-            m = diagonal_action_matrix(block, tgt, g)
-            imgs = []
-            for v in classes:
-                img = m.apply(v)
-                imgs.append(qm.reduce_vector(img) if qm else img)
-            tdim = len(imgs[0]) if imgs else 0
-            for r in range(tdim):
-                stacked.append([imgs[c][r] for c in range(len(classes))])
-        if not stacked:
-            table[nu] = len(classes)
-            continue
-        a = SparseRationalMatrix.from_rows(stacked)
-        k = len(exactla.kernel_basis(a))
+            img = diagonal_action_matrix(block, tgt, g).matmul(reps)
+            mats.append(qm.reduction.matmul(img) if qm else img)
+        k = len(classes) - exactla.rank(exactla.vstack(mats, len(classes)))
         if k:
             table[nu] = k
     return table

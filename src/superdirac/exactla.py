@@ -67,6 +67,16 @@ class SparseRationalMatrix:
             out[i][j] = v
         return out
 
+    def submatrix(self, rows: list[int], cols: list[int]) -> "SparseRationalMatrix":
+        """The entries at the given rows and columns, in the order given."""
+        row_pos = {r: i for i, r in enumerate(rows)}
+        col_pos = {c: j for j, c in enumerate(cols)}
+        out = SparseRationalMatrix(len(rows), len(cols))
+        for (i, j), v in self.entries.items():
+            if i in row_pos and j in col_pos:
+                out.entries[(row_pos[i], col_pos[j])] = v
+        return out
+
     def transpose(self) -> "SparseRationalMatrix":
         t = SparseRationalMatrix(self.cols, self.rows)
         for (i, j), v in self.entries.items():
@@ -119,6 +129,19 @@ class SparseRationalMatrix:
             if v[j]:
                 out[i] += a * v[j]
         return tuple(out)
+
+
+def vstack(mats: Sequence[SparseRationalMatrix], cols: int) -> SparseRationalMatrix:
+    """The matrices stacked top to bottom; each must have ``cols`` columns.
+    No matrices give the 0 x cols matrix."""
+    out = SparseRationalMatrix(0, cols)
+    for m in mats:
+        if m.cols != cols:
+            raise ValueError("column mismatch in vstack")
+        for (i, j), v in m.entries.items():
+            out.entries[(out.rows + i, j)] = v
+        out.rows += m.rows
+    return out
 
 
 def _rref(rows_data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

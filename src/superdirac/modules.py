@@ -71,6 +71,12 @@ def monomial_parity(alg: Algebra, mono: Word) -> int:
 # ----- block data -----------------------------------------------------------------
 @dataclass
 class Block:
+    """One weight block. A block of a simple kind carries the quotient map
+    and Gram of M/radical and is stored in quotient coordinates; any other
+    block is stored in Verma (monomial) coordinates. `qmap` is set exactly
+    for the simple kinds, so the block itself answers which coordinates it
+    stores (`dim`, `basis`, `form`, `reduce`)."""
+
     weight: Weight
     monomials: list[Word]
     parity: list[int]
@@ -86,6 +92,27 @@ class Block:
     @property
     def simple_dim(self) -> int:
         return len(self.monomials) - len(self.radical)
+
+    @property
+    def dim(self) -> int:
+        """Size of the block in stored coordinates."""
+        return self.verma_dim if self.qmap is None else len(self.qmap.kept)
+
+    @property
+    def basis(self) -> list[Word]:
+        """The monomials whose classes form the stored basis."""
+        if self.qmap is None:
+            return self.monomials
+        return [self.monomials[i] for i in self.qmap.kept]
+
+    @property
+    def form(self) -> SparseRationalMatrix:
+        """The Shapovalov form in stored coordinates."""
+        return self.gram if self.qmap is None else self.gram_quot
+
+    def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Stored coordinates of a vector given in monomial coordinates."""
+        return tuple(vec) if self.qmap is None else self.qmap.reduce_vector(vec)
 
     def to_json(self) -> dict:
         return {
@@ -103,7 +130,7 @@ class TruncatedModule:
     alg: Algebra
     highest_weight: Weight
     height: Fraction
-    kind: str  # verma | simple | even-verma | even-simple
+    kind: str  # verma | simple | even-verma | even-simple | compact-simple
     blocks: dict[Weight, Block] = field(default_factory=dict)
     # generator matrices by (generator, source weight), filled by gen_columns
     _gen_columns: dict[tuple[Gen, Weight], tuple] = field(
@@ -112,9 +139,7 @@ class TruncatedModule:
 
     def block_dim(self, nu: Weight) -> int:
         b = self.blocks.get(nu)
-        if b is None:
-            return 0
-        return b.verma_dim if self.kind.endswith("verma") else b.simple_dim
+        return 0 if b is None else b.dim
 
     def gen_columns(
         self, g: Gen, source: Weight
@@ -134,21 +159,15 @@ class TruncatedModule:
         target = source + self.alg.gen_root(g)
         if sdim == 0 or self.block_dim(target) == 0:
             return ((),) * sdim
-        b = self.blocks[source]
-        if self.kind.endswith("simple") and b.qmap is not None:
-            lifts = [b.monomials[i] for i in b.qmap.kept]
-        else:
-            lifts = b.monomials
-        tmonos = self.blocks[target].monomials
-        index = {m: i for i, m in enumerate(tmonos)}
+        tb = self.blocks[target]
+        index = {m: i for i, m in enumerate(tb.monomials)}
         cols = []
-        for mono in lifts:
-            vec = [Fraction(0)] * len(tmonos)
+        for mono in self.blocks[source].basis:
+            vec = [Fraction(0)] * len(index)
             img = act_word(self.alg, self.highest_weight, (g,), {mono: Fraction(1)})
             for m, c in img.items():
                 vec[index[m]] += c
-            red = self.reduce(target, vec)
-            cols.append(tuple((i, c) for i, c in enumerate(red) if c))
+            cols.append(tuple((i, c) for i, c in enumerate(tb.reduce(vec)) if c))
         return tuple(cols)
 
     def sorted_weights(self) -> list[Weight]:
@@ -156,25 +175,20 @@ class TruncatedModule:
             self.blocks, key=lambda nu: self.datum.root_sort_key(self.highest_weight - nu)
         )
 
-    def reduce(self, nu: Weight, vec_coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of a Verma-block vector in the simple quotient."""
-        b = self.blocks[nu]
-        if self.kind.endswith("verma") or b.qmap is None:
-            return tuple(vec_coords)
-        return b.qmap.reduce_vector(vec_coords)
 
-
-def _negative_generators(alg: Algebra, restriction: str) -> list[Gen]:
-    gens = alg.negative_generators()
-    if restriction == "even":
-        gens = [g for g in gens if alg.parity(g) == 0]
-    elif restriction == "compact":
+def generators(alg: Algebra, sign: int, restriction: str) -> list[Gen]:
+    """The raising (sign=+1) or lowering (sign=-1) root generators of g
+    (restriction="all"), of g0 ("even") or of the compact subalgebra
+    ("compact"), in PBW order."""
+    gens = alg.positive_generators() if sign > 0 else alg.negative_generators()
+    if restriction == "all":
+        return gens
+    if restriction not in ("even", "compact"):
+        raise ValueError("restriction must be 'all', 'even' or 'compact'")
+    gens = [g for g in gens if alg.parity(g) == 0]
+    if restriction == "compact":
         compact = {r.weight.coords() for r in alg.datum.pos_compact}
-        gens = [
-            g
-            for g in gens
-            if alg.parity(g) == 0 and (-alg.gen_root(g)).coords() in compact
-        ]
+        gens = [g for g in gens if alg.gen_root(g).scale(sign).coords() in compact]
     return gens
 
 
@@ -264,13 +278,9 @@ def _build(
     if not datum.admissible_highest_weight(lam):
         raise ValueError("inadmissible highest weight (central charge constraint)")
     alg = alg or Algebra(datum)
-    if kind.startswith("even"):
-        restriction = "even"
-    elif kind.startswith("compact"):
-        restriction = "compact"
-    else:
-        restriction = "all"
-    gens = _negative_generators(alg, restriction)
+    # "even-verma" -> "even", "compact-simple" -> "compact", "simple" -> "all"
+    restriction = kind.split("-")[0] if "-" in kind else "all"
+    gens = generators(alg, -1, restriction)
     monomials = _enumerate_monomials(alg, gens, Fraction(height))
     by_weight: dict[Weight, list[Word]] = {}
     for mono in monomials:
@@ -335,11 +345,14 @@ class VirtualCharacter:
         return self.multiplicities.get(nu, 0)
 
     def to_json(self, datum: RootDatum) -> list[list]:
-        items = sorted(
-            self.multiplicities.items(),
-            key=lambda kv: datum.root_sort_key(self.base - kv[0]),
-        )
-        return [[nu.text(), mult] for nu, mult in items if mult]
+        return table_json(datum, self.base, self.multiplicities)
+
+
+def table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list[list]:
+    """[[weight, multiplicity], ...] over the nonzero entries, ordered by the
+    height of base - weight and then by coordinates."""
+    items = sorted(table.items(), key=lambda kv: datum.root_sort_key(base - kv[0]))
+    return [[nu.text(), mult] for nu, mult in items if mult]
 
 
 def character(module: TruncatedModule) -> VirtualCharacter:
@@ -373,77 +386,23 @@ def characters_equal_to_height(
 class KTypeTable:
     multiplicities: dict[Weight, int]
 
-    def to_json(self, datum: RootDatum, base: Weight) -> list[list]:
-        items = sorted(
-            self.multiplicities.items(),
-            key=lambda kv: datum.root_sort_key(base - kv[0]),
-        )
-        return [[nu.text(), mult] for nu, mult in items if mult]
-
-
-def _compact_raising_generators(alg: Algebra) -> list[Gen]:
-    datum = alg.datum
-    compact_roots = {r.weight.coords() for r in datum.pos_compact}
-    return [
-        g
-        for g in alg.positive_generators()
-        if alg.parity(g) == 0 and alg.gen_root(g).coords() in compact_roots
-    ]
-
 
 def ktype_table(module: TruncatedModule) -> KTypeTable:
-    """Multiplicity of each compact-highest weight: vectors killed by all
-    compact raising operators, counted blockwise on the stored module."""
-    alg = module.alg
-    lam = module.highest_weight
-    raising = _compact_raising_generators(alg)
+    """Multiplicity of each compact-highest weight: the dimension of the
+    common kernel of the compact raising operators on each stored block."""
+    raising = generators(module.alg, +1, "compact")
     table: dict[Weight, int] = {}
     for nu in module.sorted_weights():
-        b = module.blocks[nu]
-        dim_here = module.block_dim(nu)
-        if dim_here == 0:
-            continue
-        if not raising:
-            table[nu] = dim_here
-            continue
-        rows: list[list[Fraction]] = []
-        simple = module.kind.endswith("simple")
-        # columns: basis of the block (quotient coordinates for simples)
-        cols: list[ModuleVector] = []
-        if simple and b.qmap is not None:
-            kept = [b.monomials[i] for i in b.qmap.kept]
-            cols = [{m: Fraction(1)} for m in kept]
-        else:
-            cols = [{m: Fraction(1)} for m in b.monomials]
-        stacked: list[list[Fraction]] = []
+        dim = module.block_dim(nu)
+        mats = []
         for g in raising:
-            target = nu + alg.gen_root(g)
-            tb = module.blocks.get(target)
-            images = [act_word(alg, lam, (g,), v) for v in cols]
-            if tb is None:
-                # raising lands above the highest weight: image must be zero
-                tdim = 0
-                coords = [[] for _ in images]
-            else:
-                tmonos = tb.monomials
-                index = {m: i for i, m in enumerate(tmonos)}
-                coords = []
-                for img in images:
-                    vec = [Fraction(0)] * len(tmonos)
-                    for m, c in img.items():
-                        vec[index[m]] += c
-                    red = module.reduce(target, vec)
-                    coords.append(list(red))
-                tdim = len(coords[0]) if coords else 0
-            for r in range(tdim):
-                stacked.append([coords[c][r] for c in range(len(cols))])
-        if not stacked:
-            table[nu] = len(cols)
-            continue
-        a = SparseRationalMatrix.from_rows(stacked) if stacked else None
-        kdim = len(exactla.kernel_basis(a)) if a is not None else len(cols)
-        if kdim:
-            table[nu] = kdim
+            cols = module.gen_columns(g, nu)
+            entries = {(r, j): c for j, col in enumerate(cols) for r, c in col}
+            rows = module.block_dim(nu + module.alg.gen_root(g))
+            mats.append(SparseRationalMatrix(rows, dim, entries))
+        k = dim - exactla.rank(exactla.vstack(mats, dim))
+        if k:
+            table[nu] = k
     return KTypeTable(table)
 
 

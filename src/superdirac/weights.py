@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import exactla
+
 
 Rat = Fraction
 
@@ -294,9 +296,6 @@ def build_root_datum(m: int, n: int, p: int, q: int) -> RootDatum:
 
     # deterministic ordering: height then lexicographic coordinates
     datum.pos_even.sort(key=lambda r: datum.root_sort_key(r.weight))
-    datum.pos_odd_order = sorted(
-        range(m * n), key=lambda k: datum.root_sort_key(datum.pos_odd[k].weight)
-    )
     return datum
 
 
@@ -317,37 +316,15 @@ def atypicality_set(datum: RootDatum, lam: Weight) -> list[Root]:
     return [r for r in datum.pos_odd if pairing(shifted, r.weight) == 0]
 
 
-def _solve_membership(target: Weight, basis: list[Weight]) -> bool:
-    """Exact test: does target lie in the rational span of basis?"""
-    if target.is_zero():
-        return True
-    if not basis:
-        return False
-    cols = len(basis)
-    rows = len(target.coords())
-    a = [[basis[j].coords()[i] for j in range(cols)] + [target.coords()[i]] for i in range(rows)]
-    # Gaussian elimination on the augmented system
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pr = a[r][c]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c] / pr
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    # consistent iff no row (0,...,0 | nonzero)
-    return not any(all(x == 0 for x in row[:-1]) and row[-1] != 0 for row in a)
-
-
 def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> bool:
     """True iff mu + rho = w(lam + rho + sum t_i alpha_i) with alpha_i in A_lam."""
     atyp = [r.weight for r in atypicality_set(datum, lam)]
+    # columns: the atypical roots, so A t = x is membership of x in their span
+    span = exactla.SparseRationalMatrix(
+        datum.m + datum.n,
+        len(atyp),
+        {(i, j): c for j, r in enumerate(atyp) for i, c in enumerate(r.coords()) if c},
+    )
     lam_rho = lam + datum.rho
     mu_rho = mu + datum.rho
     for w in datum.weyl_group():
@@ -359,7 +336,7 @@ def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> b
         inv_tau = tuple(w.tau.index(i) for i in range(datum.n))
         winv = WeylElement(inv_sigma, inv_tau)
         x = winv.apply(mu_rho) - lam_rho
-        if _solve_membership(x, atyp):
+        if exactla.solve(span, x.coords()) is not None:
             return True
     return False
 

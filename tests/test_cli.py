@@ -255,8 +255,12 @@ def _schema_only(stored: dict) -> dict:
     return {"schema": 1}
 
 
-def _exit_code(value):
-    return lambda stored: {**stored, "exit_code": value}
+def _field(key, value):
+    return lambda stored: {**stored, key: value}
+
+
+def _drop(key):
+    return lambda stored: {k: v for k, v in stored.items() if k != key}
 
 
 VERIFY_SQUARE = ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square"]
@@ -275,12 +279,25 @@ VERIFY_SQUARE = ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--su
           "--weight", "-3,1|1,1", "--height", "2"], _schema_only),
         # an exit code that is not one of the CLI's codes, or a bool, would
         # otherwise reach sys.exit and exit 1 on the warm hit
-        (VERIFY_SQUARE, _exit_code("x")),
-        (VERIFY_SQUARE, _exit_code(True)),
-        (VERIFY_SQUARE, _exit_code(7)),
+        (VERIFY_SQUARE, _field("exit_code", "x")),
+        (VERIFY_SQUARE, _field("exit_code", True)),
+        (VERIFY_SQUARE, _field("exit_code", 7)),
+        # a field an exit code is read from, with the wrong type: the string
+        # "false" is truthy, and a non-string verdict is never "certified"
+        (["decompose", "--m", "2", "--n", "2", "--p", "1", "--q", "1",
+          "--weight", "-3,1|1,1", "--height", "2"], _field("character_verified", "false")),
+        (["certify-unitarity", *BASE21, "--weight", "-2,1|1", "--height", "2",
+          "--expect-unitarizable"], _field("verdict", ["certified-up-to-N"])),
+        (["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square",
+          "--expect-unitarizable"], _field("certification", 1)),
+        # a Dirac suite's entry must hold the certification the flag reads
+        (["verify", *BASE21, "--weight", "0,0|-1", "--height", "2", "--suite", "index",
+          "--expect-unitarizable"], _drop("certification")),
     ],
     ids=["certify", "verify-square", "verify-unitarity", "decompose-failing",
-         "verify-exit-code-str", "verify-exit-code-bool", "verify-exit-code-7"],
+         "verify-exit-code-str", "verify-exit-code-bool", "verify-exit-code-7",
+         "decompose-verified-str", "certify-verdict-list", "verify-certification-int",
+         "verify-certification-missing"],
 )
 def test_malformed_cache_entry_is_a_miss(runner, tmp_path, args, corrupt):
     cache = tmp_path / "cache"
@@ -305,3 +322,30 @@ def test_cache_key_depends_on_package_sources(monkeypatch):
     assert len(cli._source_hash()) == 64
     monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
     assert cli.cache_key(parts) != before
+
+
+@pytest.mark.parametrize(
+    "suite, weight, code",
+    [
+        ("unitarity", "0,0|-1", 1),  # reads "verdict"
+        ("square", "0,0|-1", 1),  # the Dirac suites read "certification"
+        ("kostant", "0,0|-1", 1),
+        ("square", "-2,1|1", 0),
+        ("filtration", "0,0|-1", 3),  # no verdict: the flag is a config error
+        ("branching", "-2,1|1", 3),
+    ],
+)
+def test_verify_expect_unitarizable(runner, tmp_path, suite, weight, code):
+    args = ["verify", *BASE21, "--weight", weight, "--height", "2", "--suite", suite,
+            "--cache-dir", str(tmp_path / "cache")]
+    cold = invoke(runner, [*args, "--expect-unitarizable"])
+    assert cold.exit_code == code
+    plain = invoke(runner, args)  # stores the entry when the cold run did not
+    assert plain.exit_code in (0, 2)
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    warm = invoke(runner, [*args, "--expect-unitarizable"])
+    assert (warm.exit_code, warm.output) == (cold.exit_code, cold.output)
+    if code == 3:
+        assert "configuration error" in warm.output
+    else:
+        assert json.loads(warm.output) == json.loads(plain.output)

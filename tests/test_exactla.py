@@ -176,3 +176,20 @@ def test_independent_modulo(span, candidates):
 
     assert rank(span + [candidates[k] for k in chosen]) == rank(span) + len(chosen)
     assert rank(span + candidates) == rank(span) + len(chosen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(2, 3), matrices(1, 3))
+def test_vstack(top, bottom):
+    """Stacking keeps the rows in order; no matrices give 0 x cols, whose
+    kernel is the whole space; a column mismatch is rejected."""
+    a, b = SparseRationalMatrix.from_rows(top), SparseRationalMatrix.from_rows(bottom)
+    stacked = exactla.vstack([a, SparseRationalMatrix(0, 3), b], 3)
+    assert (stacked.rows, stacked.cols) == (3, 3)
+    assert stacked.to_rows() == top + bottom
+    empty = exactla.vstack([], 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert len(exactla.kernel_basis(empty)) == 3
+    assert exactla.rank(empty) == 0
+    with pytest.raises(ValueError):
+        exactla.vstack([a, SparseRationalMatrix(1, 2)], 3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdirac import exactla, modules, uea
+from superdirac.exactla import SparseRationalMatrix
 from superdirac.weights import build_root_datum, parse_weight
 
 KINDS = ("verma", "simple", "even-verma", "even-simple", "compact-simple")
@@ -159,6 +160,75 @@ def test_ktype_table_compact_simple(d23):
         if mod.block_dim(nu):
             drop = lam - nu
             assert d23.height(drop) >= 0
+    # an irreducible compact module has one compact-highest weight
+    table = modules.ktype_table(mod).multiplicities
+    assert table == {lam: 1}
+    assert table == _oracle_ktype_table(mod)
+
+
+def _oracle_ktype_table(module):
+    """The k-type table by applying each compact raising generator to the
+    stored basis with act_word (PBW straightening), reducing the images to
+    the target block's stored coordinates (decided here by the module's
+    kind), and taking the kernel of the stacked rows."""
+    alg = module.alg
+    lam = module.highest_weight
+    compact_roots = {r.weight.coords() for r in module.datum.pos_compact}
+    raising = [
+        g
+        for g in alg.positive_generators()
+        if alg.parity(g) == 0 and alg.gen_root(g).coords() in compact_roots
+    ]
+    simple = module.kind.endswith("simple")
+    table = {}
+    for nu in module.sorted_weights():
+        b = module.blocks[nu]
+        cols = [b.monomials[i] for i in b.qmap.kept] if simple else b.monomials
+        if not cols:
+            continue
+        stacked = []
+        for g in raising:
+            tb = module.blocks.get(nu + alg.gen_root(g))
+            if tb is None:
+                continue  # raising lands above the highest weight: image zero
+            index = {m: i for i, m in enumerate(tb.monomials)}
+            coords = []
+            for mono in cols:
+                vec = [Fraction(0)] * len(tb.monomials)
+                for m, c in modules.act_word(alg, lam, (g,), {mono: Fraction(1)}).items():
+                    vec[index[m]] += c
+                coords.append(tb.qmap.reduce_vector(vec) if simple else vec)
+            for r in range(len(coords[0])):
+                stacked.append([coords[c][r] for c in range(len(cols))])
+        if not stacked:
+            table[nu] = len(cols)
+            continue
+        kdim = len(exactla.kernel_basis(SparseRationalMatrix.from_rows(stacked)))
+        if kdim:
+            table[nu] = kdim
+    return table
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        ((2, 1, 0, 2), "1,0|-3", 3),
+        ((2, 1, 0, 2), "0,0|0", 3),
+        ((2, 1, 1, 1), "-2,1|1", 3),
+        ((2, 1, 1, 1), "-1,0|0", 3),  # atypical: radicals in the simple kinds
+        ((2, 1, 2, 0), "-2,1|1", 3),
+        ((2, 1, 2, 0), "2,0|1", 3),
+        ((2, 2, 1, 1), "-3,1|1,1", 2),
+        ((2, 3, 1, 1), "-3,0|1,1,1", 2),
+        ((3, 3, 2, 1), "-3,0,0|1,1,1", 2),
+    ],
+)
+def test_ktype_table_matches_act_word_oracle(group, weight, height):
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    for kind in KINDS:
+        mod = modules._build(datum, lam, Fraction(height), kind)
+        assert modules.ktype_table(mod).multiplicities == _oracle_ktype_table(mod), kind
 
 
 # ----- unitarity certification ------------------------------------------------------------
