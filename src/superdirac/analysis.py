@@ -170,21 +170,19 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
 
 
 def injection_check(
-    coll: BlockCollection, cohom: dirac.CohomologyReport | None = None
+    cohom: dirac.CohomologyReport, kost: KostantReport
 ) -> tuple[bool, Weight | None]:
     """Dirac cohomology character equals the total Kostant cohomology
-    character twisted by e^{-rho1}, per diagonal weight."""
-    module = coll.module
-    datum = module.datum
-    cohom = cohom or dirac.dirac_cohomology(coll)
-    kost = kostant_cohomology(coll)
+    character twisted by e^{-rho1}, per diagonal weight. Both reports come
+    from the same block collection."""
     if not kost.dd_zero:
         return False, None
+    datum = cohom.module.datum
     # every weight of both characters lies within the collection's height
-    base = module.highest_weight - datum.rho1
-    right = VirtualCharacter(kost.total_character_shifted_back(), coll.height, base)
+    base = cohom.module.highest_weight - datum.rho1
+    right = VirtualCharacter(kost.total_character_shifted_back(), cohom.height, base)
     return modules.characters_equal_to_height(
-        datum, cohom.character(), right, base, coll.height
+        datum, cohom.character(), right, base, cohom.height
     )
 
 

@@ -509,7 +509,7 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
     if suite == "kostant":
         kost = analysis.kostant_cohomology(coll)
         ok1 = kost.dd_zero
-        ok2, diff = analysis.injection_check(coll)
+        ok2, diff = analysis.injection_check(dirac.dirac_cohomology(coll), kost)
         payload["dd_zero"] = ok1
         payload["injection"] = ok2
         if diff is not None:

@@ -494,12 +494,6 @@ class CohomologyReport:
                 out[nu] = v
         return out
 
-    def plus_table(self) -> dict[Weight, int]:
-        return {nu: bc.hd_plus for nu, bc in self.per_block.items() if bc.hd_plus}
-
-    def minus_table(self) -> dict[Weight, int]:
-        return {nu: bc.hd_minus for nu, bc in self.per_block.items() if bc.hd_minus}
-
     def hd_minus_total(self) -> int:
         return sum(bc.hd_minus for bc in self.per_block.values())
 
@@ -550,8 +544,8 @@ def _classes(
     """Class representatives for ker(kill) / (ker(kill) cap im(image)), lifted
     from the coordinates `support` to the whole block. Kernel vectors are
     independent modulo that intersection exactly when they are independent
-    modulo im(image), so one echelon pass over the columns of `image` and then
-    the kernel vectors picks them."""
+    modulo im(image), so the pivot columns of one RREF of the columns of
+    `image` followed by the kernel vectors pick them."""
     kernel = exactla.kernel_basis(kill)
     out = []
     for k in exactla.independent_modulo(image.transpose().to_rows(), kernel):
@@ -584,7 +578,7 @@ def hd_ktype_table(
     # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
     # reducing modulo im D gives the target class. Where ker D cap im D = 0
     # the reduction is injective on ker D and is skipped.
-    reducers: dict[Weight, exactla.QuotientMap | None] = {}
+    reducers: dict[Weight, exactla.Quotient | None] = {}
     table: dict[Weight, int] = {}
     for nu, bc in report.per_block.items():
         classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
@@ -605,7 +599,7 @@ def hd_ktype_table(
                 continue
             if target_nu not in reducers:
                 reducers[target_nu] = (
-                    exactla.image_quotient(tgt.D)
+                    exactla.quotient(tgt.D.transpose().to_rows(), tgt.dim)
                     if report.per_block[target_nu].ker_cap_im
                     else None
                 )
@@ -696,30 +690,3 @@ def dirac_inequality_audit(coll: BlockCollection) -> list[InequalityEntry]:
             )
         )
     return out
-
-
-# ----- invariant helpers for tests -----------------------------------------------------------
-def parity_reversal_holds(block: DiracBlock) -> bool:
-    for (i, j), v in block.D.entries.items():
-        if block.parity[i] == block.parity[j]:
-            return False
-    return True
-
-
-def g0_invariance_holds(coll: BlockCollection, nu: Weight) -> bool:
-    """[D, X_D] = 0 as maps out of the block at nu, for every even generator
-    whose target block is assembled."""
-    module = coll.module
-    alg = module.alg
-    block = coll.blocks[nu]
-    for g in alg.even_generators():
-        target_nu = nu + alg.gen_root(g)
-        tgt = coll.blocks.get(target_nu)
-        if tgt is None:
-            continue
-        x = diagonal_action_matrix(block, tgt, g)
-        lhs = tgt.D.matmul(x)
-        rhs = x.matmul(block.D)
-        if not lhs.add(rhs.scale(-1)).is_zero():
-            return False
-    return True

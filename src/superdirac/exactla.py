@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-Kernels, ranks, radical quotients, and definiteness certificates for
-symmetric Gram matrices, all with deterministic pivoting so results are
-reproducible bit-for-bit.
+Kernels, ranks, solutions, independent subsets and quotient coordinates all
+come from one reduced row echelon form (`_rref`); definiteness certificates
+for symmetric Gram matrices come from a symmetric congruence. Pivoting is
+deterministic, so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class SparseRationalMatrix:
         for i in range(n):
             m.set(i, i, Fraction(1))
         return m
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(rows, cols)
 
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
@@ -205,27 +202,12 @@ def independent_modulo(
     """Indices of the candidates that, taken in order, are independent modulo
     span(span) and the candidates chosen before them.
 
-    One incremental echelon pass: each vector is reduced against the rows kept
-    so far and kept (normalized) when a nonzero remainder is left.
+    These are the candidate pivot columns of one RREF of the matrix whose
+    columns are the span vectors and then the candidates: a column is a pivot
+    exactly when it is independent of the columns before it.
     """
-    echelon: list[tuple[int, list[Fraction]]] = []
-
-    def insert(v: Sequence[Fraction]) -> bool:
-        v = list(v)
-        for p, row in echelon:
-            f = v[p]
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = 1 / v[p]
-        echelon.append((p, [x * inv for x in v]))
-        return True
-
-    for v in span:
-        insert(v)
-    return [k for k, v in enumerate(candidates) if insert(v)]
+    _, pivots = _rref([list(row) for row in zip(*span, *candidates)])
+    return [p - len(span) for p in pivots if p >= len(span)]
 
 
 def solve(a: SparseRationalMatrix, b: Sequence[Fraction]) -> Vector | None:
@@ -325,80 +307,30 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
     return DefinitenessCertificate("positive-semidefinite", r, None, pivot_record)
 
 
-def quadratic_value(g: SparseRationalMatrix, v: Sequence[Fraction]) -> Fraction:
-    gv = g.apply(v)
-    return sum((a * b for a, b in zip(v, gv)), Fraction(0))
-
-
 @dataclass
-class QuotientMap:
-    """Coordinates for V / span(K): a section given by kept basis indices."""
+class Quotient:
+    """Coordinates on V / span(rows): the kept ambient coordinates form the
+    quotient basis, and column j of `reduction` (len(kept) x dim V) holds the
+    quotient coordinates of the class of e_j."""
 
-    kept: list[int]  # indices of ambient coordinates forming a complement
-    kernel_basis: list[Vector]
-    ambient_dim: int
-    # reduction matrix R (dim_quotient x ambient): class of e_j has
-    # quotient coordinates column j of R
-    reduction: SparseRationalMatrix = field(repr=False, default=None)  # type: ignore
-
-    def reduce_vector(self, v: Sequence[Fraction]) -> Vector:
-        return self.reduction.apply(v)
+    kept: list[int]
+    reduction: SparseRationalMatrix
 
 
-def quotient_map(kernel: list[Vector], ambient_dim: int) -> QuotientMap:
-    """Build coordinates on V / span(kernel) with a deterministic section."""
-    for v in kernel:
-        if len(v) != ambient_dim:
-            raise ValueError("kernel vector dimension mismatch")
-    if not kernel:
-        return _identity_quotient(ambient_dim)
-    rr, pivots = _rref([list(v) for v in kernel])
-    if len(pivots) != len(kernel):
-        raise ValueError("dependent kernel basis rejected")
-    return _quotient_from_rref(rr, pivots, ambient_dim, [tuple(v) for v in kernel])
-
-
-def image_quotient(a: SparseRationalMatrix) -> QuotientMap:
-    """Coordinates on the target of A modulo im A, from one RREF of A^T (its
-    nonzero rows are a basis of im A)."""
-    if not a.entries:
-        return _identity_quotient(a.rows)
-    rr, pivots = _rref(a.transpose().to_rows())
-    basis = [tuple(rr[r]) for r in range(len(pivots))]
-    return _quotient_from_rref(rr, pivots, a.rows, basis)
-
-
-def _identity_quotient(ambient_dim: int) -> QuotientMap:
-    q = QuotientMap(list(range(ambient_dim)), [], ambient_dim)
-    q.reduction = SparseRationalMatrix.identity(ambient_dim)
-    return q
-
-
-def _quotient_from_rref(
-    rr: list[list[Fraction]], pivots: list[int], ambient_dim: int, kernel: list[Vector]
-) -> QuotientMap:
+def quotient(rows: Sequence[Sequence[Fraction]], dim: int) -> Quotient:
+    """V / span(rows) for V of dimension dim, from one RREF of the rows: the
+    non-pivot coordinates are kept, and each pivot coordinate is congruent to
+    minus the kept part of its row. No rows give the identity."""
+    if any(len(row) != dim for row in rows):
+        raise ValueError("row dimension mismatch in quotient")
+    rr, pivots = _rref([list(row) for row in rows]) if rows else ([], [])
     pivot_set = set(pivots)
-    kept = [c for c in range(ambient_dim) if c not in pivot_set]
-    red = SparseRationalMatrix(len(kept), ambient_dim)
+    kept = [c for c in range(dim) if c not in pivot_set]
+    red = SparseRationalMatrix(len(kept), dim)
     for qi, c in enumerate(kept):
-        red.set(qi, c, Fraction(1))
-    # pivot coordinate e_{pc} is congruent mod kernel to -sum over free cols
+        red.entries[(qi, c)] = Fraction(1)
     for r, pc in enumerate(pivots):
         for qi, c in enumerate(kept):
-            red.add_to(qi, pc, -rr[r][c])
-    return QuotientMap(kept, kernel, ambient_dim, red)
-
-
-def gram_on_quotient(
-    g: SparseRationalMatrix, kernel: list[Vector]
-) -> tuple[SparseRationalMatrix, QuotientMap]:
-    """Restrict a symmetric form with radical ⊇ span(kernel) to the quotient."""
-    q = quotient_map(kernel, g.cols)
-    dim = len(q.kept)
-    out = SparseRationalMatrix(dim, dim)
-    for qi, ci in enumerate(q.kept):
-        for qj, cj in enumerate(q.kept):
-            v = g.get(ci, cj)
-            if v:
-                out.set(qi, qj, v)
-    return out, q
+            if rr[r][c]:
+                red.entries[(qi, pc)] = -rr[r][c]
+    return Quotient(kept, red)

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from . import exactla, uea
 from .exactla import SparseRationalMatrix
-from .uea import Algebra, Gen, UEAElement, Word
+from .uea import Algebra, Gen, Word
 from .weights import RootDatum, Weight, atypicality_set, pairing
 
 ModuleVector = dict[Word, Fraction]
@@ -25,14 +25,6 @@ def act_word(alg: Algebra, lam: Weight, word: Word, vec: ModuleVector) -> Module
     for mono, coeff in vec.items():
         for w, c in alg._normal_word(word + mono).items():
             _accumulate_pbw(alg, lam, w, coeff * c, out)
-    return out
-
-
-def act_elem(alg: Algebra, lam: Weight, elem: UEAElement, vec: ModuleVector) -> ModuleVector:
-    out: ModuleVector = {}
-    for word, ec in elem.items():
-        for mono, vc in act_word(alg, lam, word, vec).items():
-            uea.add_into(out, mono, ec * vc)
     return out
 
 
@@ -82,16 +74,12 @@ class Block:
     parity: list[int]
     gram: SparseRationalMatrix
     radical: list[tuple[Fraction, ...]]
-    qmap: exactla.QuotientMap | None = None
+    qmap: exactla.Quotient | None = None
     gram_quot: SparseRationalMatrix | None = None
 
     @property
     def verma_dim(self) -> int:
         return len(self.monomials)
-
-    @property
-    def simple_dim(self) -> int:
-        return len(self.monomials) - len(self.radical)
 
     @property
     def dim(self) -> int:
@@ -112,7 +100,7 @@ class Block:
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Stored coordinates of a vector given in monomial coordinates."""
-        return tuple(vec) if self.qmap is None else self.qmap.reduce_vector(vec)
+        return tuple(vec) if self.qmap is None else self.qmap.reduction.apply(vec)
 
     def to_json(self) -> dict:
         return {
@@ -301,7 +289,10 @@ def _build(
             radical=radical,
         )
         if simple:
-            block.gram_quot, block.qmap = exactla.gram_on_quotient(gram, radical)
+            block.qmap = exactla.quotient(radical, len(monos))
+            if len(block.qmap.kept) != len(monos) - len(radical):
+                raise ValueError("dependent radical basis")
+            block.gram_quot = gram.submatrix(block.qmap.kept, block.qmap.kept)
         mod.blocks[nu] = block
     return mod
 
@@ -325,13 +316,6 @@ def even_simple_truncation(datum: RootDatum, lam: Weight, height) -> TruncatedMo
 def compact_simple_truncation(datum: RootDatum, lam: Weight, height) -> TruncatedModule:
     """Simple module over the compact subalgebra (gl(p) + gl(q) + gl(n))."""
     return _build(datum, lam, Fraction(height), "compact-simple")
-
-
-def gram_block(module: TruncatedModule, nu: Weight) -> SparseRationalMatrix:
-    b = module.blocks.get(nu)
-    if b is None:
-        raise KeyError(f"no stored block of weight {nu.text()}")
-    return b.gram
 
 
 # ----- characters ------------------------------------------------------------------

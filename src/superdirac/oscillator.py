@@ -1,6 +1,5 @@
 """The Weyl algebra of the odd part, the oscillator module (polynomials in
-x_1..x_mn), the embedding alpha of the even part into the Weyl algebra, and
-the Bargmann-Fock form.
+x_1..x_mn), and the embedding alpha of the even part into the Weyl algebra.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ def weyl_add_into(w: WeylElement, key, c: Fraction) -> None:
 
 def monomial_parity(a: OscMonomial) -> int:
     return sum(a) % 2
-
-
-def monomial_degree(a: OscMonomial) -> int:
-    return sum(a)
 
 
 def x_op(k: int, dim: int) -> WeylElement:
@@ -121,13 +116,6 @@ def weyl_multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     return out
 
 
-def weyl_commutator(u: WeylElement, v: WeylElement) -> WeylElement:
-    out = dict(weyl_multiply(u, v))
-    for key, c in weyl_multiply(v, u).items():
-        weyl_add_into(out, key, -c)
-    return out
-
-
 # ----- the embedding alpha ---------------------------------------------------------
 class Oscillator:
     """Oscillator module bookkeeping for a fixed root datum."""
@@ -186,17 +174,6 @@ class Oscillator:
         self._alpha_cache[g] = acc
         return acc
 
-    def alpha_embed(self, x: UEAElement) -> WeylElement:
-        out: WeylElement = {}
-        for word, coeff in x.items():
-            if len(word) != 1:
-                if len(word) == 0:
-                    continue
-                raise ValueError("alpha_embed expects a degree-1 element of g0")
-            for key, c in self.alpha_embed_gen(word[0]).items():
-                weyl_add_into(out, key, coeff * c)
-        return out
-
     # ----- constant C ---------------------------------------------------------------
     def measured_constant(self) -> dict[str, Fraction]:
         """Scalar of the dual-basis quadratic element sum_k alpha(u_k) alpha(u^k)
@@ -228,19 +205,6 @@ def _b_of_bracket(alg: Algebra, x: UEAElement, u: UEAElement, v: UEAElement) -> 
             for ww, cw in br.items():
                 for wx, cx in x.items():
                     total += cu * cv * cw * cx * alg.b_form(wx[0], ww[0])
-    return total
-
-
-# ----- Bargmann-Fock form ------------------------------------------------------------
-def bargmann_fock(p: Polynomial, q: Polynomial) -> Fraction:
-    total = Fraction(0)
-    for mono, cp in p.items():
-        cq = q.get(mono)
-        if cq:
-            f = Fraction(1)
-            for e in mono:
-                f *= math.factorial(e)
-            total += cp * cq * f
     return total
 
 

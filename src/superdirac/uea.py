@@ -1,5 +1,5 @@
 """gl(m|n) on matrix units: structure constants, PBW straightening in U(g),
-the anti-involution of su(p,q|n), Harish-Chandra projection, Casimirs, and the
+the anti-involution of su(p,q|n), Harish-Chandra projection, and the
 Shapovalov pairing.
 
 A generator is a matrix-unit label (i, j) with 0-based indices; parity is odd
@@ -12,7 +12,6 @@ of the roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .weights import RootDatum, Weight
 
@@ -23,17 +22,6 @@ UEAElement = dict[Word, Fraction]
 ONE: Word = ()
 
 
-def make(terms: Iterable[tuple[Word, Fraction]] | None = None) -> UEAElement:
-    out: UEAElement = {}
-    if terms:
-        for w, c in terms:
-            if c:
-                out[w] = out.get(w, Fraction(0)) + c
-                if not out[w]:
-                    del out[w]
-    return out
-
-
 def add_into(acc: UEAElement, w: Word, c: Fraction) -> None:
     if not c:
         return
@@ -42,19 +30,6 @@ def add_into(acc: UEAElement, w: Word, c: Fraction) -> None:
         acc[w] = v
     else:
         acc.pop(w, None)
-
-
-def combine(*elements: UEAElement) -> UEAElement:
-    out: UEAElement = {}
-    for e in elements:
-        for w, c in e.items():
-            add_into(out, w, c)
-    return out
-
-
-def scale(e: UEAElement, c) -> UEAElement:
-    c = Fraction(c)
-    return {w: c * v for w, v in e.items()} if c else {}
 
 
 class Algebra:
@@ -239,38 +214,6 @@ class Algebra:
     def b_form(self, a: Gen, b: Gen) -> Fraction:
         """Normalized invariant form: B = (1/2)(tr_D - tr_A) on products."""
         return -self.str_form(a, b) / 2
-
-    def b_form_elem(self, x: UEAElement, y: UEAElement) -> Fraction:
-        """B extended to degree-1 elements (words of length 1 or scalars)."""
-        total = Fraction(0)
-        for wx, cx in x.items():
-            if len(wx) != 1:
-                if len(wx) == 0:
-                    continue
-                raise ValueError("b_form_elem expects degree-1 elements")
-            for wy, cy in y.items():
-                if len(wy) != 1:
-                    if len(wy) == 0:
-                        continue
-                    raise ValueError("b_form_elem expects degree-1 elements")
-                total += cx * cy * self.b_form(wx[0], wy[0])
-        return total
-
-    # ----- Casimirs -----------------------------------------------------------------
-    def casimir(self, kind: str) -> UEAElement:
-        """Quadratic Casimir, normalized to act by (L+2rho, L) on a highest
-        weight module (kind="full") resp. (mu+2rho0, mu) (kind="even")."""
-        if kind not in ("full", "even"):
-            raise ValueError("kind must be 'full' or 'even'")
-        acc: UEAElement = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                g1: Gen = (i, j)
-                if kind == "even" and self.parity(g1):
-                    continue
-                sign = Fraction(-1 if j >= self.m else 1)
-                add_into(acc, ((i, j), (j, i)), sign)
-        return self.normal_order(acc)
 
     # ----- odd basis table as generators -------------------------------------------
     def partial_k(self, k: int) -> UEAElement:

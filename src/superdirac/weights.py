@@ -147,12 +147,6 @@ class WeylElement:
             del_[j] = w.del_[i]
         return Weight(tuple(eps), tuple(del_))
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other (i.e. the product self*other acting on weights)."""
-        sigma = tuple(self.sigma[j] for j in other.sigma)
-        tau = tuple(self.tau[j] for j in other.tau)
-        return WeylElement(sigma, tau)
-
 
 def _half_sum(roots: Sequence[Weight], m: int, n: int) -> Weight:
     total = Weight.make([0] * m, [0] * n)

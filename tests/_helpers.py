@@ -1,0 +1,60 @@
+"""Test-only helpers shared by several test modules: sums and multiples in
+U(g), the Weyl-algebra commutator, the embedding alpha on degree-1 elements,
+the Bargmann-Fock form and the value of a quadratic form. The package itself
+never needs them."""
+
+import math
+from fractions import Fraction
+
+from superdirac import uea
+from superdirac.oscillator import weyl_add_into, weyl_multiply
+
+
+def combine(*elements):
+    """Sum of elements of U(g)."""
+    out = {}
+    for e in elements:
+        for w, c in e.items():
+            uea.add_into(out, w, c)
+    return out
+
+
+def scale(e, c):
+    c = Fraction(c)
+    return {w: c * v for w, v in e.items()} if c else {}
+
+
+def weyl_commutator(u, v):
+    out = dict(weyl_multiply(u, v))
+    for key, c in weyl_multiply(v, u).items():
+        weyl_add_into(out, key, -c)
+    return out
+
+
+def alpha_embed(osc, x):
+    """alpha on a degree-1 element of g0, extended linearly from the
+    generators; scalar terms are dropped."""
+    out = {}
+    for word, coeff in x.items():
+        if len(word) != 1:
+            if len(word) == 0:
+                continue
+            raise ValueError("alpha_embed expects a degree-1 element of g0")
+        for key, c in osc.alpha_embed_gen(word[0]).items():
+            weyl_add_into(out, key, coeff * c)
+    return out
+
+
+def bargmann_fock(p, q):
+    """(p, q) = sum over monomials x^a of p_a q_a prod_k a_k!."""
+    total = Fraction(0)
+    for mono, cp in p.items():
+        cq = q.get(mono)
+        if cq:
+            total += cp * cq * math.prod(math.factorial(e) for e in mono)
+    return total
+
+
+def quadratic_value(g, v):
+    """v^T G v."""
+    return sum((a * b for a, b in zip(v, g.apply(v))), Fraction(0))

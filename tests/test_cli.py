@@ -349,3 +349,26 @@ def test_verify_expect_unitarizable(runner, tmp_path, suite, weight, code):
         assert "configuration error" in warm.output
     else:
         assert json.loads(warm.output) == json.loads(plain.output)
+
+
+def test_kostant_suite_builds_the_kostant_report_once(runner, monkeypatch):
+    """The suite's own Kostant report is the one the injection check reads."""
+    from superdirac import analysis
+
+    calls = []
+    original = analysis.kostant_cohomology
+
+    def counted(coll):
+        calls.append(coll)
+        return original(coll)
+
+    monkeypatch.setattr(analysis, "kostant_cohomology", counted)
+    weights = ("-2,1|1", "0,0|-1")
+    for weight in weights:
+        res = invoke(
+            runner,
+            ["verify", *BASE21, "--weight", weight, "--height", "2", "--suite", "kostant"],
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["injection"] is True
+    assert len(calls) == len(weights)

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import quadratic_value
 from superdirac import exactla
 from superdirac.exactla import SparseRationalMatrix
 
@@ -104,7 +106,7 @@ def test_indefinite_witness_is_exact(rows):
     cert = exactla.definiteness(g)
     if cert.verdict == "indefinite":
         assert cert.witness is not None
-        assert exactla.quadratic_value(g, cert.witness) < 0
+        assert quadratic_value(g, cert.witness) < 0
 
 
 def test_definiteness_rejects_asymmetric():
@@ -116,7 +118,7 @@ def test_definiteness_hyperbolic_pair():
     g = SparseRationalMatrix.from_rows([[0, 1], [1, 0]])
     cert = exactla.definiteness(g)
     assert cert.verdict == "indefinite"
-    assert exactla.quadratic_value(g, cert.witness) < 0
+    assert quadratic_value(g, cert.witness) < 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,11 +126,11 @@ def test_definiteness_hyperbolic_pair():
 def test_quotient_map(rows):
     a = SparseRationalMatrix.from_rows(rows)
     kern = exactla.kernel_basis(a)
-    qm = exactla.quotient_map(kern, 4)
+    q = exactla.quotient(kern, 4)
     for v in kern:
-        assert all(x == 0 for x in qm.reduce_vector(v))
+        assert all(x == 0 for x in q.reduction.apply(v))
     # the reduction is onto: kept coordinates span the quotient
-    assert len(qm.kept) == 4 - len(kern)
+    assert len(q.kept) == 4 - len(kern)
 
 
 def test_gram_on_quotient_nondegenerate():
@@ -136,9 +138,15 @@ def test_gram_on_quotient_nondegenerate():
         [[1, 0, 1], [0, 0, 0], [1, 0, 1]]
     )
     radical = exactla.kernel_basis(g)
-    gq, qm = exactla.gram_on_quotient(g, radical)
-    assert gq.rows == 3 - len(radical) == len(qm.kept)
+    q = exactla.quotient(radical, 3)
+    gq = g.submatrix(q.kept, q.kept)
+    assert gq.rows == 3 - len(radical) == len(q.kept)
     assert len(exactla.kernel_basis(gq)) == 0
+
+
+def test_quotient_rejects_row_dimension_mismatch():
+    with pytest.raises(ValueError):
+        exactla.quotient([[Fraction(1), Fraction(0)]], 3)
 
 
 def test_deterministic_rref_pivots():
@@ -156,11 +164,11 @@ def test_image_quotient(rows, v):
     quotient has rows - rank A coordinates, and v reduces to zero exactly
     when A x = v is solvable."""
     a = SparseRationalMatrix.from_rows(rows)
-    q = exactla.image_quotient(a)
+    q = exactla.quotient(a.transpose().to_rows(), a.rows)
     assert len(q.kept) == a.rows - exactla.rank(a)
     for j in range(a.cols):
-        assert not any(q.reduce_vector([rows[i][j] for i in range(a.rows)]))
-    assert (not any(q.reduce_vector(v))) == (exactla.solve(a, v) is not None)
+        assert not any(q.reduction.apply([rows[i][j] for i in range(a.rows)]))
+    assert (not any(q.reduction.apply(v))) == (exactla.solve(a, v) is not None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,6 +184,114 @@ def test_independent_modulo(span, candidates):
 
     assert rank(span + [candidates[k] for k in chosen]) == rank(span) + len(chosen)
     assert rank(span + candidates) == rank(span) + len(chosen)
+
+
+# ----- the earlier eliminations, kept as oracles -----------------------------------------
+def _echelon_independent_modulo(span, candidates):
+    """Candidates independent modulo the span and the candidates chosen
+    before them, by one incremental echelon pass: each vector is reduced
+    against the rows kept so far and kept (normalized) when a nonzero
+    remainder is left."""
+    echelon = []
+
+    def insert(v):
+        v = list(v)
+        for p, row in echelon:
+            f = v[p]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        echelon.append((p, [x * inv for x in v]))
+        return True
+
+    for v in span:
+        insert(v)
+    return [k for k, v in enumerate(candidates) if insert(v)]
+
+
+def _sympy_rref(rows):
+    """RREF and pivot columns by sympy's elimination, back in Fractions."""
+    rr, pivots = sympy.Matrix(rows).rref()
+    rows = [[Fraction(int(x.p), int(x.q)) for x in rr.row(i)] for i in range(rr.rows)]
+    return rows, list(pivots)
+
+
+def _quotient_from_rref(rr, pivots, dim):
+    """Section and reduction of V / span(rows) from an RREF of the rows: the
+    kept coordinates are the free columns, and a pivot coordinate is congruent
+    to minus the free part of its row."""
+    kept = [c for c in range(dim) if c not in set(pivots)]
+    red = SparseRationalMatrix(len(kept), dim)
+    for qi, c in enumerate(kept):
+        red.set(qi, c, Fraction(1))
+    for r, pc in enumerate(pivots):
+        for qi, c in enumerate(kept):
+            red.add_to(qi, pc, -rr[r][c])
+    return kept, red
+
+
+def _oracle_quotient_map(kernel, dim):
+    """Coordinates on V / span(kernel) for an independent kernel basis."""
+    if not kernel:
+        return list(range(dim)), SparseRationalMatrix.identity(dim)
+    rr, pivots = _sympy_rref([list(v) for v in kernel])
+    assert len(pivots) == len(kernel), "dependent kernel basis rejected"
+    return _quotient_from_rref(rr, pivots, dim)
+
+
+def _oracle_image_quotient(a):
+    """Coordinates on the target of A modulo im A, from one RREF of A^T."""
+    if not a.entries:
+        return list(range(a.rows)), SparseRationalMatrix.identity(a.rows)
+    return _quotient_from_rref(*_sympy_rref(a.transpose().to_rows()), a.rows)
+
+
+small = st.integers(-1, 1).map(Fraction)  # small entries make dependencies common
+
+
+def vectors(dim, max_count):
+    return st.lists(st.lists(small, min_size=dim, max_size=dim), max_size=max_count)
+
+
+def small_matrix(data, rows, cols):
+    row = st.lists(small, min_size=cols, max_size=cols)
+    return SparseRationalMatrix.from_rows(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors(4, 4), vectors(4, 5))
+def test_independent_modulo_matches_echelon_oracle(span, candidates):
+    assert exactla.independent_modulo(span, candidates) == _echelon_independent_modulo(
+        span, candidates
+    )
+
+
+def _assert_same_quotient(q, oracle):
+    kept, red = oracle
+    assert q.kept == kept
+    assert (q.reduction.rows, q.reduction.cols) == (red.rows, red.cols)
+    assert q.reduction.entries == red.entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_quotient_matches_oracle_on_radical_rows(rows, cols, data):
+    """Independent rows, as a kernel basis of a Gram block gives them."""
+    kern = exactla.kernel_basis(small_matrix(data, rows, cols))
+    _assert_same_quotient(exactla.quotient(kern, cols), _oracle_quotient_map(kern, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_quotient_matches_oracle_on_image_rows(rows, cols, data):
+    """Dependent rows, as the columns of a Dirac matrix give them."""
+    a = small_matrix(data, rows, cols)
+    _assert_same_quotient(
+        exactla.quotient(a.transpose().to_rows(), a.rows), _oracle_image_quotient(a)
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+every function, class and method it defines is referred to somewhere in the
+package (or allowed, with a reason).
 
-No linter ships with the project, so this check parses each module with
+No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
 module, including inside a string annotation such as ``"Weight"``.
 """
@@ -51,3 +53,95 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Sequence\ndef f(x: 'Sequence'): pass\n")
     assert [n for n, _ in _imported(tree) if n not in _used(tree)] == ["os"]
+
+
+# ----- definitions nothing in the package uses -------------------------------------------
+# name -> why it stays although no code in the package refers to it
+UNREFERENCED_ALLOWED = {
+    **{
+        f"cmd_{c}": "a CLI command, registered with click by its decorator"
+        for c in ("root_data", "decompose", "dirac_cohomology", "certify", "character",
+                  "index", "verify")
+    },
+    "shapovalov_pairing": "the Gram oracle (straightens omega(X) Y in U(g)); the "
+    "tests check the contravariant recursion against it and perfbench traces it",
+    "anti_selfadjoint_certificate": "D^T G + G D = 0; the perfbench pipeline calls it",
+    "dirac_inequality_audit": "the Dirac inequality per g0-constituent, for the "
+    "planned `verify --suite inequality` (ROADMAP)",
+    "harish_chandra_audit": "the Harish-Chandra inequality per g0-constituent, the "
+    "second unitarity check planned for the CLI (ROADMAP)",
+    "vogan_consistency": "the infinitesimal character of H_D, to be folded into the "
+    "`cohomology` suite (ROADMAP)",
+    "dot_action": "the rho / rho0 dot action the `branching` fix straightens by (ROADMAP)",
+    "same_infinitesimal_character": "the central-character test behind the Vogan "
+    "check (ROADMAP)",
+    "from_rows": "the dense constructor of SparseRationalMatrix, public API the tests "
+    "build every example matrix with",
+}
+
+
+def _definitions(tree: ast.AST) -> list[tuple[str, int]]:
+    """Every function, class and method, dunder methods aside (Python calls
+    those itself)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = [
+        (n.name, n.lineno)
+        for n in ast.walk(tree)
+        if isinstance(n, kinds) and not (n.name.startswith("__") and n.name.endswith("__"))
+    ]
+    return sorted(found, key=lambda d: d[1])
+
+
+def _references(trees: list[ast.AST]) -> set[str]:
+    """Names read anywhere: Name ids, attribute names, and string constants
+    that are identifiers (annotations such as "Weight", getattr keys)."""
+    refs = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                if n.value.isidentifier():
+                    refs.add(n.value)
+    return refs
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    refs = _references(list(trees.values()))
+    return [
+        f"{name}:{line} {d}"
+        for name, tree in trees.items()
+        for d, line in _definitions(tree)
+        if d not in refs and d not in UNREFERENCED_ALLOWED
+    ]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    dead = _unreferenced(sources)
+    assert not dead, (
+        "definitions nothing in the package refers to (move test-only code to "
+        f"tests/, or allow the name with a reason): {', '.join(dead)}"
+    )
+
+
+def test_allowlist_names_only_unreferenced_definitions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    trees = [ast.parse(text) for text in sources.values()]
+    defined = {d for tree in trees for d, _ in _definitions(tree)}
+    refs = _references(trees)
+    assert set(UNREFERENCED_ALLOWED) <= defined - refs
+
+
+def test_checker_flags_an_unreferenced_definition():
+    src = (
+        "class A:\n    def used(self): pass\n    def unused(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "def f(a: 'A'): return a.used()\n"
+        "def g(): pass\n"
+        "HANDLERS = {'f': f}\n"
+    )
+    assert _unreferenced({"m.py": src}) == ["m.py:3 unused", "m.py:6 g"]

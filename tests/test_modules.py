@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import quadratic_value
 from superdirac import exactla, modules, uea
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.weights import build_root_datum, parse_weight
@@ -65,7 +66,7 @@ def test_gram_blocks_symmetric_and_radical_consistent(d21, lam_typical):
         if b.gram is None:
             continue
         assert b.gram.is_symmetric()
-        assert b.verma_dim - len(b.radical) == b.simple_dim
+        assert b.verma_dim - len(b.radical) == b.dim
 
 
 # ----- Gram blocks against the PBW straightening oracle --------------------------------
@@ -183,7 +184,10 @@ def _oracle_ktype_table(module):
     table = {}
     for nu in module.sorted_weights():
         b = module.blocks[nu]
-        cols = [b.monomials[i] for i in b.qmap.kept] if simple else b.monomials
+        if simple:
+            cols = [b.monomials[i] for i in exactla.quotient(b.radical, b.verma_dim).kept]
+        else:
+            cols = b.monomials
         if not cols:
             continue
         stacked = []
@@ -192,12 +196,13 @@ def _oracle_ktype_table(module):
             if tb is None:
                 continue  # raising lands above the highest weight: image zero
             index = {m: i for i, m in enumerate(tb.monomials)}
+            reduction = exactla.quotient(tb.radical, tb.verma_dim).reduction
             coords = []
             for mono in cols:
                 vec = [Fraction(0)] * len(tb.monomials)
                 for m, c in modules.act_word(alg, lam, (g,), {mono: Fraction(1)}).items():
                     vec[index[m]] += c
-                coords.append(tb.qmap.reduce_vector(vec) if simple else vec)
+                coords.append(reduction.apply(vec) if simple else vec)
             for r in range(len(coords[0])):
                 stacked.append([coords[c][r] for c in range(len(cols))])
         if not stacked:
@@ -253,7 +258,7 @@ def test_refutation_blocks_and_witnesses(d21):
     for cert, lam in ((c1, "1,0|0"), (c2, "0,0|-1")):
         mod = modules.simple_truncation(d21, parse_weight(lam, 2, 1), 2)
         gq = mod.blocks[cert.refuted_block].gram_quot
-        assert exactla.quadratic_value(gq, cert.witness) < 0
+        assert quadratic_value(gq, cert.witness) < 0
 
 
 def test_refuted_audit_contains_criterion_label(d21):

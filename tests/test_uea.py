@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import combine, scale
 from superdirac import modules, uea
 from superdirac.uea import Algebra
 from superdirac.weights import Weight, build_root_datum, pairing, parse_weight
@@ -16,12 +17,45 @@ def gen_elem(g):
     return {(g,): Fraction(1)}
 
 
+def b_form_elem(alg, x, y):
+    """B extended bilinearly to degree-1 elements; scalar terms are dropped."""
+    total = Fraction(0)
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            if len(wx) == 1 and len(wy) == 1:
+                total += cx * cy * alg.b_form(wx[0], wy[0])
+            elif wx and wy:
+                raise ValueError("b_form_elem expects degree-1 elements")
+    return total
+
+
+def casimir(alg, kind):
+    """Quadratic Casimir, normalized to act by (L+2rho, L) on a highest
+    weight module (kind="full") resp. (mu+2rho0, mu) (kind="even")."""
+    acc = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if kind == "even" and alg.parity((i, j)):
+                continue
+            uea.add_into(acc, ((i, j), (j, i)), Fraction(-1 if j >= alg.m else 1))
+    return alg.normal_order(acc)
+
+
+def act_elem(alg, lam, elem, vec):
+    """An element of U(g) applied to a vector of M(lam), word by word."""
+    out = {}
+    for word, ec in elem.items():
+        for mono, vc in modules.act_word(alg, lam, word, vec).items():
+            uea.add_into(out, mono, ec * vc)
+    return out
+
+
 def elem_bracket(alg, x, px, y, py):
     """Super bracket of homogeneous elements of the given parities."""
     xy = alg.multiply(x, y)
     yx = alg.multiply(y, x)
     sign = -1 if (px and py) else 1
-    return uea.combine(xy, uea.scale(yx, -sign))
+    return combine(xy, scale(yx, -sign))
 
 
 def check_jacobi(alg, a, b, c):
@@ -31,11 +65,11 @@ def check_jacobi(alg, a, b, c):
     ab = elem_bracket(alg, ea, pa, eb, pb)
     ac = elem_bracket(alg, ea, pa, ec, pc)
     lhs = elem_bracket(alg, ea, pa, bc, (pb + pc) % 2)
-    rhs = uea.combine(
+    rhs = combine(
         elem_bracket(alg, ab, (pa + pb) % 2, ec, pc),
-        uea.scale(elem_bracket(alg, eb, pb, ac, (pa + pc) % 2), -1 if (pa and pb) else 1),
+        scale(elem_bracket(alg, eb, pb, ac, (pa + pc) % 2), -1 if (pa and pb) else 1),
     )
-    diff = uea.combine(lhs, uea.scale(rhs, -1))
+    diff = combine(lhs, scale(rhs, -1))
     assert not diff, (a, b, c, diff)
 
 
@@ -126,7 +160,7 @@ def test_b_form_on_odd_basis(alg21, alg23):
         mn = alg.datum.mn
         for k in range(mn):
             for l in range(mn):
-                v = alg.b_form_elem(alg.partial_k(k), alg.x_k(l))
+                v = b_form_elem(alg, alg.partial_k(k), alg.x_k(l))
                 assert v == (Fraction(1, 2) if k == l else 0)
 
 
@@ -138,7 +172,7 @@ def test_b_form_invariance(alg21):
         a, b, c = rng.choice(gens), rng.choice(gens), rng.choice(gens)
         ab = elem_bracket(alg21, gen_elem(a), alg21.parity(a), gen_elem(b), alg21.parity(b))
         bc = elem_bracket(alg21, gen_elem(b), alg21.parity(b), gen_elem(c), alg21.parity(c))
-        assert alg21.b_form_elem(ab, gen_elem(c)) == alg21.b_form_elem(gen_elem(a), bc)
+        assert b_form_elem(alg21, ab, gen_elem(c)) == b_form_elem(alg21, gen_elem(a), bc)
 
 
 # ----- Casimir scalars --------------------------------------------------------------
@@ -151,7 +185,7 @@ def test_full_casimir_scalar(l1, l2, c1):
     d = build_root_datum(2, 1, 1, 1)
     alg = Algebra(d)
     lam = Weight.make((l1, l2), (c1,))
-    out = modules.act_elem(alg, lam, alg.casimir("full"), {(): Fraction(1)})
+    out = act_elem(alg, lam, casimir(alg, "full"), {(): Fraction(1)})
     got = out.get((), Fraction(0))
     assert got == pairing(lam + d.rho.scale(2), lam)
 
@@ -162,7 +196,7 @@ def test_even_casimir_scalar(l1, l2, c1):
     d = build_root_datum(2, 1, 1, 1)
     alg = Algebra(d)
     lam = Weight.make((l1, l2), (c1,))
-    out = modules.act_elem(alg, lam, alg.casimir("even"), {(): Fraction(1)})
+    out = act_elem(alg, lam, casimir(alg, "even"), {(): Fraction(1)})
     got = out.get((), Fraction(0))
     assert got == pairing(lam + d.rho0.scale(2), lam)
 
@@ -176,8 +210,8 @@ def test_height_one_gram_values_sl21(l1, l2, c1):
     mod = modules.verma_truncation(d, lam, 1)
     g1 = d.pos_odd[0].weight  # eps1 - del1
     g2 = d.pos_odd[1].weight  # del1 - eps2
-    gram1 = modules.gram_block(mod, lam - g1).to_rows()
-    gram2 = modules.gram_block(mod, lam - g2).to_rows()
+    gram1 = mod.blocks[lam - g1].gram.to_rows()
+    gram2 = mod.blocks[lam - g2].gram.to_rows()
     assert gram1 == [[Fraction(-(l1 + c1))]]
     assert gram2 == [[Fraction(l2 + c1)]]
 
@@ -189,7 +223,7 @@ def test_even_verma_gram_sl21(l1, l2, c1):
     lam = Weight.make((l1, l2), (c1,))
     mod = modules.even_verma_truncation(d, lam, 2)
     alpha = d.pos_even[0].weight  # eps1 - eps2
-    gram = modules.gram_block(mod, lam - alpha).to_rows()
+    gram = mod.blocks[lam - alpha].gram.to_rows()
     assert gram == [[Fraction(l2 - l1)]]
 
 

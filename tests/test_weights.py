@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from superdirac.weights import (
     Weight,
+    WeylElement,
     atypicality_set,
     build_root_datum,
     dot_action,
@@ -18,6 +19,11 @@ from superdirac.weights import (
 )
 
 small_rats = st.integers(-4, 4).map(Fraction)
+
+
+def compose(a, b):
+    """The Weyl element a after b (the product a*b acting on weights)."""
+    return WeylElement(tuple(a.sigma[j] for j in b.sigma), tuple(a.tau[j] for j in b.tau))
 
 
 def weight_strategy(m, n):
@@ -157,7 +163,7 @@ def test_weyl_group_closed_under_composition(d23):
     images = {w.apply(probe).coords() for w in group}
     for a in group:
         for b in group:
-            assert a.compose(b).apply(probe).coords() in images
+            assert compose(a, b).apply(probe).coords() in images
 
 
 def test_dot_action_group_law(d21):
@@ -165,7 +171,7 @@ def test_dot_action_group_law(d21):
     for a in d21.weyl_group():
         for b in d21.weyl_group():
             lhs = dot_action(d21, a, dot_action(d21, b, lam, "full-rho"), "full-rho")
-            rhs = dot_action(d21, a.compose(b), lam, "full-rho")
+            rhs = dot_action(d21, compose(a, b), lam, "full-rho")
             assert lhs == rhs
 
 
