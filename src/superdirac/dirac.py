@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule
 from .oscillator import OscMonomial, Oscillator
 from .uea import Gen
-from .weights import RootDatum, Weight, pairing
+from .weights import Weight, pairing
 
 
 # ----- Dirac blocks -------------------------------------------------------------------
@@ -55,9 +56,7 @@ class DiracBlock:
         }
 
 
-def _exponent_solutions(
-    datum: RootDatum, gammas: list[Weight], target: Weight
-) -> list[OscMonomial]:
+def _exponent_solutions(osc: Oscillator, target: Weight) -> list[OscMonomial]:
     """All exponent tuples a >= 0 with sum a_k gamma_k = target.
 
     The gamma_k are roots, so a target with a non-integer coordinate has no
@@ -65,11 +64,10 @@ def _exponent_solutions(
     coords = target.coords()
     if any(c.denominator != 1 for c in coords):
         return []
-    ht = int(datum.height(target))
+    ht = int(osc.datum.height(target))
     if ht < 0:
         return []
-    vecs = [tuple(int(c) for c in g.coords()) for g in gammas]
-    heights = [int(datum.height(g)) for g in gammas]
+    vecs, heights = osc.partial_root_lattice
     out: list[OscMonomial] = []
 
     last = len(vecs) - 1
@@ -103,21 +101,19 @@ def assemble_block(
     gammas = osc.partial_roots()
     mn = datum.mn
     basis: list[tuple[Weight, int, OscMonomial]] = []
+    drop_key: dict[Weight, tuple] = {}  # sort key of lam - lam_m, once per lam_m
+    shift = nu + datum.rho1
     for lam_m in module.blocks:
         dim_m = module.block_dim(lam_m)
         if dim_m == 0:
             continue
-        target = lam_m - nu - datum.rho1
-        for a in _exponent_solutions(datum, gammas, target):
+        sols = _exponent_solutions(osc, lam_m - shift)
+        if sols:
+            drop_key[lam_m] = datum.root_sort_key(lam - lam_m)
+        for a in sols:
             for i in range(dim_m):
                 basis.append((lam_m, i, a))
-    basis.sort(
-        key=lambda e: (
-            datum.root_sort_key(lam - e[0]),
-            e[1],
-            e[2],
-        )
-    )
+    basis.sort(key=lambda e: (drop_key[e[0]], e[1], e[2]))
     dim = len(basis)
     index = {e: i for i, e in enumerate(basis)}
     parity = [oscillator.monomial_parity(a) for (_, _, a) in basis]
@@ -369,7 +365,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         for v in hvs:
             img = block.D2.apply(v)
             lead = next((i for i, x in enumerate(v) if x), None)
-            c = img[lead] / v[lead]
+            c = Fraction(img[lead], v[lead])
             if tuple(x * c for x in v) != tuple(img):
                 raise AssertionError(
                     f"D^2 is not scalar on a highest vector at nu={nu.text()}"
@@ -388,18 +384,13 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     # component scalars of (D^2 - c) vanishes, where components come from this
     # block and every higher block whose lowerings can reach it
     checked = 0
-    by_nu0 = {e.nu0: e.measured for e in entries}
+    sums = {nu: _cone_sums(nu) for nu in coll.blocks}
+    by_nu0 = [(sums[e.nu0], e.measured) for e in entries]
     for nu in coll.sorted_weights():
         block = coll.blocks[nu]
         if block.dim == 0:
             continue
-        cs = sorted(
-            {
-                m
-                for nu0, m in by_nu0.items()
-                if _in_even_cone(nu0, nu)
-            }
-        )
+        cs = sorted({m for s0, m in by_nu0 if _in_even_cone(s0, sums[nu])})
         steps = [
             block.D2.add(SparseRationalMatrix.identity(block.dim).scale(-c)) for c in cs
         ]
@@ -421,26 +412,40 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     )
 
 
-def _in_even_cone(w: Weight, below: Weight | None = None) -> bool:
-    """Is w - below (w itself when below is None) a nonnegative integer
-    combination of positive even roots? The difference is read coordinate
-    by coordinate; no Weight is built for it.
+ConeSums = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, int]]
+
+
+def _cone_sums(w: Weight) -> ConeSums:
+    """The eps- and del-partial sums of w's coordinates, for `_in_even_cone`:
+    (remainder mod 1 of each sum as a (numerator, denominator) pair, floor of
+    each sum, floors of the two last sums)."""
+    rems, floors, totals = [], [], []
+    for part in (w.eps, w.del_):
+        q = 0
+        for s in itertools.accumulate(part):
+            q, r = divmod(s, 1)
+            rems.append((r.numerator, r.denominator))
+            floors.append(q)
+        totals.append(q)
+    return tuple(rems), tuple(floors), tuple(totals)
+
+
+def _in_even_cone(w: ConeSums, below: ConeSums) -> bool:
+    """Is w - below a nonnegative integer combination of positive even roots?
+    Both weights are given by their `_cone_sums`.
 
     These are eps_i - eps_j and del_k - del_l (i < j, k < l), the positive
     roots of gl(m) and gl(n), whose simple roots e_i - e_{i+1} span the same
     cone; w = sum c_i (e_i - e_{i+1}) has c_i the i-th partial sum of its
-    coordinates. So w lies in the cone iff, in the eps part and in the del
-    part, every partial sum is a nonnegative integer and the last is zero."""
-    lows = (below.eps, below.del_) if below is not None else ((), ())
-    for part, low in zip((w.eps, w.del_), lows):
-        total = Fraction(0)
-        for x, y in itertools.zip_longest(part, low, fillvalue=0):
-            total += x - y
-            if total < 0 or total.denominator != 1:
-                return False
-        if total:
-            return False
-    return True
+    coordinates. So w - below lies in the cone iff, in the eps part and in the
+    del part, every partial sum of w is that of below plus a nonnegative
+    integer, and the last sums are equal."""
+    rems, floors, totals = w
+    return (
+        rems == below[0]
+        and totals == below[2]
+        and all(map(operator.ge, floors, below[1]))
+    )
 
 
 # ----- cohomology -----------------------------------------------------------------------
@@ -549,7 +554,7 @@ def _classes(
     kernel = exactla.kernel_basis(kill)
     out = []
     for k in exactla.independent_modulo(image.transpose().to_rows(), kernel):
-        vec = [Fraction(0)] * dim
+        vec = [0] * dim
         for pos, x in zip(support, kernel[k]):
             vec[pos] = x
         out.append(tuple(vec))

@@ -1,29 +1,38 @@
 """Exact sparse linear algebra over the rationals.
 
-Kernels, ranks, solutions, independent subsets and quotient coordinates all
-come from one reduced row echelon form (`_rref`); definiteness certificates
+An exact entry is an `int` when it is integral and a `Fraction` otherwise
+(`_rat`), so integer matrices multiply and add on ints. Kernels, ranks,
+solutions, independent subsets and quotient coordinates all come from one
+fraction-free reduced row echelon form (`_rref`); definiteness certificates
 for symmetric Gram matrices come from a symmetric congruence. Pivoting is
 deterministic, so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-Vector = tuple[Fraction, ...]
+Rational = int | Fraction
+Vector = tuple[Rational, ...]
 
 
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _rat(x) -> Rational:
+    """x as an exact entry: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass
 class SparseRationalMatrix:
     rows: int
     cols: int
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: dict[tuple[int, int], Rational] = field(default_factory=dict)
 
     @staticmethod
     def from_rows(data: Sequence[Sequence]) -> "SparseRationalMatrix":
@@ -34,32 +43,33 @@ class SparseRationalMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                m.set(i, j, _rat(v))
+                m.set(i, j, v)
         return m
 
     @staticmethod
     def identity(n: int) -> "SparseRationalMatrix":
         m = SparseRationalMatrix(n, n)
         for i in range(n):
-            m.set(i, i, Fraction(1))
+            m.set(i, i, 1)
         return m
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+    def get(self, i: int, j: int) -> Rational:
+        return self.entries.get((i, j), 0)
 
-    def set(self, i: int, j: int, v: Fraction) -> None:
+    def set(self, i: int, j: int, v) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("matrix index out of range")
+        v = _rat(v)
         if v == 0:
             self.entries.pop((i, j), None)
         else:
             self.entries[(i, j)] = v
 
-    def add_to(self, i: int, j: int, v: Fraction) -> None:
+    def add_to(self, i: int, j: int, v) -> None:
         self.set(i, j, self.get(i, j) + v)
 
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+    def to_rows(self) -> list[list[Rational]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
@@ -91,10 +101,10 @@ class SparseRationalMatrix:
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, Rational]]] = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Rational] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
                 acc[i, j] = acc.get((i, j), 0) + a * b
@@ -118,10 +128,10 @@ class SparseRationalMatrix:
                 out.entries[key] = c * v
         return out
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v: Sequence[Rational]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in apply")
-        out = [Fraction(0)] * self.rows
+        out = [0] * self.rows
         for (i, j), a in self.entries.items():
             if v[j]:
                 out[i] += a * v[j]
@@ -141,40 +151,60 @@ def vstack(mats: Sequence[SparseRationalMatrix], cols: int) -> SparseRationalMat
     return out
 
 
-def _rref(rows_data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list).
+def _integral_row(row: Sequence[Rational]) -> list[int]:
+    """The row times the lcm of its denominators; its RREF is unchanged."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
-    Deterministic: pivot = first nonzero entry scanning rows top-down within
-    each column left-to-right (smallest row index, then column index).
+
+def _rref(rows_data: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int, list[int]]:
+    """Fraction-free reduced row echelon form: (numerators, den, pivot column
+    list) with RREF = numerators / den.
+
+    Each row is first scaled to integers. Then fraction-free Gauss-Jordan
+    elimination (the scheme of sympy's ``ddm_irref_den``): the pivot row
+    eliminates its column from every other row by integer cross
+    multiplication, and every row is divided exactly by the previous pivot,
+    so after each step all pivot entries equal the current pivot. The pivot
+    is the first nonzero entry scanning rows top-down within each column
+    left-to-right.
     """
-    a = [row[:] for row in rows_data]
+    a = [_integral_row(row) for row in rows_data]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots: list[int] = []
+    den = 1
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = [(p * x - f * y) // den for x, y in zip(row, prow)]
+            elif p != den:
+                a[i] = [p * x // den for x in row]
+        den = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return a, pivots
+    return a, den, pivots
 
 
 def rank(a: SparseRationalMatrix) -> int:
     if not a.entries:
         return 0
-    _, pivots = _rref(a.to_rows())
-    return len(pivots)
+    return len(_rref(a.to_rows())[2])
 
 
 def kernel_basis(a: SparseRationalMatrix) -> list[Vector]:
@@ -182,22 +212,22 @@ def kernel_basis(a: SparseRationalMatrix) -> list[Vector]:
     if a.cols == 0:
         return []
     if a.rows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(a.cols)) for j in range(a.cols)]
-    rr, pivots = _rref(a.to_rows())
+        return [tuple(1 if i == j else 0 for i in range(a.cols)) for j in range(a.cols)]
+    num, den, pivots = _rref(a.to_rows())
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
     basis: list[Vector] = []
     for fcol in free:
-        v = [Fraction(0)] * a.cols
-        v[fcol] = Fraction(1)
+        v = [0] * a.cols
+        v[fcol] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rr[r][fcol]
+            v[pc] = _rat(Fraction(-num[r][fcol], den))
         basis.append(tuple(v))
     return basis
 
 
 def independent_modulo(
-    span: Sequence[Sequence[Fraction]], candidates: Sequence[Vector]
+    span: Sequence[Sequence[Rational]], candidates: Sequence[Vector]
 ) -> list[int]:
     """Indices of the candidates that, taken in order, are independent modulo
     span(span) and the candidates chosen before them.
@@ -206,23 +236,23 @@ def independent_modulo(
     columns are the span vectors and then the candidates: a column is a pivot
     exactly when it is independent of the columns before it.
     """
-    _, pivots = _rref([list(row) for row in zip(*span, *candidates)])
+    pivots = _rref([list(row) for row in zip(*span, *candidates)])[2]
     return [p - len(span) for p in pivots if p >= len(span)]
 
 
-def solve(a: SparseRationalMatrix, b: Sequence[Fraction]) -> Vector | None:
+def solve(a: SparseRationalMatrix, b: Sequence[Rational]) -> Vector | None:
     """One exact solution of A x = b, or None if inconsistent."""
     if len(b) != a.rows:
         raise ValueError("dimension mismatch in solve")
-    aug = [row + [bb] for row, bb in zip(a.to_rows(), (_rat(x) for x in b))]
+    aug = [row + [_rat(bb)] for row, bb in zip(a.to_rows(), b)]
     if not aug:
-        return tuple(Fraction(0) for _ in range(a.cols))
-    rr, pivots = _rref(aug)
+        return (0,) * a.cols
+    num, den, pivots = _rref(aug)
     if a.cols in pivots:
         return None
-    x = [Fraction(0)] * a.cols
+    x = [0] * a.cols
     for r, pc in enumerate(pivots):
-        x[pc] = rr[r][a.cols]
+        x[pc] = _rat(Fraction(num[r][a.cols], den))
     return tuple(x)
 
 
@@ -231,7 +261,7 @@ class DefinitenessCertificate:
     verdict: str  # "positive-definite" | "positive-semidefinite" | "indefinite"
     rank: int
     witness: Vector | None  # for indefinite: v with v^T G v < 0 exactly
-    pivot_record: list[tuple[int, Fraction]]
+    pivot_record: list[tuple[int, Rational]]
 
     def to_json(self) -> dict:
         out = {
@@ -260,7 +290,7 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
     # original coordinates.
     coords = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
     active = list(range(n))
-    pivot_record: list[tuple[int, Fraction]] = []
+    pivot_record: list[tuple[int, Rational]] = []
     r = 0
     while active:
         # deterministic pivot: smallest active index with nonzero diagonal
@@ -293,7 +323,7 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
         active.remove(piv)
         # eliminate: replace e_k by e_k - (a[k][piv]/d) e_piv for active k
         for k in active:
-            f = a[k][piv] / d
+            f = Fraction(a[k][piv], d)
             if f == 0:
                 continue
             coords[k] = [ck - f * cp for ck, cp in zip(coords[k], coords[piv])]
@@ -317,20 +347,20 @@ class Quotient:
     reduction: SparseRationalMatrix
 
 
-def quotient(rows: Sequence[Sequence[Fraction]], dim: int) -> Quotient:
+def quotient(rows: Sequence[Sequence[Rational]], dim: int) -> Quotient:
     """V / span(rows) for V of dimension dim, from one RREF of the rows: the
     non-pivot coordinates are kept, and each pivot coordinate is congruent to
     minus the kept part of its row. No rows give the identity."""
     if any(len(row) != dim for row in rows):
         raise ValueError("row dimension mismatch in quotient")
-    rr, pivots = _rref([list(row) for row in rows]) if rows else ([], [])
+    num, den, pivots = _rref(rows) if rows else ([], 1, [])
     pivot_set = set(pivots)
     kept = [c for c in range(dim) if c not in pivot_set]
     red = SparseRationalMatrix(len(kept), dim)
     for qi, c in enumerate(kept):
-        red.entries[(qi, c)] = Fraction(1)
+        red.entries[(qi, c)] = 1
     for r, pc in enumerate(pivots):
         for qi, c in enumerate(kept):
-            if rr[r][c]:
-                red.entries[(qi, pc)] = -rr[r][c]
+            if num[r][c]:
+                red.entries[(qi, pc)] = _rat(Fraction(-num[r][c], den))
     return Quotient(kept, red)

@@ -155,7 +155,7 @@ class TruncatedModule:
             img = act_word(self.alg, self.highest_weight, (g,), {mono: Fraction(1)})
             for m, c in img.items():
                 vec[index[m]] += c
-            cols.append(tuple((i, c) for i, c in enumerate(tb.reduce(vec)) if c))
+            cols.append(tuple((i, exactla._rat(c)) for i, c in enumerate(tb.reduce(vec)) if c))
         return tuple(cols)
 
     def sorted_weights(self) -> list[Weight]:

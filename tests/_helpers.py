@@ -1,7 +1,8 @@
 """Test-only helpers shared by several test modules: sums and multiples in
 U(g), the Weyl-algebra commutator, the embedding alpha on degree-1 elements,
-the Bargmann-Fock form and the value of a quadratic form. The package itself
-never needs them."""
+the Bargmann-Fock form, the value of a quadratic form and the Fraction
+elimination kept as the oracle for `exactla._rref`. The package itself never
+needs them."""
 
 import math
 from fractions import Fraction
@@ -58,3 +59,33 @@ def bargmann_fock(p, q):
 def quadratic_value(g, v):
     """v^T G v."""
     return sum((a * b for a, b in zip(v, g.apply(v))), Fraction(0))
+
+
+def fraction_rref(rows_data):
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions;
+    returns (matrix, pivot column list), zero rows included.
+
+    Pivot = first nonzero entry scanning rows top-down within each column
+    left-to-right. The oracle for the fraction-free `exactla._rref`.
+    """
+    a = [[Fraction(x) for x in row] for row in rows_data]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots

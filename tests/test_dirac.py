@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import fraction_rref
 from superdirac import dirac, exactla, modules, oscillator
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.oscillator import Oscillator
@@ -212,13 +213,13 @@ def test_exponent_solutions(d21):
     gammas = osc.partial_roots()
     # gamma1 + gamma2 = eps1 - eps2 has the single solution (1, 1)
     target = d21.pos_even[0].weight
-    assert dirac._exponent_solutions(d21, gammas, target) == [(1, 1)]
-    assert dirac._exponent_solutions(d21, gammas, d21.zero()) == [(0, 0)]
-    assert dirac._exponent_solutions(d21, gammas, gammas[0].scale(-1)) == []
+    assert dirac._exponent_solutions(osc, target) == [(1, 1)]
+    assert dirac._exponent_solutions(osc, d21.zero()) == [(0, 0)]
+    assert dirac._exponent_solutions(osc, gammas[0].scale(-1)) == []
     # a half-integer target has integral height here but no integer solution
     half = Weight.make([Fraction(1, 2), Fraction(-1, 2)], [0])
     assert d21.height(half) == 1
-    assert dirac._exponent_solutions(d21, gammas, half) == []
+    assert dirac._exponent_solutions(osc, half) == []
 
 
 @pytest.mark.parametrize("group", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)])
@@ -226,7 +227,8 @@ def test_exponent_solutions_match_brute_force(group):
     """The oscillator degree is a function of the weight, so enumerating every
     monomial of degree <= 3 lists all solutions for each weight it reaches."""
     datum = build_root_datum(*group)
-    gammas = Oscillator(Algebra(datum)).partial_roots()
+    osc = Oscillator(Algebra(datum))
+    gammas = osc.partial_roots()
     expected: dict = {}
     for deg in range(4):
         for a in oscillator.monomials_of_degree(datum.mn, deg):
@@ -235,7 +237,7 @@ def test_exponent_solutions_match_brute_force(group):
                 w = w + gammas[k].scale(ak)
             expected.setdefault(w, set()).add(a)
     for w, sols in expected.items():
-        found = dirac._exponent_solutions(datum, gammas, w)
+        found = dirac._exponent_solutions(osc, w)
         assert len(found) == len(set(found)) and set(found) == sols
 
 
@@ -256,7 +258,7 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
 def _independent(vectors):
     if not vectors:
         return []
-    rows, pivots = exactla._rref([list(v) for v in vectors])
+    rows, pivots = fraction_rref([list(v) for v in vectors])
     return [tuple(rows[i]) for i in range(len(pivots))]
 
 
@@ -265,7 +267,7 @@ def _column_space(columns):
     chosen, rows = [], []
     for col in columns:
         trial = rows + [list(col)]
-        if len(exactla._rref(trial)[1]) > len(chosen):
+        if len(fraction_rref(trial)[1]) > len(chosen):
             chosen.append(col)
             rows = trial
     return chosen
@@ -291,10 +293,10 @@ def _classes_mod(kernel, cap):
     """Kernel vectors extending a basis of cap to a basis of the kernel."""
     chosen = []
     rows = [list(v) for v in cap]
-    cur_rank = len(exactla._rref(rows)[1]) if rows else 0
+    cur_rank = len(fraction_rref(rows)[1]) if rows else 0
     for v in kernel:
         trial = rows + [list(v)]
-        r = len(exactla._rref(trial)[1])
+        r = len(fraction_rref(trial)[1])
         if r > cur_rank:
             chosen.append(v)
             rows = trial
@@ -483,6 +485,7 @@ def test_even_cone_matches_search(group):
     halves = [Fraction(k, 2) for k in range(-2, 3)]
     roots = [r.weight for r in datum.pos_even]
     oracle = _even_cone_search(datum)
+    zero = dirac._cone_sums(datum.zero())
     seen = set()
     for _ in range(1500):
         if rng.random() < 0.5:
@@ -498,7 +501,49 @@ def test_even_cone_matches_search(group):
                 w = w + datum.basis_weight(rng.randrange(datum.m + datum.n)).scale(
                     rng.choice(halves)
                 )
-        got = dirac._in_even_cone(w)
+        got = dirac._in_even_cone(dirac._cone_sums(w), zero)
         assert got == oracle(w), w.text()
         seen.add(got)
+        # the same difference, read off two weights that are not zero
+        below = Weight.make(
+            [rng.choice(halves) for _ in range(datum.m)],
+            [rng.choice(halves) for _ in range(datum.n)],
+        )
+        assert dirac._in_even_cone(dirac._cone_sums(below + w), dirac._cone_sums(below)) == got
     assert seen == {True, False}
+
+
+# ----- the integer fast path ----------------------------------------------------------
+def _exact(values):
+    return all(type(x) is int or type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [(SL21, "-2,1|1", 6), (SL23, "-3,0|1,1,1", 2), (GL33, "-3,0,0|1,1,1", 2)],
+    ids=["sl21", "sl23", "gl33-p2"],
+)
+def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
+    """D and D^2 hold Python ints; every other exact value the pipeline reads
+    or reports is an int or a Fraction, never a float or a bool."""
+    datum = build_root_datum(*group)
+    mod = modules.simple_truncation(datum, parse_weight(weight, datum.m, datum.n), height)
+    for b in mod.blocks.values():
+        assert _exact(b.gram.entries.values()) and _exact(b.gram_quot.entries.values())
+        assert _exact(b.qmap.reduction.entries.values())
+        if b.gram_quot.rows:
+            cert = exactla.definiteness(b.gram_quot)
+            assert _exact(p for _, p in cert.pivot_record)
+    coll = dirac.assemble_all(mod, height)
+    assert any(block.D.entries for block in coll.blocks.values())
+    for nu, block in coll.blocks.items():
+        assert all(type(x) is int for x in block.D.entries.values())
+        assert all(type(x) is int for x in block.D2.entries.values())
+        assert _exact(block.gram.entries.values())
+        image = exactla.quotient(block.D.transpose().to_rows(), block.dim)
+        assert _exact(image.reduction.entries.values())
+        for v in dirac.highest_vectors(coll, nu):
+            assert _exact(v)
+    audit = dirac.dirac_square_audit(coll)
+    assert audit.entries
+    assert _exact(x for e in audit.entries for x in (e.s, e.measured))

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import quadratic_value
+from _helpers import fraction_rref, quadratic_value
 from superdirac import exactla
 from superdirac.exactla import SparseRationalMatrix
 
@@ -309,3 +309,104 @@ def test_vstack(top, bottom):
     assert exactla.rank(empty) == 0
     with pytest.raises(ValueError):
         exactla.vstack([a, SparseRationalMatrix(1, 2)], 3)
+
+
+# ----- the fraction-free _rref against the Fraction elimination -------------------------
+def test_rat_keeps_integral_values_as_int():
+    two = exactla._rat(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    half = exactla._rat(Fraction(1, 2))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(exactla._rat(True)) is int
+    assert type(exactla._rat(-3)) is int
+
+
+mixed = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Rectangular matrices mixing int and Fraction entries, sometimes with a
+    zero row, a zero column or a row that is a combination of two others."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a = [[draw(mixed) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = [0] * cols
+    if rows and cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in a:
+            row[j] = 0
+    if rows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        x, y = draw(mixed), draw(mixed)
+        a[k] = [x * u + y * v for u, v in zip(a[i], a[j])]
+    return a
+
+
+def _canonical(values):
+    """Every value is an int, or a Fraction that is not integral."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values
+    )
+
+
+def _matrix(rows, cols):
+    return SparseRationalMatrix.from_rows(rows) if rows else SparseRationalMatrix(0, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_matrices())
+def test_rref_matches_fraction_oracle(rows):
+    num, den, pivots = exactla._rref(rows)
+    rr, oracle_pivots = fraction_rref(rows)
+    assert pivots == oracle_pivots
+    assert type(den) is int and den != 0
+    assert all(type(x) is int for row in num for x in row)
+    assert [[Fraction(x, den) for x in row] for row in num] == rr
+    for row in rows:  # the input is left as it was
+        assert all(type(x) in (int, Fraction) for x in row)
+
+
+def _oracle_kernel(rows, cols):
+    rr, pivots = fraction_rref(rows)
+    basis = []
+    for fcol in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fcol] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rr[r][fcol]
+        basis.append(tuple(v))
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.data())
+def test_rank_kernel_solve_quotient_match_fraction_oracle(rows, data):
+    cols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    a = _matrix(rows, cols)
+    rr, pivots = fraction_rref(a.to_rows())
+    assert exactla.rank(a) == len(pivots)
+    if cols:
+        kern = exactla.kernel_basis(a)
+        assert kern == _oracle_kernel(a.to_rows(), cols)
+        assert all(_canonical(v) for v in kern)
+    # solve against a right-hand side in the image, and an arbitrary one
+    for b in (a.apply(data.draw(st.lists(mixed, min_size=cols, max_size=cols))),
+              data.draw(st.lists(mixed, min_size=a.rows, max_size=a.rows))):
+        got = exactla.solve(a, b)
+        aug_rr, aug_piv = fraction_rref([row + [Fraction(x)] for row, x in zip(a.to_rows(), b)])
+        if cols in aug_piv:
+            assert got is None
+        else:
+            expected = [Fraction(0)] * cols
+            for r, pc in enumerate(aug_piv):
+                expected[pc] = aug_rr[r][cols]
+            assert got is not None and list(got) == expected and _canonical(got)
+    if rows:
+        q = exactla.quotient(rows, cols)
+        kept, red = _quotient_from_rref(rr, pivots, cols)
+        assert q.kept == kept
+        assert q.reduction.entries == red.entries
+        assert _canonical(q.reduction.entries.values())
