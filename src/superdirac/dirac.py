@@ -665,19 +665,27 @@ def dirac_index(coll: BlockCollection) -> dict[Weight, int]:
 # ----- inequality audit ------------------------------------------------------------------------
 @dataclass
 class InequalityEntry:
+    """The Dirac inequality at one g0-constituent with shifted label mu.
+
+    Sign convention: s = (mu+2rho, mu) - (L+2rho, L) in the weight pairing
+    and measured is the scalar of D^2 on the constituent (the square audit
+    matches measured = -2 s). The inequality reads s >= 0, equivalently
+    measured <= 0; on certified inputs it holds at every constituent.
+    """
+
     mu: Weight
     s: Fraction
     measured: Fraction
-    violation_pairing: bool  # s > 0 (the weight-pairing convention)
-    violation_measured: bool  # measured > 0 (positive squared norm direction)
+    s_positive: bool  # s > 0: the inequality is strict at mu
+    measured_positive: bool  # measured > 0: D^2 is positive at mu
 
     def to_json(self) -> dict:
         return {
             "mu": self.mu.text(),
             "s": str(self.s),
             "measured": str(self.measured),
-            "violation_pairing": self.violation_pairing,
-            "violation_measured": self.violation_measured,
+            "s_positive": self.s_positive,
+            "measured_positive": self.measured_positive,
         }
 
 

@@ -151,8 +151,8 @@ class TruncatedModule:
         index = {m: i for i, m in enumerate(tb.monomials)}
         cols = []
         for mono in self.blocks[source].basis:
-            vec = [Fraction(0)] * len(index)
-            img = act_word(self.alg, self.highest_weight, (g,), {mono: Fraction(1)})
+            vec = [0] * len(index)
+            img = act_word(self.alg, self.highest_weight, (g,), {mono: 1})
             for m, c in img.items():
                 vec[index[m]] += c
             cols.append(tuple((i, exactla._rat(c)) for i, c in enumerate(tb.reduce(vec)) if c))
@@ -181,20 +181,20 @@ def generators(alg: Algebra, sign: int, restriction: str) -> list[Gen]:
 
 
 def _enumerate_monomials(
-    alg: Algebra, gens: list[Gen], max_height: Fraction
+    alg: Algebra, gens: list[Gen], max_height: exactla.Rational
 ) -> list[Word]:
     """All PBW monomials in the given lowering generators of height <= bound."""
     datum = alg.datum
     heights = [-datum.height(alg.gen_root(g)) for g in gens]
     out: list[Word] = []
 
-    def rec(idx: int, remaining: Fraction, word: tuple[Gen, ...]) -> None:
+    def rec(idx: int, remaining: exactla.Rational, word: tuple[Gen, ...]) -> None:
         if idx == len(gens):
             out.append(word)
             return
         g = gens[idx]
         h = heights[idx]
-        max_rep = 1 if alg.parity(g) else (int(remaining / h) if h > 0 else 0)
+        max_rep = 1 if alg.parity(g) else (remaining // h if h > 0 else 0)
         reps = 0
         while True:
             rec(idx + 1, remaining - reps * h, word + (g,) * reps)
@@ -202,7 +202,7 @@ def _enumerate_monomials(
             if reps > max_rep or reps * h > remaining:
                 break
 
-    rec(0, Fraction(max_height), ())
+    rec(0, max_height, ())
     return out
 
 
@@ -228,7 +228,7 @@ def _gram_block(
     dim = len(monos)
     gram = SparseRationalMatrix(dim, dim)
     if monos == [()]:
-        gram.set(0, 0, Fraction(1))  # the highest weight block
+        gram.set(0, 0, 1)  # the highest weight block
         return gram
     images: dict[tuple[Gen, int], ModuleVector] = {}
     for i, x in enumerate(monos):
@@ -241,9 +241,9 @@ def _gram_block(
         for j in range(i, dim):
             img = images.get((g, j))
             if img is None:
-                img = act_word(alg, lam, (og,), {monos[j]: Fraction(1)})
+                img = act_word(alg, lam, (og,), {monos[j]: 1})
                 images[(g, j)] = img
-            v = Fraction(0)
+            v = 0
             for z, c in img.items():
                 e = above_gram.get((row, above_index[z]))
                 if e:

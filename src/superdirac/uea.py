@@ -7,25 +7,28 @@ iff exactly one index exceeds m-1.  A UEAElement is a dict mapping PBW words
 (tuples of generators) to rational coefficients; the PBW order is
 negative < Cartan < positive, each class internally ordered by (height, lex)
 of the roots.
+
+Coefficients are canonical as in `exactla._rat`: the structure constants on
+matrix units are +-1, so straightening keeps them ints, and only the
+normalized form `b_form` takes half-integral values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactla import Rational
 from .weights import RootDatum, Weight
 
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
-UEAElement = dict[Word, Fraction]
-
-ONE: Word = ()
+UEAElement = dict[Word, Rational]
 
 
-def add_into(acc: UEAElement, w: Word, c: Fraction) -> None:
+def add_into(acc: UEAElement, w: Word, c: Rational) -> None:
     if not c:
         return
-    v = acc.get(w, Fraction(0)) + c
+    v = acc.get(w, 0) + c
     if v:
         acc[w] = v
     else:
@@ -75,7 +78,7 @@ class Algebra:
             cls = self.triangular_class(g)
             cls_rank = {"negative": 0, "cartan": 1, "positive": 2}[cls]
             if cls == "cartan":
-                key = (cls_rank, Fraction(0), (Fraction(g[0]),))
+                key = (cls_rank, 0, (g[0],))
             else:
                 root = self.gen_root(g)
                 key = (cls_rank, self.datum.height(root), root.coords())
@@ -105,9 +108,9 @@ class Algebra:
         sign = (-1) ** (self.parity(a) * self.parity(b))
         out: UEAElement = {}
         if j == k:
-            add_into(out, ((i, l),), Fraction(1))
+            add_into(out, ((i, l),), 1)
         if l == i:
-            add_into(out, ((k, j),), Fraction(-sign))
+            add_into(out, ((k, j),), -sign)
         return out
 
     # ----- PBW straightening ----------------------------------------------------
@@ -132,7 +135,7 @@ class Algebra:
             return cached
         idx = self._first_inversion(word)
         if idx is None:
-            result = {word: Fraction(1)}
+            result = {word: 1}
         else:
             a, b = word[idx], word[idx + 1]
             head, tail = word[:idx], word[idx + 2 :]
@@ -146,7 +149,7 @@ class Algebra:
             else:
                 sign = (-1) ** (self.parity(a) * self.parity(b))
                 for w, c in self._normal_word(head + (b, a) + tail).items():
-                    add_into(result, w, Fraction(sign) * c)
+                    add_into(result, w, sign * c)
                 for bw, bc in bracket.items():
                     for w, c in self._normal_word(head + bw + tail).items():
                         add_into(result, w, bc * c)
@@ -180,7 +183,7 @@ class Algebra:
                 og, s = self.omega_gen(g)
                 sign *= s
                 new.append(og)
-            add_into(out, tuple(new), Fraction(sign) * coeff)
+            add_into(out, tuple(new), sign * coeff)
         return self.normal_order(out)
 
     # ----- Harish-Chandra projection and evaluation ------------------------------
@@ -218,11 +221,11 @@ class Algebra:
     # ----- odd basis table as generators -------------------------------------------
     def partial_k(self, k: int) -> UEAElement:
         """The k-th odd raising generator (0-based index in the basis table)."""
-        return {(self.datum.odd_raising[k],): Fraction(1)}
+        return {(self.datum.odd_raising[k],): 1}
 
     def x_k(self, k: int) -> UEAElement:
         """The k-th odd lowering generator, including its sign."""
-        return {(self.datum.odd_lowering[k],): Fraction(self.datum.odd_lowering_sign[k])}
+        return {(self.datum.odd_lowering[k],): self.datum.odd_lowering_sign[k]}
 
 
 def shapovalov_pairing(alg: Algebra, x: UEAElement, y: UEAElement, lam: Weight) -> Fraction:

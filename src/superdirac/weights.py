@@ -5,6 +5,11 @@ The bilinear form is (eps_i, eps_j) = delta_ij, (del_i, del_j) = -delta_ij,
 (eps, del) = 0.  The odd positive system is the non-standard one
 n1+ = p1 (+) q2 determined by the signature (p, q): eps_l - del_c for l <= p
 and del_c - eps_l for l > p.
+
+Every coordinate is canonical as in `exactla._rat`: an int when integral,
+else a Fraction.  Module weights, roots and heights are then ints whenever
+the highest weight is integral; hash(Fraction(k)) == hash(k), so lookups,
+ordering and `Weight.text` do not depend on which type a coordinate has.
 """
 
 from __future__ import annotations
@@ -17,21 +22,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
-
-
-Rat = Fraction
-
-
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .exactla import Rational, _rat
 
 
 @dataclass(frozen=True)
 class Weight:
     """A point of h* with exact rational eps/del coordinates."""
 
-    eps: tuple[Fraction, ...]
-    del_: tuple[Fraction, ...]
+    eps: tuple[Rational, ...]
+    del_: tuple[Rational, ...]
 
     @staticmethod
     def make(eps: Iterable, del_: Iterable) -> "Weight":
@@ -45,21 +44,21 @@ class Weight:
     def n(self) -> int:
         return len(self.del_)
 
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple[Rational, ...]:
         return self.eps + self.del_
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
         return Weight(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            tuple(a + b for a, b in zip(self.del_, other.del_)),
+            tuple(_rat(a + b) for a, b in zip(self.eps, other.eps)),
+            tuple(_rat(a + b) for a, b in zip(self.del_, other.del_)),
         )
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
         return Weight(
-            tuple(a - b for a, b in zip(self.eps, other.eps)),
-            tuple(a - b for a, b in zip(self.del_, other.del_)),
+            tuple(_rat(a - b) for a, b in zip(self.eps, other.eps)),
+            tuple(_rat(a - b) for a, b in zip(self.del_, other.del_)),
         )
 
     def __neg__(self) -> "Weight":
@@ -67,7 +66,9 @@ class Weight:
 
     def scale(self, c) -> "Weight":
         c = _rat(c)
-        return Weight(tuple(c * a for a in self.eps), tuple(c * a for a in self.del_))
+        return Weight(
+            tuple(_rat(c * a) for a in self.eps), tuple(_rat(c * a) for a in self.del_)
+        )
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords())
@@ -77,7 +78,7 @@ class Weight:
             raise ValueError("weight dimension mismatch")
 
     def text(self) -> str:
-        def fmt(x: Fraction) -> str:
+        def fmt(x: Rational) -> str:
             return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
         return ",".join(fmt(x) for x in self.eps) + "|" + ",".join(fmt(x) for x in self.del_)
@@ -92,12 +93,12 @@ def parse_weight(text: str, m: int, n: int) -> Weight:
         raise ValueError(f"weight {text!r} lacks the '|' separator")
     left, right = text.split("|", 1)
 
-    def parse_side(side: str, count: int, what: str) -> tuple[Fraction, ...]:
+    def parse_side(side: str, count: int, what: str) -> tuple[Rational, ...]:
         parts = [s.strip() for s in side.split(",")] if side.strip() else []
         if len(parts) != count:
             raise ValueError(f"expected {count} {what} coordinates, got {len(parts)}")
         try:
-            return tuple(Fraction(s) for s in parts)
+            return tuple(_rat(s) for s in parts)
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in the {what} coordinates") from exc
 
@@ -139,10 +140,10 @@ class WeylElement:
     tau: tuple[int, ...]  # permutation of range(n)
 
     def apply(self, w: Weight) -> Weight:
-        eps = [Fraction(0)] * len(self.sigma)
+        eps = [0] * len(self.sigma)
         for i, j in enumerate(self.sigma):
             eps[j] = w.eps[i]
-        del_ = [Fraction(0)] * len(self.tau)
+        del_ = [0] * len(self.tau)
         for i, j in enumerate(self.tau):
             del_[j] = w.del_[i]
         return Weight(tuple(eps), tuple(del_))
@@ -218,9 +219,9 @@ class RootDatum:
             pos[idx] = place
         return tuple(pos)
 
-    def height(self, w: Weight) -> Fraction:
+    def height(self, w: Weight) -> Rational:
         """Height of a nonnegative-root-lattice element (linear functional)."""
-        return -sum(map(operator.mul, self._u_positions, w.coords()), Fraction(0))
+        return _rat(-sum(map(operator.mul, self._u_positions, w.coords())))
 
     def root_sort_key(self, w: Weight):
         return (self.height(w), w.coords())
@@ -229,7 +230,7 @@ class RootDatum:
         if lam.m != self.m or lam.n != self.n:
             return False
         if self.m == self.n:
-            return sum(lam.coords(), Fraction(0)) == 0
+            return sum(lam.coords()) == 0
         return True
 
     def weyl_group(self) -> list[WeylElement]:

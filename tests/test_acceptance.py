@@ -99,15 +99,15 @@ def test_criterion_04_adjointness_and_inequality(
     entries = dirac.dirac_inequality_audit(coll_refuted2)
     target = lam_refuted - d21.pos_odd[0].weight  # lam - (eps1 - del1)
     hits = [e for e in entries if e.mu == target]
-    violation_ok = (
-        len(hits) == 1 and hits[0].s == 2 and hits[0].violation_pairing
+    pairing_ok = (
+        len(hits) == 1 and hits[0].s == 2 and hits[0].s_positive
     )
-    ok = adjoint_ok and violation_ok
+    ok = adjoint_ok and pairing_ok
     announce(
         4,
         ok,
         "anti-selfadjointness on all certified blocks; refuted weight "
-        f"{lam_refuted.text()} shows the +2 inequality violation at "
+        f"{lam_refuted.text()} shows s = +2 in the inequality audit at "
         f"{target.text()}",
         t0,
     )

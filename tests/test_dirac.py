@@ -150,8 +150,8 @@ def test_inequality_audit_refuted_weight(coll_refuted2, d21, lam_refuted):
     hits = [e for e in entries if e.mu == target]
     assert len(hits) == 1
     e = hits[0]
-    assert e.s == 2 and e.violation_pairing
-    assert e.measured == -4 and not e.violation_measured
+    assert e.s == 2 and e.s_positive
+    assert e.measured == -4 and not e.measured_positive
 
 
 def test_inequality_audit_certified_weight(coll_typical3, lam_typical):
@@ -159,7 +159,7 @@ def test_inequality_audit_certified_weight(coll_typical3, lam_typical):
         assert e.s >= 0
         assert e.measured <= 0
         if e.mu != lam_typical:
-            assert e.violation_pairing  # strict inequality off the top
+            assert e.s_positive  # strict inequality off the top
 
 
 def test_highest_vectors_top_block(coll_typical3, d21, lam_typical):
@@ -518,6 +518,15 @@ def _exact(values):
     return all(type(x) is int or type(x) is Fraction for x in values)
 
 
+def _canonical(weights):
+    """Every coordinate an int, or a Fraction that is not integral."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1)
+        for w in weights
+        for x in w.coords()
+    )
+
+
 @pytest.mark.parametrize(
     "group, weight, height",
     [(SL21, "-2,1|1", 6), (SL23, "-3,0|1,1,1", 2), (GL33, "-3,0,0|1,1,1", 2)],
@@ -525,9 +534,11 @@ def _exact(values):
 )
 def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     """D and D^2 hold Python ints; every other exact value the pipeline reads
-    or reports is an int or a Fraction, never a float or a bool."""
+    or reports is an int or a Fraction, never a float or a bool; every weight
+    that keys a block or a table has canonical coordinates."""
     datum = build_root_datum(*group)
     mod = modules.simple_truncation(datum, parse_weight(weight, datum.m, datum.n), height)
+    assert _canonical(mod.blocks)
     for b in mod.blocks.values():
         assert _exact(b.gram.entries.values()) and _exact(b.gram_quot.entries.values())
         assert _exact(b.qmap.reduction.entries.values())
@@ -535,8 +546,10 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
             cert = exactla.definiteness(b.gram_quot)
             assert _exact(p for _, p in cert.pivot_record)
     coll = dirac.assemble_all(mod, height)
+    assert _canonical(coll.blocks)
     assert any(block.D.entries for block in coll.blocks.values())
     for nu, block in coll.blocks.items():
+        assert _canonical(w for w, _, _ in block.index)
         assert all(type(x) is int for x in block.D.entries.values())
         assert all(type(x) is int for x in block.D2.entries.values())
         assert _exact(block.gram.entries.values())
@@ -547,3 +560,6 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     audit = dirac.dirac_square_audit(coll)
     assert audit.entries
     assert _exact(x for e in audit.entries for x in (e.s, e.measured))
+    report = dirac.dirac_cohomology(coll)
+    tables = [dirac.hd_ktype_table(coll, report, sign) for sign in (+1, -1)]
+    assert any(tables) and all(_canonical(t) for t in tables)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, and
-every function, class and method it defines is referred to somewhere in the
-package (or allowed, with a reason).
+every function, class, method and module-level name it defines is referred
+to somewhere in the package (or allowed, with a reason).
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -81,24 +81,32 @@ UNREFERENCED_ALLOWED = {
 
 
 def _definitions(tree: ast.AST) -> list[tuple[str, int]]:
-    """Every function, class and method, dunder methods aside (Python calls
-    those itself)."""
+    """Every function, class and method, and every name assigned at module
+    top level (constants, type aliases); dunders aside (Python reads those
+    itself)."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    found = [
-        (n.name, n.lineno)
-        for n in ast.walk(tree)
-        if isinstance(n, kinds) and not (n.name.startswith("__") and n.name.endswith("__"))
-    ]
+    found = [(n.name, n.lineno) for n in ast.walk(tree) if isinstance(n, kinds)]
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found += [
+                (n.id, n.lineno)
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name)
+            ]
+    found = [d for d in found if not (d[0].startswith("__") and d[0].endswith("__"))]
     return sorted(found, key=lambda d: d[1])
 
 
 def _references(trees: list[ast.AST]) -> set[str]:
-    """Names read anywhere: Name ids, attribute names, and string constants
-    that are identifiers (annotations such as "Weight", getattr keys)."""
+    """Names read anywhere: Name ids not being assigned to, attribute names,
+    and string constants that are identifiers (annotations such as "Weight",
+    getattr keys)."""
     refs = set()
     for tree in trees:
         for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
                 refs.add(n.id)
             elif isinstance(n, ast.Attribute):
                 refs.add(n.attr)
@@ -143,5 +151,10 @@ def test_checker_flags_an_unreferenced_definition():
         "def f(a: 'A'): return a.used()\n"
         "def g(): pass\n"
         "HANDLERS = {'f': f}\n"
+        "LIMIT: int = 3\n"
+        "__all__ = ['A']\n"
+        "def h(): return HANDLERS\n"
     )
-    assert _unreferenced({"m.py": src}) == ["m.py:3 unused", "m.py:6 g"]
+    assert _unreferenced({"m.py": src}) == [
+        "m.py:3 unused", "m.py:6 g", "m.py:8 LIMIT", "m.py:10 h"
+    ]

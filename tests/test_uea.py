@@ -1,14 +1,17 @@
 """Enveloping-algebra substrate: brackets, PBW normal ordering, the
 anti-automorphism, Casimir elements, and the Shapovalov form."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import combine, scale
 from superdirac import modules, uea
+from superdirac.oscillator import Oscillator
 from superdirac.uea import Algebra
 from superdirac.weights import Weight, build_root_datum, pairing, parse_weight
 
@@ -249,3 +252,31 @@ def test_shapovalov_symmetric(alg21):
             assert uea.shapovalov_pairing(alg21, u, v, lam) == uea.shapovalov_pairing(
                 alg21, v, u, lam
             )
+
+
+# ----- integral coefficients ---------------------------------------------------------------
+@pytest.mark.parametrize(
+    "group", [(2, 1, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)], ids=["sl21", "sl23", "gl33-p2"]
+)
+def test_pbw_coefficients_are_ints_and_divisions_never_float(group):
+    """The structure constants on matrix units are +-1, so straightening and
+    the anti-involution keep every PBW coefficient an int; the divisions that
+    remain (by str_form, and the monomial bound) never produce a float."""
+    alg = Algebra(build_root_datum(*group))
+    gens = alg.generators()
+    for length in range(4):
+        for word in itertools.product(gens, repeat=length):
+            for c in alg._normal_word(word).values():
+                assert type(c) is int, (word, c)
+            for c in alg.omega({word: 1}).values():
+                assert type(c) is int, (word, c)
+    for a in gens:
+        for b in gens:
+            assert type(alg.b_form(a, b)) is Fraction
+    for c in Oscillator(alg).measured_constant().values():
+        assert type(c) is Fraction
+    lows = modules.generators(alg, -1, "all")
+    for h in range(4):
+        by_int = modules._enumerate_monomials(alg, lows, h)
+        assert by_int == modules._enumerate_monomials(alg, lows, Fraction(h))
+        assert by_int == modules._enumerate_monomials(alg, lows, Fraction(2 * h + 1, 2))

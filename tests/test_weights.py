@@ -142,6 +142,69 @@ def test_height_linear(u, v):
     assert d.height(u + v) == d.height(u) + d.height(v)
 
 
+# ----- canonical coordinates ---------------------------------------------------------
+GROUPS = {
+    (m, n, p): build_root_datum(m, n, p, m - p) for m, n, p in ((2, 1, 1), (2, 3, 1), (3, 3, 2))
+}
+mixed = st.one_of(st.integers(-6, 6), st.integers(-9, 9).map(lambda k: Fraction(k, 2)))
+
+
+def _canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _fraction_text(coords, m):
+    return ",".join(map(str, coords[:m])) + "|" + ",".join(map(str, coords[m:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_weight_arithmetic_matches_fraction_oracle(data):
+    """+, -, neg, scale, Weyl action and height equal the same computation on
+    plain Fractions, and every coordinate comes out an int iff integral."""
+    (m, n, p), d = data.draw(st.sampled_from(sorted(GROUPS.items())))
+    a = data.draw(st.tuples(*[mixed] * (m + n)))
+    b = data.draw(st.tuples(*[mixed] * (m + n)))
+    c = data.draw(mixed)
+    w = data.draw(st.sampled_from(d.weyl_group()))
+    u, v = Weight.make(a[:m], a[m:]), Weight.make(b[:m], b[m:])
+    fa, fb, fc = [Fraction(x) for x in a], [Fraction(x) for x in b], Fraction(c)
+    moved = [Fraction(0)] * (m + n)
+    for i, j in enumerate(w.sigma):
+        moved[j] = fa[i]
+    for i, j in enumerate(w.tau):
+        moved[m + j] = fa[m + i]
+    cases = [
+        (u + v, [x + y for x, y in zip(fa, fb)]),
+        (u - v, [x - y for x, y in zip(fa, fb)]),
+        (-u, [-x for x in fa]),
+        (u.scale(c), [fc * x for x in fa]),
+        (w.apply(u), moved),
+    ]
+    for got, expected in cases:
+        assert list(got.coords()) == expected
+        assert all(_canonical(x) for x in got.coords())
+        # the same bytes as a Weight holding the plain Fractions
+        assert got.text() == _fraction_text(expected, m)
+        old = Weight(tuple(expected[:m]), tuple(expected[m:]))
+        assert got == old and hash(got) == hash(old)
+    height = d.height(u)
+    assert height == -sum(Fraction(k) * x for k, x in zip(d._u_positions, fa))
+    assert _canonical(height)
+    parsed = parse_weight(u.text(), m, n)
+    assert parsed == u and all(_canonical(x) for x in parsed.coords())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+def test_int_and_integral_fraction_weights_agree(ks):
+    by_int = Weight.make(ks[:2], ks[2:])
+    by_fraction = Weight.make([Fraction(k) for k in ks[:2]], [Fraction(k) for k in ks[2:]])
+    assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+    assert all(type(x) is int for x in by_fraction.coords())
+    assert by_int.text() == by_fraction.text() == _fraction_text([Fraction(k) for k in ks], 2)
+
+
 def test_root_sort_key_total_order(d23):
     roots = [r.weight for r in d23.pos_even + d23.pos_odd]
     keys = [d23.root_sort_key(r) for r in roots]
