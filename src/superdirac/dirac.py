@@ -22,22 +22,24 @@ from .weights import Weight, pairing
 
 
 # ----- Dirac blocks -------------------------------------------------------------------
+BasisEntry = tuple[Weight, int, OscMonomial]
+
+
 @dataclass
 class DiracBlock:
     nu: Weight
     module: TruncatedModule
     osc: Oscillator
     # basis entries: (module block weight, index into module basis, osc monomial)
-    basis: list[tuple[Weight, int, OscMonomial]]
+    basis: list[BasisEntry]
     parity: list[int]  # oscillator parity (degree mod 2)
     d_p1: SparseRationalMatrix
     delta_p1: SparseRationalMatrix
     d_q2: SparseRationalMatrix
     delta_q2: SparseRationalMatrix
     D: SparseRationalMatrix
-    gram: SparseRationalMatrix
     # basis entry -> its position in basis, built once by assemble_block
-    index: dict[tuple[Weight, int, OscMonomial], int] = field(repr=False, compare=False)
+    index: dict[BasisEntry, int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -46,6 +48,20 @@ class DiracBlock:
     @functools.cached_property
     def D2(self) -> SparseRationalMatrix:
         return self.D.matmul(self.D)
+
+    @functools.cached_property
+    def gram(self) -> SparseRationalMatrix:
+        """G = (module Gram) (x) (Bargmann-Fock form), diagonal in the monomials."""
+        gram = SparseRationalMatrix(self.dim, self.dim)
+        for col, (lam_m, i, a) in enumerate(self.basis):
+            bf = math.prod(math.factorial(e) for e in a)
+            b = self.module.blocks[lam_m]
+            form = b.form
+            for i2 in range(b.dim):
+                v = form.get(i2, i)
+                if v:
+                    gram.set(self.index[(lam_m, i2, a)], col, v * bf)
+        return gram
 
     def to_json(self) -> dict:
         return {
@@ -56,64 +72,54 @@ class DiracBlock:
         }
 
 
-def _exponent_solutions(osc: Oscillator, target: Weight) -> list[OscMonomial]:
-    """All exponent tuples a >= 0 with sum a_k gamma_k = target.
+def _block_bases(
+    module: TruncatedModule, osc: Oscillator, height
+) -> dict[Weight, list[BasisEntry]]:
+    """The basis of every diagonal block nu with ht(L - rho1 - nu) <= height.
 
-    The gamma_k are roots, so a target with a non-integer coordinate has no
-    solution; otherwise the search runs on integer coordinate tuples."""
-    coords = target.coords()
-    if any(c.denominator != 1 for c in coords):
-        return []
-    ht = int(osc.datum.height(target))
-    if ht < 0:
-        return []
-    vecs, heights = osc.partial_root_lattice
-    out: list[OscMonomial] = []
+    One pass over the pairs (module weight lam_m, monomial x^a) with
+    ht(L - lam_m) + ht(sum a_k gamma_k) <= height files the entries
+    (lam_m, i, a) under nu = lam_m + wt(x^a). A module weight whose block has
+    dimension 0 still names its nu, so empty blocks are listed. Blocks come in
+    the order of the drop L - rho1 - nu, entries by (drop of lam_m, i, a)."""
+    datum = module.datum
+    lam = module.highest_weight
+    gammas = osc.partial_roots()
+    heights = [datum.height(g) for g in gammas]
+    # every x^a with ht(sum a_k gamma_k) <= height: (that height, a, wt(x^a))
+    monos: list[tuple[exactla.Rational, OscMonomial, Weight]] = []
 
-    last = len(vecs) - 1
-
-    def rec(k: int, rem: tuple[int, ...], rem_ht: int, prefix: tuple[int, ...]) -> None:
-        g, h = vecs[k], heights[k]
-        if k == last:  # the remaining height fixes the last exponent
-            ak, extra = divmod(rem_ht, h)
-            if not extra and all(r == ak * x for r, x in zip(rem, g)):
-                out.append(prefix + (ak,))
+    def rec(k: int, rem, a: OscMonomial, w: Weight) -> None:
+        if k == len(gammas):
+            monos.append((height - rem, a, w))
             return
-        for ak in range(rem_ht // h + 1):
-            rec(k + 1, rem, rem_ht - ak * h, prefix + (ak,))
-            rem = tuple(r - x for r, x in zip(rem, g))
+        for ak in range(rem // heights[k] + 1):
+            rec(k + 1, rem - ak * heights[k], a + (ak,), w)
+            w = w - gammas[k]
 
-    rec(0, tuple(int(c) for c in coords), ht, ())
-    return out
+    rec(0, height, (), -datum.rho1)
+    bases: dict[Weight, list[BasisEntry]] = {}
+    drop_key: dict[Weight, tuple] = {}  # sort key of L - lam_m, once per lam_m
+    for lam_m in module.blocks:
+        drop_key[lam_m] = datum.root_sort_key(lam - lam_m)
+        room = height - drop_key[lam_m][0]
+        dim_m = module.block_dim(lam_m)
+        for h, a, w in monos:
+            if h <= room:
+                bases.setdefault(lam_m + w, []).extend((lam_m, i, a) for i in range(dim_m))
+    for basis in bases.values():
+        basis.sort(key=lambda e: (drop_key[e[0]], e[1], e[2]))
+    base = lam - datum.rho1
+    return {nu: bases[nu] for nu in sorted(bases, key=lambda nu: datum.root_sort_key(base - nu))}
 
 
 def assemble_block(
-    module: TruncatedModule, nu: Weight, osc: Oscillator | None = None
+    module: TruncatedModule, nu: Weight, osc: Oscillator, basis: list[BasisEntry]
 ) -> DiracBlock:
+    """The Dirac matrices of the block nu on the basis `_block_bases` lists."""
     datum = module.datum
-    osc = osc or Oscillator(module.alg)
-    lam = module.highest_weight
-    h = datum.height(lam - datum.rho1 - nu)
-    if h < 0 or h != int(h):
-        raise ValueError("diagonal weight outside the support cone")
-    if h > module.height:
-        raise ValueError("block outside the module truncation")
     gammas = osc.partial_roots()
     mn = datum.mn
-    basis: list[tuple[Weight, int, OscMonomial]] = []
-    drop_key: dict[Weight, tuple] = {}  # sort key of lam - lam_m, once per lam_m
-    shift = nu + datum.rho1
-    for lam_m in module.blocks:
-        dim_m = module.block_dim(lam_m)
-        if dim_m == 0:
-            continue
-        sols = _exponent_solutions(osc, lam_m - shift)
-        if sols:
-            drop_key[lam_m] = datum.root_sort_key(lam - lam_m)
-        for a in sols:
-            for i in range(dim_m):
-                basis.append((lam_m, i, a))
-    basis.sort(key=lambda e: (drop_key[e[0]], e[1], e[2]))
     dim = len(basis)
     index = {e: i for i, e in enumerate(basis)}
     parity = [oscillator.monomial_parity(a) for (_, _, a) in basis]
@@ -147,52 +153,7 @@ def assemble_block(
     D = (
         d_p1.add(d_q2).add(delta_p1.scale(-1)).add(delta_q2.scale(-1))
     ).scale(2)
-
-    # G = (module Gram) (x) (Bargmann-Fock form), diagonal in the monomials
-    gram = SparseRationalMatrix(dim, dim)
-    for col, (lam_m, i, a) in enumerate(basis):
-        bf = math.prod(math.factorial(e) for e in a)
-        b = module.blocks[lam_m]
-        form = b.form
-        for i2 in range(b.dim):
-            v = form.get(i2, i)
-            if v:
-                gram.set(index[(lam_m, i2, a)], col, v * bf)
-    return DiracBlock(
-        nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, gram, index
-    )
-
-
-def diagonal_weights(module: TruncatedModule, height) -> list[Weight]:
-    """All diagonal weights nu with ht(L - rho1 - nu) <= height, complete in
-    the module truncation."""
-    datum = module.datum
-    lam = module.highest_weight
-    height = min(Fraction(height), module.height)
-    osc = Oscillator(module.alg)
-    gammas = osc.partial_roots()
-    pos_all = [r.weight for r in datum.pos_even] + [r.weight for r in datum.pos_odd]
-    seen: set = set()
-    out: list[Weight] = []
-    # nu = lam - rho1 - (combination of positive roots of total height <= height)
-    # enumerate drops as sums of positive roots by DFS over the root list
-    roots = sorted(pos_all, key=datum.root_sort_key)
-    heights = [datum.height(r) for r in roots]
-
-    def rec(idx: int, remaining: Fraction, drop: Weight) -> None:
-        key = drop.coords()
-        if key not in seen:
-            seen.add(key)
-            out.append(lam - datum.rho1 - drop)
-        if idx == len(roots):
-            return
-        for i in range(idx, len(roots)):
-            if heights[i] <= remaining:
-                rec(i, remaining - heights[i], drop + roots[i])
-
-    rec(0, Fraction(height), datum.zero())
-    out.sort(key=lambda nu: datum.root_sort_key(lam - datum.rho1 - nu))
-    return out
+    return DiracBlock(nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, index)
 
 
 # ----- even (g0) structure inside blocks ---------------------------------------------
@@ -240,9 +201,10 @@ class BlockCollection:
 def assemble_all(module: TruncatedModule, height) -> BlockCollection:
     osc = Oscillator(module.alg)
     height = min(Fraction(height), module.height)
-    blocks = {}
-    for nu in diagonal_weights(module, height):
-        blocks[nu] = assemble_block(module, nu, osc)
+    blocks = {
+        nu: assemble_block(module, nu, osc, basis)
+        for nu, basis in _block_bases(module, osc, height).items()
+    }
     return BlockCollection(module, osc, height, blocks)
 
 
@@ -252,6 +214,9 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
 
     Precondition: every nonzero weight space of the module lies inside its
     truncation (e.g. the trivial module), so each assembled block is complete.
+    Such a block has drop height at most H = max ht(L - lam_m) over the nonzero
+    module blocks plus max_degree times the largest ht(gamma_k), so the blocks
+    to height H hold each of them with its whole basis.
     Polynomial degree is a function of the diagonal weight (every partial-root
     gamma_k has value 1 under w |-> sum_{l<=p} w(eps_l) - sum_{l>p} w(eps_l)),
     so the assembled collection contains exactly the degrees <= max_degree
@@ -259,26 +224,16 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
     """
     datum = module.datum
     osc = Oscillator(module.alg)
-    gammas = osc.partial_roots()
-    tops = [w for w in module.blocks if module.block_dim(w)]
-    seen: set = set()
-    nus: list[Weight] = []
-    for lam_m in tops:
-        for deg in range(max_degree + 1):
-            for a in oscillator.monomials_of_degree(datum.mn, deg):
-                nu = lam_m - datum.rho1
-                for k, ak in enumerate(a):
-                    if ak:
-                        nu = nu - gammas[k].scale(ak)
-                if nu.coords() not in seen:
-                    seen.add(nu.coords())
-                    nus.append(nu)
+    lam = module.highest_weight
     height = max(
-        (datum.height(module.highest_weight - datum.rho1 - nu) for nu in nus),
-        default=Fraction(0),
-    )
+        (datum.height(lam - w) for w in module.blocks if module.block_dim(w)), default=0
+    ) + max_degree * max(datum.height(g) for g in osc.partial_roots())
     lifted = replace(module, height=max(height, module.height))
-    blocks = {nu: assemble_block(lifted, nu, osc) for nu in nus}
+    blocks = {
+        nu: assemble_block(lifted, nu, osc, basis)
+        for nu, basis in _block_bases(module, osc, height).items()
+        if any(sum(a) <= max_degree for _, _, a in basis)
+    }
     return BlockCollection(lifted, osc, height, blocks)
 
 
@@ -350,7 +305,6 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     datum = module.datum
     lam = module.highest_weight
     entries: list[SquareAuditEntry] = []
-    scalars_by_nu: dict[Weight, set[Fraction]] = {}
     for nu in coll.sorted_weights():
         block = coll.blocks[nu]
         if block.dim == 0:
@@ -365,7 +319,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         for v in hvs:
             img = block.D2.apply(v)
             lead = next((i for i, x in enumerate(v) if x), None)
-            c = Fraction(img[lead], v[lead])
+            c = exactla._rat(Fraction(img[lead], v[lead]))
             if tuple(x * c for x in v) != tuple(img):
                 raise AssertionError(
                     f"D^2 is not scalar on a highest vector at nu={nu.text()}"
@@ -379,7 +333,6 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         entries.append(
             SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s)
         )
-        scalars_by_nu[nu] = {measured}
     # semisimplicity cross-check: on each block, the product over the predicted
     # component scalars of (D^2 - c) vanishes, where components come from this
     # block and every higher block whose lowerings can reach it

@@ -4,7 +4,6 @@ x_1..x_mn), and the embedding alpha of the even part into the Weyl algebra.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -130,13 +129,6 @@ class Oscillator:
     def partial_roots(self) -> list[Weight]:
         """gamma_k = root of the k-th odd raising generator."""
         return [self.datum.root_of_unit(*g) for g in self.datum.odd_raising]
-
-    @functools.cached_property
-    def partial_root_lattice(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The gamma_k as integer coordinate tuples, and their heights."""
-        gammas = self.partial_roots()
-        vecs = tuple(tuple(int(c) for c in g.coords()) for g in gammas)
-        return vecs, tuple(int(self.datum.height(g)) for g in gammas)
 
     def monomial_weight(self, a: OscMonomial) -> Weight:
         """h-weight of x^a under the alpha action: -rho1 - sum a_k gamma_k."""

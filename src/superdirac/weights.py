@@ -48,17 +48,15 @@ class Weight:
         return self.eps + self.del_
 
     def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
         return Weight(
-            tuple(_rat(a + b) for a, b in zip(self.eps, other.eps)),
-            tuple(_rat(a + b) for a, b in zip(self.del_, other.del_)),
+            tuple(_rat(a + b) for a, b in zip(self.eps, other.eps, strict=True)),
+            tuple(_rat(a + b) for a, b in zip(self.del_, other.del_, strict=True)),
         )
 
     def __sub__(self, other: "Weight") -> "Weight":
-        self._check(other)
         return Weight(
-            tuple(_rat(a - b) for a, b in zip(self.eps, other.eps)),
-            tuple(_rat(a - b) for a, b in zip(self.del_, other.del_)),
+            tuple(_rat(a - b) for a, b in zip(self.eps, other.eps, strict=True)),
+            tuple(_rat(a - b) for a, b in zip(self.del_, other.del_, strict=True)),
         )
 
     def __neg__(self) -> "Weight":
@@ -72,10 +70,6 @@ class Weight:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords())
-
-    def _check(self, other: "Weight") -> None:
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("weight dimension mismatch")
 
     def text(self) -> str:
         def fmt(x: Rational) -> str:
@@ -107,11 +101,10 @@ def parse_weight(text: str, m: int, n: int) -> Weight:
 
 def pairing(w1: Weight, w2: Weight) -> Fraction:
     """The symmetric bilinear form of signature (+1)^m (+) (-1)^n."""
-    w1._check(w2)
     s = Fraction(0)
-    for a, b in zip(w1.eps, w2.eps):
+    for a, b in zip(w1.eps, w2.eps, strict=True):
         s += a * b
-    for a, b in zip(w1.del_, w2.del_):
+    for a, b in zip(w1.del_, w2.del_, strict=True):
         s -= a * b
     return s
 

@@ -208,39 +208,6 @@ def test_assemble_by_degree_matches_heights_sl21(d21):
     assert dims_h == dims_d
 
 
-def test_exponent_solutions(d21):
-    osc = Oscillator(Algebra(d21))
-    gammas = osc.partial_roots()
-    # gamma1 + gamma2 = eps1 - eps2 has the single solution (1, 1)
-    target = d21.pos_even[0].weight
-    assert dirac._exponent_solutions(osc, target) == [(1, 1)]
-    assert dirac._exponent_solutions(osc, d21.zero()) == [(0, 0)]
-    assert dirac._exponent_solutions(osc, gammas[0].scale(-1)) == []
-    # a half-integer target has integral height here but no integer solution
-    half = Weight.make([Fraction(1, 2), Fraction(-1, 2)], [0])
-    assert d21.height(half) == 1
-    assert dirac._exponent_solutions(osc, half) == []
-
-
-@pytest.mark.parametrize("group", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)])
-def test_exponent_solutions_match_brute_force(group):
-    """The oscillator degree is a function of the weight, so enumerating every
-    monomial of degree <= 3 lists all solutions for each weight it reaches."""
-    datum = build_root_datum(*group)
-    osc = Oscillator(Algebra(datum))
-    gammas = osc.partial_roots()
-    expected: dict = {}
-    for deg in range(4):
-        for a in oscillator.monomials_of_degree(datum.mn, deg):
-            w = datum.zero()
-            for k, ak in enumerate(a):
-                w = w + gammas[k].scale(ak)
-            expected.setdefault(w, set()).add(a)
-    for w, sols in expected.items():
-        found = dirac._exponent_solutions(osc, w)
-        assert len(found) == len(set(found)) and set(found) == sols
-
-
 def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
     import math
 
@@ -511,6 +478,168 @@ def test_even_cone_matches_search(group):
         )
         assert dirac._in_even_cone(dirac._cone_sums(below + w), dirac._cone_sums(below)) == got
     assert seen == {True, False}
+
+
+# ----- oracle: the block set by a root DFS, each basis by an exponent search ----------
+def _exponent_solutions(osc, target):
+    """All exponent tuples a >= 0 with sum a_k gamma_k = target.
+
+    The gamma_k are roots, so a target with a non-integer coordinate has no
+    solution; otherwise the search runs on integer coordinate tuples."""
+    coords = target.coords()
+    if any(c.denominator != 1 for c in coords):
+        return []
+    ht = int(osc.datum.height(target))
+    if ht < 0:
+        return []
+    gammas = osc.partial_roots()
+    vecs = [tuple(int(c) for c in g.coords()) for g in gammas]
+    heights = [int(osc.datum.height(g)) for g in gammas]
+    out = []
+    last = len(vecs) - 1
+
+    def rec(k, rem, rem_ht, prefix):
+        g, h = vecs[k], heights[k]
+        if k == last:  # the remaining height fixes the last exponent
+            ak, extra = divmod(rem_ht, h)
+            if not extra and all(r == ak * x for r, x in zip(rem, g)):
+                out.append(prefix + (ak,))
+            return
+        for ak in range(rem_ht // h + 1):
+            rec(k + 1, rem, rem_ht - ak * h, prefix + (ak,))
+            rem = tuple(r - x for r, x in zip(rem, g))
+
+    rec(0, tuple(int(c) for c in coords), ht, ())
+    return out
+
+
+def _oracle_diagonal_weights(module, height):
+    """Every nu = L - rho1 - (a sum of positive roots of height <= height),
+    by a DFS over the positive roots, in the order of the drop."""
+    datum = module.datum
+    lam = module.highest_weight
+    roots = sorted(
+        [r.weight for r in datum.pos_even] + [r.weight for r in datum.pos_odd],
+        key=datum.root_sort_key,
+    )
+    heights = [datum.height(r) for r in roots]
+    seen, out = set(), []
+
+    def rec(idx, remaining, drop):
+        if drop not in seen:
+            seen.add(drop)
+            out.append(lam - datum.rho1 - drop)
+        for i in range(idx, len(roots)):
+            if heights[i] <= remaining:
+                rec(i, remaining - heights[i], drop + roots[i])
+
+    rec(0, min(Fraction(height), module.height), datum.zero())
+    return sorted(out, key=lambda nu: datum.root_sort_key(lam - datum.rho1 - nu))
+
+
+def _oracle_degree_weights(module, max_degree):
+    """Every nu = lam_m - rho1 - sum a_k gamma_k over the nonzero module
+    blocks lam_m and the monomials of degree <= max_degree."""
+    datum = module.datum
+    osc = Oscillator(module.alg)
+    out = set()
+    for lam_m in module.blocks:
+        if module.block_dim(lam_m):
+            for deg in range(max_degree + 1):
+                for a in oscillator.monomials_of_degree(datum.mn, deg):
+                    out.add(lam_m + osc.monomial_weight(a))
+    return out
+
+
+def _oracle_basis(module, nu, osc):
+    """The basis of the block nu: every module weight lam_m of nonzero block
+    dimension, and every solution a of sum a_k gamma_k = lam_m - nu - rho1."""
+    datum = module.datum
+    lam = module.highest_weight
+    basis = []
+    for lam_m in module.blocks:
+        for a in _exponent_solutions(osc, lam_m - nu - datum.rho1):
+            basis += [(lam_m, i, a) for i in range(module.block_dim(lam_m))]
+    basis.sort(key=lambda e: (datum.root_sort_key(lam - e[0]), e[1], e[2]))
+    return basis
+
+
+def test_exponent_solutions(d21):
+    osc = Oscillator(Algebra(d21))
+    gammas = osc.partial_roots()
+    # gamma1 + gamma2 = eps1 - eps2 has the single solution (1, 1)
+    target = d21.pos_even[0].weight
+    assert _exponent_solutions(osc, target) == [(1, 1)]
+    assert _exponent_solutions(osc, d21.zero()) == [(0, 0)]
+    assert _exponent_solutions(osc, gammas[0].scale(-1)) == []
+    # a half-integer target has integral height here but no integer solution
+    half = Weight.make([Fraction(1, 2), Fraction(-1, 2)], [0])
+    assert d21.height(half) == 1
+    assert _exponent_solutions(osc, half) == []
+
+
+@pytest.mark.parametrize("group", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)])
+def test_exponent_solutions_match_brute_force(group):
+    """The oscillator degree is a function of the weight, so enumerating every
+    monomial of degree <= 3 lists all solutions for each weight it reaches."""
+    datum = build_root_datum(*group)
+    osc = Oscillator(Algebra(datum))
+    gammas = osc.partial_roots()
+    expected: dict = {}
+    for deg in range(4):
+        for a in oscillator.monomials_of_degree(datum.mn, deg):
+            w = datum.zero()
+            for k, ak in enumerate(a):
+                w = w + gammas[k].scale(ak)
+            expected.setdefault(w, set()).add(a)
+    for w, sols in expected.items():
+        found = _exponent_solutions(osc, w)
+        assert len(found) == len(set(found)) and set(found) == sols
+
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        ((2, 1, 0, 2), "-2,1|1", 4),
+        ((2, 1, 0, 2), "1/2,-3/2|1/2", 4),
+        (SL21, "-2,1|1", 4),
+        (SL21, "-1/2,1/2|3/2", 4),
+        ((2, 1, 2, 0), "0,0|-1", 4),
+        ((2, 1, 2, 0), "3/2,-1/2|1/2", 4),
+        (SL22, "-3,1|1,1", 3),
+        (SL23, "-3,0|1,1,1", 4),
+        (GL33, "-3,0,0|1,1,1", 2),
+    ],
+    ids=["sl21-p0", "sl21-p0-half", "sl21-p1", "sl21-p1-half", "sl21-p2",
+         "sl21-p2-half", "sl22", "sl23", "gl33-p2"],
+)
+@pytest.mark.parametrize("kind", ["simple", "verma"])
+def test_block_bases_match_root_dfs_oracle(group, weight, height, kind):
+    """One pass lists the same blocks (in order, empty ones included) and
+    the same bases as the root DFS with a per-block exponent search."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    build = modules.simple_truncation if kind == "simple" else modules.verma_truncation
+    coll = dirac.assemble_all(build(datum, lam, height), height)
+    assert list(coll.blocks) == _oracle_diagonal_weights(coll.module, height)
+    for nu, block in coll.blocks.items():
+        assert block.basis == _oracle_basis(coll.module, nu, coll.osc), nu.text()
+
+
+@pytest.mark.parametrize("group", [(2, 1, 0, 2), SL21, (2, 1, 2, 0), SL22, SL23, GL33])
+def test_by_degree_blocks_match_degree_oracle(group):
+    """The trivial module at degree <= 4: the blocks reached by a monomial of
+    degree <= 4, each with the basis of the exponent search, at the height of
+    the deepest one."""
+    datum = build_root_datum(*group)
+    coll = dirac.assemble_by_degree(modules.simple_truncation(datum, datum.zero(), 0), 4)
+    base = datum.zero() - datum.rho1
+    expected = _oracle_degree_weights(coll.module, 4)
+    assert list(coll.blocks) == sorted(expected, key=lambda nu: datum.root_sort_key(base - nu))
+    assert coll.height == max(datum.height(base - nu) for nu in expected)
+    for nu, block in coll.blocks.items():
+        assert block.basis == _oracle_basis(coll.module, nu, coll.osc), nu.text()
 
 
 # ----- the integer fast path ----------------------------------------------------------

@@ -158,3 +158,88 @@ def test_checker_flags_an_unreferenced_definition():
     assert _unreferenced({"m.py": src}) == [
         "m.py:3 unused", "m.py:6 g", "m.py:8 LIMIT", "m.py:10 h"
     ]
+
+
+# ----- locals written and never read ----------------------------------------------------
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function body, nested functions and classes left out."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _stored_names(target: ast.AST) -> list[ast.Name]:
+    """The locals a target writes: names, the base name of a subscript, and
+    the names inside a tuple or list target."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Name):
+        return [target]
+    if isinstance(target, ast.Starred):
+        return _stored_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for t in target.elts for n in _stored_names(t)]
+    return []
+
+
+def _write_only_locals(tree: ast.AST) -> list[str]:
+    """`function.name` for each local that is assigned (directly or as a
+    subscript target) and never read, nested functions included."""
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        targets = []
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Assign):
+                targets += node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets.append(node.target)
+        written = {}  # local name -> the Name nodes that write it
+        for name in sorted(
+            (n for t in targets for n in _stored_names(t)),
+            key=lambda n: (n.lineno, n.col_offset),
+        ):
+            written.setdefault(name.id, []).append(name)
+        declared = {
+            n for node in _own_nodes(func) if isinstance(node, (ast.Global, ast.Nonlocal))
+            for n in node.names
+        }
+        writes = {id(n) for nodes in written.values() for n in nodes}
+        read = {
+            n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in writes
+        }
+        out += [f"{func.name}.{name}" for name in written if name not in read | declared]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_write_only_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = _write_only_locals(tree)
+    assert not unread, f"{path.name} assigns locals it never reads: {', '.join(unread)}"
+
+
+def test_checker_flags_a_write_only_local():
+    src = (
+        "def f(xs):\n"
+        "    unused = 1\n"
+        "    table = {}\n"
+        "    table[0] = 2\n"
+        "    seen = {}\n"
+        "    seen[1] = 3\n"
+        "    total = 0\n"
+        "    total += 1\n"
+        "    a, b = xs\n"
+        "    def g():\n"
+        "        return seen\n"
+        "    return a, g\n"
+    )
+    assert _write_only_locals(ast.parse(src)) == ["f.unused", "f.table", "f.total", "f.b"]

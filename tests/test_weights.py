@@ -99,6 +99,19 @@ def test_pairing_signature(d23):
         assert pairing(dl, dl) == -1
 
 
+@pytest.mark.parametrize(
+    "left, right", [((2, 1), (1, 2)), ((2, 1), (2, 3)), ((2, 3), (3, 3))]
+)
+def test_weights_of_different_shape_do_not_combine(left, right):
+    u = Weight.make([1] * left[0], [1] * left[1])
+    v = Weight.make([1] * right[0], [1] * right[1])
+    for op in (Weight.__add__, Weight.__sub__, pairing):
+        with pytest.raises(ValueError):
+            op(u, v)
+        with pytest.raises(ValueError):
+            op(v, u)
+
+
 def test_odd_roots_isotropic(d21, d23):
     for d in (d21, d23):
         for r in d.pos_odd:
