@@ -111,7 +111,6 @@ class KostantReport:
     per_degree: dict[int, dict[Weight, int]]
     dd_zero: bool
     module: TruncatedModule
-    height: Fraction
 
     def total_character_shifted_back(self) -> dict[Weight, int]:
         """Sum over degrees at the diagonal weight (the e^{-rho1}-twisted
@@ -123,18 +122,6 @@ class KostantReport:
                 nu = w - rho1
                 out[nu] = out.get(nu, 0) + m
         return {k: v for k, v in out.items() if v}
-
-    def to_json(self) -> dict:
-        datum = self.module.datum
-        lam = self.module.highest_weight
-        out = {"dd_zero": self.dd_zero, "degrees": {}}
-        for k in sorted(self.per_degree):
-            items = sorted(
-                self.per_degree[k].items(),
-                key=lambda kv: datum.root_sort_key(lam - kv[0]),
-            )
-            out["degrees"][str(k)] = [[w.text(), m] for w, m in items]
-        return out
 
 
 def kostant_cohomology(coll: BlockCollection) -> KostantReport:
@@ -166,7 +153,7 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
                 w = nu + datum.rho1
                 per_degree.setdefault(k, {})
                 per_degree[k][w] = per_degree[k].get(w, 0) + h
-    return KostantReport(per_degree, dd_zero, module, coll.height)
+    return KostantReport(per_degree, dd_zero, module)
 
 
 def injection_check(

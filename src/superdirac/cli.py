@@ -82,7 +82,7 @@ BUILDERS = {
 }
 
 
-def _build(kind: str, datum: RootDatum, lam: Weight, height: int):
+def _build_module(kind: str, datum: RootDatum, lam: Weight, height: int):
     return getattr(modules, BUILDERS[kind])(datum, lam, height)
 
 
@@ -314,7 +314,7 @@ def cmd_decompose(weight, height, **common):
 @click.option("--kind", type=click.Choice(["simple", "verma"]), default="simple")
 def cmd_dirac_cohomology(weight, height, kind, **common):
     def compute(datum, lam):
-        coll = dirac.assemble_all(_build(kind, datum, lam, height), height)
+        coll = dirac.assemble_all(_build_module(kind, datum, lam, height), height)
         report = dirac.dirac_cohomology(coll)
         ktypes_plus = dirac.hd_ktype_table(coll, report, +1)
         ktypes_minus = dirac.hd_ktype_table(coll, report, -1)
@@ -355,7 +355,7 @@ def cmd_certify(weight, height, expect_unitarizable, **common):
 @click.option("--kind", type=click.Choice(list(BUILDERS)), default="simple")
 def cmd_character(weight, height, kind, **common):
     def compute(datum, lam):
-        module = _build(kind, datum, lam, height)
+        module = _build_module(kind, datum, lam, height)
         ch = modules.character(module)
         kt = modules.ktype_table(module)
         return {
@@ -363,7 +363,7 @@ def cmd_character(weight, height, kind, **common):
             "height": height,
             "kind": kind,
             "character": ch.to_json(datum),
-            "ktypes": modules.table_json(datum, lam, kt.multiplicities),
+            "ktypes": modules.table_json(datum, lam, kt),
         }
 
     _serve(
@@ -378,7 +378,7 @@ def cmd_character(weight, height, kind, **common):
 @click.option("--kind", type=click.Choice(["simple", "verma"]), default="simple")
 def cmd_index(weight, height, kind, **common):
     def compute(datum, lam):
-        coll = dirac.assemble_all(_build(kind, datum, lam, height), height)
+        coll = dirac.assemble_all(_build_module(kind, datum, lam, height), height)
         return {
             "weight": lam.text(),
             "height": height,

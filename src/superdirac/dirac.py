@@ -175,7 +175,7 @@ def diagonal_action_matrix(
             if row is not None:
                 out.add_to(row, col, c)
         # 1 (x) alpha(X)
-        img = oscillator.weyl_apply(alpha, {a: Fraction(1)})
+        img = oscillator.weyl_apply(alpha, {a: 1})
         for mono, c in img.items():
             row = tgt_index.get((lam_m, i, mono))
             if row is not None:
@@ -278,7 +278,7 @@ class SquareAuditEntry:
 class SquareAuditReport:
     entries: list[SquareAuditEntry]
     semisimple_blocks_checked: int
-    constant_measured: dict[str, Fraction]
+    constant_measured: dict[str, exactla.Rational]
     constant_candidates: dict[str, Fraction]
 
     @property

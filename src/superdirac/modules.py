@@ -56,7 +56,7 @@ def monomial_weight(alg: Algebra, lam: Weight, mono: Word) -> Weight:
     return w
 
 
-def monomial_parity(alg: Algebra, mono: Word) -> int:
+def word_parity(alg: Algebra, mono: Word) -> int:
     return sum(alg.parity(g) for g in mono) % 2
 
 
@@ -284,7 +284,7 @@ def _build(
         block = Block(
             weight=nu,
             monomials=monos,
-            parity=[monomial_parity(alg, m) for m in monos],
+            parity=[word_parity(alg, m) for m in monos],
             gram=gram,
             radical=radical,
         )
@@ -366,12 +366,7 @@ def characters_equal_to_height(
 
 
 # ----- k-types ----------------------------------------------------------------------
-@dataclass
-class KTypeTable:
-    multiplicities: dict[Weight, int]
-
-
-def ktype_table(module: TruncatedModule) -> KTypeTable:
+def ktype_table(module: TruncatedModule) -> dict[Weight, int]:
     """Multiplicity of each compact-highest weight: the dimension of the
     common kernel of the compact raising operators on each stored block."""
     raising = generators(module.alg, +1, "compact")
@@ -387,7 +382,7 @@ def ktype_table(module: TruncatedModule) -> KTypeTable:
         k = dim - exactla.rank(exactla.vstack(mats, dim))
         if k:
             table[nu] = k
-    return KTypeTable(table)
+    return table
 
 
 # ----- filtration character identity -------------------------------------------------
@@ -482,7 +477,7 @@ def certify_unitarity(
             continue
         cert = exactla.definiteness(b.gram_quot)
         if cert.verdict != "positive-definite":
-            # lift witness (or a deficient direction) back to block coordinates
-            witness = cert.witness
-            return UnitarityCertificate("refuted-at", height, nu, witness, audit)
+            # the witness is in the quotient coordinates of Block.form (the
+            # classes of b.basis()), where v^T G v < 0
+            return UnitarityCertificate("refuted-at", height, nu, cert.witness, audit)
     return UnitarityCertificate("certified-up-to-N", height, None, None, audit)

@@ -1,61 +1,33 @@
-"""The Weyl algebra of the odd part, the oscillator module (polynomials in
-x_1..x_mn), and the embedding alpha of the even part into the Weyl algebra.
+"""The oscillator module (polynomials in x_1..x_mn), the normal-ordered
+operators that act on it, and the embedding alpha of the even part into the
+Weyl algebra of the odd part.
+
+The layer only applies operators: alpha(X) is written straight into normal
+order, and `weyl_apply` lets d_k act as the partial derivative and x_k as
+multiplication. Coefficients are canonical as in `exactla._rat`. The general
+normal-ordering product is a test oracle (`tests/_helpers.py`).
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-from .uea import Algebra, Gen, UEAElement
+from .exactla import Rational, _rat
+from .uea import Algebra, Gen, UEAElement, add_into
 from .weights import Weight
 
 # A polynomial in x_1..x_mn: exponent tuple -> coefficient.
 OscMonomial = tuple[int, ...]
-Polynomial = dict[OscMonomial, Fraction]
+Polynomial = dict[OscMonomial, Rational]
 
-# A Weyl-algebra element in normal order (all x left of all d):
+# An operator in normal order (all x left of all d):
 # (x-exponents, d-exponents) -> coefficient.
-WeylElement = dict[tuple[OscMonomial, OscMonomial], Fraction]
-
-
-def poly_add_into(p: Polynomial, mono: OscMonomial, c: Fraction) -> None:
-    if not c:
-        return
-    v = p.get(mono, Fraction(0)) + c
-    if v:
-        p[mono] = v
-    else:
-        p.pop(mono, None)
-
-
-def weyl_add_into(w: WeylElement, key, c: Fraction) -> None:
-    if not c:
-        return
-    v = w.get(key, Fraction(0)) + c
-    if v:
-        w[key] = v
-    else:
-        w.pop(key, None)
+WeylOperator = dict[tuple[OscMonomial, OscMonomial], Rational]
 
 
 def monomial_parity(a: OscMonomial) -> int:
     return sum(a) % 2
 
 
-def x_op(k: int, dim: int) -> WeylElement:
-    a = tuple(1 if i == k else 0 for i in range(dim))
-    z = (0,) * dim
-    return {(a, z): Fraction(1)}
-
-
-def d_op(k: int, dim: int) -> WeylElement:
-    b = tuple(1 if i == k else 0 for i in range(dim))
-    z = (0,) * dim
-    return {(z, b): Fraction(1)}
-
-
-def weyl_apply(w: WeylElement, p: Polynomial) -> Polynomial:
+def weyl_apply(w: WeylOperator, p: Polynomial) -> Polynomial:
     """d_k acts as the partial derivative, x_k as multiplication."""
     out: Polynomial = {}
     for (a, b), c in w.items():
@@ -76,43 +48,7 @@ def weyl_apply(w: WeylElement, p: Polynomial) -> Polynomial:
                 continue
             for k, ak in enumerate(a):
                 new[k] += ak
-            poly_add_into(out, tuple(new), coeff)
-    return out
-
-
-def weyl_multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    """Normal-ordered product; uses d^b x^c = sum_t C(b,t) C(c,t) t! x^{c-t} d^{b-t}."""
-    out: WeylElement = {}
-    for (a, b), cu in u.items():
-        for (c, d), cv in v.items():
-            dim = len(a)
-            # straighten d^b x^c componentwise
-            terms: list[tuple[OscMonomial, OscMonomial, Fraction]] = [
-                ((0,) * dim, (0,) * dim, Fraction(1))
-            ]
-            for k in range(dim):
-                bk, ck = b[k], c[k]
-                new_terms = []
-                for xe, de, coeff in terms:
-                    for t in range(min(bk, ck) + 1):
-                        f = (
-                            coeff
-                            * math.comb(bk, t)
-                            * math.comb(ck, t)
-                            * math.factorial(t)
-                        )
-                        xe2 = list(xe)
-                        de2 = list(de)
-                        xe2[k] = ck - t
-                        de2[k] = bk - t
-                        new_terms.append((tuple(xe2), tuple(de2), f))
-                terms = new_terms
-            for xe, de, coeff in terms:
-                key = (
-                    tuple(ai + xi for ai, xi in zip(a, xe)),
-                    tuple(di + ei for di, ei in zip(de, d)),
-                )
-                weyl_add_into(out, key, cu * cv * coeff)
+            add_into(out, tuple(new), coeff)
     return out
 
 
@@ -124,21 +60,25 @@ class Oscillator:
         self.alg = alg
         self.datum = alg.datum
         self.dim = self.datum.mn
-        self._alpha_cache: dict[Gen, WeylElement] = {}
+        self._alpha_cache: dict[Gen, WeylOperator] = {}
+        self._partial_roots = [self.datum.root_of_unit(*g) for g in self.datum.odd_raising]
 
     def partial_roots(self) -> list[Weight]:
         """gamma_k = root of the k-th odd raising generator."""
-        return [self.datum.root_of_unit(*g) for g in self.datum.odd_raising]
+        return self._partial_roots
 
     def monomial_weight(self, a: OscMonomial) -> Weight:
         """h-weight of x^a under the alpha action: -rho1 - sum a_k gamma_k."""
         w = -self.datum.rho1
-        for k, ak in enumerate(a):
+        for gamma, ak in zip(self._partial_roots, a):
             if ak:
-                w = w - self.partial_roots()[k].scale(ak)
+                w = w - gamma.scale(ak)
         return w
 
-    def alpha_embed_gen(self, g: Gen) -> WeylElement:
+    def alpha_embed_gen(self, g: Gen) -> WeylOperator:
+        """alpha(X) in normal order: x_k x_j gets B(X,[d_k,d_j]), d_k d_j gets
+        B(X,[x_k,x_j]), x_j d_k gets -2 B(X,[x_k,d_j]), and the constant term
+        is -sum_l B(X,[d_l,x_l])."""
         if self.alg.parity(g):
             raise ValueError("alpha_embed requires an even element")
         cached = self._alpha_cache.get(g)
@@ -148,64 +88,58 @@ class Oscillator:
         dim = self.dim
         x_elems = [alg.x_k(k) for k in range(dim)]
         d_elems = [alg.partial_k(k) for k in range(dim)]
-        xg = {(g,): Fraction(1)}
-        acc: WeylElement = {}
+        unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+        zero = (0,) * dim
+        xg = {(g,): 1}
+        acc: WeylOperator = {}
         for k in range(dim):
             for j in range(dim):
+                pair = tuple(u + v for u, v in zip(unit[k], unit[j]))
                 # [d_k, d_j] and [x_k, x_j] are anticommutators of odd elements
-                b_dd = _b_of_bracket(alg, xg, d_elems[k], d_elems[j])
-                if b_dd:
-                    for key, c in weyl_multiply(x_op(k, dim), x_op(j, dim)).items():
-                        weyl_add_into(acc, key, b_dd * c)
-                b_xx = _b_of_bracket(alg, xg, x_elems[k], x_elems[j])
-                if b_xx:
-                    for key, c in weyl_multiply(d_op(k, dim), d_op(j, dim)).items():
-                        weyl_add_into(acc, key, b_xx * c)
+                add_into(acc, (pair, zero), _b_of_bracket(alg, xg, d_elems[k], d_elems[j]))
+                add_into(acc, (zero, pair), _b_of_bracket(alg, xg, x_elems[k], x_elems[j]))
                 b_xd = _b_of_bracket(alg, xg, x_elems[k], d_elems[j])
-                if b_xd:
-                    for key, c in weyl_multiply(x_op(j, dim), d_op(k, dim)).items():
-                        weyl_add_into(acc, key, -2 * b_xd * c)
-        const = Fraction(0)
-        for l in range(dim):
-            const += _b_of_bracket(alg, xg, d_elems[l], x_elems[l])
-        if const:
-            zero = ((0,) * dim, (0,) * dim)
-            weyl_add_into(acc, zero, -const)
+                add_into(acc, (unit[j], unit[k]), -2 * b_xd)
+        const = sum(_b_of_bracket(alg, xg, d_elems[l], x_elems[l]) for l in range(dim))
+        add_into(acc, (zero, zero), -const)
+        acc = {key: _rat(c) for key, c in acc.items()}
         self._alpha_cache[g] = acc
         return acc
 
     # ----- constant C ---------------------------------------------------------------
-    def measured_constant(self) -> dict[str, Fraction]:
+    def measured_constant(self) -> dict[str, Rational]:
         """Scalar of the dual-basis quadratic element sum_k alpha(u_k) alpha(u^k)
-        applied to the constant polynomial 1, in both normalizations."""
+        on the constant polynomial 1, in both normalizations: for each even
+        generator g, alpha(g^t) and then alpha(g) act on 1, and the result is
+        divided by str(g, g^t)."""
         alg = self.alg
-        dim = self.dim
-        total: WeylElement = {}
+        zero = (0,) * self.dim
+        total: Polynomial = {}
         for g in alg.even_generators():
             i, j = g
             gt: Gen = (j, i)
             s = alg.str_form(g, gt)  # = +-1, never 0 for even pairs
-            prod = weyl_multiply(self.alpha_embed_gen(g), self.alpha_embed_gen(gt))
-            for key, c in prod.items():
-                weyl_add_into(total, key, c / s)
-        one: Polynomial = {(0,) * dim: Fraction(1)}
-        img = weyl_apply(total, one)
-        c_str = img.get((0,) * dim, Fraction(0))
-        if set(img) - {(0,) * dim}:
+            img = weyl_apply(
+                self.alpha_embed_gen(g), weyl_apply(self.alpha_embed_gen(gt), {zero: 1})
+            )
+            for mono, c in img.items():
+                add_into(total, mono, c / s)
+        if set(total) - {zero}:
             raise AssertionError("dual-basis quadratic element is not scalar on 1")
-        return {"str-normalized": c_str, "b-normalized": -2 * c_str}
+        c_str = _rat(total.get(zero, 0))
+        return {"str-normalized": c_str, "b-normalized": _rat(-2 * c_str)}
 
 
-def _b_of_bracket(alg: Algebra, x: UEAElement, u: UEAElement, v: UEAElement) -> Fraction:
+def _b_of_bracket(alg: Algebra, x: UEAElement, u: UEAElement, v: UEAElement) -> Rational:
     """B(X, [u, v]) for degree-1 elements via the supercommutator of g."""
-    total = Fraction(0)
+    total = 0
     for wu, cu in u.items():
         for wv, cv in v.items():
             br = alg.supercommutator(wu[0], wv[0])
             for ww, cw in br.items():
                 for wx, cx in x.items():
                     total += cu * cv * cw * cx * alg.b_form(wx[0], ww[0])
-    return total
+    return _rat(total)
 
 
 def monomials_of_degree(dim: int, deg: int) -> list[OscMonomial]:

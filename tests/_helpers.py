@@ -1,14 +1,15 @@
 """Test-only helpers shared by several test modules: sums and multiples in
-U(g), the Weyl-algebra commutator, the embedding alpha on degree-1 elements,
-the Bargmann-Fock form, the value of a quadratic form and the Fraction
-elimination kept as the oracle for `exactla._rref`. The package itself never
-needs them."""
+U(g), the normal-ordering product of the Weyl algebra with its generators
+x_k, d_k and commutator (the oracle for `oscillator.alpha_embed_gen`, which
+writes alpha straight into normal order), the embedding alpha on degree-1
+elements, the Bargmann-Fock form, the value of a quadratic form and the
+Fraction elimination kept as the oracle for `exactla._rref`. The package
+itself never needs them."""
 
 import math
 from fractions import Fraction
 
 from superdirac import uea
-from superdirac.oscillator import weyl_add_into, weyl_multiply
 
 
 def combine(*elements):
@@ -25,10 +26,49 @@ def scale(e, c):
     return {w: c * v for w, v in e.items()} if c else {}
 
 
+def x_op(k, dim):
+    a = tuple(1 if i == k else 0 for i in range(dim))
+    return {(a, (0,) * dim): Fraction(1)}
+
+
+def d_op(k, dim):
+    b = tuple(1 if i == k else 0 for i in range(dim))
+    return {((0,) * dim, b): Fraction(1)}
+
+
+def weyl_multiply(u, v):
+    """Normal-ordered product; uses d^b x^c = sum_t C(b,t) C(c,t) t! x^{c-t} d^{b-t}."""
+    out = {}
+    for (a, b), cu in u.items():
+        for (c, d), cv in v.items():
+            dim = len(a)
+            # straighten d^b x^c componentwise
+            terms = [((0,) * dim, (0,) * dim, Fraction(1))]
+            for k in range(dim):
+                bk, ck = b[k], c[k]
+                new_terms = []
+                for xe, de, coeff in terms:
+                    for t in range(min(bk, ck) + 1):
+                        f = coeff * math.comb(bk, t) * math.comb(ck, t) * math.factorial(t)
+                        xe2 = list(xe)
+                        de2 = list(de)
+                        xe2[k] = ck - t
+                        de2[k] = bk - t
+                        new_terms.append((tuple(xe2), tuple(de2), f))
+                terms = new_terms
+            for xe, de, coeff in terms:
+                key = (
+                    tuple(ai + xi for ai, xi in zip(a, xe)),
+                    tuple(di + ei for di, ei in zip(de, d)),
+                )
+                uea.add_into(out, key, cu * cv * coeff)
+    return out
+
+
 def weyl_commutator(u, v):
     out = dict(weyl_multiply(u, v))
     for key, c in weyl_multiply(v, u).items():
-        weyl_add_into(out, key, -c)
+        uea.add_into(out, key, -c)
     return out
 
 
@@ -42,7 +82,7 @@ def alpha_embed(osc, x):
                 continue
             raise ValueError("alpha_embed expects a degree-1 element of g0")
         for key, c in osc.alpha_embed_gen(word[0]).items():
-            weyl_add_into(out, key, coeff * c)
+            uea.add_into(out, key, coeff * c)
     return out
 
 

@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 import _acceptance_report
-from _helpers import alpha_embed, bargmann_fock, combine, scale, weyl_commutator
+from _helpers import alpha_embed, bargmann_fock, combine, d_op, scale, weyl_commutator, x_op
 from superdirac import analysis, dirac, modules, oscillator
-from superdirac.oscillator import Oscillator, d_op, weyl_apply, x_op
+from superdirac.oscillator import Oscillator, weyl_apply
 from superdirac.weights import pairing, parse_weight
 
 

@@ -647,13 +647,14 @@ def _exact(values):
     return all(type(x) is int or type(x) is Fraction for x in values)
 
 
+def _canonical_values(values):
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
+
+
 def _canonical(weights):
-    """Every coordinate an int, or a Fraction that is not integral."""
-    return all(
-        type(x) is int or (type(x) is Fraction and x.denominator != 1)
-        for w in weights
-        for x in w.coords()
-    )
+    """Every coordinate canonical (`_canonical_values`)."""
+    return all(_canonical_values(w.coords()) for w in weights)
 
 
 @pytest.mark.parametrize(
@@ -664,7 +665,8 @@ def _canonical(weights):
 def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     """D and D^2 hold Python ints; every other exact value the pipeline reads
     or reports is an int or a Fraction, never a float or a bool; every weight
-    that keys a block or a table has canonical coordinates."""
+    that keys a block or a table has canonical coordinates, and so does every
+    entry of the g0 action X (x) 1 + 1 (x) alpha(X) between blocks."""
     datum = build_root_datum(*group)
     mod = modules.simple_truncation(datum, parse_weight(weight, datum.m, datum.n), height)
     assert _canonical(mod.blocks)
@@ -677,8 +679,15 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     coll = dirac.assemble_all(mod, height)
     assert _canonical(coll.blocks)
     assert any(block.D.entries for block in coll.blocks.values())
+    actions = 0
     for nu, block in coll.blocks.items():
         assert _canonical(w for w, _, _ in block.index)
+        for g in mod.alg.even_generators():
+            tgt = coll.blocks.get(nu + mod.alg.gen_root(g))
+            if tgt is not None:
+                x = dirac.diagonal_action_matrix(block, tgt, g)
+                assert _canonical_values(x.entries.values()), (nu.text(), g)
+                actions += bool(x.entries)
         assert all(type(x) is int for x in block.D.entries.values())
         assert all(type(x) is int for x in block.D2.entries.values())
         assert _exact(block.gram.entries.values())
@@ -686,6 +695,7 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
         assert _exact(image.reduction.entries.values())
         for v in dirac.highest_vectors(coll, nu):
             assert _exact(v)
+    assert actions
     audit = dirac.dirac_square_audit(coll)
     assert audit.entries
     assert _exact(x for e in audit.entries for x in (e.s, e.measured))

@@ -160,6 +160,36 @@ def test_checker_flags_an_unreferenced_definition():
     ]
 
 
+# ----- one definition per top-level name ---------------------------------------------------
+def _defined_twice(sources: dict[str, str]) -> list[str]:
+    """`name (a.py, b.py)` for each top-level function, class or module-level
+    name that more than one module defines."""
+    where: dict[str, list[str]] = {}
+    for module, text in sources.items():
+        tree = ast.parse(text, filename=module)
+        # a definition is top level iff it starts on a module-body statement's
+        # line (nested definitions start on later lines)
+        top = {stmt.lineno for stmt in tree.body}
+        for d in sorted({d for d, line in _definitions(tree) if line in top}):
+            where.setdefault(d, []).append(module)
+    return [f"{d} ({', '.join(ms)})" for d, ms in sorted(where.items()) if len(ms) > 1]
+
+
+def test_no_name_defined_in_two_modules():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    twice = _defined_twice(sources)
+    assert not twice, f"top-level names defined in more than one module: {', '.join(twice)}"
+
+
+def test_checker_flags_a_name_defined_in_two_modules():
+    a = "def f(): pass\nclass C:\n    def to_json(self): pass\nLIMIT = 3\n"
+    b = "class f: pass\nclass D:\n    def to_json(self): pass\nLIMIT: int = 4\n"
+    c = "def g():\n    def f(): pass\n    return f\n"
+    assert _defined_twice({"a.py": a, "b.py": b, "c.py": c}) == [
+        "LIMIT (a.py, b.py)", "f (a.py, b.py)"
+    ]
+
+
 # ----- locals written and never read ----------------------------------------------------
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 

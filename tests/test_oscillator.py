@@ -3,20 +3,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import alpha_embed, bargmann_fock, weyl_commutator
-from superdirac import oscillator
-from superdirac.oscillator import (
-    Oscillator,
-    d_op,
-    monomials_of_degree,
-    weyl_apply,
-    weyl_multiply,
-    x_op,
-)
-from superdirac.weights import pairing
+from _helpers import alpha_embed, bargmann_fock, d_op, weyl_commutator, weyl_multiply, x_op
+from superdirac import oscillator, uea
+from superdirac.oscillator import Oscillator, monomials_of_degree, weyl_apply
+from superdirac.uea import Algebra
+from superdirac.weights import build_root_datum, pairing
 
 
 def poly_strategy(dim, max_deg=3):
@@ -73,6 +68,57 @@ def test_alpha_is_a_homomorphism_exhaustive(alg21, alg23):
                 lhs = alpha_embed(osc, bracket)
                 rhs = weyl_commutator(osc.alpha_embed_gen(g), osc.alpha_embed_gen(h))
                 assert lhs == rhs, (g, h)
+
+
+def _product_alpha(osc, g):
+    """alpha(X) with every term a product of Weyl generators straightened by
+    the oracle `weyl_multiply`: B(X,[d_k,d_j]) x_k x_j + B(X,[x_k,x_j]) d_k d_j
+    - 2 B(X,[x_k,d_j]) x_j d_k - sum_l B(X,[d_l,x_l])."""
+    alg, dim = osc.alg, osc.dim
+    xs = [alg.x_k(k) for k in range(dim)]
+    ds = [alg.partial_k(k) for k in range(dim)]
+    xg = {(g,): 1}
+    out = {}
+
+    def add(b, u, v):
+        for key, c in weyl_multiply(u, v).items():
+            uea.add_into(out, key, b * c)
+
+    for k in range(dim):
+        for j in range(dim):
+            add(oscillator._b_of_bracket(alg, xg, ds[k], ds[j]), x_op(k, dim), x_op(j, dim))
+            add(oscillator._b_of_bracket(alg, xg, xs[k], xs[j]), d_op(k, dim), d_op(j, dim))
+            add(-2 * oscillator._b_of_bracket(alg, xg, xs[k], ds[j]), x_op(j, dim), d_op(k, dim))
+    const = sum(oscillator._b_of_bracket(alg, xg, ds[l], xs[l]) for l in range(dim))
+    uea.add_into(out, ((0,) * dim, (0,) * dim), -const)
+    return out
+
+
+@pytest.mark.parametrize(
+    "group",
+    [(2, 1, 0, 2), (2, 1, 1, 1), (2, 1, 2, 0), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)],
+    ids=["sl21-p0", "sl21-p1", "sl21-p2", "sl22", "sl23", "gl33-p2"],
+)
+def test_alpha_matches_the_product_oracle(group):
+    """alpha(X), written straight into normal order, equals the alpha built
+    from normal-ordered products, term by term, with every integral
+    coefficient an int; and the measured constant equals the oracle's
+    sum_g alpha(g) alpha(g^t) / str(g, g^t) applied to 1."""
+    alg = Algebra(build_root_datum(*group))
+    osc = Oscillator(alg)
+    zero = (0,) * osc.dim
+    total = {}
+    for g in alg.even_generators():
+        alpha = osc.alpha_embed_gen(g)
+        assert alpha == _product_alpha(osc, g), g
+        for c in alpha.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (g, c)
+        gt = (g[1], g[0])
+        prod = weyl_multiply(_product_alpha(osc, g), _product_alpha(osc, gt))
+        for key, c in prod.items():
+            uea.add_into(total, key, c / alg.str_form(g, gt))
+    c_str = osc.measured_constant()["str-normalized"]
+    assert weyl_apply(total, {zero: 1}) == ({zero: c_str} if c_str else {})
 
 
 def test_alpha_on_cartan_measures_minus_rho1(alg21, alg23):
