@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import exactla, modules, oscillator
 from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule
-from .oscillator import OscMonomial, Oscillator
+from .oscillator import OscMonomial, Oscillator, Polynomial
 from .uea import Gen
 from .weights import Weight, pairing
 
@@ -167,6 +167,8 @@ def diagonal_action_matrix(
     tgt_index = block_tgt.index
     alpha = block_src.osc.alpha_embed_gen(g)
     root = module.alg.gen_root(g)
+    # alpha(X) x^a depends on the monomial a only, which many columns share
+    images: dict[OscMonomial, Polynomial] = {}
     for col, (lam_m, i, a) in enumerate(block_src.basis):
         # X (x) 1
         target = lam_m + root
@@ -175,7 +177,9 @@ def diagonal_action_matrix(
             if row is not None:
                 out.add_to(row, col, c)
         # 1 (x) alpha(X)
-        img = oscillator.weyl_apply(alpha, {a: 1})
+        img = images.get(a)
+        if img is None:
+            img = images[a] = oscillator.weyl_apply(alpha, {a: 1})
         for mono, c in img.items():
             row = tgt_index.get((lam_m, i, mono))
             if row is not None:

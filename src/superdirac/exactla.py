@@ -263,16 +263,6 @@ class DefinitenessCertificate:
     witness: Vector | None  # for indefinite: v with v^T G v < 0 exactly
     pivot_record: list[tuple[int, Rational]]
 
-    def to_json(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "rank": self.rank,
-            "pivots": [[i, str(p)] for i, p in self.pivot_record],
-        }
-        if self.witness is not None:
-            out["witness"] = [str(x) for x in self.witness]
-        return out
-
 
 def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
     """Symmetric Gaussian elimination with diagonal pivoting.

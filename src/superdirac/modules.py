@@ -15,21 +15,20 @@ from .exactla import SparseRationalMatrix
 from .uea import Algebra, Gen, Word
 from .weights import RootDatum, Weight, atypicality_set, pairing
 
-ModuleVector = dict[Word, Fraction]
+ModuleVector = dict[Word, exactla.Rational]
 
 
-# ----- action of U(g) on a highest-weight module ---------------------------------
-def act_word(alg: Algebra, lam: Weight, word: Word, vec: ModuleVector) -> ModuleVector:
-    """Apply a product of generators (left to right) to a vector of M(lam)."""
+# ----- action of g on a highest-weight module -------------------------------------
+def act_word(alg: Algebra, lam: Weight, g: Gen, mono: Word) -> ModuleVector:
+    """The generator g applied to the basis vector mono v_lam of M(lam)."""
     out: ModuleVector = {}
-    for mono, coeff in vec.items():
-        for w, c in alg._normal_word(word + mono).items():
-            _accumulate_pbw(alg, lam, w, coeff * c, out)
+    for w, c in alg._normal_word((g,) + mono).items():
+        _accumulate_pbw(alg, lam, w, c, out)
     return out
 
 
 def _accumulate_pbw(
-    alg: Algebra, lam: Weight, word: Word, coeff: Fraction, out: ModuleVector
+    alg: Algebra, lam: Weight, word: Word, coeff: exactla.Rational, out: ModuleVector
 ) -> None:
     """Project a PBW word applied to the highest weight vector."""
     if not coeff:
@@ -131,7 +130,7 @@ class TruncatedModule:
 
     def gen_columns(
         self, g: Gen, source: Weight
-    ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    ) -> tuple[tuple[tuple[int, exactla.Rational], ...], ...]:
         """Matrix of the generator g from block(source) to block(source +
         root(g)) in the stored (quotient) coordinates: for each source basis
         vector, its nonzero (row, entry) pairs. Built once per module; callers
@@ -152,7 +151,7 @@ class TruncatedModule:
         cols = []
         for mono in self.blocks[source].basis:
             vec = [0] * len(index)
-            img = act_word(self.alg, self.highest_weight, (g,), {mono: 1})
+            img = act_word(self.alg, self.highest_weight, g, mono)
             for m, c in img.items():
                 vec[index[m]] += c
             cols.append(tuple((i, exactla._rat(c)) for i, c in enumerate(tb.reduce(vec)) if c))
@@ -168,7 +167,8 @@ def generators(alg: Algebra, sign: int, restriction: str) -> list[Gen]:
     """The raising (sign=+1) or lowering (sign=-1) root generators of g
     (restriction="all"), of g0 ("even") or of the compact subalgebra
     ("compact"), in PBW order."""
-    gens = alg.positive_generators() if sign > 0 else alg.negative_generators()
+    cls = "positive" if sign > 0 else "negative"
+    gens = [g for g in alg.generators() if alg.triangular_class(g) == cls]
     if restriction == "all":
         return gens
     if restriction not in ("even", "compact"):
@@ -221,9 +221,8 @@ def _gram_block(
     then (X, Y) = s sum_Z c_Z (X', Z), read off the Gram of the block of X'.
     That block lies higher, so building blocks from the top down has it ready.
     E stays in the subalgebra of the module's kind, so every Z is one of its
-    monomials. uea.shapovalov_pairing computes the same entries by
-    straightening the whole product omega(X) Y and serves as the reference in
-    the tests.
+    monomials. The tests compare every entry with the Shapovalov pairing
+    obtained by straightening the whole product omega(X) Y.
     """
     dim = len(monos)
     gram = SparseRationalMatrix(dim, dim)
@@ -241,7 +240,7 @@ def _gram_block(
         for j in range(i, dim):
             img = images.get((g, j))
             if img is None:
-                img = act_word(alg, lam, (og,), {monos[j]: 1})
+                img = act_word(alg, lam, og, monos[j])
                 images[(g, j)] = img
             v = 0
             for z, c in img.items():

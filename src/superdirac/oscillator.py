@@ -11,7 +11,7 @@ normal-ordering product is a test oracle (`tests/_helpers.py`).
 from __future__ import annotations
 
 from .exactla import Rational, _rat
-from .uea import Algebra, Gen, UEAElement, add_into
+from .uea import Algebra, Gen, add_into
 from .weights import Weight
 
 # A polynomial in x_1..x_mn: exponent tuple -> coefficient.
@@ -86,21 +86,20 @@ class Oscillator:
             return cached
         alg = self.alg
         dim = self.dim
-        x_elems = [alg.x_k(k) for k in range(dim)]
-        d_elems = [alg.partial_k(k) for k in range(dim)]
+        datum = self.datum
+        xs = list(zip(datum.odd_lowering, datum.odd_lowering_sign))
+        ds = [(u, 1) for u in datum.odd_raising]
         unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
         zero = (0,) * dim
-        xg = {(g,): 1}
         acc: WeylOperator = {}
         for k in range(dim):
             for j in range(dim):
                 pair = tuple(u + v for u, v in zip(unit[k], unit[j]))
                 # [d_k, d_j] and [x_k, x_j] are anticommutators of odd elements
-                add_into(acc, (pair, zero), _b_of_bracket(alg, xg, d_elems[k], d_elems[j]))
-                add_into(acc, (zero, pair), _b_of_bracket(alg, xg, x_elems[k], x_elems[j]))
-                b_xd = _b_of_bracket(alg, xg, x_elems[k], d_elems[j])
-                add_into(acc, (unit[j], unit[k]), -2 * b_xd)
-        const = sum(_b_of_bracket(alg, xg, d_elems[l], x_elems[l]) for l in range(dim))
+                add_into(acc, (pair, zero), _b_of_bracket(alg, g, ds[k], ds[j]))
+                add_into(acc, (zero, pair), _b_of_bracket(alg, g, xs[k], xs[j]))
+                add_into(acc, (unit[j], unit[k]), -2 * _b_of_bracket(alg, g, xs[k], ds[j]))
+        const = sum(_b_of_bracket(alg, g, ds[l], xs[l]) for l in range(dim))
         add_into(acc, (zero, zero), -const)
         acc = {key: _rat(c) for key, c in acc.items()}
         self._alpha_cache[g] = acc
@@ -111,35 +110,31 @@ class Oscillator:
         """Scalar of the dual-basis quadratic element sum_k alpha(u_k) alpha(u^k)
         on the constant polynomial 1, in both normalizations: for each even
         generator g, alpha(g^t) and then alpha(g) act on 1, and the result is
-        divided by str(g, g^t)."""
+        divided by str(g, g^t) = +-1, that is, multiplied by it."""
         alg = self.alg
         zero = (0,) * self.dim
         total: Polynomial = {}
         for g in alg.even_generators():
             i, j = g
             gt: Gen = (j, i)
-            s = alg.str_form(g, gt)  # = +-1, never 0 for even pairs
+            s = alg.str_form(g, gt)  # = +-1, never 0 for even pairs, so 1/s = s
             img = weyl_apply(
                 self.alpha_embed_gen(g), weyl_apply(self.alpha_embed_gen(gt), {zero: 1})
             )
             for mono, c in img.items():
-                add_into(total, mono, c / s)
+                add_into(total, mono, c * s)
         if set(total) - {zero}:
             raise AssertionError("dual-basis quadratic element is not scalar on 1")
         c_str = _rat(total.get(zero, 0))
         return {"str-normalized": c_str, "b-normalized": _rat(-2 * c_str)}
 
 
-def _b_of_bracket(alg: Algebra, x: UEAElement, u: UEAElement, v: UEAElement) -> Rational:
-    """B(X, [u, v]) for degree-1 elements via the supercommutator of g."""
-    total = 0
-    for wu, cu in u.items():
-        for wv, cv in v.items():
-            br = alg.supercommutator(wu[0], wv[0])
-            for ww, cw in br.items():
-                for wx, cx in x.items():
-                    total += cu * cv * cw * cx * alg.b_form(wx[0], ww[0])
-    return _rat(total)
+def _b_of_bracket(alg: Algebra, g: Gen, u: tuple[Gen, int], v: tuple[Gen, int]) -> Rational:
+    """B(g, [u, v]) for odd generators u and v of the odd basis table, each
+    given as (matrix unit, sign), via the supercommutator of g."""
+    (a, sa), (b, sb) = u, v
+    total = sum(c * alg.b_form(g, w[0]) for w, c in alg.supercommutator(a, b).items())
+    return _rat(sa * sb * total)
 
 
 def monomials_of_degree(dim: int, deg: int) -> list[OscMonomial]:

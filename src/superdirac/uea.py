@@ -1,12 +1,18 @@
-"""gl(m|n) on matrix units: structure constants, PBW straightening in U(g),
-the anti-involution of su(p,q|n), Harish-Chandra projection, and the
-Shapovalov pairing.
+"""gl(m|n) on matrix units: generator classes and PBW order, structure
+constants, the action of one generator on a PBW monomial, the anti-involution
+of su(p,q|n) on generators, and the invariant forms.
 
 A generator is a matrix-unit label (i, j) with 0-based indices; parity is odd
 iff exactly one index exceeds m-1.  A UEAElement is a dict mapping PBW words
 (tuples of generators) to rational coefficients; the PBW order is
 negative < Cartan < positive, each class internally ordered by (height, lex)
 of the roots.
+
+The package straightens only g X for one generator g and a PBW monomial X
+(`Algebra._normal_word`, applied at the highest weight vector by
+`modules.act_word`). The product of whole elements, the anti-involution on
+words, the Harish-Chandra projection and the Shapovalov pairing built from
+them are test oracles (`tests/_helpers.py`).
 
 Coefficients are canonical as in `exactla._rat`: the structure constants on
 matrix units are +-1, so straightening keeps them ints, and only the
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import Rational
+from .exactla import Rational, _rat
 from .weights import RootDatum, Weight
 
 Gen = tuple[int, int]
@@ -91,12 +97,6 @@ class Algebra:
             key=self.order_key,
         )
 
-    def negative_generators(self) -> list[Gen]:
-        return [g for g in self.generators() if self.triangular_class(g) == "negative"]
-
-    def positive_generators(self) -> list[Gen]:
-        return [g for g in self.generators() if self.triangular_class(g) == "positive"]
-
     def even_generators(self) -> list[Gen]:
         return [g for g in self.generators() if self.parity(g) == 0]
 
@@ -122,13 +122,6 @@ class Algebra:
                 return idx
         return None
 
-    def normal_order(self, element: UEAElement) -> UEAElement:
-        out: UEAElement = {}
-        for word, coeff in element.items():
-            for w, c in self._normal_word(word).items():
-                add_into(out, w, coeff * c)
-        return out
-
     def _normal_word(self, word: Word) -> UEAElement:
         cached = self._normal_cache.get(word)
         if cached is not None:
@@ -136,32 +129,21 @@ class Algebra:
         idx = self._first_inversion(word)
         if idx is None:
             result = {word: 1}
+        elif word[idx] == word[idx + 1]:
+            # odd g: g*g = (1/2)[g, g], and [E_ij, E_ij] = 0 for i != j
+            result = {}
         else:
             a, b = word[idx], word[idx + 1]
             head, tail = word[:idx], word[idx + 2 :]
             result = {}
-            bracket = self.supercommutator(a, b)
-            if a == b:
-                # odd g: g*g = (1/2)[g, g]
-                for bw, bc in bracket.items():
-                    for w, c in self._normal_word(head + bw + tail).items():
-                        add_into(result, w, Fraction(1, 2) * bc * c)
-            else:
-                sign = (-1) ** (self.parity(a) * self.parity(b))
-                for w, c in self._normal_word(head + (b, a) + tail).items():
-                    add_into(result, w, sign * c)
-                for bw, bc in bracket.items():
-                    for w, c in self._normal_word(head + bw + tail).items():
-                        add_into(result, w, bc * c)
+            sign = (-1) ** (self.parity(a) * self.parity(b))
+            for w, c in self._normal_word(head + (b, a) + tail).items():
+                add_into(result, w, sign * c)
+            for bw, bc in self.supercommutator(a, b).items():
+                for w, c in self._normal_word(head + bw + tail).items():
+                    add_into(result, w, bc * c)
         self._normal_cache[word] = result
         return result
-
-    def multiply(self, x: UEAElement, y: UEAElement) -> UEAElement:
-        prod: UEAElement = {}
-        for wx, cx in x.items():
-            for wy, cy in y.items():
-                add_into(prod, wx + wy, cx * cy)
-        return self.normal_order(prod)
 
     # ----- involution -----------------------------------------------------------
     def _sigma(self, i: int) -> int:
@@ -173,62 +155,15 @@ class Algebra:
         i, j = g
         return (j, i), self._sigma(i) * self._sigma(j)
 
-    def omega(self, x: UEAElement) -> UEAElement:
-        """Anti-involution of su(p,q|n): E_ij -> s_i s_j E_ji, order reversed."""
-        out: UEAElement = {}
-        for word, coeff in x.items():
-            sign = 1
-            new: list[Gen] = []
-            for g in reversed(word):
-                og, s = self.omega_gen(g)
-                sign *= s
-                new.append(og)
-            add_into(out, tuple(new), sign * coeff)
-        return self.normal_order(out)
-
-    # ----- Harish-Chandra projection and evaluation ------------------------------
-    def hc_project(self, x: UEAElement) -> UEAElement:
-        x = self.normal_order(x)
-        return {
-            w: c for w, c in x.items() if all(self.is_cartan(g) for g in w)
-        }
-
-    def evaluate_at(self, p: UEAElement, lam: Weight) -> Fraction:
-        coords = lam.coords()
-        total = Fraction(0)
-        for word, coeff in p.items():
-            val = coeff
-            for g in word:
-                if not self.is_cartan(g):
-                    raise ValueError("evaluate_at requires an element of U(h)")
-                val *= coords[g[0]]
-            total += val
-        return total
-
     # ----- invariant forms on g ---------------------------------------------------
-    def str_form(self, a: Gen, b: Gen) -> Fraction:
+    def str_form(self, a: Gen, b: Gen) -> int:
         """str(E_ij E_kl) with str(X) = tr(A-block) - tr(D-block)."""
         i, j = a
         k, l = b
         if j != k or l != i:
-            return Fraction(0)
-        return Fraction(1 if i < self.m else -1)
+            return 0
+        return 1 if i < self.m else -1
 
-    def b_form(self, a: Gen, b: Gen) -> Fraction:
+    def b_form(self, a: Gen, b: Gen) -> Rational:
         """Normalized invariant form: B = (1/2)(tr_D - tr_A) on products."""
-        return -self.str_form(a, b) / 2
-
-    # ----- odd basis table as generators -------------------------------------------
-    def partial_k(self, k: int) -> UEAElement:
-        """The k-th odd raising generator (0-based index in the basis table)."""
-        return {(self.datum.odd_raising[k],): 1}
-
-    def x_k(self, k: int) -> UEAElement:
-        """The k-th odd lowering generator, including its sign."""
-        return {(self.datum.odd_lowering[k],): self.datum.odd_lowering_sign[k]}
-
-
-def shapovalov_pairing(alg: Algebra, x: UEAElement, y: UEAElement, lam: Weight) -> Fraction:
-    """(X, Y)_L for X, Y in U(n^-): evaluate the Cartan part of omega(X) Y at L."""
-    prod = alg.multiply(alg.omega(x), y)
-    return alg.evaluate_at(alg.hc_project(prod), lam)
+        return _rat(Fraction(-self.str_form(a, b), 2))

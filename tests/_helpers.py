@@ -1,15 +1,24 @@
-"""Test-only helpers shared by several test modules: sums and multiples in
-U(g), the normal-ordering product of the Weyl algebra with its generators
-x_k, d_k and commutator (the oracle for `oscillator.alpha_embed_gen`, which
-writes alpha straight into normal order), the embedding alpha on degree-1
-elements, the Bargmann-Fock form, the value of a quadratic form and the
-Fraction elimination kept as the oracle for `exactla._rref`. The package
-itself never needs them."""
+"""Test-only helpers shared by several test modules.
+
+- Sums and multiples in U(g), and the U(g) oracles: the product of whole
+  elements by PBW straightening, the anti-involution on words, the
+  Harish-Chandra projection, evaluation at a weight, and the Shapovalov
+  pairing built from them (the oracle for the Gram recursion in `modules`),
+  the odd basis table as elements, and a word applied to a module vector one
+  letter at a time through `modules.act_word`.
+- The normal-ordering product of the Weyl algebra with its generators x_k,
+  d_k and commutator (the oracle for `oscillator.alpha_embed_gen`, which
+  writes alpha straight into normal order), and the embedding alpha on
+  degree-1 elements.
+- The Bargmann-Fock form, the value of a quadratic form and the Fraction
+  elimination kept as the oracle for `exactla._rref`.
+
+The package itself never needs them."""
 
 import math
 from fractions import Fraction
 
-from superdirac import uea
+from superdirac import modules, uea
 
 
 def combine(*elements):
@@ -26,6 +35,84 @@ def scale(e, c):
     return {w: c * v for w, v in e.items()} if c else {}
 
 
+# ----- U(g) oracles ---------------------------------------------------------------
+def normal_order(alg, element):
+    """An element of U(g) in PBW normal order, word by word."""
+    out = {}
+    for word, coeff in element.items():
+        for w, c in alg._normal_word(word).items():
+            uea.add_into(out, w, coeff * c)
+    return out
+
+
+def multiply(alg, x, y):
+    prod = {}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            uea.add_into(prod, wx + wy, cx * cy)
+    return normal_order(alg, prod)
+
+
+def omega(alg, x):
+    """Anti-involution of su(p,q|n): E_ij -> s_i s_j E_ji, order reversed."""
+    out = {}
+    for word, coeff in x.items():
+        sign = 1
+        new = []
+        for g in reversed(word):
+            og, s = alg.omega_gen(g)
+            sign *= s
+            new.append(og)
+        uea.add_into(out, tuple(new), sign * coeff)
+    return normal_order(alg, out)
+
+
+def hc_project(alg, x):
+    x = normal_order(alg, x)
+    return {w: c for w, c in x.items() if all(alg.is_cartan(g) for g in w)}
+
+
+def evaluate_at(alg, p, lam):
+    coords = lam.coords()
+    total = Fraction(0)
+    for word, coeff in p.items():
+        val = coeff
+        for g in word:
+            if not alg.is_cartan(g):
+                raise ValueError("evaluate_at requires an element of U(h)")
+            val *= coords[g[0]]
+        total += val
+    return total
+
+
+def shapovalov_pairing(alg, x, y, lam):
+    """(X, Y)_L for X, Y in U(n^-): evaluate the Cartan part of omega(X) Y at L."""
+    return evaluate_at(alg, hc_project(alg, multiply(alg, omega(alg, x), y)), lam)
+
+
+def partial_k(alg, k):
+    """The k-th odd raising generator (0-based index in the basis table)."""
+    return {(alg.datum.odd_raising[k],): 1}
+
+
+def x_k(alg, k):
+    """The k-th odd lowering generator, including its sign."""
+    return {(alg.datum.odd_lowering[k],): alg.datum.odd_lowering_sign[k]}
+
+
+def act_letters(alg, lam, word, vec):
+    """The product of generators `word` applied to a vector of M(lam), one
+    letter at a time (the last letter acts first) through `modules.act_word`."""
+    for g in reversed(word):
+        out = {}
+        for mono, coeff in vec.items():
+            for m, c in modules.act_word(alg, lam, g, mono).items():
+                uea.add_into(out, m, coeff * c)
+        vec = out
+    return vec
+
+
+# ----- the Weyl algebra -------------------------------------------------------------
 def x_op(k, dim):
     a = tuple(1 if i == k else 0 for i in range(dim))
     return {(a, (0,) * dim): Fraction(1)}

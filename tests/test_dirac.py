@@ -314,7 +314,7 @@ def _oracle_ktype_table(coll, per_block, sign, raising_set):
     """Classes killed by the raising operators, images reduced modulo
     ker D cap im D of the target block."""
     alg = coll.module.alg
-    raising = [g for g in alg.positive_generators() if alg.parity(g) == 0]
+    raising = [g for g in modules.generators(alg, +1, "all") if alg.parity(g) == 0]
     if raising_set == "compact":
         compact = {r.weight.coords() for r in coll.module.datum.pos_compact}
         raising = [g for g in raising if alg.gen_root(g).coords() in compact]

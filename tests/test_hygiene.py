@@ -63,8 +63,6 @@ UNREFERENCED_ALLOWED = {
         for c in ("root_data", "decompose", "dirac_cohomology", "certify", "character",
                   "index", "verify")
     },
-    "shapovalov_pairing": "the Gram oracle (straightens omega(X) Y in U(g)); the "
-    "tests check the contravariant recursion against it and perfbench traces it",
     "anti_selfadjoint_certificate": "D^T G + G D = 0; the perfbench pipeline calls it",
     "dirac_inequality_audit": "the Dirac inequality per g0-constituent, for the "
     "planned `verify --suite inequality` (ROADMAP)",

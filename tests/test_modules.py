@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import quadratic_value
-from superdirac import exactla, modules, uea
+from _helpers import quadratic_value, shapovalov_pairing
+from superdirac import exactla, modules
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.weights import build_root_datum, parse_weight
 
@@ -78,7 +78,7 @@ def _assert_grams_match_oracle(datum, lam, height):
         for nu, b in mod.blocks.items():
             oracle = [
                 [
-                    uea.shapovalov_pairing(mod.alg, {x: Fraction(1)}, {y: Fraction(1)}, lam)
+                    shapovalov_pairing(mod.alg, {x: Fraction(1)}, {y: Fraction(1)}, lam)
                     for y in b.monomials
                 ]
                 for x in b.monomials
@@ -169,7 +169,7 @@ def test_ktype_table_compact_simple(d23):
 
 def _oracle_ktype_table(module):
     """The k-type table by applying each compact raising generator to the
-    stored basis with act_word (PBW straightening), reducing the images to
+    stored basis with act_word (PBW straightening of g X), reducing the images to
     the target block's stored coordinates (decided here by the module's
     kind), and taking the kernel of the stacked rows."""
     alg = module.alg
@@ -177,7 +177,7 @@ def _oracle_ktype_table(module):
     compact_roots = {r.weight.coords() for r in module.datum.pos_compact}
     raising = [
         g
-        for g in alg.positive_generators()
+        for g in modules.generators(alg, +1, "all")
         if alg.parity(g) == 0 and alg.gen_root(g).coords() in compact_roots
     ]
     simple = module.kind.endswith("simple")
@@ -200,7 +200,7 @@ def _oracle_ktype_table(module):
             coords = []
             for mono in cols:
                 vec = [Fraction(0)] * len(tb.monomials)
-                for m, c in modules.act_word(alg, lam, (g,), {mono: Fraction(1)}).items():
+                for m, c in modules.act_word(alg, lam, g, mono).items():
                     vec[index[m]] += c
                 coords.append(reduction.apply(vec) if simple else vec)
             for r in range(len(coords[0])):

@@ -75,9 +75,9 @@ def _product_alpha(osc, g):
     the oracle `weyl_multiply`: B(X,[d_k,d_j]) x_k x_j + B(X,[x_k,x_j]) d_k d_j
     - 2 B(X,[x_k,d_j]) x_j d_k - sum_l B(X,[d_l,x_l])."""
     alg, dim = osc.alg, osc.dim
-    xs = [alg.x_k(k) for k in range(dim)]
-    ds = [alg.partial_k(k) for k in range(dim)]
-    xg = {(g,): 1}
+    datum = alg.datum
+    xs = list(zip(datum.odd_lowering, datum.odd_lowering_sign))
+    ds = [(u, 1) for u in datum.odd_raising]
     out = {}
 
     def add(b, u, v):
@@ -86,10 +86,10 @@ def _product_alpha(osc, g):
 
     for k in range(dim):
         for j in range(dim):
-            add(oscillator._b_of_bracket(alg, xg, ds[k], ds[j]), x_op(k, dim), x_op(j, dim))
-            add(oscillator._b_of_bracket(alg, xg, xs[k], xs[j]), d_op(k, dim), d_op(j, dim))
-            add(-2 * oscillator._b_of_bracket(alg, xg, xs[k], ds[j]), x_op(j, dim), d_op(k, dim))
-    const = sum(oscillator._b_of_bracket(alg, xg, ds[l], xs[l]) for l in range(dim))
+            add(oscillator._b_of_bracket(alg, g, ds[k], ds[j]), x_op(k, dim), x_op(j, dim))
+            add(oscillator._b_of_bracket(alg, g, xs[k], xs[j]), d_op(k, dim), d_op(j, dim))
+            add(-2 * oscillator._b_of_bracket(alg, g, xs[k], ds[j]), x_op(j, dim), d_op(k, dim))
+    const = sum(oscillator._b_of_bracket(alg, g, ds[l], xs[l]) for l in range(dim))
     uea.add_into(out, ((0,) * dim, (0,) * dim), -const)
     return out
 

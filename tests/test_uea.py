@@ -1,5 +1,6 @@
 """Enveloping-algebra substrate: brackets, PBW normal ordering, the
-anti-automorphism, Casimir elements, and the Shapovalov form."""
+anti-automorphism, Casimir elements, the Shapovalov form, and the
+one-generator action against straightening the whole word."""
 
 import itertools
 import random
@@ -9,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import combine, scale
+from _helpers import (
+    act_letters,
+    combine,
+    multiply,
+    normal_order,
+    omega,
+    partial_k,
+    scale,
+    shapovalov_pairing,
+    x_k,
+)
 from superdirac import modules, uea
 from superdirac.oscillator import Oscillator
 from superdirac.uea import Algebra
@@ -41,22 +52,22 @@ def casimir(alg, kind):
             if kind == "even" and alg.parity((i, j)):
                 continue
             uea.add_into(acc, ((i, j), (j, i)), Fraction(-1 if j >= alg.m else 1))
-    return alg.normal_order(acc)
+    return normal_order(alg, acc)
 
 
 def act_elem(alg, lam, elem, vec):
     """An element of U(g) applied to a vector of M(lam), word by word."""
     out = {}
     for word, ec in elem.items():
-        for mono, vc in modules.act_word(alg, lam, word, vec).items():
+        for mono, vc in act_letters(alg, lam, word, vec).items():
             uea.add_into(out, mono, ec * vc)
     return out
 
 
 def elem_bracket(alg, x, px, y, py):
     """Super bracket of homogeneous elements of the given parities."""
-    xy = alg.multiply(x, y)
-    yx = alg.multiply(y, x)
+    xy = multiply(alg, x, y)
+    yx = multiply(alg, y, x)
     sign = -1 if (px and py) else 1
     return combine(xy, scale(yx, -sign))
 
@@ -95,7 +106,7 @@ def test_super_jacobi_sampled_sl23(alg23):
 def test_supercommutator_matches_multiplication(alg21):
     for a in alg21.generators():
         for b in alg21.generators():
-            direct = alg21.normal_order(alg21.supercommutator(a, b))
+            direct = normal_order(alg21, alg21.supercommutator(a, b))
             via_mult = elem_bracket(
                 alg21, gen_elem(a), alg21.parity(a), gen_elem(b), alg21.parity(b)
             )
@@ -105,7 +116,7 @@ def test_supercommutator_matches_multiplication(alg21):
 def test_odd_generator_squares_to_zero(alg21):
     for g in alg21.generators():
         if alg21.parity(g) == 1:
-            assert alg21.multiply(gen_elem(g), gen_elem(g)) == {}
+            assert multiply(alg21, gen_elem(g), gen_elem(g)) == {}
 
 
 def test_multiplication_associative(alg21):
@@ -114,8 +125,8 @@ def test_multiplication_associative(alg21):
     for _ in range(40):
         a, b, c = rng.choice(gens), rng.choice(gens), rng.choice(gens)
         ea, eb, ec = gen_elem(a), gen_elem(b), gen_elem(c)
-        lhs = alg21.multiply(alg21.multiply(ea, eb), ec)
-        rhs = alg21.multiply(ea, alg21.multiply(eb, ec))
+        lhs = multiply(alg21, multiply(alg21, ea, eb), ec)
+        rhs = multiply(alg21, ea, multiply(alg21, eb, ec))
         assert lhs == rhs
 
 
@@ -131,7 +142,7 @@ def test_omega_specific_values(alg21):
 def test_omega_is_an_involution(alg21, alg23):
     for alg in (alg21, alg23):
         for g in alg.generators():
-            assert alg.omega(alg.omega(gen_elem(g))) == gen_elem(g)
+            assert omega(alg, omega(alg, gen_elem(g))) == gen_elem(g)
 
 
 def test_omega_reverses_products(alg21):
@@ -139,14 +150,14 @@ def test_omega_reverses_products(alg21):
     rng = random.Random(11)
     for _ in range(60):
         a, b = rng.choice(gens), rng.choice(gens)
-        lhs = alg21.omega(alg21.multiply(gen_elem(a), gen_elem(b)))
-        rhs = alg21.multiply(alg21.omega(gen_elem(b)), alg21.omega(gen_elem(a)))
+        lhs = omega(alg21, multiply(alg21, gen_elem(a), gen_elem(b)))
+        rhs = multiply(alg21, omega(alg21, gen_elem(b)), omega(alg21, gen_elem(a)))
         assert lhs == rhs
 
 
 def test_omega_fixes_cartan(alg21):
     for i in range(3):
-        assert alg21.omega(gen_elem((i, i))) == gen_elem((i, i))
+        assert omega(alg21, gen_elem((i, i))) == gen_elem((i, i))
 
 
 # ----- forms -----------------------------------------------------------------------
@@ -163,7 +174,7 @@ def test_b_form_on_odd_basis(alg21, alg23):
         mn = alg.datum.mn
         for k in range(mn):
             for l in range(mn):
-                v = b_form_elem(alg, alg.partial_k(k), alg.x_k(l))
+                v = b_form_elem(alg, partial_k(alg, k), x_k(alg, l))
                 assert v == (Fraction(1, 2) if k == l else 0)
 
 
@@ -233,25 +244,23 @@ def test_even_verma_gram_sl21(l1, l2, c1):
 def test_shapovalov_contravariance(alg21):
     d = alg21.datum
     lam = parse_weight("3,-1|2", 2, 1)
-    lows = alg21.negative_generators()
+    lows = modules.generators(alg21, -1, "all")
     rng = random.Random(17)
     for _ in range(30):
         x = rng.choice(lows)
         u = gen_elem(rng.choice(lows))
         v = gen_elem(rng.choice(lows))
-        lhs = uea.shapovalov_pairing(alg21, alg21.multiply(gen_elem(x), u), v, lam)
-        rhs = uea.shapovalov_pairing(alg21, u, alg21.multiply(alg21.omega(gen_elem(x)), v), lam)
+        lhs = shapovalov_pairing(alg21, multiply(alg21, gen_elem(x), u), v, lam)
+        rhs = shapovalov_pairing(alg21, u, multiply(alg21, omega(alg21, gen_elem(x)), v), lam)
         assert lhs == rhs
 
 
 def test_shapovalov_symmetric(alg21):
     lam = parse_weight("3,-1|2", 2, 1)
-    lows = [gen_elem(g) for g in alg21.negative_generators()]
+    lows = [gen_elem(g) for g in modules.generators(alg21, -1, "all")]
     for u in lows:
         for v in lows:
-            assert uea.shapovalov_pairing(alg21, u, v, lam) == uea.shapovalov_pairing(
-                alg21, v, u, lam
-            )
+            assert shapovalov_pairing(alg21, u, v, lam) == shapovalov_pairing(alg21, v, u, lam)
 
 
 # ----- integral coefficients ---------------------------------------------------------------
@@ -260,20 +269,22 @@ def test_shapovalov_symmetric(alg21):
 )
 def test_pbw_coefficients_are_ints_and_divisions_never_float(group):
     """The structure constants on matrix units are +-1, so straightening and
-    the anti-involution keep every PBW coefficient an int; the divisions that
-    remain (by str_form, and the monomial bound) never produce a float, and
-    the measured constant is canonical (an int when integral)."""
+    the anti-involution keep every PBW coefficient an int; the invariant
+    forms and the measured constant are canonical (an int when integral,
+    else a Fraction), and the monomial bound never divides into a float."""
     alg = Algebra(build_root_datum(*group))
     gens = alg.generators()
     for length in range(4):
         for word in itertools.product(gens, repeat=length):
             for c in alg._normal_word(word).values():
                 assert type(c) is int, (word, c)
-            for c in alg.omega({word: 1}).values():
+            for c in omega(alg, {word: 1}).values():
                 assert type(c) is int, (word, c)
     for a in gens:
         for b in gens:
-            assert type(alg.b_form(a, b)) is Fraction
+            assert type(alg.str_form(a, b)) is int
+            c = alg.b_form(a, b)
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (a, b, c)
     for c in Oscillator(alg).measured_constant().values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
     lows = modules.generators(alg, -1, "all")
@@ -281,3 +292,32 @@ def test_pbw_coefficients_are_ints_and_divisions_never_float(group):
         by_int = modules._enumerate_monomials(alg, lows, h)
         assert by_int == modules._enumerate_monomials(alg, lows, Fraction(h))
         assert by_int == modules._enumerate_monomials(alg, lows, Fraction(2 * h + 1, 2))
+
+
+# ----- the one-generator action against the whole word ------------------------------------
+def _assert_letters_match_whole_word(alg, lam, words, monos):
+    """A word applied one letter at a time through the narrowed act_word
+    equals straightening word + mono in one go and projecting at v_lam."""
+    for word in words:
+        for mono in monos:
+            whole = {}
+            for w, c in alg._normal_word(word + mono).items():
+                modules._accumulate_pbw(alg, lam, w, c, whole)
+            assert act_letters(alg, lam, word, {mono: 1}) == whole, (word, mono)
+
+
+def test_letters_match_whole_word_sl21(alg21):
+    lam = parse_weight("3,-1|2", 2, 1)
+    gens = alg21.generators()
+    words = [w for length in range(4) for w in itertools.product(gens, repeat=length)]
+    monos = modules._enumerate_monomials(alg21, modules.generators(alg21, -1, "all"), 2)
+    _assert_letters_match_whole_word(alg21, lam, words, monos)
+
+
+def test_letters_match_whole_word_sampled_sl23(alg23):
+    lam = parse_weight("-3,0|1,1,1", 2, 3)
+    gens = alg23.generators()
+    rng = random.Random(4099)
+    words = [tuple(rng.choice(gens) for _ in range(rng.randrange(4))) for _ in range(150)]
+    monos = modules._enumerate_monomials(alg23, modules.generators(alg23, -1, "all"), 2)
+    _assert_letters_match_whole_word(alg23, lam, words, rng.sample(monos, 8))
