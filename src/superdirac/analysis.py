@@ -131,8 +131,7 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
     datum = module.datum
     per_degree: dict[int, dict[Weight, int]] = {}
     dd_zero = True
-    for nu in coll.sorted_weights():
-        block = coll.blocks[nu]
+    for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
         d = block.d_p1.add(block.delta_q2.scale(-1))

@@ -16,21 +16,22 @@ from fractions import Fraction
 from . import exactla, modules, oscillator
 from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule
-from .oscillator import OscMonomial, Oscillator, Polynomial
+from .oscillator import OscMonomial, Oscillator
 from .uea import Gen
-from .weights import Weight, pairing
+from .weights import Drop, Weight, pairing
 
 
 # ----- Dirac blocks -------------------------------------------------------------------
-BasisEntry = tuple[Weight, int, OscMonomial]
+# (drop L - lam_m of the module block, index into its basis, osc monomial)
+BasisEntry = tuple[Drop, int, OscMonomial]
 
 
 @dataclass
 class DiracBlock:
     nu: Weight
+    drop: Drop  # (L - rho1) - nu
     module: TruncatedModule
     osc: Oscillator
-    # basis entries: (module block weight, index into module basis, osc monomial)
     basis: list[BasisEntry]
     parity: list[int]  # oscillator parity (degree mod 2)
     d_p1: SparseRationalMatrix
@@ -53,14 +54,14 @@ class DiracBlock:
     def gram(self) -> SparseRationalMatrix:
         """G = (module Gram) (x) (Bargmann-Fock form), diagonal in the monomials."""
         gram = SparseRationalMatrix(self.dim, self.dim)
-        for col, (lam_m, i, a) in enumerate(self.basis):
+        for col, (drop_m, i, a) in enumerate(self.basis):
             bf = math.prod(math.factorial(e) for e in a)
-            b = self.module.blocks[lam_m]
+            b = self.module.by_drop[drop_m]
             form = b.form
             for i2 in range(b.dim):
                 v = form.get(i2, i)
                 if v:
-                    gram.set(self.index[(lam_m, i2, a)], col, v * bf)
+                    gram.set(self.index[(drop_m, i2, a)], col, v * bf)
         return gram
 
     def to_json(self) -> dict:
@@ -74,51 +75,54 @@ class DiracBlock:
 
 def _block_bases(
     module: TruncatedModule, osc: Oscillator, height
-) -> dict[Weight, list[BasisEntry]]:
-    """The basis of every diagonal block nu with ht(L - rho1 - nu) <= height.
+) -> dict[Drop, list[BasisEntry]]:
+    """The basis of every diagonal block nu with ht(L - rho1 - nu) <= height,
+    keyed by the block's drop (L - rho1) - nu, a tuple of ints.
 
-    One pass over the pairs (module weight lam_m, monomial x^a) with
-    ht(L - lam_m) + ht(sum a_k gamma_k) <= height files the entries
-    (lam_m, i, a) under nu = lam_m + wt(x^a). A module weight whose block has
-    dimension 0 still names its nu, so empty blocks are listed. Blocks come in
-    the order of the drop L - rho1 - nu, entries by (drop of lam_m, i, a)."""
+    One pass over the pairs (module block of drop L - lam_m, monomial x^a)
+    with ht(L - lam_m) + ht(sum a_k gamma_k) <= height files the entries
+    (drop of lam_m, i, a) under the drop (L - lam_m) + sum a_k gamma_k of
+    nu = lam_m + wt(x^a), all in integer coordinates with the integer height
+    functional. A module weight whose block has dimension 0 still names its
+    nu, so empty blocks are listed. Blocks come in `drop_key` order of their
+    drop, entries by (`drop_key` of the module drop, i, a)."""
     datum = module.datum
-    lam = module.highest_weight
-    gammas = osc.partial_roots()
-    heights = [datum.height(g) for g in gammas]
-    # every x^a with ht(sum a_k gamma_k) <= height: (that height, a, wt(x^a))
-    monos: list[tuple[exactla.Rational, OscMonomial, Weight]] = []
+    height = math.floor(height)  # every height below is an int
+    gammas = [g.coords() for g in osc.partial_roots()]  # roots: int coordinates
+    heights = [datum.drop_key(g)[0] for g in gammas]
+    # every x^a with ht(sum a_k gamma_k) <= height: (that height, a, sum a_k gamma_k)
+    monos: list[tuple[int, OscMonomial, Drop]] = []
 
-    def rec(k: int, rem, a: OscMonomial, w: Weight) -> None:
+    def rec(k: int, rem, a: OscMonomial, w: Drop) -> None:
         if k == len(gammas):
             monos.append((height - rem, a, w))
             return
         for ak in range(rem // heights[k] + 1):
             rec(k + 1, rem - ak * heights[k], a + (ak,), w)
-            w = w - gammas[k]
+            w = tuple(map(operator.add, w, gammas[k]))
 
-    rec(0, height, (), -datum.rho1)
-    bases: dict[Weight, list[BasisEntry]] = {}
-    drop_key: dict[Weight, tuple] = {}  # sort key of L - lam_m, once per lam_m
-    for lam_m in module.blocks:
-        drop_key[lam_m] = datum.root_sort_key(lam - lam_m)
-        room = height - drop_key[lam_m][0]
-        dim_m = module.block_dim(lam_m)
+    rec(0, height, (), (0,) * (datum.m + datum.n))
+    bases: dict[Drop, list[BasisEntry]] = {}
+    for drop_m, b in module.by_drop.items():
+        room = height - datum.drop_key(drop_m)[0]
         for h, a, w in monos:
             if h <= room:
-                bases.setdefault(lam_m + w, []).extend((lam_m, i, a) for i in range(dim_m))
+                bases.setdefault(tuple(map(operator.add, drop_m, w)), []).extend(
+                    (drop_m, i, a) for i in range(b.dim)
+                )
     for basis in bases.values():
-        basis.sort(key=lambda e: (drop_key[e[0]], e[1], e[2]))
-    base = lam - datum.rho1
-    return {nu: bases[nu] for nu in sorted(bases, key=lambda nu: datum.root_sort_key(base - nu))}
+        basis.sort(key=lambda e: (datum.drop_key(e[0]), e[1], e[2]))
+    return {drop: bases[drop] for drop in sorted(bases, key=datum.drop_key)}
 
 
 def assemble_block(
-    module: TruncatedModule, nu: Weight, osc: Oscillator, basis: list[BasisEntry]
+    module: TruncatedModule, drop: Drop, osc: Oscillator, basis: list[BasisEntry]
 ) -> DiracBlock:
-    """The Dirac matrices of the block nu on the basis `_block_bases` lists."""
+    """The Dirac matrices of the block of drop `drop` on the basis
+    `_block_bases` lists."""
     datum = module.datum
-    gammas = osc.partial_roots()
+    alg = module.alg
+    nu = (module.highest_weight - datum.rho1).lower(drop)
     mn = datum.mn
     dim = len(basis)
     index = {e: i for i, e in enumerate(basis)}
@@ -129,31 +133,35 @@ def assemble_block(
     d_q2 = SparseRationalMatrix(dim, dim)
     delta_q2 = SparseRationalMatrix(dim, dim)
     pn = datum.p * datum.n
-    for col, (lam_m, i, a) in enumerate(basis):
+    for col, (drop_m, i, a) in enumerate(basis):
         for k in range(mn):
             dmat = d_p1 if k < pn else d_q2
             deltamat = delta_p1 if k < pn else delta_q2
             # d_k (x) x_k: module vector raised, oscillator exponent +1
+            g = datum.odd_raising[k]
+            target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
             anew = a[:k] + (a[k] + 1,) + a[k + 1 :]
-            target = lam_m + gammas[k]
-            for r, c in module.gen_columns(datum.odd_raising[k], lam_m)[i]:
+            for r, c in module.gen_columns(g, drop_m)[i]:
                 row = index.get((target, r, anew))
                 if row is not None:
                     dmat.add_to(row, col, c)
             # x_k (x) d_k: module vector lowered, derivative on the oscillator;
             # x_k is the lowering matrix unit times its sign
             if a[k] > 0:
-                anew2 = a[:k] + (a[k] - 1,) + a[k + 1 :]
-                target2 = lam_m - gammas[k]
+                g = datum.odd_lowering[k]
+                target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
+                anew = a[:k] + (a[k] - 1,) + a[k + 1 :]
                 f = a[k] * datum.odd_lowering_sign[k]
-                for r, c in module.gen_columns(datum.odd_lowering[k], lam_m)[i]:
-                    row = index.get((target2, r, anew2))
+                for r, c in module.gen_columns(g, drop_m)[i]:
+                    row = index.get((target, r, anew))
                     if row is not None:
                         deltamat.add_to(row, col, f * c)
     D = (
         d_p1.add(d_q2).add(delta_p1.scale(-1)).add(delta_q2.scale(-1))
     ).scale(2)
-    return DiracBlock(nu, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, index)
+    return DiracBlock(
+        nu, drop, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, index
+    )
 
 
 # ----- even (g0) structure inside blocks ---------------------------------------------
@@ -163,25 +171,20 @@ def diagonal_action_matrix(
     """Matrix of X_D = X (x) 1 + 1 (x) alpha(X) from one diagonal block to the
     block of weight nu + root(X)."""
     module = block_src.module
+    osc = block_src.osc
     out = SparseRationalMatrix(block_tgt.dim, block_src.dim)
     tgt_index = block_tgt.index
-    alpha = block_src.osc.alpha_embed_gen(g)
-    root = module.alg.gen_root(g)
-    # alpha(X) x^a depends on the monomial a only, which many columns share
-    images: dict[OscMonomial, Polynomial] = {}
-    for col, (lam_m, i, a) in enumerate(block_src.basis):
+    gdrop = module.alg.gen_drop(g)
+    for col, (drop_m, i, a) in enumerate(block_src.basis):
         # X (x) 1
-        target = lam_m + root
-        for r, c in module.gen_columns(g, lam_m)[i]:
+        target = tuple(map(operator.add, drop_m, gdrop))
+        for r, c in module.gen_columns(g, drop_m)[i]:
             row = tgt_index.get((target, r, a))
             if row is not None:
                 out.add_to(row, col, c)
         # 1 (x) alpha(X)
-        img = images.get(a)
-        if img is None:
-            img = images[a] = oscillator.weyl_apply(alpha, {a: 1})
-        for mono, c in img.items():
-            row = tgt_index.get((lam_m, i, mono))
+        for mono, c in osc.alpha_image(g, a).items():
+            row = tgt_index.get((drop_m, i, mono))
             if row is not None:
                 out.add_to(row, col, c)
     return out
@@ -197,19 +200,19 @@ class BlockCollection:
     blocks: dict[Weight, DiracBlock]
 
     def sorted_weights(self) -> list[Weight]:
-        datum = self.module.datum
-        base = self.module.highest_weight - datum.rho1
-        return sorted(self.blocks, key=lambda nu: datum.root_sort_key(base - nu))
+        """The block weights in the order of the drop; the assemblies store
+        them so."""
+        return list(self.blocks)
 
 
 def assemble_all(module: TruncatedModule, height) -> BlockCollection:
     osc = Oscillator(module.alg)
     height = min(Fraction(height), module.height)
-    blocks = {
-        nu: assemble_block(module, nu, osc, basis)
-        for nu, basis in _block_bases(module, osc, height).items()
-    }
-    return BlockCollection(module, osc, height, blocks)
+    blocks = [
+        assemble_block(module, drop, osc, basis)
+        for drop, basis in _block_bases(module, osc, height).items()
+    ]
+    return BlockCollection(module, osc, height, {b.nu: b for b in blocks})
 
 
 def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollection:
@@ -233,12 +236,12 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
         (datum.height(lam - w) for w in module.blocks if module.block_dim(w)), default=0
     ) + max_degree * max(datum.height(g) for g in osc.partial_roots())
     lifted = replace(module, height=max(height, module.height))
-    blocks = {
-        nu: assemble_block(lifted, nu, osc, basis)
-        for nu, basis in _block_bases(module, osc, height).items()
+    blocks = [
+        assemble_block(lifted, drop, osc, basis)
+        for drop, basis in _block_bases(module, osc, height).items()
         if any(sum(a) <= max_degree for _, _, a in basis)
-    }
-    return BlockCollection(lifted, osc, height, blocks)
+    ]
+    return BlockCollection(lifted, osc, height, {b.nu: b for b in blocks})
 
 
 def highest_vectors(
@@ -309,8 +312,9 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     datum = module.datum
     lam = module.highest_weight
     entries: list[SquareAuditEntry] = []
-    for nu in coll.sorted_weights():
-        block = coll.blocks[nu]
+    # (`_cone_sums` of the block's drop, measured scalar) per entry
+    by_nu0: list[tuple[ConeSums, Fraction]] = []
+    for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
         hvs = highest_vectors(coll, nu)
@@ -337,17 +341,16 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         entries.append(
             SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s)
         )
+        by_nu0.append((_cone_sums(block.drop, datum.m), measured))
     # semisimplicity cross-check: on each block, the product over the predicted
     # component scalars of (D^2 - c) vanishes, where components come from this
     # block and every higher block whose lowerings can reach it
     checked = 0
-    sums = {nu: _cone_sums(nu) for nu in coll.blocks}
-    by_nu0 = [(sums[e.nu0], e.measured) for e in entries]
-    for nu in coll.sorted_weights():
-        block = coll.blocks[nu]
+    for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
-        cs = sorted({m for s0, m in by_nu0 if _in_even_cone(s0, sums[nu])})
+        below = _cone_sums(block.drop, datum.m)
+        cs = sorted({c for s0, c in by_nu0 if _in_even_cone(s0, below)})
         steps = [
             block.D2.add(SparseRationalMatrix.identity(block.dim).scale(-c)) for c in cs
         ]
@@ -369,40 +372,30 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     )
 
 
-ConeSums = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, int]]
+ConeSums = tuple[tuple[int, ...], tuple[int, int]]
 
 
-def _cone_sums(w: Weight) -> ConeSums:
-    """The eps- and del-partial sums of w's coordinates, for `_in_even_cone`:
-    (remainder mod 1 of each sum as a (numerator, denominator) pair, floor of
-    each sum, floors of the two last sums)."""
-    rems, floors, totals = [], [], []
-    for part in (w.eps, w.del_):
-        q = 0
-        for s in itertools.accumulate(part):
-            q, r = divmod(s, 1)
-            rems.append((r.numerator, r.denominator))
-            floors.append(q)
-        totals.append(q)
-    return tuple(rems), tuple(floors), tuple(totals)
+def _cone_sums(drop: Drop, m: int) -> ConeSums:
+    """The eps- and del-partial sums of an integer drop (m eps coordinates,
+    then del), for `_in_even_cone`: (every partial sum, the two last sums)."""
+    eps = tuple(itertools.accumulate(drop[:m]))
+    del_ = tuple(itertools.accumulate(drop[m:]))
+    return eps + del_, (eps[-1], del_[-1])
 
 
 def _in_even_cone(w: ConeSums, below: ConeSums) -> bool:
-    """Is w - below a nonnegative integer combination of positive even roots?
-    Both weights are given by their `_cone_sums`.
+    """Is the weight of drop w minus the weight of drop `below` (drops from
+    one base) a nonnegative integer combination of positive even roots? Both
+    drops are given by their `_cone_sums`.
 
     These are eps_i - eps_j and del_k - del_l (i < j, k < l), the positive
     roots of gl(m) and gl(n), whose simple roots e_i - e_{i+1} span the same
-    cone; w = sum c_i (e_i - e_{i+1}) has c_i the i-th partial sum of its
-    coordinates. So w - below lies in the cone iff, in the eps part and in the
-    del part, every partial sum of w is that of below plus a nonnegative
-    integer, and the last sums are equal."""
-    rems, floors, totals = w
-    return (
-        rems == below[0]
-        and totals == below[2]
-        and all(map(operator.ge, floors, below[1]))
-    )
+    cone; x = sum c_i (e_i - e_{i+1}) has c_i the i-th partial sum of its
+    coordinates. The difference of the two weights is drop(below) - drop(w),
+    an integer vector, so it lies in the cone iff, in the eps part and in the
+    del part, every partial sum of drop(w) is at most that of drop(below),
+    and the last sums are equal."""
+    return w[1] == below[1] and all(map(operator.le, w[0], below[0]))
 
 
 # ----- cohomology -----------------------------------------------------------------------
@@ -460,10 +453,8 @@ class CohomologyReport:
         return sum(bc.hd_minus for bc in self.per_block.values())
 
     def to_json(self) -> dict:
-        datum = self.module.datum
-        base = self.module.highest_weight - datum.rho1
-        keys = sorted(self.per_block, key=lambda nu: datum.root_sort_key(base - nu))
-        return {"blocks": [self.per_block[nu].to_json() for nu in keys]}
+        # dirac_cohomology fills per_block in the collection's drop order
+        return {"blocks": [bc.to_json() for bc in self.per_block.values()]}
 
 
 def block_cohomology(block: DiracBlock) -> BlockCohomology:
@@ -520,8 +511,8 @@ def _classes(
 
 def dirac_cohomology(coll: BlockCollection) -> CohomologyReport:
     per_block = {}
-    for nu in coll.sorted_weights():
-        per_block[nu] = block_cohomology(coll.blocks[nu])
+    for nu, block in coll.blocks.items():
+        per_block[nu] = block_cohomology(block)
     return CohomologyReport(per_block, coll.module, coll.height)
 
 
@@ -609,8 +600,7 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
 def dirac_index(coll: BlockCollection) -> dict[Weight, int]:
     """Per diagonal weight: even-parity dimension minus odd-parity dimension."""
     out: dict[Weight, int] = {}
-    for nu in coll.sorted_weights():
-        block = coll.blocks[nu]
+    for nu, block in coll.blocks.items():
         v = sum(1 for p in block.parity if p == 0) - sum(
             1 for p in block.parity if p == 1
         )

@@ -6,6 +6,7 @@ unitarity certification via Gram-matrix definiteness.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -13,7 +14,7 @@ from typing import Iterable, Sequence
 from . import exactla, uea
 from .exactla import SparseRationalMatrix
 from .uea import Algebra, Gen, Word
-from .weights import RootDatum, Weight, atypicality_set, pairing
+from .weights import Drop, RootDatum, Weight, atypicality_set, pairing
 
 ModuleVector = dict[Word, exactla.Rational]
 
@@ -48,13 +49,6 @@ def _accumulate_pbw(
     uea.add_into(out, word[:neg_end], coeff)
 
 
-def monomial_weight(alg: Algebra, lam: Weight, mono: Word) -> Weight:
-    w = lam
-    for g in mono:
-        w = w + alg.gen_root(g)
-    return w
-
-
 def word_parity(alg: Algebra, mono: Word) -> int:
     return sum(alg.parity(g) for g in mono) % 2
 
@@ -66,9 +60,10 @@ class Block:
     and Gram of M/radical and is stored in quotient coordinates; any other
     block is stored in Verma (monomial) coordinates. `qmap` is set exactly
     for the simple kinds, so the block itself answers which coordinates it
-    stores (`dim`, `basis`, `form`, `reduce`)."""
+    stores (`dim`, `basis`, `form`, `reduce`). `drop` is L - weight."""
 
     weight: Weight
+    drop: Drop
     monomials: list[Word]
     parity: list[int]
     gram: SparseRationalMatrix
@@ -119,8 +114,10 @@ class TruncatedModule:
     height: Fraction
     kind: str  # verma | simple | even-verma | even-simple | compact-simple
     blocks: dict[Weight, Block] = field(default_factory=dict)
-    # generator matrices by (generator, source weight), filled by gen_columns
-    _gen_columns: dict[tuple[Gen, Weight], tuple] = field(
+    # the same blocks keyed by their drop L - weight, in the same order
+    by_drop: dict[Drop, Block] = field(default_factory=dict, repr=False, compare=False)
+    # generator matrices by (generator, source drop), filled by gen_columns
+    _gen_columns: dict[tuple[Gen, Drop], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -128,28 +125,32 @@ class TruncatedModule:
         b = self.blocks.get(nu)
         return 0 if b is None else b.dim
 
+    def drop_dim(self, drop: Drop) -> int:
+        b = self.by_drop.get(drop)
+        return 0 if b is None else b.dim
+
     def gen_columns(
-        self, g: Gen, source: Weight
+        self, g: Gen, source: Drop
     ) -> tuple[tuple[tuple[int, exactla.Rational], ...], ...]:
-        """Matrix of the generator g from block(source) to block(source +
-        root(g)) in the stored (quotient) coordinates: for each source basis
-        vector, its nonzero (row, entry) pairs. Built once per module; callers
-        must not mutate it."""
+        """Matrix of the generator g from the block of drop `source` to the
+        block of weight one root(g) higher, in the stored (quotient)
+        coordinates: for each source basis vector, its nonzero (row, entry)
+        pairs. Built once per module; callers must not mutate it."""
         key = (g, source)
         cols = self._gen_columns.get(key)
         if cols is None:
             cols = self._gen_columns[key] = self._build_gen_columns(g, source)
         return cols
 
-    def _build_gen_columns(self, g: Gen, source: Weight) -> tuple:
-        sdim = self.block_dim(source)
-        target = source + self.alg.gen_root(g)
-        if sdim == 0 or self.block_dim(target) == 0:
+    def _build_gen_columns(self, g: Gen, source: Drop) -> tuple:
+        sdim = self.drop_dim(source)
+        target = tuple(map(operator.add, source, self.alg.gen_drop(g)))
+        if sdim == 0 or self.drop_dim(target) == 0:
             return ((),) * sdim
-        tb = self.blocks[target]
+        tb = self.by_drop[target]
         index = {m: i for i, m in enumerate(tb.monomials)}
         cols = []
-        for mono in self.blocks[source].basis:
+        for mono in self.by_drop[source].basis:
             vec = [0] * len(index)
             img = act_word(self.alg, self.highest_weight, g, mono)
             for m, c in img.items():
@@ -158,9 +159,8 @@ class TruncatedModule:
         return tuple(cols)
 
     def sorted_weights(self) -> list[Weight]:
-        return sorted(
-            self.blocks, key=lambda nu: self.datum.root_sort_key(self.highest_weight - nu)
-        )
+        """The block weights in the order of the drop; `_build` stores them so."""
+        return list(self.blocks)
 
 
 def generators(alg: Algebra, sign: int, restriction: str) -> list[Gen]:
@@ -209,10 +209,10 @@ def _enumerate_monomials(
 def _gram_block(
     alg: Algebra,
     lam: Weight,
-    nu: Weight,
+    drop: Drop,
     monos: list[Word],
-    blocks: dict[Weight, Block],
-    index: dict[Weight, dict[Word, int]],
+    by_drop: dict[Drop, Block],
+    index: dict[Drop, dict[Word, int]],
 ) -> SparseRationalMatrix:
     """Shapovalov Gram of one weight block by the contravariant recursion.
 
@@ -233,9 +233,9 @@ def _gram_block(
     for i, x in enumerate(monos):
         g = x[0]
         og, s = alg.omega_gen(g)
-        above = nu - alg.gen_root(g)
+        above = tuple(map(operator.sub, drop, alg.gen_drop(g)))
         above_index = index[above]
-        above_gram = blocks[above].gram.entries
+        above_gram = by_drop[above].gram.entries
         row = above_index[x[1:]]
         for j in range(i, dim):
             img = images.get((g, j))
@@ -269,19 +269,25 @@ def _build(
     restriction = kind.split("-")[0] if "-" in kind else "all"
     gens = generators(alg, -1, restriction)
     monomials = _enumerate_monomials(alg, gens, Fraction(height))
-    by_weight: dict[Weight, list[Word]] = {}
+    # the drop of a monomial is the sum of its letters' drops
+    zero = (0,) * (datum.m + datum.n)
+    by_drop: dict[Drop, list[Word]] = {}
     for mono in monomials:
-        by_weight.setdefault(monomial_weight(alg, lam, mono), []).append(mono)
+        drop = zero
+        for g in mono:
+            drop = tuple(map(operator.add, drop, alg.gen_drop(g)))
+        by_drop.setdefault(drop, []).append(mono)
     mod = TruncatedModule(datum, alg, lam, Fraction(height), kind)
     simple = kind.endswith("simple")
-    index: dict[Weight, dict[Word, int]] = {}
-    for nu in sorted(by_weight, key=lambda w: datum.root_sort_key(lam - w)):
-        monos = sorted(by_weight[nu], key=lambda m: [alg.order_key(g) for g in m])
-        index[nu] = {m: i for i, m in enumerate(monos)}
-        gram = _gram_block(alg, lam, nu, monos, mod.blocks, index)
+    index: dict[Drop, dict[Word, int]] = {}
+    for drop in sorted(by_drop, key=datum.drop_key):
+        monos = sorted(by_drop[drop], key=lambda m: [alg.order_key(g) for g in m])
+        index[drop] = {m: i for i, m in enumerate(monos)}
+        gram = _gram_block(alg, lam, drop, monos, mod.by_drop, index)
         radical = exactla.kernel_basis(gram)
         block = Block(
-            weight=nu,
+            weight=lam.lower(drop),
+            drop=drop,
             monomials=monos,
             parity=[word_parity(alg, m) for m in monos],
             gram=gram,
@@ -292,7 +298,7 @@ def _build(
             if len(block.qmap.kept) != len(monos) - len(radical):
                 raise ValueError("dependent radical basis")
             block.gram_quot = gram.submatrix(block.qmap.kept, block.qmap.kept)
-        mod.blocks[nu] = block
+        mod.blocks[block.weight] = mod.by_drop[drop] = block
     return mod
 
 
@@ -339,11 +345,7 @@ def table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list
 
 
 def character(module: TruncatedModule) -> VirtualCharacter:
-    mult = {
-        nu: module.block_dim(nu)
-        for nu in module.blocks
-        if module.block_dim(nu) > 0
-    }
+    mult = {nu: b.dim for nu, b in module.blocks.items() if b.dim > 0}
     return VirtualCharacter(mult, module.height, module.highest_weight)
 
 
@@ -368,19 +370,19 @@ def characters_equal_to_height(
 def ktype_table(module: TruncatedModule) -> dict[Weight, int]:
     """Multiplicity of each compact-highest weight: the dimension of the
     common kernel of the compact raising operators on each stored block."""
-    raising = generators(module.alg, +1, "compact")
+    alg = module.alg
+    raising = generators(alg, +1, "compact")
     table: dict[Weight, int] = {}
-    for nu in module.sorted_weights():
-        dim = module.block_dim(nu)
+    for drop, b in module.by_drop.items():
         mats = []
         for g in raising:
-            cols = module.gen_columns(g, nu)
+            cols = module.gen_columns(g, drop)
             entries = {(r, j): c for j, col in enumerate(cols) for r, c in col}
-            rows = module.block_dim(nu + module.alg.gen_root(g))
-            mats.append(SparseRationalMatrix(rows, dim, entries))
-        k = dim - exactla.rank(exactla.vstack(mats, dim))
+            rows = module.drop_dim(tuple(map(operator.add, drop, alg.gen_drop(g))))
+            mats.append(SparseRationalMatrix(rows, b.dim, entries))
+        k = b.dim - exactla.rank(exactla.vstack(mats, b.dim))
         if k:
-            table[nu] = k
+            table[b.weight] = k
     return table
 
 

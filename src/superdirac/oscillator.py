@@ -61,6 +61,7 @@ class Oscillator:
         self.datum = alg.datum
         self.dim = self.datum.mn
         self._alpha_cache: dict[Gen, WeylOperator] = {}
+        self._image_cache: dict[tuple[Gen, OscMonomial], Polynomial] = {}
         self._partial_roots = [self.datum.root_of_unit(*g) for g in self.datum.odd_raising]
 
     def partial_roots(self) -> list[Weight]:
@@ -104,6 +105,13 @@ class Oscillator:
         acc = {key: _rat(c) for key, c in acc.items()}
         self._alpha_cache[g] = acc
         return acc
+
+    def alpha_image(self, g: Gen, a: OscMonomial) -> Polynomial:
+        """alpha(g) x^a, computed once per (g, a); callers must not mutate it."""
+        img = self._image_cache.get((g, a))
+        if img is None:
+            img = self._image_cache[g, a] = weyl_apply(self.alpha_embed_gen(g), {a: 1})
+        return img
 
     # ----- constant C ---------------------------------------------------------------
     def measured_constant(self) -> dict[str, Rational]:

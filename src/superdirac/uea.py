@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactla import Rational, _rat
-from .weights import RootDatum, Weight
+from .weights import Drop, RootDatum, Weight
 
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
@@ -52,6 +52,7 @@ class Algebra:
         self._order_cache: dict[Gen, tuple] = {}
         self._class_cache: dict[Gen, str] = {}
         self._root_cache: dict[Gen, Weight] = {}
+        self._drop_cache: dict[Gen, Drop] = {}
         self._normal_cache: dict[Word, UEAElement] = {}
 
     # ----- generator classification ------------------------------------------
@@ -77,6 +78,13 @@ class Algebra:
         if root is None:
             root = self._root_cache[g] = self.datum.root_of_unit(*g)
         return root
+
+    def gen_drop(self, g: Gen) -> Drop:
+        """Minus the root of g as ints: the drop g adds to a weight."""
+        drop = self._drop_cache.get(g)
+        if drop is None:
+            drop = self._drop_cache[g] = tuple(-int(c) for c in self.gen_root(g).coords())
+        return drop
 
     def order_key(self, g: Gen) -> tuple:
         key = self._order_cache.get(g)

@@ -8,8 +8,14 @@ and del_c - eps_l for l > p.
 
 Every coordinate is canonical as in `exactla._rat`: an int when integral,
 else a Fraction.  Module weights, roots and heights are then ints whenever
-the highest weight is integral; hash(Fraction(k)) == hash(k), so lookups,
-ordering and `Weight.text` do not depend on which type a coordinate has.
+the highest weight is integral; hash(Fraction(k)) == hash(k), so ordering and
+`Weight.text` do not depend on which type a coordinate has.
+
+Every root of gl(m|n) has integer coordinates, so a weight of a highest-weight
+module is its base (L, or L - rho1 on the Dirac blocks) minus an integer
+vector, its drop.  The engine keys its blocks, basis entries and generator
+matrices by drops (`Drop`, tuples of ints) and builds a `Weight` only at the
+boundary (`Weight.lower`).
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from typing import Iterable, Sequence
 
 from . import exactla
 from .exactla import Rational, _rat
+
+# Integer eps/del coordinates of base - weight for a fixed base weight.
+Drop = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,14 @@ class Weight:
         return Weight(
             tuple(_rat(a - b) for a, b in zip(self.eps, other.eps, strict=True)),
             tuple(_rat(a - b) for a, b in zip(self.del_, other.del_, strict=True)),
+        )
+
+    def lower(self, drop: Drop) -> "Weight":
+        """self minus the integer vector `drop` (eps coordinates, then del)."""
+        m = len(self.eps)
+        return Weight(
+            tuple(_rat(a - b) for a, b in zip(self.eps, drop[:m], strict=True)),
+            tuple(_rat(a - b) for a, b in zip(self.del_, drop[m:], strict=True)),
         )
 
     def __neg__(self) -> "Weight":
@@ -218,6 +235,10 @@ class RootDatum:
 
     def root_sort_key(self, w: Weight):
         return (self.height(w), w.coords())
+
+    def drop_key(self, drop: Drop) -> tuple[int, Drop]:
+        """`root_sort_key` of the weight with integer coordinates `drop`."""
+        return (-sum(map(operator.mul, self._u_positions, drop)), drop)
 
     def admissible_highest_weight(self, lam: Weight) -> bool:
         if lam.m != self.m or lam.n != self.n:

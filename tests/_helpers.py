@@ -12,10 +12,15 @@
   degree-1 elements.
 - The Bargmann-Fock form, the value of a quadratic form and the Fraction
   elimination kept as the oracle for `exactla._rref`.
+- The even-cone test on weights with rational coordinates (partial sums
+  split into floor and remainder), the oracle for the integer drop test
+  `dirac._in_even_cone`.
 
 The package itself never needs them."""
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from superdirac import modules, uea
@@ -216,3 +221,36 @@ def fraction_rref(rows_data):
         if r == nrows:
             break
     return a, pivots
+
+
+def cone_sums(w):
+    """The eps- and del-partial sums of w's coordinates, for `in_even_cone`:
+    (remainder mod 1 of each sum as a (numerator, denominator) pair, floor of
+    each sum, floors of the two last sums)."""
+    rems, floors, totals = [], [], []
+    for part in (w.eps, w.del_):
+        q = 0
+        for s in itertools.accumulate(part):
+            q, r = divmod(s, 1)
+            rems.append((r.numerator, r.denominator))
+            floors.append(q)
+        totals.append(q)
+    return tuple(rems), tuple(floors), tuple(totals)
+
+
+def in_even_cone(w, below):
+    """Is w - below a nonnegative integer combination of positive even roots?
+    Both weights are given by their `cone_sums`.
+
+    These are eps_i - eps_j and del_k - del_l (i < j, k < l), the positive
+    roots of gl(m) and gl(n), whose simple roots e_i - e_{i+1} span the same
+    cone; w = sum c_i (e_i - e_{i+1}) has c_i the i-th partial sum of its
+    coordinates. So w - below lies in the cone iff, in the eps part and in the
+    del part, every partial sum of w is that of below plus a nonnegative
+    integer, and the last sums are equal."""
+    rems, floors, totals = w
+    return (
+        rems == below[0]
+        and totals == below[2]
+        and all(map(operator.ge, floors, below[1]))
+    )

@@ -1,6 +1,7 @@
 """Dirac blocks: the operator, its square, adjointness, cohomology, index."""
 
 import functools
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import fraction_rref
+from _helpers import cone_sums, fraction_rref, in_even_cone
 from superdirac import dirac, exactla, modules, oscillator
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.oscillator import Oscillator
@@ -208,16 +209,49 @@ def test_assemble_by_degree_matches_heights_sl21(d21):
     assert dims_h == dims_d
 
 
+def test_alpha_images_are_computed_once_per_generator_and_monomial(
+    d21, lam_typical, monkeypatch
+):
+    """sl(2|1) -2,1|1 at N=9: the highest vectors of every block apply
+    alpha(X) once per distinct (X, x^a) pair they read, and the square audit
+    adds only the two applications per even generator of its constant."""
+    mod = modules.simple_truncation(d21, lam_typical, 9)
+    coll = dirac.assemble_all(mod, 9)
+    alg = mod.alg
+    pairs = {
+        (g, a)
+        for nu, block in coll.blocks.items()
+        if block.dim
+        for g in modules.generators(alg, +1, "even")
+        if nu + alg.gen_root(g) in coll.blocks
+        for _, _, a in block.basis
+    }
+    calls = []
+    real = oscillator.weyl_apply
+
+    def counting(w, p):
+        calls.append(1)
+        return real(w, p)
+
+    monkeypatch.setattr(oscillator, "weyl_apply", counting)
+    for nu, block in coll.blocks.items():
+        if block.dim:
+            dirac.highest_vectors(coll, nu)
+    assert len(calls) == len(pairs) == 53
+    dirac.dirac_square_audit(coll)
+    assert len(calls) == len(pairs) + 2 * len(alg.even_generators())
+
+
 def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
     import math
 
     mod = coll_typical3.module
     for nu, block in coll_typical3.blocks.items():
-        for col, (lam_m, i, a) in enumerate(block.basis):
+        for col, (drop_m, i, a) in enumerate(block.basis):
             bf = Fraction(math.prod(math.factorial(e) for e in a))
-            g = mod.blocks[lam_m].gram_quot
-            for row, (lam_m2, i2, a2) in enumerate(block.basis):
-                expected = g.get(i2, i) * bf if (lam_m2 == lam_m and a2 == a) else 0
+            g = mod.blocks[lam_typical.lower(drop_m)].gram_quot
+            for row, (drop_m2, i2, a2) in enumerate(block.basis):
+                expected = g.get(i2, i) * bf if (drop_m2 == drop_m and a2 == a) else 0
                 assert block.gram.get(row, col) == expected
 
 
@@ -447,13 +481,17 @@ def test_block_ranks_match_sympy(data):
     ids=["sl21-p1", "sl21-p2", "sl22", "sl23", "gl33-p2", "gl32-p1"],
 )
 def test_even_cone_matches_search(group):
+    """The rational-weight cone test (`_helpers.in_even_cone`) against the
+    root search on 1500 random weights per group; on the integral ones, the
+    package's integer drop test as well, reading the weight as the
+    difference drop(below) - drop(above) of two drops from one base."""
     datum = build_root_datum(*group)
     rng = random.Random(str(group))
     halves = [Fraction(k, 2) for k in range(-2, 3)]
     roots = [r.weight for r in datum.pos_even]
     oracle = _even_cone_search(datum)
-    zero = dirac._cone_sums(datum.zero())
-    seen = set()
+    zero = cone_sums(datum.zero())
+    seen, seen_integral = set(), set()
     for _ in range(1500):
         if rng.random() < 0.5:
             w = Weight.make(
@@ -468,7 +506,7 @@ def test_even_cone_matches_search(group):
                 w = w + datum.basis_weight(rng.randrange(datum.m + datum.n)).scale(
                     rng.choice(halves)
                 )
-        got = dirac._in_even_cone(dirac._cone_sums(w), zero)
+        got = in_even_cone(cone_sums(w), zero)
         assert got == oracle(w), w.text()
         seen.add(got)
         # the same difference, read off two weights that are not zero
@@ -476,7 +514,44 @@ def test_even_cone_matches_search(group):
             [rng.choice(halves) for _ in range(datum.m)],
             [rng.choice(halves) for _ in range(datum.n)],
         )
-        assert dirac._in_even_cone(dirac._cone_sums(below + w), dirac._cone_sums(below)) == got
+        assert in_even_cone(cone_sums(below + w), cone_sums(below)) == got
+        if all(type(c) is int for c in w.coords()):
+            above = tuple(rng.randint(-2, 2) for _ in range(datum.m + datum.n))
+            lower = tuple(map(operator.add, above, w.coords()))
+            assert dirac._in_even_cone(
+                dirac._cone_sums(above, datum.m), dirac._cone_sums(lower, datum.m)
+            ) == got, w.text()
+            seen_integral.add(got)
+    assert seen == seen_integral == {True, False}
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        (SL21, "-5/3,1|1", 4),
+        (SL21, "-3/2,1/2|1/2", 4),
+        ((2, 1, 2, 0), "3/2,-1/2|1/2", 4),
+        (SL22, "-7/3,1|2/3,2/3", 3),
+    ],
+    ids=["sl21-thirds", "sl21-half", "sl21-p2-half", "sl22-thirds"],
+)
+def test_integer_cone_test_matches_oracle_on_blocks(group, weight, height):
+    """On every ordered pair of Dirac blocks of a highest weight with
+    non-integral coordinates, the integer drop test agrees with the
+    rational-weight oracle applied to the block weights."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    assert any(type(c) is Fraction for c in lam.coords())
+    coll = dirac.assemble_all(modules.simple_truncation(datum, lam, height), height)
+    blocks = list(coll.blocks.values())
+    sums = [dirac._cone_sums(b.drop, datum.m) for b in blocks]
+    weight_sums = [cone_sums(b.nu) for b in blocks]
+    seen = set()
+    for b0, s0, w0 in zip(blocks, sums, weight_sums):
+        for b, s, w in zip(blocks, sums, weight_sums):
+            got = dirac._in_even_cone(s0, s)
+            assert got == in_even_cone(w0, w), (b0.nu.text(), b.nu.text())
+            seen.add(got)
     assert seen == {True, False}
 
 
@@ -551,9 +626,17 @@ def _oracle_degree_weights(module, max_degree):
     return out
 
 
+def _drop(base, w):
+    """base - w as a tuple of ints; fails unless every coordinate is integral."""
+    coords = (base - w).coords()
+    assert all(Fraction(c).denominator == 1 for c in coords), (base - w).text()
+    return tuple(int(c) for c in coords)
+
+
 def _oracle_basis(module, nu, osc):
     """The basis of the block nu: every module weight lam_m of nonzero block
-    dimension, and every solution a of sum a_k gamma_k = lam_m - nu - rho1."""
+    dimension, and every solution a of sum a_k gamma_k = lam_m - nu - rho1;
+    each entry names lam_m by its drop L - lam_m."""
     datum = module.datum
     lam = module.highest_weight
     basis = []
@@ -561,7 +644,7 @@ def _oracle_basis(module, nu, osc):
         for a in _exponent_solutions(osc, lam_m - nu - datum.rho1):
             basis += [(lam_m, i, a) for i in range(module.block_dim(lam_m))]
     basis.sort(key=lambda e: (datum.root_sort_key(lam - e[0]), e[1], e[2]))
-    return basis
+    return [(_drop(lam, lam_m), i, a) for lam_m, i, a in basis]
 
 
 def test_exponent_solutions(d21):
@@ -598,7 +681,7 @@ def test_exponent_solutions_match_brute_force(group):
 
 
 
-@pytest.mark.parametrize(
+BASES_GRID = pytest.mark.parametrize(
     "group, weight, height",
     [
         ((2, 1, 0, 2), "-2,1|1", 4),
@@ -614,32 +697,79 @@ def test_exponent_solutions_match_brute_force(group):
     ids=["sl21-p0", "sl21-p0-half", "sl21-p1", "sl21-p1-half", "sl21-p2",
          "sl21-p2-half", "sl22", "sl23", "gl33-p2"],
 )
-@pytest.mark.parametrize("kind", ["simple", "verma"])
-def test_block_bases_match_root_dfs_oracle(group, weight, height, kind):
-    """One pass lists the same blocks (in order, empty ones included) and
-    the same bases as the root DFS with a per-block exponent search."""
+DEGREE_GROUPS = pytest.mark.parametrize(
+    "group", [(2, 1, 0, 2), SL21, (2, 1, 2, 0), SL22, SL23, GL33]
+)
+
+
+@functools.cache
+def _grid_collection(group, weight, height, kind):
     datum = build_root_datum(*group)
     lam = parse_weight(weight, datum.m, datum.n)
     build = modules.simple_truncation if kind == "simple" else modules.verma_truncation
-    coll = dirac.assemble_all(build(datum, lam, height), height)
+    return dirac.assemble_all(build(datum, lam, height), height)
+
+
+@functools.cache
+def _degree_collection(group):
+    datum = build_root_datum(*group)
+    return dirac.assemble_by_degree(modules.simple_truncation(datum, datum.zero(), 0), 4)
+
+
+@BASES_GRID
+@pytest.mark.parametrize("kind", ["simple", "verma"])
+def test_block_bases_match_root_dfs_oracle(group, weight, height, kind):
+    """One pass lists the same blocks (in order, empty ones included) and
+    the same bases as the root DFS with a per-block exponent search; each
+    block's drop is (L - rho1) - nu."""
+    coll = _grid_collection(group, weight, height, kind)
+    datum, lam = coll.module.datum, coll.module.highest_weight
     assert list(coll.blocks) == _oracle_diagonal_weights(coll.module, height)
     for nu, block in coll.blocks.items():
+        assert block.drop == _drop(lam - datum.rho1, nu), nu.text()
         assert block.basis == _oracle_basis(coll.module, nu, coll.osc), nu.text()
 
 
-@pytest.mark.parametrize("group", [(2, 1, 0, 2), SL21, (2, 1, 2, 0), SL22, SL23, GL33])
+@DEGREE_GROUPS
 def test_by_degree_blocks_match_degree_oracle(group):
     """The trivial module at degree <= 4: the blocks reached by a monomial of
     degree <= 4, each with the basis of the exponent search, at the height of
     the deepest one."""
-    datum = build_root_datum(*group)
-    coll = dirac.assemble_by_degree(modules.simple_truncation(datum, datum.zero(), 0), 4)
+    coll = _degree_collection(group)
+    datum = coll.module.datum
     base = datum.zero() - datum.rho1
     expected = _oracle_degree_weights(coll.module, 4)
     assert list(coll.blocks) == sorted(expected, key=lambda nu: datum.root_sort_key(base - nu))
     assert coll.height == max(datum.height(base - nu) for nu in expected)
     for nu, block in coll.blocks.items():
+        assert block.drop == _drop(base, nu), nu.text()
         assert block.basis == _oracle_basis(coll.module, nu, coll.osc), nu.text()
+
+
+def _assert_sorted_weights_are_the_sort(coll):
+    """Both `sorted_weights` return stored order; it must equal the sort by
+    the drop, computed here on Weights."""
+    datum, lam = coll.module.datum, coll.module.highest_weight
+    base = lam - datum.rho1
+    assert coll.sorted_weights() == sorted(
+        coll.blocks, key=lambda nu: datum.root_sort_key(base - nu)
+    )
+    mod = coll.module
+    assert mod.sorted_weights() == sorted(
+        mod.blocks, key=lambda nu: datum.root_sort_key(lam - nu)
+    )
+    assert [b.weight for b in mod.by_drop.values()] == mod.sorted_weights()
+
+
+@BASES_GRID
+@pytest.mark.parametrize("kind", ["simple", "verma"])
+def test_sorted_weights_are_the_sort_by_drop(group, weight, height, kind):
+    _assert_sorted_weights_are_the_sort(_grid_collection(group, weight, height, kind))
+
+
+@DEGREE_GROUPS
+def test_sorted_weights_are_the_sort_by_drop_by_degree(group):
+    _assert_sorted_weights_are_the_sort(_degree_collection(group))
 
 
 # ----- the integer fast path ----------------------------------------------------------
@@ -650,6 +780,11 @@ def _exact(values):
 def _canonical_values(values):
     """Every value an int, or a Fraction that is not integral."""
     return all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
+
+
+def _ints(drop):
+    """A drop: a tuple of Python ints."""
+    return type(drop) is tuple and all(type(x) is int for x in drop)
 
 
 def _canonical(weights):
@@ -666,7 +801,9 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     """D and D^2 hold Python ints; every other exact value the pipeline reads
     or reports is an int or a Fraction, never a float or a bool; every weight
     that keys a block or a table has canonical coordinates, and so does every
-    entry of the g0 action X (x) 1 + 1 (x) alpha(X) between blocks."""
+    entry of the g0 action X (x) 1 + 1 (x) alpha(X) between blocks; every
+    drop (of a module block, a Dirac block, a basis entry and a generator
+    matrix key) is a tuple of ints."""
     datum = build_root_datum(*group)
     mod = modules.simple_truncation(datum, parse_weight(weight, datum.m, datum.n), height)
     assert _canonical(mod.blocks)
@@ -676,12 +813,14 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
         if b.gram_quot.rows:
             cert = exactla.definiteness(b.gram_quot)
             assert _exact(p for _, p in cert.pivot_record)
+    assert all(_ints(b.drop) for b in mod.blocks.values())
     coll = dirac.assemble_all(mod, height)
     assert _canonical(coll.blocks)
     assert any(block.D.entries for block in coll.blocks.values())
     actions = 0
     for nu, block in coll.blocks.items():
-        assert _canonical(w for w, _, _ in block.index)
+        assert _ints(block.drop)
+        assert all(_ints(d) for d, _, _ in block.index)
         for g in mod.alg.even_generators():
             tgt = coll.blocks.get(nu + mod.alg.gen_root(g))
             if tgt is not None:
@@ -696,6 +835,7 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
         for v in dirac.highest_vectors(coll, nu):
             assert _exact(v)
     assert actions
+    assert mod._gen_columns and all(_ints(d) for _, d in mod._gen_columns)
     audit = dirac.dirac_square_audit(coll)
     assert audit.entries
     assert _exact(x for e in audit.entries for x in (e.s, e.measured))

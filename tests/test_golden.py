@@ -1,14 +1,23 @@
 """Byte-identity gate: the SHA-256 of the CLI's stdout, with its exit code,
-for every command, every `verify` suite on four inputs, and one gl(3|3)
-case. A refactor that keeps the output must keep every digest; a change that
-means to alter the output re-records the table below.
+for every command, every `verify` suite on four inputs, one gl(3|3) case and
+a highest weight with thirds. A refactor that keeps the output must keep
+every digest; a change that means to alter the output re-records the table
+below.
 
 Re-record with:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The benchmark's `deep-sl21` and `verify-cli` cases are also run here, in
+process, against `perfbench/reference.json`, so that a digest break fails
+the test suite and not only the benchmark.
 """
 
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -27,6 +36,9 @@ VERIFY_INPUTS = {
 }
 
 
+THIRDS = ["--weight=-5/3,1|1", "--height", "3"]
+
+
 def _cases():
     base = ["--weight=-2,1|1", "--height", "4"]
     cases = {
@@ -39,6 +51,9 @@ def _cases():
         "gl33-cohomology": [
             "dirac-cohomology", *GL33, "--weight=-2,-2,1|1,1,1", "--height", "2",
         ],
+        # thirds: every Dirac-block weight is L - rho1 minus an integer vector
+        "thirds-cohomology": ["dirac-cohomology", *SL21, *THIRDS],
+        "verify-square-sl21-thirds": ["verify", *SL21, *THIRDS, "--suite", "square"],
     }
     for name, (group, weight, height) in VERIFY_INPUTS.items():
         for suite in SUITES:
@@ -50,7 +65,8 @@ def _cases():
 
 CASES = _cases()
 
-# (exit code, SHA-256 of stdout), recorded before the U(g) layer was narrowed
+# (exit code, SHA-256 of stdout), recorded before the U(g) layer was narrowed;
+# the two thirds cases before the engine keyed its weights by integer drops
 DIGESTS = {
     'certify-unitarity': (0, '163dabe4d0d5d387f905c53b84d012614f031307a7b9c4ec06954e75270f4922'),
     'character': (0, 'a9423e2ce009a1fdc9d3ac397b8a867e84ea728bc9e3ef89af794cc2d922977c'),
@@ -58,6 +74,7 @@ DIGESTS = {
     'dirac-cohomology': (0, 'a021a43caa75a337dbf952ba9cb2719f8055cbf06fd951567185a46ef5170dd1'),
     'gl33-cohomology': (0, 'ae4f0b5d5b4cbcb883d85b59cd268ed7c3fb7b99e53f7ecf5b2c3ba95c385edd'),
     'index': (0, 'e5b4c8ca82b134c2e307295020e2f9df6f369df89fec2dd1c3dd35a10800451f'),
+    'thirds-cohomology': (0, '5beec494a299085fb9caf6ea77031ee06007baf52855afd9eeed6982566af54c'),
     'root-data': (0, 'c7cf26de4172077949e7c0e53de8f43c04b8f60ab162abcf4976b67b123540f9'),
     'verify-branching-sl21-atypical': (0, 'f4a8b7c825ce853116ba2a99489821dcc8e9224ce26933f600c191600ec7ca09'),
     'verify-branching-sl21-half': (0, '45742e211e2691121a3e3ac4abd9da4972588a4b15be5d9d474b8fa9267055d0'),
@@ -86,6 +103,7 @@ DIGESTS = {
     'verify-square-sl21-atypical': (0, 'dac8d5c60ba7e4243244b3c6fb51de979069b06cccc22f07e71f91b5e1bf1fac'),
     'verify-square-sl21-half': (0, '950b6ab3c850d9b39801648eaee451c7fd5feca80c82770274b70f009ae6aad8'),
     'verify-square-sl21-typical': (0, 'b92a93f007dc63dcc430d4db3db146bc231372d89b6edf7cc794f83fcea8ac0a'),
+    'verify-square-sl21-thirds': (0, 'b43e4f0c50fec1c89ee24fccdc1add97d4da3fb96f17ba4b41fd6727941385a9'),
     'verify-square-sl22-typical': (0, '06af7acc872db6d626f80de9a531d1bf577dc45e8eb7aed0f9809d6855119a4d'),
     'verify-unitarity-sl21-atypical': (0, 'e8351cc6858369a55420a4b9c6f6c4957da027fb7f06b1d2a7b194b0969593b4'),
     'verify-unitarity-sl21-half': (0, '2bcbc0d49dca08f585aa1f374390bf9ee67b5684b0f6886c59367566c2ea47b8'),
@@ -110,6 +128,35 @@ def test_every_command_and_suite_is_pinned():
     assert commands == set(main.commands)
     suites = {args[-1] for args in CASES.values() if args[0] == "verify"}
     assert suites == set(SUITES)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+WL = _load_workloads()
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+BENCH_CASES = [c for w in ("deep-sl21", "verify-cli") for c in WL.WORKLOADS[w].cases]
+
+
+@pytest.mark.parametrize("case", BENCH_CASES, ids=lambda c: c.id)
+def test_benchmark_case_matches_reference(case, tmp_path):
+    if case.suite is None:
+        code, payload = 0, WL.pipeline_payload(WL.run_pipeline(case))
+    else:
+        code, out = WL.run_cli(case.argv(str(tmp_path)))
+        payload = WL.cli_payload(out)
+    ref = REFERENCE[case.id]
+    assert (code, WL.digest(payload)) == (ref["exit_code"], ref["digest"])
 
 
 if __name__ == "__main__":
