@@ -126,7 +126,8 @@ class KostantReport:
 
 def kostant_cohomology(coll: BlockCollection) -> KostantReport:
     """H^k of the positive odd part with coefficients in the module, realized
-    per diagonal block by d = d^{p1} - delta^{q2} on M (x) M(g1)."""
+    per diagonal block by its Kostant differential d on M (x) M(g1): with one
+    rank r_k = rk(d: C^k -> C^{k+1}) per degree, h^k = dim C^k - r_k - r_{k-1}."""
     module = coll.module
     datum = module.datum
     per_degree: dict[int, dict[Weight, int]] = {}
@@ -134,20 +135,19 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
     for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
-        d = block.d_p1.add(block.delta_q2.scale(-1))
+        d = block.d
         if not d.matmul(d).is_zero():
             dd_zero = False
-        degs = [cohomological_degree(datum, a) for (_, _, a) in block.basis]
-        deg_values = sorted(set(degs))
-        idx_by_deg = {k: [i for i, dg in enumerate(degs) if dg == k] for k in deg_values}
-        for k in deg_values:
-            cols = idx_by_deg[k]
-            rows_out = idx_by_deg.get(k + 1, [])
-            rows_in = idx_by_deg.get(k - 1, [])
-            # d restricted: C^k -> C^{k+1}, and the image of d from C^{k-1}
-            ker_dim = len(cols) - exactla.rank(d.submatrix(rows_out, cols))
-            im_dim = exactla.rank(d.submatrix(cols, rows_in))
-            h = ker_dim - im_dim
+        idx_by_deg: dict[int, list[int]] = {}
+        for i, (_, _, a) in enumerate(block.basis):
+            idx_by_deg.setdefault(cohomological_degree(datum, a), []).append(i)
+        ranks = {  # r_k = 0 where C^{k+1} = 0
+            k: exactla.rank(d.submatrix(idx_by_deg[k + 1], cols))
+            for k, cols in idx_by_deg.items()
+            if k + 1 in idx_by_deg
+        }
+        for k in sorted(idx_by_deg):
+            h = len(idx_by_deg[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if h:
                 w = nu + datum.rho1
                 per_degree.setdefault(k, {})

@@ -1,7 +1,7 @@
 """Diagonal-weight blocks of M (x) M(g1), with explicit matrices for the Dirac
-operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k), its halves d/delta, the block
-Gram form, Dirac cohomology, index, and the anti-selfadjointness and square
-audits.
+operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d') and the Kostant
+differential d (d' is minus its G-adjoint), the block Gram form, Dirac
+cohomology, index, and the anti-selfadjointness and square audits.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ class DiracBlock:
     osc: Oscillator
     basis: list[BasisEntry]
     parity: list[int]  # oscillator parity (degree mod 2)
-    d_p1: SparseRationalMatrix
-    delta_p1: SparseRationalMatrix
-    d_q2: SparseRationalMatrix
-    delta_q2: SparseRationalMatrix
     D: SparseRationalMatrix
+    d: SparseRationalMatrix  # the Kostant differential d^{p1} - delta^{q2}
     # basis entry -> its position in basis, built once by assemble_block
     index: dict[BasisEntry, int] = field(repr=False, compare=False)
 
@@ -118,8 +115,8 @@ def _block_bases(
 def assemble_block(
     module: TruncatedModule, drop: Drop, osc: Oscillator, basis: list[BasisEntry]
 ) -> DiracBlock:
-    """The Dirac matrices of the block of drop `drop` on the basis
-    `_block_bases` lists."""
+    """D and the Kostant differential d of the block of drop `drop` on the
+    basis `_block_bases` lists, filled in one pass over the columns."""
     datum = module.datum
     alg = module.alg
     nu = (module.highest_weight - datum.rho1).lower(drop)
@@ -128,15 +125,11 @@ def assemble_block(
     index = {e: i for i, e in enumerate(basis)}
     parity = [oscillator.monomial_parity(a) for (_, _, a) in basis]
 
-    d_p1 = SparseRationalMatrix(dim, dim)
-    delta_p1 = SparseRationalMatrix(dim, dim)
-    d_q2 = SparseRationalMatrix(dim, dim)
-    delta_q2 = SparseRationalMatrix(dim, dim)
+    D = SparseRationalMatrix(dim, dim)
+    d = SparseRationalMatrix(dim, dim)
     pn = datum.p * datum.n
     for col, (drop_m, i, a) in enumerate(basis):
         for k in range(mn):
-            dmat = d_p1 if k < pn else d_q2
-            deltamat = delta_p1 if k < pn else delta_q2
             # d_k (x) x_k: module vector raised, oscillator exponent +1
             g = datum.odd_raising[k]
             target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
@@ -144,7 +137,9 @@ def assemble_block(
             for r, c in module.gen_columns(g, drop_m)[i]:
                 row = index.get((target, r, anew))
                 if row is not None:
-                    dmat.add_to(row, col, c)
+                    D.add_to(row, col, 2 * c)
+                    if k < pn:  # a term of d^{p1}
+                        d.add_to(row, col, c)
             # x_k (x) d_k: module vector lowered, derivative on the oscillator;
             # x_k is the lowering matrix unit times its sign
             if a[k] > 0:
@@ -155,13 +150,10 @@ def assemble_block(
                 for r, c in module.gen_columns(g, drop_m)[i]:
                     row = index.get((target, r, anew))
                     if row is not None:
-                        deltamat.add_to(row, col, f * c)
-    D = (
-        d_p1.add(d_q2).add(delta_p1.scale(-1)).add(delta_q2.scale(-1))
-    ).scale(2)
-    return DiracBlock(
-        nu, drop, module, osc, basis, parity, d_p1, delta_p1, d_q2, delta_q2, D, index
-    )
+                        D.add_to(row, col, -2 * f * c)
+                        if k >= pn:  # a term of delta^{q2}, which d subtracts
+                            d.add_to(row, col, -f * c)
+    return DiracBlock(nu, drop, module, osc, basis, parity, D, d, index)
 
 
 # ----- even (g0) structure inside blocks ---------------------------------------------
@@ -581,18 +573,26 @@ class AdjointCertificate:
 
 
 def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
-    """D^T G + G D = 0, and <d v, w> = <v, delta w> for both halves."""
+    """D^T G + G D = 0 (`ok`) and 2(d^T G - G d) + G D = 0 (`halves_adjoint`:
+    d' = D/2 - d is minus the G-adjoint of d), with G D computed once.
+
+    The second identity is equivalent to <d v, w> = <v, delta w> for both
+    halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
+    d^{q2} - delta^{p1} - delta^{q2}, its left side over 2 is
+    ((d^{p1})^T G - G delta^{p1}) + (G d^{q2} - (delta^{q2})^T G). G is
+    diagonal in the oscillator monomials, so it preserves their bigrading
+    (p1-degree, q2-degree); the two parts shift it by (-1, 0) and (0, +1), so
+    each vanishes on its own, and the second is the transpose of the q2 one."""
     g = block.gram
-    lhs = block.D.transpose().matmul(g).add(g.matmul(block.D))
+    gd = g.matmul(block.D)
+    lhs = block.D.transpose().matmul(g).add(gd)
     witness = None
     ok = lhs.is_zero()
     if not ok:
         (i, j), v = sorted(lhs.entries.items())[0]
         witness = (i, j, v)
-    halves = True
-    for d, delta in ((block.d_p1, block.delta_p1), (block.d_q2, block.delta_q2)):
-        if not d.transpose().matmul(g).add(g.matmul(delta).scale(-1)).is_zero():
-            halves = False
+    d_adj = block.d.transpose().matmul(g).add(g.matmul(block.d).scale(-1))
+    halves = d_adj.scale(2).add(gd).is_zero()
     return AdjointCertificate(ok, witness, halves)
 
 

@@ -259,7 +259,6 @@ def solve(a: SparseRationalMatrix, b: Sequence[Rational]) -> Vector | None:
 @dataclass
 class DefinitenessCertificate:
     verdict: str  # "positive-definite" | "positive-semidefinite" | "indefinite"
-    rank: int
     witness: Vector | None  # for indefinite: v with v^T G v < 0 exactly
     pivot_record: list[tuple[int, Rational]]
 
@@ -302,13 +301,11 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
             # v = e_k - sign(a[k][l]) e_l has value -2|a[k][l]| < 0
             s = 1 if a[k][l] > 0 else -1
             w = [ck - s * cl for ck, cl in zip(coords[k], coords[l])]
-            return DefinitenessCertificate("indefinite", r, tuple(w), pivot_record)
+            return DefinitenessCertificate("indefinite", tuple(w), pivot_record)
         d = a[piv][piv]
         pivot_record.append((piv, d))
         if d < 0:
-            return DefinitenessCertificate(
-                "indefinite", r, tuple(coords[piv]), pivot_record
-            )
+            return DefinitenessCertificate("indefinite", tuple(coords[piv]), pivot_record)
         r += 1
         active.remove(piv)
         # eliminate: replace e_k by e_k - (a[k][piv]/d) e_piv for active k
@@ -323,8 +320,8 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
         for l in active:
             a[piv][l] = Fraction(0)
     if r == n:
-        return DefinitenessCertificate("positive-definite", r, None, pivot_record)
-    return DefinitenessCertificate("positive-semidefinite", r, None, pivot_record)
+        return DefinitenessCertificate("positive-definite", None, pivot_record)
+    return DefinitenessCertificate("positive-semidefinite", None, pivot_record)
 
 
 @dataclass

@@ -445,8 +445,8 @@ class UnitarityCertificate:
 
 
 def dirac_scalar(datum: RootDatum, lam: Weight, mu: Weight) -> Fraction:
-    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam)."""
-    return pairing(mu + datum.rho.scale(2), mu) - pairing(lam + datum.rho.scale(2), lam)
+    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam) = (mu - lam, mu + lam + 2 rho)."""
+    return pairing(mu - lam, mu + lam + datum.rho.scale(2))
 
 
 def constituent_labels(datum: RootDatum, lam: Weight) -> list[tuple[frozenset, Weight]]:

@@ -15,6 +15,11 @@
 - The even-cone test on weights with rational coordinates (partial sums
   split into floor and remainder), the oracle for the integer drop test
   `dirac._in_even_cone`.
+- The Dirac-block oracles: the four quarters d^{p1}, delta^{p1}, d^{q2},
+  delta^{q2} filled one matrix per quarter (the oracle for the single-pass
+  assembly of D and the Kostant differential d), the pairwise adjointness of
+  the quarters, Kostant cohomology from two ranks per degree, and the Dirac
+  scalar s as two pairings.
 
 The package itself never needs them."""
 
@@ -23,7 +28,9 @@ import math
 import operator
 from fractions import Fraction
 
-from superdirac import modules, uea
+from superdirac import analysis, exactla, modules, uea
+from superdirac.exactla import SparseRationalMatrix
+from superdirac.weights import pairing
 
 
 def combine(*elements):
@@ -254,3 +261,80 @@ def in_even_cone(w, below):
         and totals == below[2]
         and all(map(operator.ge, floors, below[1]))
     )
+
+
+# ----- the Dirac-block oracles --------------------------------------------------------
+def dirac_quarters(block):
+    """(d^{p1}, delta^{p1}, d^{q2}, delta^{q2}) of a Dirac block: the terms
+    partial_k (x) x_k (d) and x_k (x) partial_k (delta), split by k < pn (p1)
+    and k >= pn (q2), each filled into its own matrix. `dirac.assemble_block`
+    stores D = 2(d^{p1} + d^{q2} - delta^{p1} - delta^{q2}) and
+    d = d^{p1} - delta^{q2} instead."""
+    module = block.module
+    datum, alg = module.datum, module.alg
+    quarters = [SparseRationalMatrix(block.dim, block.dim) for _ in range(4)]
+    d_p1, delta_p1, d_q2, delta_q2 = quarters
+    pn = datum.p * datum.n
+    for col, (drop_m, i, a) in enumerate(block.basis):
+        for k in range(datum.mn):
+            dmat = d_p1 if k < pn else d_q2
+            deltamat = delta_p1 if k < pn else delta_q2
+            g = datum.odd_raising[k]
+            target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
+            anew = a[:k] + (a[k] + 1,) + a[k + 1 :]
+            for r, c in module.gen_columns(g, drop_m)[i]:
+                row = block.index.get((target, r, anew))
+                if row is not None:
+                    dmat.add_to(row, col, c)
+            if a[k] > 0:
+                g = datum.odd_lowering[k]
+                target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
+                anew = a[:k] + (a[k] - 1,) + a[k + 1 :]
+                f = a[k] * datum.odd_lowering_sign[k]
+                for r, c in module.gen_columns(g, drop_m)[i]:
+                    row = block.index.get((target, r, anew))
+                    if row is not None:
+                        deltamat.add_to(row, col, f * c)
+    return tuple(quarters)
+
+
+def quarters_adjoint(gram, quarters):
+    """<d v, w> = <v, delta w> for both halves: d^T G = G delta for the
+    pairs (d^{p1}, delta^{p1}) and (d^{q2}, delta^{q2})."""
+    d_p1, delta_p1, d_q2, delta_q2 = quarters
+    return all(
+        d.transpose().matmul(gram).add(gram.matmul(delta).scale(-1)).is_zero()
+        for d, delta in ((d_p1, delta_p1), (d_q2, delta_q2))
+    )
+
+
+def kostant_per_degree(coll):
+    """Kostant cohomology per degree with d = d^{p1} - delta^{q2} rebuilt from
+    `dirac_quarters`, each h^k as the kernel dimension in degree k minus the
+    rank of the image from degree k - 1 (two ranks per degree): the oracle
+    for `analysis.kostant_cohomology`."""
+    datum = coll.module.datum
+    per_degree = {}
+    for nu, block in coll.blocks.items():
+        if block.dim == 0:
+            continue
+        d_p1, _, _, delta_q2 = dirac_quarters(block)
+        d = d_p1.add(delta_q2.scale(-1))
+        degs = [analysis.cohomological_degree(datum, a) for (_, _, a) in block.basis]
+        idx_by_deg = {k: [i for i, dg in enumerate(degs) if dg == k] for k in sorted(set(degs))}
+        for k, cols in idx_by_deg.items():
+            rows_out = idx_by_deg.get(k + 1, [])
+            rows_in = idx_by_deg.get(k - 1, [])
+            ker_dim = len(cols) - exactla.rank(d.submatrix(rows_out, cols))
+            h = ker_dim - exactla.rank(d.submatrix(cols, rows_in))
+            if h:
+                table = per_degree.setdefault(k, {})
+                w = nu + datum.rho1
+                table[w] = table.get(w, 0) + h
+    return per_degree
+
+
+def dirac_scalar_two_pairings(datum, lam, mu):
+    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam), the oracle for the one
+    pairing `modules.dirac_scalar` takes."""
+    return pairing(mu + datum.rho.scale(2), mu) - pairing(lam + datum.rho.scale(2), lam)

@@ -3,6 +3,7 @@
 import functools
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,8 +12,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import cone_sums, fraction_rref, in_even_cone
-from superdirac import dirac, exactla, modules, oscillator
+from _helpers import (
+    cone_sums,
+    dirac_quarters,
+    fraction_rref,
+    in_even_cone,
+    kostant_per_degree,
+    quarters_adjoint,
+)
+from superdirac import analysis, dirac, exactla, modules, oscillator
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.oscillator import Oscillator
 from superdirac.uea import Algebra
@@ -29,14 +37,6 @@ def test_highest_weight_vector_in_kernel(coll_typical3, d21, lam_typical):
 def test_square_is_square_of_operator(coll_typical3):
     for block in coll_typical3.blocks.values():
         assert block.D2.to_rows() == block.D.matmul(block.D).to_rows()
-
-
-def test_operator_assembled_from_halves(coll_typical3):
-    for b in coll_typical3.blocks.values():
-        expected = (
-            b.d_p1.add(b.d_q2).add(b.delta_p1.scale(-1)).add(b.delta_q2.scale(-1))
-        ).scale(2)
-        assert b.D.to_rows() == expected.to_rows()
 
 
 def test_square_audit_matches_pairing(coll_typical3, coll_atypical2, coll_trivial21):
@@ -772,6 +772,120 @@ def test_sorted_weights_are_the_sort_by_drop_by_degree(group):
     _assert_sorted_weights_are_the_sort(_degree_collection(group))
 
 
+# ----- D and the Kostant differential -------------------------------------------------
+ASSEMBLY_GRID = pytest.mark.parametrize(
+    "group, weight, height, kind",
+    [
+        (SL21, "-2,1|1", 3, "simple"),
+        (SL21, "-5/3,1|1", 3, "simple"),
+        (SL21, "0,0|-1", 3, "simple"),
+        (SL22, "-3,1|1,1", 2, "simple"),
+        (SL23, "-3,0|1,1,1", 3, "simple"),
+        # pn = 6 of the 9 odd directions lie in p1
+        (GL33, "-2,-2,1|1,1,1", 2, "simple"),
+        (SL21, "-2,1|1", 3, "verma"),
+    ],
+    ids=["sl21", "sl21-thirds", "sl21-refuted", "sl22", "sl23", "gl33-p2", "sl21-verma"],
+)
+
+
+@ASSEMBLY_GRID
+def test_operator_and_kostant_differential_match_quarters(group, weight, height, kind):
+    """D = 2(d^{p1} + d^{q2} - delta^{p1} - delta^{q2}) and d = d^{p1} -
+    delta^{q2}, entry by entry, against the quarters filled one matrix each;
+    the halves check of the adjoint certificate agrees with the pairwise
+    identities on those quarters."""
+    coll = _grid_collection(group, weight, height, kind)
+    both_halves = 0
+    for block in coll.blocks.values():
+        quarters = dirac_quarters(block)
+        d_p1, delta_p1, d_q2, delta_q2 = quarters
+        expected = d_p1.add(d_q2).add(delta_p1.scale(-1)).add(delta_q2.scale(-1)).scale(2)
+        assert block.D.entries == expected.entries, block.nu.text()
+        assert block.d.entries == d_p1.add(delta_q2.scale(-1)).entries, block.nu.text()
+        cert = dirac.anti_selfadjoint_certificate(block)
+        assert cert.halves_adjoint == quarters_adjoint(block.gram, quarters)
+        both_halves += bool(block.d.entries) and bool(block.D.add(block.d.scale(-2)).entries)
+    assert both_halves
+
+
+@ASSEMBLY_GRID
+def test_kostant_one_rank_per_degree_matches_two_rank_oracle(group, weight, height, kind):
+    coll = _grid_collection(group, weight, height, kind)
+    report = analysis.kostant_cohomology(coll)
+    oracle = kostant_per_degree(coll)
+    assert report.per_degree and report.per_degree == oracle
+    assert list(report.per_degree) == list(oracle)
+
+
+def _bidegree_parts(block, m):
+    """The entries of m grouped by the shift, row minus column, of the
+    (p1-degree, q2-degree) bidegree of the basis monomials."""
+    pn = block.module.datum.p * block.module.datum.n
+    bideg = [(sum(a[:pn]), sum(a[pn:])) for _, _, a in block.basis]
+    parts = {}
+    for (i, j), v in m.entries.items():
+        shift = (bideg[i][0] - bideg[j][0], bideg[i][1] - bideg[j][1])
+        parts.setdefault(shift, SparseRationalMatrix(m.rows, m.cols)).set(i, j, v)
+    return parts
+
+
+def _oracle_certificate(block):
+    """(ok, witness, halves) from D^T G + G D and the two pairwise
+    identities. The quarters are read off d and d' = D/2 - d by bidegree
+    shift: d^{p1} at (+1, 0) and -delta^{q2} at (0, -1) of d, d^{q2} at
+    (0, +1) and -delta^{p1} at (-1, 0) of d'; an entry at any other shift
+    fails the halves."""
+    g = block.gram
+    lhs = block.D.transpose().matmul(g).add(g.matmul(block.D))
+    witness = None
+    if lhs.entries:
+        (i, j), v = min(lhs.entries.items())
+        witness = (i, j, v)
+    d_parts = _bidegree_parts(block, block.d)
+    dprime_parts = _bidegree_parts(block, block.D.scale(Fraction(1, 2)).add(block.d.scale(-1)))
+    zero = SparseRationalMatrix(block.dim, block.dim)
+    quarters = (
+        d_parts.get((1, 0), zero),
+        dprime_parts.get((-1, 0), zero).scale(-1),
+        dprime_parts.get((0, 1), zero),
+        d_parts.get((0, -1), zero).scale(-1),
+    )
+    strays = set(d_parts) - {(1, 0), (0, -1)} or set(dprime_parts) - {(0, 1), (-1, 0)}
+    return lhs.is_zero(), witness, not strays and quarters_adjoint(g, quarters)
+
+
+def _doubled(m, key):
+    """m with the entry at `key` doubled."""
+    return SparseRationalMatrix(m.rows, m.cols, {**m.entries, key: 2 * m.entries[key]})
+
+
+@pytest.mark.parametrize("fixture", ["coll_typical3", "coll_refuted2"])
+def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, request):
+    """One entry of d, and separately one entry of D in each bidegree shift,
+    is doubled: `halves_adjoint` is False exactly when the pairwise oracle
+    fails, and `ok` with its witness matches D^T G + G D. On these simple
+    modules G is nondegenerate, so every alteration is seen."""
+    coll = request.getfixturevalue(fixture)
+    seen = {"d": 0, "D": 0}
+    for block in coll.blocks.values():
+        cert = dirac.anti_selfadjoint_certificate(block)
+        assert (cert.ok, cert.witness, cert.halves_adjoint) == _oracle_certificate(block)
+        assert cert.ok and cert.halves_adjoint
+        altered = []
+        if block.d.entries:
+            altered.append(("d", replace(block, d=_doubled(block.d, min(block.d.entries)))))
+        for part in _bidegree_parts(block, block.D).values():
+            altered.append(("D", replace(block, D=_doubled(block.D, min(part.entries)))))
+        for which, bad in altered:
+            cert = dirac.anti_selfadjoint_certificate(bad)
+            oracle = _oracle_certificate(bad)
+            assert (cert.ok, cert.witness, cert.halves_adjoint) == oracle, which
+            assert cert.ok == (which == "d")
+            seen[which] += not cert.halves_adjoint
+    assert seen["d"] and seen["D"]
+
+
 # ----- the integer fast path ----------------------------------------------------------
 def _exact(values):
     return all(type(x) is int or type(x) is Fraction for x in values)
@@ -798,12 +912,13 @@ def _canonical(weights):
     ids=["sl21", "sl23", "gl33-p2"],
 )
 def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
-    """D and D^2 hold Python ints; every other exact value the pipeline reads
-    or reports is an int or a Fraction, never a float or a bool; every weight
-    that keys a block or a table has canonical coordinates, and so does every
-    entry of the g0 action X (x) 1 + 1 (x) alpha(X) between blocks; every
-    drop (of a module block, a Dirac block, a basis entry and a generator
-    matrix key) is a tuple of ints."""
+    """D and D^2 hold Python ints and d holds canonical values; every other
+    exact value the pipeline reads or reports is an int or a Fraction, never
+    a float or a bool; every weight that keys a block or a table has
+    canonical coordinates, and so does every entry of the g0 action
+    X (x) 1 + 1 (x) alpha(X) between blocks; every drop (of a module block,
+    a Dirac block, a basis entry and a generator matrix key) is a tuple of
+    ints."""
     datum = build_root_datum(*group)
     mod = modules.simple_truncation(datum, parse_weight(weight, datum.m, datum.n), height)
     assert _canonical(mod.blocks)
@@ -828,6 +943,7 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
                 assert _canonical_values(x.entries.values()), (nu.text(), g)
                 actions += bool(x.entries)
         assert all(type(x) is int for x in block.D.entries.values())
+        assert _canonical_values(block.d.entries.values())
         assert all(type(x) is int for x in block.D2.entries.values())
         assert _exact(block.gram.entries.values())
         image = exactla.quotient(block.D.transpose().to_rows(), block.dim)

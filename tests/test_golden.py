@@ -1,16 +1,16 @@
 """Byte-identity gate: the SHA-256 of the CLI's stdout, with its exit code,
-for every command, every `verify` suite on four inputs, one gl(3|3) case and
-a highest weight with thirds. A refactor that keeps the output must keep
-every digest; a change that means to alter the output re-records the table
-below.
+for every command, every `verify` suite on four inputs, the Kostant and
+character suites on sl(2|3) and gl(3|3), one gl(3|3) case and a highest
+weight with thirds. A refactor that keeps the output must keep every digest;
+a change that means to alter the output re-records the table below.
 
 Re-record with:
 
     PYTHONPATH=src python tests/test_golden.py
 
-The benchmark's `deep-sl21` and `verify-cli` cases are also run here, in
-process, against `perfbench/reference.json`, so that a digest break fails
-the test suite and not only the benchmark.
+Every case of every benchmark workload is also run here, in process, against
+`perfbench/reference.json`, so that a digest break fails the test suite and
+not only the benchmark.
 """
 
 import hashlib
@@ -26,6 +26,7 @@ from superdirac.cli import SUITES, main
 
 SL21 = ["--m", "2", "--n", "1", "--p", "1", "--q", "1"]
 SL22 = ["--m", "2", "--n", "2", "--p", "1", "--q", "1"]
+SL23 = ["--m", "2", "--n", "3", "--p", "1", "--q", "1"]
 GL33 = ["--m", "3", "--n", "3", "--p", "2", "--q", "1"]
 
 VERIFY_INPUTS = {
@@ -54,6 +55,16 @@ def _cases():
         # thirds: every Dirac-block weight is L - rho1 minus an integer vector
         "thirds-cohomology": ["dirac-cohomology", *SL21, *THIRDS],
         "verify-square-sl21-thirds": ["verify", *SL21, *THIRDS, "--suite", "square"],
+        # the Kostant differential with p*n < mn: sl(2|3) p=1 and gl(3|3) p=2
+        "verify-kostant-sl23": [
+            "verify", *SL23, "--weight=-3,0|1,1,1", "--height", "3", "--suite", "kostant",
+        ],
+        "verify-kostant-gl33": [
+            "verify", *GL33, "--weight=-2,-2,1|1,1,1", "--height", "2", "--suite", "kostant",
+        ],
+        "verify-character-sl23": [
+            "verify", *SL23, "--weight=-3,0|1,1,1", "--height", "3", "--suite", "character",
+        ],
     }
     for name, (group, weight, height) in VERIFY_INPUTS.items():
         for suite in SUITES:
@@ -66,7 +77,8 @@ def _cases():
 CASES = _cases()
 
 # (exit code, SHA-256 of stdout), recorded before the U(g) layer was narrowed;
-# the two thirds cases before the engine keyed its weights by integer drops
+# the two thirds cases before the engine keyed its weights by integer drops;
+# the sl(2|3) and gl(3|3) verify cases before the Dirac block stored d
 DIGESTS = {
     'certify-unitarity': (0, '163dabe4d0d5d387f905c53b84d012614f031307a7b9c4ec06954e75270f4922'),
     'character': (0, 'a9423e2ce009a1fdc9d3ac397b8a867e84ea728bc9e3ef89af794cc2d922977c'),
@@ -84,6 +96,7 @@ DIGESTS = {
     'verify-character-sl21-half': (0, '05e2ed973c485b889792401afdc6d9fd770542cb8826f3966bf2a84af8e0dd58'),
     'verify-character-sl21-typical': (0, '3e35d1031dd998f65204d437654cacb5a5de559e41ec04544a87305f74c5aec3'),
     'verify-character-sl22-typical': (0, '4a1934683ebb3791eecd76a59b3026fdb6746f3ed832a9572b385abe16f4429f'),
+    'verify-character-sl23': (0, '5b5a1503badfd82c8a1904f6dc19943e02b95494eb20dea159df7e84a0fe9498'),
     'verify-cohomology-sl21-atypical': (2, '09370cda6abdf9901e1c085305532906be5f9274b7a22dbecf5b181d649e6d19'),
     'verify-cohomology-sl21-half': (0, '915c1786acda60bdbbaca74f74728b17b29fdff36e68df4db16e4b32abdc5713'),
     'verify-cohomology-sl21-typical': (0, '6edbbc6bb1fbf38d7411d90b38e484414ad4ab021961f777223524947f2184c0'),
@@ -100,6 +113,8 @@ DIGESTS = {
     'verify-kostant-sl21-half': (0, 'e22815ee63628759affac84d4639dc9ab381d565629b4d6ad0d2f2ad2aeaa12d'),
     'verify-kostant-sl21-typical': (0, '1f086e31c3c9f481148dc836158b0f76da3ea83e31d2292210c28b8bf65c69d2'),
     'verify-kostant-sl22-typical': (0, '3c6a02651e8339706d5406d8c589ca7e4dc0653275f0e7babacec9575ec3aa3a'),
+    'verify-kostant-sl23': (0, '40b2459ac513f2e56c63f25115df4a6eb5bd81d61a035d0604e9f9fffa0e4acd'),
+    'verify-kostant-gl33': (0, '689246b3d56e82747be9ec910a33e3e3864ef61aba437a3acb00f977a0eb9727'),
     'verify-square-sl21-atypical': (0, 'dac8d5c60ba7e4243244b3c6fb51de979069b06cccc22f07e71f91b5e1bf1fac'),
     'verify-square-sl21-half': (0, '950b6ab3c850d9b39801648eaee451c7fd5feca80c82770274b70f009ae6aad8'),
     'verify-square-sl21-typical': (0, 'b92a93f007dc63dcc430d4db3db146bc231372d89b6edf7cc794f83fcea8ac0a'),
@@ -145,7 +160,7 @@ def _load_workloads():
 
 WL = _load_workloads()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
-BENCH_CASES = [c for w in ("deep-sl21", "verify-cli") for c in WL.WORKLOADS[w].cases]
+BENCH_CASES = [c for w in WL.WORKLOADS.values() for c in w.cases]
 
 
 @pytest.mark.parametrize("case", BENCH_CASES, ids=lambda c: c.id)
