@@ -58,14 +58,16 @@ def even_decomposition(
     if certified is None:
         certified = modules.certify_unitarity(datum, lam, height).certified
     atyp = {r.weight.coords() for r in atypicality_set(datum, lam)}
+    t = (lam + datum.rho).scale(2).coords()
     entries: list[BranchingEntry] = []
     for size in range(datum.mn + 1):
         for subset in itertools.combinations(range(datum.mn), size):
-            label = lam - modules.gamma_of_subset(datum, subset)
+            gamma = modules.gamma_of_subset(datum, subset)
+            label = lam - gamma
             if any(datum.pos_odd[k].weight.coords() in atyp for k in subset):
                 entries.append(BranchingEntry(subset, label, False, "atypicality"))
                 continue
-            if subset and modules.dirac_scalar(datum, lam, label) <= 0:
+            if subset and modules.dirac_scalar(datum, t, gamma.coords()) <= 0:
                 entries.append(
                     BranchingEntry(subset, label, False, "dirac-inequality")
                 )

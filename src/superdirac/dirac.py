@@ -190,6 +190,7 @@ class BlockCollection:
     osc: Oscillator
     height: Fraction
     blocks: dict[Weight, DiracBlock]
+    by_drop: dict[Drop, DiracBlock]  # the same blocks, keyed by their drops
 
     def sorted_weights(self) -> list[Weight]:
         """The block weights in the order of the drop; the assemblies store
@@ -204,7 +205,9 @@ def assemble_all(module: TruncatedModule, height) -> BlockCollection:
         assemble_block(module, drop, osc, basis)
         for drop, basis in _block_bases(module, osc, height).items()
     ]
-    return BlockCollection(module, osc, height, {b.nu: b for b in blocks})
+    return BlockCollection(
+        module, osc, height, {b.nu: b for b in blocks}, {b.drop: b for b in blocks}
+    )
 
 
 def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollection:
@@ -233,18 +236,19 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
         for drop, basis in _block_bases(module, osc, height).items()
         if any(sum(a) <= max_degree for _, _, a in basis)
     ]
-    return BlockCollection(lifted, osc, height, {b.nu: b for b in blocks})
+    return BlockCollection(
+        lifted, osc, height, {b.nu: b for b in blocks}, {b.drop: b for b in blocks}
+    )
 
 
-def highest_vectors(
-    coll: BlockCollection, nu: Weight
-) -> list[tuple[Fraction, ...]]:
-    """Vectors of the block killed by every even raising operator X_D."""
+def highest_vectors(coll: BlockCollection, nu: Weight) -> list[tuple[int, ...]]:
+    """Integer vectors spanning the part of the block killed by every even
+    raising operator X_D."""
     block = coll.blocks[nu]
     alg = coll.module.alg
     mats = []
     for g in modules.generators(alg, +1, "even"):
-        tgt = coll.blocks.get(nu + alg.gen_root(g))
+        tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
         # raising decreases the height drop, so a missing target block is
         # empty; the map is zero there
         if tgt is not None:
@@ -258,8 +262,8 @@ class SquareAuditEntry:
     nu0: Weight  # actual g0-highest weight of the component
     mu: Weight  # shifted label nu0 + rho1
     multiplicity: int
-    s: Fraction  # (mu+2rho, mu) - (L+2rho, L) in the weight pairing
-    measured: Fraction  # eigenvalue of the squared matrix on the component
+    s: exactla.Rational  # (mu+2rho, mu) - (L+2rho, L) in the weight pairing
+    measured: exactla.Rational  # eigenvalue of the squared matrix on the component
     matched: bool  # measured == -2 s exactly
 
     def to_json(self) -> dict:
@@ -302,7 +306,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     weight-pairing prediction."""
     module = coll.module
     datum = module.datum
-    lam = module.highest_weight
+    t = (module.highest_weight + datum.rho).scale(2).coords()
     entries: list[SquareAuditEntry] = []
     # (`_cone_sums` of the block's drop, measured scalar) per entry
     by_nu0: list[tuple[ConeSums, Fraction]] = []
@@ -312,19 +316,19 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         hvs = highest_vectors(coll, nu)
         if not hvs:
             continue
-        mu = nu + datum.rho1
-        s = modules.dirac_scalar(datum, lam, mu)
-        # measured scalar: D^2 must map each highest vector to a multiple of it
+        mu = nu + datum.rho1  # = L - drop
+        s = modules.dirac_scalar(datum, t, block.drop)
+        # measured scalar: D^2 must map each highest vector to a multiple of
+        # it, checked on ints by cross multiplication against the lead entry
         measured_vals = set()
         for v in hvs:
             img = block.D2.apply(v)
-            lead = next((i for i, x in enumerate(v) if x), None)
-            c = exactla._rat(Fraction(img[lead], v[lead]))
-            if tuple(x * c for x in v) != tuple(img):
+            lead = next(i for i, x in enumerate(v) if x)
+            if any(y * v[lead] != x * img[lead] for x, y in zip(v, img)):
                 raise AssertionError(
                     f"D^2 is not scalar on a highest vector at nu={nu.text()}"
                 )
-            measured_vals.add(c)
+            measured_vals.add(exactla._rat(Fraction(img[lead], v[lead])))
         if len(measured_vals) != 1:
             raise AssertionError(
                 f"distinct D^2 scalars on one isotypic label at nu={nu.text()}"
@@ -402,8 +406,8 @@ class BlockCohomology:
     hd_plus: int
     hd_minus: int
     # explicit coordinates: kernel vectors per parity and the quotient map
-    hd_plus_classes: list[tuple[Fraction, ...]] = field(default_factory=list)
-    hd_minus_classes: list[tuple[Fraction, ...]] = field(default_factory=list)
+    hd_plus_classes: list[tuple[int, ...]] = field(default_factory=list)
+    hd_minus_classes: list[tuple[int, ...]] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -456,6 +460,8 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
     with B: odd -> even and C: even -> odd. Then ker D = ker C + ker B and
     ker D cap im D = (im B cap ker C) + (im C cap ker B), where
     dim(im B cap ker C) = rk B - rk CB and dim(im C cap ker B) = rk C - rk BC.
+    D^2 = [[BC, 0], [0, CB]], so rk CB and rk BC are the ranks of its parity
+    halves, read off the block's one cached D^2 (the square audit's).
     """
     even = [i for i, p in enumerate(block.parity) if p == 0]
     odd = [i for i, p in enumerate(block.parity) if p == 1]
@@ -463,8 +469,8 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
     c = block.D.submatrix(odd, even)
     rk_b, rk_c = exactla.rank(b), exactla.rank(c)
     both = rk_b and rk_c  # CB and BC vanish when B or C does
-    cap_plus = rk_b - (exactla.rank(c.matmul(b)) if both else 0)
-    cap_minus = rk_c - (exactla.rank(b.matmul(c)) if both else 0)
+    cap_plus = rk_b - (exactla.rank(block.D2.submatrix(odd, odd)) if both else 0)
+    cap_minus = rk_c - (exactla.rank(block.D2.submatrix(even, even)) if both else 0)
     ker_plus = len(even) - rk_c
     ker_minus = len(odd) - rk_b
     hd_plus = ker_plus - cap_plus
@@ -485,7 +491,7 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
 
 def _classes(
     kill: SparseRationalMatrix, image: SparseRationalMatrix, support: list[int], dim: int
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int, ...]]:
     """Class representatives for ker(kill) / (ker(kill) cap im(image)), lifted
     from the coordinates `support` to the whole block. Kernel vectors are
     independent modulo that intersection exactly when they are independent
@@ -523,7 +529,7 @@ def hd_ktype_table(
     # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
     # reducing modulo im D gives the target class. Where ker D cap im D = 0
     # the reduction is injective on ker D and is skipped.
-    reducers: dict[Weight, exactla.Quotient | None] = {}
+    reducers: dict[Drop, exactla.Quotient | None] = {}
     table: dict[Weight, int] = {}
     for nu, bc in report.per_block.items():
         classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
@@ -538,17 +544,16 @@ def hd_ktype_table(
         )
         mats = []
         for g in raising:
-            target_nu = nu + alg.gen_root(g)
-            tgt = coll.blocks.get(target_nu)
+            tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
             if tgt is None:
                 continue
-            if target_nu not in reducers:
-                reducers[target_nu] = (
+            if tgt.drop not in reducers:
+                reducers[tgt.drop] = (
                     exactla.quotient(tgt.D.transpose().to_rows(), tgt.dim)
-                    if report.per_block[target_nu].ker_cap_im
+                    if report.per_block[tgt.nu].ker_cap_im
                     else None
                 )
-            qm = reducers[target_nu]
+            qm = reducers[tgt.drop]
             img = diagonal_action_matrix(block, tgt, g).matmul(reps)
             mats.append(qm.reduction.matmul(img) if qm else img)
         k = len(classes) - exactla.rank(exactla.vstack(mats, len(classes)))
@@ -574,7 +579,8 @@ class AdjointCertificate:
 
 def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     """D^T G + G D = 0 (`ok`) and 2(d^T G - G d) + G D = 0 (`halves_adjoint`:
-    d' = D/2 - d is minus the G-adjoint of d), with G D computed once.
+    d' = D/2 - d is minus the G-adjoint of d) from two products, G D and G d:
+    G is symmetric, so D^T G = (G D)^T and d^T G = (G d)^T.
 
     The second identity is equivalent to <d v, w> = <v, delta w> for both
     halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
@@ -584,16 +590,12 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     (p1-degree, q2-degree); the two parts shift it by (-1, 0) and (0, +1), so
     each vanishes on its own, and the second is the transpose of the q2 one."""
     g = block.gram
-    gd = g.matmul(block.D)
-    lhs = block.D.transpose().matmul(g).add(gd)
-    witness = None
-    ok = lhs.is_zero()
-    if not ok:
-        (i, j), v = sorted(lhs.entries.items())[0]
-        witness = (i, j, v)
-    d_adj = block.d.transpose().matmul(g).add(g.matmul(block.d).scale(-1))
-    halves = d_adj.scale(2).add(gd).is_zero()
-    return AdjointCertificate(ok, witness, halves)
+    g_D, g_d = g.matmul(block.D), g.matmul(block.d)
+    lhs = g_D.transpose().add(g_D)
+    first = min(lhs.entries, default=None)  # the witness entry, if any
+    witness = None if first is None else (*first, lhs.entries[first])
+    halves = g_d.transpose().add(g_d.scale(-1)).scale(2).add(g_D).is_zero()
+    return AdjointCertificate(first is None, witness, halves)
 
 
 # ----- index --------------------------------------------------------------------------------
@@ -601,9 +603,7 @@ def dirac_index(coll: BlockCollection) -> dict[Weight, int]:
     """Per diagonal weight: even-parity dimension minus odd-parity dimension."""
     out: dict[Weight, int] = {}
     for nu, block in coll.blocks.items():
-        v = sum(1 for p in block.parity if p == 0) - sum(
-            1 for p in block.parity if p == 1
-        )
+        v = block.parity.count(0) - block.parity.count(1)
         if v:
             out[nu] = v
     return out
@@ -621,8 +621,8 @@ class InequalityEntry:
     """
 
     mu: Weight
-    s: Fraction
-    measured: Fraction
+    s: exactla.Rational
+    measured: exactla.Rational
     s_positive: bool  # s > 0: the inequality is strict at mu
     measured_positive: bool  # measured > 0: D^2 is positive at mu
 
@@ -637,16 +637,7 @@ class InequalityEntry:
 
 
 def dirac_inequality_audit(coll: BlockCollection) -> list[InequalityEntry]:
-    report = dirac_square_audit(coll)
-    out = []
-    for e in report.entries:
-        out.append(
-            InequalityEntry(
-                e.mu,
-                e.s,
-                e.measured,
-                e.s > 0,
-                e.measured > 0,
-            )
-        )
-    return out
+    return [
+        InequalityEntry(e.mu, e.s, e.measured, e.s > 0, e.measured > 0)
+        for e in dirac_square_audit(coll).entries
+    ]

@@ -3,9 +3,11 @@
 An exact entry is an `int` when it is integral and a `Fraction` otherwise
 (`_rat`), so integer matrices multiply and add on ints. Kernels, ranks,
 solutions, independent subsets and quotient coordinates all come from one
-fraction-free reduced row echelon form (`_rref`); definiteness certificates
-for symmetric Gram matrices come from a symmetric congruence. Pivoting is
-deterministic, so results are reproducible bit-for-bit.
+fraction-free elimination loop (`_rref`): ranks read its forward pass only,
+kernels are integer vectors, and only `solve` and `quotient` divide by the
+common denominator. Definiteness certificates for symmetric Gram matrices
+come from a symmetric congruence. Pivoting is deterministic, so results are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -159,7 +161,9 @@ def _integral_row(row: Sequence[Rational]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _rref(rows_data: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int, list[int]]:
+def _rref(
+    rows_data: Sequence[Sequence[Rational]], forward: bool = False
+) -> tuple[list[list[int]], int, list[int]]:
     """Fraction-free reduced row echelon form: (numerators, den, pivot column
     list) with RREF = numerators / den.
 
@@ -169,7 +173,9 @@ def _rref(rows_data: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int
     multiplication, and every row is divided exactly by the previous pivot,
     so after each step all pivot entries equal the current pivot. The pivot
     is the first nonzero entry scanning rows top-down within each column
-    left-to-right.
+    left-to-right. With `forward`, only the rows below each pivot are
+    eliminated (Bareiss): the pivots are the same, the rows only an echelon
+    form.
     """
     a = [_integral_row(row) for row in rows_data]
     nrows = len(a)
@@ -184,7 +190,7 @@ def _rref(rows_data: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int
         a[r], a[piv] = a[piv], a[r]
         prow = a[r]
         p = prow[c]
-        for i in range(nrows):
+        for i in range(r + 1 if forward else 0, nrows):
             if i == r:
                 continue
             row = a[i]
@@ -204,11 +210,12 @@ def _rref(rows_data: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int
 def rank(a: SparseRationalMatrix) -> int:
     if not a.entries:
         return 0
-    return len(_rref(a.to_rows())[2])
+    return len(_rref(a.to_rows(), forward=True)[2])
 
 
-def kernel_basis(a: SparseRationalMatrix) -> list[Vector]:
-    """Basis of ker A; vectors are exact and A·v = 0 for each."""
+def kernel_basis(a: SparseRationalMatrix) -> list[tuple[int, ...]]:
+    """Basis of ker A in integer vectors, A·v = 0 for each: |den| times the
+    RREF vector of each free column."""
     if a.cols == 0:
         return []
     if a.rows == 0:
@@ -216,12 +223,13 @@ def kernel_basis(a: SparseRationalMatrix) -> list[Vector]:
     num, den, pivots = _rref(a.to_rows())
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
-    basis: list[Vector] = []
+    sign = -1 if den > 0 else 1  # -sign(den)
+    basis = []
     for fcol in free:
         v = [0] * a.cols
-        v[fcol] = 1
+        v[fcol] = abs(den)
         for r, pc in enumerate(pivots):
-            v[pc] = _rat(Fraction(-num[r][fcol], den))
+            v[pc] = sign * num[r][fcol]
         basis.append(tuple(v))
     return basis
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from . import exactla, uea
 from .exactla import SparseRationalMatrix
 from .uea import Algebra, Gen, Word
-from .weights import Drop, RootDatum, Weight, atypicality_set, pairing
+from .weights import Drop, RootDatum, Weight, atypicality_set
 
 ModuleVector = dict[Word, exactla.Rational]
 
@@ -67,7 +67,7 @@ class Block:
     monomials: list[Word]
     parity: list[int]
     gram: SparseRationalMatrix
-    radical: list[tuple[Fraction, ...]]
+    radical: list[tuple[int, ...]]
     qmap: exactla.Quotient | None = None
     gram_quot: SparseRationalMatrix | None = None
 
@@ -444,9 +444,12 @@ class UnitarityCertificate:
         return out
 
 
-def dirac_scalar(datum: RootDatum, lam: Weight, mu: Weight) -> Fraction:
-    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam) = (mu - lam, mu + lam + 2 rho)."""
-    return pairing(mu - lam, mu + lam + datum.rho.scale(2))
+def dirac_scalar(datum: RootDatum, t: Sequence, drop: Sequence) -> exactla.Rational:
+    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam) for mu = lam - drop, given
+    t = 2(lam + rho) in coordinates: s = (drop, drop - t), the sum of
+    d_i(d_i - t_i) over the eps coordinates minus that over the del ones."""
+    terms = [d * (d - x) for d, x in zip(drop, t, strict=True)]
+    return sum(terms[: datum.m]) - sum(terms[datum.m :])
 
 
 def constituent_labels(datum: RootDatum, lam: Weight) -> list[tuple[frozenset, Weight]]:
@@ -466,8 +469,9 @@ def certify_unitarity(
 ) -> UnitarityCertificate:
     height = Fraction(height)
     module = module or simple_truncation(datum, lam, height)
+    t = (lam + datum.rho).scale(2).coords()
     audit = [
-        (mu, dirac_scalar(datum, lam, mu))
+        (mu, dirac_scalar(datum, t, (lam - mu).coords()))
         for _, mu in constituent_labels(datum, lam)
     ]
     audit = [(mu, s) for mu, s in audit if s >= 0]

@@ -18,8 +18,10 @@
 - The Dirac-block oracles: the four quarters d^{p1}, delta^{p1}, d^{q2},
   delta^{q2} filled one matrix per quarter (the oracle for the single-pass
   assembly of D and the Kostant differential d), the pairwise adjointness of
-  the quarters, Kostant cohomology from two ranks per degree, and the Dirac
-  scalar s as two pairings.
+  the quarters, the adjoint certificate from four products (D^T G, G D,
+  d^T G and G d), Kostant cohomology from two ranks per degree, and the
+  Dirac scalar s as one and as two weight pairings (the oracles for the
+  integer-drop `modules.dirac_scalar`).
 
 The package itself never needs them."""
 
@@ -334,7 +336,26 @@ def kostant_per_degree(coll):
     return per_degree
 
 
+def four_product_certificate(block):
+    """(ok, witness, halves) of `dirac.anti_selfadjoint_certificate` from four
+    products: D^T G + G D = 0, its first nonzero entry, and
+    2(d^T G - G d) + G D = 0, with D^T G and d^T G formed as products."""
+    g = block.gram
+    gd = g.matmul(block.D)
+    lhs = block.D.transpose().matmul(g).add(gd)
+    witness = None
+    if lhs.entries:
+        (i, j), v = sorted(lhs.entries.items())[0]
+        witness = (i, j, v)
+    d_adj = block.d.transpose().matmul(g).add(g.matmul(block.d).scale(-1))
+    return lhs.is_zero(), witness, d_adj.scale(2).add(gd).is_zero()
+
+
+def dirac_scalar_pairing(datum, lam, mu):
+    """s = (mu - lam, mu + lam + 2 rho) as one pairing of weights."""
+    return pairing(mu - lam, mu + lam + datum.rho.scale(2))
+
+
 def dirac_scalar_two_pairings(datum, lam, mu):
-    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam), the oracle for the one
-    pairing `modules.dirac_scalar` takes."""
+    """s = (mu + 2 rho, mu) - (lam + 2 rho, lam) as two pairings of weights."""
     return pairing(mu + datum.rho.scale(2), mu) - pairing(lam + datum.rho.scale(2), lam)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from _helpers import (
     cone_sums,
     dirac_quarters,
+    four_product_certificate,
     fraction_rref,
     in_even_cone,
     kostant_per_degree,
@@ -445,8 +446,9 @@ def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind
 @given(st.data())
 def test_block_ranks_match_sympy(data):
     """D = [[0, B], [C, 0]] on interleaved parities: the ranks of B, C, CB and
-    BC agree with sympy, and the block cohomology with its formulas and with
-    the intersection oracle."""
+    BC agree with sympy, CB and BC also read as the odd and even parity
+    halves of D^2 (as `block_cohomology` reads them), and the block
+    cohomology agrees with its formulas and with the intersection oracle."""
     n_even = data.draw(st.integers(0, 4))
     n_odd = data.draw(st.integers(0, 4))
     entry = st.integers(-2, 2)
@@ -467,7 +469,10 @@ def test_block_ranks_match_sympy(data):
     cs = SparseRationalMatrix.from_rows(c) if n_odd else SparseRationalMatrix(0, n_even)
     assert [exactla.rank(bs), exactla.rank(cs)] == [rk_b, rk_c]
     assert [exactla.rank(cs.matmul(bs)), exactla.rank(bs.matmul(cs))] == [rk_cb, rk_bc]
-    block = SimpleNamespace(nu=Weight.make([0], [0]), dim=dim, parity=list(parity), D=d)
+    d2 = d.matmul(d)
+    halves = [exactla.rank(d2.submatrix(odd, odd)), exactla.rank(d2.submatrix(even, even))]
+    assert halves == [rk_cb, rk_bc]
+    block = SimpleNamespace(nu=Weight.make([0], [0]), dim=dim, parity=list(parity), D=d, D2=d2)
     bc = dirac.block_cohomology(block)
     assert bc.ker == dim - rk_b - rk_c
     assert bc.ker_cap_im == (rk_b - rk_cb) + (rk_c - rk_bc)
@@ -864,13 +869,17 @@ def _doubled(m, key):
 def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, request):
     """One entry of d, and separately one entry of D in each bidegree shift,
     is doubled: `halves_adjoint` is False exactly when the pairwise oracle
-    fails, and `ok` with its witness matches D^T G + G D. On these simple
-    modules G is nondegenerate, so every alteration is seen."""
+    fails, and `ok` with its witness matches D^T G + G D; all three match the
+    four-product oracle. On these simple modules G is nondegenerate, so every
+    alteration is seen. Every block Gram is symmetric, which is what lets
+    the certificate read D^T G as (G D)^T."""
     coll = request.getfixturevalue(fixture)
     seen = {"d": 0, "D": 0}
     for block in coll.blocks.values():
+        assert block.gram.is_symmetric()
         cert = dirac.anti_selfadjoint_certificate(block)
         assert (cert.ok, cert.witness, cert.halves_adjoint) == _oracle_certificate(block)
+        assert (cert.ok, cert.witness, cert.halves_adjoint) == four_product_certificate(block)
         assert cert.ok and cert.halves_adjoint
         altered = []
         if block.d.entries:
@@ -881,9 +890,42 @@ def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, r
             cert = dirac.anti_selfadjoint_certificate(bad)
             oracle = _oracle_certificate(bad)
             assert (cert.ok, cert.witness, cert.halves_adjoint) == oracle, which
+            assert (cert.ok, cert.witness, cert.halves_adjoint) == four_product_certificate(bad)
             assert cert.ok == (which == "d")
             seen[which] += not cert.halves_adjoint
     assert seen["d"] and seen["D"]
+
+
+def test_each_product_is_formed_once_per_block(d21, lam_typical, monkeypatch):
+    """sl(2|1) -2,1|1 at N=6, counting `SparseRationalMatrix.matmul` calls:
+    cohomology forms no product but the cached D^2 = D D, the square audit
+    forms no further D D, so D D is formed once on every nonempty block and
+    never on an empty one; with D^2 cached, `block_cohomology` forms no
+    product; the adjoint certificate forms two per block (G D and G d)."""
+    coll = dirac.assemble_all(modules.simple_truncation(d21, lam_typical, 6), 6)
+    calls = []
+    matmul = SparseRationalMatrix.matmul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseRationalMatrix, "matmul", counted)
+    blocks = list(coll.blocks.values())
+    dirac.dirac_cohomology(coll)
+    in_cohomology = len(calls)
+    dirac.dirac_square_audit(coll)
+    squares = [sum(a is b is block.D for a, b in calls) for block in blocks]
+    assert squares == [int(block.dim > 0) for block in blocks]
+    assert 0 < in_cohomology == sum(a is b for a, b in calls[:in_cohomology])
+    calls.clear()
+    for block in blocks:
+        dirac.block_cohomology(block)
+    assert calls == []
+    for block in blocks:
+        dirac.anti_selfadjoint_certificate(block)
+        assert len(calls) == 2
+        calls.clear()
 
 
 # ----- the integer fast path ----------------------------------------------------------
@@ -949,7 +991,7 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
         image = exactla.quotient(block.D.transpose().to_rows(), block.dim)
         assert _exact(image.reduction.entries.values())
         for v in dirac.highest_vectors(coll, nu):
-            assert _exact(v)
+            assert type(v) is tuple and all(type(x) is int for x in v)
     assert actions
     assert mod._gen_columns and all(_ints(d) for _, d in mod._gen_columns)
     audit = dirac.dirac_square_audit(coll)

@@ -363,6 +363,7 @@ def test_rref_matches_fraction_oracle(rows):
     num, den, pivots = exactla._rref(rows)
     rr, oracle_pivots = fraction_rref(rows)
     assert pivots == oracle_pivots
+    assert exactla._rref(rows, forward=True)[2] == oracle_pivots  # the pass `rank` reads
     assert type(den) is int and den != 0
     assert all(type(x) is int for row in num for x in row)
     assert [[Fraction(x, den) for x in row] for row in num] == rr
@@ -391,8 +392,13 @@ def test_rank_kernel_solve_quotient_match_fraction_oracle(rows, data):
     assert exactla.rank(a) == len(pivots)
     if cols:
         kern = exactla.kernel_basis(a)
-        assert kern == _oracle_kernel(a.to_rows(), cols)
-        assert all(_canonical(v) for v in kern)
+        oracle = _oracle_kernel(a.to_rows(), cols)
+        assert len(kern) == len(oracle)
+        for v, w in zip(kern, oracle):  # an int tuple, a positive multiple of w
+            assert type(v) is tuple and all(type(x) is int for x in v)
+            lead = next(i for i, x in enumerate(w) if x)
+            c = Fraction(v[lead], w[lead])
+            assert c > 0 and v == tuple(c * x for x in w)
     # solve against a right-hand side in the image, and an arbitrary one
     for b in (a.apply(data.draw(st.lists(mixed, min_size=cols, max_size=cols))),
               data.draw(st.lists(mixed, min_size=a.rows, max_size=a.rows))):

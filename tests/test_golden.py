@@ -1,6 +1,6 @@
 """Byte-identity gate: the SHA-256 of the CLI's stdout, with its exit code,
-for every command, every `verify` suite on four inputs, the Kostant and
-character suites on sl(2|3) and gl(3|3), one gl(3|3) case and a highest
+for every command, every `verify` suite on four inputs, the Kostant, square
+and character suites on sl(2|3) and gl(3|3), one gl(3|3) case and a highest
 weight with thirds. A refactor that keeps the output must keep every digest;
 a change that means to alter the output re-records the table below.
 
@@ -62,6 +62,13 @@ def _cases():
         "verify-kostant-gl33": [
             "verify", *GL33, "--weight=-2,-2,1|1,1,1", "--height", "2", "--suite", "kostant",
         ],
+        # several even raising generators stack their maps into one kernel
+        "verify-square-sl23": [
+            "verify", *SL23, "--weight=-3,0|1,1,1", "--height", "3", "--suite", "square",
+        ],
+        "verify-square-gl33": [
+            "verify", *GL33, "--weight=-2,-2,1|1,1,1", "--height", "2", "--suite", "square",
+        ],
         "verify-character-sl23": [
             "verify", *SL23, "--weight=-3,0|1,1,1", "--height", "3", "--suite", "character",
         ],
@@ -78,7 +85,8 @@ CASES = _cases()
 
 # (exit code, SHA-256 of stdout), recorded before the U(g) layer was narrowed;
 # the two thirds cases before the engine keyed its weights by integer drops;
-# the sl(2|3) and gl(3|3) verify cases before the Dirac block stored d
+# the sl(2|3) and gl(3|3) verify cases before the Dirac block stored d, their
+# square suites before the Dirac audits moved to integer kernels
 DIGESTS = {
     'certify-unitarity': (0, '163dabe4d0d5d387f905c53b84d012614f031307a7b9c4ec06954e75270f4922'),
     'character': (0, 'a9423e2ce009a1fdc9d3ac397b8a867e84ea728bc9e3ef89af794cc2d922977c'),
@@ -119,6 +127,8 @@ DIGESTS = {
     'verify-square-sl21-half': (0, '950b6ab3c850d9b39801648eaee451c7fd5feca80c82770274b70f009ae6aad8'),
     'verify-square-sl21-typical': (0, 'b92a93f007dc63dcc430d4db3db146bc231372d89b6edf7cc794f83fcea8ac0a'),
     'verify-square-sl21-thirds': (0, 'b43e4f0c50fec1c89ee24fccdc1add97d4da3fb96f17ba4b41fd6727941385a9'),
+    'verify-square-sl23': (0, '60938d544eabb94720134a71ab798af3158e4cc4b8972c906f9fdb7b7e5158cb'),
+    'verify-square-gl33': (0, '556909f61b5326ac044f8e00e543ed2bb9346bd47c354382698b99bcaa3d39c0'),
     'verify-square-sl22-typical': (0, '06af7acc872db6d626f80de9a531d1bf577dc45e8eb7aed0f9809d6855119a4d'),
     'verify-unitarity-sl21-atypical': (0, 'e8351cc6858369a55420a4b9c6f6c4957da027fb7f06b1d2a7b194b0969593b4'),
     'verify-unitarity-sl21-half': (0, '2bcbc0d49dca08f585aa1f374390bf9ee67b5684b0f6886c59367566c2ea47b8'),

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import dirac_scalar_two_pairings, quadratic_value, shapovalov_pairing
+from _helpers import (
+    dirac_scalar_pairing,
+    dirac_scalar_two_pairings,
+    quadratic_value,
+    shapovalov_pairing,
+)
 from superdirac import exactla, modules
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.weights import Weight, build_root_datum, parse_weight
@@ -280,16 +285,19 @@ def test_certified_audit_scalars_nonnegative(d21, lam_typical):
 
 
 def test_dirac_scalar_zero_on_highest_weight(d21, lam_typical):
-    assert modules.dirac_scalar(d21, lam_typical, lam_typical) == 0
+    t = (lam_typical + d21.rho).scale(2).coords()
+    assert modules.dirac_scalar(d21, t, (0,) * (d21.m + d21.n)) == 0
 
 
 @pytest.mark.parametrize(
     "group", [(2, 1, 1, 1), (2, 2, 1, 1), (3, 3, 2, 1)], ids=["sl21", "sl22", "gl33-p2"]
 )
 def test_dirac_scalar_one_pairing_matches_two(group):
-    """(mu - lam, mu + lam + 2 rho) = (mu + 2 rho, mu) - (lam + 2 rho, lam)
-    on every ordered pair of a grid of weights with half-integral and thirds
-    coordinates, and on two of them against their constituent labels."""
+    """s over the drop lam - mu with t = 2(lam + rho), the one pairing
+    (mu - lam, mu + lam + 2 rho) and the two pairings (mu + 2 rho, mu) -
+    (lam + 2 rho, lam) agree on every ordered pair of a grid of weights with
+    half-integral and thirds coordinates, and on two of them against their
+    constituent labels (integer drops)."""
     datum = build_root_datum(*group)
     values = [Fraction(k, 2) for k in range(-3, 4)] + [Fraction(k, 3) for k in (-4, -1, 2, 5)]
     rng = random.Random(13)
@@ -303,7 +311,9 @@ def test_dirac_scalar_one_pairing_matches_two(group):
     pairs = list(itertools.product(grid, repeat=2))
     pairs += [(lam, mu) for lam in grid[:2] for _, mu in modules.constituent_labels(datum, lam)]
     for lam, mu in pairs:
-        assert modules.dirac_scalar(datum, lam, mu) == dirac_scalar_two_pairings(datum, lam, mu)
+        t = (lam + datum.rho).scale(2).coords()
+        s = modules.dirac_scalar(datum, t, (lam - mu).coords())
+        assert s == dirac_scalar_pairing(datum, lam, mu) == dirac_scalar_two_pairings(datum, lam, mu)
 
 
 def test_constituent_labels_exclude_atypical_directions(d21, lam_atypical):
