@@ -5,7 +5,6 @@ cohomology, and the two character formulas.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -14,7 +13,7 @@ from . import dirac, exactla, modules
 from .dirac import BlockCollection
 from .modules import TruncatedModule, VirtualCharacter
 from .oscillator import OscMonomial
-from .weights import RootDatum, Weight, atypicality_set
+from .weights import RootDatum, Weight, harish_chandra_condition, subset_labels
 
 
 # ----- even decomposition ----------------------------------------------------------
@@ -49,30 +48,21 @@ class BranchingPrediction:
         }
 
 
-def even_decomposition(
-    datum: RootDatum, lam: Weight, height, certified: bool | None = None
-) -> BranchingPrediction:
+def even_decomposition(datum: RootDatum, lam: Weight, certified: bool) -> BranchingPrediction:
     """Predicted g0-constituents of L(lam): subsets S of the odd positive
     roots avoiding the atypicality set and (for nonempty S) satisfying the
-    strict Dirac inequality for the label lam - Gamma_S."""
-    if certified is None:
-        certified = modules.certify_unitarity(datum, lam, height).certified
-    atyp = {r.weight.coords() for r in atypicality_set(datum, lam)}
+    strict Dirac inequality for the label lam - Gamma_S. `certified` records
+    whether L(lam) was certified unitarizable."""
     t = (lam + datum.rho).scale(2).coords()
     entries: list[BranchingEntry] = []
-    for size in range(datum.mn + 1):
-        for subset in itertools.combinations(range(datum.mn), size):
-            gamma = modules.gamma_of_subset(datum, subset)
-            label = lam - gamma
-            if any(datum.pos_odd[k].weight.coords() in atyp for k in subset):
-                entries.append(BranchingEntry(subset, label, False, "atypicality"))
-                continue
-            if subset and modules.dirac_scalar(datum, t, gamma.coords()) <= 0:
-                entries.append(
-                    BranchingEntry(subset, label, False, "dirac-inequality")
-                )
-                continue
-            entries.append(BranchingEntry(subset, label, True, "none"))
+    for subset, label, atypical in subset_labels(datum, lam):
+        if atypical:
+            reason = "atypicality"
+        elif subset and modules.dirac_scalar(datum, t, (lam - label).coords()) <= 0:
+            reason = "dirac-inequality"
+        else:
+            reason = "none"
+        entries.append(BranchingEntry(subset, label, reason == "none", reason))
     return BranchingPrediction(entries, certified)
 
 
@@ -84,20 +74,13 @@ def even_decomposition_verify(
     height = Fraction(height)
     module = modules.simple_truncation(datum, lam, height)
     certified = modules.certify_unitarity(datum, lam, height, module=module).certified
-    prediction = even_decomposition(datum, lam, height, certified=certified)
-    left = modules.character(module)
-    total: dict[Weight, int] = {}
-    for label in prediction.included_labels():
-        offset = datum.height(lam - label)
-        if offset > height:
-            continue
-        even = modules.even_simple_truncation(datum, label, height - offset)
-        for nu in even.blocks:
-            d = even.block_dim(nu)
-            if d and datum.height(lam - nu) <= height:
-                total[nu] = total.get(nu, 0) + d
-    right = VirtualCharacter(total, height, lam)
-    ok, diff = modules.characters_equal_to_height(datum, left, right, lam, height)
+    prediction = even_decomposition(datum, lam, certified)
+    right = modules.even_character_sum(
+        datum, lam, prediction.included_labels(), height, "even-simple"
+    )
+    ok, diff = modules.characters_equal_to_height(
+        datum, modules.character(module), right, lam, height
+    )
     return ok, diff, prediction
 
 
@@ -168,27 +151,13 @@ def injection_check(
     datum = cohom.module.datum
     # every weight of both characters lies within the collection's height
     base = cohom.module.highest_weight - datum.rho1
-    right = VirtualCharacter(kost.total_character_shifted_back(), cohom.height, base)
+    right = VirtualCharacter(kost.total_character_shifted_back(), base)
     return modules.characters_equal_to_height(
         datum, cohom.character(), right, base, cohom.height
     )
 
 
 # ----- character formulas ----------------------------------------------------------------
-def _odd_exterior_character(datum: RootDatum) -> dict[Weight, int]:
-    """Character of the exterior algebra of the odd lowering part:
-    product over odd positive roots of (1 + e^{-gamma})."""
-    out: dict[Weight, int] = {datum.zero(): 1}
-    for r in datum.pos_odd:
-        nxt: dict[Weight, int] = {}
-        for w, m in out.items():
-            nxt[w] = nxt.get(w, 0) + m
-            w2 = w - r.weight
-            nxt[w2] = nxt.get(w2, 0) + m
-        out = nxt
-    return out
-
-
 def _compact_character(
     datum: RootDatum, mu: Weight, height: Fraction
 ) -> dict[Weight, int]:
@@ -197,19 +166,19 @@ def _compact_character(
 
 
 def _n_mu_character(
-    datum: RootDatum, mu: Weight, lam: Weight, height: Fraction
+    datum: RootDatum, ext: list[Weight], mu: Weight, lam: Weight, height: Fraction
 ) -> dict[Weight, int]:
     """Character of (exterior algebra of n1^-) (x) F^mu, truncated to weights
-    nu with ht(lam - nu) <= height."""
-    ext = _odd_exterior_character(datum)
+    nu with ht(lam - nu) <= height; `ext` lists the weights -Gamma_S of the
+    exterior algebra, one per subset S."""
     rel_height = height - datum.height(lam - mu)
     fmu = _compact_character(datum, mu, rel_height + datum.mn)
     out: dict[Weight, int] = {}
-    for w1, m1 in ext.items():
+    for w1 in ext:
         for w2, m2 in fmu.items():
             w = w1 + w2
             if datum.height(lam - w) <= height:
-                out[w] = out.get(w, 0) + m1 * m2
+                out[w] = out.get(w, 0) + m2
     return {k: v for k, v in out.items() if v}
 
 
@@ -227,6 +196,7 @@ def character_formula_check(
     datum = module.datum
     lam = module.highest_weight
     height = coll.height
+    ext = [w for _, w, _ in subset_labels(datum, datum.zero())]
     right: dict[Weight, int] = {}
     if which == "kostant":
         kost = kostant_cohomology(coll)
@@ -235,7 +205,7 @@ def character_formula_check(
         for k, table in kost.per_degree.items():
             sign = -1 if k % 2 else 1
             for mu, m in table.items():
-                for w, c in _n_mu_character(datum, mu, lam, height).items():
+                for w, c in _n_mu_character(datum, ext, mu, lam, height).items():
                     right[w] = right.get(w, 0) + sign * m * c
     elif which == "dirac-index":
         cohom = dirac.dirac_cohomology(coll)
@@ -244,12 +214,12 @@ def character_formula_check(
         for table, sign in ((plus, 1), (minus, -1)):
             for nu, m in table.items():
                 mu = nu + datum.rho1
-                for w, c in _n_mu_character(datum, mu, lam, height).items():
+                for w, c in _n_mu_character(datum, ext, mu, lam, height).items():
                     right[w] = right.get(w, 0) + sign * m * c
     else:
         raise ValueError("which must be 'kostant' or 'dirac-index'")
     return modules.characters_equal_to_height(
-        datum, modules.character(module), VirtualCharacter(right, height, lam), lam, height
+        datum, modules.character(module), VirtualCharacter(right, lam), lam, height
     )
 
 
@@ -271,8 +241,6 @@ def vogan_consistency(
 def harish_chandra_audit(coll: BlockCollection) -> bool:
     """Every g0-constituent found by the square audit has an actual highest
     weight satisfying the strict Harish-Chandra inequality."""
-    from .weights import harish_chandra_condition
-
     report = dirac.dirac_square_audit(coll)
     return all(
         harish_chandra_condition(coll.module.datum, e.nu0) for e in report.entries

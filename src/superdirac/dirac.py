@@ -347,10 +347,11 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
             continue
         below = _cone_sums(block.drop, datum.m)
         cs = sorted({c for s0, c in by_nu0 if _in_even_cone(s0, below)})
+        n = block.dim
         steps = [
-            block.D2.add(SparseRationalMatrix.identity(block.dim).scale(-c)) for c in cs
+            block.D2.add(SparseRationalMatrix(n, n, {(i, i): -c for i in range(n)})) for c in cs
         ]
-        prod = steps[0] if steps else SparseRationalMatrix.identity(block.dim)
+        prod = steps[0] if steps else SparseRationalMatrix.identity(n)
         for step in steps[1:]:
             prod = prod.matmul(step)
         if not prod.is_zero():
@@ -435,7 +436,7 @@ class CohomologyReport:
             if bc.hd_plus + bc.hd_minus
         }
         base = self.module.highest_weight - self.module.datum.rho1
-        return modules.VirtualCharacter(mult, self.height, base)
+        return modules.VirtualCharacter(mult, base)
 
     def signed_table(self) -> dict[Weight, int]:
         out = {}

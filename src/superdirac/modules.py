@@ -5,7 +5,6 @@ unitarity certification via Gram-matrix definiteness.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,7 +13,7 @@ from typing import Iterable, Sequence
 from . import exactla, uea
 from .exactla import SparseRationalMatrix
 from .uea import Algebra, Gen, Word
-from .weights import Drop, RootDatum, Weight, atypicality_set
+from .weights import Drop, RootDatum, Weight, subset_labels
 
 ModuleVector = dict[Word, exactla.Rational]
 
@@ -327,7 +326,6 @@ def compact_simple_truncation(datum: RootDatum, lam: Weight, height) -> Truncate
 @dataclass
 class VirtualCharacter:
     multiplicities: dict[Weight, int]
-    height: Fraction
     base: Weight  # heights measured as ht(base - nu)
 
     def coeff(self, nu: Weight) -> int:
@@ -346,7 +344,7 @@ def table_json(datum: RootDatum, base: Weight, table: dict[Weight, int]) -> list
 
 def character(module: TruncatedModule) -> VirtualCharacter:
     mult = {nu: b.dim for nu, b in module.blocks.items() if b.dim > 0}
-    return VirtualCharacter(mult, module.height, module.highest_weight)
+    return VirtualCharacter(mult, module.highest_weight)
 
 
 def characters_equal_to_height(
@@ -386,12 +384,25 @@ def ktype_table(module: TruncatedModule) -> dict[Weight, int]:
     return table
 
 
-# ----- filtration character identity -------------------------------------------------
-def gamma_of_subset(datum: RootDatum, subset: Iterable[int]) -> Weight:
-    total = datum.zero()
-    for k in subset:
-        total = total + datum.pos_odd[k].weight
-    return total
+# ----- sums of even characters ------------------------------------------------------
+def even_character_sum(
+    datum: RootDatum, lam: Weight, labels: Iterable[Weight], height, kind: str
+) -> VirtualCharacter:
+    """Sum over the labels mu of ch M0(mu) (kind "even-verma") or ch L0(mu)
+    ("even-simple") on the weights nu with ht(lam - nu) <= height: each
+    module is built to height - ht(lam - mu), with one Algebra for all."""
+    if kind not in ("even-verma", "even-simple"):
+        raise ValueError("kind must be 'even-verma' or 'even-simple'")
+    height = Fraction(height)
+    alg = Algebra(datum)
+    total: dict[Weight, int] = {}
+    for mu in labels:
+        offset = datum.height(lam - mu)
+        if offset <= height:
+            even = _build(datum, mu, height - offset, kind, alg)
+            for nu, d in character(even).multiplicities.items():
+                total[nu] = total.get(nu, 0) + d
+    return VirtualCharacter(total, lam)
 
 
 def verma_filtration_check(
@@ -400,21 +411,9 @@ def verma_filtration_check(
     """ch M(lam) = sum over subsets S of the odd positive roots of
     ch M0(lam - Gamma_S), compared to the given height."""
     height = Fraction(height)
-    alg = Algebra(datum)
-    left = character(_build(datum, lam, height, "verma", alg))
-    total: dict[Weight, int] = {}
-    for size in range(datum.mn + 1):
-        for subset in itertools.combinations(range(datum.mn), size):
-            hw = lam - gamma_of_subset(datum, subset)
-            offset = datum.height(lam - hw)
-            if offset > height:
-                continue
-            even = _build(datum, hw, height - offset, "even-verma", alg)
-            for nu in even.blocks:
-                if datum.height(lam - nu) > height:
-                    continue
-                total[nu] = total.get(nu, 0) + even.block_dim(nu)
-    right = VirtualCharacter(total, height, lam)
+    left = character(_build(datum, lam, height, "verma"))
+    labels = [mu for _, mu, _ in subset_labels(datum, lam)]
+    right = even_character_sum(datum, lam, labels, height, "even-verma")
     return characters_equal_to_height(datum, left, right, lam, height)
 
 
@@ -452,18 +451,6 @@ def dirac_scalar(datum: RootDatum, t: Sequence, drop: Sequence) -> exactla.Ratio
     return sum(terms[: datum.m]) - sum(terms[datum.m :])
 
 
-def constituent_labels(datum: RootDatum, lam: Weight) -> list[tuple[frozenset, Weight]]:
-    """Subset labels lam - Gamma_S over S disjoint from the atypicality set."""
-    atyp = {r.weight.coords() for r in atypicality_set(datum, lam)}
-    out = []
-    for size in range(datum.mn + 1):
-        for subset in itertools.combinations(range(datum.mn), size):
-            if any(datum.pos_odd[k].weight.coords() in atyp for k in subset):
-                continue
-            out.append((frozenset(subset), lam - gamma_of_subset(datum, subset)))
-    return out
-
-
 def certify_unitarity(
     datum: RootDatum, lam: Weight, height, module: TruncatedModule | None = None
 ) -> UnitarityCertificate:
@@ -472,7 +459,8 @@ def certify_unitarity(
     t = (lam + datum.rho).scale(2).coords()
     audit = [
         (mu, dirac_scalar(datum, t, (lam - mu).coords()))
-        for _, mu in constituent_labels(datum, lam)
+        for _, mu, atypical in subset_labels(datum, lam)
+        if not atypical
     ]
     audit = [(mu, s) for mu, s in audit if s >= 0]
     audit.sort(key=lambda t: datum.root_sort_key(lam - t[0]))

@@ -325,6 +325,23 @@ def atypicality_set(datum: RootDatum, lam: Weight) -> list[Root]:
     return [r for r in datum.pos_odd if pairing(shifted, r.weight) == 0]
 
 
+def subset_labels(datum: RootDatum, lam: Weight) -> list[tuple[tuple[int, ...], Weight, bool]]:
+    """(S, lam - Gamma_S, whether S meets the atypicality set of lam) for
+    every subset S of the odd positive roots (indices into `pos_odd`), by
+    size and then lexicographically; Gamma_S is the sum of the roots in S.
+    At lam = 0 the labels are the weights of the exterior algebra of n1^-."""
+    atyp = {datum.pos_odd.index(r) for r in atypicality_set(datum, lam)}
+    odd = [r.weight.coords() for r in datum.pos_odd]
+    out = []
+    for size in range(datum.mn + 1):
+        for subset in itertools.combinations(range(datum.mn), size):
+            gamma = (0,) * (datum.m + datum.n)
+            for k in subset:
+                gamma = tuple(map(operator.add, gamma, odd[k]))
+            out.append((subset, lam.lower(gamma), not atyp.isdisjoint(subset)))
+    return out
+
+
 def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> bool:
     """True iff mu + rho = w(lam + rho + sum t_i alpha_i) with alpha_i in A_lam."""
     atyp = [r.weight for r in atypicality_set(datum, lam)]

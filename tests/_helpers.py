@@ -22,6 +22,13 @@
   d^T G and G d), Kostant cohomology from two ranks per degree, and the
   Dirac scalar s as one and as two weight pairings (the oracles for the
   integer-drop `modules.dirac_scalar`).
+- The odd-subset oracles (the oracles for `weights.subset_labels` and
+  `modules.even_character_sum`): Gamma_S as a sum of root weights, the
+  labels lam - Gamma_S over the subsets S that avoid the atypicality set,
+  the exterior character of n1^- as the product of (1 + e^{-gamma}) over the
+  odd positive roots, and the two sums of even characters written out: the
+  Verma filtration's sum of ch M0(lam - Gamma_S) over every S, and the
+  branching sum of ch L0(mu) over given labels mu.
 
 The package itself never needs them."""
 
@@ -32,7 +39,7 @@ from fractions import Fraction
 
 from superdirac import analysis, exactla, modules, uea
 from superdirac.exactla import SparseRationalMatrix
-from superdirac.weights import pairing
+from superdirac.weights import atypicality_set, pairing
 
 
 def combine(*elements):
@@ -359,3 +366,74 @@ def dirac_scalar_pairing(datum, lam, mu):
 def dirac_scalar_two_pairings(datum, lam, mu):
     """s = (mu + 2 rho, mu) - (lam + 2 rho, lam) as two pairings of weights."""
     return pairing(mu + datum.rho.scale(2), mu) - pairing(lam + datum.rho.scale(2), lam)
+
+
+# ----- odd-subset oracles ---------------------------------------------------------------
+def gamma_of_subset(datum, subset):
+    """Gamma_S, the sum of the odd positive roots indexed by S."""
+    total = datum.zero()
+    for k in subset:
+        total = total + datum.pos_odd[k].weight
+    return total
+
+
+def constituent_labels(datum, lam):
+    """Subset labels lam - Gamma_S over S disjoint from the atypicality set."""
+    atyp = {r.weight.coords() for r in atypicality_set(datum, lam)}
+    out = []
+    for size in range(datum.mn + 1):
+        for subset in itertools.combinations(range(datum.mn), size):
+            if any(datum.pos_odd[k].weight.coords() in atyp for k in subset):
+                continue
+            out.append((frozenset(subset), lam - gamma_of_subset(datum, subset)))
+    return out
+
+
+def odd_exterior_character(datum):
+    """Character of the exterior algebra of the odd lowering part:
+    product over odd positive roots of (1 + e^{-gamma})."""
+    out = {datum.zero(): 1}
+    for r in datum.pos_odd:
+        nxt = {}
+        for w, m in out.items():
+            nxt[w] = nxt.get(w, 0) + m
+            w2 = w - r.weight
+            nxt[w2] = nxt.get(w2, 0) + m
+        out = nxt
+    return out
+
+
+def filtration_even_sum(datum, lam, height):
+    """Sum over every subset S of ch M0(lam - Gamma_S) on the weights nu with
+    ht(lam - nu) <= height, one module built per label."""
+    height = Fraction(height)
+    total = {}
+    for size in range(datum.mn + 1):
+        for subset in itertools.combinations(range(datum.mn), size):
+            hw = lam - gamma_of_subset(datum, subset)
+            offset = datum.height(lam - hw)
+            if offset > height:
+                continue
+            even = modules.even_verma_truncation(datum, hw, height - offset)
+            for nu in even.blocks:
+                if datum.height(lam - nu) > height:
+                    continue
+                total[nu] = total.get(nu, 0) + even.block_dim(nu)
+    return total
+
+
+def branching_even_sum(datum, lam, labels, height):
+    """Sum over the labels mu of ch L0(mu) on the weights nu with
+    ht(lam - nu) <= height, one module built per label."""
+    height = Fraction(height)
+    total = {}
+    for label in labels:
+        offset = datum.height(lam - label)
+        if offset > height:
+            continue
+        even = modules.even_simple_truncation(datum, label, height - offset)
+        for nu in even.blocks:
+            d = even.block_dim(nu)
+            if d and datum.height(lam - nu) <= height:
+                total[nu] = total.get(nu, 0) + d
+    return total

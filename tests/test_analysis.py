@@ -10,13 +10,15 @@ from superdirac.weights import parse_weight
 # ----- even decomposition ----------------------------------------------------------
 def test_branching_constituent_counts(d21, lam_typical, lam_atypical):
     for lam, count in ((d21.zero(), 1), (lam_atypical, 2), (lam_typical, 4)):
-        pred = analysis.even_decomposition(d21, lam, 2)
+        certified = modules.certify_unitarity(d21, lam, 2).certified
+        pred = analysis.even_decomposition(d21, lam, certified)
         assert len(pred.included_labels()) == count, lam.text()
+        assert pred.verified_input is certified
 
 
 def test_branching_exclusion_reasons(d21):
     lam = parse_weight("1,0|0", 2, 1)  # atypical along del1 - eps2
-    pred = analysis.even_decomposition(d21, lam, 2, certified=False)
+    pred = analysis.even_decomposition(d21, lam, False)
     reasons = {tuple(e.subset): e.exclusion_reason for e in pred.entries}
     assert reasons[()] == "none"
     # the weight is not unitarizable: the eps1 - del1 label fails the strict
@@ -34,7 +36,8 @@ def test_branching_verify(d21, lam_typical, lam_atypical):
 
 
 def test_branching_labels_typical(d21, lam_typical):
-    pred = analysis.even_decomposition(d21, lam_typical, 2)
+    certified = modules.certify_unitarity(d21, lam_typical, 2).certified
+    pred = analysis.even_decomposition(d21, lam_typical, certified)
     g1 = d21.pos_odd[0].weight
     g2 = d21.pos_odd[1].weight
     labels = {w.coords() for w in pred.included_labels()}

@@ -1,7 +1,8 @@
 """Byte-identity gate: the SHA-256 of the CLI's stdout, with its exit code,
-for every command, every `verify` suite on four inputs, the Kostant, square
-and character suites on sl(2|3) and gl(3|3), one gl(3|3) case and a highest
-weight with thirds. A refactor that keeps the output must keep every digest;
+for every command, every `verify` suite on four inputs, every suite but
+`cohomology` and `index` on sl(2|3) and gl(3|3) (no `character` on
+gl(3|3)), one gl(3|3) cohomology case, a highest weight with thirds, a
+refuted certification and an atypical decomposition. A refactor that keeps the output must keep every digest;
 a change that means to alter the output re-records the table below.
 
 Re-record with:
@@ -72,7 +73,22 @@ def _cases():
         "verify-character-sl23": [
             "verify", *SL23, "--weight=-3,0|1,1,1", "--height", "3", "--suite", "character",
         ],
+        # the odd-subset family: the refuted certification with its audit and
+        # witness, and the `atypicality` reason of the branching prediction
+        "certify-unitarity-refuted": [
+            "certify-unitarity", *SL21, "--weight=0,0|-1", "--height", "2",
+        ],
+        "decompose-atypical": [
+            "decompose", *SL21, "--weight=-1,0|0", "--height", "3",
+        ],
     }
+    for suite in ("filtration", "branching", "unitarity"):
+        for name, group, weight in (
+            ("sl23", SL23, "-3,0|1,1,1"), ("gl33", GL33, "-2,-2,1|1,1,1"),
+        ):
+            cases[f"verify-{suite}-{name}"] = [
+                "verify", *group, f"--weight={weight}", "--height", "2", "--suite", suite,
+            ]
     for name, (group, weight, height) in VERIFY_INPUTS.items():
         for suite in SUITES:
             cases[f"verify-{suite}-{name}"] = [
@@ -86,7 +102,10 @@ CASES = _cases()
 # (exit code, SHA-256 of stdout), recorded before the U(g) layer was narrowed;
 # the two thirds cases before the engine keyed its weights by integer drops;
 # the sl(2|3) and gl(3|3) verify cases before the Dirac block stored d, their
-# square suites before the Dirac audits moved to integer kernels
+# square suites before the Dirac audits moved to integer kernels; the refuted
+# certification, the atypical decomposition and the sl(2|3)/gl(3|3)
+# filtration, branching and unitarity suites before the odd subsets were
+# enumerated in one place
 DIGESTS = {
     'certify-unitarity': (0, '163dabe4d0d5d387f905c53b84d012614f031307a7b9c4ec06954e75270f4922'),
     'character': (0, 'a9423e2ce009a1fdc9d3ac397b8a867e84ea728bc9e3ef89af794cc2d922977c'),
@@ -134,6 +153,14 @@ DIGESTS = {
     'verify-unitarity-sl21-half': (0, '2bcbc0d49dca08f585aa1f374390bf9ee67b5684b0f6886c59367566c2ea47b8'),
     'verify-unitarity-sl21-typical': (0, 'cd5f4532a4e422527aebe87a85b1c460da023471a715353d402deb3d23fbd8c2'),
     'verify-unitarity-sl22-typical': (0, '98767e2fe0aa65a580980f061fefd199987ad9cbdfa3dc34499da7905602837b'),
+    'certify-unitarity-refuted': (0, 'fe2d6468dab25dae8aa1c5c7d80ee2a0cc6917f6ed74c7ed9580fc79a7c01cfd'),
+    'decompose-atypical': (0, '93b563785991e3b16044e79160da9a3b5b7a5888a49c7589569ddcc1202de348'),
+    'verify-branching-gl33': (2, '4b75cd72dd1091d0a440a5c114691c0558c0199e2ba7048b7aa62820f5e05b63'),
+    'verify-branching-sl23': (2, 'cd2456421706dbcfe77fc39d7d5a94fecdc1eb1170da1977d0a9f2ee16384434'),
+    'verify-filtration-gl33': (0, '82a101dd2332844e7b093afb3ed7970329488b7e5be5ac44de558460390830d9'),
+    'verify-filtration-sl23': (0, '9f2d87081149d1300591e9e1cc9ef218f9774847e5bd1bdc16a17609710d61fd'),
+    'verify-unitarity-gl33': (0, 'feeda8bd79671a6f2d78b99c9f1a7bd86f6673722a9bdf649aca734b9e9435ce'),
+    'verify-unitarity-sl23': (0, '4fe8e56271294d4e1753c463a98b6cbaf47ccd60ed65f4f3304fa1aa013867d9'),
 }
 
 

@@ -271,3 +271,46 @@ def test_checker_flags_a_write_only_local():
         "    return a, g\n"
     )
     assert _write_only_locals(ast.parse(src)) == ["f.unused", "f.table", "f.total", "f.b"]
+
+
+# ----- imports inside functions -----------------------------------------------------------
+def _function_imports(tree: ast.AST) -> list[str]:
+    """`function:line` for each import statement in a function body, nested
+    functions and methods included, in line order."""
+    found = [
+        (node.lineno, func.name)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _own_nodes(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = _function_imports(tree)
+    assert not inside, (
+        f"{path.name} imports inside functions (move them to the module imports): "
+        f"{', '.join(inside)}"
+    )
+
+
+def test_checker_flags_an_import_inside_a_function():
+    src = (
+        "import os\n"
+        "def f():\n"
+        "    from os import path\n"
+        "    def g():\n"
+        "        import sys\n"
+        "        return sys\n"
+        "    return path, g\n"
+        "class C:\n"
+        "    import json\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            import re\n"
+        "        return re\n"
+    )
+    assert _function_imports(ast.parse(src)) == ["f:3", "g:5", "m:12"]

@@ -10,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    branching_even_sum,
     dirac_scalar_pairing,
     dirac_scalar_two_pairings,
+    filtration_even_sum,
     quadratic_value,
     shapovalov_pairing,
 )
-from superdirac import exactla, modules
+from superdirac import analysis, exactla, modules
 from superdirac.exactla import SparseRationalMatrix
-from superdirac.weights import Weight, build_root_datum, parse_weight
+from superdirac.weights import Weight, build_root_datum, parse_weight, subset_labels
 
 KINDS = ("verma", "simple", "even-verma", "even-simple", "compact-simple")
 
@@ -149,6 +151,36 @@ def test_verma_filtration_sl23(d23):
     lam = parse_weight("-2,1|1,0,-1", 2, 3)
     ok, diff = modules.verma_filtration_check(d23, lam, 2)
     assert ok, diff
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        ((2, 1, 1, 1), "-2,1|1", 3),
+        ((2, 1, 1, 1), "-1,0|0", 3),
+        ((2, 1, 1, 1), "-3/2,1/2|1/2", 2),
+        ((2, 1, 2, 0), "3,-1|2", 2),
+        ((2, 2, 1, 1), "-3,1|1,1", 2),
+        ((2, 3, 1, 1), "-3,0|1,1,1", 2),
+    ],
+    ids=["sl21-typical", "sl21-atypical", "sl21-half", "sl21-p2", "sl22", "sl23"],
+)
+def test_even_character_sum_matches_written_out_sums(group, weight, height):
+    """Both kinds of `even_character_sum` against the two sums written out
+    one module per label: ch M0(lam - Gamma_S) over every subset S, and
+    ch L0(mu) over the included branching labels mu."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    labels = [mu for _, mu, _ in subset_labels(datum, lam)]
+    verma = modules.even_character_sum(datum, lam, labels, height, "even-verma")
+    assert verma.base == lam
+    assert verma.multiplicities == filtration_even_sum(datum, lam, height)
+    included = analysis.even_decomposition(datum, lam, True).included_labels()
+    simple = modules.even_character_sum(datum, lam, included, height, "even-simple")
+    assert simple.base == lam
+    assert simple.multiplicities == branching_even_sum(datum, lam, included, height)
+    with pytest.raises(ValueError):
+        modules.even_character_sum(datum, lam, labels, height, "verma")
 
 
 # ----- k-types --------------------------------------------------------------------------
@@ -297,7 +329,7 @@ def test_dirac_scalar_one_pairing_matches_two(group):
     (mu - lam, mu + lam + 2 rho) and the two pairings (mu + 2 rho, mu) -
     (lam + 2 rho, lam) agree on every ordered pair of a grid of weights with
     half-integral and thirds coordinates, and on two of them against their
-    constituent labels (integer drops)."""
+    subset labels (integer drops)."""
     datum = build_root_datum(*group)
     values = [Fraction(k, 2) for k in range(-3, 4)] + [Fraction(k, 3) for k in (-4, -1, 2, 5)]
     rng = random.Random(13)
@@ -309,7 +341,7 @@ def test_dirac_scalar_one_pairing_matches_two(group):
         for _ in range(16)
     ]
     pairs = list(itertools.product(grid, repeat=2))
-    pairs += [(lam, mu) for lam in grid[:2] for _, mu in modules.constituent_labels(datum, lam)]
+    pairs += [(lam, mu) for lam in grid[:2] for _, mu, _ in subset_labels(datum, lam)]
     for lam, mu in pairs:
         t = (lam + datum.rho).scale(2).coords()
         s = modules.dirac_scalar(datum, t, (lam - mu).coords())
@@ -317,8 +349,9 @@ def test_dirac_scalar_one_pairing_matches_two(group):
 
 
 def test_constituent_labels_exclude_atypical_directions(d21, lam_atypical):
-    labels = modules.constituent_labels(d21, lam_atypical)
-    subsets = {frozenset(s) for s, _ in labels}
+    labels = subset_labels(d21, lam_atypical)
+    subsets = {s for s, _, atypical in labels if not atypical}
     # index 1 is the atypical direction del1 - eps2
-    assert frozenset() in subsets and frozenset({0}) in subsets
+    assert () in subsets and (0,) in subsets
     assert all(1 not in s for s in subsets)
+    assert all(1 in s for s, _, atypical in labels if atypical)

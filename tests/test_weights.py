@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import constituent_labels, gamma_of_subset
 from superdirac.weights import (
     Weight,
     WeylElement,
@@ -16,6 +17,7 @@ from superdirac.weights import (
     pairing,
     parse_weight,
     same_infinitesimal_character,
+    subset_labels,
 )
 
 small_rats = st.integers(-4, 4).map(Fraction)
@@ -275,3 +277,66 @@ def test_harish_chandra_condition(d21, lam_typical, lam_atypical):
     # boundary case: (lam + rho0, eps1 - eps2) = 0 exactly
     assert not harish_chandra_condition(d21, lam_atypical)
     assert not harish_chandra_condition(d21, parse_weight("1,0|0", 2, 1))
+
+
+# ----- odd subsets ------------------------------------------------------------------
+def _bitmask_labels(datum, lam):
+    """(S, lam - Gamma_S coordinates, S meets the atypicality set) from the
+    bitmasks of 0 .. 2^mn - 1, sorted by size and then lexicographically."""
+    shifted = lam + datum.rho
+    out = []
+    for mask in range(2 ** datum.mn):
+        subset = tuple(k for k in range(datum.mn) if mask >> k & 1)
+        coords = [Fraction(x) for x in lam.coords()]
+        for k in subset:
+            coords = [a - b for a, b in zip(coords, datum.pos_odd[k].weight.coords())]
+        atypical = any(pairing(shifted, datum.pos_odd[k].weight) == 0 for k in subset)
+        out.append((subset, tuple(coords), atypical))
+    return sorted(out, key=lambda e: (len(e[0]), e[0]))
+
+
+def _atypical_along_first_root(datum, lam):
+    """lam with one del coordinate moved so that (lam + rho, pos_odd[0]) = 0;
+    the first odd root is +-(eps_1 - del_1), and (x, eps_1 - del_1) = x_1 + y_1."""
+    shifted = lam + datum.rho
+    del_ = list(lam.del_)
+    del_[0] -= shifted.eps[0] + shifted.del_[0]
+    return Weight.make(lam.eps, del_)
+
+
+@pytest.mark.parametrize(
+    "group, typical, half",
+    [
+        ((2, 1, 0, 2), "-2,1|1", "-3/2,1/2|1/2"),
+        ((2, 1, 1, 1), "-2,1|1", "-3/2,1/2|1/2"),
+        ((2, 1, 2, 0), "3,-1|2", "-3/2,1/2|1/2"),
+        ((2, 2, 1, 1), "-3,1|1,1", "-3/2,1/2|1/2,1/2"),
+        ((2, 3, 1, 1), "-3,0|1,1,1", "-5/2,1/2|1/2,1/2,1"),
+        ((3, 3, 2, 1), "-4,-3,1|2,2,2", "-5/2,-3/2,1|1/2,3/2,1"),
+    ],
+    ids=["sl21-p0", "sl21-p1", "sl21-p2", "sl22", "sl23", "gl33-p2"],
+)
+def test_subset_labels_match_bitmask_oracle(group, typical, half):
+    """Every subset S, the order, the label lam - Gamma_S and the atypical
+    flag against a bitmask enumeration, against lam - `gamma_of_subset`, and
+    the unflagged subsets against `constituent_labels`, on a typical, an
+    atypical and a half-integral weight."""
+    datum = build_root_datum(*group)
+    lam_typical = parse_weight(typical, datum.m, datum.n)
+    lams = [lam_typical, _atypical_along_first_root(datum, lam_typical),
+            parse_weight(half, datum.m, datum.n)]
+    if group == (2, 1, 1, 1):
+        lams.append(parse_weight("-1,0|0", 2, 1))
+    flagged = []
+    for lam in lams:
+        labels = subset_labels(datum, lam)
+        assert len(labels) == 2 ** datum.mn
+        assert [(s, mu.coords(), a) for s, mu, a in labels] == _bitmask_labels(datum, lam)
+        assert all(mu == lam - gamma_of_subset(datum, s) for s, mu, _ in labels)
+        assert [(frozenset(s), mu) for s, mu, a in labels if not a] == constituent_labels(
+            datum, lam
+        )
+        flagged.append(any(a for _, _, a in labels))
+    assert flagged[1] and not flagged[0]
+    if len(lams) == 4:
+        assert flagged[3]
