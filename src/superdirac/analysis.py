@@ -170,9 +170,11 @@ def _n_mu_character(
 ) -> dict[Weight, int]:
     """Character of (exterior algebra of n1^-) (x) F^mu, truncated to weights
     nu with ht(lam - nu) <= height; `ext` lists the weights -Gamma_S of the
-    exterior algebra, one per subset S."""
+    exterior algebra, one per subset S. A kept weight nu = mu - Gamma_S - beta
+    (beta of F^mu) has ht(lam - nu) = ht(lam - mu) + ht(Gamma_S) + ht(beta),
+    every term >= 0, so F^mu is needed only to ht(beta) <= height - ht(lam - mu)."""
     rel_height = height - datum.height(lam - mu)
-    fmu = _compact_character(datum, mu, rel_height + datum.mn)
+    fmu = _compact_character(datum, mu, rel_height)
     out: dict[Weight, int] = {}
     for w1 in ext:
         for w2, m2 in fmu.items():

@@ -241,19 +241,31 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
     )
 
 
-def highest_vectors(coll: BlockCollection, nu: Weight) -> list[tuple[int, ...]]:
-    """Integer vectors spanning the part of the block killed by every even
-    raising operator X_D."""
-    block = coll.blocks[nu]
+def raising_stack(
+    coll: BlockCollection, block: DiracBlock, restriction: str, reduction=None
+) -> SparseRationalMatrix:
+    """X_D from the block to each existing target block, stacked over the
+    raising generators of `restriction` ("even" or "compact", as
+    `modules.generators` selects them). The matrix that `reduction(target)`
+    gives, if any, left-multiplies that target's map; None leaves it as is."""
     alg = coll.module.alg
     mats = []
-    for g in modules.generators(alg, +1, "even"):
+    for g in modules.generators(alg, +1, restriction):
         tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
         # raising decreases the height drop, so a missing target block is
         # empty; the map is zero there
-        if tgt is not None:
-            mats.append(diagonal_action_matrix(block, tgt, g))
-    return exactla.kernel_basis(exactla.vstack(mats, block.dim))
+        if tgt is None:
+            continue
+        x = diagonal_action_matrix(block, tgt, g)
+        r = reduction(tgt) if reduction else None
+        mats.append(x if r is None else r.matmul(x))
+    return exactla.vstack(mats, block.dim)
+
+
+def highest_vectors(coll: BlockCollection, nu: Weight) -> list[tuple[int, ...]]:
+    """Integer vectors spanning the part of the block killed by every even
+    raising operator X_D."""
+    return exactla.kernel_basis(raising_stack(coll, coll.blocks[nu], "even"))
 
 
 # ----- audits --------------------------------------------------------------------------
@@ -524,13 +536,21 @@ def hd_ktype_table(
     (raising_set="even", the g0-highest weights)."""
     if raising_set not in ("compact", "even"):
         raise ValueError("raising_set must be 'compact' or 'even'")
-    alg = coll.module.alg
-    raising = modules.generators(alg, +1, raising_set)
     # X_D commutes with D, so it maps kernel vectors to ker D of the target
     # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
     # reducing modulo im D gives the target class. Where ker D cap im D = 0
     # the reduction is injective on ker D and is skipped.
-    reducers: dict[Drop, exactla.Quotient | None] = {}
+    reducers: dict[Drop, SparseRationalMatrix | None] = {}
+
+    def reduction(tgt: DiracBlock) -> SparseRationalMatrix | None:
+        if tgt.drop not in reducers:
+            reducers[tgt.drop] = (
+                exactla.quotient(tgt.D.transpose().to_rows(), tgt.dim).reduction
+                if report.per_block[tgt.nu].ker_cap_im
+                else None
+            )
+        return reducers[tgt.drop]
+
     table: dict[Weight, int] = {}
     for nu, bc in report.per_block.items():
         classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
@@ -543,21 +563,8 @@ def hd_ktype_table(
             len(classes),
             {(i, j): x for j, v in enumerate(classes) for i, x in enumerate(v) if x},
         )
-        mats = []
-        for g in raising:
-            tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
-            if tgt is None:
-                continue
-            if tgt.drop not in reducers:
-                reducers[tgt.drop] = (
-                    exactla.quotient(tgt.D.transpose().to_rows(), tgt.dim)
-                    if report.per_block[tgt.nu].ker_cap_im
-                    else None
-                )
-            qm = reducers[tgt.drop]
-            img = diagonal_action_matrix(block, tgt, g).matmul(reps)
-            mats.append(qm.reduction.matmul(img) if qm else img)
-        k = len(classes) - exactla.rank(exactla.vstack(mats, len(classes)))
+        stack = raising_stack(coll, block, raising_set, reduction)
+        k = len(classes) - exactla.rank(stack.matmul(reps))
         if k:
             table[nu] = k
     return table

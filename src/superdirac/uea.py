@@ -49,61 +49,48 @@ class Algebra:
         self.m = datum.m
         self.n = datum.n
         self.dim = datum.m + datum.n
-        self._order_cache: dict[Gen, tuple] = {}
-        self._class_cache: dict[Gen, str] = {}
-        self._root_cache: dict[Gen, Weight] = {}
-        self._drop_cache: dict[Gen, Drop] = {}
         self._normal_cache: dict[Word, UEAElement] = {}
+        # one pass over the matrix units: root, drop, triangular class and
+        # PBW order key (class rank; Cartan by index, root vectors by
+        # (height, lex) of the root), then the PBW-sorted generator tuple
+        self._root: dict[Gen, Weight] = {}
+        self._drop: dict[Gen, Drop] = {}
+        self._class: dict[Gen, str] = {}
+        self._key: dict[Gen, tuple] = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                g = (i, j)
+                root = self._root[g] = datum.root_of_unit(i, j)
+                self._drop[g] = tuple(-int(c) for c in root.coords())
+                if i == j:
+                    self._class[g], self._key[g] = "cartan", (1, 0, (i,))
+                    continue
+                h = datum.height(root)
+                self._class[g] = "positive" if h > 0 else "negative"
+                self._key[g] = (2 if h > 0 else 0, h, root.coords())
+        self._generators = tuple(sorted(self._key, key=self._key.__getitem__))
 
     # ----- generator classification ------------------------------------------
     def parity(self, g: Gen) -> int:
         i, j = g
         return int((i < self.m) != (j < self.m))
 
-    def is_cartan(self, g: Gen) -> bool:
-        return g[0] == g[1]
-
     def triangular_class(self, g: Gen) -> str:
-        cls = self._class_cache.get(g)
-        if cls is None:
-            if self.is_cartan(g):
-                cls = "cartan"
-            else:
-                cls = "positive" if self.datum.height(self.gen_root(g)) > 0 else "negative"
-            self._class_cache[g] = cls
-        return cls
+        return self._class[g]
 
     def gen_root(self, g: Gen) -> Weight:
-        root = self._root_cache.get(g)
-        if root is None:
-            root = self._root_cache[g] = self.datum.root_of_unit(*g)
-        return root
+        return self._root[g]
 
     def gen_drop(self, g: Gen) -> Drop:
         """Minus the root of g as ints: the drop g adds to a weight."""
-        drop = self._drop_cache.get(g)
-        if drop is None:
-            drop = self._drop_cache[g] = tuple(-int(c) for c in self.gen_root(g).coords())
-        return drop
+        return self._drop[g]
 
     def order_key(self, g: Gen) -> tuple:
-        key = self._order_cache.get(g)
-        if key is None:
-            cls = self.triangular_class(g)
-            cls_rank = {"negative": 0, "cartan": 1, "positive": 2}[cls]
-            if cls == "cartan":
-                key = (cls_rank, 0, (g[0],))
-            else:
-                root = self.gen_root(g)
-                key = (cls_rank, self.datum.height(root), root.coords())
-            self._order_cache[g] = key
-        return key
+        return self._key[g]
 
-    def generators(self) -> list[Gen]:
-        return sorted(
-            ((i, j) for i in range(self.dim) for j in range(self.dim)),
-            key=self.order_key,
-        )
+    def generators(self) -> tuple[Gen, ...]:
+        """Every matrix unit in PBW order."""
+        return self._generators
 
     def even_generators(self) -> list[Gen]:
         return [g for g in self.generators() if self.parity(g) == 0]

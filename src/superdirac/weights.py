@@ -206,15 +206,12 @@ class RootDatum:
     def zero(self) -> Weight:
         return Weight.make([0] * self.m, [0] * self.n)
 
-    def basis_weight(self, i: int) -> Weight:
-        """Weight functional of the diagonal matrix unit E_ii (0-based index)."""
-        if i < self.m:
-            return _eps(i, self.m, self.n)
-        return _del(i - self.m, self.m, self.n)
-
     def root_of_unit(self, i: int, j: int) -> Weight:
         """Root of the matrix unit E_ij (0-based), i.e. eps/del_i - eps/del_j."""
-        return self.basis_weight(i) - self.basis_weight(j)
+        c = [0] * (self.m + self.n)
+        c[i] += 1
+        c[j] -= 1
+        return Weight(tuple(c[: self.m]), tuple(c[self.m :]))
 
     # u-order: eps_1..eps_p, del_1..del_n, eps_{p+1}..eps_m.  In this coordinate
     # order the non-standard positive system is the standard one, so height is

@@ -1,5 +1,9 @@
 """Test-only helpers shared by several test modules.
 
+- The generator-table oracles: the root of a matrix unit as a difference
+  of basis weights, and its drop, triangular class and PBW order key
+  computed from it on each call, and the matrix units sorted by that key
+  (the oracles for the table that `uea.Algebra` builds once).
 - Sums and multiples in U(g), and the U(g) oracles: the product of whole
   elements by PBW straightening, the anti-involution on words, the
   Harish-Chandra projection, evaluation at a weight, and the Shapovalov
@@ -21,7 +25,11 @@
   the quarters, the adjoint certificate from four products (D^T G, G D,
   d^T G and G d), Kostant cohomology from two ranks per degree, and the
   Dirac scalar s as one and as two weight pairings (the oracles for the
-  integer-drop `modules.dirac_scalar`).
+  integer-drop `modules.dirac_scalar`), and the g0-highest vectors of a
+  block from one kernel of the maps stacked generator by generator (the
+  oracle for `dirac.raising_stack`).
+- The character of (ext n1^-) (x) F^mu with F^mu built mn levels deeper
+  than the truncation needs (the oracle for `analysis._n_mu_character`).
 - The odd-subset oracles (the oracles for `weights.subset_labels` and
   `modules.even_character_sum`): Gamma_S as a sum of root weights, the
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
@@ -37,9 +45,47 @@ import math
 import operator
 from fractions import Fraction
 
-from superdirac import analysis, exactla, modules, uea
+from superdirac import analysis, dirac, exactla, modules, uea
 from superdirac.exactla import SparseRationalMatrix
-from superdirac.weights import atypicality_set, pairing
+from superdirac.weights import Weight, atypicality_set, pairing
+
+
+# ----- generator-table oracles ---------------------------------------------------------
+def basis_weight(datum, i):
+    """Weight functional of the diagonal matrix unit E_ii (0-based index)."""
+    unit = [int(k == i) for k in range(datum.m + datum.n)]
+    return Weight.make(unit[: datum.m], unit[datum.m :])
+
+
+def unit_root(alg, g):
+    return basis_weight(alg.datum, g[0]) - basis_weight(alg.datum, g[1])
+
+
+def unit_drop(alg, g):
+    """Minus the root of g as ints."""
+    return tuple(-int(c) for c in unit_root(alg, g).coords())
+
+
+def unit_class(alg, g):
+    if g[0] == g[1]:
+        return "cartan"
+    return "positive" if alg.datum.height(unit_root(alg, g)) > 0 else "negative"
+
+
+def unit_order_key(alg, g):
+    cls = unit_class(alg, g)
+    cls_rank = {"negative": 0, "cartan": 1, "positive": 2}[cls]
+    if cls == "cartan":
+        return (cls_rank, 0, (g[0],))
+    root = unit_root(alg, g)
+    return (cls_rank, alg.datum.height(root), root.coords())
+
+
+def units_in_pbw_order(alg):
+    return sorted(
+        ((i, j) for i in range(alg.dim) for j in range(alg.dim)),
+        key=lambda g: unit_order_key(alg, g),
+    )
 
 
 def combine(*elements):
@@ -90,7 +136,9 @@ def omega(alg, x):
 
 def hc_project(alg, x):
     x = normal_order(alg, x)
-    return {w: c for w, c in x.items() if all(alg.is_cartan(g) for g in w)}
+    return {
+        w: c for w, c in x.items() if all(alg.triangular_class(g) == "cartan" for g in w)
+    }
 
 
 def evaluate_at(alg, p, lam):
@@ -99,7 +147,7 @@ def evaluate_at(alg, p, lam):
     for word, coeff in p.items():
         val = coeff
         for g in word:
-            if not alg.is_cartan(g):
+            if alg.triangular_class(g) != "cartan":
                 raise ValueError("evaluate_at requires an element of U(h)")
             val *= coords[g[0]]
         total += val
@@ -358,6 +406,19 @@ def four_product_certificate(block):
     return lhs.is_zero(), witness, d_adj.scale(2).add(gd).is_zero()
 
 
+def highest_vectors_per_generator(coll, nu):
+    """Integer vectors spanning the part of the block killed by every even
+    raising operator X_D, one map per generator with a target block."""
+    block = coll.blocks[nu]
+    alg = coll.module.alg
+    mats = []
+    for g in modules.generators(alg, +1, "even"):
+        tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
+        if tgt is not None:
+            mats.append(dirac.diagonal_action_matrix(block, tgt, g))
+    return exactla.kernel_basis(exactla.vstack(mats, block.dim))
+
+
 def dirac_scalar_pairing(datum, lam, mu):
     """s = (mu - lam, mu + lam + 2 rho) as one pairing of weights."""
     return pairing(mu - lam, mu + lam + datum.rho.scale(2))
@@ -437,3 +498,17 @@ def branching_even_sum(datum, lam, labels, height):
             if d and datum.height(lam - nu) <= height:
                 total[nu] = total.get(nu, 0) + d
     return total
+
+
+def n_mu_character_old_bound(datum, ext, mu, lam, height):
+    """`analysis._n_mu_character` with F^mu built to height
+    ht(beta) <= height - ht(lam - mu) + mn instead of without the + mn."""
+    rel_height = height - datum.height(lam - mu)
+    mod = modules.compact_simple_truncation(datum, mu, max(rel_height + datum.mn, 0))
+    out = {}
+    for w1 in ext:
+        for nu in mod.blocks:
+            w = w1 + nu
+            if mod.block_dim(nu) and datum.height(lam - w) <= height:
+                out[w] = out.get(w, 0) + mod.block_dim(nu)
+    return {k: v for k, v in out.items() if v}

@@ -3,8 +3,9 @@ and the consistency audits."""
 
 import pytest
 
+from _helpers import n_mu_character_old_bound
 from superdirac import analysis, dirac, modules
-from superdirac.weights import parse_weight
+from superdirac.weights import build_root_datum, parse_weight, subset_labels
 
 
 # ----- even decomposition ----------------------------------------------------------
@@ -89,6 +90,41 @@ def test_character_formulas_trivial(coll_trivial21):
     for which in ("kostant", "dirac-index"):
         ok, diff = analysis.character_formula_check(coll_trivial21, which)
         assert ok, (which, diff)
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        ((2, 1, 1, 1), "-2,1|1", 4),
+        ((2, 1, 1, 1), "-1,0|0", 4),
+        ((2, 1, 1, 1), "-3/2,1/2|1/2", 3),
+        ((2, 1, 1, 1), "-5/3,1|1", 3),
+        ((2, 2, 1, 1), "-3,1|1,1", 2),
+        ((2, 3, 1, 1), "-3,0|1,1,1", 3),
+        ((3, 3, 2, 1), "-2,-2,1|1,1,1", 2),
+    ],
+)
+def test_n_mu_character_to_relative_height_matches_old_bound(group, weight, height):
+    """On the certified inputs of the golden cases, building F^mu only to
+    the relative height gives the same truncated character as building it mn
+    levels deeper, for every mu either character formula sums over and every
+    label lam - Gamma_S strictly within the height (there F^mu has weights
+    at several heights, so a bound one level too shallow shows)."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    module = modules.simple_truncation(datum, lam, height)
+    assert modules.certify_unitarity(datum, lam, height, module=module).certified
+    coll = dirac.assemble_all(module, height)
+    cohom = dirac.dirac_cohomology(coll)
+    mus = {mu for table in analysis.kostant_cohomology(coll).per_degree.values() for mu in table}
+    for sign in (+1, -1):
+        mus |= {nu + datum.rho1 for nu in dirac.hd_ktype_table(coll, cohom, sign)}
+    mus |= {mu for _, mu, _ in subset_labels(datum, lam) if datum.height(lam - mu) < height}
+    ext = [w for _, w, _ in subset_labels(datum, datum.zero())]
+    for mu in mus:
+        assert analysis._n_mu_character(
+            datum, ext, mu, lam, coll.height
+        ) == n_mu_character_old_bound(datum, ext, mu, lam, coll.height), mu.text()
 
 
 def test_character_formula_rejects_unknown_variant(coll_typical3):

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    basis_weight,
     cone_sums,
     dirac_quarters,
     four_product_certificate,
     fraction_rref,
+    highest_vectors_per_generator,
     in_even_cone,
     kostant_per_degree,
     quarters_adjoint,
@@ -181,6 +183,14 @@ def test_hd_ktype_tables_consistent(coll_typical3, rep_typical3):
         coll_typical3, rep_typical3, +1, raising_set="even"
     )
     assert sum(even_plus.values()) <= sum(plus.values())
+
+
+@pytest.mark.parametrize("raising_set", ["all", "noncompact"])
+def test_hd_ktype_table_rejects_other_raising_sets(coll_typical3, rep_typical3, raising_set):
+    """Only the even and compact raising operators commute with D; "all"
+    would reach the odd generators, which `modules.generators` accepts."""
+    with pytest.raises(ValueError, match="raising_set"):
+        dirac.hd_ktype_table(coll_typical3, rep_typical3, +1, raising_set)
 
 
 def test_uniqueness_distinct_certified_inputs_have_distinct_tables(d21):
@@ -430,6 +440,7 @@ def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind
     oracle = {nu: _oracle_block_cohomology(b) for nu, b in coll.blocks.items()}
     for nu, bc in report.per_block.items():
         assert bc.to_json() == oracle[nu].to_json()
+        assert dirac.highest_vectors(coll, nu) == highest_vectors_per_generator(coll, nu)
         classes = bc.hd_plus_classes + bc.hd_minus_classes
         assert (len(bc.hd_plus_classes), len(bc.hd_minus_classes)) == (bc.hd_plus, bc.hd_minus)
         assert all(not any(coll.blocks[nu].D.apply(v)) for v in classes)
@@ -508,7 +519,7 @@ def test_even_cone_matches_search(group):
             for r in roots:
                 w = w + r.scale(rng.randint(-1, 1))
             if rng.random() < 0.3:
-                w = w + datum.basis_weight(rng.randrange(datum.m + datum.n)).scale(
+                w = w + basis_weight(datum, rng.randrange(datum.m + datum.n)).scale(
                     rng.choice(halves)
                 )
         got = in_even_cone(cone_sums(w), zero)

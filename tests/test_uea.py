@@ -19,6 +19,11 @@ from _helpers import (
     partial_k,
     scale,
     shapovalov_pairing,
+    unit_class,
+    unit_drop,
+    unit_order_key,
+    unit_root,
+    units_in_pbw_order,
     x_k,
 )
 from superdirac import modules, uea
@@ -261,6 +266,26 @@ def test_shapovalov_symmetric(alg21):
     for u in lows:
         for v in lows:
             assert shapovalov_pairing(alg21, u, v, lam) == shapovalov_pairing(alg21, v, u, lam)
+
+
+# ----- the generator table -----------------------------------------------------------------
+@pytest.mark.parametrize(
+    "group",
+    [(2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)],
+    ids=["sl21", "sl22", "sl23", "gl33-p2"],
+)
+def test_generator_table_matches_per_call_oracles(group):
+    """The table `Algebra` builds once gives, on every matrix unit, what the
+    root datum gives on each call, and the generators sorted once by it."""
+    alg = Algebra(build_root_datum(*group))
+    units = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+    for g in units:
+        assert alg.gen_root(g) == unit_root(alg, g), g
+        assert alg.gen_drop(g) == unit_drop(alg, g), g
+        assert alg.triangular_class(g) == unit_class(alg, g), g
+        assert alg.order_key(g) == unit_order_key(alg, g), g
+    assert list(alg.generators()) == units_in_pbw_order(alg)
+    assert alg.generators() is alg.generators()  # sorted once, not per call
 
 
 # ----- integral coefficients ---------------------------------------------------------------
