@@ -75,9 +75,8 @@ def even_decomposition_verify(
     module = modules.simple_truncation(datum, lam, height)
     certified = modules.certify_unitarity(datum, lam, height, module=module).certified
     prediction = even_decomposition(datum, lam, certified)
-    right = modules.even_character_sum(
-        datum, lam, prediction.included_labels(), height, "even-simple"
-    )
+    terms = [(mu, 1) for mu in prediction.included_labels()]
+    right = modules.even_character_sum(datum, lam, terms, height, "even-simple")
     ok, diff = modules.characters_equal_to_height(
         datum, modules.character(module), right, lam, height
     )
@@ -158,68 +157,49 @@ def injection_check(
 
 
 # ----- character formulas ----------------------------------------------------------------
-def _compact_character(
-    datum: RootDatum, mu: Weight, height: Fraction
-) -> dict[Weight, int]:
-    mod = modules.compact_simple_truncation(datum, mu, max(height, Fraction(0)))
-    return {nu: mod.block_dim(nu) for nu in mod.blocks if mod.block_dim(nu)}
-
-
-def _n_mu_character(
-    datum: RootDatum, ext: list[Weight], mu: Weight, lam: Weight, height: Fraction
-) -> dict[Weight, int]:
-    """Character of (exterior algebra of n1^-) (x) F^mu, truncated to weights
-    nu with ht(lam - nu) <= height; `ext` lists the weights -Gamma_S of the
-    exterior algebra, one per subset S. A kept weight nu = mu - Gamma_S - beta
-    (beta of F^mu) has ht(lam - nu) = ht(lam - mu) + ht(Gamma_S) + ht(beta),
-    every term >= 0, so F^mu is needed only to ht(beta) <= height - ht(lam - mu)."""
-    rel_height = height - datum.height(lam - mu)
-    fmu = _compact_character(datum, mu, rel_height)
-    out: dict[Weight, int] = {}
-    for w1 in ext:
-        for w2, m2 in fmu.items():
-            w = w1 + w2
-            if datum.height(lam - w) <= height:
-                out[w] = out.get(w, 0) + m2
-    return {k: v for k, v in out.items() if v}
-
-
 def character_formula_check(
     coll: BlockCollection, which: str
 ) -> tuple[bool, Weight | None]:
-    """Two character formulas for a module H given by its block collection.
+    """Two character formulas for a module H given by its block collection,
+    each of the form ch H = ch(ext n1^-) sum_mu c_mu ch F^mu.
 
-    which="kostant": ch H = sum over degrees k and Kostant types F^mu of
-    (-1)^k [H^k : F^mu] ch((ext n1^-) (x) F^mu).
-    which="dirac-index": ch H = sum over compact types mu of H_D^+ of
-    ch((ext n1^-) (x) F^{mu+rho1}) minus the same sum over H_D^-.
+    which="kostant": c_mu = sum over degrees k of (-1)^k [H^k : F^mu].
+    which="dirac-index": c_mu = [H_D^+ : F^nu] - [H_D^- : F^nu] at mu = nu + rho1.
+
+    A kept weight w = nu - Gamma_S (nu a weight of F^mu, S a subset of the
+    odd positive roots) has ht(lam - w) = ht(lam - nu) + ht(Gamma_S), so the
+    compact sum is needed only to the truncation height: it is built once
+    and multiplied by the exterior character, the weights -Gamma_S.
     """
     module = coll.module
     datum = module.datum
     lam = module.highest_weight
     height = coll.height
-    ext = [w for _, w, _ in subset_labels(datum, datum.zero())]
-    right: dict[Weight, int] = {}
     if which == "kostant":
         kost = kostant_cohomology(coll)
         if not kost.dd_zero:
             return False, None
-        for k, table in kost.per_degree.items():
-            sign = -1 if k % 2 else 1
-            for mu, m in table.items():
-                for w, c in _n_mu_character(datum, ext, mu, lam, height).items():
-                    right[w] = right.get(w, 0) + sign * m * c
+        terms = [
+            (mu, -m if k % 2 else m)
+            for k, table in kost.per_degree.items()
+            for mu, m in table.items()
+        ]
     elif which == "dirac-index":
         cohom = dirac.dirac_cohomology(coll)
-        plus = dirac.hd_ktype_table(coll, cohom, +1)
-        minus = dirac.hd_ktype_table(coll, cohom, -1)
-        for table, sign in ((plus, 1), (minus, -1)):
-            for nu, m in table.items():
-                mu = nu + datum.rho1
-                for w, c in _n_mu_character(datum, ext, mu, lam, height).items():
-                    right[w] = right.get(w, 0) + sign * m * c
+        terms = [
+            (nu + datum.rho1, sign * m)
+            for sign in (1, -1)
+            for nu, m in dirac.hd_ktype_table(coll, cohom, sign).items()
+        ]
     else:
         raise ValueError("which must be 'kostant' or 'dirac-index'")
+    compact = modules.even_character_sum(datum, lam, terms, height, "compact-simple")
+    right: dict[Weight, int] = {}
+    for _, ext, _ in subset_labels(datum, datum.zero()):
+        for nu, c in compact.multiplicities.items():
+            w = ext + nu
+            if datum.height(lam - w) <= height:
+                right[w] = right.get(w, 0) + c
     return modules.characters_equal_to_height(
         datum, modules.character(module), VirtualCharacter(right, lam), lam, height
     )

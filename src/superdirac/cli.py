@@ -21,11 +21,12 @@ from pathlib import Path
 
 import click
 
-from . import __version__, analysis, dirac, modules, oscillator
+from . import __version__, analysis, dirac, modules
 from .weights import (
     RootDatum,
     Weight,
     atypicality_set,
+    bounded_exponents,
     build_root_datum,
     parse_weight,
 )
@@ -477,10 +478,9 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
         if by_degree:
             osc = coll.osc
             expected: dict[Weight, int] = {}
-            for deg in range(int(height) + 1):
-                for a in oscillator.monomials_of_degree(datum.mn, deg):
-                    w = osc.monomial_weight(a)
-                    expected[w] = expected.get(w, 0) + 1
+            for a in bounded_exponents([1] * datum.mn, int(height), [None] * datum.mn):
+                w = osc.monomial_weight(a)
+                expected[w] = expected.get(w, 0) + 1
             ok = hd.multiplicities == expected
             payload["comparison"] = "oscillator-module-character"
         elif cert.certified:

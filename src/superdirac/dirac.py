@@ -18,7 +18,7 @@ from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule
 from .oscillator import OscMonomial, Oscillator
 from .uea import Gen
-from .weights import Drop, Weight, pairing
+from .weights import Drop, Weight, bounded_exponents, pairing
 
 
 # ----- Dirac blocks -------------------------------------------------------------------
@@ -88,17 +88,10 @@ def _block_bases(
     gammas = [g.coords() for g in osc.partial_roots()]  # roots: int coordinates
     heights = [datum.drop_key(g)[0] for g in gammas]
     # every x^a with ht(sum a_k gamma_k) <= height: (that height, a, sum a_k gamma_k)
-    monos: list[tuple[int, OscMonomial, Drop]] = []
-
-    def rec(k: int, rem, a: OscMonomial, w: Drop) -> None:
-        if k == len(gammas):
-            monos.append((height - rem, a, w))
-            return
-        for ak in range(rem // heights[k] + 1):
-            rec(k + 1, rem - ak * heights[k], a + (ak,), w)
-            w = tuple(map(operator.add, w, gammas[k]))
-
-    rec(0, height, (), (0,) * (datum.m + datum.n))
+    monos = []
+    for a in bounded_exponents(heights, height, [None] * len(heights)):
+        w = tuple(sum(map(operator.mul, a, coord)) for coord in zip(*gammas))
+        monos.append((sum(map(operator.mul, a, heights)), a, w))
     bases: dict[Drop, list[BasisEntry]] = {}
     for drop_m, b in module.by_drop.items():
         room = height - datum.drop_key(drop_m)[0]

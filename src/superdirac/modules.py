@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 from . import exactla, uea
 from .exactla import SparseRationalMatrix
 from .uea import Algebra, Gen, Word
-from .weights import Drop, RootDatum, Weight, subset_labels
+from .weights import Drop, RootDatum, Weight, bounded_exponents, subset_labels
 
 ModuleVector = dict[Word, exactla.Rational]
 
@@ -183,26 +183,12 @@ def _enumerate_monomials(
     alg: Algebra, gens: list[Gen], max_height: exactla.Rational
 ) -> list[Word]:
     """All PBW monomials in the given lowering generators of height <= bound."""
-    datum = alg.datum
-    heights = [-datum.height(alg.gen_root(g)) for g in gens]
-    out: list[Word] = []
-
-    def rec(idx: int, remaining: exactla.Rational, word: tuple[Gen, ...]) -> None:
-        if idx == len(gens):
-            out.append(word)
-            return
-        g = gens[idx]
-        h = heights[idx]
-        max_rep = 1 if alg.parity(g) else (remaining // h if h > 0 else 0)
-        reps = 0
-        while True:
-            rec(idx + 1, remaining - reps * h, word + (g,) * reps)
-            reps += 1
-            if reps > max_rep or reps * h > remaining:
-                break
-
-    rec(0, max_height, ())
-    return out
+    heights = [-alg.datum.height(alg.gen_root(g)) for g in gens]
+    caps = [1 if alg.parity(g) else None for g in gens]
+    return [
+        tuple(g for g, e in zip(gens, a) for _ in range(e))
+        for a in bounded_exponents(heights, max_height, caps)
+    ]
 
 
 def _gram_block(
@@ -384,25 +370,34 @@ def ktype_table(module: TruncatedModule) -> dict[Weight, int]:
     return table
 
 
-# ----- sums of even characters ------------------------------------------------------
+# ----- signed sums of even characters ------------------------------------------------
 def even_character_sum(
-    datum: RootDatum, lam: Weight, labels: Iterable[Weight], height, kind: str
+    datum: RootDatum,
+    lam: Weight,
+    terms: Iterable[tuple[Weight, int]],
+    height,
+    kind: str,
 ) -> VirtualCharacter:
-    """Sum over the labels mu of ch M0(mu) (kind "even-verma") or ch L0(mu)
-    ("even-simple") on the weights nu with ht(lam - nu) <= height: each
-    module is built to height - ht(lam - mu), with one Algebra for all."""
-    if kind not in ("even-verma", "even-simple"):
-        raise ValueError("kind must be 'even-verma' or 'even-simple'")
+    """Sum over the terms (mu, c) of c ch M0(mu) (kind "even-verma"),
+    c ch L0(mu) ("even-simple") or c ch F^mu ("compact-simple") on the
+    weights nu with ht(lam - nu) <= height. The coefficients of a repeated
+    mu add up, and each mu with a nonzero total is built once, to
+    height - ht(lam - mu), with one Algebra for all."""
+    if kind not in ("even-verma", "even-simple", "compact-simple"):
+        raise ValueError("kind must be 'even-verma', 'even-simple' or 'compact-simple'")
     height = Fraction(height)
+    coeffs: dict[Weight, int] = {}
+    for mu, c in terms:
+        coeffs[mu] = coeffs.get(mu, 0) + c
     alg = Algebra(datum)
     total: dict[Weight, int] = {}
-    for mu in labels:
+    for mu, c in coeffs.items():
         offset = datum.height(lam - mu)
-        if offset <= height:
+        if c and offset <= height:
             even = _build(datum, mu, height - offset, kind, alg)
             for nu, d in character(even).multiplicities.items():
-                total[nu] = total.get(nu, 0) + d
-    return VirtualCharacter(total, lam)
+                total[nu] = total.get(nu, 0) + c * d
+    return VirtualCharacter({nu: c for nu, c in total.items() if c}, lam)
 
 
 def verma_filtration_check(
@@ -412,8 +407,8 @@ def verma_filtration_check(
     ch M0(lam - Gamma_S), compared to the given height."""
     height = Fraction(height)
     left = character(_build(datum, lam, height, "verma"))
-    labels = [mu for _, mu, _ in subset_labels(datum, lam)]
-    right = even_character_sum(datum, lam, labels, height, "even-verma")
+    terms = [(mu, 1) for _, mu, _ in subset_labels(datum, lam)]
+    right = even_character_sum(datum, lam, terms, height, "even-verma")
     return characters_equal_to_height(datum, left, right, lam, height)
 
 

@@ -143,13 +143,3 @@ def _b_of_bracket(alg: Algebra, g: Gen, u: tuple[Gen, int], v: tuple[Gen, int]) 
     (a, sa), (b, sb) = u, v
     total = sum(c * alg.b_form(g, w[0]) for w, c in alg.supercommutator(a, b).items())
     return _rat(sa * sb * total)
-
-
-def monomials_of_degree(dim: int, deg: int) -> list[OscMonomial]:
-    if dim == 1:
-        return [(deg,)]
-    out = []
-    for first in range(deg, -1, -1):
-        for rest in monomials_of_degree(dim - 1, deg - first):
-            out.append((first,) + rest)
-    return out

@@ -339,6 +339,22 @@ def subset_labels(datum: RootDatum, lam: Weight) -> list[tuple[tuple[int, ...], 
     return out
 
 
+def bounded_exponents(
+    heights: Sequence[int], bound, caps: Sequence[int | None]
+) -> list[tuple[int, ...]]:
+    """Every exponent vector a with a_k <= caps[k] (None: no cap) and
+    sum a_k heights[k] <= bound, in lexicographic order; every height is
+    positive, and a Fraction bound acts as its floor."""
+    out: list[tuple[tuple[int, ...], Rational]] = [((), bound)]  # (prefix, room left)
+    for h, cap in zip(heights, caps, strict=True):
+        out = [
+            (a + (e,), room - e * h)
+            for a, room in out
+            for e in range(1 + (room // h if cap is None else min(cap, room // h)))
+        ]
+    return [a for a, _ in out]
+
+
 def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> bool:
     """True iff mu + rho = w(lam + rho + sum t_i alpha_i) with alpha_i in A_lam."""
     atyp = [r.weight for r in atypicality_set(datum, lam)]

@@ -12,8 +12,9 @@
   letter at a time through `modules.act_word`.
 - The normal-ordering product of the Weyl algebra with its generators x_k,
   d_k and commutator (the oracle for `oscillator.alpha_embed_gen`, which
-  writes alpha straight into normal order), and the embedding alpha on
-  degree-1 elements.
+  writes alpha straight into normal order), the embedding alpha on
+  degree-1 elements, and the oscillator monomials of one degree by
+  recursion (an oracle for `weights.bounded_exponents`).
 - The Bargmann-Fock form, the value of a quadratic form and the Fraction
   elimination kept as the oracle for `exactla._rref`.
 - The even-cone test on weights with rational coordinates (partial sums
@@ -28,15 +29,17 @@
   integer-drop `modules.dirac_scalar`), and the g0-highest vectors of a
   block from one kernel of the maps stacked generator by generator (the
   oracle for `dirac.raising_stack`).
-- The character of (ext n1^-) (x) F^mu with F^mu built mn levels deeper
-  than the truncation needs (the oracle for `analysis._n_mu_character`).
 - The odd-subset oracles (the oracles for `weights.subset_labels` and
   `modules.even_character_sum`): Gamma_S as a sum of root weights, the
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
   the exterior character of n1^- as the product of (1 + e^{-gamma}) over the
-  odd positive roots, and the two sums of even characters written out: the
-  Verma filtration's sum of ch M0(lam - Gamma_S) over every S, and the
-  branching sum of ch L0(mu) over given labels mu.
+  odd positive roots, and the sums of even characters written out: the
+  Verma filtration's sum of ch M0(lam - Gamma_S) over every S, and a signed
+  sum over given (mu, c) of c ch L0(mu) or c ch F^mu, one module per term.
+- The character-formula oracles: both formulas with one product
+  (ext n1^-) (x) F^mu per table entry (the oracle for
+  `analysis.character_formula_check`, which takes one signed compact sum),
+  and ch F^mu with F^mu built mn levels deeper than the truncation needs.
 
 The package itself never needs them."""
 
@@ -47,7 +50,7 @@ from fractions import Fraction
 
 from superdirac import analysis, dirac, exactla, modules, uea
 from superdirac.exactla import SparseRationalMatrix
-from superdirac.weights import Weight, atypicality_set, pairing
+from superdirac.weights import Weight, atypicality_set, pairing, subset_labels
 
 
 # ----- generator-table oracles ---------------------------------------------------------
@@ -250,6 +253,18 @@ def bargmann_fock(p, q):
         if cq:
             total += cp * cq * math.prod(math.factorial(e) for e in mono)
     return total
+
+
+def monomials_of_degree(dim, deg):
+    """The exponent vectors of dim variables with sum deg, in descending
+    lexicographic order, by recursion on the first exponent."""
+    if dim == 1:
+        return [(deg,)]
+    out = []
+    for first in range(deg, -1, -1):
+        for rest in monomials_of_degree(dim - 1, deg - first):
+            out.append((first,) + rest)
+    return out
 
 
 def quadratic_value(g, v):
@@ -483,32 +498,81 @@ def filtration_even_sum(datum, lam, height):
     return total
 
 
-def branching_even_sum(datum, lam, labels, height):
-    """Sum over the labels mu of ch L0(mu) on the weights nu with
-    ht(lam - nu) <= height, one module built per label."""
+def written_out_even_sum(datum, lam, terms, height, build):
+    """Sum over the terms (mu, c) of c times the character of
+    build(datum, mu, height - ht(lam - mu)) on the weights nu with
+    ht(lam - nu) <= height, one module built per term, zeros dropped."""
     height = Fraction(height)
     total = {}
-    for label in labels:
-        offset = datum.height(lam - label)
+    for mu, c in terms:
+        offset = datum.height(lam - mu)
         if offset > height:
             continue
-        even = modules.even_simple_truncation(datum, label, height - offset)
+        even = build(datum, mu, height - offset)
         for nu in even.blocks:
             d = even.block_dim(nu)
             if d and datum.height(lam - nu) <= height:
-                total[nu] = total.get(nu, 0) + d
-    return total
+                total[nu] = total.get(nu, 0) + c * d
+    return {nu: c for nu, c in total.items() if c}
 
 
-def n_mu_character_old_bound(datum, ext, mu, lam, height):
-    """`analysis._n_mu_character` with F^mu built to height
-    ht(beta) <= height - ht(lam - mu) + mn instead of without the + mn."""
+# ----- character-formula oracles ----------------------------------------------------------
+def compact_character(datum, mu, height):
+    """ch F^mu to the given height (a negative height gives mu alone)."""
+    mod = modules.compact_simple_truncation(datum, mu, max(height, Fraction(0)))
+    return {nu: mod.block_dim(nu) for nu in mod.blocks if mod.block_dim(nu)}
+
+
+def n_mu_character(datum, ext, mu, lam, height):
+    """Character of (ext n1^-) (x) F^mu, truncated to the weights nu with
+    ht(lam - nu) <= height; `ext` lists the weights -Gamma_S, one per
+    subset S, and F^mu is built to height - ht(lam - mu)."""
     rel_height = height - datum.height(lam - mu)
-    mod = modules.compact_simple_truncation(datum, mu, max(rel_height + datum.mn, 0))
+    fmu = compact_character(datum, mu, rel_height)
     out = {}
     for w1 in ext:
-        for nu in mod.blocks:
-            w = w1 + nu
-            if mod.block_dim(nu) and datum.height(lam - w) <= height:
-                out[w] = out.get(w, 0) + mod.block_dim(nu)
+        for w2, m2 in fmu.items():
+            w = w1 + w2
+            if datum.height(lam - w) <= height:
+                out[w] = out.get(w, 0) + m2
     return {k: v for k, v in out.items() if v}
+
+
+def character_formula_per_mu(coll, which):
+    """`analysis.character_formula_check` with one product (ext n1^-) (x)
+    F^mu per table entry, each F^mu built with its own Algebra."""
+    module = coll.module
+    datum = module.datum
+    lam = module.highest_weight
+    height = coll.height
+    ext = [w for _, w, _ in subset_labels(datum, datum.zero())]
+    right = {}
+    if which == "kostant":
+        kost = analysis.kostant_cohomology(coll)
+        if not kost.dd_zero:
+            return False, None
+        for k, table in kost.per_degree.items():
+            sign = -1 if k % 2 else 1
+            for mu, m in table.items():
+                for w, c in n_mu_character(datum, ext, mu, lam, height).items():
+                    right[w] = right.get(w, 0) + sign * m * c
+    else:
+        cohom = dirac.dirac_cohomology(coll)
+        plus = dirac.hd_ktype_table(coll, cohom, +1)
+        minus = dirac.hd_ktype_table(coll, cohom, -1)
+        for table, sign in ((plus, 1), (minus, -1)):
+            for nu, m in table.items():
+                mu = nu + datum.rho1
+                for w, c in n_mu_character(datum, ext, mu, lam, height).items():
+                    right[w] = right.get(w, 0) + sign * m * c
+    return modules.characters_equal_to_height(
+        datum, modules.character(module), modules.VirtualCharacter(right, lam), lam, height
+    )
+
+
+def compact_character_old_bound(datum, mu, lam, height):
+    """ch F^mu on the weights nu with ht(lam - nu) <= height, with F^mu
+    built mn levels deeper than ht(mu - nu) <= height - ht(lam - mu) needs."""
+    rel_height = height - datum.height(lam - mu)
+    fmu = compact_character(datum, mu, rel_height + datum.mn)
+    return {nu: d for nu, d in fmu.items() if datum.height(lam - nu) <= height}

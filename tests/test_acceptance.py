@@ -15,13 +15,14 @@ from _helpers import (
     bargmann_fock,
     combine,
     d_op,
+    monomials_of_degree,
     multiply,
     omega,
     scale,
     weyl_commutator,
     x_op,
 )
-from superdirac import analysis, dirac, modules, oscillator
+from superdirac import analysis, dirac, modules
 from superdirac.oscillator import Oscillator, weyl_apply
 from superdirac.weights import pairing, parse_weight
 
@@ -63,7 +64,7 @@ def test_criterion_02_trivial_module_baseline(coll_trivial21, coll_trivial23):
         hd = rep.character().multiplicities
         expected = {}
         for deg in range(5):
-            for a in oscillator.monomials_of_degree(coll.module.datum.mn, deg):
+            for a in monomials_of_degree(coll.module.datum.mn, deg):
                 w = coll.osc.monomial_weight(a)
                 expected[w] = expected.get(w, 0) + 1
         ok = ok and hd == expected

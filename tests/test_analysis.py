@@ -1,10 +1,12 @@
 """Theorem-level checks: branching, Kostant cohomology, character formulas,
 and the consistency audits."""
 
+import functools
+
 import pytest
 
-from _helpers import n_mu_character_old_bound
-from superdirac import analysis, dirac, modules
+from _helpers import character_formula_per_mu, compact_character_old_bound
+from superdirac import analysis, cli, dirac, modules, uea
 from superdirac.weights import build_root_datum, parse_weight, subset_labels
 
 
@@ -92,39 +94,78 @@ def test_character_formulas_trivial(coll_trivial21):
         assert ok, (which, diff)
 
 
-@pytest.mark.parametrize(
-    "group, weight, height",
-    [
-        ((2, 1, 1, 1), "-2,1|1", 4),
-        ((2, 1, 1, 1), "-1,0|0", 4),
-        ((2, 1, 1, 1), "-3/2,1/2|1/2", 3),
-        ((2, 1, 1, 1), "-5/3,1|1", 3),
-        ((2, 2, 1, 1), "-3,1|1,1", 2),
-        ((2, 3, 1, 1), "-3,0|1,1,1", 3),
-        ((3, 3, 2, 1), "-2,-2,1|1,1,1", 2),
-    ],
-)
-def test_n_mu_character_to_relative_height_matches_old_bound(group, weight, height):
-    """On the certified inputs of the golden cases, building F^mu only to
-    the relative height gives the same truncated character as building it mn
-    levels deeper, for every mu either character formula sums over and every
-    label lam - Gamma_S strictly within the height (there F^mu has weights
-    at several heights, so a bound one level too shallow shows)."""
+# the certified inputs of the golden cases
+CERTIFIED_INPUTS = [
+    ((2, 1, 1, 1), "-2,1|1", 4),
+    ((2, 1, 1, 1), "-1,0|0", 4),
+    ((2, 1, 1, 1), "-3/2,1/2|1/2", 3),
+    ((2, 1, 1, 1), "-5/3,1|1", 3),
+    ((2, 2, 1, 1), "-3,1|1,1", 2),
+    ((2, 3, 1, 1), "-3,0|1,1,1", 3),
+    ((3, 3, 2, 1), "-2,-2,1|1,1,1", 2),
+]
+# certified atypical sl(2|3) weights where the Kostant variant fails
+ATYPICAL_SL23 = [((2, 3, 1, 1), "-3,0|1,1,0", 2), ((2, 3, 1, 1), "-1,0|0,0,0", 2)]
+
+
+@functools.cache
+def _certified_collection(group, weight, height):
     datum = build_root_datum(*group)
     lam = parse_weight(weight, datum.m, datum.n)
     module = modules.simple_truncation(datum, lam, height)
     assert modules.certify_unitarity(datum, lam, height, module=module).certified
-    coll = dirac.assemble_all(module, height)
+    return dirac.assemble_all(module, height)
+
+
+@pytest.mark.parametrize("group, weight, height", CERTIFIED_INPUTS)
+def test_n_mu_character_to_relative_height_matches_old_bound(group, weight, height):
+    """For every mu either character formula sums over and every label
+    lam - Gamma_S strictly within the height (there F^mu has weights at
+    several heights, so a bound one level too shallow shows), the compact
+    sum of F^mu alone, built to height - ht(lam - mu), equals ch F^mu built
+    mn levels deeper and cut to ht(lam - nu) <= height."""
+    coll = _certified_collection(group, weight, height)
+    datum = coll.module.datum
+    lam = coll.module.highest_weight
     cohom = dirac.dirac_cohomology(coll)
     mus = {mu for table in analysis.kostant_cohomology(coll).per_degree.values() for mu in table}
     for sign in (+1, -1):
         mus |= {nu + datum.rho1 for nu in dirac.hd_ktype_table(coll, cohom, sign)}
     mus |= {mu for _, mu, _ in subset_labels(datum, lam) if datum.height(lam - mu) < height}
-    ext = [w for _, w, _ in subset_labels(datum, datum.zero())]
     for mu in mus:
-        assert analysis._n_mu_character(
-            datum, ext, mu, lam, coll.height
-        ) == n_mu_character_old_bound(datum, ext, mu, lam, coll.height), mu.text()
+        compact = modules.even_character_sum(datum, lam, [(mu, 1)], coll.height, "compact-simple")
+        assert compact.multiplicities == compact_character_old_bound(
+            datum, mu, lam, coll.height
+        ), mu.text()
+
+
+@pytest.mark.parametrize("group, weight, height", CERTIFIED_INPUTS + ATYPICAL_SL23)
+def test_character_formulas_match_per_mu_oracle(group, weight, height):
+    """Both variants, read from one signed compact sum times the exterior
+    character, give the verdict and first difference of the sum of one
+    product (ext n1^-) (x) F^mu per table entry."""
+    coll = _certified_collection(group, weight, height)
+    for which in ("kostant", "dirac-index"):
+        assert analysis.character_formula_check(coll, which) == character_formula_per_mu(
+            coll, which
+        ), which
+
+
+def test_character_suite_builds_one_algebra_per_sum(monkeypatch):
+    """The `character` suite builds one Algebra for the module and one for
+    each formula's compact sum, not one per F^mu."""
+    built = []
+    init = uea.Algebra.__init__
+
+    def counting(self, datum):
+        built.append(datum)
+        init(self, datum)
+
+    monkeypatch.setattr(uea.Algebra, "__init__", counting)
+    datum = build_root_datum(2, 1, 1, 1)
+    payload, code = cli._run_suite(datum, parse_weight("-1,0|0", 2, 1), 6, "character")
+    assert (payload["status"], code) == ("pass", cli.EXIT_OK)
+    assert len(built) == 3
 
 
 def test_character_formula_rejects_unknown_variant(coll_typical3):

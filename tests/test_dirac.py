@@ -21,6 +21,7 @@ from _helpers import (
     highest_vectors_per_generator,
     in_even_cone,
     kostant_per_degree,
+    monomials_of_degree,
     quarters_adjoint,
 )
 from superdirac import analysis, dirac, exactla, modules, oscillator
@@ -637,7 +638,7 @@ def _oracle_degree_weights(module, max_degree):
     for lam_m in module.blocks:
         if module.block_dim(lam_m):
             for deg in range(max_degree + 1):
-                for a in oscillator.monomials_of_degree(datum.mn, deg):
+                for a in monomials_of_degree(datum.mn, deg):
                     out.add(lam_m + osc.monomial_weight(a))
     return out
 
@@ -686,7 +687,7 @@ def test_exponent_solutions_match_brute_force(group):
     gammas = osc.partial_roots()
     expected: dict = {}
     for deg in range(4):
-        for a in oscillator.monomials_of_degree(datum.mn, deg):
+        for a in monomials_of_degree(datum.mn, deg):
             w = datum.zero()
             for k, ak in enumerate(a):
                 w = w + gammas[k].scale(ak)

@@ -1,9 +1,11 @@
 """Byte-identity gate: the SHA-256 of the CLI's stdout, with its exit code,
 for every command, every `verify` suite on four inputs, every suite but
 `cohomology` and `index` on sl(2|3) and gl(3|3) (no `character` on
-gl(3|3)), one gl(3|3) cohomology case, a highest weight with thirds, a
-refuted certification and an atypical decomposition. A refactor that keeps the output must keep every digest;
-a change that means to alter the output re-records the table below.
+gl(3|3)), the failing `character` suite on two atypical sl(2|3) weights,
+one gl(3|3) cohomology case, a highest weight with thirds, a refuted
+certification and an atypical decomposition. A refactor that keeps the
+output must keep every digest; a change that means to alter the output
+re-records the table below.
 
 Re-record with:
 
@@ -74,6 +76,14 @@ def _cases():
         "verify-character-sl23": [
             "verify", *SL23, "--weight=-3,0|1,1,1", "--height", "3", "--suite", "character",
         ],
+        # the Kostant variant fails on two certified atypical weights (ROADMAP
+        # item 2(c)): pinned before the character sum was rebuilt
+        "verify-character-sl23-atypical-110": [
+            "verify", *SL23, "--weight=-3,0|1,1,0", "--height", "2", "--suite", "character",
+        ],
+        "verify-character-sl23-atypical-000": [
+            "verify", *SL23, "--weight=-1,0|0,0,0", "--height", "2", "--suite", "character",
+        ],
         # the odd-subset family: the refuted certification with its audit and
         # witness, and the `atypicality` reason of the branching prediction
         "certify-unitarity-refuted": [
@@ -106,7 +116,8 @@ CASES = _cases()
 # square suites before the Dirac audits moved to integer kernels; the refuted
 # certification, the atypical decomposition and the sl(2|3)/gl(3|3)
 # filtration, branching and unitarity suites before the odd subsets were
-# enumerated in one place
+# enumerated in one place; the two atypical sl(2|3) character suites before
+# both character formulas went through one signed sum
 DIGESTS = {
     'certify-unitarity': (0, '163dabe4d0d5d387f905c53b84d012614f031307a7b9c4ec06954e75270f4922'),
     'character': (0, 'a9423e2ce009a1fdc9d3ac397b8a867e84ea728bc9e3ef89af794cc2d922977c'),
@@ -162,6 +173,8 @@ DIGESTS = {
     'verify-filtration-sl23': (0, '9f2d87081149d1300591e9e1cc9ef218f9774847e5bd1bdc16a17609710d61fd'),
     'verify-unitarity-gl33': (0, 'feeda8bd79671a6f2d78b99c9f1a7bd86f6673722a9bdf649aca734b9e9435ce'),
     'verify-unitarity-sl23': (0, '4fe8e56271294d4e1753c463a98b6cbaf47ccd60ed65f4f3304fa1aa013867d9'),
+    'verify-character-sl23-atypical-110': (2, 'c368d24aa10d584db73387ee0224798630774e76ee2e42c53441a93a213b2ce3'),
+    'verify-character-sl23-atypical-000': (2, '20af1b8524629291a157f0195d0ebb3bff9ebf835667b35d8a8f4930cf3d6601'),
 }
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, and
 every function, class, method and module-level name it defines is referred
-to somewhere in the package (or allowed, with a reason).
+to somewhere in the package (or allowed, with a reason); every top-level
+helper in ``tests/_helpers.py`` is reached from some test module.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -73,6 +74,8 @@ UNREFERENCED_ALLOWED = {
     "dot_action": "the rho / rho0 dot action the `branching` fix straightens by (ROADMAP)",
     "same_infinitesimal_character": "the central-character test behind the Vogan "
     "check (ROADMAP)",
+    "compact_simple_truncation": "F^mu on its own, kept by name: the perfbench tracer "
+    "wraps it (tests/test_golden.py::test_every_traced_name_resolves)",
     "from_rows": "the dense constructor of SparseRationalMatrix, public API the tests "
     "build every example matrix with",
 }
@@ -156,6 +159,46 @@ def test_checker_flags_an_unreferenced_definition():
     assert _unreferenced({"m.py": src}) == [
         "m.py:3 unused", "m.py:6 g", "m.py:8 LIMIT", "m.py:10 h"
     ]
+
+
+# ----- test helpers no test reaches ---------------------------------------------------------
+TESTS = Path(__file__).resolve().parent
+
+
+def _unreached_helpers(helpers: str, tests: list[str]) -> list[str]:
+    """The top-level functions and classes of the helper module that no test
+    module refers to, directly or through the helpers it reaches, in line
+    order."""
+    body = ast.parse(helpers).body
+    defs = {n.name: n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    reached = _references([ast.parse(t) for t in tests]) & set(defs)
+    todo = list(reached)
+    while todo:
+        new = _references([defs[todo.pop()]]) & set(defs) - reached
+        reached |= new
+        todo += new
+    return [name for name in defs if name not in reached]
+
+
+def test_every_helper_is_reached_from_a_test():
+    helpers = (TESTS / "_helpers.py").read_text()
+    tests = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    unreached = _unreached_helpers(helpers, tests)
+    assert not unreached, (
+        f"tests/_helpers.py defines helpers no test reaches: {', '.join(unreached)}"
+    )
+
+
+def test_checker_flags_an_unreached_helper():
+    helpers = (
+        "def used(x): return inner(x)\n"
+        "def inner(x): return x\n"
+        "def unused(): return used(1)\n"
+        "class Table: pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+    )
+    tests = ["from _helpers import used\ndef test_a(): assert used(1)\n", "X = 1\n"]
+    assert _unreached_helpers(helpers, tests) == ["unused", "Table", "recursive"]
 
 
 # ----- one definition per top-level name ---------------------------------------------------

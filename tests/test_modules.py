@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
-    branching_even_sum,
     dirac_scalar_pairing,
     dirac_scalar_two_pairings,
     filtration_even_sum,
     quadratic_value,
     shapovalov_pairing,
+    written_out_even_sum,
 )
 from superdirac import analysis, exactla, modules
 from superdirac.exactla import SparseRationalMatrix
@@ -165,22 +165,53 @@ def test_verma_filtration_sl23(d23):
     ],
     ids=["sl21-typical", "sl21-atypical", "sl21-half", "sl21-p2", "sl22", "sl23"],
 )
-def test_even_character_sum_matches_written_out_sums(group, weight, height):
-    """Both kinds of `even_character_sum` against the two sums written out
-    one module per label: ch M0(lam - Gamma_S) over every subset S, and
-    ch L0(mu) over the included branching labels mu."""
+def test_even_character_sum_matches_written_out_sums(group, weight, height, monkeypatch):
+    """Every kind of `even_character_sum` against the sums written out one
+    module per term: ch M0(lam - Gamma_S) over every subset S, ch L0(mu)
+    over the included branching labels mu, and signed sums of ch L0(mu) and
+    ch F^mu whose coefficients are negative, repeat a mu or cancel to zero
+    (such a mu is not built)."""
     datum = build_root_datum(*group)
     lam = parse_weight(weight, datum.m, datum.n)
     labels = [mu for _, mu, _ in subset_labels(datum, lam)]
-    verma = modules.even_character_sum(datum, lam, labels, height, "even-verma")
+    verma = modules.even_character_sum(
+        datum, lam, [(mu, 1) for mu in labels], height, "even-verma"
+    )
     assert verma.base == lam
     assert verma.multiplicities == filtration_even_sum(datum, lam, height)
-    included = analysis.even_decomposition(datum, lam, True).included_labels()
+    included = [(mu, 1) for mu in analysis.even_decomposition(datum, lam, True).included_labels()]
     simple = modules.even_character_sum(datum, lam, included, height, "even-simple")
     assert simple.base == lam
-    assert simple.multiplicities == branching_even_sum(datum, lam, included, height)
-    with pytest.raises(ValueError):
-        modules.even_character_sum(datum, lam, labels, height, "verma")
+    assert simple.multiplicities == written_out_even_sum(
+        datum, lam, included, height, modules.even_simple_truncation
+    )
+    # alternating signs, lam twice more (total 3), and labels[1] cancelled
+    signed = [(mu, (-1) ** i) for i, mu in enumerate(labels)]
+    signed += [(lam, 2), (labels[1], 1)]
+    totals = {}
+    for mu, c in signed:
+        totals[mu] = totals.get(mu, 0) + c
+    built = []
+    build = modules._build
+
+    def recording(datum, mu, *rest):
+        built.append(mu)
+        return build(datum, mu, *rest)
+
+    monkeypatch.setattr(modules, "_build", recording)
+    for kind, oracle in (
+        ("even-simple", modules.even_simple_truncation),
+        ("compact-simple", modules.compact_simple_truncation),
+    ):
+        built.clear()
+        total = modules.even_character_sum(datum, lam, signed, height, kind)
+        assert built == [
+            mu for mu, c in totals.items() if c and datum.height(lam - mu) <= height
+        ]
+        assert total.multiplicities == written_out_even_sum(datum, lam, signed, height, oracle)
+    for kind in ("verma", "simple"):
+        with pytest.raises(ValueError):
+            modules.even_character_sum(datum, lam, included, height, kind)
 
 
 # ----- k-types --------------------------------------------------------------------------

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import alpha_embed, bargmann_fock, d_op, weyl_commutator, weyl_multiply, x_op
+from _helpers import (
+    alpha_embed,
+    bargmann_fock,
+    d_op,
+    monomials_of_degree,
+    weyl_commutator,
+    weyl_multiply,
+    x_op,
+)
 from superdirac import oscillator, uea
-from superdirac.oscillator import Oscillator, monomials_of_degree, weyl_apply
+from superdirac.oscillator import Oscillator, weyl_apply
 from superdirac.uea import Algebra
-from superdirac.weights import build_root_datum, pairing
+from superdirac.weights import bounded_exponents, build_root_datum, pairing
 
 
 def poly_strategy(dim, max_deg=3):
@@ -222,3 +230,11 @@ def test_monomials_of_degree_counts():
     for a in monomials_of_degree(3, 2):
         assert sum(a) == 2
     assert oscillator.monomial_parity((1, 2, 0)) == 1
+
+
+@pytest.mark.parametrize("dim, deg", [(1, 3), (2, 3), (3, 2), (6, 4)])
+def test_monomials_of_degree_are_the_bounded_exponents_of_that_degree(dim, deg):
+    """The degree-deg vectors of `bounded_exponents` with unit heights, which
+    the package reads for the oscillator character, are the recursion's."""
+    bounded = bounded_exponents([1] * dim, deg, [None] * dim)
+    assert [a for a in bounded if sum(a) == deg] == sorted(monomials_of_degree(dim, deg))

@@ -1,16 +1,19 @@
 """Root data, weights, pairing, Weyl group, heights, atypicality."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import constituent_labels, gamma_of_subset
+from _helpers import constituent_labels, gamma_of_subset, odd_exterior_character
 from superdirac.weights import (
     Weight,
     WeylElement,
     atypicality_set,
+    bounded_exponents,
     build_root_datum,
     dot_action,
     harish_chandra_condition,
@@ -320,8 +323,11 @@ def test_subset_labels_match_bitmask_oracle(group, typical, half):
     """Every subset S, the order, the label lam - Gamma_S and the atypical
     flag against a bitmask enumeration, against lam - `gamma_of_subset`, and
     the unflagged subsets against `constituent_labels`, on a typical, an
-    atypical and a half-integral weight."""
+    atypical and a half-integral weight; at lam = 0 the labels, counted
+    with multiplicity, are the exterior character of n1^-."""
     datum = build_root_datum(*group)
+    ext = Counter(mu for _, mu, _ in subset_labels(datum, datum.zero()))
+    assert ext == odd_exterior_character(datum)
     lam_typical = parse_weight(typical, datum.m, datum.n)
     lams = [lam_typical, _atypical_along_first_root(datum, lam_typical),
             parse_weight(half, datum.m, datum.n)]
@@ -340,3 +346,28 @@ def test_subset_labels_match_bitmask_oracle(group, typical, half):
     assert flagged[1] and not flagged[0]
     if len(lams) == 4:
         assert flagged[3]
+
+
+@pytest.mark.parametrize(
+    "heights, bound, caps",
+    [
+        ([1, 1, 1], 3, [None, None, None]),
+        ([2, 1, 3], 5, [None, 1, None]),
+        ([1, 2, 1], Fraction(5, 2), [1, None, 1]),
+        ([1, 2], Fraction(7, 3), [1, 1]),
+        ([3], 2, [None]),
+        ([], 2, []),
+    ],
+)
+def test_bounded_exponents_match_brute_force(heights, bound, caps):
+    """Every vector under the caps and the height bound, in lexicographic
+    order, against a filter of all vectors with entries up to the bound."""
+    box = itertools.product(range(int(bound) + 1), repeat=len(heights))
+    expected = [
+        a for a in box
+        if all(c is None or e <= c for e, c in zip(a, caps))
+        and sum(e * h for e, h in zip(a, heights)) <= bound
+    ]
+    assert bounded_exponents(heights, bound, caps) == expected
+    if not heights:
+        assert expected == [()]
