@@ -151,7 +151,7 @@ def cache_store(cache_dir: str | None, key: str, payload: dict) -> None:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
+            fh.write(json.dumps(payload))  # one-shot and compact: the C encoder
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
     except OSError as exc:
         click.echo(f"warning: cache unwritable ({exc}); continuing without cache", err=True)

@@ -1,6 +1,12 @@
 """Height-truncated highest-weight modules: Verma supermodules M(L), simple
 quotients L(L), their even (g0) counterparts, characters, k-type tables, and
 unitarity certification via Gram-matrix definiteness.
+
+Everything a module computes rests on one operation, a generator applied to a
+PBW monomial at the highest weight vector (`act_word`), done by recursion on
+the monomial's first letter and memoized on the module, never by
+straightening in U(g). A Verma character is a count of PBW monomials per drop
+(`verma_filtration_check`), so it needs no module.
 """
 
 from __future__ import annotations
@@ -19,33 +25,39 @@ ModuleVector = dict[Word, exactla.Rational]
 
 
 # ----- action of g on a highest-weight module -------------------------------------
-def act_word(alg: Algebra, lam: Weight, g: Gen, mono: Word) -> ModuleVector:
-    """The generator g applied to the basis vector mono v_lam of M(lam)."""
-    out: ModuleVector = {}
-    for w, c in alg._normal_word((g,) + mono).items():
-        _accumulate_pbw(alg, lam, w, c, out)
+def act_word(alg: Algebra, lam: Weight, g: Gen, mono: Word, memo: dict) -> ModuleVector:
+    """The generator g applied to the basis vector mono v_lam of M(lam), by
+    recursion on the first letter f of mono = f X':
+    g f X' v = (-1)^{|g||f|} f (g X' v) + [g, f] X' v. A Cartan E_ii acts by
+    coordinate i of lam - drop(mono), a raising g kills v_lam, and a lowering
+    g that sorts before f, or equals an even f, is prepended (g = f odd gives
+    0). `memo` keeps every image for this lam (`TruncatedModule.act` passes
+    the module's own); callers must not mutate the images."""
+    out = memo.get((g, mono))
+    if out is not None:
+        return out
+    cls = alg.triangular_class(g)
+    if cls == "cartan":
+        i = g[0]
+        c = exactla._rat(lam.coords()[i] - sum(alg.gen_drop(f)[i] for f in mono))
+        out = {mono: c} if c else {}
+    elif not mono:
+        out = {(g,): 1} if cls == "negative" else {}
+    elif cls == "negative" and alg.order_key(g) <= alg.order_key(mono[0]):
+        out = {(g,) + mono: 1} if g != mono[0] or not alg.parity(g) else {}
+    else:
+        f, rest = mono[0], mono[1:]
+        sign = -1 if alg.parity(g) and alg.parity(f) else 1
+        out = {}
+        for z, c in act_word(alg, lam, g, rest, memo).items():
+            for w, d in act_word(alg, lam, f, z, memo).items():
+                uea.add_into(out, w, sign * c * d)
+        for (h,), b in alg.supercommutator(g, f).items():
+            for w, d in act_word(alg, lam, h, rest, memo).items():
+                uea.add_into(out, w, b * d)
+        out = {w: exactla._rat(c) for w, c in out.items()}
+    memo[(g, mono)] = out
     return out
-
-
-def _accumulate_pbw(
-    alg: Algebra, lam: Weight, word: Word, coeff: exactla.Rational, out: ModuleVector
-) -> None:
-    """Project a PBW word applied to the highest weight vector."""
-    if not coeff:
-        return
-    coords = lam.coords()
-    neg_end = 0
-    for g in word:
-        if alg.triangular_class(g) == "negative":
-            neg_end += 1
-        else:
-            break
-    for g in word[neg_end:]:
-        cls = alg.triangular_class(g)
-        if cls == "positive":
-            return  # kills the highest weight vector
-        coeff *= coords[g[0]]
-    uea.add_into(out, word[:neg_end], coeff)
 
 
 def word_parity(alg: Algebra, mono: Word) -> int:
@@ -119,6 +131,14 @@ class TruncatedModule:
     _gen_columns: dict[tuple[Gen, Drop], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # images g X v_lam by (generator, monomial), filled by act
+    _act: dict[tuple[Gen, Word], ModuleVector] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def act(self, g: Gen, mono: Word) -> ModuleVector:
+        """`act_word` with this module's memo; callers must not mutate it."""
+        return act_word(self.alg, self.highest_weight, g, mono, self._act)
 
     def block_dim(self, nu: Weight) -> int:
         b = self.blocks.get(nu)
@@ -151,8 +171,7 @@ class TruncatedModule:
         cols = []
         for mono in self.by_drop[source].basis:
             vec = [0] * len(index)
-            img = act_word(self.alg, self.highest_weight, g, mono)
-            for m, c in img.items():
+            for m, c in self.act(g, mono).items():
                 vec[index[m]] += c
             cols.append(tuple((i, exactla._rat(c)) for i, c in enumerate(tb.reduce(vec)) if c))
         return tuple(cols)
@@ -191,44 +210,48 @@ def _enumerate_monomials(
     ]
 
 
+def _monomials_by_drop(alg: Algebra, restriction: str, max_height) -> dict[Drop, list[Word]]:
+    """The PBW monomials in the lowering generators of the restriction, of
+    height <= bound, by drop (the sum of their letters' drops)."""
+    zero = (0,) * alg.dim
+    by_drop: dict[Drop, list[Word]] = {}
+    for mono in _enumerate_monomials(alg, generators(alg, -1, restriction), max_height):
+        drop = zero
+        for g in mono:
+            drop = tuple(map(operator.add, drop, alg.gen_drop(g)))
+        by_drop.setdefault(drop, []).append(mono)
+    return by_drop
+
+
 def _gram_block(
-    alg: Algebra,
-    lam: Weight,
-    drop: Drop,
-    monos: list[Word],
-    by_drop: dict[Drop, Block],
-    index: dict[Drop, dict[Word, int]],
+    mod: TruncatedModule, drop: Drop, monos: list[Word], index: dict[Drop, dict[Word, int]]
 ) -> SparseRationalMatrix:
     """Shapovalov Gram of one weight block by the contravariant recursion.
 
     For X = g X' (g the first PBW letter), omega(X) Y = omega(X') omega(g) Y
-    with omega(g) = s E and E a raising generator. If E Y v = sum_Z c_Z Z v,
-    then (X, Y) = s sum_Z c_Z (X', Z), read off the Gram of the block of X'.
-    That block lies higher, so building blocks from the top down has it ready.
-    E stays in the subalgebra of the module's kind, so every Z is one of its
-    monomials. The tests compare every entry with the Shapovalov pairing
-    obtained by straightening the whole product omega(X) Y.
+    with omega(g) = s E and E a raising generator. If E Y v = sum_Z c_Z Z v
+    (`TruncatedModule.act`), then (X, Y) = s sum_Z c_Z (X', Z), read off the
+    Gram of the block of X'. That block lies higher, so building blocks from
+    the top down has it ready. E stays in the subalgebra of the module's kind,
+    so every Z is one of its monomials. The tests compare every entry with the
+    Shapovalov pairing obtained by straightening the whole product omega(X) Y.
     """
     dim = len(monos)
     gram = SparseRationalMatrix(dim, dim)
     if monos == [()]:
         gram.set(0, 0, 1)  # the highest weight block
         return gram
-    images: dict[tuple[Gen, int], ModuleVector] = {}
+    alg = mod.alg
     for i, x in enumerate(monos):
         g = x[0]
         og, s = alg.omega_gen(g)
         above = tuple(map(operator.sub, drop, alg.gen_drop(g)))
         above_index = index[above]
-        above_gram = by_drop[above].gram.entries
+        above_gram = mod.by_drop[above].gram.entries
         row = above_index[x[1:]]
         for j in range(i, dim):
-            img = images.get((g, j))
-            if img is None:
-                img = act_word(alg, lam, og, monos[j])
-                images[(g, j)] = img
             v = 0
-            for z, c in img.items():
+            for z, c in mod.act(og, monos[j]).items():
                 e = above_gram.get((row, above_index[z]))
                 if e:
                     v += c * e
@@ -252,23 +275,14 @@ def _build(
     alg = alg or Algebra(datum)
     # "even-verma" -> "even", "compact-simple" -> "compact", "simple" -> "all"
     restriction = kind.split("-")[0] if "-" in kind else "all"
-    gens = generators(alg, -1, restriction)
-    monomials = _enumerate_monomials(alg, gens, Fraction(height))
-    # the drop of a monomial is the sum of its letters' drops
-    zero = (0,) * (datum.m + datum.n)
-    by_drop: dict[Drop, list[Word]] = {}
-    for mono in monomials:
-        drop = zero
-        for g in mono:
-            drop = tuple(map(operator.add, drop, alg.gen_drop(g)))
-        by_drop.setdefault(drop, []).append(mono)
+    by_drop = _monomials_by_drop(alg, restriction, Fraction(height))
     mod = TruncatedModule(datum, alg, lam, Fraction(height), kind)
     simple = kind.endswith("simple")
     index: dict[Drop, dict[Word, int]] = {}
     for drop in sorted(by_drop, key=datum.drop_key):
         monos = sorted(by_drop[drop], key=lambda m: [alg.order_key(g) for g in m])
         index[drop] = {m: i for i, m in enumerate(monos)}
-        gram = _gram_block(alg, lam, drop, monos, mod.by_drop, index)
+        gram = _gram_block(mod, drop, monos, index)
         radical = exactla.kernel_basis(gram)
         block = Block(
             weight=lam.lower(drop),
@@ -378,13 +392,13 @@ def even_character_sum(
     height,
     kind: str,
 ) -> VirtualCharacter:
-    """Sum over the terms (mu, c) of c ch M0(mu) (kind "even-verma"),
-    c ch L0(mu) ("even-simple") or c ch F^mu ("compact-simple") on the
-    weights nu with ht(lam - nu) <= height. The coefficients of a repeated
-    mu add up, and each mu with a nonzero total is built once, to
-    height - ht(lam - mu), with one Algebra for all."""
-    if kind not in ("even-verma", "even-simple", "compact-simple"):
-        raise ValueError("kind must be 'even-verma', 'even-simple' or 'compact-simple'")
+    """Sum over the terms (mu, c) of c ch L0(mu) (kind "even-simple") or
+    c ch F^mu ("compact-simple") on the weights nu with ht(lam - nu) <=
+    height. The coefficients of a repeated mu add up, and each mu with a
+    nonzero total is built once, to height - ht(lam - mu), with one Algebra
+    for all."""
+    if kind not in ("even-simple", "compact-simple"):
+        raise ValueError("kind must be 'even-simple' or 'compact-simple'")
     height = Fraction(height)
     coeffs: dict[Weight, int] = {}
     for mu, c in terms:
@@ -404,12 +418,29 @@ def verma_filtration_check(
     datum: RootDatum, lam: Weight, height
 ) -> tuple[bool, Weight | None]:
     """ch M(lam) = sum over subsets S of the odd positive roots of
-    ch M0(lam - Gamma_S), compared to the given height."""
+    ch M0(lam - Gamma_S), compared to the given height, with the lowest
+    weight that differs. A Verma character counts the PBW monomials of each
+    drop, so no module is built: ch M(lam) at lam - d is the number of
+    monomials of drop d in the lowering generators of g, ch M0(mu) at mu - d
+    that in those of g0."""
+    if not datum.admissible_highest_weight(lam):
+        raise ValueError("inadmissible highest weight (central charge constraint)")
     height = Fraction(height)
-    left = character(_build(datum, lam, height, "verma"))
-    terms = [(mu, 1) for _, mu, _ in subset_labels(datum, lam)]
-    right = even_character_sum(datum, lam, terms, height, "even-verma")
-    return characters_equal_to_height(datum, left, right, lam, height)
+    alg = Algebra(datum)
+    left = {d: len(ms) for d, ms in _monomials_by_drop(alg, "all", height).items()}
+    even = {d: len(ms) for d, ms in _monomials_by_drop(alg, "even", height).items()}
+    right: dict[Drop, int] = {}
+    for _, mu, _ in subset_labels(datum, lam):
+        gamma = (lam - mu).coords()
+        room = height - datum.height(lam - mu)
+        for d, k in even.items():
+            if datum.drop_key(d)[0] <= room:
+                total = tuple(map(operator.add, gamma, d))
+                right[total] = right.get(total, 0) + k
+    for d in sorted(left.keys() | right.keys(), key=datum.drop_key):
+        if left.get(d, 0) != right.get(d, 0):
+            return False, lam.lower(d)
+    return True, None
 
 
 # ----- unitarity certification --------------------------------------------------------

@@ -1,6 +1,6 @@
 """gl(m|n) on matrix units: generator classes and PBW order, structure
-constants, the action of one generator on a PBW monomial, the anti-involution
-of su(p,q|n) on generators, and the invariant forms.
+constants, the anti-involution of su(p,q|n) on generators, and the invariant
+forms.
 
 A generator is a matrix-unit label (i, j) with 0-based indices; parity is odd
 iff exactly one index exceeds m-1.  A UEAElement is a dict mapping PBW words
@@ -8,14 +8,15 @@ iff exactly one index exceeds m-1.  A UEAElement is a dict mapping PBW words
 negative < Cartan < positive, each class internally ordered by (height, lex)
 of the roots.
 
-The package straightens only g X for one generator g and a PBW monomial X
-(`Algebra._normal_word`, applied at the highest weight vector by
-`modules.act_word`). The product of whole elements, the anti-involution on
-words, the Harish-Chandra projection and the Shapovalov pairing built from
-them are test oracles (`tests/_helpers.py`).
+The package never straightens in U(g): `modules.act_word` applies one
+generator to a PBW monomial at the highest weight vector by its own
+recursion, from the generator table and `supercommutator` here. PBW
+straightening of whole words, the product of whole elements, the
+anti-involution on words, the Harish-Chandra projection and the Shapovalov
+pairing built from them are test oracles (`tests/_helpers.py`).
 
 Coefficients are canonical as in `exactla._rat`: the structure constants on
-matrix units are +-1, so straightening keeps them ints, and only the
+matrix units are +-1, so products of generators keep them ints, and only the
 normalized form `b_form` takes half-integral values.
 """
 
@@ -49,7 +50,6 @@ class Algebra:
         self.m = datum.m
         self.n = datum.n
         self.dim = datum.m + datum.n
-        self._normal_cache: dict[Word, UEAElement] = {}
         # one pass over the matrix units: root, drop, triangular class and
         # PBW order key (class rank; Cartan by index, root vectors by
         # (height, lex) of the root), then the PBW-sorted generator tuple
@@ -107,38 +107,6 @@ class Algebra:
         if l == i:
             add_into(out, ((k, j),), -sign)
         return out
-
-    # ----- PBW straightening ----------------------------------------------------
-    def _first_inversion(self, word: Word) -> int | None:
-        for idx in range(len(word) - 1):
-            a, b = word[idx], word[idx + 1]
-            ka, kb = self.order_key(a), self.order_key(b)
-            if ka > kb or (a == b and self.parity(a)):
-                return idx
-        return None
-
-    def _normal_word(self, word: Word) -> UEAElement:
-        cached = self._normal_cache.get(word)
-        if cached is not None:
-            return cached
-        idx = self._first_inversion(word)
-        if idx is None:
-            result = {word: 1}
-        elif word[idx] == word[idx + 1]:
-            # odd g: g*g = (1/2)[g, g], and [E_ij, E_ij] = 0 for i != j
-            result = {}
-        else:
-            a, b = word[idx], word[idx + 1]
-            head, tail = word[:idx], word[idx + 2 :]
-            result = {}
-            sign = (-1) ** (self.parity(a) * self.parity(b))
-            for w, c in self._normal_word(head + (b, a) + tail).items():
-                add_into(result, w, sign * c)
-            for bw, bc in self.supercommutator(a, b).items():
-                for w, c in self._normal_word(head + bw + tail).items():
-                    add_into(result, w, bc * c)
-        self._normal_cache[word] = result
-        return result
 
     # ----- involution -----------------------------------------------------------
     def _sigma(self, i: int) -> int:

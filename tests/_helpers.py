@@ -4,8 +4,11 @@
   of basis weights, and its drop, triangular class and PBW order key
   computed from it on each call, and the matrix units sorted by that key
   (the oracles for the table that `uea.Algebra` builds once).
-- Sums and multiples in U(g), and the U(g) oracles: the product of whole
-  elements by PBW straightening, the anti-involution on words, the
+- Sums and multiples in U(g), and the U(g) oracles: PBW straightening of a
+  word (swap the first inversion, add its supercommutator, cached per
+  Algebra), a PBW word applied at the highest weight vector, and both
+  together as the oracle for the module recursion `modules.act_word`; the
+  product of whole elements, the anti-involution on words, the
   Harish-Chandra projection, evaluation at a weight, and the Shapovalov
   pairing built from them (the oracle for the Gram recursion in `modules`),
   the odd basis table as elements, and a word applied to a module vector one
@@ -34,8 +37,10 @@
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
   the exterior character of n1^- as the product of (1 + e^{-gamma}) over the
   odd positive roots, and the sums of even characters written out: the
-  Verma filtration's sum of ch M0(lam - Gamma_S) over every S, and a signed
-  sum over given (mu, c) of c ch L0(mu) or c ch F^mu, one module per term.
+  Verma filtration's sum of ch M0(lam - Gamma_S) over every S and the
+  filtration check on built Verma modules (the oracle for the PBW counts of
+  `modules.verma_filtration_check`), and a signed sum over given (mu, c) of
+  c ch L0(mu) or c ch F^mu, one module per term.
 - The character-formula oracles: both formulas with one product
   (ext n1^-) (x) F^mu per table entry (the oracle for
   `analysis.character_formula_check`, which takes one signed compact sum),
@@ -46,6 +51,7 @@ The package itself never needs them."""
 import itertools
 import math
 import operator
+import weakref
 from fractions import Fraction
 
 from superdirac import analysis, dirac, exactla, modules, uea
@@ -106,11 +112,82 @@ def scale(e, c):
 
 
 # ----- U(g) oracles ---------------------------------------------------------------
+# straightened words per Algebra, kept as long as the Algebra lives
+_NORMAL_CACHES = weakref.WeakKeyDictionary()
+
+
+def first_inversion(alg, word):
+    """The first position whose two letters are out of PBW order, or repeat
+    an odd generator; None for a PBW word."""
+    for idx in range(len(word) - 1):
+        a, b = word[idx], word[idx + 1]
+        ka, kb = alg.order_key(a), alg.order_key(b)
+        if ka > kb or (a == b and alg.parity(a)):
+            return idx
+    return None
+
+
+def normal_word(alg, word):
+    """A word of generators in PBW normal order, by swapping the first
+    inversion (plus its supercommutator) until none is left."""
+    cache = _NORMAL_CACHES.setdefault(alg, {})
+    cached = cache.get(word)
+    if cached is not None:
+        return cached
+    idx = first_inversion(alg, word)
+    if idx is None:
+        result = {word: 1}
+    elif word[idx] == word[idx + 1]:
+        # odd g: g*g = (1/2)[g, g], and [E_ij, E_ij] = 0 for i != j
+        result = {}
+    else:
+        a, b = word[idx], word[idx + 1]
+        head, tail = word[:idx], word[idx + 2 :]
+        result = {}
+        sign = (-1) ** (alg.parity(a) * alg.parity(b))
+        for w, c in normal_word(alg, head + (b, a) + tail).items():
+            uea.add_into(result, w, sign * c)
+        for bw, bc in alg.supercommutator(a, b).items():
+            for w, c in normal_word(alg, head + bw + tail).items():
+                uea.add_into(result, w, bc * c)
+    cache[word] = result
+    return result
+
+
+def accumulate_pbw(alg, lam, word, coeff, out):
+    """Add coeff times the PBW word applied to the highest weight vector of
+    M(lam) into out: a raising letter kills it, a Cartan letter E_ii scales
+    it by coordinate i of lam, and the lowering head is the monomial."""
+    if not coeff:
+        return
+    coords = lam.coords()
+    neg_end = 0
+    for g in word:
+        if alg.triangular_class(g) == "negative":
+            neg_end += 1
+        else:
+            break
+    for g in word[neg_end:]:
+        if alg.triangular_class(g) == "positive":
+            return
+        coeff *= coords[g[0]]
+    uea.add_into(out, word[:neg_end], coeff)
+
+
+def straightened_act(alg, lam, g, mono):
+    """g applied to mono v_lam of M(lam) by straightening the word (g,) + mono
+    in U(g) and projecting at v_lam (the oracle for `modules.act_word`)."""
+    out = {}
+    for w, c in normal_word(alg, (g,) + mono).items():
+        accumulate_pbw(alg, lam, w, c, out)
+    return out
+
+
 def normal_order(alg, element):
     """An element of U(g) in PBW normal order, word by word."""
     out = {}
     for word, coeff in element.items():
-        for w, c in alg._normal_word(word).items():
+        for w, c in normal_word(alg, word).items():
             uea.add_into(out, w, coeff * c)
     return out
 
@@ -175,10 +252,11 @@ def x_k(alg, k):
 def act_letters(alg, lam, word, vec):
     """The product of generators `word` applied to a vector of M(lam), one
     letter at a time (the last letter acts first) through `modules.act_word`."""
+    memo = {}
     for g in reversed(word):
         out = {}
         for mono, coeff in vec.items():
-            for m, c in modules.act_word(alg, lam, g, mono).items():
+            for m, c in modules.act_word(alg, lam, g, mono, memo).items():
                 uea.add_into(out, m, coeff * c)
         vec = out
     return vec
@@ -496,6 +574,15 @@ def filtration_even_sum(datum, lam, height):
                     continue
                 total[nu] = total.get(nu, 0) + even.block_dim(nu)
     return total
+
+
+def verma_filtration_by_modules(datum, lam, height):
+    """`modules.verma_filtration_check` with the Verma modules built: ch M(lam)
+    from the blocks of M(lam), the sum from one M0(lam - Gamma_S) per subset."""
+    height = Fraction(height)
+    left = modules.character(modules.verma_truncation(datum, lam, height))
+    right = modules.VirtualCharacter(filtration_even_sum(datum, lam, height), lam)
+    return modules.characters_equal_to_height(datum, left, right, lam, height)
 
 
 def written_out_even_sum(datum, lam, terms, height, build):

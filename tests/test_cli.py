@@ -164,6 +164,11 @@ def test_cache_roundtrip(runner, tmp_path, args):
     args = [*args, "--cache-dir", str(cache)]
     cold = invoke(runner, args)
     (entry,) = cache.glob("*.json")
+    # the entry is compact JSON of the payload that stdout prints indented
+    text = entry.read_text()
+    assert "\n" not in text and text == json.dumps(json.loads(text))
+    emitted = json.loads(cold.output)
+    assert {k: v for k, v in emitted.items() if k not in ("schema", "engine")} == json.loads(text)
     inode = entry.stat().st_ino
     warm = invoke(runner, args)
     assert (warm.exit_code, warm.output) == (cold.exit_code, cold.output)

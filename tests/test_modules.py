@@ -1,5 +1,6 @@
-"""Truncated highest-weight modules: block dimensions, Gram radicals,
-characters, the Verma filtration identity, and unitarity certification."""
+"""Truncated highest-weight modules: the one-generator action, block
+dimensions, Gram radicals, characters, the Verma filtration identity, and
+unitarity certification."""
 
 import itertools
 import random
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from _helpers import (
     dirac_scalar_pairing,
     dirac_scalar_two_pairings,
-    filtration_even_sum,
     quadratic_value,
     shapovalov_pairing,
+    straightened_act,
+    verma_filtration_by_modules,
     written_out_even_sum,
 )
 from superdirac import analysis, exactla, modules
@@ -22,6 +24,55 @@ from superdirac.exactla import SparseRationalMatrix
 from superdirac.weights import Weight, build_root_datum, parse_weight, subset_labels
 
 KINDS = ("verma", "simple", "even-verma", "even-simple", "compact-simple")
+
+
+# ----- the one-generator action -----------------------------------------------------------
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        ((2, 1, 1, 1), "-2,1|1", 6),
+        ((2, 1, 1, 1), "-3/2,1/2|1/2", 4),
+        ((2, 1, 1, 1), "-5/3,1|1", 4),
+        ((2, 2, 1, 1), "-3,1|1,1", 3),
+        ((2, 3, 1, 1), "-3,0|1,1,1", 2),
+        ((3, 3, 2, 1), "-2,-2,1|1,1,1", 2),
+    ],
+    ids=["sl21", "sl21-half", "sl21-thirds", "sl22", "sl23", "gl33-p2"],
+)
+def test_action_matches_straightening_oracle(group, weight, height):
+    """The module recursion for g X v_lam equals straightening (g,) + X in
+    U(g) and projecting at v_lam, dict for dict, for every generator of
+    every class and every basis monomial of the Verma truncation, and keeps
+    every coefficient canonical (an int when integral, else a Fraction)."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    mod = modules.verma_truncation(datum, lam, height)
+    alg = mod.alg
+    assert {alg.triangular_class(g) for g in alg.generators()} == {
+        "negative", "cartan", "positive"
+    }
+    monos = [m for b in mod.blocks.values() for m in b.monomials]
+    for g in alg.generators():
+        for mono in monos:
+            img = mod.act(g, mono)
+            assert img == straightened_act(alg, lam, g, mono), (g, mono)
+            for c in img.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            assert mod.act(g, mono) is img  # memoized on the module
+
+
+def test_action_memo_belongs_to_the_module(d21):
+    """Two modules of different highest weights over one Algebra keep their
+    own images: the memo is per module, not per Algebra."""
+    alg = modules.Algebra(d21)
+    lam, mu = parse_weight("-2,1|1", 2, 1), parse_weight("-3/2,1/2|1/2", 2, 1)
+    a = modules._build(d21, lam, Fraction(3), "simple", alg)
+    b = modules._build(d21, mu, Fraction(3), "simple", alg)
+    assert a._act and b._act and a._act is not b._act
+    for g in alg.generators():
+        for mono in b.by_drop[(1, -1, 0)].monomials:
+            assert b.act(g, mono) == straightened_act(alg, mu, g, mono)
+            assert a.act(g, mono) == straightened_act(alg, lam, g, mono)
 
 
 # ----- block dimensions ---------------------------------------------------------------
@@ -153,6 +204,55 @@ def test_verma_filtration_sl23(d23):
     assert ok, diff
 
 
+FILTRATION_CASES = [
+    ((2, 1, 1, 1), "-2,1|1", 3),
+    ((2, 1, 1, 1), "-1,0|0", 3),
+    ((2, 1, 1, 1), "-3/2,1/2|1/2", 2),
+    ((2, 1, 2, 0), "3,-1|2", 2),
+    ((2, 2, 1, 1), "-3,1|1,1", 2),
+    ((2, 3, 1, 1), "-3,0|1,1,1", 2),
+    ((3, 3, 2, 1), "-2,-2,1|1,1,1", 2),
+]
+FILTRATION_IDS = ["sl21-typical", "sl21-atypical", "sl21-half", "sl21-p2", "sl22", "sl23", "gl33"]
+
+
+@pytest.mark.parametrize("group, weight, height", FILTRATION_CASES, ids=FILTRATION_IDS)
+def test_verma_characters_are_pbw_counts(group, weight, height):
+    """The PBW monomials counted per drop give the characters of the built
+    Verma modules M(lam) and M0(lam), and the filtration check on them agrees
+    with the one that builds M(lam) and every M0(lam - Gamma_S)."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    alg = modules.Algebra(datum)
+    for restriction, kind in (("all", "verma"), ("even", "even-verma")):
+        counts = modules._monomials_by_drop(alg, restriction, Fraction(height))
+        built = modules.character(modules._build(datum, lam, Fraction(height), kind))
+        assert {lam.lower(d): len(ms) for d, ms in counts.items()} == built.multiplicities
+    assert modules.verma_filtration_check(datum, lam, height) == (True, None)
+    assert verma_filtration_by_modules(datum, lam, height) == (True, None)
+
+
+def test_verma_filtration_reports_the_lowest_differing_weight(monkeypatch):
+    """A count of M(lam) made wrong at two drops is reported at the lower
+    one in the drop order; a wrong top count of M0 shows at lam itself."""
+    datum = build_root_datum(2, 2, 1, 1)
+    lam = parse_weight("-3,1|1,1", 2, 2)
+    counts = modules._monomials_by_drop
+    drops = sorted(counts(modules.Algebra(datum), "all", Fraction(2)), key=datum.drop_key)
+    for restriction, spoiled in (("all", [drops[-1], drops[3]]), ("even", [drops[0]])):
+
+        def spoiling(alg, r, height, restriction=restriction, spoiled=spoiled):
+            out = counts(alg, r, height)
+            if r == restriction:
+                for d in spoiled:
+                    out[d] = out[d] + [("extra",)]
+            return out
+
+        monkeypatch.setattr(modules, "_monomials_by_drop", spoiling)
+        lowest = min(spoiled, key=datum.drop_key)
+        assert modules.verma_filtration_check(datum, lam, 2) == (False, lam.lower(lowest))
+
+
 @pytest.mark.parametrize(
     "group, weight, height",
     [
@@ -167,18 +267,13 @@ def test_verma_filtration_sl23(d23):
 )
 def test_even_character_sum_matches_written_out_sums(group, weight, height, monkeypatch):
     """Every kind of `even_character_sum` against the sums written out one
-    module per term: ch M0(lam - Gamma_S) over every subset S, ch L0(mu)
-    over the included branching labels mu, and signed sums of ch L0(mu) and
-    ch F^mu whose coefficients are negative, repeat a mu or cancel to zero
-    (such a mu is not built)."""
+    module per term: ch L0(mu) over the included branching labels mu, and
+    signed sums of ch L0(mu) and ch F^mu whose coefficients are negative,
+    repeat a mu or cancel to zero (such a mu is not built). The Verma kinds
+    are refused: a Verma character is a PBW count."""
     datum = build_root_datum(*group)
     lam = parse_weight(weight, datum.m, datum.n)
     labels = [mu for _, mu, _ in subset_labels(datum, lam)]
-    verma = modules.even_character_sum(
-        datum, lam, [(mu, 1) for mu in labels], height, "even-verma"
-    )
-    assert verma.base == lam
-    assert verma.multiplicities == filtration_even_sum(datum, lam, height)
     included = [(mu, 1) for mu in analysis.even_decomposition(datum, lam, True).included_labels()]
     simple = modules.even_character_sum(datum, lam, included, height, "even-simple")
     assert simple.base == lam
@@ -209,7 +304,7 @@ def test_even_character_sum_matches_written_out_sums(group, weight, height, monk
             mu for mu, c in totals.items() if c and datum.height(lam - mu) <= height
         ]
         assert total.multiplicities == written_out_even_sum(datum, lam, signed, height, oracle)
-    for kind in ("verma", "simple"):
+    for kind in ("verma", "simple", "even-verma"):
         with pytest.raises(ValueError):
             modules.even_character_sum(datum, lam, included, height, kind)
 
@@ -239,7 +334,7 @@ def test_ktype_table_compact_simple(d23):
 
 def _oracle_ktype_table(module):
     """The k-type table by applying each compact raising generator to the
-    stored basis with act_word (PBW straightening of g X), reducing the images to
+    stored basis by PBW straightening of g X, reducing the images to
     the target block's stored coordinates (decided here by the module's
     kind), and taking the kernel of the stacked rows."""
     alg = module.alg
@@ -270,7 +365,7 @@ def _oracle_ktype_table(module):
             coords = []
             for mono in cols:
                 vec = [Fraction(0)] * len(tb.monomials)
-                for m, c in modules.act_word(alg, lam, g, mono).items():
+                for m, c in straightened_act(alg, lam, g, mono).items():
                     vec[index[m]] += c
                 coords.append(reduction.apply(vec) if simple else vec)
             for r in range(len(coords[0])):

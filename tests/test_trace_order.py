@@ -1,0 +1,37 @@
+"""A traced benchmark pass counts the same work whatever order it runs its
+cases in: nothing the program memoizes outlives the case that filled it.
+
+The benchmark worker shuffles the cases of each pass by its seed; a cache
+shared across cases (say, one Algebra per root datum) would make the counts
+of a later case depend on what ran before it."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKER = ROOT / "perfbench" / "worker.py"
+
+
+def _traced_pass(seed, scratch):
+    """One traced cold pass of the deep-sl21 workload, as the worker prints it."""
+    done = subprocess.run(
+        [sys.executable, str(WORKER), "pass", "deep-sl21", str(seed), "0", "1", str(scratch)],
+        capture_output=True, text=True, check=True, cwd=ROOT, timeout=300,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_trace_counts_do_not_depend_on_case_order(tmp_path):
+    # seeds 1 and 5 run the three cases in the orders c, a, b and c, b, a
+    runs = [_traced_pass(seed, tmp_path / f"seed{seed}") for seed in (1, 5)]
+    orders = [[c["case"] for c in r["cases"]] for r in runs]
+    assert orders[0] != orders[1] and sorted(orders[0]) == sorted(orders[1])
+    for r in runs:
+        assert [c["status"] for c in r["cases"]] == ["ok"] * len(r["cases"]), r["cases"]
+    digests = [{c["case"]: c["digest"] for c in r["cases"]} for r in runs]
+    assert digests[0] == digests[1]
+    assert runs[0]["trace"]["counts"] == runs[1]["trace"]["counts"]
+    calls = [{name: agg[0] for name, agg in r["trace"]["spans"].items()} for r in runs]
+    assert calls[0] == calls[1]

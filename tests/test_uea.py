@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    accumulate_pbw,
     act_letters,
     combine,
     multiply,
     normal_order,
+    normal_word,
     omega,
     partial_k,
     scale,
@@ -301,7 +303,7 @@ def test_pbw_coefficients_are_ints_and_divisions_never_float(group):
     gens = alg.generators()
     for length in range(4):
         for word in itertools.product(gens, repeat=length):
-            for c in alg._normal_word(word).values():
+            for c in normal_word(alg, word).values():
                 assert type(c) is int, (word, c)
             for c in omega(alg, {word: 1}).values():
                 assert type(c) is int, (word, c)
@@ -321,13 +323,13 @@ def test_pbw_coefficients_are_ints_and_divisions_never_float(group):
 
 # ----- the one-generator action against the whole word ------------------------------------
 def _assert_letters_match_whole_word(alg, lam, words, monos):
-    """A word applied one letter at a time through the narrowed act_word
-    equals straightening word + mono in one go and projecting at v_lam."""
+    """A word applied one letter at a time through `modules.act_word` equals
+    straightening word + mono in one go and projecting at v_lam."""
     for word in words:
         for mono in monos:
             whole = {}
-            for w, c in alg._normal_word(word + mono).items():
-                modules._accumulate_pbw(alg, lam, w, c, whole)
+            for w, c in normal_word(alg, word + mono).items():
+                accumulate_pbw(alg, lam, w, c, whole)
             assert act_letters(alg, lam, word, {mono: 1}) == whole, (word, mono)
 
 
