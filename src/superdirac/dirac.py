@@ -2,6 +2,12 @@
 operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d') and the Kostant
 differential d (d' is minus its G-adjoint), the block Gram form, Dirac
 cohomology, index, and the anti-selfadjointness and square audits.
+
+Each block decides once whether its Gram form G is positive definite and
+D^T G + G D = 0 (`DiracBlock.definite_anti_selfadjoint`). Where it holds,
+ker D cap im D = 0 and D^2 is diagonalizable (Huang-Pandzic), so
+`block_cohomology` takes no rank of D^2 and `dirac_square_audit` forms no
+product of the (D^2 - c); every other block computes both as before.
 """
 
 from __future__ import annotations
@@ -46,6 +52,44 @@ class DiracBlock:
     @functools.cached_property
     def D2(self) -> SparseRationalMatrix:
         return self.D.matmul(self.D)
+
+    @functools.cached_property
+    def adjoint(self) -> AdjointCertificate:
+        """The certificate `anti_selfadjoint_certificate` returns, formed once
+        per block from the two products G D and G d (see there)."""
+        g_D, g_d = self.gram.matmul(self.D).entries, self.gram.matmul(self.d).entries
+        # D^T G + G D is symmetric: its entry at (i, j) and (j, i) is
+        # (G D)_ji + (G D)_ij, nonzero only where G D has an entry
+        lhs = {}
+        for (i, j), v in g_D.items():
+            w = v + g_D.get((j, i), 0)
+            if w:
+                lhs[i, j] = lhs[j, i] = w
+        first = min(lhs, default=None)  # the witness entry, if any
+        witness = None if first is None else (*first, lhs[first])
+        halves = not any(
+            2 * (g_d.get((j, i), 0) - g_d.get((i, j), 0)) + g_D.get((i, j), 0)
+            for i, j in g_D.keys() | g_d.keys() | {(j, i) for i, j in g_d}
+        )
+        return AdjointCertificate(first is None, witness, halves)
+
+    @functools.cached_property
+    def definite_anti_selfadjoint(self) -> bool:
+        """G is positive definite and D^T G + G D = 0, decided once per block.
+
+        G is the module form times a! on each (module block, x^a), so it is
+        positive definite iff the form of every module block in the basis
+        is; each module block caches its certificate. Then G D^2 = -D^T G D,
+        so D^2 is G-selfadjoint, hence diagonalizable over the reals, and
+        ker D cap im D = 0: for v = D w with D v = 0, <v, v> = <D w, v> =
+        -<w, D v> = 0, so v = 0 (Huang-Pandzic, JAMS 15, 2002).
+        `block_cohomology` and `dirac_square_audit` read these facts instead
+        of computing them where this holds."""
+        definite = all(
+            self.module.by_drop[drop_m].definiteness.verdict == "positive-definite"
+            for drop_m in {e[0] for e in self.basis}
+        )
+        return definite and anti_selfadjoint_certificate(self).ok
 
     @functools.cached_property
     def gram(self) -> SparseRationalMatrix:
@@ -234,31 +278,21 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
     )
 
 
-def raising_stack(
-    coll: BlockCollection, block: DiracBlock, restriction: str, reduction=None
-) -> SparseRationalMatrix:
-    """X_D from the block to each existing target block, stacked over the
-    raising generators of `restriction` ("even" or "compact", as
-    `modules.generators` selects them). The matrix that `reduction(target)`
-    gives, if any, left-multiplies that target's map; None leaves it as is."""
+def raising_maps(
+    coll: BlockCollection, block: DiracBlock, restriction: str
+) -> list[tuple[DiracBlock, SparseRationalMatrix]]:
+    """(target block, X_D from the block to it) for each raising generator of
+    `restriction` ("even" or "compact", as `modules.generators` selects
+    them) whose target block exists."""
     alg = coll.module.alg
-    mats = []
+    maps = []
     for g in modules.generators(alg, +1, restriction):
         tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
         # raising decreases the height drop, so a missing target block is
         # empty; the map is zero there
-        if tgt is None:
-            continue
-        x = diagonal_action_matrix(block, tgt, g)
-        r = reduction(tgt) if reduction else None
-        mats.append(x if r is None else r.matmul(x))
-    return exactla.vstack(mats, block.dim)
-
-
-def highest_vectors(coll: BlockCollection, nu: Weight) -> list[tuple[int, ...]]:
-    """Integer vectors spanning the part of the block killed by every even
-    raising operator X_D."""
-    return exactla.kernel_basis(raising_stack(coll, coll.blocks[nu], "even"))
+        if tgt is not None:
+            maps.append((tgt, diagonal_action_matrix(block, tgt, g)))
+    return maps
 
 
 # ----- audits --------------------------------------------------------------------------
@@ -308,17 +342,38 @@ class SquareAuditReport:
 def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     """Verify that the squared Dirac matrix acts on each g0-isotypic component
     (identified by its highest vectors) by one scalar, and compare it with the
-    weight-pairing prediction."""
+    weight-pairing prediction; then check that D^2 is semisimple on every
+    block with the predicted scalars as its only eigenvalues.
+
+    Each (block, even raising generator) map X_D is built once. The kernel of
+    the block's maps is its highest vectors, D^2 v is read as D(D v), and the
+    same maps check X_D D = D X_D. The predicted scalars `cs` of a block are
+    the measured ones of every block above it in the even cone (itself
+    included). Semisimplicity means that the product of (D^2 - c) over `cs`
+    vanishes; this product is formed only on blocks where
+    `DiracBlock.definite_anti_selfadjoint` fails, or on every block if some
+    X_D does not commute with D. Elsewhere it vanishes for this reason: D^2
+    is diagonalizable on the block (G-selfadjoint for a definite G), and
+    every eigenvalue lies in `cs`. Take an eigenvector v of D^2 with
+    eigenvalue c. Each X_D commutes with D^2, so X_D v is zero or an
+    eigenvector for c in a block one even positive root higher. Raising v
+    while some X_D does not kill it ends, since the height drop falls, at a
+    nonzero vector every X_D kills: a highest vector for c, in a block above
+    in the even cone, where D^2 acts by that block's measured scalar. So c
+    is in `cs`."""
     module = coll.module
     datum = module.datum
     t = (module.highest_weight + datum.rho).scale(2).coords()
     entries: list[SquareAuditEntry] = []
     # (`_cone_sums` of the block's drop, measured scalar) per entry
     by_nu0: list[tuple[ConeSums, Fraction]] = []
+    commute = True  # X_D D = D X_D on every map built
     for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
-        hvs = highest_vectors(coll, nu)
+        maps = raising_maps(coll, block, "even")
+        commute = commute and all(tgt.D.matmul(x) == x.matmul(block.D) for tgt, x in maps)
+        hvs = exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
         if not hvs:
             continue
         mu = nu + datum.rho1  # = L - drop
@@ -327,7 +382,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         # it, checked on ints by cross multiplication against the lead entry
         measured_vals = set()
         for v in hvs:
-            img = block.D2.apply(v)
+            img = block.D.apply(block.D.apply(v))
             lead = next(i for i, x in enumerate(v) if x)
             if any(y * v[lead] != x * img[lead] for x, y in zip(v, img)):
                 raise AssertionError(
@@ -343,13 +398,16 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
             SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s)
         )
         by_nu0.append((_cone_sums(block.drop, datum.m), measured))
-    # semisimplicity cross-check: on each block, the product over the predicted
-    # component scalars of (D^2 - c) vanishes, where components come from this
-    # block and every higher block whose lowerings can reach it
+    # semisimplicity: on each block, the product over the predicted component
+    # scalars of (D^2 - c) vanishes, where components come from this block and
+    # every higher block whose lowerings can reach it
     checked = 0
     for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
+        checked += 1
+        if commute and block.definite_anti_selfadjoint:
+            continue  # the product vanishes (see the docstring)
         below = _cone_sums(block.drop, datum.m)
         cs = sorted({c for s0, c in by_nu0 if _in_even_cone(s0, below)})
         n = block.dim
@@ -363,7 +421,6 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
             raise AssertionError(
                 f"D^2 not semisimple with predicted scalars at nu={nu.text()}"
             )
-        checked += 1
     osc_const = coll.osc.measured_constant()
     cand = pairing(datum.rho1 - datum.rho0.scale(2), datum.rho1)
     return SquareAuditReport(
@@ -460,23 +517,34 @@ class CohomologyReport:
 
 
 def block_cohomology(block: DiracBlock) -> BlockCohomology:
-    """H_D of one block from four ranks.
+    """H_D of one block from the ranks of B and C, and where needed of the
+    halves of D^2.
 
     D swaps oscillator parity, so on (even, odd) coordinates D = [[0, B], [C, 0]]
     with B: odd -> even and C: even -> odd. Then ker D = ker C + ker B and
     ker D cap im D = (im B cap ker C) + (im C cap ker B), where
     dim(im B cap ker C) = rk B - rk CB and dim(im C cap ker B) = rk C - rk BC.
-    D^2 = [[BC, 0], [0, CB]], so rk CB and rk BC are the ranks of its parity
-    halves, read off the block's one cached D^2 (the square audit's).
+    Where `DiracBlock.definite_anti_selfadjoint` holds, both vanish, and
+    rk B = rk C: G is diagonal in the oscillator monomials, so it splits as
+    G_even + G_odd, and D^T G + G D = 0 gives B = -G_even^-1 C^T G_odd. The
+    predicate is read only where rk C is nonzero; where it holds, no rk B,
+    D^2 or D^2-half rank is taken. Elsewhere D^2 = [[BC, 0], [0, CB]], so
+    rk CB and rk BC are the ranks of its parity halves, read off the
+    block's one cached D^2 (the square audit's).
     """
     even = [i for i, p in enumerate(block.parity) if p == 0]
     odd = [i for i, p in enumerate(block.parity) if p == 1]
     b = block.D.submatrix(even, odd)
     c = block.D.submatrix(odd, even)
-    rk_b, rk_c = exactla.rank(b), exactla.rank(c)
-    both = rk_b and rk_c  # CB and BC vanish when B or C does
-    cap_plus = rk_b - (exactla.rank(block.D2.submatrix(odd, odd)) if both else 0)
-    cap_minus = rk_c - (exactla.rank(block.D2.submatrix(even, even)) if both else 0)
+    rk_c = exactla.rank(c)
+    if rk_c and block.definite_anti_selfadjoint:
+        rk_b, cap_plus, cap_minus = rk_c, 0, 0
+    else:
+        rk_b = exactla.rank(b)
+        cap_plus, cap_minus = rk_b, rk_c  # CB and BC vanish when B or C does
+        if rk_b and rk_c:
+            cap_plus -= exactla.rank(block.D2.submatrix(odd, odd))
+            cap_minus -= exactla.rank(block.D2.submatrix(even, even))
     ker_plus = len(even) - rk_c
     ker_minus = len(odd) - rk_b
     hd_plus = ker_plus - cap_plus
@@ -490,22 +558,33 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
         cap_plus + cap_minus,
         hd_plus,
         hd_minus,
-        _classes(c, b, even, block.dim) if hd_plus else [],
-        _classes(b, c, odd, block.dim) if hd_minus else [],
+        _classes(c, b, even, block.dim, cap_plus) if hd_plus else [],
+        _classes(b, c, odd, block.dim, cap_minus) if hd_minus else [],
     )
 
 
 def _classes(
-    kill: SparseRationalMatrix, image: SparseRationalMatrix, support: list[int], dim: int
+    kill: SparseRationalMatrix,
+    image: SparseRationalMatrix,
+    support: list[int],
+    dim: int,
+    cap: int,
 ) -> list[tuple[int, ...]]:
     """Class representatives for ker(kill) / (ker(kill) cap im(image)), lifted
-    from the coordinates `support` to the whole block. Kernel vectors are
-    independent modulo that intersection exactly when they are independent
-    modulo im(image), so the pivot columns of one RREF of the columns of
-    `image` followed by the kernel vectors pick them."""
+    from the coordinates `support` to the whole block; `cap` is the
+    dimension of that intersection. Kernel vectors are independent modulo
+    the intersection exactly when they are independent modulo im(image), so
+    the pivot columns of one RREF of the columns of `image` followed by the
+    kernel vectors pick them. Where cap = 0, every kernel vector is a class
+    and no RREF is taken."""
     kernel = exactla.kernel_basis(kill)
+    picked = (
+        range(len(kernel))
+        if cap == 0
+        else exactla.independent_modulo(image.transpose().to_rows(), kernel)
+    )
     out = []
-    for k in exactla.independent_modulo(image.transpose().to_rows(), kernel):
+    for k in picked:
         vec = [0] * dim
         for pos, x in zip(support, kernel[k]):
             vec[pos] = x
@@ -556,7 +635,11 @@ def hd_ktype_table(
             len(classes),
             {(i, j): x for j, v in enumerate(classes) for i, x in enumerate(v) if x},
         )
-        stack = raising_stack(coll, block, raising_set, reduction)
+        mats = []
+        for tgt, x in raising_maps(coll, block, raising_set):
+            r = reduction(tgt)
+            mats.append(x if r is None else r.matmul(x))
+        stack = exactla.vstack(mats, block.dim)
         k = len(classes) - exactla.rank(stack.matmul(reps))
         if k:
             table[nu] = k
@@ -580,8 +663,11 @@ class AdjointCertificate:
 
 def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     """D^T G + G D = 0 (`ok`) and 2(d^T G - G d) + G D = 0 (`halves_adjoint`:
-    d' = D/2 - d is minus the G-adjoint of d) from two products, G D and G d:
-    G is symmetric, so D^T G = (G D)^T and d^T G = (G d)^T.
+    d' = D/2 - d is minus the G-adjoint of d) from two products, G D and
+    G d: G is symmetric, so D^T G = (G D)^T and d^T G = (G d)^T, and both
+    sides are read entry by entry off the two products. The block forms it
+    once (`DiracBlock.adjoint`), and `DiracBlock.definite_anti_selfadjoint`
+    reads its `ok`.
 
     The second identity is equivalent to <d v, w> = <v, delta w> for both
     halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
@@ -590,13 +676,7 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     diagonal in the oscillator monomials, so it preserves their bigrading
     (p1-degree, q2-degree); the two parts shift it by (-1, 0) and (0, +1), so
     each vanishes on its own, and the second is the transpose of the q2 one."""
-    g = block.gram
-    g_D, g_d = g.matmul(block.D), g.matmul(block.d)
-    lhs = g_D.transpose().add(g_D)
-    first = min(lhs.entries, default=None)  # the witness entry, if any
-    witness = None if first is None else (*first, lhs.entries[first])
-    halves = g_d.transpose().add(g_d.scale(-1)).scale(2).add(g_D).is_zero()
-    return AdjointCertificate(first is None, witness, halves)
+    return block.adjoint
 
 
 # ----- index --------------------------------------------------------------------------------

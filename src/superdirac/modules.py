@@ -11,6 +11,7 @@ straightening in U(g). A Verma character is a count of PBW monomials per drop
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,6 +103,12 @@ class Block:
     def form(self) -> SparseRationalMatrix:
         """The Shapovalov form in stored coordinates."""
         return self.gram if self.qmap is None else self.gram_quot
+
+    @functools.cached_property
+    def definiteness(self) -> exactla.DefinitenessCertificate:
+        """The definiteness certificate of `form`, computed once per block:
+        `certify_unitarity` and the Dirac blocks built on this module read it."""
+        return exactla.definiteness(self.form)
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Stored coordinates of a vector given in monomial coordinates."""
@@ -494,7 +501,7 @@ def certify_unitarity(
         b = module.blocks[nu]
         if b.gram_quot is None or b.gram_quot.rows == 0:
             continue
-        cert = exactla.definiteness(b.gram_quot)
+        cert = b.definiteness
         if cert.verdict != "positive-definite":
             # the witness is in the quotient coordinates of Block.form (the
             # classes of b.basis()), where v^T G v < 0

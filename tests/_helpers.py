@@ -30,8 +30,9 @@
   d^T G and G d), Kostant cohomology from two ranks per degree, and the
   Dirac scalar s as one and as two weight pairings (the oracles for the
   integer-drop `modules.dirac_scalar`), and the g0-highest vectors of a
-  block from one kernel of the maps stacked generator by generator (the
-  oracle for `dirac.raising_stack`).
+  block from one kernel of the maps built generator by generator (the
+  oracle for `dirac.raising_maps`), beside the kernel of those maps as the
+  square audit stacks them.
 - The odd-subset oracles (the oracles for `weights.subset_labels` and
   `modules.even_character_sum`): Gamma_S as a sum of root weights, the
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
@@ -497,6 +498,14 @@ def four_product_certificate(block):
         witness = (i, j, v)
     d_adj = block.d.transpose().matmul(g).add(g.matmul(block.d).scale(-1))
     return lhs.is_zero(), witness, d_adj.scale(2).add(gd).is_zero()
+
+
+def highest_vectors(coll, nu):
+    """The g0-highest vectors of a block as `dirac.dirac_square_audit` takes
+    them: one kernel of the block's even `dirac.raising_maps`, stacked."""
+    block = coll.blocks[nu]
+    maps = dirac.raising_maps(coll, block, "even")
+    return exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
 
 
 def highest_vectors_per_generator(coll, nu):

@@ -1,6 +1,7 @@
 """Dirac blocks: the operator, its square, adjointness, cohomology, index."""
 
 import functools
+import itertools
 import operator
 import random
 from dataclasses import replace
@@ -18,6 +19,7 @@ from _helpers import (
     dirac_quarters,
     four_product_certificate,
     fraction_rref,
+    highest_vectors,
     highest_vectors_per_generator,
     in_even_cone,
     kostant_per_degree,
@@ -169,7 +171,7 @@ def test_inequality_audit_certified_weight(coll_typical3, lam_typical):
 
 def test_highest_vectors_top_block(coll_typical3, d21, lam_typical):
     top = lam_typical - d21.rho1
-    hvs = dirac.highest_vectors(coll_typical3, top)
+    hvs = highest_vectors(coll_typical3, top)
     assert hvs == [(Fraction(1),)]
 
 
@@ -248,7 +250,7 @@ def test_alpha_images_are_computed_once_per_generator_and_monomial(
     monkeypatch.setattr(oscillator, "weyl_apply", counting)
     for nu, block in coll.blocks.items():
         if block.dim:
-            dirac.highest_vectors(coll, nu)
+            highest_vectors(coll, nu)
     assert len(calls) == len(pairs) == 53
     dirac.dirac_square_audit(coll)
     assert len(calls) == len(pairs) + 2 * len(alg.even_generators())
@@ -441,7 +443,7 @@ def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind
     oracle = {nu: _oracle_block_cohomology(b) for nu, b in coll.blocks.items()}
     for nu, bc in report.per_block.items():
         assert bc.to_json() == oracle[nu].to_json()
-        assert dirac.highest_vectors(coll, nu) == highest_vectors_per_generator(coll, nu)
+        assert highest_vectors(coll, nu) == highest_vectors_per_generator(coll, nu)
         classes = bc.hd_plus_classes + bc.hd_minus_classes
         assert (len(bc.hd_plus_classes), len(bc.hd_minus_classes)) == (bc.hd_plus, bc.hd_minus)
         assert all(not any(coll.blocks[nu].D.apply(v)) for v in classes)
@@ -484,7 +486,11 @@ def test_block_ranks_match_sympy(data):
     d2 = d.matmul(d)
     halves = [exactla.rank(d2.submatrix(odd, odd)), exactla.rank(d2.submatrix(even, even))]
     assert halves == [rk_cb, rk_bc]
-    block = SimpleNamespace(nu=Weight.make([0], [0]), dim=dim, parity=list(parity), D=d, D2=d2)
+    # a False predicate keeps the four-rank path under test
+    block = SimpleNamespace(
+        nu=Weight.make([0], [0]), dim=dim, parity=list(parity), D=d, D2=d2,
+        definite_anti_selfadjoint=False,
+    )
     bc = dirac.block_cohomology(block)
     assert bc.ker == dim - rk_b - rk_c
     assert bc.ker_cap_im == (rk_b - rk_cb) + (rk_c - rk_bc)
@@ -908,13 +914,14 @@ def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, r
     assert seen["d"] and seen["D"]
 
 
-def test_each_product_is_formed_once_per_block(d21, lam_typical, monkeypatch):
-    """sl(2|1) -2,1|1 at N=6, counting `SparseRationalMatrix.matmul` calls:
-    cohomology forms no product but the cached D^2 = D D, the square audit
-    forms no further D D, so D D is formed once on every nonempty block and
-    never on an empty one; with D^2 cached, `block_cohomology` forms no
-    product; the adjoint certificate forms two per block (G D and G d)."""
-    coll = dirac.assemble_all(modules.simple_truncation(d21, lam_typical, 6), 6)
+def test_each_product_is_formed_once_per_block(d21, monkeypatch):
+    """sl(2|1) -2,1|1 (certified) and 0,0|-1 (refuted) at N=6, counting
+    `SparseRationalMatrix.matmul` calls through cohomology, the square audit
+    and the adjoint certificate: D D is formed once on every nonempty block
+    where `definite_anti_selfadjoint` fails and never where it holds (on the
+    certified input, nowhere); G D and G d are formed once on every block,
+    for its one certificate; with its D^2 and certificate cached, neither
+    `block_cohomology` nor the certificate forms a product again."""
     calls = []
     matmul = SparseRationalMatrix.matmul
 
@@ -923,21 +930,27 @@ def test_each_product_is_formed_once_per_block(d21, lam_typical, monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(SparseRationalMatrix, "matmul", counted)
-    blocks = list(coll.blocks.values())
-    dirac.dirac_cohomology(coll)
-    in_cohomology = len(calls)
-    dirac.dirac_square_audit(coll)
-    squares = [sum(a is b is block.D for a, b in calls) for block in blocks]
-    assert squares == [int(block.dim > 0) for block in blocks]
-    assert 0 < in_cohomology == sum(a is b for a, b in calls[:in_cohomology])
-    calls.clear()
-    for block in blocks:
-        dirac.block_cohomology(block)
-    assert calls == []
-    for block in blocks:
-        dirac.anti_selfadjoint_certificate(block)
-        assert len(calls) == 2
+    for weight, certified in (("-2,1|1", True), ("0,0|-1", False)):
+        lam = parse_weight(weight, d21.m, d21.n)
+        coll = dirac.assemble_all(modules.simple_truncation(d21, lam, 6), 6)
+        blocks = list(coll.blocks.values())
         calls.clear()
+        dirac.dirac_cohomology(coll)
+        dirac.dirac_square_audit(coll)
+        for block in blocks:
+            dirac.anti_selfadjoint_certificate(block)
+        holds = [block.definite_anti_selfadjoint for block in blocks]
+        assert any(holds) and all(holds) == certified
+        squares = [sum(a is b is block.D for a, b in calls) for block in blocks]
+        assert squares == [int(block.dim > 0 and not h) for block, h in zip(blocks, holds)]
+        for m in ("D", "d"):
+            formed = [sum(a is b.gram and c is getattr(b, m) for a, c in calls) for b in blocks]
+            assert formed == [1] * len(blocks), m
+        calls.clear()
+        for block in blocks:
+            dirac.block_cohomology(block)
+            dirac.anti_selfadjoint_certificate(block)
+        assert calls == []
 
 
 # ----- the integer fast path ----------------------------------------------------------
@@ -1002,7 +1015,7 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
         assert _exact(block.gram.entries.values())
         image = exactla.quotient(block.D.transpose().to_rows(), block.dim)
         assert _exact(image.reduction.entries.values())
-        for v in dirac.highest_vectors(coll, nu):
+        for v in highest_vectors(coll, nu):
             assert type(v) is tuple and all(type(x) is int for x in v)
     assert actions
     assert mod._gen_columns and all(_ints(d) for _, d in mod._gen_columns)
@@ -1012,3 +1025,181 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     report = dirac.dirac_cohomology(coll)
     tables = [dirac.hd_ktype_table(coll, report, sign) for sign in (+1, -1)]
     assert any(tables) and all(_canonical(t) for t in tables)
+
+
+# ----- the definite, anti-selfadjoint shortcut ------------------------------------------
+# the golden inputs, the refuted sl(2|1) input and two Verma truncations (the
+# second with a singular Gram, so the predicate fails on most blocks)
+SHORTCUT_INPUTS = {
+    "sl21-typical": (SL21, "-2,1|1", 4, "simple"),
+    "sl21-atypical": (SL21, "-1,0|0", 4, "simple"),
+    "sl21-half": (SL21, "-3/2,1/2|1/2", 3, "simple"),
+    "sl21-thirds": (SL21, "-5/3,1|1", 3, "simple"),
+    "sl22-typical": (SL22, "-3,1|1,1", 2, "simple"),
+    "sl23": (SL23, "-3,0|1,1,1", 3, "simple"),
+    "gl33-p2": (GL33, "-2,-2,1|1,1,1", 2, "simple"),
+    "sl21-refuted": (SL21, "0,0|-1", 4, "simple"),
+    "sl21-verma": (SL21, "-2,1|1", 3, "verma"),
+    "sl21-verma-singular": (SL21, "0,0|0", 4, "verma"),
+}
+
+
+def _collection(group, weight, height, kind):
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    build = modules.simple_truncation if kind == "simple" else modules.verma_truncation
+    return dirac.assemble_all(build(datum, lam, height), height)
+
+
+def _outputs(coll):
+    """Everything cohomology, the k-type tables and the square audit report."""
+    report = dirac.dirac_cohomology(coll)
+    classes = [(bc.hd_plus_classes, bc.hd_minus_classes) for bc in report.per_block.values()]
+    tables = [
+        dirac.hd_ktype_table(coll, report, sign, raising_set)
+        for sign in (+1, -1)
+        for raising_set in ("compact", "even")
+    ]
+    return report.to_json(), classes, tables, dirac.dirac_square_audit(coll).to_json()
+
+
+def _chain_product(coll, audit, block):
+    """The product over the block's predicted scalars of (D^2 - c): the
+    measured scalars of the blocks above it in the even cone (the rational
+    cone oracle)."""
+    below = cone_sums(block.nu)
+    cs = {e.measured for e in audit.entries if in_even_cone(cone_sums(e.nu0), below)}
+    n = block.dim
+    prod = SparseRationalMatrix.identity(n)
+    for c in sorted(cs):
+        prod = prod.matmul(block.D2.add(SparseRationalMatrix.identity(n).scale(-c)))
+    return prod
+
+
+def _spy_squares(monkeypatch):
+    """Record every block whose D^2 is read; D^2 is formed afresh each time."""
+    squared = []
+
+    def d2(block):
+        squared.append(block)
+        return block.D.matmul(block.D)
+
+    monkeypatch.setattr(dirac.DiracBlock, "D2", property(d2))
+    return squared
+
+
+@pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))
+def test_raising_maps_commute_with_the_operator(case):
+    """X_D D = D X_D for every block and every even and every compact
+    raising generator with a target block: `hd_ktype_table` and the square
+    audit's shortcut rely on it. Every even raising root takes a block to
+    one above it in the even cone (`dirac._in_even_cone`, and the rational
+    oracle on the weights), where the audit's argument finds a highest
+    vector."""
+    coll = _collection(*SHORTCUT_INPUTS[case])
+    alg = coll.module.alg
+    m = coll.module.datum.m
+    nonzero = 0
+    for block in coll.blocks.values():
+        for restriction in ("even", "compact"):
+            for tgt, x in dirac.raising_maps(coll, block, restriction):
+                assert tgt.D.matmul(x) == x.matmul(block.D), (block.nu.text(), restriction)
+                nonzero += bool(x.entries)
+        below = dirac._cone_sums(block.drop, m)
+        for g in modules.generators(alg, +1, "even"):
+            above = tuple(map(operator.add, block.drop, alg.gen_drop(g)))
+            assert dirac._in_even_cone(dirac._cone_sums(above, m), below)
+            assert in_even_cone(cone_sums(block.nu + alg.gen_root(g)), cone_sums(block.nu))
+    assert nonzero
+
+
+@pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))
+def test_forcing_the_predicate_false_changes_no_output(case, monkeypatch):
+    """With `definite_anti_selfadjoint` False on every block (the four-rank
+    cohomology and the product chain everywhere), cohomology, its classes,
+    all four k-type tables and the square audit report the same."""
+    coll = _collection(*SHORTCUT_INPUTS[case])
+    shortcut = _outputs(coll)
+    assert any(block.definite_anti_selfadjoint for block in coll.blocks.values())
+    monkeypatch.setattr(dirac.DiracBlock, "definite_anti_selfadjoint", property(lambda b: False))
+    assert _outputs(_collection(*SHORTCUT_INPUTS[case])) == shortcut
+
+
+@pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))
+def test_where_the_predicate_holds_the_chain_vanishes_and_ker_meets_im_in_zero(case):
+    """On every block where `definite_anti_selfadjoint` holds, the product
+    the audit skips is zero and the intersection oracle finds
+    ker D cap im D = 0; the predicate holds exactly where every module form
+    of the basis is positive definite, as D^T G + G D = 0 on every block."""
+    coll = _collection(*SHORTCUT_INPUTS[case])
+    audit = dirac.dirac_square_audit(coll)
+    held = 0
+    for block in coll.blocks.values():
+        forms = {block.module.by_drop[e[0]].definiteness.verdict for e in block.basis}
+        assert dirac.anti_selfadjoint_certificate(block).ok
+        assert block.definite_anti_selfadjoint == (forms <= {"positive-definite"})
+        if block.definite_anti_selfadjoint and block.dim:
+            assert _chain_product(coll, audit, block).is_zero(), block.nu.text()
+            assert _cap_basis(block) == []
+            held += 1
+    assert held
+
+
+def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
+    """sl(2|1) -2,1|1 at N=4 with one entry of D doubled on the first block
+    where D is nonzero: the predicate fails on that block alone, cohomology
+    reads D^2 only there and still matches the intersection oracle, and the
+    square audit forms the chain on it and raises (the spoiled block's
+    measured scalar is not an eigenvalue of the block below it)."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    block = next(b for b in coll.blocks.values() if b.D.entries)
+    spoiled = replace(block, D=_doubled(block.D, min(block.D.entries)))
+    blocks = {nu: spoiled if b is block else b for nu, b in coll.blocks.items()}
+    coll = replace(coll, blocks=blocks, by_drop={b.drop: b for b in blocks.values()})
+    holds = [b.definite_anti_selfadjoint for b in blocks.values()]
+    assert holds == [b is not spoiled for b in blocks.values()]
+    squared = _spy_squares(monkeypatch)
+    report = dirac.dirac_cohomology(coll)
+    assert squared and all(b is spoiled for b in squared)
+    assert report.per_block[spoiled.nu].to_json() == _oracle_block_cohomology(spoiled).to_json()
+    squared.clear()
+    with pytest.raises(AssertionError, match="not semisimple"):
+        dirac.dirac_square_audit(coll)
+    assert any(b is spoiled for b in squared)
+
+
+def _row_added(x, r, s):
+    """x with row s added to row r: the same kernel."""
+    entries = dict(x.entries)
+    for (i, j), v in x.entries.items():
+        if i == s:
+            entries[r, j] = entries.get((r, j), 0) + v
+    return SparseRationalMatrix(x.rows, x.cols, {k: v for k, v in entries.items() if v})
+
+
+def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
+    """sl(2|1) -2,1|1 at N=4 with one map X_D replaced by one that adds one
+    of its rows to another: the kernel, and so every highest vector, is
+    unchanged, but the map no longer commutes with D. The square audit then
+    forms the chain on every nonempty block, and reports the same."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    expected = dirac.dirac_square_audit(_collection(SL21, "-2,1|1", 4, "simple")).to_json()
+    spoils = (
+        (block.drop, tgt.drop, r, s)
+        for block in coll.blocks.values()
+        for tgt, x in dirac.raising_maps(coll, block, "even")
+        for r, s in itertools.permutations(sorted({i for i, _ in x.entries}), 2)
+        if tgt.D.matmul(_row_added(x, r, s)) != _row_added(x, r, s).matmul(block.D)
+    )
+    spoil = next(spoils)
+    real = dirac.diagonal_action_matrix
+
+    def spoiled(src, tgt, g):
+        x = real(src, tgt, g)
+        return _row_added(x, *spoil[2:]) if (src.drop, tgt.drop) == spoil[:2] else x
+
+    monkeypatch.setattr(dirac, "diagonal_action_matrix", spoiled)
+    squared = _spy_squares(monkeypatch)
+    assert dirac.dirac_square_audit(coll).to_json() == expected
+    nonempty = [b for b in coll.blocks.values() if b.dim]
+    assert all(any(s is b for s in squared) for b in nonempty)

@@ -64,7 +64,6 @@ UNREFERENCED_ALLOWED = {
         for c in ("root_data", "decompose", "dirac_cohomology", "certify", "character",
                   "index", "verify")
     },
-    "anti_selfadjoint_certificate": "D^T G + G D = 0; the perfbench pipeline calls it",
     "dirac_inequality_audit": "the Dirac inequality per g0-constituent, for the "
     "planned `verify --suite inequality` (ROADMAP)",
     "harish_chandra_audit": "the Harish-Chandra inequality per g0-constituent, the "
