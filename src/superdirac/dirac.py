@@ -54,56 +54,34 @@ class DiracBlock:
         return self.D.matmul(self.D)
 
     @functools.cached_property
-    def adjoint(self) -> AdjointCertificate:
-        """The certificate `anti_selfadjoint_certificate` returns, formed once
-        per block from the two products G D and G d (see there)."""
-        g_D, g_d = self.gram.matmul(self.D).entries, self.gram.matmul(self.d).entries
-        # D^T G + G D is symmetric: its entry at (i, j) and (j, i) is
-        # (G D)_ji + (G D)_ij, nonzero only where G D has an entry
-        lhs = {}
-        for (i, j), v in g_D.items():
-            w = v + g_D.get((j, i), 0)
-            if w:
-                lhs[i, j] = lhs[j, i] = w
-        first = min(lhs, default=None)  # the witness entry, if any
-        witness = None if first is None else (*first, lhs[first])
-        halves = not any(
-            2 * (g_d.get((j, i), 0) - g_d.get((i, j), 0)) + g_D.get((i, j), 0)
-            for i, j in g_D.keys() | g_d.keys() | {(j, i) for i, j in g_d}
-        )
-        return AdjointCertificate(first is None, witness, halves)
-
-    @functools.cached_property
     def definite_anti_selfadjoint(self) -> bool:
         """G is positive definite and D^T G + G D = 0, decided once per block.
 
         G is the module form times a! on each (module block, x^a), so it is
         positive definite iff the form of every module block in the basis
-        is; each module block caches its certificate. Then G D^2 = -D^T G D,
-        so D^2 is G-selfadjoint, hence diagonalizable over the reals, and
-        ker D cap im D = 0: for v = D w with D v = 0, <v, v> = <D w, v> =
-        -<w, D v> = 0, so v = 0 (Huang-Pandzic, JAMS 15, 2002).
-        `block_cohomology` and `dirac_square_audit` read these facts instead
-        of computing them where this holds."""
-        definite = all(
-            self.module.by_drop[drop_m].definiteness.verdict == "positive-definite"
-            for drop_m in {e[0] for e in self.basis}
-        )
-        return definite and anti_selfadjoint_certificate(self).ok
+        is; each module block caches its certificate. G is symmetric, so the
+        identity says that G D (formed here, not kept) is antisymmetric.
+        Then G D^2 = -D^T G D, so D^2 is G-selfadjoint, hence diagonalizable
+        over the reals, and ker D cap im D = 0: for v = D w with D v = 0,
+        <v, v> = <D w, v> = -<w, D v> = 0, so v = 0 (Huang-Pandzic, JAMS 15,
+        2002). `block_cohomology` and `dirac_square_audit` read these facts
+        instead of computing them where this holds."""
+        drops = {e[0] for e in self.basis}
+        if any(self.module.by_drop[d].definiteness.verdict != "positive-definite" for d in drops):
+            return False
+        g_D = self.gram.matmul(self.D).entries
+        return not any(v + g_D.get((j, i), 0) for (i, j), v in g_D.items())
 
     @functools.cached_property
     def gram(self) -> SparseRationalMatrix:
-        """G = (module Gram) (x) (Bargmann-Fock form), diagonal in the monomials."""
-        gram = SparseRationalMatrix(self.dim, self.dim)
-        for col, (drop_m, i, a) in enumerate(self.basis):
-            bf = math.prod(math.factorial(e) for e in a)
-            b = self.module.by_drop[drop_m]
-            form = b.form
-            for i2 in range(b.dim):
-                v = form.get(i2, i)
-                if v:
-                    gram.set(self.index[(drop_m, i2, a)], col, v * bf)
-        return gram
+        """G = (module Gram) (x) (Bargmann-Fock form), diagonal in the
+        monomials: the form of each module block times a! on its x^a."""
+        index, entries = self.index, {}
+        for drop_m, a in dict.fromkeys((e[0], e[2]) for e in self.basis):
+            bf = math.prod(map(math.factorial, a))
+            for (i2, i), v in self.module.by_drop[drop_m].form.entries.items():
+                entries[index[drop_m, i2, a], index[drop_m, i, a]] = exactla._rat(v * bf)
+        return SparseRationalMatrix(self.dim, self.dim, entries)
 
     def to_json(self) -> dict:
         return {
@@ -665,9 +643,9 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     """D^T G + G D = 0 (`ok`) and 2(d^T G - G d) + G D = 0 (`halves_adjoint`:
     d' = D/2 - d is minus the G-adjoint of d) from two products, G D and
     G d: G is symmetric, so D^T G = (G D)^T and d^T G = (G d)^T, and both
-    sides are read entry by entry off the two products. The block forms it
-    once (`DiracBlock.adjoint`), and `DiracBlock.definite_anti_selfadjoint`
-    reads its `ok`.
+    sides are read entry by entry off the two products. No package code
+    reads it; `DiracBlock.definite_anti_selfadjoint` tests the first
+    identity on its own G D.
 
     The second identity is equivalent to <d v, w> = <v, delta w> for both
     halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
@@ -676,7 +654,21 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     diagonal in the oscillator monomials, so it preserves their bigrading
     (p1-degree, q2-degree); the two parts shift it by (-1, 0) and (0, +1), so
     each vanishes on its own, and the second is the transpose of the q2 one."""
-    return block.adjoint
+    g_D, g_d = block.gram.matmul(block.D).entries, block.gram.matmul(block.d).entries
+    # D^T G + G D is symmetric: its entry at (i, j) and (j, i) is
+    # (G D)_ji + (G D)_ij, nonzero only where G D has an entry
+    lhs = {}
+    for (i, j), v in g_D.items():
+        w = v + g_D.get((j, i), 0)
+        if w:
+            lhs[i, j] = lhs[j, i] = w
+    first = min(lhs, default=None)  # the witness entry, if any
+    witness = None if first is None else (*first, lhs[first])
+    halves = not any(
+        2 * (g_d.get((j, i), 0) - g_d.get((i, j), 0)) + g_D.get((i, j), 0)
+        for i, j in g_D.keys() | g_d.keys() | {(j, i) for i, j in g_d}
+    )
+    return AdjointCertificate(first is None, witness, halves)
 
 
 # ----- index --------------------------------------------------------------------------------

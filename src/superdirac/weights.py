@@ -6,10 +6,10 @@ The bilinear form is (eps_i, eps_j) = delta_ij, (del_i, del_j) = -delta_ij,
 n1+ = p1 (+) q2 determined by the signature (p, q): eps_l - del_c for l <= p
 and del_c - eps_l for l > p.
 
-Every coordinate is canonical as in `exactla._rat`: an int when integral,
-else a Fraction.  Module weights, roots and heights are then ints whenever
-the highest weight is integral; hash(Fraction(k)) == hash(k), so ordering and
-`Weight.text` do not depend on which type a coordinate has.
+A `Weight` holds integer numerators over one positive denominator, in lowest
+terms, and its hash, computed once: arithmetic, equality, hashing, heights
+and pairings run on ints (two denominators are first scaled to their lcm),
+and its coordinates read as in `exactla._rat`, ints when integral.
 
 Every root of gl(m|n) has integer coordinates, so a weight of a highest-weight
 module is its base (L, or L - rho1 on the Dirac blocks) minus an integer
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,68 +35,101 @@ from .exactla import Rational, _rat
 Drop = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _ratio(a: int, den: int) -> Rational:
+    """a / den as an exact entry (`exactla._rat`)."""
+    return a // den if a % den == 0 else Fraction(a, den)
+
+
 class Weight:
-    """A point of h* with exact rational eps/del coordinates."""
+    """A point of h*: the integers `num` (m eps coordinates, then del) over
+    the positive denominator `den`, in lowest terms.  Immutable by contract."""
 
-    eps: tuple[Rational, ...]
-    del_: tuple[Rational, ...]
+    __slots__ = ("num", "den", "m", "_hash")
 
-    @staticmethod
-    def make(eps: Iterable, del_: Iterable) -> "Weight":
-        return Weight(tuple(_rat(x) for x in eps), tuple(_rat(x) for x in del_))
-
-    @property
-    def m(self) -> int:
-        return len(self.eps)
-
-    @property
-    def n(self) -> int:
-        return len(self.del_)
+    def __init__(self, eps: Iterable, del_: Iterable):
+        eps = [_rat(x) for x in eps]
+        coords = eps + [_rat(x) for x in del_]
+        den = math.lcm(*(x.denominator for x in coords))
+        num = tuple(x.numerator * (den // x.denominator) for x in coords)
+        self.num, self.den, self.m, self._hash = num, den, len(eps), hash((num, den))
 
     def coords(self) -> tuple[Rational, ...]:
-        return self.eps + self.del_
+        return self.num if self.den == 1 else tuple(_ratio(a, self.den) for a in self.num)
+
+    eps = property(lambda self: self.coords()[: self.m], doc="The eps coordinates.")
+    del_ = property(lambda self: self.coords()[self.m :], doc="The del coordinates.")
+    n = property(lambda self: len(self.num) - self.m, doc="The number of del coordinates.")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.num, self.den, self.m) == (other.num, other.den, other.m)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _combine(self, other: "Weight", op) -> "Weight":
+        _same_shape(self, other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _from_num(tuple(map(op, self.num, other.num)), d1, self.m)
+        den = math.lcm(d1, d2)
+        k1, k2 = den // d1, den // d2
+        num = tuple(op(a * k1, b * k2) for a, b in zip(self.num, other.num))
+        return _from_num(num, den, self.m)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(_rat(a + b) for a, b in zip(self.eps, other.eps, strict=True)),
-            tuple(_rat(a + b) for a, b in zip(self.del_, other.del_, strict=True)),
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(_rat(a - b) for a, b in zip(self.eps, other.eps, strict=True)),
-            tuple(_rat(a - b) for a, b in zip(self.del_, other.del_, strict=True)),
-        )
+        return self._combine(other, operator.sub)
 
     def lower(self, drop: Drop) -> "Weight":
         """self minus the integer vector `drop` (eps coordinates, then del)."""
-        m = len(self.eps)
-        return Weight(
-            tuple(_rat(a - b) for a, b in zip(self.eps, drop[:m], strict=True)),
-            tuple(_rat(a - b) for a, b in zip(self.del_, drop[m:], strict=True)),
-        )
+        if len(drop) != len(self.num):
+            raise ValueError(f"a drop of length {len(drop)} from {self.text()}")
+        den = self.den
+        if den == 1:
+            return _from_num(tuple(map(operator.sub, self.num, drop)), 1, self.m)
+        return _from_num(tuple(a - den * b for a, b in zip(self.num, drop)), den, self.m)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.eps), tuple(-a for a in self.del_))
+        return _from_num(tuple(-a for a in self.num), self.den, self.m)
 
     def scale(self, c) -> "Weight":
         c = _rat(c)
-        return Weight(
-            tuple(_rat(c * a) for a in self.eps), tuple(_rat(c * a) for a in self.del_)
-        )
+        num = tuple(c.numerator * a for a in self.num)
+        return _from_num(num, c.denominator * self.den, self.m)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords())
+        return not any(self.num)
 
     def text(self) -> str:
-        def fmt(x: Rational) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        den, out = self.den, []
+        for a in self.num:  # str(Fraction(a, den)), without building it
+            g = math.gcd(a, den)
+            out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
+        return ",".join(out[: self.m]) + "|" + ",".join(out[self.m :])
 
-        return ",".join(fmt(x) for x in self.eps) + "|" + ",".join(fmt(x) for x in self.del_)
+    def __repr__(self) -> str:
+        return f"Weight({self.text()!r})"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text()
+    __str__ = text
+
+
+def _from_num(num: tuple[int, ...], den: int, m: int) -> Weight:
+    """The weight num / den, brought to lowest terms."""
+    g = math.gcd(den, *num) if den != 1 else 1
+    if g != 1:
+        num, den = tuple(a // g for a in num), den // g
+    w = object.__new__(Weight)
+    w.num, w.den, w.m, w._hash = num, den, m, hash((num, den))
+    return w
+
+
+def _same_shape(u: Weight, v: Weight) -> None:
+    if u.m != v.m or len(u.num) != len(v.num):
+        raise ValueError(f"weights of different shape: {u.text()} and {v.text()}")
 
 
 def parse_weight(text: str, m: int, n: int) -> Weight:
@@ -116,14 +150,12 @@ def parse_weight(text: str, m: int, n: int) -> Weight:
     return Weight(parse_side(left, m, "eps"), parse_side(right, n, "del"))
 
 
-def pairing(w1: Weight, w2: Weight) -> Fraction:
+def pairing(w1: Weight, w2: Weight) -> Rational:
     """The symmetric bilinear form of signature (+1)^m (+) (-1)^n."""
-    s = Fraction(0)
-    for a, b in zip(w1.eps, w2.eps, strict=True):
-        s += a * b
-    for a, b in zip(w1.del_, w2.del_, strict=True):
-        s -= a * b
-    return s
+    _same_shape(w1, w2)
+    m, u, v = w1.m, w1.num, w2.num
+    s = sum(map(operator.mul, u[:m], v[:m])) - sum(map(operator.mul, u[m:], v[m:]))
+    return _ratio(s, w1.den * w2.den)
 
 
 @dataclass(frozen=True)
@@ -150,28 +182,16 @@ class WeylElement:
     tau: tuple[int, ...]  # permutation of range(n)
 
     def apply(self, w: Weight) -> Weight:
-        eps = [0] * len(self.sigma)
+        m, num = w.m, [0] * len(w.num)
         for i, j in enumerate(self.sigma):
-            eps[j] = w.eps[i]
-        del_ = [0] * len(self.tau)
+            num[j] = w.num[i]
         for i, j in enumerate(self.tau):
-            del_[j] = w.del_[i]
-        return Weight(tuple(eps), tuple(del_))
+            num[m + j] = w.num[m + i]
+        return _from_num(tuple(num), w.den, m)
 
 
-def _half_sum(roots: Sequence[Weight], m: int, n: int) -> Weight:
-    total = Weight.make([0] * m, [0] * n)
-    for r in roots:
-        total = total + r
-    return total.scale(Fraction(1, 2))
-
-
-def _eps(i: int, m: int, n: int) -> Weight:
-    return Weight.make([1 if k == i else 0 for k in range(m)], [0] * n)
-
-
-def _del(c: int, m: int, n: int) -> Weight:
-    return Weight.make([0] * m, [1 if k == c else 0 for k in range(n)])
+def _half_sum(roots: Sequence[Root], zero: Weight) -> Weight:
+    return functools.reduce(operator.add, (r.weight for r in roots), zero).scale(Fraction(1, 2))
 
 
 @dataclass
@@ -204,14 +224,14 @@ class RootDatum:
         return self.m * self.n
 
     def zero(self) -> Weight:
-        return Weight.make([0] * self.m, [0] * self.n)
+        return _from_num((0,) * (self.m + self.n), 1, self.m)
 
     def root_of_unit(self, i: int, j: int) -> Weight:
         """Root of the matrix unit E_ij (0-based), i.e. eps/del_i - eps/del_j."""
         c = [0] * (self.m + self.n)
         c[i] += 1
         c[j] -= 1
-        return Weight(tuple(c[: self.m]), tuple(c[self.m :]))
+        return _from_num(tuple(c), 1, self.m)
 
     # u-order: eps_1..eps_p, del_1..del_n, eps_{p+1}..eps_m.  In this coordinate
     # order the non-standard positive system is the standard one, so height is
@@ -228,7 +248,7 @@ class RootDatum:
 
     def height(self, w: Weight) -> Rational:
         """Height of a nonnegative-root-lattice element (linear functional)."""
-        return _rat(-sum(map(operator.mul, self._u_positions, w.coords())))
+        return _ratio(-sum(map(operator.mul, self._u_positions, w.num)), w.den)
 
     def root_sort_key(self, w: Weight):
         return (self.height(w), w.coords())
@@ -238,11 +258,8 @@ class RootDatum:
         return (-sum(map(operator.mul, self._u_positions, drop)), drop)
 
     def admissible_highest_weight(self, lam: Weight) -> bool:
-        if lam.m != self.m or lam.n != self.n:
-            return False
-        if self.m == self.n:
-            return sum(lam.coords()) == 0
-        return True
+        same_shape = (lam.m, lam.n) == (self.m, self.n)
+        return same_shape and (self.m != self.n or not sum(lam.num))
 
     def weyl_group(self) -> list[WeylElement]:
         return [
@@ -267,38 +284,35 @@ def build_root_datum(m: int, n: int, p: int, q: int) -> RootDatum:
     # even positive roots
     for i in range(m):
         for j in range(i + 1, m):
-            w = _eps(i, m, n) - _eps(j, m, n)
             compact = "compact" if (j < p or i >= p) else "noncompact"
-            datum.pos_even.append(Root(w, "even", compact))
+            datum.pos_even.append(Root(datum.root_of_unit(i, j), "even", compact))
     for k in range(n):
         for l in range(k + 1, n):
-            w = _del(k, m, n) - _del(l, m, n)
-            datum.pos_even.append(Root(w, "even", "compact"))
+            datum.pos_even.append(Root(datum.root_of_unit(m + k, m + l), "even", "compact"))
 
     # odd positive roots, non-standard system p1 (+) q2, with the basis table
     # index k = (l-1)n + c for the pair (eps_l, del_c)
     for l in range(m):
         for c in range(n):
             if l < p:
-                w = _eps(l, m, n) - _del(c, m, n)
                 datum.odd_raising.append((l, m + c))  # E_{l, m+c}
                 datum.odd_lowering.append((m + c, l))  # -E_{m+c, l}
                 datum.odd_lowering_sign.append(-1)
             else:
-                w = _del(c, m, n) - _eps(l, m, n)
                 datum.odd_raising.append((m + c, l))  # E_{m+c, l}
                 datum.odd_lowering.append((l, m + c))  # +E_{l, m+c}
                 datum.odd_lowering_sign.append(1)
+            w = datum.root_of_unit(*datum.odd_raising[-1])  # the root of r_k
             datum.pos_odd.append(Root(w, "odd", "not-applicable"))
 
     datum.pos_compact = [r for r in datum.pos_even if r.compactness == "compact"]
     datum.pos_noncompact = [r for r in datum.pos_even if r.compactness == "noncompact"]
 
-    datum.rho0 = _half_sum([r.weight for r in datum.pos_even], m, n)
-    datum.rho1 = _half_sum([r.weight for r in datum.pos_odd], m, n)
+    datum.rho0 = _half_sum(datum.pos_even, datum.zero())
+    datum.rho1 = _half_sum(datum.pos_odd, datum.zero())
     datum.rho = datum.rho0 - datum.rho1
-    datum.rho_c = _half_sum([r.weight for r in datum.pos_compact], m, n)
-    datum.rho_n = _half_sum([r.weight for r in datum.pos_noncompact], m, n)
+    datum.rho_c = _half_sum(datum.pos_compact, datum.zero())
+    datum.rho_n = _half_sum(datum.pos_noncompact, datum.zero())
 
     # deterministic ordering: height then lexicographic coordinates
     datum.pos_even.sort(key=lambda r: datum.root_sort_key(r.weight))
@@ -345,7 +359,7 @@ def bounded_exponents(
     """Every exponent vector a with a_k <= caps[k] (None: no cap) and
     sum a_k heights[k] <= bound, in lexicographic order; every height is
     positive, and a Fraction bound acts as its floor."""
-    out: list[tuple[tuple[int, ...], Rational]] = [((), bound)]  # (prefix, room left)
+    out: list[tuple[tuple[int, ...], int]] = [((), math.floor(bound))]  # (prefix, room left)
     for h, cap in zip(heights, caps, strict=True):
         out = [
             (a + (e,), room - e * h)
@@ -364,20 +378,13 @@ def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> b
         len(atyp),
         {(i, j): c for j, r in enumerate(atyp) for i, c in enumerate(r.coords()) if c},
     )
-    lam_rho = lam + datum.rho
-    mu_rho = mu + datum.rho
-    for w in datum.weyl_group():
-        # need mu_rho = w(lam_rho + x) with x in span(atyp):
-        # equivalently w^{-1}(mu_rho) - lam_rho in span(atyp)
-        # enumerate w directly: w(lam_rho) + w(x); since span is not W-stable,
-        # solve w(lam_rho + x) = mu_rho  <=>  x = w^{-1}(mu_rho) - lam_rho.
-        inv_sigma = tuple(w.sigma.index(i) for i in range(datum.m))
-        inv_tau = tuple(w.tau.index(i) for i in range(datum.n))
-        winv = WeylElement(inv_sigma, inv_tau)
-        x = winv.apply(mu_rho) - lam_rho
-        if exactla.solve(span, x.coords()) is not None:
-            return True
-    return False
+    lam_rho, mu_rho = lam + datum.rho, mu + datum.rho
+    # mu_rho = w(lam_rho + x) with x in the span iff w^-1(mu_rho) - lam_rho is
+    # in it, and w^-1 runs over W as w does
+    return any(
+        exactla.solve(span, (w.apply(mu_rho) - lam_rho).coords()) is not None
+        for w in datum.weyl_group()
+    )
 
 
 def harish_chandra_condition(datum: RootDatum, lam: Weight) -> bool:

@@ -1,5 +1,9 @@
 """Test-only helpers shared by several test modules.
 
+- The weight the engine used before `weights.Weight` held integer numerators
+  over one denominator: a frozen pair of `exactla._rat` coordinate tuples
+  with every operation on those coordinates, and the pairing, height and
+  root sort key computed from them (the oracle for the num/den arithmetic).
 - The generator-table oracles: the root of a matrix unit as a difference
   of basis weights, and its drop, triangular class and PBW order key
   computed from it on each call, and the matrix units sorted by that key
@@ -53,18 +57,98 @@ import itertools
 import math
 import operator
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 from superdirac import analysis, dirac, exactla, modules, uea
-from superdirac.exactla import SparseRationalMatrix
+from superdirac.exactla import SparseRationalMatrix, _rat
 from superdirac.weights import Weight, atypicality_set, pairing, subset_labels
+
+
+# ----- the Fraction-tuple weight oracle ------------------------------------------------
+@dataclass(frozen=True)
+class FractionWeight:
+    """A point of h* as two tuples of exact coordinates (`exactla._rat`), with
+    every operation done coordinate by coordinate; zips are strict, so
+    weights or drops of another shape raise ValueError."""
+
+    eps: tuple
+    del_: tuple
+
+    @staticmethod
+    def make(eps, del_):
+        return FractionWeight(tuple(_rat(x) for x in eps), tuple(_rat(x) for x in del_))
+
+    @staticmethod
+    def of(w):
+        """The oracle weight with the coordinates of a `weights.Weight`."""
+        return FractionWeight.make(w.eps, w.del_)
+
+    def coords(self):
+        return self.eps + self.del_
+
+    def __add__(self, other):
+        return FractionWeight(
+            tuple(_rat(a + b) for a, b in zip(self.eps, other.eps, strict=True)),
+            tuple(_rat(a + b) for a, b in zip(self.del_, other.del_, strict=True)),
+        )
+
+    def __sub__(self, other):
+        return FractionWeight(
+            tuple(_rat(a - b) for a, b in zip(self.eps, other.eps, strict=True)),
+            tuple(_rat(a - b) for a, b in zip(self.del_, other.del_, strict=True)),
+        )
+
+    def lower(self, drop):
+        m = len(self.eps)
+        return FractionWeight(
+            tuple(_rat(a - b) for a, b in zip(self.eps, drop[:m], strict=True)),
+            tuple(_rat(a - b) for a, b in zip(self.del_, drop[m:], strict=True)),
+        )
+
+    def __neg__(self):
+        return FractionWeight(tuple(-a for a in self.eps), tuple(-a for a in self.del_))
+
+    def scale(self, c):
+        c = _rat(c)
+        return FractionWeight(
+            tuple(_rat(c * a) for a in self.eps), tuple(_rat(c * a) for a in self.del_)
+        )
+
+    def is_zero(self):
+        return all(a == 0 for a in self.coords())
+
+    def text(self):
+        def fmt(x):
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+        return ",".join(fmt(x) for x in self.eps) + "|" + ",".join(fmt(x) for x in self.del_)
+
+
+def fraction_pairing(w1, w2):
+    """The form of signature (+1)^m (+) (-1)^n, summed as Fractions."""
+    s = Fraction(0)
+    for a, b in zip(w1.eps, w2.eps, strict=True):
+        s += a * b
+    for a, b in zip(w1.del_, w2.del_, strict=True):
+        s -= a * b
+    return s
+
+
+def fraction_height(datum, w):
+    """The height functional on the exact coordinates of w."""
+    return _rat(-sum(map(operator.mul, datum._u_positions, w.coords())))
+
+
+def fraction_root_sort_key(datum, w):
+    return (fraction_height(datum, w), w.coords())
 
 
 # ----- generator-table oracles ---------------------------------------------------------
 def basis_weight(datum, i):
     """Weight functional of the diagonal matrix unit E_ii (0-based index)."""
     unit = [int(k == i) for k in range(datum.m + datum.n)]
-    return Weight.make(unit[: datum.m], unit[datum.m :])
+    return Weight(unit[: datum.m], unit[datum.m :])
 
 
 def unit_root(alg, g):

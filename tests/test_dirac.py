@@ -488,7 +488,7 @@ def test_block_ranks_match_sympy(data):
     assert halves == [rk_cb, rk_bc]
     # a False predicate keeps the four-rank path under test
     block = SimpleNamespace(
-        nu=Weight.make([0], [0]), dim=dim, parity=list(parity), D=d, D2=d2,
+        nu=Weight([0], [0]), dim=dim, parity=list(parity), D=d, D2=d2,
         definite_anti_selfadjoint=False,
     )
     bc = dirac.block_cohomology(block)
@@ -517,7 +517,7 @@ def test_even_cone_matches_search(group):
     seen, seen_integral = set(), set()
     for _ in range(1500):
         if rng.random() < 0.5:
-            w = Weight.make(
+            w = Weight(
                 [rng.choice(halves) for _ in range(datum.m)],
                 [rng.choice(halves) for _ in range(datum.n)],
             )
@@ -533,7 +533,7 @@ def test_even_cone_matches_search(group):
         assert got == oracle(w), w.text()
         seen.add(got)
         # the same difference, read off two weights that are not zero
-        below = Weight.make(
+        below = Weight(
             [rng.choice(halves) for _ in range(datum.m)],
             [rng.choice(halves) for _ in range(datum.n)],
         )
@@ -679,7 +679,7 @@ def test_exponent_solutions(d21):
     assert _exponent_solutions(osc, d21.zero()) == [(0, 0)]
     assert _exponent_solutions(osc, gammas[0].scale(-1)) == []
     # a half-integer target has integral height here but no integer solution
-    half = Weight.make([Fraction(1, 2), Fraction(-1, 2)], [0])
+    half = Weight([Fraction(1, 2), Fraction(-1, 2)], [0])
     assert d21.height(half) == 1
     assert _exponent_solutions(osc, half) == []
 
@@ -919,15 +919,20 @@ def test_each_product_is_formed_once_per_block(d21, monkeypatch):
     `SparseRationalMatrix.matmul` calls through cohomology, the square audit
     and the adjoint certificate: D D is formed once on every nonempty block
     where `definite_anti_selfadjoint` fails and never where it holds (on the
-    certified input, nowhere); G D and G d are formed once on every block,
-    for its one certificate; with its D^2 and certificate cached, neither
-    `block_cohomology` nor the certificate forms a product again."""
+    certified input, nowhere). G D is formed once by the predicate on every
+    block whose module forms are all positive definite (nowhere else: the
+    predicate reads definiteness first) and not kept; each certificate call
+    forms G D and G d once more. With its D^2 and predicate cached,
+    `block_cohomology` forms no product again."""
     calls = []
     matmul = SparseRationalMatrix.matmul
 
     def counted(a, b):
         calls.append((a, b))
         return matmul(a, b)
+
+    def formed(block, m):
+        return sum(a is block.gram and c is getattr(block, m) for a, c in calls)
 
     monkeypatch.setattr(SparseRationalMatrix, "matmul", counted)
     for weight, certified in (("-2,1|1", True), ("0,0|-1", False)):
@@ -937,20 +942,26 @@ def test_each_product_is_formed_once_per_block(d21, monkeypatch):
         calls.clear()
         dirac.dirac_cohomology(coll)
         dirac.dirac_square_audit(coll)
-        for block in blocks:
-            dirac.anti_selfadjoint_certificate(block)
         holds = [block.definite_anti_selfadjoint for block in blocks]
         assert any(holds) and all(holds) == certified
         squares = [sum(a is b is block.D for a, b in calls) for block in blocks]
         assert squares == [int(block.dim > 0 and not h) for block, h in zip(blocks, holds)]
-        for m in ("D", "d"):
-            formed = [sum(a is b.gram and c is getattr(b, m) for a, c in calls) for b in blocks]
-            assert formed == [1] * len(blocks), m
+        definite = [
+            all(block.module.by_drop[e[0]].definiteness.verdict == "positive-definite"
+                for e in block.basis)
+            for block in blocks
+        ]
+        assert any(definite) and all(definite) == certified
+        assert [formed(b, "D") for b in blocks] == [int(f) for f in definite]
+        assert [formed(b, "d") for b in blocks] == [0] * len(blocks)
         calls.clear()
         for block in blocks:
             dirac.block_cohomology(block)
-            dirac.anti_selfadjoint_certificate(block)
         assert calls == []
+        for block in blocks:
+            dirac.anti_selfadjoint_certificate(block)
+        assert len(calls) == 2 * len(blocks)
+        assert [(formed(b, "D"), formed(b, "d")) for b in blocks] == [(1, 1)] * len(blocks)
 
 
 # ----- the integer fast path ----------------------------------------------------------
@@ -1143,6 +1154,24 @@ def test_where_the_predicate_holds_the_chain_vanishes_and_ker_meets_im_in_zero(c
             assert _cap_basis(block) == []
             held += 1
     assert held
+
+
+@pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))
+def test_predicate_equals_definite_gram_and_certificate(case):
+    """On every block, and on the first block with a nonzero D once more
+    with one D entry doubled, `definite_anti_selfadjoint` equals its
+    definition read off independent objects: the whole block Gram G is
+    positive definite (`exactla.definiteness` of G, not of the module
+    forms) and the full adjoint certificate is `ok`."""
+    blocks = list(_collection(*SHORTCUT_INPUTS[case]).blocks.values())
+    first = next(b for b in blocks if b.D.entries)
+    blocks.append(replace(first, D=_doubled(first.D, min(first.D.entries))))
+    for block in blocks:
+        definite = exactla.definiteness(block.gram).verdict == "positive-definite"
+        expected = definite and dirac.anti_selfadjoint_certificate(block).ok
+        assert block.definite_anti_selfadjoint == expected, block.nu.text()
+    assert any(b.definite_anti_selfadjoint for b in blocks)
+    assert not blocks[-1].definite_anti_selfadjoint
 
 
 def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):

@@ -460,7 +460,7 @@ def test_dirac_scalar_one_pairing_matches_two(group):
     values = [Fraction(k, 2) for k in range(-3, 4)] + [Fraction(k, 3) for k in (-4, -1, 2, 5)]
     rng = random.Random(13)
     grid = [
-        Weight.make(
+        Weight(
             [rng.choice(values) for _ in range(datum.m)],
             [rng.choice(values) for _ in range(datum.n)],
         )

@@ -24,10 +24,19 @@ def _traced_pass(workload, seed, scratch):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# per-layer counts the tracer reads off package objects (module blocks and
+# their Gram, Dirac blocks and their D): a change of representation must not
+# zero one silently
+LIVE_COUNTS = ("modules.blocks", "modules.gram_nnz", "dirac.blocks", "dirac.D_nnz")
+
+
 def _assert_order_free(workload, seeds, tmp_path):
     """Two traced passes in different case orders: every case ok with the
-    same digest, equal `trace.counts` and equal span call counts."""
+    same digest, equal `trace.counts` and equal span call counts, and the
+    `LIVE_COUNTS` nonzero."""
     runs = [_traced_pass(workload, seed, tmp_path / f"seed{seed}") for seed in seeds]
+    for r in runs:
+        assert all(r["trace"]["counts"][name] for name in LIVE_COUNTS), r["trace"]["counts"]
     orders = [[c["case"] for c in r["cases"]] for r in runs]
     assert orders[0] != orders[1] and sorted(orders[0]) == sorted(orders[1])
     for r in runs:

@@ -205,7 +205,7 @@ small = st.integers(-3, 3)
 def test_full_casimir_scalar(l1, l2, c1):
     d = build_root_datum(2, 1, 1, 1)
     alg = Algebra(d)
-    lam = Weight.make((l1, l2), (c1,))
+    lam = Weight((l1, l2), (c1,))
     out = act_elem(alg, lam, casimir(alg, "full"), {(): Fraction(1)})
     got = out.get((), Fraction(0))
     assert got == pairing(lam + d.rho.scale(2), lam)
@@ -216,7 +216,7 @@ def test_full_casimir_scalar(l1, l2, c1):
 def test_even_casimir_scalar(l1, l2, c1):
     d = build_root_datum(2, 1, 1, 1)
     alg = Algebra(d)
-    lam = Weight.make((l1, l2), (c1,))
+    lam = Weight((l1, l2), (c1,))
     out = act_elem(alg, lam, casimir(alg, "even"), {(): Fraction(1)})
     got = out.get((), Fraction(0))
     assert got == pairing(lam + d.rho0.scale(2), lam)
@@ -227,7 +227,7 @@ def test_even_casimir_scalar(l1, l2, c1):
 @given(small, small, small)
 def test_height_one_gram_values_sl21(l1, l2, c1):
     d = build_root_datum(2, 1, 1, 1)
-    lam = Weight.make((l1, l2), (c1,))
+    lam = Weight((l1, l2), (c1,))
     mod = modules.verma_truncation(d, lam, 1)
     g1 = d.pos_odd[0].weight  # eps1 - del1
     g2 = d.pos_odd[1].weight  # del1 - eps2
@@ -241,7 +241,7 @@ def test_height_one_gram_values_sl21(l1, l2, c1):
 @given(small, small, small)
 def test_even_verma_gram_sl21(l1, l2, c1):
     d = build_root_datum(2, 1, 1, 1)
-    lam = Weight.make((l1, l2), (c1,))
+    lam = Weight((l1, l2), (c1,))
     mod = modules.even_verma_truncation(d, lam, 2)
     alpha = d.pos_even[0].weight  # eps1 - eps2
     gram = mod.blocks[lam - alpha].gram.to_rows()

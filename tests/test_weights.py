@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import constituent_labels, gamma_of_subset, odd_exterior_character
+from _helpers import (
+    FractionWeight,
+    constituent_labels,
+    fraction_height,
+    fraction_pairing,
+    fraction_root_sort_key,
+    gamma_of_subset,
+    odd_exterior_character,
+)
 from superdirac.weights import (
     Weight,
     WeylElement,
@@ -34,7 +42,7 @@ def compose(a, b):
 def weight_strategy(m, n):
     return st.tuples(
         st.tuples(*([small_rats] * m)), st.tuples(*([small_rats] * n))
-    ).map(lambda t: Weight.make(t[0], t[1]))
+    ).map(lambda t: Weight(t[0], t[1]))
 
 
 # ----- construction and validation ------------------------------------------------
@@ -97,10 +105,10 @@ def test_parse_weight_errors():
 def test_pairing_signature(d23):
     m, n = 2, 3
     for i in range(m):
-        e = Weight.make([1 if k == i else 0 for k in range(m)], [0] * n)
+        e = Weight([1 if k == i else 0 for k in range(m)], [0] * n)
         assert pairing(e, e) == 1
     for c in range(n):
-        dl = Weight.make([0] * m, [1 if k == c else 0 for k in range(n)])
+        dl = Weight([0] * m, [1 if k == c else 0 for k in range(n)])
         assert pairing(dl, dl) == -1
 
 
@@ -108,8 +116,8 @@ def test_pairing_signature(d23):
     "left, right", [((2, 1), (1, 2)), ((2, 1), (2, 3)), ((2, 3), (3, 3))]
 )
 def test_weights_of_different_shape_do_not_combine(left, right):
-    u = Weight.make([1] * left[0], [1] * left[1])
-    v = Weight.make([1] * right[0], [1] * right[1])
+    u = Weight([1] * left[0], [1] * left[1])
+    v = Weight([1] * right[0], [1] * right[1])
     for op in (Weight.__add__, Weight.__sub__, pairing):
         with pytest.raises(ValueError):
             op(u, v)
@@ -127,7 +135,7 @@ def test_odd_roots_isotropic(d21, d23):
 @given(weight_strategy(2, 3), weight_strategy(2, 3), small_rats)
 def test_pairing_bilinear(u, v, c):
     w = u + v.scale(c)
-    probe = Weight.make((1, -2), (3, 0, 1))
+    probe = Weight((1, -2), (3, 0, 1))
     assert pairing(w, probe) == pairing(u, probe) + c * pairing(v, probe)
 
 
@@ -185,7 +193,7 @@ def test_weight_arithmetic_matches_fraction_oracle(data):
     b = data.draw(st.tuples(*[mixed] * (m + n)))
     c = data.draw(mixed)
     w = data.draw(st.sampled_from(d.weyl_group()))
-    u, v = Weight.make(a[:m], a[m:]), Weight.make(b[:m], b[m:])
+    u, v = Weight(a[:m], a[m:]), Weight(b[:m], b[m:])
     fa, fb, fc = [Fraction(x) for x in a], [Fraction(x) for x in b], Fraction(c)
     moved = [Fraction(0)] * (m + n)
     for i, j in enumerate(w.sigma):
@@ -216,11 +224,104 @@ def test_weight_arithmetic_matches_fraction_oracle(data):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=5, max_size=5))
 def test_int_and_integral_fraction_weights_agree(ks):
-    by_int = Weight.make(ks[:2], ks[2:])
-    by_fraction = Weight.make([Fraction(k) for k in ks[:2]], [Fraction(k) for k in ks[2:]])
+    by_int = Weight(ks[:2], ks[2:])
+    by_fraction = Weight([Fraction(k) for k in ks[:2]], [Fraction(k) for k in ks[2:]])
     assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
     assert all(type(x) is int for x in by_fraction.coords())
     assert by_int.text() == by_fraction.text() == _fraction_text([Fraction(k) for k in ks], 2)
+
+
+# ----- the num/den weight against the Fraction-tuple oracle -------------------------
+small_denominators = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6]))
+
+
+def _agree(w, old):
+    """The same coordinates, of the same types, and the same text."""
+    assert w.eps == old.eps and w.del_ == old.del_ and w.coords() == old.coords()
+    assert [type(x) for x in w.coords()] == [type(x) for x in old.coords()]
+    assert w.text() == old.text() and w.is_zero() == old.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weight_matches_the_fraction_tuple_oracle(data):
+    """+, -, lower, negation, scale, pairing, height, root_sort_key, text,
+    == and hash of `Weight` against the Fraction-tuple weight it replaced, on
+    coordinates with denominators 1, 2, 3 and 6, the second weight shifted by
+    0, rho0, rho1 or rho (mixed denominators, such as Lambda - rho1)."""
+    (m, n, p), d = data.draw(st.sampled_from(sorted(GROUPS.items())))
+    coords = st.tuples(*[small_denominators] * (m + n))
+    a, b = data.draw(coords), data.draw(coords)
+    shift = data.draw(st.sampled_from([d.zero(), d.rho0, d.rho1, d.rho]))
+    c = data.draw(small_denominators)
+    drop = data.draw(st.tuples(*[st.integers(-3, 3)] * (m + n)))
+    u, v = Weight(a[:m], a[m:]), Weight(b[:m], b[m:]) - shift
+    old_u = FractionWeight.make(a[:m], a[m:])
+    old_v = FractionWeight.make(b[:m], b[m:]) - FractionWeight.of(shift)
+    pairs = [
+        (u, old_u), (v, old_v), (u + v, old_u + old_v), (u - v, old_u - old_v),
+        (v - u, old_v - old_u), ((u + v) - v, (old_u + old_v) - old_v),
+        (u.lower(drop), old_u.lower(drop)), (v.lower(drop), old_v.lower(drop)),
+        (-v, -old_v), (u.scale(c), old_u.scale(c)), (v.scale(c), old_v.scale(c)),
+    ]
+    for w, old in pairs:
+        _agree(w, old)
+        height, old_height = d.height(w), fraction_height(d, old)
+        assert height == old_height and type(height) is type(old_height)
+        assert d.root_sort_key(w) == fraction_root_sort_key(d, old)
+        assert pairing(w, u) == fraction_pairing(old, old_u)
+        assert pairing(v, w) == fraction_pairing(old_v, old)
+    for (w1, old1), (w2, old2) in itertools.product(pairs, repeat=2):
+        assert (w1 == w2) == (old1 == old2)
+        assert w1 != w2 or hash(w1) == hash(w2)
+
+
+@pytest.mark.parametrize("drop", [(), (1,), (1, 0), (1, 0, 1, 0)])
+def test_a_drop_of_another_length_is_refused(drop):
+    """`lower` refuses a drop of length other than m + n, on either
+    denominator, as the strict zips of the Fraction-tuple oracle do: a
+    `map` would truncate a short drop silently, and a word with no letters
+    has the drop ()."""
+    for w in (parse_weight("-3/2,1/2|1/2", 2, 1), parse_weight("-2,1|1", 2, 1)):
+        with pytest.raises(ValueError):
+            w.lower(drop)
+        with pytest.raises(ValueError):
+            FractionWeight.of(w).lower(drop)
+
+
+def test_half_integral_arithmetic_builds_no_fraction():
+    """On half-integral weights over one denominator, +, -, lower, ==, hash,
+    a dict lookup and integral heights build no Fraction: counted through
+    `Fraction.__new__`, which Fraction arithmetic calls too. Reading the
+    coordinates does build them, which shows the counter is live."""
+    d = build_root_datum(2, 3, 1, 1)
+    u = parse_weight("1/2,1/2|1/2,-1/2,1/2", 2, 3)
+    v = parse_weight("-3/2,1/2|1/2,1/2,-1/2", 2, 3)
+    same = parse_weight("1/2,1/2|1/2,-1/2,1/2", 2, 3)
+    table = {u: 1}
+    assert u.den == v.den == 2
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        results = [u + v, u - v, v - u, u.lower((1, 0, 2, 0, 1)), (u + v).lower((0, 1, 0, 1, 0))]
+        equal = (u == same, u == v, hash(u) == hash(same), table[same])
+        heights = [d.height(w) for w in (u, v, *results)]
+        assert made == []
+        u.coords()
+        assert made
+    finally:
+        Fraction.__new__ = original
+    assert equal == (True, False, True, 1)
+    assert all(type(h) is int for h in heights)
+    assert [w.text() for w in results] == [
+        "-1,1|1,0,0", "2,0|0,-1,1", "-2,0|0,1,-1", "-1/2,1/2|-3/2,-1/2,-1/2", "-1,0|1,-1,0"
+    ]
 
 
 def test_root_sort_key_total_order(d23):
@@ -304,7 +405,7 @@ def _atypical_along_first_root(datum, lam):
     shifted = lam + datum.rho
     del_ = list(lam.del_)
     del_[0] -= shifted.eps[0] + shifted.del_[0]
-    return Weight.make(lam.eps, del_)
+    return Weight(lam.eps, del_)
 
 
 @pytest.mark.parametrize(
