@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import dirac, exactla, modules
+from . import dirac, exactla, modules, oscillator
 from .dirac import BlockCollection
 from .modules import TruncatedModule, VirtualCharacter
-from .oscillator import OscMonomial
 from .weights import RootDatum, Weight, harish_chandra_condition, subset_labels
 
 
@@ -84,11 +83,6 @@ def even_decomposition_verify(
 
 
 # ----- Kostant cohomology -------------------------------------------------------------
-def cohomological_degree(datum: RootDatum, a: OscMonomial) -> int:
-    pn = datum.p * datum.n
-    return sum(a[:pn]) - sum(a[pn:])
-
-
 @dataclass
 class KostantReport:
     # per degree k: weight (reported with the +rho1 shift) -> multiplicity
@@ -110,8 +104,10 @@ class KostantReport:
 
 def kostant_cohomology(coll: BlockCollection) -> KostantReport:
     """H^k of the positive odd part with coefficients in the module, realized
-    per diagonal block by its Kostant differential d on M (x) M(g1): with one
-    rank r_k = rk(d: C^k -> C^{k+1}) per degree, h^k = dim C^k - r_k - r_{k-1}."""
+    per diagonal block by its Kostant differential d on M (x) M(g1), the
+    degree-raising half of D/2 (`DiracBlock.d`), graded by
+    `oscillator.cohomological_degree`: with one rank
+    r_k = rk(d: C^k -> C^{k+1}) per degree, h^k = dim C^k - r_k - r_{k-1}."""
     module = coll.module
     datum = module.datum
     per_degree: dict[int, dict[Weight, int]] = {}
@@ -124,7 +120,7 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
             dd_zero = False
         idx_by_deg: dict[int, list[int]] = {}
         for i, (_, _, a) in enumerate(block.basis):
-            idx_by_deg.setdefault(cohomological_degree(datum, a), []).append(i)
+            idx_by_deg.setdefault(oscillator.cohomological_degree(datum, a), []).append(i)
         ranks = {  # r_k = 0 where C^{k+1} = 0
             k: exactla.rank(d.submatrix(idx_by_deg[k + 1], cols))
             for k, cols in idx_by_deg.items()

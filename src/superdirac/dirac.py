@@ -1,7 +1,10 @@
-"""Diagonal-weight blocks of M (x) M(g1), with explicit matrices for the Dirac
-operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d') and the Kostant
-differential d (d' is minus its G-adjoint), the block Gram form, Dirac
-cohomology, index, and the anti-selfadjointness and square audits.
+"""Diagonal-weight blocks of M (x) M(g1), with an explicit matrix for the
+Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d'), the block
+Gram form, Dirac cohomology, index, and the anti-selfadjointness and square
+audits. Each block assembles D alone: every entry of D changes the
+cohomological degree of the oscillator monomial by one, and the Kostant
+differential d is the degree-raising half of D/2 (d' is minus its
+G-adjoint), read off D where it is asked for.
 
 Each block decides once whether its Gram form G is positive definite and
 D^T G + G D = 0 (`DiracBlock.definite_anti_selfadjoint`). Where it holds,
@@ -23,7 +26,7 @@ from . import exactla, modules, oscillator
 from .exactla import SparseRationalMatrix
 from .modules import TruncatedModule
 from .oscillator import OscMonomial, Oscillator
-from .uea import Gen
+from .uea import Gen, add_into
 from .weights import Drop, Weight, bounded_exponents, pairing
 
 
@@ -34,6 +37,11 @@ BasisEntry = tuple[Drop, int, OscMonomial]
 
 @dataclass
 class DiracBlock:
+    """One diagonal block nu of M (x) M(g1) on its basis of (module vector,
+    oscillator monomial) pairs. D is its one stored matrix; the Kostant
+    differential d, D^2 and the Gram form G are derived from D and the
+    module, each once."""
+
     nu: Weight
     drop: Drop  # (L - rho1) - nu
     module: TruncatedModule
@@ -41,13 +49,27 @@ class DiracBlock:
     basis: list[BasisEntry]
     parity: list[int]  # oscillator parity (degree mod 2)
     D: SparseRationalMatrix
-    d: SparseRationalMatrix  # the Kostant differential d^{p1} - delta^{q2}
     # basis entry -> its position in basis, built once by assemble_block
     index: dict[BasisEntry, int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def d(self) -> SparseRationalMatrix:
+        """The Kostant differential d = d^{p1} - delta^{q2}: the entries of D/2
+        that raise the cohomological degree (`oscillator.cohomological_degree`).
+        Every entry of D moves it by one; d^{q2} - delta^{p1}, the lowering
+        half d', is the rest, so D = 2(d + d')."""
+        datum = self.module.datum
+        deg = [oscillator.cohomological_degree(datum, a) for _, _, a in self.basis]
+        entries = {
+            (i, j): v // 2 if type(v) is int and not v % 2 else Fraction(v, 2)
+            for (i, j), v in self.D.entries.items()
+            if deg[i] > deg[j]
+        }
+        return SparseRationalMatrix(self.dim, self.dim, entries)
 
     @functools.cached_property
     def D2(self) -> SparseRationalMatrix:
@@ -130,8 +152,11 @@ def _block_bases(
 def assemble_block(
     module: TruncatedModule, drop: Drop, osc: Oscillator, basis: list[BasisEntry]
 ) -> DiracBlock:
-    """D and the Kostant differential d of the block of drop `drop` on the
-    basis `_block_bases` lists, filled in one pass over the columns."""
+    """The Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) on the block
+    of drop `drop`, on the basis `_block_bases` lists, filled in one pass over
+    the columns. A term moves the oscillator monomial of its column to a + e_k
+    or a - e_k, and the (row, entry) pairs of one generator column have
+    distinct rows, so every entry of D receives exactly one term."""
     datum = module.datum
     alg = module.alg
     nu = (module.highest_weight - datum.rho1).lower(drop)
@@ -140,9 +165,7 @@ def assemble_block(
     index = {e: i for i, e in enumerate(basis)}
     parity = [oscillator.monomial_parity(a) for (_, _, a) in basis]
 
-    D = SparseRationalMatrix(dim, dim)
-    d = SparseRationalMatrix(dim, dim)
-    pn = datum.p * datum.n
+    entries = {}
     for col, (drop_m, i, a) in enumerate(basis):
         for k in range(mn):
             # d_k (x) x_k: module vector raised, oscillator exponent +1
@@ -152,9 +175,7 @@ def assemble_block(
             for r, c in module.gen_columns(g, drop_m)[i]:
                 row = index.get((target, r, anew))
                 if row is not None:
-                    D.add_to(row, col, 2 * c)
-                    if k < pn:  # a term of d^{p1}
-                        d.add_to(row, col, c)
+                    entries[row, col] = exactla._rat(2 * c)
             # x_k (x) d_k: module vector lowered, derivative on the oscillator;
             # x_k is the lowering matrix unit times its sign
             if a[k] > 0:
@@ -165,10 +186,9 @@ def assemble_block(
                 for r, c in module.gen_columns(g, drop_m)[i]:
                     row = index.get((target, r, anew))
                     if row is not None:
-                        D.add_to(row, col, -2 * f * c)
-                        if k >= pn:  # a term of delta^{q2}, which d subtracts
-                            d.add_to(row, col, -f * c)
-    return DiracBlock(nu, drop, module, osc, basis, parity, D, d, index)
+                        entries[row, col] = exactla._rat(-2 * f * c)
+    D = SparseRationalMatrix(dim, dim, entries)
+    return DiracBlock(nu, drop, module, osc, basis, parity, D, index)
 
 
 # ----- even (g0) structure inside blocks ---------------------------------------------
@@ -179,7 +199,7 @@ def diagonal_action_matrix(
     block of weight nu + root(X)."""
     module = block_src.module
     osc = block_src.osc
-    out = SparseRationalMatrix(block_tgt.dim, block_src.dim)
+    entries = {}
     tgt_index = block_tgt.index
     gdrop = module.alg.gen_drop(g)
     for col, (drop_m, i, a) in enumerate(block_src.basis):
@@ -188,13 +208,14 @@ def diagonal_action_matrix(
         for r, c in module.gen_columns(g, drop_m)[i]:
             row = tgt_index.get((target, r, a))
             if row is not None:
-                out.add_to(row, col, c)
+                add_into(entries, (row, col), c)
         # 1 (x) alpha(X)
         for mono, c in osc.alpha_image(g, a).items():
             row = tgt_index.get((drop_m, i, mono))
             if row is not None:
-                out.add_to(row, col, c)
-    return out
+                add_into(entries, (row, col), c)
+    entries = {key: exactla._rat(v) for key, v in entries.items()}
+    return SparseRationalMatrix(block_tgt.dim, block_src.dim, entries)
 
 
 @dataclass
@@ -392,7 +413,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         steps = [
             block.D2.add(SparseRationalMatrix(n, n, {(i, i): -c for i in range(n)})) for c in cs
         ]
-        prod = steps[0] if steps else SparseRationalMatrix.identity(n)
+        prod = steps[0] if steps else SparseRationalMatrix(n, n, {(i, i): 1 for i in range(n)})
         for step in steps[1:]:
             prod = prod.matmul(step)
         if not prod.is_zero():
@@ -647,13 +668,22 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     reads it; `DiracBlock.definite_anti_selfadjoint` tests the first
     identity on its own G D.
 
-    The second identity is equivalent to <d v, w> = <v, delta w> for both
-    halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
+    The two identities are equivalent. Every entry of D changes the
+    cohomological degree by one, d is the raising half of D/2 and d' the
+    lowering half, and G is diagonal in the oscillator monomials, so it
+    keeps the degree. So D^T G + G D = 2(d^T G + G d') + 2(d'^T G + G d):
+    the first term lowers the degree, and the second raises it and is the
+    first one's transpose, so the sum vanishes exactly when the first term
+    does. The left side of the halves identity is 2(d^T G - G d) + 2 G d +
+    2 G d' = 2(d^T G + G d'), that first term.
+
+    The halves identity is in turn equivalent to <d v, w> = <v, delta w> for
+    both halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
     d^{q2} - delta^{p1} - delta^{q2}, its left side over 2 is
-    ((d^{p1})^T G - G delta^{p1}) + (G d^{q2} - (delta^{q2})^T G). G is
-    diagonal in the oscillator monomials, so it preserves their bigrading
-    (p1-degree, q2-degree); the two parts shift it by (-1, 0) and (0, +1), so
-    each vanishes on its own, and the second is the transpose of the q2 one."""
+    ((d^{p1})^T G - G delta^{p1}) + (G d^{q2} - (delta^{q2})^T G). G
+    preserves the bigrading (p1-degree, q2-degree) of the monomials; the two
+    parts shift it by (-1, 0) and (0, +1), so each vanishes on its own, and
+    the second is the transpose of the q2 one."""
     g_D, g_d = block.gram.matmul(block.D).entries, block.gram.matmul(block.d).entries
     # D^T G + G D is symmetric: its entry at (i, j) and (j, i) is
     # (G D)_ji + (G D)_ij, nonzero only where G D has an entry

@@ -40,35 +40,10 @@ class SparseRationalMatrix:
     def from_rows(data: Sequence[Sequence]) -> "SparseRationalMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        m = SparseRationalMatrix(rows, cols)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m.set(i, j, v)
-        return m
-
-    @staticmethod
-    def identity(n: int) -> "SparseRationalMatrix":
-        m = SparseRationalMatrix(n, n)
-        for i in range(n):
-            m.set(i, i, 1)
-        return m
-
-    def get(self, i: int, j: int) -> Rational:
-        return self.entries.get((i, j), 0)
-
-    def set(self, i: int, j: int, v) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("matrix index out of range")
-        v = _rat(v)
-        if v == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = v
-
-    def add_to(self, i: int, j: int, v) -> None:
-        self.set(i, j, self.get(i, j) + v)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        entries = {(i, j): _rat(v) for i, row in enumerate(data) for j, v in enumerate(row) if v}
+        return SparseRationalMatrix(rows, cols, entries)
 
     def to_rows(self) -> list[list[Rational]]:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -80,17 +55,16 @@ class SparseRationalMatrix:
         """The entries at the given rows and columns, in the order given."""
         row_pos = {r: i for i, r in enumerate(rows)}
         col_pos = {c: j for j, c in enumerate(cols)}
-        out = SparseRationalMatrix(len(rows), len(cols))
-        for (i, j), v in self.entries.items():
-            if i in row_pos and j in col_pos:
-                out.entries[(row_pos[i], col_pos[j])] = v
-        return out
+        entries = {
+            (row_pos[i], col_pos[j]): v
+            for (i, j), v in self.entries.items()
+            if i in row_pos and j in col_pos
+        }
+        return SparseRationalMatrix(len(rows), len(cols), entries)
 
     def transpose(self) -> "SparseRationalMatrix":
-        t = SparseRationalMatrix(self.cols, self.rows)
-        for (i, j), v in self.entries.items():
-            t.entries[(j, i)] = v
-        return t
+        entries = {(j, i): v for (i, j), v in self.entries.items()}
+        return SparseRationalMatrix(self.cols, self.rows, entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -98,7 +72,7 @@ class SparseRationalMatrix:
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(self.get(j, i) == v for (i, j), v in self.entries.items())
+        return all(self.entries.get((j, i), 0) == v for (i, j), v in self.entries.items())
 
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
@@ -122,14 +96,6 @@ class SparseRationalMatrix:
         entries = {key: v for key, v in acc.items() if v}
         return SparseRationalMatrix(self.rows, self.cols, entries)
 
-    def scale(self, c) -> "SparseRationalMatrix":
-        c = _rat(c)
-        out = SparseRationalMatrix(self.rows, self.cols)
-        if c != 0:
-            for key, v in self.entries.items():
-                out.entries[key] = c * v
-        return out
-
     def apply(self, v: Sequence[Rational]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in apply")
@@ -143,14 +109,13 @@ class SparseRationalMatrix:
 def vstack(mats: Sequence[SparseRationalMatrix], cols: int) -> SparseRationalMatrix:
     """The matrices stacked top to bottom; each must have ``cols`` columns.
     No matrices give the 0 x cols matrix."""
-    out = SparseRationalMatrix(0, cols)
+    entries, rows = {}, 0
     for m in mats:
         if m.cols != cols:
             raise ValueError("column mismatch in vstack")
-        for (i, j), v in m.entries.items():
-            out.entries[(out.rows + i, j)] = v
-        out.rows += m.rows
-    return out
+        entries.update(((rows + i, j), v) for (i, j), v in m.entries.items())
+        rows += m.rows
+    return SparseRationalMatrix(rows, cols, entries)
 
 
 def _integral_row(row: Sequence[Rational]) -> list[int]:
@@ -351,11 +316,11 @@ def quotient(rows: Sequence[Sequence[Rational]], dim: int) -> Quotient:
     num, den, pivots = _rref(rows) if rows else ([], 1, [])
     pivot_set = set(pivots)
     kept = [c for c in range(dim) if c not in pivot_set]
-    red = SparseRationalMatrix(len(kept), dim)
-    for qi, c in enumerate(kept):
-        red.entries[(qi, c)] = 1
-    for r, pc in enumerate(pivots):
-        for qi, c in enumerate(kept):
-            if num[r][c]:
-                red.entries[(qi, pc)] = _rat(Fraction(-num[r][c], den))
-    return Quotient(kept, red)
+    entries = {(qi, c): 1 for qi, c in enumerate(kept)}
+    entries.update(
+        ((qi, pc), _rat(Fraction(-num[r][c], den)))
+        for r, pc in enumerate(pivots)
+        for qi, c in enumerate(kept)
+        if num[r][c]
+    )
+    return Quotient(kept, SparseRationalMatrix(len(kept), dim, entries))

@@ -244,11 +244,10 @@ def _gram_block(
     Shapovalov pairing obtained by straightening the whole product omega(X) Y.
     """
     dim = len(monos)
-    gram = SparseRationalMatrix(dim, dim)
     if monos == [()]:
-        gram.set(0, 0, 1)  # the highest weight block
-        return gram
+        return SparseRationalMatrix(1, 1, {(0, 0): 1})  # the highest weight block
     alg = mod.alg
+    entries = {}
     for i, x in enumerate(monos):
         g = x[0]
         og, s = alg.omega_gen(g)
@@ -263,11 +262,8 @@ def _gram_block(
                 if e:
                     v += c * e
             if v:
-                v *= s
-                gram.set(i, j, v)
-                if i != j:
-                    gram.set(j, i, v)
-    return gram
+                entries[i, j] = entries[j, i] = exactla._rat(s * v)
+    return SparseRationalMatrix(dim, dim, entries)
 
 
 def _build(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .exactla import Rational, _rat
 from .uea import Algebra, Gen, add_into
-from .weights import Weight
+from .weights import RootDatum, Weight
 
 # A polynomial in x_1..x_mn: exponent tuple -> coefficient.
 OscMonomial = tuple[int, ...]
@@ -25,6 +25,13 @@ WeylOperator = dict[tuple[OscMonomial, OscMonomial], Rational]
 
 def monomial_parity(a: OscMonomial) -> int:
     return sum(a) % 2
+
+
+def cohomological_degree(datum: RootDatum, a: OscMonomial) -> int:
+    """The p1-degree minus the q2-degree of x^a: the first pn = p * n
+    exponents are the p1 directions, the rest the q2 ones."""
+    pn = datum.p * datum.n
+    return sum(a[:pn]) - sum(a[pn:])
 
 
 def weyl_apply(w: WeylOperator, p: Polynomial) -> Polynomial:

@@ -23,13 +23,14 @@
   degree-1 elements, and the oscillator monomials of one degree by
   recursion (an oracle for `weights.bounded_exponents`).
 - The Bargmann-Fock form, the value of a quadratic form and the Fraction
-  elimination kept as the oracle for `exactla._rref`.
+  elimination kept as the oracle for `exactla._rref`; a sparse matrix times
+  a scalar and the identity matrix, each built once from its entries.
 - The even-cone test on weights with rational coordinates (partial sums
   split into floor and remainder), the oracle for the integer drop test
   `dirac._in_even_cone`.
 - The Dirac-block oracles: the four quarters d^{p1}, delta^{p1}, d^{q2},
-  delta^{q2} filled one matrix per quarter (the oracle for the single-pass
-  assembly of D and the Kostant differential d), the pairwise adjointness of
+  delta^{q2} summed term by term, one dict per quarter (the oracle for the
+  single-pass assembly of D and for d read off it), the pairwise adjointness of
   the quarters, the adjoint certificate from four products (D^T G, G D,
   d^T G and G d), Kostant cohomology from two ranks per degree, and the
   Dirac scalar s as one and as two weight pairings (the oracles for the
@@ -60,7 +61,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from superdirac import analysis, dirac, exactla, modules, uea
+from superdirac import analysis, dirac, exactla, modules, oscillator, uea
 from superdirac.exactla import SparseRationalMatrix, _rat
 from superdirac.weights import Weight, atypicality_set, pairing, subset_labels
 
@@ -435,6 +436,16 @@ def quadratic_value(g, v):
     return sum((a * b for a, b in zip(v, g.apply(v))), Fraction(0))
 
 
+def scaled(m, c):
+    """The sparse matrix c m."""
+    entries = {key: _rat(c * v) for key, v in m.entries.items()} if c else {}
+    return SparseRationalMatrix(m.rows, m.cols, entries)
+
+
+def identity_matrix(n):
+    return SparseRationalMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
 def fraction_rref(rows_data):
     """Reduced row echelon form by Gauss-Jordan elimination on Fractions;
     returns (matrix, pivot column list), zero rows included.
@@ -502,25 +513,24 @@ def in_even_cone(w, below):
 def dirac_quarters(block):
     """(d^{p1}, delta^{p1}, d^{q2}, delta^{q2}) of a Dirac block: the terms
     partial_k (x) x_k (d) and x_k (x) partial_k (delta), split by k < pn (p1)
-    and k >= pn (q2), each filled into its own matrix. `dirac.assemble_block`
-    stores D = 2(d^{p1} + d^{q2} - delta^{p1} - delta^{q2}) and
-    d = d^{p1} - delta^{q2} instead."""
+    and k >= pn (q2), each summed into its own dict. `dirac.assemble_block`
+    stores D = 2(d^{p1} + d^{q2} - delta^{p1} - delta^{q2}), and
+    `DiracBlock.d` reads d = d^{p1} - delta^{q2} off it."""
     module = block.module
     datum, alg = module.datum, module.alg
-    quarters = [SparseRationalMatrix(block.dim, block.dim) for _ in range(4)]
-    d_p1, delta_p1, d_q2, delta_q2 = quarters
+    d_p1, delta_p1, d_q2, delta_q2 = quarters = ({}, {}, {}, {})
     pn = datum.p * datum.n
     for col, (drop_m, i, a) in enumerate(block.basis):
         for k in range(datum.mn):
-            dmat = d_p1 if k < pn else d_q2
-            deltamat = delta_p1 if k < pn else delta_q2
+            dq = d_p1 if k < pn else d_q2
+            deltaq = delta_p1 if k < pn else delta_q2
             g = datum.odd_raising[k]
             target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
             anew = a[:k] + (a[k] + 1,) + a[k + 1 :]
             for r, c in module.gen_columns(g, drop_m)[i]:
                 row = block.index.get((target, r, anew))
                 if row is not None:
-                    dmat.add_to(row, col, c)
+                    uea.add_into(dq, (row, col), c)
             if a[k] > 0:
                 g = datum.odd_lowering[k]
                 target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
@@ -529,8 +539,11 @@ def dirac_quarters(block):
                 for r, c in module.gen_columns(g, drop_m)[i]:
                     row = block.index.get((target, r, anew))
                     if row is not None:
-                        deltamat.add_to(row, col, f * c)
-    return tuple(quarters)
+                        uea.add_into(deltaq, (row, col), f * c)
+    return tuple(
+        SparseRationalMatrix(block.dim, block.dim, {key: _rat(v) for key, v in q.items()})
+        for q in quarters
+    )
 
 
 def quarters_adjoint(gram, quarters):
@@ -538,7 +551,7 @@ def quarters_adjoint(gram, quarters):
     pairs (d^{p1}, delta^{p1}) and (d^{q2}, delta^{q2})."""
     d_p1, delta_p1, d_q2, delta_q2 = quarters
     return all(
-        d.transpose().matmul(gram).add(gram.matmul(delta).scale(-1)).is_zero()
+        d.transpose().matmul(gram).add(scaled(gram.matmul(delta), -1)).is_zero()
         for d, delta in ((d_p1, delta_p1), (d_q2, delta_q2))
     )
 
@@ -554,8 +567,8 @@ def kostant_per_degree(coll):
         if block.dim == 0:
             continue
         d_p1, _, _, delta_q2 = dirac_quarters(block)
-        d = d_p1.add(delta_q2.scale(-1))
-        degs = [analysis.cohomological_degree(datum, a) for (_, _, a) in block.basis]
+        d = d_p1.add(scaled(delta_q2, -1))
+        degs = [oscillator.cohomological_degree(datum, a) for (_, _, a) in block.basis]
         idx_by_deg = {k: [i for i, dg in enumerate(degs) if dg == k] for k in sorted(set(degs))}
         for k, cols in idx_by_deg.items():
             rows_out = idx_by_deg.get(k + 1, [])
@@ -580,8 +593,8 @@ def four_product_certificate(block):
     if lhs.entries:
         (i, j), v = sorted(lhs.entries.items())[0]
         witness = (i, j, v)
-    d_adj = block.d.transpose().matmul(g).add(g.matmul(block.d).scale(-1))
-    return lhs.is_zero(), witness, d_adj.scale(2).add(gd).is_zero()
+    d_adj = block.d.transpose().matmul(g).add(scaled(g.matmul(block.d), -1))
+    return lhs.is_zero(), witness, scaled(d_adj, 2).add(gd).is_zero()
 
 
 def highest_vectors(coll, nu):

@@ -6,7 +6,7 @@ import functools
 import pytest
 
 from _helpers import character_formula_per_mu, compact_character_old_bound
-from superdirac import analysis, cli, dirac, modules, uea
+from superdirac import analysis, cli, dirac, modules, oscillator, uea
 from superdirac.weights import build_root_datum, parse_weight, subset_labels
 
 
@@ -55,8 +55,8 @@ def test_branching_labels_typical(d21, lam_typical):
 # ----- Kostant cohomology -----------------------------------------------------------
 def test_cohomological_degree(d23):
     # first p*n exponents raise the degree, the rest lower it
-    assert analysis.cohomological_degree(d23, (1, 0, 2, 0, 0, 0)) == 3
-    assert analysis.cohomological_degree(d23, (0, 0, 0, 1, 1, 0)) == -2
+    assert oscillator.cohomological_degree(d23, (1, 0, 2, 0, 0, 0)) == 3
+    assert oscillator.cohomological_degree(d23, (0, 0, 0, 1, 1, 0)) == -2
 
 
 def test_kostant_dd_zero_and_trivial_degree_zero(coll_trivial21, coll_typical3):

@@ -21,10 +21,12 @@ from _helpers import (
     fraction_rref,
     highest_vectors,
     highest_vectors_per_generator,
+    identity_matrix,
     in_even_cone,
     kostant_per_degree,
     monomials_of_degree,
     quarters_adjoint,
+    scaled,
 )
 from superdirac import analysis, dirac, exactla, modules, oscillator
 from superdirac.exactla import SparseRationalMatrix
@@ -265,8 +267,8 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
             bf = Fraction(math.prod(math.factorial(e) for e in a))
             g = mod.blocks[lam_typical.lower(drop_m)].gram_quot
             for row, (drop_m2, i2, a2) in enumerate(block.basis):
-                expected = g.get(i2, i) * bf if (drop_m2 == drop_m and a2 == a) else 0
-                assert block.gram.get(row, col) == expected
+                expected = g.entries.get((i2, i), 0) * bf if (drop_m2 == drop_m and a2 == a) else 0
+                assert block.gram.entries.get((row, col), 0) == expected
 
 
 # ----- oracles: intersection-based cohomology and the even-cone search ---------------
@@ -322,7 +324,7 @@ def _classes_mod(kernel, cap):
 def _cap_basis(block):
     """Basis of ker D intersect im D."""
     dim = block.dim
-    cols = [tuple(block.D.get(i, j) for i in range(dim)) for j in range(dim)]
+    cols = [tuple(col) for col in block.D.transpose().to_rows()]
     im_basis = _column_space([c for c in cols if any(c)])
     return _intersect(exactla.kernel_basis(block.D), im_basis, dim)
 
@@ -472,11 +474,9 @@ def test_block_ranks_match_sympy(data):
     even = [i for i, p in enumerate(parity) if p == 0]
     odd = [i for i, p in enumerate(parity) if p == 1]
     dim = len(parity)
-    d = SparseRationalMatrix(dim, dim)
-    for i in range(n_even):
-        for j in range(n_odd):
-            d.set(even[i], odd[j], Fraction(b[i][j]))
-            d.set(odd[j], even[i], Fraction(c[j][i]))
+    halves = {(even[i], odd[j]): b[i][j] for i in range(n_even) for j in range(n_odd)}
+    halves.update(((odd[j], even[i]), c[j][i]) for i in range(n_even) for j in range(n_odd))
+    d = SparseRationalMatrix(dim, dim, {key: v for key, v in halves.items() if v})
     bm, cm = sympy.Matrix(n_even, n_odd, sum(b, [])), sympy.Matrix(n_odd, n_even, sum(c, []))
     rk_b, rk_c, rk_cb, rk_bc = (m.rank() for m in (bm, cm, cm * bm, bm * cm))
     bs = SparseRationalMatrix.from_rows(b) if n_even else SparseRationalMatrix(0, n_odd)
@@ -823,12 +823,12 @@ def test_operator_and_kostant_differential_match_quarters(group, weight, height,
     for block in coll.blocks.values():
         quarters = dirac_quarters(block)
         d_p1, delta_p1, d_q2, delta_q2 = quarters
-        expected = d_p1.add(d_q2).add(delta_p1.scale(-1)).add(delta_q2.scale(-1)).scale(2)
+        expected = scaled(d_p1.add(d_q2).add(scaled(delta_p1, -1)).add(scaled(delta_q2, -1)), 2)
         assert block.D.entries == expected.entries, block.nu.text()
-        assert block.d.entries == d_p1.add(delta_q2.scale(-1)).entries, block.nu.text()
+        assert block.d.entries == d_p1.add(scaled(delta_q2, -1)).entries, block.nu.text()
         cert = dirac.anti_selfadjoint_certificate(block)
         assert cert.halves_adjoint == quarters_adjoint(block.gram, quarters)
-        both_halves += bool(block.d.entries) and bool(block.D.add(block.d.scale(-2)).entries)
+        both_halves += bool(block.d.entries) and bool(block.D.add(scaled(block.d, -2)).entries)
     assert both_halves
 
 
@@ -849,8 +849,8 @@ def _bidegree_parts(block, m):
     parts = {}
     for (i, j), v in m.entries.items():
         shift = (bideg[i][0] - bideg[j][0], bideg[i][1] - bideg[j][1])
-        parts.setdefault(shift, SparseRationalMatrix(m.rows, m.cols)).set(i, j, v)
-    return parts
+        parts.setdefault(shift, {})[i, j] = v
+    return {shift: SparseRationalMatrix(m.rows, m.cols, e) for shift, e in parts.items()}
 
 
 def _oracle_certificate(block):
@@ -866,13 +866,13 @@ def _oracle_certificate(block):
         (i, j), v = min(lhs.entries.items())
         witness = (i, j, v)
     d_parts = _bidegree_parts(block, block.d)
-    dprime_parts = _bidegree_parts(block, block.D.scale(Fraction(1, 2)).add(block.d.scale(-1)))
+    dprime_parts = _bidegree_parts(block, scaled(block.D, Fraction(1, 2)).add(scaled(block.d, -1)))
     zero = SparseRationalMatrix(block.dim, block.dim)
     quarters = (
         d_parts.get((1, 0), zero),
-        dprime_parts.get((-1, 0), zero).scale(-1),
+        scaled(dprime_parts.get((-1, 0), zero), -1),
         dprime_parts.get((0, 1), zero),
-        d_parts.get((0, -1), zero).scale(-1),
+        scaled(d_parts.get((0, -1), zero), -1),
     )
     strays = set(d_parts) - {(1, 0), (0, -1)} or set(dprime_parts) - {(0, 1), (-1, 0)}
     return lhs.is_zero(), witness, not strays and quarters_adjoint(g, quarters)
@@ -885,33 +885,30 @@ def _doubled(m, key):
 
 @pytest.mark.parametrize("fixture", ["coll_typical3", "coll_refuted2"])
 def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, request):
-    """One entry of d, and separately one entry of D in each bidegree shift,
-    is doubled: `halves_adjoint` is False exactly when the pairwise oracle
+    """One entry of D in each bidegree shift is doubled, and d is read off the
+    altered D: `halves_adjoint` is False exactly when the pairwise oracle
     fails, and `ok` with its witness matches D^T G + G D; all three match the
     four-product oracle. On these simple modules G is nondegenerate, so every
-    alteration is seen. Every block Gram is symmetric, which is what lets
-    the certificate read D^T G as (G D)^T."""
+    alteration is seen, and it fails `ok` and `halves_adjoint` together
+    (see `anti_selfadjoint_certificate`). Every block Gram is symmetric,
+    which is what lets the certificate read D^T G as (G D)^T."""
     coll = request.getfixturevalue(fixture)
-    seen = {"d": 0, "D": 0}
+    seen = 0
     for block in coll.blocks.values():
         assert block.gram.is_symmetric()
         cert = dirac.anti_selfadjoint_certificate(block)
         assert (cert.ok, cert.witness, cert.halves_adjoint) == _oracle_certificate(block)
         assert (cert.ok, cert.witness, cert.halves_adjoint) == four_product_certificate(block)
         assert cert.ok and cert.halves_adjoint
-        altered = []
-        if block.d.entries:
-            altered.append(("d", replace(block, d=_doubled(block.d, min(block.d.entries)))))
-        for part in _bidegree_parts(block, block.D).values():
-            altered.append(("D", replace(block, D=_doubled(block.D, min(part.entries)))))
-        for which, bad in altered:
+        for shift, part in _bidegree_parts(block, block.D).items():
+            bad = replace(block, D=_doubled(block.D, min(part.entries)))
             cert = dirac.anti_selfadjoint_certificate(bad)
             oracle = _oracle_certificate(bad)
-            assert (cert.ok, cert.witness, cert.halves_adjoint) == oracle, which
+            assert (cert.ok, cert.witness, cert.halves_adjoint) == oracle, shift
             assert (cert.ok, cert.witness, cert.halves_adjoint) == four_product_certificate(bad)
-            assert cert.ok == (which == "d")
-            seen[which] += not cert.halves_adjoint
-    assert seen["d"] and seen["D"]
+            assert not cert.ok and not cert.halves_adjoint, shift
+            seen += 1
+    assert seen
 
 
 def test_each_product_is_formed_once_per_block(d21, monkeypatch):
@@ -1062,6 +1059,39 @@ def _collection(group, weight, height, kind):
     return dirac.assemble_all(build(datum, lam, height), height)
 
 
+@pytest.mark.parametrize("name", [*SHORTCUT_INPUTS, "by-degree"])
+def test_dirac_entries_split_by_cohomological_degree(name):
+    """Every entry of D links monomials whose cohomological degrees differ by
+    one, every integer entry that raises the degree is even (so the Kostant
+    differential d, its half, stays integral there), and the halves identity
+    of the adjoint certificate holds exactly when D^T G + G D = 0 does; on
+    the golden inputs, the refuted and Verma ones, and the trivial modules
+    assembled by degree."""
+    if name == "by-degree":
+        colls = [_degree_collection(group) for group in (SL21, SL22, SL23, GL33)]
+    else:
+        colls = [_collection(*SHORTCUT_INPUTS[name])]
+    raising = lowering = 0
+    for coll in colls:
+        datum = coll.module.datum
+        for block in coll.blocks.values():
+            deg = [oscillator.cohomological_degree(datum, a) for _, _, a in block.basis]
+            shifts = [deg[i] - deg[j] for i, j in block.D.entries]
+            assert set(shifts) <= {-1, 1}, block.nu.text()
+            raising += shifts.count(1)
+            lowering += shifts.count(-1)
+            assert all(
+                v % 2 == 0
+                for (i, j), v in block.D.entries.items()
+                if type(v) is int and deg[i] > deg[j]
+            )
+            cert = dirac.anti_selfadjoint_certificate(block)
+            assert cert.halves_adjoint == cert.ok
+    # the odd part acts by zero on the trivial modules, so their D vanishes
+    assert bool(raising and lowering) == (name != "by-degree")
+    assert all(coll.blocks for coll in colls)
+
+
 def _outputs(coll):
     """Everything cohomology, the k-type tables and the square audit report."""
     report = dirac.dirac_cohomology(coll)
@@ -1081,9 +1111,9 @@ def _chain_product(coll, audit, block):
     below = cone_sums(block.nu)
     cs = {e.measured for e in audit.entries if in_even_cone(cone_sums(e.nu0), below)}
     n = block.dim
-    prod = SparseRationalMatrix.identity(n)
+    prod = identity_matrix(n)
     for c in sorted(cs):
-        prod = prod.matmul(block.D2.add(SparseRationalMatrix.identity(n).scale(-c)))
+        prod = prod.matmul(block.D2.add(scaled(identity_matrix(n), -c)))
     return prod
 
 

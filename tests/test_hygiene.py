@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, and
 every function, class, method and module-level name it defines is referred
 to somewhere in the package (or allowed, with a reason); every top-level
-helper in ``tests/_helpers.py`` is reached from some test module.
+helper in ``tests/_helpers.py`` is reached from some test module; and no
+package code writes into a built ``SparseRationalMatrix``.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -12,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from superdirac.exactla import SparseRationalMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "superdirac"
 
@@ -316,6 +319,84 @@ def test_checker_flags_a_write_only_local():
         "    return a, g\n"
     )
     assert _write_only_locals(ast.parse(src)) == ["f.unused", "f.table", "f.total", "f.b"]
+
+
+# ----- nothing writes into a built matrix ---------------------------------------------
+# every builder fills a plain dict and constructs its SparseRationalMatrix once
+ENTRIES_MUTATORS = {"pop", "update", "setdefault", "clear"}
+
+
+def _matrix_writes(tree: ast.AST) -> list[str]:
+    """`line what` for each write into a built matrix, in line order: a
+    subscript store (or delete) on an `.entries` attribute, a
+    `.entries.pop/update/setdefault/clear` call, and an augmented assignment
+    to a `.rows` or `.cols` attribute."""
+
+    def is_entries(node):
+        return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and is_entries(node.value)
+        ):
+            found.append((node.lineno, "entries[...] store"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ENTRIES_MUTATORS
+            and is_entries(node.func.value)
+        ):
+            found.append((node.lineno, f"entries.{node.func.attr}"))
+        elif (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and node.target.attr in ("rows", "cols")
+        ):
+            found.append((node.lineno, f"{node.target.attr} +="))
+    return [f"{line} {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_write_into_a_built_matrix(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writes = _matrix_writes(tree)
+    assert not writes, (
+        f"{path.name} writes into a built matrix (fill a dict, then construct): "
+        f"{', '.join(writes)}"
+    )
+
+
+def test_checker_flags_a_write_into_a_built_matrix():
+    src = (
+        "def f(m, entries):\n"
+        "    m.entries[0, 0] = 1\n"
+        "    entries[0, 1] = 2\n"
+        "    m.entries.pop((0, 0))\n"
+        "    x = m.entries.get((0, 1), 0)\n"
+        "    m.rows += 1\n"
+        "    del m.entries[0, 1]\n"
+        "    m.entries.update({})\n"
+        "    rows = m.rows + 1\n"
+        "    return x, rows, {k: v for k, v in m.entries.items()}\n"
+    )
+    assert _matrix_writes(ast.parse(src)) == [
+        "2 entries[...] store", "4 entries.pop", "6 rows +=", "7 entries[...] store",
+        "8 entries.update",
+    ]
+
+
+def test_sparse_matrix_has_no_mutator():
+    """The public methods of SparseRationalMatrix, pinned: the name-based
+    dead-code check cannot see a per-entry mutator come back, because
+    `dict.get`, `set()` and `Weight.scale` share those names."""
+    public = {name for name in vars(SparseRationalMatrix) if not name.startswith("_")}
+    assert public == {
+        "from_rows", "to_rows", "submatrix", "transpose", "is_zero", "is_symmetric",
+        "matmul", "add", "apply",
+    }
 
 
 # ----- imports inside functions -----------------------------------------------------------
