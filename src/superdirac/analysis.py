@@ -217,9 +217,7 @@ def vogan_consistency(
 
 
 def harish_chandra_audit(coll: BlockCollection) -> bool:
-    """Every g0-constituent found by the square audit has an actual highest
+    """Every g0-constituent (`dirac.g0_constituents`) has an actual highest
     weight satisfying the strict Harish-Chandra inequality."""
-    report = dirac.dirac_square_audit(coll)
-    return all(
-        harish_chandra_condition(coll.module.datum, e.nu0) for e in report.entries
-    )
+    entries = dirac.g0_constituents(coll)[0]
+    return all(harish_chandra_condition(coll.module.datum, e.nu0) for e in entries)

@@ -1,6 +1,8 @@
 """Diagonal-weight blocks of M (x) M(g1), with an explicit matrix for the
 Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d'), the block
-Gram form, Dirac cohomology, index, and the anti-selfadjointness and square
+Gram form, Dirac cohomology, index, the g0-constituents (`g0_constituents`:
+highest weight, multiplicity and D^2 scalar, where the Dirac inequality and
+the Harish-Chandra check are read), and the anti-selfadjointness and square
 audits. Each block assembles D alone: every entry of D changes the
 cohomological degree of the oscillator monomial by one, and the Kostant
 differential d is the degree-raising half of D/2 (d' is minus its
@@ -303,6 +305,7 @@ class SquareAuditEntry:
     s: exactla.Rational  # (mu+2rho, mu) - (L+2rho, L) in the weight pairing
     measured: exactla.Rational  # eigenvalue of the squared matrix on the component
     matched: bool  # measured == -2 s exactly
+    drop: Drop = field(compare=False, repr=False)  # the block's (L - rho1) - nu0
 
     def to_json(self) -> dict:
         return {
@@ -338,34 +341,19 @@ class SquareAuditReport:
         }
 
 
-def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
-    """Verify that the squared Dirac matrix acts on each g0-isotypic component
-    (identified by its highest vectors) by one scalar, and compare it with the
-    weight-pairing prediction; then check that D^2 is semisimple on every
-    block with the predicted scalars as its only eigenvalues.
+def g0_constituents(coll: BlockCollection) -> tuple[list[SquareAuditEntry], bool]:
+    """The g0-constituents of the collection, one entry per block with
+    highest vectors, and whether X_D D = D X_D on every map built.
 
     Each (block, even raising generator) map X_D is built once. The kernel of
-    the block's maps is its highest vectors, D^2 v is read as D(D v), and the
-    same maps check X_D D = D X_D. The predicted scalars `cs` of a block are
-    the measured ones of every block above it in the even cone (itself
-    included). Semisimplicity means that the product of (D^2 - c) over `cs`
-    vanishes; this product is formed only on blocks where
-    `DiracBlock.definite_anti_selfadjoint` fails, or on every block if some
-    X_D does not commute with D. Elsewhere it vanishes for this reason: D^2
-    is diagonalizable on the block (G-selfadjoint for a definite G), and
-    every eigenvalue lies in `cs`. Take an eigenvector v of D^2 with
-    eigenvalue c. Each X_D commutes with D^2, so X_D v is zero or an
-    eigenvector for c in a block one even positive root higher. Raising v
-    while some X_D does not kill it ends, since the height drop falls, at a
-    nonzero vector every X_D kills: a highest vector for c, in a block above
-    in the even cone, where D^2 acts by that block's measured scalar. So c
-    is in `cs`."""
-    module = coll.module
-    datum = module.datum
-    t = (module.highest_weight + datum.rho).scale(2).coords()
+    the block's maps is its highest vectors, and D^2 must act on them by one
+    scalar, read as D(D v). The Dirac inequality is `e.s >= 0` on an entry
+    (strict: `e.s > 0`); on certified inputs it holds at every constituent.
+    Nothing here needs D^2 semisimple, so refuted inputs give their
+    constituents too."""
+    datum = coll.module.datum
+    t = (coll.module.highest_weight + datum.rho).scale(2).coords()
     entries: list[SquareAuditEntry] = []
-    # (`_cone_sums` of the block's drop, measured scalar) per entry
-    by_nu0: list[tuple[ConeSums, Fraction]] = []
     commute = True  # X_D D = D X_D on every map built
     for nu, block in coll.blocks.items():
         if block.dim == 0:
@@ -387,16 +375,44 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
                 raise AssertionError(
                     f"D^2 is not scalar on a highest vector at nu={nu.text()}"
                 )
-            measured_vals.add(exactla._rat(Fraction(img[lead], v[lead])))
+            x, y = img[lead], v[lead]
+            measured_vals.add(
+                x // y if type(x) is int and not x % y else exactla._rat(Fraction(x, y))
+            )
         if len(measured_vals) != 1:
             raise AssertionError(
                 f"distinct D^2 scalars on one isotypic label at nu={nu.text()}"
             )
         measured = measured_vals.pop()
         entries.append(
-            SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s)
+            SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s, block.drop)
         )
-        by_nu0.append((_cone_sums(block.drop, datum.m), measured))
+    return entries, commute
+
+
+def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
+    """Verify that the squared Dirac matrix acts on each g0-isotypic component
+    (the `g0_constituents`) by one scalar, and compare it with the
+    weight-pairing prediction; then check that D^2 is semisimple on every
+    block with the predicted scalars as its only eigenvalues.
+
+    The predicted scalars `cs` of a block are the measured ones of every
+    constituent above it in the even cone (itself included). Semisimplicity
+    means that the product of (D^2 - c) over `cs` vanishes; this product is
+    formed only on blocks where `DiracBlock.definite_anti_selfadjoint` fails,
+    or on every block if some X_D does not commute with D. Elsewhere it
+    vanishes for this reason: D^2 is diagonalizable on the block
+    (G-selfadjoint for a definite G), and every eigenvalue lies in `cs`. Take
+    an eigenvector v of D^2 with eigenvalue c. Each X_D commutes with D^2, so
+    X_D v is zero or an eigenvector for c in a block one even positive root
+    higher. Raising v while some X_D does not kill it ends, since the height
+    drop falls, at a nonzero vector every X_D kills: a highest vector for c,
+    in a block above in the even cone, where D^2 acts by that block's
+    measured scalar. So c is in `cs`."""
+    datum = coll.module.datum
+    entries, commute = g0_constituents(coll)
+    # (`_cone_sums` of the constituent's drop, measured scalar)
+    by_nu0 = [(_cone_sums(e.drop, datum.m), e.measured) for e in entries]
     # semisimplicity: on each block, the product over the predicted component
     # scalars of (D^2 - c) vanishes, where components come from this block and
     # every higher block whose lowerings can reach it
@@ -710,37 +726,3 @@ def dirac_index(coll: BlockCollection) -> dict[Weight, int]:
         if v:
             out[nu] = v
     return out
-
-
-# ----- inequality audit ------------------------------------------------------------------------
-@dataclass
-class InequalityEntry:
-    """The Dirac inequality at one g0-constituent with shifted label mu.
-
-    Sign convention: s = (mu+2rho, mu) - (L+2rho, L) in the weight pairing
-    and measured is the scalar of D^2 on the constituent (the square audit
-    matches measured = -2 s). The inequality reads s >= 0, equivalently
-    measured <= 0; on certified inputs it holds at every constituent.
-    """
-
-    mu: Weight
-    s: exactla.Rational
-    measured: exactla.Rational
-    s_positive: bool  # s > 0: the inequality is strict at mu
-    measured_positive: bool  # measured > 0: D^2 is positive at mu
-
-    def to_json(self) -> dict:
-        return {
-            "mu": self.mu.text(),
-            "s": str(self.s),
-            "measured": str(self.measured),
-            "s_positive": self.s_positive,
-            "measured_positive": self.measured_positive,
-        }
-
-
-def dirac_inequality_audit(coll: BlockCollection) -> list[InequalityEntry]:
-    return [
-        InequalityEntry(e.mu, e.s, e.measured, e.s > 0, e.measured > 0)
-        for e in dirac_square_audit(coll).entries
-    ]

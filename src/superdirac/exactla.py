@@ -2,12 +2,12 @@
 
 An exact entry is an `int` when it is integral and a `Fraction` otherwise
 (`_rat`), so integer matrices multiply and add on ints. Kernels, ranks,
-solutions, independent subsets and quotient coordinates all come from one
-fraction-free elimination loop (`_rref`): ranks read its forward pass only,
-kernels are integer vectors, and only `solve` and `quotient` divide by the
-common denominator. Definiteness certificates for symmetric Gram matrices
-come from a symmetric congruence. Pivoting is deterministic, so results are
-reproducible bit-for-bit.
+independent subsets and quotient coordinates all come from one fraction-free
+elimination loop (`_rref`): ranks read its forward pass only, kernels are
+integer vectors, and only `quotient` divides by the common denominator.
+Definiteness certificates for symmetric Gram matrices come from a symmetric
+congruence. Pivoting is deterministic, so results are reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -211,22 +211,6 @@ def independent_modulo(
     """
     pivots = _rref([list(row) for row in zip(*span, *candidates)])[2]
     return [p - len(span) for p in pivots if p >= len(span)]
-
-
-def solve(a: SparseRationalMatrix, b: Sequence[Rational]) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    if len(b) != a.rows:
-        raise ValueError("dimension mismatch in solve")
-    aug = [row + [_rat(bb)] for row, bb in zip(a.to_rows(), b)]
-    if not aug:
-        return (0,) * a.cols
-    num, den, pivots = _rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [0] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = _rat(Fraction(num[r][a.cols], den))
-    return tuple(x)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import Rational, _rat
+from .exactla import Rational
 from .weights import Drop, RootDatum, Weight
 
 Gen = tuple[int, int]
@@ -129,4 +129,5 @@ class Algebra:
 
     def b_form(self, a: Gen, b: Gen) -> Rational:
         """Normalized invariant form: B = (1/2)(tr_D - tr_A) on products."""
-        return _rat(Fraction(-self.str_form(a, b), 2))
+        v = -self.str_form(a, b)
+        return v // 2 if not v % 2 else Fraction(v, 2)

@@ -371,19 +371,18 @@ def bounded_exponents(
 
 def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> bool:
     """True iff mu + rho = w(lam + rho + sum t_i alpha_i) with alpha_i in A_lam."""
-    atyp = [r.weight for r in atypicality_set(datum, lam)]
-    # columns: the atypical roots, so A t = x is membership of x in their span
-    span = exactla.SparseRationalMatrix(
-        datum.m + datum.n,
-        len(atyp),
-        {(i, j): c for j, r in enumerate(atyp) for i, c in enumerate(r.coords()) if c},
-    )
+    rows = [r.weight.coords() for r in atypicality_set(datum, lam)]
+
+    def rank(*extra) -> int:
+        return exactla.rank(exactla.SparseRationalMatrix.from_rows([*rows, *extra]))
+
+    span_rank = rank()
     lam_rho, mu_rho = lam + datum.rho, mu + datum.rho
-    # mu_rho = w(lam_rho + x) with x in the span iff w^-1(mu_rho) - lam_rho is
-    # in it, and w^-1 runs over W as w does
+    # mu_rho = w(lam_rho + x) with x in the span of the atypical roots iff
+    # w^-1(mu_rho) - lam_rho is in it (w^-1 runs over W as w does), that is,
+    # iff adding it as a row keeps the rank
     return any(
-        exactla.solve(span, (w.apply(mu_rho) - lam_rho).coords()) is not None
-        for w in datum.weyl_group()
+        rank((w.apply(mu_rho) - lam_rho).coords()) == span_rank for w in datum.weyl_group()
     )
 
 

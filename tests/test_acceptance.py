@@ -107,18 +107,18 @@ def test_criterion_04_adjointness_and_inequality(
         for block in coll.blocks.values():
             cert = dirac.anti_selfadjoint_certificate(block)
             adjoint_ok = adjoint_ok and cert.ok and cert.halves_adjoint
-    entries = dirac.dirac_inequality_audit(coll_refuted2)
+    entries = dirac.g0_constituents(coll_refuted2)[0]
     target = lam_refuted - d21.pos_odd[0].weight  # lam - (eps1 - del1)
     hits = [e for e in entries if e.mu == target]
     pairing_ok = (
-        len(hits) == 1 and hits[0].s == 2 and hits[0].s_positive
+        len(hits) == 1 and hits[0].s == 2 and hits[0].s > 0
     )
     ok = adjoint_ok and pairing_ok
     announce(
         4,
         ok,
         "anti-selfadjointness on all certified blocks; refuted weight "
-        f"{lam_refuted.text()} shows s = +2 in the inequality audit at "
+        f"{lam_refuted.text()} shows s = +2 at the g0-constituent "
         f"{target.text()}",
         t0,
     )

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -153,22 +154,22 @@ def test_index_equals_signed_cohomology(coll_typical3, rep_typical3, coll_trivia
 
 
 def test_inequality_audit_refuted_weight(coll_refuted2, d21, lam_refuted):
-    entries = dirac.dirac_inequality_audit(coll_refuted2)
+    entries = dirac.g0_constituents(coll_refuted2)[0]
     g1 = d21.pos_odd[0].weight
     target = lam_refuted - g1
     hits = [e for e in entries if e.mu == target]
     assert len(hits) == 1
     e = hits[0]
-    assert e.s == 2 and e.s_positive
-    assert e.measured == -4 and not e.measured_positive
+    assert e.s == 2 and e.s > 0
+    assert e.measured == -4 and not e.measured > 0
 
 
 def test_inequality_audit_certified_weight(coll_typical3, lam_typical):
-    for e in dirac.dirac_inequality_audit(coll_typical3):
+    for e in dirac.g0_constituents(coll_typical3)[0]:
         assert e.s >= 0
         assert e.measured <= 0
         if e.mu != lam_typical:
-            assert e.s_positive  # strict inequality off the top
+            assert e.s > 0  # strict inequality off the top
 
 
 def test_highest_vectors_top_block(coll_typical3, d21, lam_typical):
@@ -1262,3 +1263,73 @@ def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
     assert dirac.dirac_square_audit(coll).to_json() == expected
     nonempty = [b for b in coll.blocks.values() if b.dim]
     assert all(any(s is b for s in squared) for b in nonempty)
+
+
+# ----- the g0-constituents -----------------------------------------------------------
+@pytest.mark.parametrize(
+    "group, weight, constituents, negative",
+    [(SL21, "1,0|0", 14, 4), (SL21, "1,0|1", 14, 6), (GL33, "-3,0,0|1,1,1", 30, 8)],
+)
+def test_refuted_inputs_reach_the_inequality(group, weight, constituents, negative):
+    """On refuted inputs where D^2 is not semisimple (N=4), the constituents
+    are still found and the Dirac inequality s >= 0 fails at some of them;
+    the Harish-Chandra check answers, and only the square audit's
+    semisimplicity check raises."""
+    coll = _collection(group, weight, 4, "simple")
+    entries = dirac.g0_constituents(coll)[0]
+    assert len(entries) == constituents
+    assert sum(e.s < 0 for e in entries) == negative
+    assert type(analysis.harish_chandra_audit(coll)) is bool
+    with pytest.raises(AssertionError, match=r"D\^2 not semisimple with predicted scalars at nu="):
+        dirac.dirac_square_audit(coll)
+
+
+def test_dirac_inequality_holds_exactly_on_certified_weights():
+    """The sl(2|1) weights a,0|c, -3 <= a <= 1 and -3 <= c <= 3, at N=4: s >= 0
+    at every g0-constituent on exactly the weights `certify_unitarity`
+    certifies (the Dirac inequality characterizes unitarity), and the square
+    audit raises on exactly the weights 1,0|c."""
+    datum = build_root_datum(*SL21)
+    inequality, certified, raised = set(), set(), set()
+    for a, c in itertools.product(range(-3, 2), range(-3, 4)):
+        weight = f"{a},0|{c}"
+        coll = _collection(SL21, weight, 4, "simple")
+        if all(e.s >= 0 for e in dirac.g0_constituents(coll)[0]):
+            inequality.add(weight)
+        cert = modules.certify_unitarity(datum, coll.module.highest_weight, 4, coll.module)
+        if cert.verdict == "certified-up-to-N":
+            certified.add(weight)
+        try:
+            dirac.dirac_square_audit(coll)
+        except AssertionError:
+            raised.add(weight)
+    assert len(certified) == 10 and inequality == certified
+    assert raised == {f"1,0|{c}" for c in range(-3, 4)}
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        (SL21, "-2,1|1", 8),
+        (SL21, "-1,0|0", 8),
+        (SL22, "-3,1|1,1", 4),
+        (SL23, "-3,0|1,1,0", 3),
+        (GL33, "-2,-2,1|1,1,1", 3),
+    ],
+)
+def test_constituents_with_scalar_zero_fix_the_cohomology(group, weight, height):
+    """On certified inputs, typical or atypical, the g0-highest weights of
+    H_D (both parities) are the g0-constituents on which D^2 acts by 0, with
+    their multiplicities (Huang-Pandzic: D^2 is diagonalizable and
+    ker D = ker D^2), and s >= 0 at every constituent."""
+    coll = _collection(group, weight, height, "simple")
+    datum = coll.module.datum
+    cert = modules.certify_unitarity(datum, coll.module.highest_weight, height, coll.module)
+    assert cert.verdict == "certified-up-to-N"
+    report = dirac.dirac_cohomology(coll)
+    table = Counter()
+    for sign in (1, -1):
+        table.update(dirac.hd_ktype_table(coll, report, sign, "even"))
+    entries = dirac.g0_constituents(coll)[0]
+    assert dict(table) == {e.nu0: e.multiplicity for e in entries if e.measured == 0}
+    assert all(e.s >= 0 for e in entries)

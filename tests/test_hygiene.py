@@ -67,8 +67,6 @@ UNREFERENCED_ALLOWED = {
         for c in ("root_data", "decompose", "dirac_cohomology", "certify", "character",
                   "index", "verify")
     },
-    "dirac_inequality_audit": "the Dirac inequality per g0-constituent, for the "
-    "planned `verify --suite inequality` (ROADMAP)",
     "harish_chandra_audit": "the Harish-Chandra inequality per g0-constituent, the "
     "second unitarity check planned for the CLI (ROADMAP)",
     "vogan_consistency": "the infinitesimal character of H_D, to be folded into the "
@@ -81,8 +79,6 @@ UNREFERENCED_ALLOWED = {
     "anti_selfadjoint_certificate": "the whole adjoint certificate of a Dirac block, "
     "kept by name: the perfbench `deep-sl21` payload prints it and the tracer wraps it "
     "(ROADMAP: it moves to tests/ with the next reference re-record)",
-    "from_rows": "the dense constructor of SparseRationalMatrix, public API the tests "
-    "build every example matrix with",
 }
 
 
