@@ -217,7 +217,9 @@ def vogan_consistency(
 
 
 def harish_chandra_audit(coll: BlockCollection) -> bool:
-    """Every g0-constituent (`dirac.g0_constituents`) has an actual highest
-    weight satisfying the strict Harish-Chandra inequality."""
+    """Every g0-constituent (`dirac.g0_constituents`) has a highest weight
+    satisfying the strict Harish-Chandra inequality. Not a unitarity check:
+    on sl(2|1) at N=4 it holds on refuted -3,0|-3, -2,0|3 and -1,0|-1 and
+    fails on the certified 0,0|0; the Dirac inequality agrees with `certify_unitarity`."""
     entries = dirac.g0_constituents(coll)[0]
     return all(harish_chandra_condition(coll.module.datum, e.nu0) for e in entries)

@@ -483,7 +483,7 @@ class BlockCohomology:
     ker_cap_im: int
     hd_plus: int
     hd_minus: int
-    # explicit coordinates: kernel vectors per parity and the quotient map
+    # explicit coordinates: kernel vectors per parity
     hd_plus_classes: list[tuple[int, ...]] = field(default_factory=list)
     hd_minus_classes: list[tuple[int, ...]] = field(default_factory=list)
 
@@ -589,14 +589,14 @@ def _classes(
     from the coordinates `support` to the whole block; `cap` is the
     dimension of that intersection. Kernel vectors are independent modulo
     the intersection exactly when they are independent modulo im(image), so
-    the pivot columns of one RREF of the columns of `image` followed by the
-    kernel vectors pick them. Where cap = 0, every kernel vector is a class
-    and no RREF is taken."""
+    the kernel vectors that raise the rank of one elimination of the columns
+    of `image` followed by them are picked. Where cap = 0, every kernel
+    vector is a class and no elimination is taken."""
     kernel = exactla.kernel_basis(kill)
     picked = (
         range(len(kernel))
         if cap == 0
-        else exactla.independent_modulo(image.transpose().to_rows(), kernel)
+        else exactla.independent_modulo(image.transpose().nonzero_rows(), kernel)
     )
     out = []
     for k in picked:
@@ -632,7 +632,7 @@ def hd_ktype_table(
     def reduction(tgt: DiracBlock) -> SparseRationalMatrix | None:
         if tgt.drop not in reducers:
             reducers[tgt.drop] = (
-                exactla.quotient(tgt.D.transpose().to_rows(), tgt.dim).reduction
+                exactla.quotient(tgt.D.transpose().nonzero_rows(), tgt.dim).reduction
                 if report.per_block[tgt.nu].ker_cap_im
                 else None
             )

@@ -1,13 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 An exact entry is an `int` when it is integral and a `Fraction` otherwise
-(`_rat`), so integer matrices multiply and add on ints. Kernels, ranks,
-independent subsets and quotient coordinates all come from one fraction-free
-elimination loop (`_rref`): ranks read its forward pass only, kernels are
-integer vectors, and only `quotient` divides by the common denominator.
-Definiteness certificates for symmetric Gram matrices come from a symmetric
-congruence. Pivoting is deterministic, so results are reproducible
-bit-for-bit.
+(`_rat`), so integer matrices multiply and add on ints. Ranks, kernels,
+independent subsets and quotient coordinates come from one sparse
+fraction-free elimination over row dicts (`_rref`); kernels and quotients
+back-substitute its echelon rows, and only `quotient` divides. Definiteness
+certificates for symmetric Gram matrices come from a symmetric congruence.
+Pivoting is deterministic, so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -15,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rational = int | Fraction
 Vector = tuple[Rational, ...]
+# a row given sparse, column -> entry, or dense
+Row = dict[int, Rational] | Sequence[Rational]
 
 
 def _rat(x) -> Rational:
@@ -50,6 +51,13 @@ class SparseRationalMatrix:
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
+
+    def nonzero_rows(self) -> list[dict[int, Rational]]:
+        """The nonzero rows as dicts column -> entry, in no order results depend on."""
+        out: dict[int, dict[int, Rational]] = {}
+        for (i, j), v in self.entries.items():
+            out.setdefault(i, {})[j] = v
+        return list(out.values())
 
     def submatrix(self, rows: list[int], cols: list[int]) -> "SparseRationalMatrix":
         """The entries at the given rows and columns, in the order given."""
@@ -118,99 +126,91 @@ def vstack(mats: Sequence[SparseRationalMatrix], cols: int) -> SparseRationalMat
     return SparseRationalMatrix(rows, cols, entries)
 
 
-def _integral_row(row: Sequence[Rational]) -> list[int]:
-    """The row times the lcm of its denominators; its RREF is unchanged."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+def _clear(v: dict[int, int], e: dict[int, int], c: int) -> None:
+    """Clear column c of v in place by the row e, fraction-free: v becomes
+    (e[c] v - v[c] e) / gcd(e[c], v[c])."""
+    a, b = e[c], v[c]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, y in e.items():
+        x = v.get(j, 0) - b * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
 
 
-def _rref(
-    rows_data: Sequence[Sequence[Rational]], forward: bool = False
-) -> tuple[list[list[int]], int, list[int]]:
-    """Fraction-free reduced row echelon form: (numerators, den, pivot column
-    list) with RREF = numerators / den.
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    """v divided by the gcd of its entries."""
+    g = math.gcd(*v.values())
+    return v if g == 1 else {j: x // g for j, x in v.items()}
 
-    Each row is first scaled to integers. Then fraction-free Gauss-Jordan
-    elimination (the scheme of sympy's ``ddm_irref_den``): the pivot row
-    eliminates its column from every other row by integer cross
-    multiplication, and every row is divided exactly by the previous pivot,
-    so after each step all pivot entries equal the current pivot. The pivot
-    is the first nonzero entry scanning rows top-down within each column
-    left-to-right. With `forward`, only the rows below each pivot are
-    eliminated (Bareiss): the pivots are the same, the rows only an echelon
-    form.
-    """
-    a = [_integral_row(row) for row in rows_data]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    den = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i in range(r + 1 if forward else 0, nrows):
-            if i == r:
-                continue
-            row = a[i]
-            f = row[c]
-            if f:
-                a[i] = [(p * x - f * y) // den for x, y in zip(row, prow)]
-            elif p != den:
-                a[i] = [p * x // den for x in row]
-        den = p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, den, pivots
+
+def _rref(rows: Iterable[Row]) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """One sparse fraction-free elimination: (echelon rows by pivot column,
+    indices of the input rows that raised the rank). Each row is scaled to
+    integers and its leftmost column cleared (`_clear`) while that is a kept
+    pivot; a nonzero remainder is kept, primitive, with it as pivot. Kept rows
+    lie at or right of their pivots, which are the RREF's."""
+    echelon: dict[int, dict[int, int]] = {}
+    raised: list[int] = []
+    for i, row in enumerate(rows):
+        items = row.items() if type(row) is dict else list(enumerate(row))
+        den = math.lcm(*[x.denominator for _, x in items])
+        v = {j: int(x * den) for j, x in items if x}
+        while v:
+            c = min(v)
+            if c not in echelon:
+                echelon[c] = _primitive(v)
+                raised.append(i)
+                break
+            _clear(v, echelon[c], c)
+    return echelon, raised
 
 
 def rank(a: SparseRationalMatrix) -> int:
-    if not a.entries:
-        return 0
-    return len(_rref(a.to_rows(), forward=True)[2])
+    return len(_rref(a.nonzero_rows())[0])
+
+
+def _kernel(rows: Iterable[Row], cols: int) -> list[tuple[int, dict[int, int]]]:
+    """(f, v) for each free column f of the rows' RREF, v its RREF kernel vector
+    (1 at f, 0 at the other free columns) times a positive integer, primitive
+    and sparse: back-substituted through the echelon rows, rightmost first."""
+    echelon = _rref(rows)[0]
+    pivots = sorted(echelon, reverse=True)
+    out = []
+    for f in range(cols):
+        if f not in echelon:
+            v = {f: 1}
+            for p in pivots:
+                row = echelon[p]
+                s = sum(row.get(j, 0) * x for j, x in v.items())
+                if s:  # v[p] = -s / row[p], after scaling v by |row[p]| / g
+                    g = math.gcd(row[p], s)
+                    if (m := abs(row[p]) // g) != 1:
+                        v = {j: x * m for j, x in v.items()}
+                    v[p] = -s // g if row[p] > 0 else s // g
+            out.append((f, _primitive(v)))
+    return out
 
 
 def kernel_basis(a: SparseRationalMatrix) -> list[tuple[int, ...]]:
-    """Basis of ker A in integer vectors, A·v = 0 for each: |den| times the
-    RREF vector of each free column."""
-    if a.cols == 0:
-        return []
-    if a.rows == 0:
-        return [tuple(1 if i == j else 0 for i in range(a.cols)) for j in range(a.cols)]
-    num, den, pivots = _rref(a.to_rows())
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    sign = -1 if den > 0 else 1  # -sign(den)
-    basis = []
-    for fcol in free:
-        v = [0] * a.cols
-        v[fcol] = abs(den)
-        for r, pc in enumerate(pivots):
-            v[pc] = sign * num[r][fcol]
-        basis.append(tuple(v))
-    return basis
+    """Basis of ker A in primitive integer vectors, A·v = 0 for each: for each
+    free column, a positive multiple of its RREF kernel vector."""
+    basis = _kernel(a.nonzero_rows(), a.cols)
+    return [tuple([v.get(j, 0) for j in range(a.cols)]) for _, v in basis]
 
 
-def independent_modulo(
-    span: Sequence[Sequence[Rational]], candidates: Sequence[Vector]
-) -> list[int]:
+def independent_modulo(span: Sequence[Row], candidates: Sequence[Row]) -> list[int]:
     """Indices of the candidates that, taken in order, are independent modulo
-    span(span) and the candidates chosen before them.
-
-    These are the candidate pivot columns of one RREF of the matrix whose
-    columns are the span vectors and then the candidates: a column is a pivot
-    exactly when it is independent of the columns before it.
-    """
-    pivots = _rref([list(row) for row in zip(*span, *candidates)])[2]
-    return [p - len(span) for p in pivots if p >= len(span)]
+    span(span) and the candidates chosen before them: the candidates that
+    raise the rank of one elimination of the span rows and then the
+    candidates."""
+    raised = _rref([*span, *candidates])[1]
+    return [i - len(span) for i in raised if i >= len(span)]
 
 
 @dataclass
@@ -291,20 +291,17 @@ class Quotient:
     reduction: SparseRationalMatrix
 
 
-def quotient(rows: Sequence[Sequence[Rational]], dim: int) -> Quotient:
-    """V / span(rows) for V of dimension dim, from one RREF of the rows: the
-    non-pivot coordinates are kept, and each pivot coordinate is congruent to
-    minus the kept part of its row. No rows give the identity."""
-    if any(len(row) != dim for row in rows):
-        raise ValueError("row dimension mismatch in quotient")
-    num, den, pivots = _rref(rows) if rows else ([], 1, [])
-    pivot_set = set(pivots)
-    kept = [c for c in range(dim) if c not in pivot_set]
-    entries = {(qi, c): 1 for qi, c in enumerate(kept)}
-    entries.update(
-        ((qi, pc), _rat(Fraction(-num[r][c], den)))
-        for r, pc in enumerate(pivots)
-        for qi, c in enumerate(kept)
-        if num[r][c]
-    )
-    return Quotient(kept, SparseRationalMatrix(len(kept), dim, entries))
+def quotient(rows: Sequence[Row], dim: int) -> Quotient:
+    """V / span(rows) for V of dimension dim: the free coordinates of the rows'
+    RREF are kept, and row i of the reduction is the RREF kernel vector of the
+    i-th kept coordinate, normalized there to 1. No rows give the identity."""
+    for row in rows:
+        if (max(row, default=-1) >= dim) if type(row) is dict else len(row) != dim:
+            raise ValueError("row dimension mismatch in quotient")
+    kernel = _kernel(rows, dim)
+    entries = {
+        (i, j): x // v[f] if not x % v[f] else Fraction(x, v[f])
+        for i, (f, v) in enumerate(kernel)
+        for j, x in v.items()
+    }
+    return Quotient([f for f, _ in kernel], SparseRationalMatrix(len(kernel), dim, entries))

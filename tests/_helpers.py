@@ -22,8 +22,9 @@
   writes alpha straight into normal order), the embedding alpha on
   degree-1 elements, and the oscillator monomials of one degree by
   recursion (an oracle for `weights.bounded_exponents`).
-- The Bargmann-Fock form, the value of a quadratic form and the Fraction
-  elimination kept as the oracle for `exactla._rref`; a sparse matrix times
+- The Bargmann-Fock form, the value of a quadratic form, and the Fraction
+  elimination with its kernel basis kept as the oracles for the sparse
+  elimination `exactla._rref` and `exactla.kernel_basis`; a sparse matrix times
   a scalar and the identity matrix, each built once from its entries.
 - The even-cone test on weights with rational coordinates (partial sums
   split into floor and remainder), the oracle for the integer drop test
@@ -451,7 +452,7 @@ def fraction_rref(rows_data):
     returns (matrix, pivot column list), zero rows included.
 
     Pivot = first nonzero entry scanning rows top-down within each column
-    left-to-right. The oracle for the fraction-free `exactla._rref`.
+    left-to-right. The oracle for the sparse elimination `exactla._rref`.
     """
     a = [[Fraction(x) for x in row] for row in rows_data]
     nrows = len(a)
@@ -474,6 +475,27 @@ def fraction_rref(rows_data):
         if r == nrows:
             break
     return a, pivots
+
+
+def fraction_kernel(rows, cols):
+    """The RREF kernel basis of `fraction_rref`: for each free column, the
+    vector with 1 there and minus that column of the RREF at the pivots."""
+    rr, pivots = fraction_rref(rows)
+    basis = []
+    for fcol in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fcol] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rr[r][fcol]
+        basis.append(tuple(v))
+    return basis
+
+
+def is_positive_multiple(v, w):
+    """v = c w for some rational c > 0, w nonzero."""
+    lead = next(i for i, x in enumerate(w) if x)
+    c = Fraction(v[lead], w[lead])
+    return c > 0 and tuple(v) == tuple(c * x for x in w)
 
 
 def cone_sums(w):

@@ -197,6 +197,25 @@ def test_harish_chandra_audit(coll_typical3, coll_atypical2, coll_trivial21):
     assert not analysis.harish_chandra_audit(coll_trivial21)
 
 
+@pytest.mark.parametrize(
+    "weight, harish_chandra, certified",
+    [("-3,0|-3", True, False), ("-2,0|3", True, False), ("-1,0|-1", True, False),
+     ("0,0|0", False, True)],
+)
+def test_harish_chandra_audit_is_not_a_unitarity_check(weight, harish_chandra, certified):
+    """On sl(2|1) at N=4 the Harish-Chandra audit holds on three refuted weights
+    and fails on the certified trivial one, so it must not be read as a
+    unitarity verdict; the Dirac inequality, s >= 0 on every g0-constituent,
+    agrees with `certify_unitarity` on all four."""
+    datum = build_root_datum(2, 1, 1, 1)
+    lam = parse_weight(weight, 2, 1)
+    coll = dirac.assemble_all(modules.simple_truncation(datum, lam, 4), 4)
+    cert = modules.certify_unitarity(datum, lam, 4, coll.module)
+    assert analysis.harish_chandra_audit(coll) is harish_chandra
+    assert (cert.verdict == "certified-up-to-N") is certified
+    assert all(e.s >= 0 for e in dirac.g0_constituents(coll)[0]) is certified
+
+
 # ----- documented limitation -------------------------------------------------------------
 @pytest.mark.xfail(
     strict=True,

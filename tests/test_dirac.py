@@ -19,11 +19,13 @@ from _helpers import (
     cone_sums,
     dirac_quarters,
     four_product_certificate,
+    fraction_kernel,
     fraction_rref,
     highest_vectors,
     highest_vectors_per_generator,
     identity_matrix,
     in_even_cone,
+    is_positive_multiple,
     kostant_per_degree,
     monomials_of_degree,
     quarters_adjoint,
@@ -1333,3 +1335,29 @@ def test_constituents_with_scalar_zero_fix_the_cohomology(group, weight, height)
     entries = dirac.g0_constituents(coll)[0]
     assert dict(table) == {e.nu0: e.multiplicity for e in entries if e.measured == 0}
     assert all(e.s >= 0 for e in entries)
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [
+        (SL21, "-2,1|1", 8),
+        (SL22, "-3,1|1,1", 4),
+        (SL23, "-3,0|1,1,1", 3),
+        (GL33, "-2,-2,1|1,1,1", 3),
+    ],
+)
+def test_sparse_elimination_matches_fraction_oracle_on_dirac_blocks(group, weight, height):
+    """On every Dirac block, the ranks of B, C and the stacked even raising
+    maps are the Fraction elimination's, and each highest vector is a
+    positive multiple of the oracle's kernel vector, so the spans agree."""
+    coll = _collection(group, weight, height, "simple")
+    for block in coll.blocks.values():
+        even = [i for i, p in enumerate(block.parity) if p == 0]
+        odd = [i for i, p in enumerate(block.parity) if p == 1]
+        stack = exactla.vstack([x for _, x in dirac.raising_maps(coll, block, "even")], block.dim)
+        for m in (block.D.submatrix(even, odd), block.D.submatrix(odd, even), stack):
+            assert exactla.rank(m) == len(fraction_rref(m.to_rows())[1])
+        hvs = exactla.kernel_basis(stack)
+        oracle = fraction_kernel(stack.to_rows(), block.dim)
+        assert len(hvs) == len(oracle)
+        assert all(is_positive_multiple(v, w) for v, w in zip(hvs, oracle))

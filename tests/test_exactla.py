@@ -1,5 +1,6 @@
 """Exact sparse rational linear algebra against naive dense oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import fraction_rref, identity_matrix, quadratic_value
+from _helpers import (
+    fraction_kernel,
+    fraction_rref,
+    identity_matrix,
+    is_positive_multiple,
+    quadratic_value,
+)
 from superdirac import exactla
 from superdirac.exactla import SparseRationalMatrix
 
@@ -155,6 +162,8 @@ def test_gram_on_quotient_nondegenerate():
 def test_quotient_rejects_row_dimension_mismatch():
     with pytest.raises(ValueError):
         exactla.quotient([[Fraction(1), Fraction(0)]], 3)
+    with pytest.raises(ValueError):  # a sparse row past the dimension
+        exactla.quotient([{0: 1, 3: 2}], 3)
 
 
 def test_deterministic_rref_pivots():
@@ -319,7 +328,7 @@ def test_vstack(top, bottom):
         exactla.vstack([a, SparseRationalMatrix(1, 2)], 3)
 
 
-# ----- the fraction-free _rref against the Fraction elimination -------------------------
+# ----- the sparse _rref against the Fraction elimination -------------------------------
 def test_rat_keeps_integral_values_as_int():
     two = exactla._rat(Fraction(4, 2))
     assert type(two) is int and two == 2
@@ -364,30 +373,31 @@ def _matrix(rows, cols):
     return SparseRationalMatrix.from_rows(rows) if rows else SparseRationalMatrix(0, cols)
 
 
+def _rows_raising_rank(rows):
+    """Indices of the rows independent of the rows before them, by oracle ranks."""
+    ranks = [len(fraction_rref(rows[:i])[1]) for i in range(len(rows) + 1)]
+    return [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(mixed_matrices())
 def test_rref_matches_fraction_oracle(rows):
-    num, den, pivots = exactla._rref(rows)
-    rr, oracle_pivots = fraction_rref(rows)
-    assert pivots == oracle_pivots
-    assert exactla._rref(rows, forward=True)[2] == oracle_pivots  # the pass `rank` reads
-    assert type(den) is int and den != 0
-    assert all(type(x) is int for row in num for x in row)
-    assert [[Fraction(x, den) for x in row] for row in num] == rr
-    for row in rows:  # the input is left as it was
-        assert all(type(x) in (int, Fraction) for x in row)
-
-
-def _oracle_kernel(rows, cols):
+    """The sparse pass keeps primitive integer echelon rows, each at or right
+    of its pivot, at the oracle's pivot columns and spanning the oracle's row
+    space, and reports the rows that raise the rank."""
+    before = [list(row) for row in rows]
+    echelon, raised = exactla._rref(rows)
     rr, pivots = fraction_rref(rows)
-    basis = []
-    for fcol in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fcol] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rr[r][fcol]
-        basis.append(tuple(v))
-    return basis
+    assert sorted(echelon) == pivots
+    assert raised == _rows_raising_rank(rows)
+    for p, row in echelon.items():
+        assert min(row) == p
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+    cols = len(rows[0]) if rows else 0
+    dense = [[row.get(c, 0) for c in range(cols)] for row in echelon.values()]
+    assert fraction_rref(dense)[0] == rr[: len(pivots)]
+    assert rows == before  # the input is left as it was
 
 
 @settings(max_examples=150, deadline=None)
@@ -399,16 +409,78 @@ def test_rank_kernel_solve_quotient_match_fraction_oracle(rows, data):
     assert exactla.rank(a) == len(pivots)
     if cols:
         kern = exactla.kernel_basis(a)
-        oracle = _oracle_kernel(a.to_rows(), cols)
+        oracle = fraction_kernel(a.to_rows(), cols)
         assert len(kern) == len(oracle)
         for v, w in zip(kern, oracle):  # an int tuple, a positive multiple of w
             assert type(v) is tuple and all(type(x) is int for x in v)
-            lead = next(i for i, x in enumerate(w) if x)
-            c = Fraction(v[lead], w[lead])
-            assert c > 0 and v == tuple(c * x for x in w)
+            assert is_positive_multiple(v, w)
     if rows:
         q = exactla.quotient(rows, cols)
         kept, red = _quotient_from_rref(rr, pivots, cols)
         assert q.kept == kept
         assert q.reduction.entries == red.entries
         assert _canonical(q.reduction.entries.values())
+
+
+# ----- the sparse elimination on sparse inputs ---------------------------------------------
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse matrices with 0-3 nonzero Fraction entries per row: zero rows,
+    and sometimes a column left zero on purpose."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    blank = draw(st.integers(0, cols - 1)) if cols and draw(st.booleans()) else None
+    allowed = [c for c in range(cols) if c != blank]
+    entries = {}
+    for i in range(rows):
+        support = (
+            draw(st.lists(st.sampled_from(allowed), unique=True, max_size=3)) if allowed else []
+        )
+        entries.update(((i, j), draw(nonzero)) for j in support)
+    return SparseRationalMatrix(rows, cols, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_sparse_elimination_matches_oracles(a, data):
+    """Rank, pivot columns, kernel, independent subsets and quotient of sparse
+    rows against the Fraction elimination, the incremental echelon oracle
+    and sympy."""
+    dense = a.to_rows()
+    rr, pivots = fraction_rref(dense)
+    assert exactla.rank(a) == len(pivots)
+    assert sorted(exactla._rref(a.nonzero_rows())[0]) == pivots
+    # each kernel vector: an int tuple in ker A, a positive multiple of the
+    # oracle's vector, so the spans agree
+    kern = exactla.kernel_basis(a)
+    oracle = fraction_kernel(dense, a.cols)
+    assert len(kern) == len(oracle) == a.cols - len(pivots)
+    for v, w in zip(kern, oracle):
+        assert type(v) is tuple and all(type(x) is int for x in v)
+        assert not any(a.apply(v))
+        assert is_positive_multiple(v, w)
+    if a.rows and a.cols:
+        assert len(sympy.Matrix(dense).nullspace()) == len(kern)
+    # the first k rows span, the rest are candidates, given sparse or dense
+    k = data.draw(st.integers(0, a.rows))
+    rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    expected = _echelon_independent_modulo(dense[:k], dense[k:])
+    assert exactla.independent_modulo(rows[:k], rows[k:]) == expected
+    assert exactla.independent_modulo(rows[:k], [tuple(r) for r in dense[k:]]) == expected
+    # the quotient by the rows, given sparse or dense
+    if a.rows and a.cols:
+        kept, red = _quotient_from_rref(*_sympy_rref(dense), a.cols)
+    else:
+        kept, red = list(range(a.cols)), identity_matrix(a.cols)
+    for given_rows in (rows, dense):
+        q = exactla.quotient(given_rows, a.cols)
+        assert q.kept == kept
+        assert q.reduction.entries == red.entries
+        assert _canonical(q.reduction.entries.values())
+
+
+def test_nonzero_rows_hold_each_nonzero_row():
+    m = SparseRationalMatrix.from_rows([[0, 2, 0], [0, 0, 0], [Fraction(1, 3), 0, -1]])
+    assert m.nonzero_rows() == [{1: 2}, {0: Fraction(1, 3), 2: -1}]

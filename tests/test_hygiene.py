@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, and
 every function, class, method and module-level name it defines is referred
 to somewhere in the package (or allowed, with a reason); every top-level
-helper in ``tests/_helpers.py`` is reached from some test module; and no
-package code writes into a built ``SparseRationalMatrix``.
+helper in ``tests/_helpers.py`` is reached from some test module; no
+package code writes into a built ``SparseRationalMatrix``; and only the
+symmetric congruence and a module block's JSON make dense rows of one.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -67,8 +68,9 @@ UNREFERENCED_ALLOWED = {
         for c in ("root_data", "decompose", "dirac_cohomology", "certify", "character",
                   "index", "verify")
     },
-    "harish_chandra_audit": "the Harish-Chandra inequality per g0-constituent, the "
-    "second unitarity check planned for the CLI (ROADMAP)",
+    "harish_chandra_audit": "the strict Harish-Chandra inequality per g0-constituent, "
+    "a condition on the g0-types that disagrees with unitarity (its verdicts are "
+    "pinned in tests/test_analysis.py); kept until a suite reports it (ROADMAP)",
     "vogan_consistency": "the infinitesimal character of H_D, to be folded into the "
     "`cohomology` suite (ROADMAP)",
     "dot_action": "the rho / rho0 dot action the `branching` fix straightens by (ROADMAP)",
@@ -390,9 +392,81 @@ def test_sparse_matrix_has_no_mutator():
     `dict.get`, `set()` and `Weight.scale` share those names."""
     public = {name for name in vars(SparseRationalMatrix) if not name.startswith("_")}
     assert public == {
-        "from_rows", "to_rows", "submatrix", "transpose", "is_zero", "is_symmetric",
-        "matmul", "add", "apply",
+        "from_rows", "to_rows", "nonzero_rows", "submatrix", "transpose", "is_zero",
+        "is_symmetric", "matmul", "add", "apply",
     }
+
+
+# ----- dense rows only where dense rows are the output ------------------------------------
+# the elimination reads sparse rows; a dense copy of a matrix is made only by
+# the symmetric congruence and for the JSON of a module block
+TO_ROWS_ALLOWED = {"exactla.definiteness", "modules.Block.to_json"}
+
+
+def _to_rows_calls(tree: ast.AST, module: str) -> list[str]:
+    """`module.scope:line` for each `.to_rows()` call, the scope being the
+    enclosing classes and functions, in line order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "to_rows"
+            ):
+                found.append((child.lineno, ".".join([module, *scope])))
+            visit(child, scope)
+
+    visit(tree, [])
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dense_rows_outside_the_allowed_readers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        c for c in _to_rows_calls(tree, path.stem) if c.split(":")[0] not in TO_ROWS_ALLOWED
+    ]
+    assert not calls, (
+        f"{path.name} densifies a matrix with to_rows() (hand the elimination "
+        f"`nonzero_rows()` instead): {', '.join(calls)}"
+    )
+
+
+def test_checker_flags_a_dense_rows_call():
+    src = (
+        "def definiteness(g):\n"
+        "    return g.to_rows()\n"
+        "class Block:\n"
+        "    def to_json(self):\n"
+        "        return self.gram.to_rows()\n"
+        "    def other(self):\n"
+        "        rows = [r for r in self.gram.to_rows()]\n"
+        "        return rows\n"
+        "def rank(a):\n"
+        "    def inner():\n"
+        "        return a.transpose().to_rows()\n"
+        "    return inner, a.to_rows\n"
+        "ROWS = M.to_rows()\n"
+    )
+    calls = _to_rows_calls(ast.parse(src), "exactla")
+    assert calls == [
+        "exactla.definiteness:2", "exactla.Block.to_json:5", "exactla.Block.other:7",
+        "exactla.rank.inner:11", "exactla:13",
+    ]
+
+
+def test_dense_rows_allowlist_names_live_calls():
+    calls = {
+        c.split(":")[0]
+        for path in SRC.glob("*.py")
+        for c in _to_rows_calls(ast.parse(path.read_text()), path.stem)
+    }
+    assert calls == TO_ROWS_ALLOWED
 
 
 # ----- imports inside functions -----------------------------------------------------------
