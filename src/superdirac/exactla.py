@@ -4,8 +4,9 @@ An exact entry is an `int` when it is integral and a `Fraction` otherwise
 (`_rat`), so integer matrices multiply and add on ints. Ranks, kernels,
 independent subsets and quotient coordinates come from one sparse
 fraction-free elimination over row dicts (`_rref`); kernels and quotients
-back-substitute its echelon rows, and only `quotient` divides. Definiteness
-certificates for symmetric Gram matrices come from a symmetric congruence.
+back-substitute its echelon rows. Definiteness certificates for symmetric
+Gram matrices clear the same integer rows (`_clear`) as a congruence, and
+only `quotient` and the pivots and witnesses of `definiteness` divide.
 Pivoting is deterministic, so results are reproducible bit-for-bit.
 """
 
@@ -149,6 +150,14 @@ def _primitive(v: dict[int, int]) -> dict[int, int]:
     return v if g == 1 else {j: x // g for j, x in v.items()}
 
 
+def _integer_row(row: Row) -> dict[int, int]:
+    """The row, sparse, times the lcm of its denominators: the integer row an
+    elimination starts from."""
+    items = list(row.items() if type(row) is dict else enumerate(row))
+    den = math.lcm(*[x.denominator for _, x in items])
+    return {j: int(x * den) for j, x in items if x}
+
+
 def _rref(rows: Iterable[Row]) -> tuple[dict[int, dict[int, int]], list[int]]:
     """One sparse fraction-free elimination: (echelon rows by pivot column,
     indices of the input rows that raised the rank). Each row is scaled to
@@ -158,9 +167,7 @@ def _rref(rows: Iterable[Row]) -> tuple[dict[int, dict[int, int]], list[int]]:
     echelon: dict[int, dict[int, int]] = {}
     raised: list[int] = []
     for i, row in enumerate(rows):
-        items = row.items() if type(row) is dict else list(enumerate(row))
-        den = math.lcm(*[x.denominator for _, x in items])
-        v = {j: int(x * den) for j, x in items if x}
+        v = _integer_row(row)
         while v:
             c = min(v)
             if c not in echelon:
@@ -221,7 +228,12 @@ class DefinitenessCertificate:
 
 
 def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
-    """Symmetric Gaussian elimination with diagonal pivoting.
+    """Symmetric Gaussian elimination with diagonal pivoting, on integer rows:
+    active row k is c > 0 times row k of the remaining form beside, at
+    columns n + j, c times its working vector (c itself at n + k). The pivot
+    is the smallest active index with a nonzero diagonal; each active row is
+    cleared against it (`_clear`), so c stays positive: the pass ends at the
+    first negative pivot. Pivots and witnesses divide by c.
 
     Positive-definite iff all pivots positive with full rank; semidefinite iff
     pivots nonnegative with deficient rank; otherwise indefinite with an exact
@@ -230,55 +242,41 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
     if not g.is_symmetric():
         raise ValueError("definiteness requires a symmetric matrix")
     n = g.rows
-    a = g.to_rows()
-    # Track the congruence: a = L^T G L restricted step by step; to produce a
-    # witness we track, for each working coordinate, its expression in the
-    # original coordinates.
-    coords = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-    active = list(range(n))
+    rows = [{n + k: 1} for k in range(n)]
+    for (i, j), x in g.entries.items():
+        rows[i][j] = x
+    active = {k: _integer_row(row) for k, row in enumerate(rows)}
+
+    def coords(k: int, v: dict[int, int]) -> Vector:
+        s = v[n + k]
+        return tuple([_rat(Fraction(v.get(n + j, 0), s)) for j in range(n)])
+
     pivot_record: list[tuple[int, Rational]] = []
-    r = 0
     while active:
-        # deterministic pivot: smallest active index with nonzero diagonal
-        piv = next((k for k in active if a[k][k] != 0), None)
+        piv = next((k for k, v in active.items() if k in v), None)
         if piv is None:
-            # all active diagonals zero; if any off-diagonal entry is nonzero
-            # the form is indefinite (hyperbolic pair), else it is zero here.
-            off = None
-            for k in active:
-                for l in active:
-                    if l > k and a[k][l] != 0:
-                        off = (k, l)
-                        break
-                if off:
-                    break
-            if off is None:
+            # all active diagonals zero: the first row k with an entry x, at
+            # its first column l > k, makes e_k - sign(x) e_l of value
+            # -2|x| < 0 in the remaining form; without one that form is zero
+            k = next((k for k, v in active.items() if min(v) < n), None)
+            if k is None:
                 break
-            k, l = off
-            # v = e_k - sign(a[k][l]) e_l has value -2|a[k][l]| < 0
-            s = 1 if a[k][l] > 0 else -1
-            w = [ck - s * cl for ck, cl in zip(coords[k], coords[l])]
-            return DefinitenessCertificate("indefinite", tuple(w), pivot_record)
-        d = a[piv][piv]
+            l = min(active[k])
+            s = 1 if active[k][l] > 0 else -1
+            w = zip(coords(k, active[k]), coords(l, active[l]))
+            return DefinitenessCertificate(
+                "indefinite", tuple([_rat(x - s * y) for x, y in w]), pivot_record
+            )
+        e = active.pop(piv)
+        d = _rat(Fraction(e[piv], e[n + piv]))
         pivot_record.append((piv, d))
         if d < 0:
-            return DefinitenessCertificate("indefinite", tuple(coords[piv]), pivot_record)
-        r += 1
-        active.remove(piv)
-        # eliminate: replace e_k by e_k - (a[k][piv]/d) e_piv for active k
-        for k in active:
-            f = Fraction(a[k][piv], d)
-            if f == 0:
-                continue
-            coords[k] = [ck - f * cp for ck, cp in zip(coords[k], coords[piv])]
-            for l in active:
-                a[k][l] -= f * a[piv][l]
-            a[k][piv] = Fraction(0)
-        for l in active:
-            a[piv][l] = Fraction(0)
-    if r == n:
-        return DefinitenessCertificate("positive-definite", None, pivot_record)
-    return DefinitenessCertificate("positive-semidefinite", None, pivot_record)
+            return DefinitenessCertificate("indefinite", coords(piv, e), pivot_record)
+        for v in active.values():
+            if piv in v:
+                _clear(v, e, piv)
+    verdict = "positive-semidefinite" if active else "positive-definite"
+    return DefinitenessCertificate(verdict, None, pivot_record)
 
 
 @dataclass

@@ -452,7 +452,7 @@ class UnitarityCertificate:
     verdict: str  # "certified-up-to-N" | "refuted-at"
     height: Fraction
     refuted_block: Weight | None
-    witness: tuple[Fraction, ...] | None
+    witness: exactla.Vector | None  # canonical entries, v^T G v < 0 in Block.form
     audit: list[tuple[Weight, Fraction]]  # (label mu, s) with s >= 0
 
     @property

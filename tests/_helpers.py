@@ -24,8 +24,10 @@
   recursion (an oracle for `weights.bounded_exponents`).
 - The Bargmann-Fock form, the value of a quadratic form, and the Fraction
   elimination with its kernel basis kept as the oracles for the sparse
-  elimination `exactla._rref` and `exactla.kernel_basis`; a sparse matrix times
-  a scalar and the identity matrix, each built once from its entries.
+  elimination `exactla._rref` and `exactla.kernel_basis`; the dense symmetric
+  congruence on Fractions kept as the oracle for `exactla.definiteness`; a
+  sparse matrix times a scalar and the identity matrix, each built once from
+  its entries.
 - The even-cone test on weights with rational coordinates (partial sums
   split into floor and remainder), the oracle for the integer drop test
   `dirac._in_even_cone`.
@@ -489,6 +491,70 @@ def fraction_kernel(rows, cols):
             v[pc] = -rr[r][fcol]
         basis.append(tuple(v))
     return basis
+
+
+def fraction_definiteness(g):
+    """Symmetric Gaussian elimination with diagonal pivoting on a dense
+    Fraction copy of G, tracking each working coordinate in the original
+    coordinates; the oracle for the integer-row congruence
+    `exactla.definiteness`.
+
+    Positive-definite iff all pivots positive with full rank; semidefinite iff
+    pivots nonnegative with deficient rank; otherwise indefinite with an exact
+    negative-value witness vector.
+    """
+    if not g.is_symmetric():
+        raise ValueError("definiteness requires a symmetric matrix")
+    n = g.rows
+    a = g.to_rows()
+    # Track the congruence: a = L^T G L restricted step by step; to produce a
+    # witness we track, for each working coordinate, its expression in the
+    # original coordinates.
+    coords = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
+    active = list(range(n))
+    pivot_record = []
+    r = 0
+    while active:
+        # deterministic pivot: smallest active index with nonzero diagonal
+        piv = next((k for k in active if a[k][k] != 0), None)
+        if piv is None:
+            # all active diagonals zero; if any off-diagonal entry is nonzero
+            # the form is indefinite (hyperbolic pair), else it is zero here.
+            off = None
+            for k in active:
+                for l in active:
+                    if l > k and a[k][l] != 0:
+                        off = (k, l)
+                        break
+                if off:
+                    break
+            if off is None:
+                break
+            k, l = off
+            # v = e_k - sign(a[k][l]) e_l has value -2|a[k][l]| < 0
+            s = 1 if a[k][l] > 0 else -1
+            w = [ck - s * cl for ck, cl in zip(coords[k], coords[l])]
+            return exactla.DefinitenessCertificate("indefinite", tuple(w), pivot_record)
+        d = a[piv][piv]
+        pivot_record.append((piv, d))
+        if d < 0:
+            return exactla.DefinitenessCertificate("indefinite", tuple(coords[piv]), pivot_record)
+        r += 1
+        active.remove(piv)
+        # eliminate: replace e_k by e_k - (a[k][piv]/d) e_piv for active k
+        for k in active:
+            f = Fraction(a[k][piv], d)
+            if f == 0:
+                continue
+            coords[k] = [ck - f * cp for ck, cp in zip(coords[k], coords[piv])]
+            for l in active:
+                a[k][l] -= f * a[piv][l]
+            a[k][piv] = Fraction(0)
+        for l in active:
+            a[piv][l] = Fraction(0)
+    if r == n:
+        return exactla.DefinitenessCertificate("positive-definite", None, pivot_record)
+    return exactla.DefinitenessCertificate("positive-semidefinite", None, pivot_record)
 
 
 def is_positive_multiple(v, w):

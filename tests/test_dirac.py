@@ -228,6 +228,21 @@ def test_assemble_by_degree_matches_heights_sl21(d21):
     assert dims_h == dims_d
 
 
+def test_assemble_by_degree_nonzero_operator_matches_assemble_all(d21):
+    """On the natural module L(eps1) (weight 1,0|0, finite-dimensional, so
+    every weight space lies in the truncation) the odd generators act, and the
+    blocks of polynomial degree <= 2 carry a nonzero D: each equals the block
+    of the same drop assembled by height."""
+    mod = modules.simple_truncation(d21, parse_weight("1,0|0", 2, 1), 4)
+    by_degree = dirac.assemble_by_degree(mod, 2)
+    by_height = dirac.assemble_all(mod, by_degree.height)
+    assert len(by_degree.blocks) == 12
+    assert sum(len(b.D.entries) for b in by_degree.blocks.values()) == 30
+    for drop, block in by_degree.by_drop.items():
+        full = by_height.by_drop[drop]
+        assert (block.nu, block.basis, block.D) == (full.nu, full.basis, full.D)
+
+
 def test_alpha_images_are_computed_once_per_generator_and_monomial(
     d21, lam_typical, monkeypatch
 ):

@@ -1,6 +1,7 @@
 """Exact sparse rational linear algebra against naive dense oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    fraction_definiteness,
     fraction_kernel,
     fraction_rref,
     identity_matrix,
     is_positive_multiple,
     quadratic_value,
 )
-from superdirac import exactla
+from superdirac import exactla, modules
 from superdirac.exactla import SparseRationalMatrix
 
 rat = st.fractions(
@@ -484,3 +486,71 @@ def test_sparse_elimination_matches_oracles(a, data):
 def test_nonzero_rows_hold_each_nonzero_row():
     m = SparseRationalMatrix.from_rows([[0, 2, 0], [0, 0, 0], [Fraction(1, 3), 0, -1]])
     assert m.nonzero_rows() == [{1: 2}, {0: Fraction(1, 3), 2: -1}]
+
+
+# ----- definiteness against the dense congruence -----------------------------------------
+def _random_symmetric(rng, n, kind):
+    """A symmetric n x n Fraction matrix: dense, sparse, B^T B for B with at
+    most n rows (semidefinite), or a B^T B block beside a zero-diagonal block,
+    shuffled (a hyperbolic pair left after the pivots)."""
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    def gram(k):
+        b = [[entry() for _ in range(k)] for _ in range(rng.randint(0, k))]
+        return [[sum((r[i] * r[j] for r in b), Fraction(0)) for j in range(k)] for i in range(k)]
+
+    if kind == "gram":
+        return gram(n)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    if kind == "hyperbolic":
+        m = rng.randint(0, n)
+        for i, row in enumerate(gram(m)):
+            a[i][:m] = row
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "dense" or (kind == "sparse" and rng.random() < 0.3):
+                a[i][j] = a[j][i] = entry()
+            elif kind == "hyperbolic" and m <= i < j and rng.random() < 0.5:
+                a[i][j] = a[j][i] = entry()
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[a[i][j] for j in order] for i in order]
+
+
+def _assert_matches_dense_oracle(g):
+    """Verdict, witness and pivot record equal the dense congruence's, the
+    witness printing the same, and every value is canonical (`_canonical`)."""
+    got, want = exactla.definiteness(g), fraction_definiteness(g)
+    assert got.verdict == want.verdict
+    assert got.pivot_record == want.pivot_record
+    assert _canonical(d for _, d in got.pivot_record)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert [str(x) for x in got.witness] == [str(x) for x in want.witness]
+        assert got.witness == want.witness and _canonical(got.witness)
+    return got
+
+
+def test_definiteness_matches_dense_oracle_on_random_forms():
+    rng = random.Random(20240525)
+    seen = set()
+    for kind in ("dense", "sparse", "gram", "hyperbolic"):
+        for _ in range(750):
+            rows = _random_symmetric(rng, rng.randint(0, 6), kind)
+            cert = _assert_matches_dense_oracle(SparseRationalMatrix.from_rows(rows))
+            negative_pivot = cert.pivot_record and cert.pivot_record[-1][1] < 0
+            seen.add("hyperbolic" if cert.witness and not negative_pivot else cert.verdict)
+    assert seen == {"positive-definite", "positive-semidefinite", "indefinite", "hyperbolic"}
+
+
+@pytest.mark.parametrize(
+    "lam_name, height", [("lam_refuted", 8), ("lam_typical", 9)], ids=["refuted-N8", "typical-N9"]
+)
+def test_definiteness_matches_dense_oracle_on_module_forms(d21, lam_name, height, request):
+    """Every block form of an sl(2|1) truncation, one refuted and one certified."""
+    mod = modules.simple_truncation(d21, request.getfixturevalue(lam_name), height)
+    verdicts = {_assert_matches_dense_oracle(mod.blocks[nu].form).verdict for nu in mod.blocks}
+    assert ("indefinite" in verdicts) == (lam_name == "lam_refuted")

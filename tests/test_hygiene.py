@@ -2,8 +2,8 @@
 every function, class, method and module-level name it defines is referred
 to somewhere in the package (or allowed, with a reason); every top-level
 helper in ``tests/_helpers.py`` is reached from some test module; no
-package code writes into a built ``SparseRationalMatrix``; and only the
-symmetric congruence and a module block's JSON make dense rows of one.
+package code writes into a built ``SparseRationalMatrix``; and only a
+module block's JSON makes dense rows of one.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -398,9 +398,9 @@ def test_sparse_matrix_has_no_mutator():
 
 
 # ----- dense rows only where dense rows are the output ------------------------------------
-# the elimination reads sparse rows; a dense copy of a matrix is made only by
-# the symmetric congruence and for the JSON of a module block
-TO_ROWS_ALLOWED = {"exactla.definiteness", "modules.Block.to_json"}
+# the eliminations read sparse rows; a dense copy of a matrix is made only for
+# the JSON of a module block
+TO_ROWS_ALLOWED = {"modules.Block.to_json"}
 
 
 def _to_rows_calls(tree: ast.AST, module: str) -> list[str]:
