@@ -221,5 +221,5 @@ def harish_chandra_audit(coll: BlockCollection) -> bool:
     satisfying the strict Harish-Chandra inequality. Not a unitarity check:
     on sl(2|1) at N=4 it holds on refuted -3,0|-3, -2,0|3 and -1,0|-1 and
     fails on the certified 0,0|0; the Dirac inequality agrees with `certify_unitarity`."""
-    entries = dirac.g0_constituents(coll)[0]
+    entries = dirac.g0_constituents(coll)
     return all(harish_chandra_condition(coll.module.datum, e.nu0) for e in entries)

@@ -12,7 +12,8 @@ Each block decides once whether its Gram form G is positive definite and
 D^T G + G D = 0 (`DiracBlock.definite_anti_selfadjoint`). Where it holds,
 ker D cap im D = 0 and D^2 is diagonalizable (Huang-Pandzic), so
 `block_cohomology` takes no rank of D^2 and `dirac_square_audit` forms no
-product of the (D^2 - c); every other block computes both as before.
+product of the (D^2 - c); every other block computes both as before. The
+audit also rests on X_D D = D X_D, which `g0_constituents` asserts.
 """
 
 from __future__ import annotations
@@ -341,12 +342,13 @@ class SquareAuditReport:
         }
 
 
-def g0_constituents(coll: BlockCollection) -> tuple[list[SquareAuditEntry], bool]:
+def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
     """The g0-constituents of the collection, one entry per block with
-    highest vectors, and whether X_D D = D X_D on every map built.
+    highest vectors.
 
-    Each (block, even raising generator) map X_D is built once. The kernel of
-    the block's maps is its highest vectors, and D^2 must act on them by one
+    Each (block, even raising generator) map X_D is built once, and this
+    raises unless X_D D = D X_D (D is g0-equivariant). The kernel of the
+    block's maps is its highest vectors, and D^2 must act on them by one
     scalar, read as D(D v). The Dirac inequality is `e.s >= 0` on an entry
     (strict: `e.s > 0`); on certified inputs it holds at every constituent.
     Nothing here needs D^2 semisimple, so refuted inputs give their
@@ -354,12 +356,12 @@ def g0_constituents(coll: BlockCollection) -> tuple[list[SquareAuditEntry], bool
     datum = coll.module.datum
     t = (coll.module.highest_weight + datum.rho).scale(2).coords()
     entries: list[SquareAuditEntry] = []
-    commute = True  # X_D D = D X_D on every map built
     for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
         maps = raising_maps(coll, block, "even")
-        commute = commute and all(tgt.D.matmul(x) == x.matmul(block.D) for tgt, x in maps)
+        if any(tgt.D.matmul(x) != x.matmul(block.D) for tgt, x in maps):
+            raise AssertionError(f"X_D does not commute with D at nu={nu.text()}")
         hvs = exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
         if not hvs:
             continue
@@ -387,7 +389,7 @@ def g0_constituents(coll: BlockCollection) -> tuple[list[SquareAuditEntry], bool
         entries.append(
             SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s, block.drop)
         )
-    return entries, commute
+    return entries
 
 
 def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
@@ -399,18 +401,18 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     The predicted scalars `cs` of a block are the measured ones of every
     constituent above it in the even cone (itself included). Semisimplicity
     means that the product of (D^2 - c) over `cs` vanishes; this product is
-    formed only on blocks where `DiracBlock.definite_anti_selfadjoint` fails,
-    or on every block if some X_D does not commute with D. Elsewhere it
-    vanishes for this reason: D^2 is diagonalizable on the block
+    formed only on blocks where `DiracBlock.definite_anti_selfadjoint` fails.
+    Elsewhere it vanishes for this reason: D^2 is diagonalizable on the block
     (G-selfadjoint for a definite G), and every eigenvalue lies in `cs`. Take
-    an eigenvector v of D^2 with eigenvalue c. Each X_D commutes with D^2, so
-    X_D v is zero or an eigenvector for c in a block one even positive root
-    higher. Raising v while some X_D does not kill it ends, since the height
-    drop falls, at a nonzero vector every X_D kills: a highest vector for c,
-    in a block above in the even cone, where D^2 acts by that block's
-    measured scalar. So c is in `cs`."""
+    an eigenvector v of D^2 with eigenvalue c. Each X_D commutes with D
+    (`g0_constituents` asserts it), hence with D^2, so X_D v is zero or an
+    eigenvector for c in a block one even positive root higher. Raising v
+    while some X_D does not kill it ends, since the height drop falls, at a
+    nonzero vector every X_D kills: a highest vector for c, in a block above
+    in the even cone, where D^2 acts by that block's measured scalar. So c
+    is in `cs`."""
     datum = coll.module.datum
-    entries, commute = g0_constituents(coll)
+    entries = g0_constituents(coll)
     # (`_cone_sums` of the constituent's drop, measured scalar)
     by_nu0 = [(_cone_sums(e.drop, datum.m), e.measured) for e in entries]
     # semisimplicity: on each block, the product over the predicted component
@@ -421,7 +423,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         if block.dim == 0:
             continue
         checked += 1
-        if commute and block.definite_anti_selfadjoint:
+        if block.definite_anti_selfadjoint:
             continue  # the product vanishes (see the docstring)
         below = _cone_sums(block.drop, datum.m)
         cs = sorted({c for s0, c in by_nu0 if _in_even_cone(s0, below)})
@@ -615,14 +617,10 @@ def dirac_cohomology(coll: BlockCollection) -> CohomologyReport:
 
 
 def hd_ktype_table(
-    coll: BlockCollection, report: CohomologyReport, sign: int, raising_set: str = "compact"
+    coll: BlockCollection, report: CohomologyReport, sign: int
 ) -> dict[Weight, int]:
-    """Highest-class multiplicities of H_D^+ (sign=+1) or H_D^- (sign=-1):
-    classes killed by every compact raising operator (raising_set="compact",
-    the compact-type table) or by every even raising operator
-    (raising_set="even", the g0-highest weights)."""
-    if raising_set not in ("compact", "even"):
-        raise ValueError("raising_set must be 'compact' or 'even'")
+    """Compact-type multiplicities of H_D^+ (sign=+1) or H_D^- (sign=-1): the
+    classes killed by every compact raising operator."""
     # X_D commutes with D, so it maps kernel vectors to ker D of the target
     # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
     # reducing modulo im D gives the target class. Where ker D cap im D = 0
@@ -651,7 +649,7 @@ def hd_ktype_table(
             {(i, j): x for j, v in enumerate(classes) for i, x in enumerate(v) if x},
         )
         mats = []
-        for tgt, x in raising_maps(coll, block, raising_set):
+        for tgt, x in raising_maps(coll, block, "compact"):
             r = reduction(tgt)
             mats.append(x if r is None else r.matmul(x))
         stack = exactla.vstack(mats, block.dim)

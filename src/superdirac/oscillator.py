@@ -10,6 +10,8 @@ normal-ordering product is a test oracle (`tests/_helpers.py`).
 
 from __future__ import annotations
 
+import math
+
 from .exactla import Rational, _rat
 from .uea import Algebra, Gen, add_into
 from .weights import RootDatum, Weight
@@ -35,27 +37,17 @@ def cohomological_degree(datum: RootDatum, a: OscMonomial) -> int:
 
 
 def weyl_apply(w: WeylOperator, p: Polynomial) -> Polynomial:
-    """d_k acts as the partial derivative, x_k as multiplication."""
+    """d_k acts as the partial derivative, x_k as multiplication: x^a d^b
+    takes x^m to the falling factorials prod_k m_k!/(m_k - b_k)! times
+    x^(m - b + a), and to 0 where some b_k > m_k (`math.perm` is 0 there)."""
     out: Polynomial = {}
     for (a, b), c in w.items():
         for mono, pc in p.items():
-            coeff = c * pc
-            new = list(mono)
-            ok = True
-            for k, bk in enumerate(b):
-                for _ in range(bk):
-                    if new[k] == 0:
-                        ok = False
-                        break
-                    coeff *= new[k]
-                    new[k] -= 1
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for k, ak in enumerate(a):
-                new[k] += ak
-            add_into(out, tuple(new), coeff)
+            add_into(
+                out,
+                tuple([m - bk + ak for m, bk, ak in zip(mono, b, a)]),
+                c * pc * math.prod(map(math.perm, mono, b)),
+            )
     return out
 
 

@@ -19,9 +19,10 @@
   letter at a time through `modules.act_word`.
 - The normal-ordering product of the Weyl algebra with its generators x_k,
   d_k and commutator (the oracle for `oscillator.alpha_embed_gen`, which
-  writes alpha straight into normal order), the embedding alpha on
-  degree-1 elements, and the oscillator monomials of one degree by
-  recursion (an oracle for `weights.bounded_exponents`).
+  writes alpha straight into normal order), a normal-ordered operator
+  applied one derivative at a time (the oracle for `oscillator.weyl_apply`),
+  the embedding alpha on degree-1 elements, and the oscillator monomials of
+  one degree by recursion (an oracle for `weights.bounded_exponents`).
 - The Bargmann-Fock form, the value of a quadratic form, and the Fraction
   elimination with its kernel basis kept as the oracles for the sparse
   elimination `exactla._rref` and `exactla.kernel_basis`; the dense symmetric
@@ -40,7 +41,10 @@
   integer-drop `modules.dirac_scalar`), and the g0-highest vectors of a
   block from one kernel of the maps built generator by generator (the
   oracle for `dirac.raising_maps`), beside the kernel of those maps as the
-  square audit stacks them.
+  square audit stacks them; ker D cap im D from explicit bases, and the
+  H_D tables of classes killed by the even or the compact raising
+  operators, one generator at a time (the oracle for
+  `dirac.hd_ktype_table`, and the g0-types of H_D).
 - The odd-subset oracles (the oracles for `weights.subset_labels` and
   `modules.even_character_sum`): Gamma_S as a sum of root weights, the
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
@@ -412,6 +416,33 @@ def alpha_embed(osc, x):
     return out
 
 
+def weyl_apply_loop(w, p):
+    """`oscillator.weyl_apply` with d_k differentiating one power at a time,
+    a term dropped once an exponent it lowers reaches 0 (the oracle for its
+    falling factorials)."""
+    out = {}
+    for (a, b), c in w.items():
+        for mono, pc in p.items():
+            coeff = c * pc
+            new = list(mono)
+            ok = True
+            for k, bk in enumerate(b):
+                for _ in range(bk):
+                    if new[k] == 0:
+                        ok = False
+                        break
+                    coeff *= new[k]
+                    new[k] -= 1
+                if not ok:
+                    break
+            if not ok:
+                continue
+            for k, ak in enumerate(a):
+                new[k] += ak
+            uea.add_into(out, tuple(new), coeff)
+    return out
+
+
 def bargmann_fock(p, q):
     """(p, q) = sum over monomials x^a of p_a q_a prod_k a_k!."""
     total = Fraction(0)
@@ -683,6 +714,85 @@ def four_product_certificate(block):
         witness = (i, j, v)
     d_adj = block.d.transpose().matmul(g).add(scaled(g.matmul(block.d), -1))
     return lhs.is_zero(), witness, scaled(d_adj, 2).add(gd).is_zero()
+
+
+def independent_vectors(vectors):
+    """A basis of the span of the vectors: the nonzero rows of their RREF."""
+    if not vectors:
+        return []
+    rows, pivots = fraction_rref([list(v) for v in vectors])
+    return [tuple(rows[i]) for i in range(len(pivots))]
+
+
+def column_space(columns):
+    """A maximal independent subset of the columns, in order."""
+    chosen, rows = [], []
+    for col in columns:
+        trial = rows + [list(col)]
+        if len(fraction_rref(trial)[1]) > len(chosen):
+            chosen.append(col)
+            rows = trial
+    return chosen
+
+
+def intersect(space_a, space_b, dim):
+    """Basis of span(a) intersect span(b)."""
+    if not space_a or not space_b:
+        return []
+    a = SparseRationalMatrix.from_rows(
+        [[v[i] for v in space_a] + [v[i] for v in space_b] for i in range(dim)]
+    )
+    out = []
+    for kv in exactla.kernel_basis(a):
+        vec = [sum((kv[j] * space_a[j][i] for j in range(len(space_a))), Fraction(0))
+               for i in range(dim)]
+        if any(vec):
+            out.append(tuple(vec))
+    return independent_vectors(out)
+
+
+def cap_basis(block):
+    """Basis of ker D intersect im D."""
+    dim = block.dim
+    cols = [tuple(col) for col in block.D.transpose().to_rows()]
+    im_basis = column_space([c for c in cols if any(c)])
+    return intersect(exactla.kernel_basis(block.D), im_basis, dim)
+
+
+def oracle_ktype_table(coll, per_block, sign, raising_set):
+    """Classes of H_D^+ (sign=+1) or H_D^- (sign=-1) killed by every even
+    ("even", H_D's g0-highest weights) or compact ("compact", the oracle for
+    `dirac.hd_ktype_table`) raising operator, one generator at a time, each
+    image reduced modulo ker D cap im D of the target block."""
+    alg = coll.module.alg
+    raising = [g for g in modules.generators(alg, +1, "all") if alg.parity(g) == 0]
+    if raising_set == "compact":
+        compact = {r.weight.coords() for r in coll.module.datum.pos_compact}
+        raising = [g for g in raising if alg.gen_root(g).coords() in compact]
+    table = {}
+    for nu, bc in per_block.items():
+        classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
+        if not classes:
+            continue
+        stacked = []
+        for g in raising:
+            target_nu = nu + alg.gen_root(g)
+            tgt = coll.blocks.get(target_nu)
+            if tgt is None:
+                continue
+            m = dirac.diagonal_action_matrix(coll.blocks[nu], tgt, g)
+            cap = cap_basis(tgt) if per_block[target_nu].ker_cap_im else []
+            reduction = exactla.quotient(cap, tgt.dim).reduction
+            imgs = [reduction.apply(m.apply(v)) for v in classes]
+            for r in range(len(imgs[0])):
+                stacked.append([img[r] for img in imgs])
+        if not stacked:
+            table[nu] = len(classes)
+            continue
+        k = len(exactla.kernel_basis(SparseRationalMatrix.from_rows(stacked)))
+        if k:
+            table[nu] = k
+    return table
 
 
 def highest_vectors(coll, nu):

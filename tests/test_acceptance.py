@@ -107,7 +107,7 @@ def test_criterion_04_adjointness_and_inequality(
         for block in coll.blocks.values():
             cert = dirac.anti_selfadjoint_certificate(block)
             adjoint_ok = adjoint_ok and cert.ok and cert.halves_adjoint
-    entries = dirac.g0_constituents(coll_refuted2)[0]
+    entries = dirac.g0_constituents(coll_refuted2)
     target = lam_refuted - d21.pos_odd[0].weight  # lam - (eps1 - del1)
     hits = [e for e in entries if e.mu == target]
     pairing_ok = (

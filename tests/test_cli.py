@@ -377,3 +377,33 @@ def test_kostant_suite_builds_the_kostant_report_once(runner, monkeypatch):
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["injection"] is True
     assert len(calls) == len(weights)
+
+
+def test_a_map_that_does_not_commute_with_D_exits_2(runner, monkeypatch):
+    """With one entry of D doubled on the first block where D is nonzero,
+    some X_D no longer commutes with D: `verify --suite square` exits 2 on
+    the commutation assertion and prints no payload."""
+    from dataclasses import replace
+
+    from superdirac import dirac
+    from superdirac.exactla import SparseRationalMatrix
+
+    real = dirac.assemble_block
+    spoiled = []
+
+    def spoiling(module, drop, osc, basis):
+        block = real(module, drop, osc, basis)
+        if block.D.entries and not spoiled:
+            spoiled.append(block.nu)
+            key = min(block.D.entries)
+            entries = {**block.D.entries, key: 2 * block.D.entries[key]}
+            block = replace(block, D=SparseRationalMatrix(block.dim, block.dim, entries))
+        return block
+
+    monkeypatch.setattr(dirac, "assemble_block", spoiling)
+    res = invoke(
+        runner, ["verify", *BASE21, "--weight", "-2,1|1", "--height", "4", "--suite", "square"]
+    )
+    assert res.exit_code == 2 and spoiled
+    assert res.stdout == ""
+    assert res.stderr.startswith("assertion failure: X_D does not commute with D at nu=")

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     basis_weight,
+    cap_basis,
     cone_sums,
     dirac_quarters,
     four_product_certificate,
@@ -25,9 +27,11 @@ from _helpers import (
     highest_vectors_per_generator,
     identity_matrix,
     in_even_cone,
+    independent_vectors,
     is_positive_multiple,
     kostant_per_degree,
     monomials_of_degree,
+    oracle_ktype_table,
     quarters_adjoint,
     scaled,
 )
@@ -156,7 +160,7 @@ def test_index_equals_signed_cohomology(coll_typical3, rep_typical3, coll_trivia
 
 
 def test_inequality_audit_refuted_weight(coll_refuted2, d21, lam_refuted):
-    entries = dirac.g0_constituents(coll_refuted2)[0]
+    entries = dirac.g0_constituents(coll_refuted2)
     g1 = d21.pos_odd[0].weight
     target = lam_refuted - g1
     hits = [e for e in entries if e.mu == target]
@@ -167,7 +171,7 @@ def test_inequality_audit_refuted_weight(coll_refuted2, d21, lam_refuted):
 
 
 def test_inequality_audit_certified_weight(coll_typical3, lam_typical):
-    for e in dirac.g0_constituents(coll_typical3)[0]:
+    for e in dirac.g0_constituents(coll_typical3):
         assert e.s >= 0
         assert e.measured <= 0
         if e.mu != lam_typical:
@@ -187,18 +191,8 @@ def test_hd_ktype_tables_consistent(coll_typical3, rep_typical3):
     per_block = rep_typical3.per_block
     assert plus == {nu: bc.hd_plus for nu, bc in per_block.items() if bc.hd_plus}
     assert minus == {nu: bc.hd_minus for nu, bc in per_block.items() if bc.hd_minus}
-    even_plus = dirac.hd_ktype_table(
-        coll_typical3, rep_typical3, +1, raising_set="even"
-    )
+    even_plus = oracle_ktype_table(coll_typical3, per_block, +1, "even")
     assert sum(even_plus.values()) <= sum(plus.values())
-
-
-@pytest.mark.parametrize("raising_set", ["all", "noncompact"])
-def test_hd_ktype_table_rejects_other_raising_sets(coll_typical3, rep_typical3, raising_set):
-    """Only the even and compact raising operators commute with D; "all"
-    would reach the odd generators, which `modules.generators` accepts."""
-    with pytest.raises(ValueError, match="raising_set"):
-        dirac.hd_ktype_table(coll_typical3, rep_typical3, +1, raising_set)
 
 
 def test_uniqueness_distinct_certified_inputs_have_distinct_tables(d21):
@@ -290,40 +284,6 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
 
 
 # ----- oracles: intersection-based cohomology and the even-cone search ---------------
-def _independent(vectors):
-    if not vectors:
-        return []
-    rows, pivots = fraction_rref([list(v) for v in vectors])
-    return [tuple(rows[i]) for i in range(len(pivots))]
-
-
-def _column_space(columns):
-    """A maximal independent subset of the columns, in order."""
-    chosen, rows = [], []
-    for col in columns:
-        trial = rows + [list(col)]
-        if len(fraction_rref(trial)[1]) > len(chosen):
-            chosen.append(col)
-            rows = trial
-    return chosen
-
-
-def _intersect(space_a, space_b, dim):
-    """Basis of span(a) intersect span(b)."""
-    if not space_a or not space_b:
-        return []
-    a = SparseRationalMatrix.from_rows(
-        [[v[i] for v in space_a] + [v[i] for v in space_b] for i in range(dim)]
-    )
-    out = []
-    for kv in exactla.kernel_basis(a):
-        vec = [sum((kv[j] * space_a[j][i] for j in range(len(space_a))), Fraction(0))
-               for i in range(dim)]
-        if any(vec):
-            out.append(tuple(vec))
-    return _independent(out)
-
-
 def _classes_mod(kernel, cap):
     """Kernel vectors extending a basis of cap to a basis of the kernel."""
     chosen = []
@@ -339,14 +299,6 @@ def _classes_mod(kernel, cap):
     return chosen
 
 
-def _cap_basis(block):
-    """Basis of ker D intersect im D."""
-    dim = block.dim
-    cols = [tuple(col) for col in block.D.transpose().to_rows()]
-    im_basis = _column_space([c for c in cols if any(c)])
-    return _intersect(exactla.kernel_basis(block.D), im_basis, dim)
-
-
 def _parity_split(block, vectors):
     even, odd = [], []
     for v in vectors:
@@ -356,13 +308,13 @@ def _parity_split(block, vectors):
             even.append(ve)
         if any(vo):
             odd.append(vo)
-    return _independent(even), _independent(odd)
+    return independent_vectors(even), independent_vectors(odd)
 
 
 def _oracle_block_cohomology(block):
     """H_D = ker D / (ker D cap im D) from explicit bases of both spaces."""
     ker_even, ker_odd = _parity_split(block, exactla.kernel_basis(block.D))
-    cap_even, cap_odd = _parity_split(block, _cap_basis(block))
+    cap_even, cap_odd = _parity_split(block, cap_basis(block))
     n_even = sum(1 for p in block.parity if p == 0)
     return dirac.BlockCohomology(
         block.nu,
@@ -376,40 +328,6 @@ def _oracle_block_cohomology(block):
         _classes_mod(ker_even, cap_even),
         _classes_mod(ker_odd, cap_odd),
     )
-
-
-def _oracle_ktype_table(coll, per_block, sign, raising_set):
-    """Classes killed by the raising operators, images reduced modulo
-    ker D cap im D of the target block."""
-    alg = coll.module.alg
-    raising = [g for g in modules.generators(alg, +1, "all") if alg.parity(g) == 0]
-    if raising_set == "compact":
-        compact = {r.weight.coords() for r in coll.module.datum.pos_compact}
-        raising = [g for g in raising if alg.gen_root(g).coords() in compact]
-    table = {}
-    for nu, bc in per_block.items():
-        classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
-        if not classes:
-            continue
-        stacked = []
-        for g in raising:
-            target_nu = nu + alg.gen_root(g)
-            tgt = coll.blocks.get(target_nu)
-            if tgt is None:
-                continue
-            m = dirac.diagonal_action_matrix(coll.blocks[nu], tgt, g)
-            cap = _cap_basis(tgt) if per_block[target_nu].ker_cap_im else []
-            reduction = exactla.quotient(cap, tgt.dim).reduction
-            imgs = [reduction.apply(m.apply(v)) for v in classes]
-            for r in range(len(imgs[0])):
-                stacked.append([img[r] for img in imgs])
-        if not stacked:
-            table[nu] = len(classes)
-            continue
-        k = len(exactla.kernel_basis(SparseRationalMatrix.from_rows(stacked)))
-        if k:
-            table[nu] = k
-    return table
 
 
 def _even_cone_search(datum):
@@ -470,10 +388,9 @@ def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind
     if ker_cap_im is not None:
         assert sum(bc.ker_cap_im for bc in report.per_block.values()) == ker_cap_im
     for sign in (+1, -1):
-        for raising_set in ("compact", "even"):
-            assert dirac.hd_ktype_table(coll, report, sign, raising_set) == _oracle_ktype_table(
-                coll, oracle, sign, raising_set
-            )
+        assert dirac.hd_ktype_table(coll, report, sign) == oracle_ktype_table(
+            coll, oracle, sign, "compact"
+        )
 
 
 @settings(max_examples=80, deadline=None)
@@ -1114,11 +1031,7 @@ def _outputs(coll):
     """Everything cohomology, the k-type tables and the square audit report."""
     report = dirac.dirac_cohomology(coll)
     classes = [(bc.hd_plus_classes, bc.hd_minus_classes) for bc in report.per_block.values()]
-    tables = [
-        dirac.hd_ktype_table(coll, report, sign, raising_set)
-        for sign in (+1, -1)
-        for raising_set in ("compact", "even")
-    ]
+    tables = [dirac.hd_ktype_table(coll, report, sign) for sign in (+1, -1)]
     return report.to_json(), classes, tables, dirac.dirac_square_audit(coll).to_json()
 
 
@@ -1176,7 +1089,7 @@ def test_raising_maps_commute_with_the_operator(case):
 def test_forcing_the_predicate_false_changes_no_output(case, monkeypatch):
     """With `definite_anti_selfadjoint` False on every block (the four-rank
     cohomology and the product chain everywhere), cohomology, its classes,
-    all four k-type tables and the square audit report the same."""
+    both k-type tables and the square audit report the same."""
     coll = _collection(*SHORTCUT_INPUTS[case])
     shortcut = _outputs(coll)
     assert any(block.definite_anti_selfadjoint for block in coll.blocks.values())
@@ -1199,7 +1112,7 @@ def test_where_the_predicate_holds_the_chain_vanishes_and_ker_meets_im_in_zero(c
         assert block.definite_anti_selfadjoint == (forms <= {"positive-definite"})
         if block.definite_anti_selfadjoint and block.dim:
             assert _chain_product(coll, audit, block).is_zero(), block.nu.text()
-            assert _cap_basis(block) == []
+            assert cap_basis(block) == []
             held += 1
     assert held
 
@@ -1226,8 +1139,8 @@ def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
     """sl(2|1) -2,1|1 at N=4 with one entry of D doubled on the first block
     where D is nonzero: the predicate fails on that block alone, cohomology
     reads D^2 only there and still matches the intersection oracle, and the
-    square audit forms the chain on it and raises (the spoiled block's
-    measured scalar is not an eigenvalue of the block below it)."""
+    square audit raises on the map X_D that no longer commutes with D,
+    before it forms any chain."""
     coll = _collection(SL21, "-2,1|1", 4, "simple")
     block = next(b for b in coll.blocks.values() if b.D.entries)
     spoiled = replace(block, D=_doubled(block.D, min(block.D.entries)))
@@ -1240,9 +1153,9 @@ def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
     assert squared and all(b is spoiled for b in squared)
     assert report.per_block[spoiled.nu].to_json() == _oracle_block_cohomology(spoiled).to_json()
     squared.clear()
-    with pytest.raises(AssertionError, match="not semisimple"):
+    with pytest.raises(AssertionError, match="X_D does not commute with D at nu="):
         dirac.dirac_square_audit(coll)
-    assert any(b is spoiled for b in squared)
+    assert squared == []
 
 
 def _row_added(x, r, s):
@@ -1257,10 +1170,10 @@ def _row_added(x, r, s):
 def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
     """sl(2|1) -2,1|1 at N=4 with one map X_D replaced by one that adds one
     of its rows to another: the kernel, and so every highest vector, is
-    unchanged, but the map no longer commutes with D. The square audit then
-    forms the chain on every nonempty block, and reports the same."""
+    unchanged, but the map no longer commutes with D. The constituents and
+    the square audit then raise at the map's source block, before any chain
+    is formed."""
     coll = _collection(SL21, "-2,1|1", 4, "simple")
-    expected = dirac.dirac_square_audit(_collection(SL21, "-2,1|1", 4, "simple")).to_json()
     spoils = (
         (block.drop, tgt.drop, r, s)
         for block in coll.blocks.values()
@@ -1277,9 +1190,11 @@ def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
 
     monkeypatch.setattr(dirac, "diagonal_action_matrix", spoiled)
     squared = _spy_squares(monkeypatch)
-    assert dirac.dirac_square_audit(coll).to_json() == expected
-    nonempty = [b for b in coll.blocks.values() if b.dim]
-    assert all(any(s is b for s in squared) for b in nonempty)
+    message = f"X_D does not commute with D at nu={coll.by_drop[spoil[0]].nu.text()}"
+    for run in (dirac.g0_constituents, dirac.dirac_square_audit):
+        with pytest.raises(AssertionError, match=re.escape(message) + "$"):
+            run(coll)
+    assert squared == []
 
 
 # ----- the g0-constituents -----------------------------------------------------------
@@ -1293,7 +1208,7 @@ def test_refuted_inputs_reach_the_inequality(group, weight, constituents, negati
     the Harish-Chandra check answers, and only the square audit's
     semisimplicity check raises."""
     coll = _collection(group, weight, 4, "simple")
-    entries = dirac.g0_constituents(coll)[0]
+    entries = dirac.g0_constituents(coll)
     assert len(entries) == constituents
     assert sum(e.s < 0 for e in entries) == negative
     assert type(analysis.harish_chandra_audit(coll)) is bool
@@ -1311,7 +1226,7 @@ def test_dirac_inequality_holds_exactly_on_certified_weights():
     for a, c in itertools.product(range(-3, 2), range(-3, 4)):
         weight = f"{a},0|{c}"
         coll = _collection(SL21, weight, 4, "simple")
-        if all(e.s >= 0 for e in dirac.g0_constituents(coll)[0]):
+        if all(e.s >= 0 for e in dirac.g0_constituents(coll)):
             inequality.add(weight)
         cert = modules.certify_unitarity(datum, coll.module.highest_weight, 4, coll.module)
         if cert.verdict == "certified-up-to-N":
@@ -1346,8 +1261,8 @@ def test_constituents_with_scalar_zero_fix_the_cohomology(group, weight, height)
     report = dirac.dirac_cohomology(coll)
     table = Counter()
     for sign in (1, -1):
-        table.update(dirac.hd_ktype_table(coll, report, sign, "even"))
-    entries = dirac.g0_constituents(coll)[0]
+        table.update(oracle_ktype_table(coll, report.per_block, sign, "even"))
+    entries = dirac.g0_constituents(coll)
     assert dict(table) == {e.nu0: e.multiplicity for e in entries if e.measured == 0}
     assert all(e.s >= 0 for e in entries)
 

@@ -1,9 +1,10 @@
 """Source hygiene: every name a package module imports is used in it, and
 every function, class, method and module-level name it defines is referred
-to somewhere in the package (or allowed, with a reason); every top-level
-helper in ``tests/_helpers.py`` is reached from some test module; no
-package code writes into a built ``SparseRationalMatrix``; and only a
-module block's JSON makes dense rows of one.
+to somewhere in the package (or allowed, with a reason); every defaulted
+parameter is set by some package call; every top-level helper in
+``tests/_helpers.py`` is reached from some test module; no package code
+writes into a built ``SparseRationalMatrix``; and only a module block's
+JSON makes dense rows of one.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -510,3 +511,87 @@ def test_checker_flags_an_import_inside_a_function():
         "        return re\n"
     )
     assert _function_imports(ast.parse(src)) == ["f:3", "g:5", "m:12"]
+
+
+# ----- defaulted parameters no caller sets ------------------------------------------------
+def _unset_defaults(sources: dict[str, str]) -> list[str]:
+    """`module:line function(parameter)` for each defaulted parameter of a
+    function or method that no call in the sources sets, by position or by
+    keyword, in module and line order. A call matches by the name it calls
+    (a plain name or an attribute); a call through an attribute skips the
+    `self` or `cls` of a method, and a `*` or `**` argument sets every
+    positional or every keyword parameter."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, i, name, method):
+        if method and isinstance(call.func, ast.Attribute):
+            i -= 1
+        positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+        return (
+            0 <= i < len(positional)
+            or (i >= 0 and len(positional) < len(call.args))
+            or any(k.arg in (name, None) for k in call.keywords)
+        )
+
+    out = []
+    for module, tree in trees.items():
+        methods = {
+            id(f)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef)
+            and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(params[first:], first)] + [
+                (-1, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for i, name in defaulted:
+                if not any(
+                    sets(c, i, name, id(func) in methods)
+                    for c in calls.get(func.name, [])
+                ):
+                    out.append((module, func.lineno, f"{func.name}({name})"))
+    return [f"{m}:{line} {what}" for m, line, what in sorted(out)]
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    """A default no call overrides is a knob nobody turns: fold it into the
+    function."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unset = _unset_defaults(sources)
+    assert not unset, f"defaulted parameters no package call sets: {', '.join(unset)}"
+
+
+def test_checker_flags_an_unset_default():
+    src = (
+        "def f(a, b=1, *, c=2, d=3):\n"
+        "    return a + b + c + d\n"
+        "def g(x=0, y=0):\n"
+        "    return x + y\n"
+        "class C:\n"
+        "    def m(self, k=1, j=2):\n"
+        "        return k + j\n"
+        "    @staticmethod\n"
+        "    def s(k=1):\n"
+        "        return k\n"
+        "def use(o, opts, xs):\n"
+        "    return f(1, c=5), g(*xs), o.m(7), C.s(), h(**opts)\n"
+        "def h(u=1):\n"
+        "    return u\n"
+    )
+    assert _unset_defaults({"m.py": src}) == [
+        "m.py:1 f(b)", "m.py:1 f(d)", "m.py:6 m(j)", "m.py:9 s(k)"
+    ]

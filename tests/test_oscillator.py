@@ -12,6 +12,7 @@ from _helpers import (
     bargmann_fock,
     d_op,
     monomials_of_degree,
+    weyl_apply_loop,
     weyl_commutator,
     weyl_multiply,
     x_op,
@@ -127,6 +128,36 @@ def test_alpha_matches_the_product_oracle(group):
             uea.add_into(total, key, c / alg.str_form(g, gt))
     c_str = osc.measured_constant()["str-normalized"]
     assert weyl_apply(total, {zero: 1}) == ({zero: c_str} if c_str else {})
+
+
+def _typed(poly):
+    """The terms of a polynomial in order, each coefficient with its type."""
+    return [(mono, type(c), c) for mono, c in poly.items()]
+
+
+@pytest.mark.parametrize(
+    "group, images",
+    [((2, 1, 1, 1), 75), ((2, 3, 1, 1), 2730), ((3, 3, 2, 1), 12870)],
+    ids=["sl21", "sl23", "gl33-p2"],
+)
+def test_weyl_apply_matches_the_loop_oracle(group, images):
+    """`weyl_apply` by falling factorials gives the loop oracle's dict, keys,
+    order and coefficient types alike: on alpha(X) x^a for every even
+    generator X and every x^a of degree <= 4, and on both applications of
+    each product the measured constant forms."""
+    osc = Oscillator(Algebra(build_root_datum(*group)))
+    zero = (0,) * osc.dim
+    monos = list(bounded_exponents([1] * osc.dim, 4, [None] * osc.dim))
+    checked = 0
+    for g in osc.alg.even_generators():
+        alpha, alpha_t = osc.alpha_embed_gen(g), osc.alpha_embed_gen((g[1], g[0]))
+        for a in monos:
+            assert _typed(weyl_apply(alpha, {a: 1})) == _typed(weyl_apply_loop(alpha, {a: 1}))
+            checked += 1
+        inner = weyl_apply(alpha_t, {zero: 1})
+        assert _typed(inner) == _typed(weyl_apply_loop(alpha_t, {zero: 1}))
+        assert _typed(weyl_apply(alpha, inner)) == _typed(weyl_apply_loop(alpha, inner))
+    assert checked == images
 
 
 def test_alpha_on_cartan_measures_minus_rho1(alg21, alg23):
