@@ -8,12 +8,15 @@ cohomological degree of the oscillator monomial by one, and the Kostant
 differential d is the degree-raising half of D/2 (d' is minus its
 G-adjoint), read off D where it is asked for.
 
-Each block decides once whether its Gram form G is positive definite and
-D^T G + G D = 0 (`DiracBlock.definite_anti_selfadjoint`). Where it holds,
-ker D cap im D = 0 and D^2 is diagonalizable (Huang-Pandzic), so
-`block_cohomology` takes no rank of D^2 and `dirac_square_audit` forms no
-product of the (D^2 - c); every other block computes both as before. The
-audit also rests on X_D D = D X_D, which `g0_constituents` asserts.
+Over a g-module, Dirac cohomology takes ranks only on the blocks below a
+block whose D^2 scalar is 0: on every other block D is invertible, read off
+the weights (`dirac_cohomology`). Each block decides once whether its Gram
+form G is positive definite and D^T G + G D = 0
+(`DiracBlock.definite_anti_selfadjoint`). Where it holds, ker D cap im D = 0
+and D^2 is diagonalizable (Huang-Pandzic), so `block_cohomology` takes no
+rank of D^2 and `dirac_square_audit` forms no product of the (D^2 - c);
+every other block computes both as before. Both shortcuts rest on
+X_D D = D X_D, which `raising_maps` asserts on every map it builds.
 """
 
 from __future__ import annotations
@@ -285,7 +288,9 @@ def raising_maps(
 ) -> list[tuple[DiracBlock, SparseRationalMatrix]]:
     """(target block, X_D from the block to it) for each raising generator of
     `restriction` ("even" or "compact", as `modules.generators` selects
-    them) whose target block exists."""
+    them) whose target block exists. D is g0-equivariant, so this raises
+    unless X_D D = D X_D on every map it builds: the square audit, the
+    k-type tables and the rank-free blocks of `dirac_cohomology` rest on it."""
     alg = coll.module.alg
     maps = []
     for g in modules.generators(alg, +1, restriction):
@@ -293,7 +298,10 @@ def raising_maps(
         # raising decreases the height drop, so a missing target block is
         # empty; the map is zero there
         if tgt is not None:
-            maps.append((tgt, diagonal_action_matrix(block, tgt, g)))
+            x = diagonal_action_matrix(block, tgt, g)
+            if tgt.D.matmul(x) != x.matmul(block.D):
+                raise AssertionError(f"X_D does not commute with D at nu={block.nu.text()}")
+            maps.append((tgt, x))
     return maps
 
 
@@ -346,8 +354,8 @@ def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
     """The g0-constituents of the collection, one entry per block with
     highest vectors.
 
-    Each (block, even raising generator) map X_D is built once, and this
-    raises unless X_D D = D X_D (D is g0-equivariant). The kernel of the
+    Each (block, even raising generator) map X_D is built once, and
+    `raising_maps` raises unless X_D D = D X_D. The kernel of the
     block's maps is its highest vectors, and D^2 must act on them by one
     scalar, read as D(D v). The Dirac inequality is `e.s >= 0` on an entry
     (strict: `e.s > 0`); on certified inputs it holds at every constituent.
@@ -360,8 +368,6 @@ def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
         if block.dim == 0:
             continue
         maps = raising_maps(coll, block, "even")
-        if any(tgt.D.matmul(x) != x.matmul(block.D) for tgt, x in maps):
-            raise AssertionError(f"X_D does not commute with D at nu={nu.text()}")
         hvs = exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
         if not hvs:
             continue
@@ -405,7 +411,7 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
     Elsewhere it vanishes for this reason: D^2 is diagonalizable on the block
     (G-selfadjoint for a definite G), and every eigenvalue lies in `cs`. Take
     an eigenvector v of D^2 with eigenvalue c. Each X_D commutes with D
-    (`g0_constituents` asserts it), hence with D^2, so X_D v is zero or an
+    (`raising_maps` asserts it), hence with D^2, so X_D v is zero or an
     eigenvector for c in a block one even positive root higher. Raising v
     while some X_D does not kill it ends, since the height drop falls, at a
     nonzero vector every X_D kills: a highest vector for c, in a block above
@@ -610,10 +616,49 @@ def _classes(
 
 
 def dirac_cohomology(coll: BlockCollection) -> CohomologyReport:
+    """H_D block by block. Over a g-module (the simple or Verma truncation),
+    only the blocks below a zero-scalar block take ranks: let Z be the
+    nonempty blocks where the D^2 scalar s of `modules.dirac_scalar` is 0,
+    a weight computation. A block with no block of Z above it in the even
+    cone has D invertible, so ker = ker cap im = H_D^+- = 0 and no classes;
+    it takes no rank, no submatrix and no predicate. Every other block goes
+    through `block_cohomology`.
+
+    1. Take a generalized eigenvector of D^2 with eigenvalue c on the block.
+    2. Each X_D commutes with D, so it keeps generalized eigenspaces.
+    3. Raise while some X_D does not kill the vector. The height drop falls,
+       so this ends at a g0-highest vector, in a block above in the even
+       cone, in the same generalized eigenspace.
+    4. On a g0-highest vector of weight nu0, D^2 acts by -2 s(nu0)
+       (Huang-Pandzic, Transform. Groups 10, 2005; the square audit's
+       `matched`).
+    5. So c = 0 forces a block of Z above. With none, D^2 and hence D are
+       invertible.
+
+    Nothing here needs D^2 semisimple or the input certified, but step 4
+    needs the odd part to act as on a g-module: an even-simple truncation
+    (a g0-module only) breaks it, so every other kind takes ranks on every
+    block. The argument rests on X_D D = D X_D, which `raising_maps`
+    asserts wherever the square audit or a k-type table builds a map."""
+    module = coll.module
+    datum = module.datum
+    zero = None  # the `_cone_sums` of the blocks of Z
+    if module.kind in ("simple", "verma"):
+        t = (module.highest_weight + datum.rho).scale(2).coords()
+        zero = [
+            _cone_sums(b.drop, datum.m)
+            for b in coll.blocks.values()
+            if b.dim and modules.dirac_scalar(datum, t, b.drop) == 0
+        ]
     per_block = {}
     for nu, block in coll.blocks.items():
-        per_block[nu] = block_cohomology(block)
-    return CohomologyReport(per_block, coll.module, coll.height)
+        below = _cone_sums(block.drop, datum.m)
+        if zero is None or any(_in_even_cone(z, below) for z in zero):
+            per_block[nu] = block_cohomology(block)
+        else:
+            even = block.parity.count(0)
+            per_block[nu] = BlockCohomology(nu, block.dim, even, block.dim - even, 0, 0, 0, 0)
+    return CohomologyReport(per_block, module, coll.height)
 
 
 def hd_ktype_table(
@@ -621,10 +666,11 @@ def hd_ktype_table(
 ) -> dict[Weight, int]:
     """Compact-type multiplicities of H_D^+ (sign=+1) or H_D^- (sign=-1): the
     classes killed by every compact raising operator."""
-    # X_D commutes with D, so it maps kernel vectors to ker D of the target
-    # block, and a kernel vector lies in ker D cap im D iff it lies in im D:
-    # reducing modulo im D gives the target class. Where ker D cap im D = 0
-    # the reduction is injective on ker D and is skipped.
+    # X_D commutes with D (`raising_maps` asserts it), so it maps kernel
+    # vectors to ker D of the target block, and a kernel vector lies in
+    # ker D cap im D iff it lies in im D: reducing modulo im D gives the
+    # target class. Where ker D cap im D = 0 the reduction is injective on
+    # ker D and is skipped.
     reducers: dict[Drop, SparseRationalMatrix | None] = {}
 
     def reduction(tgt: DiracBlock) -> SparseRationalMatrix | None:

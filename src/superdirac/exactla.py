@@ -247,9 +247,14 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
         rows[i][j] = x
     active = {k: _integer_row(row) for k, row in enumerate(rows)}
 
+    def over(x: int, c: int) -> Rational:
+        """x / c for a row's coordinate c > 0: a Fraction only if c does not
+        divide x (c is 1 on every 1 x 1 form)."""
+        return x // c if not x % c else Fraction(x, c)
+
     def coords(k: int, v: dict[int, int]) -> Vector:
-        s = v[n + k]
-        return tuple([_rat(Fraction(v.get(n + j, 0), s)) for j in range(n)])
+        c = v[n + k]
+        return tuple([over(v.get(n + j, 0), c) for j in range(n)])
 
     pivot_record: list[tuple[int, Rational]] = []
     while active:
@@ -268,7 +273,7 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
                 "indefinite", tuple([_rat(x - s * y) for x, y in w]), pivot_record
             )
         e = active.pop(piv)
-        d = _rat(Fraction(e[piv], e[n + piv]))
+        d = over(e[piv], e[n + piv])
         pivot_record.append((piv, d))
         if d < 0:
             return DefinitenessCertificate("indefinite", coords(piv, e), pivot_record)

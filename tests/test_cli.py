@@ -407,3 +407,37 @@ def test_a_map_that_does_not_commute_with_D_exits_2(runner, monkeypatch):
     assert res.exit_code == 2 and spoiled
     assert res.stdout == ""
     assert res.stderr.startswith("assertion failure: X_D does not commute with D at nu=")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["dirac-cohomology"], ["verify", "--suite", "character"]],
+    ids=["dirac-cohomology", "character"],
+)
+def test_a_compact_map_that_does_not_commute_with_D_exits_2(runner, monkeypatch, command):
+    """With one entry of every nonzero compact raising map X_D doubled,
+    the k-type tables of H_D (`dirac-cohomology`, and the dirac-index
+    variant of the `character` suite) exit 2 on the commutation assertion
+    and print no payload, instead of a table read through maps that do not
+    commute with D. On sl(2|2) -3,1|1,1 at N=4 the first such map leaves a
+    block with classes."""
+    from superdirac import dirac, modules
+    from superdirac.exactla import SparseRationalMatrix
+
+    real = dirac.diagonal_action_matrix
+    spoiled = []
+
+    def spoiling(src, tgt, g):
+        x = real(src, tgt, g)
+        if x.entries and g in modules.generators(src.module.alg, +1, "compact"):
+            spoiled.append(src.nu.text())
+            key = min(x.entries)
+            x = SparseRationalMatrix(x.rows, x.cols, {**x.entries, key: 2 * x.entries[key]})
+        return x
+
+    monkeypatch.setattr(dirac, "diagonal_action_matrix", spoiling)
+    sl22 = ["--m", "2", "--n", "2", "--p", "1", "--q", "1"]
+    res = invoke(runner, [*command, *sl22, "--weight=-3,1|1,1", "--height", "4"])
+    assert res.exit_code == 2 and spoiled
+    assert res.stdout == ""
+    assert res.stderr == f"assertion failure: X_D does not commute with D at nu={spoiled[0]}\n"

@@ -20,6 +20,7 @@ from _helpers import (
     cap_basis,
     cone_sums,
     dirac_quarters,
+    dirac_scalar_pairing,
     four_product_certificate,
     fraction_kernel,
     fraction_rref,
@@ -35,6 +36,8 @@ from _helpers import (
     quarters_adjoint,
     scaled,
 )
+from test_conformance import TABLE as CONFORMANCE_GRID
+
 from superdirac import analysis, dirac, exactla, modules, oscillator
 from superdirac.exactla import SparseRationalMatrix
 from superdirac.oscillator import Oscillator
@@ -1137,12 +1140,17 @@ def test_predicate_equals_definite_gram_and_certificate(case):
 
 def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
     """sl(2|1) -2,1|1 at N=4 with one entry of D doubled on the first block
+    below a zero-scalar block (`_below_zero_scalar`: 3 of the 15 blocks)
     where D is nonzero: the predicate fails on that block alone, cohomology
     reads D^2 only there and still matches the intersection oracle, and the
     square audit raises on the map X_D that no longer commutes with D,
-    before it forms any chain."""
+    before it forms any chain. Outside that cone cohomology reads no
+    matrix: H_D = 0 there rests on the X_D D = D X_D identity that the
+    audit asserts, so a block spoiled there would show only in the audit."""
     coll = _collection(SL21, "-2,1|1", 4, "simple")
-    block = next(b for b in coll.blocks.values() if b.D.entries)
+    cone = _below_zero_scalar(coll)
+    assert (len(cone), len(coll.blocks)) == (3, 15)
+    block = next(b for b in coll.blocks.values() if b.D.entries and b.drop in cone)
     spoiled = replace(block, D=_doubled(block.D, min(block.D.entries)))
     blocks = {nu: spoiled if b is block else b for nu, b in coll.blocks.items()}
     coll = replace(coll, blocks=blocks, by_drop={b.drop: b for b in blocks.values()})
@@ -1195,6 +1203,108 @@ def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
         with pytest.raises(AssertionError, match=re.escape(message) + "$"):
             run(coll)
     assert squared == []
+
+
+# ----- rank-free cohomology outside the zero-scalar cone --------------------------------
+def _below_zero_scalar(coll):
+    """The drops of the blocks that have a nonempty block of D^2 scalar 0
+    above them in the even cone, or are one: the scalar as one weight
+    pairing, the cone test on the rational block weights."""
+    datum, lam = coll.module.datum, coll.module.highest_weight
+    zero = [
+        cone_sums(b.nu)
+        for b in coll.blocks.values()
+        if b.dim and dirac_scalar_pairing(datum, lam, b.nu + datum.rho1) == 0
+    ]
+    return {
+        b.drop for b in coll.blocks.values() if any(in_even_cone(z, cone_sums(b.nu)) for z in zero)
+    }
+
+
+# the golden, refuted and Verma inputs above, the refuted inputs at larger N,
+# an atypical input at N=24 and the conformance grid of `test_conformance.py`
+RANK_FREE_INPUTS = {
+    **SHORTCUT_INPUTS,
+    "sl21-refuted-N8": (SL21, "0,0|-1", 8, "simple"),
+    "sl21-refuted-100-N8": (SL21, "1,0|0", 8, "simple"),
+    "gl33-refuted-N4": (GL33, "-3,0,0|1,1,1", 4, "simple"),
+    "sl21-atypical-N24": (SL21, "-1,0|0", 24, "simple"),
+    **{f"grid-{w}-N{h}": (g, w, h, "simple") for g, h, w in CONFORMANCE_GRID},
+}
+
+
+@pytest.mark.parametrize("name", [*RANK_FREE_INPUTS, "by-degree"])
+def test_cohomology_outside_the_zero_scalar_cone_matches_the_rank_path(name):
+    """On every block, the `BlockCohomology` of `dirac_cohomology` equals
+    `block_cohomology`'s, every field and the classes included. Some block
+    lies outside the zero-scalar cone, where ker D = 0, on every input but
+    those at the zero weight (the trivial module, its Verma module and the
+    trivial modules assembled by degree), whose blocks all lie in it."""
+    if name == "by-degree":
+        colls = [_degree_collection(group) for group in (SL21, SL22, SL23, GL33)]
+        zero_weight = True
+    else:
+        colls = [_collection(*RANK_FREE_INPUTS[name])]
+        zero_weight = colls[0].module.highest_weight.is_zero()
+    outside = 0
+    for coll in colls:
+        cone = _below_zero_scalar(coll)
+        report = dirac.dirac_cohomology(coll)
+        assert list(report.per_block) == list(coll.blocks)
+        for nu, block in coll.blocks.items():
+            bc = dirac.block_cohomology(block)
+            assert report.per_block[nu] == bc, nu.text()
+            if block.drop not in cone:
+                outside += 1
+                assert bc.ker == 0, nu.text()
+    assert bool(outside) != zero_weight
+
+
+def test_an_even_simple_truncation_takes_every_rank():
+    """The negative control: the even-simple truncation of sl(2|1) -2,1|1 at
+    N=6 is a g0-module only, so the D^2 formula on highest vectors fails
+    and 24 blocks outside the zero-scalar cone have ker D != 0. Cohomology
+    still equals the rank path on every block: it takes ranks on every
+    block of a kind other than simple or Verma."""
+    datum = build_root_datum(*SL21)
+    lam = parse_weight("-2,1|1", datum.m, datum.n)
+    coll = dirac.assemble_all(modules.even_simple_truncation(datum, lam, 6), 6)
+    cone = _below_zero_scalar(coll)
+    ranked = {nu: dirac.block_cohomology(b) for nu, b in coll.blocks.items()}
+    assert sum(b.drop not in cone and ranked[nu].ker > 0 for nu, b in coll.blocks.items()) == 24
+    assert dirac.dirac_cohomology(coll).per_block == ranked
+
+
+@pytest.mark.parametrize(
+    "group, weight, height", [(SL21, "-2,1|1", 6), (SL23, "-3,0|1,1,1", 4)], ids=["sl21", "sl23"]
+)
+def test_no_rank_is_taken_outside_the_zero_scalar_cone(group, weight, height, monkeypatch):
+    """Counting `exactla.rank` calls by the block whose `block_cohomology`
+    makes them: `dirac_cohomology` takes ranks only on blocks below a
+    zero-scalar block, and on the others forms no D^2 and never reads the
+    predicate."""
+    coll = _collection(group, weight, height, "simple")
+    cone = _below_zero_scalar(coll)
+    rank, block_cohomology = exactla.rank, dirac.block_cohomology
+    current, ranked = [], []
+
+    def counted_block_cohomology(block):
+        current.append(block)
+        try:
+            return block_cohomology(block)
+        finally:
+            current.pop()
+
+    def counted_rank(a):
+        ranked.append(current[-1].drop if current else None)
+        return rank(a)
+
+    monkeypatch.setattr(dirac, "block_cohomology", counted_block_cohomology)
+    monkeypatch.setattr(exactla, "rank", counted_rank)
+    dirac.dirac_cohomology(coll)
+    assert ranked and set(ranked) <= cone
+    outside = [b for b in coll.blocks.values() if b.drop not in cone]
+    assert outside and not any({"D2", "definite_anti_selfadjoint"} & vars(b).keys() for b in outside)
 
 
 # ----- the g0-constituents -----------------------------------------------------------
