@@ -8,15 +8,19 @@ cohomological degree of the oscillator monomial by one, and the Kostant
 differential d is the degree-raising half of D/2 (d' is minus its
 G-adjoint), read off D where it is asked for.
 
-Over a g-module, Dirac cohomology takes ranks only on the blocks below a
-block whose D^2 scalar is 0: on every other block D is invertible, read off
-the weights (`dirac_cohomology`). Each block decides once whether its Gram
-form G is positive definite and D^T G + G D = 0
+Dirac cohomology is counted by ranks: H_D = ker D / (ker D cap im D) per
+block, and its compact k-types are the dimension of the classes every
+compact X_D sends into im D (`hd_ktype_table`); no class vector is formed.
+Over a g-module, it takes ranks only on the blocks below a block whose D^2
+scalar is 0: on every other block D is invertible, read off the weights
+(`dirac_cohomology`). Each block decides once whether its Gram form G is
+positive definite and D^T G + G D = 0
 (`DiracBlock.definite_anti_selfadjoint`). Where it holds, ker D cap im D = 0
 and D^2 is diagonalizable (Huang-Pandzic), so `block_cohomology` takes no
 rank of D^2 and `dirac_square_audit` forms no product of the (D^2 - c);
-every other block computes both as before. Both shortcuts rest on
-X_D D = D X_D, which `raising_maps` asserts on every map it builds.
+every other block computes both as before. Both shortcuts and the k-type
+count rest on X_D D = D X_D, which `raising_maps` asserts on every map it
+builds.
 """
 
 from __future__ import annotations
@@ -491,9 +495,6 @@ class BlockCohomology:
     ker_cap_im: int
     hd_plus: int
     hd_minus: int
-    # explicit coordinates: kernel vectors per parity
-    hd_plus_classes: list[tuple[int, ...]] = field(default_factory=list)
-    hd_minus_classes: list[tuple[int, ...]] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -540,8 +541,8 @@ class CohomologyReport:
 
 
 def block_cohomology(block: DiracBlock) -> BlockCohomology:
-    """H_D of one block from the ranks of B and C, and where needed of the
-    halves of D^2.
+    """H_D of one block, as counts, from the ranks of B and C, and where
+    needed of the halves of D^2.
 
     D swaps oscillator parity, so on (even, odd) coordinates D = [[0, B], [C, 0]]
     with B: odd -> even and C: even -> odd. Then ker D = ker C + ker B and
@@ -581,38 +582,7 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
         cap_plus + cap_minus,
         hd_plus,
         hd_minus,
-        _classes(c, b, even, block.dim, cap_plus) if hd_plus else [],
-        _classes(b, c, odd, block.dim, cap_minus) if hd_minus else [],
     )
-
-
-def _classes(
-    kill: SparseRationalMatrix,
-    image: SparseRationalMatrix,
-    support: list[int],
-    dim: int,
-    cap: int,
-) -> list[tuple[int, ...]]:
-    """Class representatives for ker(kill) / (ker(kill) cap im(image)), lifted
-    from the coordinates `support` to the whole block; `cap` is the
-    dimension of that intersection. Kernel vectors are independent modulo
-    the intersection exactly when they are independent modulo im(image), so
-    the kernel vectors that raise the rank of one elimination of the columns
-    of `image` followed by them are picked. Where cap = 0, every kernel
-    vector is a class and no elimination is taken."""
-    kernel = exactla.kernel_basis(kill)
-    picked = (
-        range(len(kernel))
-        if cap == 0
-        else exactla.independent_modulo(image.transpose().nonzero_rows(), kernel)
-    )
-    out = []
-    for k in picked:
-        vec = [0] * dim
-        for pos, x in zip(support, kernel[k]):
-            vec[pos] = x
-        out.append(tuple(vec))
-    return out
 
 
 def dirac_cohomology(coll: BlockCollection) -> CohomologyReport:
@@ -620,9 +590,9 @@ def dirac_cohomology(coll: BlockCollection) -> CohomologyReport:
     only the blocks below a zero-scalar block take ranks: let Z be the
     nonempty blocks where the D^2 scalar s of `modules.dirac_scalar` is 0,
     a weight computation. A block with no block of Z above it in the even
-    cone has D invertible, so ker = ker cap im = H_D^+- = 0 and no classes;
-    it takes no rank, no submatrix and no predicate. Every other block goes
-    through `block_cohomology`.
+    cone has D invertible, so ker = ker cap im = H_D^+- = 0; it takes no
+    rank, no submatrix and no predicate. Every other block goes through
+    `block_cohomology`.
 
     1. Take a generalized eigenvector of D^2 with eigenvalue c on the block.
     2. Each X_D commutes with D, so it keeps generalized eigenspaces.
@@ -665,12 +635,18 @@ def hd_ktype_table(
     coll: BlockCollection, report: CohomologyReport, sign: int
 ) -> dict[Weight, int]:
     """Compact-type multiplicities of H_D^+ (sign=+1) or H_D^- (sign=-1): the
-    classes killed by every compact raising operator."""
-    # X_D commutes with D (`raising_maps` asserts it), so it maps kernel
-    # vectors to ker D of the target block, and a kernel vector lies in
-    # ker D cap im D iff it lies in im D: reducing modulo im D gives the
-    # target class. Where ker D cap im D = 0 the reduction is injective on
-    # ker D and is skipped.
+    dimension of the classes killed by every compact raising operator, from
+    two ranks per block with h = hd^+- != 0.
+
+    Let P be the coordinates of that parity and K the v in V_P with D v = 0
+    and X_D v in im D for every compact X. X_D commutes with D (`raising_maps`
+    asserts it), so it maps ker D to ker D of its target block, where a
+    kernel vector is a zero class iff it lies in im D; and K holds
+    ker D cap im D cap V_P, since X_D D w = D X_D w. So the killed classes
+    number dim K - (dim(ker D cap V_P) - h) = h - (rk S - rk D_P), where D_P
+    is D on P and S stacks D_P over each X_D on P reduced modulo im D of its
+    target: the kernel of S is K. Where the target has ker D cap im D = 0,
+    X_D v lies in im D only if it is 0, and the reduction is skipped."""
     reducers: dict[Drop, SparseRationalMatrix | None] = {}
 
     def reduction(tgt: DiracBlock) -> SparseRationalMatrix | None:
@@ -682,24 +658,21 @@ def hd_ktype_table(
             )
         return reducers[tgt.drop]
 
+    parity = 0 if sign > 0 else 1
     table: dict[Weight, int] = {}
     for nu, bc in report.per_block.items():
-        classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
-        if not classes:
+        h = bc.hd_plus if sign > 0 else bc.hd_minus
+        if not h:
             continue
         block = coll.blocks[nu]
-        # the classes as the columns of one matrix
-        reps = SparseRationalMatrix(
-            block.dim,
-            len(classes),
-            {(i, j): x for j, v in enumerate(classes) for i, x in enumerate(v) if x},
-        )
-        mats = []
+        cols = [i for i, p in enumerate(block.parity) if p == parity]
+        kill = block.D.submatrix(list(range(block.dim)), cols)
+        stack = [kill]
         for tgt, x in raising_maps(coll, block, "compact"):
+            x = x.submatrix(list(range(tgt.dim)), cols)
             r = reduction(tgt)
-            mats.append(x if r is None else r.matmul(x))
-        stack = exactla.vstack(mats, block.dim)
-        k = len(classes) - exactla.rank(stack.matmul(reps))
+            stack.append(x if r is None else r.matmul(x))
+        k = h - exactla.rank(exactla.vstack(stack, len(cols))) + exactla.rank(kill)
         if k:
             table[nu] = k
     return table

@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 An exact entry is an `int` when it is integral and a `Fraction` otherwise
-(`_rat`), so integer matrices multiply and add on ints. Ranks, kernels,
-independent subsets and quotient coordinates come from one sparse
-fraction-free elimination over row dicts (`_rref`); kernels and quotients
-back-substitute its echelon rows. Definiteness certificates for symmetric
+(`_rat`), so integer matrices multiply and add on ints. Ranks, kernels and
+quotient coordinates come from one sparse fraction-free elimination over
+row dicts (`_rref`); kernels and quotients back-substitute its echelon
+rows. Its pivots and row space are the RREF's, so none of the three depends
+on the order of the input rows. Definiteness certificates for symmetric
 Gram matrices clear the same integer rows (`_clear`) as a congruence, and
 only `quotient` and the pivots and witnesses of `definiteness` divide.
 Pivoting is deterministic, so results are reproducible bit-for-bit.
@@ -158,35 +159,33 @@ def _integer_row(row: Row) -> dict[int, int]:
     return {j: int(x * den) for j, x in items if x}
 
 
-def _rref(rows: Iterable[Row]) -> tuple[dict[int, dict[int, int]], list[int]]:
-    """One sparse fraction-free elimination: (echelon rows by pivot column,
-    indices of the input rows that raised the rank). Each row is scaled to
-    integers and its leftmost column cleared (`_clear`) while that is a kept
-    pivot; a nonzero remainder is kept, primitive, with it as pivot. Kept rows
-    lie at or right of their pivots, which are the RREF's."""
+def _rref(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
+    """One sparse fraction-free elimination: the echelon rows by pivot
+    column. Each row is scaled to integers and its leftmost column cleared
+    (`_clear`) while that is a kept pivot; a nonzero remainder is kept,
+    primitive, with it as pivot. Kept rows lie at or right of their pivots,
+    which are the RREF's, and span its row space."""
     echelon: dict[int, dict[int, int]] = {}
-    raised: list[int] = []
-    for i, row in enumerate(rows):
+    for row in rows:
         v = _integer_row(row)
         while v:
             c = min(v)
             if c not in echelon:
                 echelon[c] = _primitive(v)
-                raised.append(i)
                 break
             _clear(v, echelon[c], c)
-    return echelon, raised
+    return echelon
 
 
 def rank(a: SparseRationalMatrix) -> int:
-    return len(_rref(a.nonzero_rows())[0])
+    return len(_rref(a.nonzero_rows()))
 
 
 def _kernel(rows: Iterable[Row], cols: int) -> list[tuple[int, dict[int, int]]]:
     """(f, v) for each free column f of the rows' RREF, v its RREF kernel vector
     (1 at f, 0 at the other free columns) times a positive integer, primitive
     and sparse: back-substituted through the echelon rows, rightmost first."""
-    echelon = _rref(rows)[0]
+    echelon = _rref(rows)
     pivots = sorted(echelon, reverse=True)
     out = []
     for f in range(cols):
@@ -209,15 +208,6 @@ def kernel_basis(a: SparseRationalMatrix) -> list[tuple[int, ...]]:
     free column, a positive multiple of its RREF kernel vector."""
     basis = _kernel(a.nonzero_rows(), a.cols)
     return [tuple([v.get(j, 0) for j in range(a.cols)]) for _, v in basis]
-
-
-def independent_modulo(span: Sequence[Row], candidates: Sequence[Row]) -> list[int]:
-    """Indices of the candidates that, taken in order, are independent modulo
-    span(span) and the candidates chosen before them: the candidates that
-    raise the rank of one elimination of the span rows and then the
-    candidates."""
-    raised = _rref([*span, *candidates])[1]
-    return [i - len(span) for i in raised if i >= len(span)]
 
 
 @dataclass

@@ -41,10 +41,12 @@
   integer-drop `modules.dirac_scalar`), and the g0-highest vectors of a
   block from one kernel of the maps built generator by generator (the
   oracle for `dirac.raising_maps`), beside the kernel of those maps as the
-  square audit stacks them; ker D cap im D from explicit bases, and the
-  H_D tables of classes killed by the even or the compact raising
-  operators, one generator at a time (the oracle for
-  `dirac.hd_ktype_table`, and the g0-types of H_D).
+  square audit stacks them; ker D cap im D from explicit bases, H_D from
+  them with explicit class vectors (the oracle for the rank counts of
+  `dirac.block_cohomology`), and the H_D tables of those classes killed by
+  the even or the compact raising operators, one generator at a time (the
+  oracle for the rank count of `dirac.hd_ktype_table`, and the g0-types of
+  H_D).
 - The odd-subset oracles (the oracles for `weights.subset_labels` and
   `modules.even_character_sum`): Gamma_S as a sum of root weights, the
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
@@ -759,19 +761,82 @@ def cap_basis(block):
     return intersect(exactla.kernel_basis(block.D), im_basis, dim)
 
 
-def oracle_ktype_table(coll, per_block, sign, raising_set):
+def classes_mod(kernel, cap):
+    """Kernel vectors extending a basis of cap to a basis of the kernel."""
+    chosen = []
+    rows = [list(v) for v in cap]
+    cur_rank = len(fraction_rref(rows)[1]) if rows else 0
+    for v in kernel:
+        trial = rows + [list(v)]
+        r = len(fraction_rref(trial)[1])
+        if r > cur_rank:
+            chosen.append(v)
+            rows = trial
+            cur_rank = r
+    return chosen
+
+
+def _parity_split(block, vectors):
+    even, odd = [], []
+    for v in vectors:
+        ve = tuple(x if p == 0 else Fraction(0) for x, p in zip(v, block.parity))
+        vo = tuple(x if p == 1 else Fraction(0) for x, p in zip(v, block.parity))
+        if any(ve):
+            even.append(ve)
+        if any(vo):
+            odd.append(vo)
+    return independent_vectors(even), independent_vectors(odd)
+
+
+@dataclass
+class OracleCohomology:
+    """H_D of one block from explicit bases: the counts, and class
+    representatives of H_D^+ and H_D^- (kernel vectors of each parity that
+    extend a basis of ker D cap im D there)."""
+
+    counts: dirac.BlockCohomology
+    plus: list
+    minus: list
+
+
+def oracle_block_cohomology(block):
+    """H_D = ker D / (ker D cap im D) from explicit bases of both spaces."""
+    ker_even, ker_odd = _parity_split(block, exactla.kernel_basis(block.D))
+    cap_even, cap_odd = _parity_split(block, cap_basis(block))
+    n_even = sum(1 for p in block.parity if p == 0)
+    counts = dirac.BlockCohomology(
+        block.nu,
+        block.dim,
+        n_even,
+        block.dim - n_even,
+        len(ker_even) + len(ker_odd),
+        len(cap_even) + len(cap_odd),
+        len(ker_even) - len(cap_even),
+        len(ker_odd) - len(cap_odd),
+    )
+    return OracleCohomology(counts, classes_mod(ker_even, cap_even), classes_mod(ker_odd, cap_odd))
+
+
+def oracle_cohomology(coll):
+    """`oracle_block_cohomology` of every block, by weight."""
+    return {nu: oracle_block_cohomology(b) for nu, b in coll.blocks.items()}
+
+
+def oracle_ktype_table(coll, oracle, sign, raising_set):
     """Classes of H_D^+ (sign=+1) or H_D^- (sign=-1) killed by every even
     ("even", H_D's g0-highest weights) or compact ("compact", the oracle for
     `dirac.hd_ktype_table`) raising operator, one generator at a time, each
-    image reduced modulo ker D cap im D of the target block."""
+    image reduced modulo ker D cap im D of the target block. The classes and
+    the intersections are the intersection oracle's (`oracle_cohomology`),
+    not the report under test's."""
     alg = coll.module.alg
     raising = [g for g in modules.generators(alg, +1, "all") if alg.parity(g) == 0]
     if raising_set == "compact":
         compact = {r.weight.coords() for r in coll.module.datum.pos_compact}
         raising = [g for g in raising if alg.gen_root(g).coords() in compact]
     table = {}
-    for nu, bc in per_block.items():
-        classes = bc.hd_plus_classes if sign > 0 else bc.hd_minus_classes
+    for nu, ob in oracle.items():
+        classes = ob.plus if sign > 0 else ob.minus
         if not classes:
             continue
         stacked = []
@@ -781,7 +846,7 @@ def oracle_ktype_table(coll, per_block, sign, raising_set):
             if tgt is None:
                 continue
             m = dirac.diagonal_action_matrix(coll.blocks[nu], tgt, g)
-            cap = cap_basis(tgt) if per_block[target_nu].ker_cap_im else []
+            cap = cap_basis(tgt) if oracle[target_nu].counts.ker_cap_im else []
             reduction = exactla.quotient(cap, tgt.dim).reduction
             imgs = [reduction.apply(m.apply(v)) for v in classes]
             for r in range(len(imgs[0])):

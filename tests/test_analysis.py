@@ -5,7 +5,12 @@ import functools
 
 import pytest
 
-from _helpers import character_formula_per_mu, compact_character_old_bound, oracle_ktype_table
+from _helpers import (
+    character_formula_per_mu,
+    compact_character_old_bound,
+    oracle_cohomology,
+    oracle_ktype_table,
+)
 from superdirac import analysis, cli, dirac, modules, oscillator, uea
 from superdirac.weights import build_root_datum, parse_weight, subset_labels
 
@@ -174,10 +179,11 @@ def test_character_formula_rejects_unknown_variant(coll_typical3):
 
 
 # ----- consistency audits ---------------------------------------------------------------
-def test_vogan_consistency(coll_typical3, rep_typical3, d21, lam_typical):
+def test_vogan_consistency(coll_typical3, d21, lam_typical):
+    oracle = oracle_cohomology(coll_typical3)
     hw = set()
     for sign in (+1, -1):
-        hw.update(oracle_ktype_table(coll_typical3, rep_typical3.per_block, sign, "even"))
+        hw.update(oracle_ktype_table(coll_typical3, oracle, sign, "even"))
     assert hw  # at least the top class
     assert analysis.vogan_consistency(d21, lam_typical, hw)
 

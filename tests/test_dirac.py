@@ -6,7 +6,7 @@ import operator
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,10 +28,11 @@ from _helpers import (
     highest_vectors_per_generator,
     identity_matrix,
     in_even_cone,
-    independent_vectors,
     is_positive_multiple,
     kostant_per_degree,
     monomials_of_degree,
+    oracle_block_cohomology,
+    oracle_cohomology,
     oracle_ktype_table,
     quarters_adjoint,
     scaled,
@@ -194,7 +195,7 @@ def test_hd_ktype_tables_consistent(coll_typical3, rep_typical3):
     per_block = rep_typical3.per_block
     assert plus == {nu: bc.hd_plus for nu, bc in per_block.items() if bc.hd_plus}
     assert minus == {nu: bc.hd_minus for nu, bc in per_block.items() if bc.hd_minus}
-    even_plus = oracle_ktype_table(coll_typical3, per_block, +1, "even")
+    even_plus = oracle_ktype_table(coll_typical3, oracle_cohomology(coll_typical3), +1, "even")
     assert sum(even_plus.values()) <= sum(plus.values())
 
 
@@ -287,52 +288,6 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
 
 
 # ----- oracles: intersection-based cohomology and the even-cone search ---------------
-def _classes_mod(kernel, cap):
-    """Kernel vectors extending a basis of cap to a basis of the kernel."""
-    chosen = []
-    rows = [list(v) for v in cap]
-    cur_rank = len(fraction_rref(rows)[1]) if rows else 0
-    for v in kernel:
-        trial = rows + [list(v)]
-        r = len(fraction_rref(trial)[1])
-        if r > cur_rank:
-            chosen.append(v)
-            rows = trial
-            cur_rank = r
-    return chosen
-
-
-def _parity_split(block, vectors):
-    even, odd = [], []
-    for v in vectors:
-        ve = tuple(x if p == 0 else Fraction(0) for x, p in zip(v, block.parity))
-        vo = tuple(x if p == 1 else Fraction(0) for x, p in zip(v, block.parity))
-        if any(ve):
-            even.append(ve)
-        if any(vo):
-            odd.append(vo)
-    return independent_vectors(even), independent_vectors(odd)
-
-
-def _oracle_block_cohomology(block):
-    """H_D = ker D / (ker D cap im D) from explicit bases of both spaces."""
-    ker_even, ker_odd = _parity_split(block, exactla.kernel_basis(block.D))
-    cap_even, cap_odd = _parity_split(block, cap_basis(block))
-    n_even = sum(1 for p in block.parity if p == 0)
-    return dirac.BlockCohomology(
-        block.nu,
-        block.dim,
-        n_even,
-        block.dim - n_even,
-        len(ker_even) + len(ker_odd),
-        len(cap_even) + len(cap_odd),
-        len(ker_even) - len(cap_even),
-        len(ker_odd) - len(cap_odd),
-        _classes_mod(ker_even, cap_even),
-        _classes_mod(ker_odd, cap_odd),
-    )
-
-
 def _even_cone_search(datum):
     """Membership in the cone of positive even roots by depth-first search
     over the roots; the search memo is shared by every call for this datum."""
@@ -373,6 +328,13 @@ SL21, SL22, SL23, GL33 = (2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)
         (GL33, "-3,0,0|1,1,1", 2, "simple", 2),
         # the first input found where reducing modulo im D changes a table
         (GL33, "-3,0,0|1,1,1", 4, "simple", 24),
+        # inputs with compact roots (sl(2|1) at p=1 has none, so its tables
+        # are its hd counts), on each of which the k-type count changes
+        # when the rows of D are left out of its stack
+        (SL22, "-3,1|1,1", 6, "simple", None),
+        (SL23, "-3,0|1,1,1", 4, "simple", None),
+        (SL23, "-3,0|1,1,0", 4, "simple", None),
+        (GL33, "-2,-2,1|1,1,1", 4, "simple", None),
     ],
 )
 def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind, ker_cap_im):
@@ -381,19 +343,49 @@ def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind
     build = modules.simple_truncation if kind == "simple" else modules.verma_truncation
     coll = dirac.assemble_all(build(datum, lam, height), height)
     report = dirac.dirac_cohomology(coll)
-    oracle = {nu: _oracle_block_cohomology(b) for nu, b in coll.blocks.items()}
+    oracle = oracle_cohomology(coll)
     for nu, bc in report.per_block.items():
-        assert bc.to_json() == oracle[nu].to_json()
+        assert bc == oracle[nu].counts
         assert highest_vectors(coll, nu) == highest_vectors_per_generator(coll, nu)
-        classes = bc.hd_plus_classes + bc.hd_minus_classes
-        assert (len(bc.hd_plus_classes), len(bc.hd_minus_classes)) == (bc.hd_plus, bc.hd_minus)
-        assert all(not any(coll.blocks[nu].D.apply(v)) for v in classes)
     if ker_cap_im is not None:
         assert sum(bc.ker_cap_im for bc in report.per_block.values()) == ker_cap_im
     for sign in (+1, -1):
         assert dirac.hd_ktype_table(coll, report, sign) == oracle_ktype_table(
             coll, oracle, sign, "compact"
         )
+
+
+def test_dropping_either_ingredient_of_the_ktype_count_changes_a_table(monkeypatch):
+    """The negative controls of the rank count, on the H_D^+ total (3 on
+    both inputs, as the oracle has it): with no image reduced modulo im D (a
+    report whose ker D cap im D is 0 on every block) gl(3|3) -3,0,0|1,1,1
+    at N=4 gives 1, and with the rows of D left out of the stack sl(2|2)
+    -3,1|1,1 at N=6 gives 11."""
+
+    def plus_totals(case):
+        """The collection, its report and the oracle's H_D^+ total."""
+        coll = _collection(*case, "simple")
+        table = oracle_ktype_table(coll, oracle_cohomology(coll), +1, "compact")
+        return coll, dirac.dirac_cohomology(coll), sum(table.values())
+
+    def total(coll, report):
+        return sum(dirac.hd_ktype_table(coll, report, +1).values())
+
+    coll, report, oracle = plus_totals((GL33, "-3,0,0|1,1,1", 4))
+    assert total(coll, report) == oracle == 3
+    blocks = {nu: replace(bc, ker_cap_im=0) for nu, bc in report.per_block.items()}
+    assert total(coll, replace(report, per_block=blocks)) == 1
+    coll, report, oracle = plus_totals((SL22, "-3,1|1,1", 6))
+    assert total(coll, report) == oracle == 3
+    vstack = exactla.vstack
+    monkeypatch.setattr(exactla, "vstack", lambda mats, cols: vstack(mats[1:], cols))
+    assert total(coll, report) == 11
+
+
+def test_block_cohomology_holds_counts_only(rep_typical3):
+    """The per-block record is what its JSON shows: counts, no vectors."""
+    bc = next(iter(rep_typical3.per_block.values()))
+    assert [f.name for f in fields(dirac.BlockCohomology)] == list(bc.to_json())
 
 
 @settings(max_examples=80, deadline=None)
@@ -434,7 +426,7 @@ def test_block_ranks_match_sympy(data):
     assert bc.ker_cap_im == (rk_b - rk_cb) + (rk_c - rk_bc)
     assert bc.hd_plus == (n_even - rk_c) - (rk_b - rk_cb)
     assert bc.hd_minus == (n_odd - rk_b) - (rk_c - rk_bc)
-    assert bc.to_json() == _oracle_block_cohomology(block).to_json()
+    assert bc == oracle_block_cohomology(block).counts
 
 
 @pytest.mark.parametrize(
@@ -1033,9 +1025,8 @@ def test_dirac_entries_split_by_cohomological_degree(name):
 def _outputs(coll):
     """Everything cohomology, the k-type tables and the square audit report."""
     report = dirac.dirac_cohomology(coll)
-    classes = [(bc.hd_plus_classes, bc.hd_minus_classes) for bc in report.per_block.values()]
     tables = [dirac.hd_ktype_table(coll, report, sign) for sign in (+1, -1)]
-    return report.to_json(), classes, tables, dirac.dirac_square_audit(coll).to_json()
+    return report.to_json(), tables, dirac.dirac_square_audit(coll).to_json()
 
 
 def _chain_product(coll, audit, block):
@@ -1091,8 +1082,8 @@ def test_raising_maps_commute_with_the_operator(case):
 @pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))
 def test_forcing_the_predicate_false_changes_no_output(case, monkeypatch):
     """With `definite_anti_selfadjoint` False on every block (the four-rank
-    cohomology and the product chain everywhere), cohomology, its classes,
-    both k-type tables and the square audit report the same."""
+    cohomology and the product chain everywhere), cohomology, both k-type
+    tables and the square audit report the same."""
     coll = _collection(*SHORTCUT_INPUTS[case])
     shortcut = _outputs(coll)
     assert any(block.definite_anti_selfadjoint for block in coll.blocks.values())
@@ -1159,7 +1150,7 @@ def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
     squared = _spy_squares(monkeypatch)
     report = dirac.dirac_cohomology(coll)
     assert squared and all(b is spoiled for b in squared)
-    assert report.per_block[spoiled.nu].to_json() == _oracle_block_cohomology(spoiled).to_json()
+    assert report.per_block[spoiled.nu] == oracle_block_cohomology(spoiled).counts
     squared.clear()
     with pytest.raises(AssertionError, match="X_D does not commute with D at nu="):
         dirac.dirac_square_audit(coll)
@@ -1236,10 +1227,11 @@ RANK_FREE_INPUTS = {
 @pytest.mark.parametrize("name", [*RANK_FREE_INPUTS, "by-degree"])
 def test_cohomology_outside_the_zero_scalar_cone_matches_the_rank_path(name):
     """On every block, the `BlockCohomology` of `dirac_cohomology` equals
-    `block_cohomology`'s, every field and the classes included. Some block
-    lies outside the zero-scalar cone, where ker D = 0, on every input but
-    those at the zero weight (the trivial module, its Verma module and the
-    trivial modules assembled by degree), whose blocks all lie in it."""
+    `block_cohomology`'s, every field, and both compact k-type tables read
+    off either report agree. Some block lies outside the zero-scalar cone,
+    where ker D = 0, on every input but those at the zero weight (the
+    trivial module, its Verma module and the trivial modules assembled by
+    degree), whose blocks all lie in it."""
     if name == "by-degree":
         colls = [_degree_collection(group) for group in (SL21, SL22, SL23, GL33)]
         zero_weight = True
@@ -1251,12 +1243,17 @@ def test_cohomology_outside_the_zero_scalar_cone_matches_the_rank_path(name):
         cone = _below_zero_scalar(coll)
         report = dirac.dirac_cohomology(coll)
         assert list(report.per_block) == list(coll.blocks)
+        ranked = {nu: dirac.block_cohomology(block) for nu, block in coll.blocks.items()}
         for nu, block in coll.blocks.items():
-            bc = dirac.block_cohomology(block)
+            bc = ranked[nu]
             assert report.per_block[nu] == bc, nu.text()
             if block.drop not in cone:
                 outside += 1
                 assert bc.ker == 0, nu.text()
+        for sign in (+1, -1):
+            assert dirac.hd_ktype_table(coll, report, sign) == dirac.hd_ktype_table(
+                coll, replace(report, per_block=ranked), sign
+            )
     assert bool(outside) != zero_weight
 
 
@@ -1368,10 +1365,11 @@ def test_constituents_with_scalar_zero_fix_the_cohomology(group, weight, height)
     datum = coll.module.datum
     cert = modules.certify_unitarity(datum, coll.module.highest_weight, height, coll.module)
     assert cert.verdict == "certified-up-to-N"
-    report = dirac.dirac_cohomology(coll)
+    oracle = oracle_cohomology(coll)
+    assert dirac.dirac_cohomology(coll).per_block == {nu: o.counts for nu, o in oracle.items()}
     table = Counter()
     for sign in (1, -1):
-        table.update(oracle_ktype_table(coll, report.per_block, sign, "even"))
+        table.update(oracle_ktype_table(coll, oracle, sign, "even"))
     entries = dirac.g0_constituents(coll)
     assert dict(table) == {e.nu0: e.multiplicity for e in entries if e.measured == 0}
     assert all(e.s >= 0 for e in entries)
