@@ -86,13 +86,21 @@ class DiracBlock:
         return self.D.matmul(self.D)
 
     @functools.cached_property
+    def gram_D(self) -> SparseRationalMatrix:
+        """G D, kept between its two readers so it is formed once: the
+        predicate reads it where every module form is definite, and
+        `anti_selfadjoint_certificate` reads it and drops it."""
+        return self.gram.matmul(self.D)
+
+    @functools.cached_property
     def definite_anti_selfadjoint(self) -> bool:
         """G is positive definite and D^T G + G D = 0, decided once per block.
 
         G is the module form times a! on each (module block, x^a), so it is
         positive definite iff the form of every module block in the basis
-        is; each module block caches its certificate. G is symmetric, so the
-        identity says that G D (formed here, not kept) is antisymmetric.
+        is; each module block caches its certificate. Only then is G D
+        formed (`gram_D`): G is symmetric, so the identity says that G D is
+        antisymmetric.
         Then G D^2 = -D^T G D, so D^2 is G-selfadjoint, hence diagonalizable
         over the reals, and ker D cap im D = 0: for v = D w with D v = 0,
         <v, v> = <D w, v> = -<w, D v> = 0, so v = 0 (Huang-Pandzic, JAMS 15,
@@ -101,7 +109,7 @@ class DiracBlock:
         drops = {e[0] for e in self.basis}
         if any(self.module.by_drop[d].definiteness.verdict != "positive-definite" for d in drops):
             return False
-        g_D = self.gram.matmul(self.D).entries
+        g_D = self.gram_D.entries
         return not any(v + g_D.get((j, i), 0) for (i, j), v in g_D.items())
 
     @functools.cached_property
@@ -293,8 +301,10 @@ def raising_maps(
     """(target block, X_D from the block to it) for each raising generator of
     `restriction` ("even" or "compact", as `modules.generators` selects
     them) whose target block exists. D is g0-equivariant, so this raises
-    unless X_D D = D X_D on every map it builds: the square audit, the
-    k-type tables and the rank-free blocks of `dirac_cohomology` rest on it."""
+    unless X_D D = D X_D on every map it builds, checked by one accumulation
+    of D X_D - X_D D (`exactla.intertwines`; neither product is formed): the
+    square audit, the k-type tables and the rank-free blocks of
+    `dirac_cohomology` rest on it."""
     alg = coll.module.alg
     maps = []
     for g in modules.generators(alg, +1, restriction):
@@ -303,7 +313,7 @@ def raising_maps(
         # empty; the map is zero there
         if tgt is not None:
             x = diagonal_action_matrix(block, tgt, g)
-            if tgt.D.matmul(x) != x.matmul(block.D):
+            if not exactla.intertwines(x, block.D, tgt.D):
                 raise AssertionError(f"X_D does not commute with D at nu={block.nu.text()}")
             maps.append((tgt, x))
     return maps
@@ -551,20 +561,18 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
     Where `DiracBlock.definite_anti_selfadjoint` holds, both vanish, and
     rk B = rk C: G is diagonal in the oscillator monomials, so it splits as
     G_even + G_odd, and D^T G + G D = 0 gives B = -G_even^-1 C^T G_odd. The
-    predicate is read only where rk C is nonzero; where it holds, no rk B,
-    D^2 or D^2-half rank is taken. Elsewhere D^2 = [[BC, 0], [0, CB]], so
-    rk CB and rk BC are the ranks of its parity halves, read off the
-    block's one cached D^2 (the square audit's).
+    predicate is read only where rk C is nonzero; where it holds, B is not
+    formed and no rk B, D^2 or D^2-half rank is taken. Elsewhere
+    D^2 = [[BC, 0], [0, CB]], so rk CB and rk BC are the ranks of its parity
+    halves, read off the block's one cached D^2 (the square audit's).
     """
     even = [i for i, p in enumerate(block.parity) if p == 0]
     odd = [i for i, p in enumerate(block.parity) if p == 1]
-    b = block.D.submatrix(even, odd)
-    c = block.D.submatrix(odd, even)
-    rk_c = exactla.rank(c)
+    rk_c = exactla.rank(block.D.submatrix(odd, even))
     if rk_c and block.definite_anti_selfadjoint:
         rk_b, cap_plus, cap_minus = rk_c, 0, 0
     else:
-        rk_b = exactla.rank(b)
+        rk_b = exactla.rank(block.D.submatrix(even, odd))
         cap_plus, cap_minus = rk_b, rk_c  # CB and BC vanish when B or C does
         if rk_b and rk_c:
             cap_plus -= exactla.rank(block.D2.submatrix(odd, odd))
@@ -695,11 +703,15 @@ class AdjointCertificate:
 
 def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     """D^T G + G D = 0 (`ok`) and 2(d^T G - G d) + G D = 0 (`halves_adjoint`:
-    d' = D/2 - d is minus the G-adjoint of d) from two products, G D and
-    G d: G is symmetric, so D^T G = (G D)^T and d^T G = (G d)^T, and both
-    sides are read entry by entry off the two products. No package code
-    reads it; `DiracBlock.definite_anti_selfadjoint` tests the first
-    identity on its own G D.
+    d' = D/2 - d is minus the G-adjoint of d) from two products: the block's
+    G D (`DiracBlock.gram_D`, formed here unless the predicate formed it;
+    the block does not keep it after this call) and G d, formed on each
+    call. G is symmetric, so D^T G = (G D)^T and
+    d^T G = (G d)^T: the first identity is read entry by entry off G D, and
+    the left side of the second is added up in one pass over the entries of
+    G d on top of a copy of G D. No package code reads it;
+    `DiracBlock.definite_anti_selfadjoint` tests the first identity on the
+    same G D.
 
     The two identities are equivalent. Every entry of D changes the
     cohomological degree by one, d is the raising half of D/2 and d' the
@@ -717,7 +729,10 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     preserves the bigrading (p1-degree, q2-degree) of the monomials; the two
     parts shift it by (-1, 0) and (0, +1), so each vanishes on its own, and
     the second is the transpose of the q2 one."""
-    g_D, g_d = block.gram.matmul(block.D).entries, block.gram.matmul(block.d).entries
+    g_D = block.gram_D.entries
+    # the last reader of G D: a collection keeps none once its blocks are
+    # certified (kept, the products would raise a pipeline's peak memory)
+    del block.gram_D
     # D^T G + G D is symmetric: its entry at (i, j) and (j, i) is
     # (G D)_ji + (G D)_ij, nonzero only where G D has an entry
     lhs = {}
@@ -727,11 +742,13 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
             lhs[i, j] = lhs[j, i] = w
     first = min(lhs, default=None)  # the witness entry, if any
     witness = None if first is None else (*first, lhs[first])
-    halves = not any(
-        2 * (g_d.get((j, i), 0) - g_d.get((i, j), 0)) + g_D.get((i, j), 0)
-        for i, j in g_D.keys() | g_d.keys() | {(j, i) for i, j in g_d}
-    )
-    return AdjointCertificate(first is None, witness, halves)
+    # 2(d^T G - G d) + G D: each entry v of G d at (i, j) adds 2v at (j, i)
+    # and -2v at (i, j)
+    halves = dict(g_D)
+    for (i, j), v in block.gram.matmul(block.d).entries.items():
+        halves[j, i] = halves.get((j, i), 0) + 2 * v
+        halves[i, j] = halves.get((i, j), 0) - 2 * v
+    return AdjointCertificate(first is None, witness, not any(halves.values()))
 
 
 # ----- index --------------------------------------------------------------------------------

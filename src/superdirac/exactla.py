@@ -84,12 +84,17 @@ class SparseRationalMatrix:
             return False
         return all(self.entries.get((j, i), 0) == v for (i, j), v in self.entries.items())
 
+    def _by_row(self) -> dict[int, list[tuple[int, Rational]]]:
+        """Row index -> its (column, entry) pairs, for the products."""
+        by_row: dict[int, list[tuple[int, Rational]]] = {}
+        for (i, j), v in self.entries.items():
+            by_row.setdefault(i, []).append((j, v))
+        return by_row
+
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        by_row: dict[int, list[tuple[int, Rational]]] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
+        by_row = other._by_row()
         acc: dict[tuple[int, int], Rational] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
@@ -114,6 +119,28 @@ class SparseRationalMatrix:
             if v[j]:
                 out[i] += a * v[j]
         return tuple(out)
+
+
+def intertwines(
+    x: SparseRationalMatrix, src: SparseRationalMatrix, tgt: SparseRationalMatrix
+) -> bool:
+    """tgt x = x src, from one accumulation of tgt x - x src checked for all
+    zeros: neither product is formed. Products of other shapes are never
+    equal; a mismatch inside either product raises, as in `matmul`."""
+    if (tgt.cols, x.cols) != (x.rows, src.rows):
+        raise ValueError("dimension mismatch in intertwines")
+    if (tgt.rows, src.cols) != (x.rows, x.cols):
+        return False
+    acc: dict[tuple[int, int], Rational] = {}
+    by_row = x._by_row()
+    for (i, k), a in tgt.entries.items():
+        for j, b in by_row.get(k, ()):
+            acc[i, j] = acc.get((i, j), 0) + a * b
+    by_row = src._by_row()
+    for (i, k), a in x.entries.items():
+        for j, b in by_row.get(k, ()):
+            acc[i, j] = acc.get((i, j), 0) - a * b
+    return not any(acc.values())
 
 
 def vstack(mats: Sequence[SparseRationalMatrix], cols: int) -> SparseRationalMatrix:

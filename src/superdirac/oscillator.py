@@ -59,7 +59,7 @@ class Oscillator:
         self.alg = alg
         self.datum = alg.datum
         self.dim = self.datum.mn
-        self._alpha_cache: dict[Gen, WeylOperator] = {}
+        self._alpha: dict[Gen, WeylOperator] = {}  # every even X, filled on first use
         self._image_cache: dict[tuple[Gen, OscMonomial], Polynomial] = {}
         self._partial_roots = [self.datum.root_of_unit(*g) for g in self.datum.odd_raising]
 
@@ -78,12 +78,19 @@ class Oscillator:
     def alpha_embed_gen(self, g: Gen) -> WeylOperator:
         """alpha(X) in normal order: x_k x_j gets B(X,[d_k,d_j]), d_k d_j gets
         B(X,[x_k,x_j]), x_j d_k gets -2 B(X,[x_k,d_j]), and the constant term
-        is -sum_l B(X,[d_l,x_l])."""
+        is -sum_l B(X,[d_l,x_l]). The first call fills alpha(X) for every even
+        X (`_alpha_all`)."""
         if self.alg.parity(g):
             raise ValueError("alpha_embed requires an even element")
-        cached = self._alpha_cache.get(g)
-        if cached is not None:
-            return cached
+        if not self._alpha:
+            self._alpha = self._alpha_all()
+        return self._alpha[g]
+
+    def _alpha_all(self) -> dict[Gen, WeylOperator]:
+        """alpha(X) for every even X in one pass over the pairs of odd
+        generators. [u, v] is even for odd u and v, and B(X, E_w) is nonzero
+        only for X = E_w^t, so each bracket is evaluated once and each of its
+        units E_w adds into alpha of w^t: 3(mn)^2 + mn brackets in all."""
         alg = self.alg
         dim = self.dim
         datum = self.datum
@@ -91,19 +98,34 @@ class Oscillator:
         ds = [(u, 1) for u in datum.odd_raising]
         unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
         zero = (0,) * dim
-        acc: WeylOperator = {}
+        acc: dict[Gen, WeylOperator] = {g: {} for g in alg.even_generators()}
+
+        def b_of_bracket(u: tuple[Gen, int], v: tuple[Gen, int]):
+            """(X, B(X, [u, v])) for each X where it is nonzero, for odd
+            generators u and v of the odd basis table, each given as
+            (matrix unit, sign)."""
+            (a, sa), (b, sb) = u, v
+            for (w,), c in alg.supercommutator(a, b).items():
+                x = (w[1], w[0])
+                yield x, sa * sb * c * alg.b_form(x, w)
+
         for k in range(dim):
             for j in range(dim):
                 pair = tuple(u + v for u, v in zip(unit[k], unit[j]))
                 # [d_k, d_j] and [x_k, x_j] are anticommutators of odd elements
-                add_into(acc, (pair, zero), _b_of_bracket(alg, g, ds[k], ds[j]))
-                add_into(acc, (zero, pair), _b_of_bracket(alg, g, xs[k], xs[j]))
-                add_into(acc, (unit[j], unit[k]), -2 * _b_of_bracket(alg, g, xs[k], ds[j]))
-        const = sum(_b_of_bracket(alg, g, ds[l], xs[l]) for l in range(dim))
-        add_into(acc, (zero, zero), -const)
-        acc = {key: _rat(c) for key, c in acc.items()}
-        self._alpha_cache[g] = acc
-        return acc
+                for x, b in b_of_bracket(ds[k], ds[j]):
+                    add_into(acc[x], (pair, zero), b)
+                for x, b in b_of_bracket(xs[k], xs[j]):
+                    add_into(acc[x], (zero, pair), b)
+                for x, b in b_of_bracket(xs[k], ds[j]):
+                    add_into(acc[x], (unit[j], unit[k]), -2 * b)
+        const: dict[Gen, Rational] = {}
+        for l in range(dim):
+            for x, b in b_of_bracket(ds[l], xs[l]):
+                const[x] = const.get(x, 0) + b
+        for x, c in const.items():
+            add_into(acc[x], (zero, zero), -c)
+        return {x: {key: _rat(c) for key, c in op.items()} for x, op in acc.items()}
 
     def alpha_image(self, g: Gen, a: OscMonomial) -> Polynomial:
         """alpha(g) x^a, computed once per (g, a); callers must not mutate it."""
@@ -135,10 +157,3 @@ class Oscillator:
         c_str = _rat(total.get(zero, 0))
         return {"str-normalized": c_str, "b-normalized": _rat(-2 * c_str)}
 
-
-def _b_of_bracket(alg: Algebra, g: Gen, u: tuple[Gen, int], v: tuple[Gen, int]) -> Rational:
-    """B(g, [u, v]) for odd generators u and v of the odd basis table, each
-    given as (matrix unit, sign), via the supercommutator of g."""
-    (a, sa), (b, sb) = u, v
-    total = sum(c * alg.b_form(g, w[0]) for w, c in alg.supercommutator(a, b).items())
-    return _rat(sa * sb * total)

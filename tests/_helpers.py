@@ -19,7 +19,9 @@
   letter at a time through `modules.act_word`.
 - The normal-ordering product of the Weyl algebra with its generators x_k,
   d_k and commutator (the oracle for `oscillator.alpha_embed_gen`, which
-  writes alpha straight into normal order), a normal-ordered operator
+  writes alpha straight into normal order), alpha of one generator from its
+  own bracket forms, B(X, [u, v]) over every odd pair (the oracle for the one
+  pass that fills alpha of every even X), a normal-ordered operator
   applied one derivative at a time (the oracle for `oscillator.weyl_apply`),
   the embedding alpha on degree-1 elements, and the oscillator monomials of
   one degree by recursion (an oracle for `weights.bounded_exponents`).
@@ -36,9 +38,11 @@
   delta^{q2} summed term by term, one dict per quarter (the oracle for the
   single-pass assembly of D and for d read off it), the pairwise adjointness of
   the quarters, the adjoint certificate from four products (D^T G, G D,
-  d^T G and G d), Kostant cohomology from two ranks per degree, and the
-  Dirac scalar s as one and as two weight pairings (the oracles for the
-  integer-drop `modules.dirac_scalar`), and the g0-highest vectors of a
+  d^T G and G d) and from G D and G d read at the union of their keys (the
+  oracle for the certificate's one pass over G d), Kostant cohomology from
+  two ranks per degree, and the Dirac scalar s as one and as two weight
+  pairings (the oracles for the integer-drop `modules.dirac_scalar`), and
+  the g0-highest vectors of a
   block from one kernel of the maps built generator by generator (the
   oracle for `dirac.raising_maps`), beside the kernel of those maps as the
   square audit stacks them; ker D cap im D from explicit bases, H_D from
@@ -418,6 +422,37 @@ def alpha_embed(osc, x):
     return out
 
 
+def b_of_bracket(alg, g, u, v):
+    """B(g, [u, v]) for odd generators u and v of the odd basis table, each
+    given as (matrix unit, sign), via the supercommutator of g."""
+    (a, sa), (b, sb) = u, v
+    total = sum(c * alg.b_form(g, w[0]) for w, c in alg.supercommutator(a, b).items())
+    return _rat(sa * sb * total)
+
+
+def alpha_per_generator(osc, g):
+    """alpha(g) in normal order from the bracket forms of g alone, every
+    bracket of two odd generators evaluated for this one g (the oracle for
+    the one pass of `oscillator.Oscillator.alpha_embed_gen` over the odd
+    pairs)."""
+    alg, dim = osc.alg, osc.dim
+    datum = alg.datum
+    xs = list(zip(datum.odd_lowering, datum.odd_lowering_sign))
+    ds = [(u, 1) for u in datum.odd_raising]
+    unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    zero = (0,) * dim
+    acc = {}
+    for k in range(dim):
+        for j in range(dim):
+            pair = tuple(u + v for u, v in zip(unit[k], unit[j]))
+            uea.add_into(acc, (pair, zero), b_of_bracket(alg, g, ds[k], ds[j]))
+            uea.add_into(acc, (zero, pair), b_of_bracket(alg, g, xs[k], xs[j]))
+            uea.add_into(acc, (unit[j], unit[k]), -2 * b_of_bracket(alg, g, xs[k], ds[j]))
+    const = sum(b_of_bracket(alg, g, ds[l], xs[l]) for l in range(dim))
+    uea.add_into(acc, (zero, zero), -const)
+    return {key: _rat(c) for key, c in acc.items()}
+
+
 def weyl_apply_loop(w, p):
     """`oscillator.weyl_apply` with d_k differentiating one power at a time,
     a term dropped once an exponent it lowers reaches 0 (the oracle for its
@@ -716,6 +751,25 @@ def four_product_certificate(block):
         witness = (i, j, v)
     d_adj = block.d.transpose().matmul(g).add(scaled(g.matmul(block.d), -1))
     return lhs.is_zero(), witness, scaled(d_adj, 2).add(gd).is_zero()
+
+
+def key_union_certificate(g_D, g_d):
+    """(ok, witness, halves) of `dirac.anti_selfadjoint_certificate` from the
+    entries of G D and G d, the halves identity read at every key of either
+    product and of the transpose of G d, three lookups per key (the oracle
+    for its one pass over G d)."""
+    lhs = {}
+    for (i, j), v in g_D.items():
+        w = v + g_D.get((j, i), 0)
+        if w:
+            lhs[i, j] = lhs[j, i] = w
+    first = min(lhs, default=None)
+    witness = None if first is None else (*first, lhs[first])
+    halves = not any(
+        2 * (g_d.get((j, i), 0) - g_d.get((i, j), 0)) + g_D.get((i, j), 0)
+        for i, j in g_D.keys() | g_d.keys() | {(j, i) for i, j in g_d}
+    )
+    return first is None, witness, halves
 
 
 def independent_vectors(vectors):

@@ -29,6 +29,7 @@ from _helpers import (
     identity_matrix,
     in_even_cone,
     is_positive_multiple,
+    key_union_certificate,
     kostant_per_degree,
     monomials_of_degree,
     oracle_block_cohomology,
@@ -846,11 +847,13 @@ def test_each_product_is_formed_once_per_block(d21, monkeypatch):
     `SparseRationalMatrix.matmul` calls through cohomology, the square audit
     and the adjoint certificate: D D is formed once on every nonempty block
     where `definite_anti_selfadjoint` fails and never where it holds (on the
-    certified input, nowhere). G D is formed once by the predicate on every
-    block whose module forms are all positive definite (nowhere else: the
-    predicate reads definiteness first) and not kept; each certificate call
-    forms G D and G d once more. With its D^2 and predicate cached,
-    `block_cohomology` forms no product again."""
+    certified input, nowhere). G D is formed exactly once per block over the
+    whole pass: by the predicate on every block whose module forms are all
+    positive definite (the predicate reads definiteness first), and by the
+    certificate on every other block, which forms G d once and leaves the
+    block holding no G D. With its D^2 and predicate cached,
+    `block_cohomology` forms no product again, and `raising_maps` forms
+    none: X_D D = D X_D is checked without forming either side."""
     calls = []
     matmul = SparseRationalMatrix.matmul
 
@@ -884,11 +887,18 @@ def test_each_product_is_formed_once_per_block(d21, monkeypatch):
         calls.clear()
         for block in blocks:
             dirac.block_cohomology(block)
-        assert calls == []
+        maps = [
+            dirac.raising_maps(coll, block, restriction)
+            for block in blocks
+            for restriction in ("even", "compact")
+        ]
+        assert any(maps) and calls == []
         for block in blocks:
             dirac.anti_selfadjoint_certificate(block)
-        assert len(calls) == 2 * len(blocks)
-        assert [(formed(b, "D"), formed(b, "d")) for b in blocks] == [(1, 1)] * len(blocks)
+        assert [formed(b, "D") for b in blocks] == [int(not f) for f in definite]
+        assert [formed(b, "d") for b in blocks] == [1] * len(blocks)
+        assert len(calls) == definite.count(False) + len(blocks)
+        assert not any("gram_D" in vars(b) for b in blocks)
 
 
 # ----- the integer fast path ----------------------------------------------------------
@@ -1109,6 +1119,82 @@ def test_where_the_predicate_holds_the_chain_vanishes_and_ker_meets_im_in_zero(c
             assert cap_basis(block) == []
             held += 1
     assert held
+
+
+def _certificate_triples(rng):
+    """(G, D, d) with G symmetric, diagonal and invertible: D = G^-1 A for an
+    antisymmetric A (`ok` holds) and d = G^-1 (U + S) for U the upper half of
+    A / 2 and S symmetric (`halves_adjoint` holds too); then each with one
+    entry of d off the diagonal changed (only the halves fail) and of D
+    changed (both fail); and random D and d (both fail, almost always)."""
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        g = SparseRationalMatrix(n, n, {(i, i): rng.choice((-2, -1, 1, 3)) for i in range(n)})
+        a, u, sym = {}, {}, {}
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    sym[i, j] = sym[j, i] = rng.randint(-2, 2)
+                if j > i and rng.random() < 0.6:
+                    v = rng.randint(-3, 3)
+                    a[i, j], a[j, i] = v, -v
+                    u[i, j] = Fraction(v, 2)
+
+        def over_g(m):
+            """G^-1 m, G being diagonal."""
+            return SparseRationalMatrix(n, n, {
+                (i, j): exactla._rat(Fraction(v, g.entries[i, i])) for (i, j), v in m.items() if v
+            })
+
+        gd = dict(sym)
+        for key, v in u.items():
+            gd[key] = gd.get(key, 0) + v
+        D, d = over_g(a), over_g(gd)
+        key = tuple(rng.sample(range(n), 2))  # off the diagonal, where G d changes asymmetrically
+        yield g, D, d
+        yield g, D, SparseRationalMatrix(n, n, {**d.entries, key: d.entries.get(key, 0) + 1})
+        yield g, SparseRationalMatrix(n, n, {**D.entries, key: D.entries.get(key, 0) + 1}), d
+        D, d = (
+            SparseRationalMatrix(n, n, {
+                (i, j): v for i in range(n) for j in range(n) if (v := rng.randint(-2, 2))
+            })
+            for _ in range(2)
+        )
+        yield g, D, d
+
+
+def _certificate_stand_in(g, D, d):
+    """What `anti_selfadjoint_certificate` reads of a block, for given G, D
+    and d."""
+    return SimpleNamespace(gram=g, D=D, d=d, gram_D=g.matmul(D))
+
+
+def test_one_pass_certificate_matches_the_key_union_oracle():
+    """`ok`, the witness and `halves_adjoint` equal the key-union oracle's on
+    seeded (G, D, d) where both identities hold, where only `ok` holds and
+    where neither does, and on every block of the shortcut inputs, each
+    once more with one D entry doubled (d read off the altered D)."""
+    rng = random.Random(29)
+    seen = Counter()
+    for g, D, d in _certificate_triples(rng):
+        cert = dirac.anti_selfadjoint_certificate(_certificate_stand_in(g, D, d))
+        expected = key_union_certificate(g.matmul(D).entries, g.matmul(d).entries)
+        assert (cert.ok, cert.witness, cert.halves_adjoint) == expected
+        seen[cert.ok, cert.halves_adjoint] += 1
+    assert set(seen) == {(True, True), (True, False), (False, False)}
+    assert min(seen.values()) >= 40
+    blocks = 0
+    for case in SHORTCUT_INPUTS:
+        for block in _collection(*SHORTCUT_INPUTS[case]).blocks.values():
+            first = sorted(block.D.entries)[:1]
+            for b in [block, *(replace(block, D=_doubled(block.D, key)) for key in first)]:
+                cert = dirac.anti_selfadjoint_certificate(b)
+                expected = key_union_certificate(
+                    b.gram.matmul(b.D).entries, b.gram.matmul(b.d).entries
+                )
+                assert (cert.ok, cert.witness, cert.halves_adjoint) == expected, (case, b.nu.text())
+                blocks += 1
+    assert blocks
 
 
 @pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))

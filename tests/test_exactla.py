@@ -16,6 +16,7 @@ from _helpers import (
     identity_matrix,
     is_positive_multiple,
     quadratic_value,
+    scaled,
 )
 from superdirac import dirac, exactla, modules
 from superdirac.exactla import SparseRationalMatrix
@@ -45,6 +46,56 @@ def dense_matmul(a, b):
 def test_matmul_matches_dense(a, b):
     got = SparseRationalMatrix.from_rows(a).matmul(SparseRationalMatrix.from_rows(b))
     assert got.to_rows() == dense_matmul(a, b)
+
+
+def _random_sparse(rng, rows, cols, density=0.4):
+    """A seeded sparse matrix of small ints and halves."""
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                entries[i, j] = exactla._rat(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+    return SparseRationalMatrix(rows, cols, {k: v for k, v in entries.items() if v})
+
+
+def _intertwining_triples(rng):
+    """(tgt, X, src) triples: random rectangular ones, which almost never
+    intertwine; polynomials X in a square src = tgt, which do, and each once
+    more with one entry of X changed; zero X; and empty shapes."""
+    for _ in range(60):
+        r, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield _random_sparse(rng, r, r), _random_sparse(rng, r, n), _random_sparse(rng, n, n)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        b = _random_sparse(rng, n, n)
+        x = b.matmul(b).add(scaled(b, rng.randint(-2, 2))).add(identity_matrix(n))
+        yield b, x, b
+        key = (rng.randrange(n), rng.randrange(n))
+        yield b, SparseRationalMatrix(n, n, {**x.entries, key: x.entries.get(key, 0) + 1}), b
+        yield _random_sparse(rng, 2, 2), SparseRationalMatrix(2, n), b
+    for r, n in ((0, 0), (0, 3), (3, 0)):
+        yield _random_sparse(rng, r, r), SparseRationalMatrix(r, n), _random_sparse(rng, n, n)
+
+
+def test_intertwines_matches_two_products():
+    """`exactla.intertwines(x, src, tgt)` is `tgt.matmul(x) == x.matmul(src)`
+    on seeded triples that intertwine and that do not, and on empty ones;
+    products of different shapes are unequal, and a mismatch inside either
+    product raises as `matmul` does."""
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for tgt, x, src in _intertwining_triples(rng):
+        expected = tgt.matmul(x) == x.matmul(src)
+        assert exactla.intertwines(x, src, tgt) == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 60
+    square = _random_sparse(rng, 3, 3)
+    wide, tall = SparseRationalMatrix(2, 3), SparseRationalMatrix(3, 2)
+    assert not exactla.intertwines(square, tall, wide)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        exactla.intertwines(square, square, tall)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        exactla.intertwines(square, SparseRationalMatrix(2, 2), square)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from _helpers import (
     alpha_embed,
+    alpha_per_generator,
+    b_of_bracket,
     bargmann_fock,
     d_op,
     monomials_of_degree,
@@ -95,10 +97,10 @@ def _product_alpha(osc, g):
 
     for k in range(dim):
         for j in range(dim):
-            add(oscillator._b_of_bracket(alg, g, ds[k], ds[j]), x_op(k, dim), x_op(j, dim))
-            add(oscillator._b_of_bracket(alg, g, xs[k], xs[j]), d_op(k, dim), d_op(j, dim))
-            add(-2 * oscillator._b_of_bracket(alg, g, xs[k], ds[j]), x_op(j, dim), d_op(k, dim))
-    const = sum(oscillator._b_of_bracket(alg, g, ds[l], xs[l]) for l in range(dim))
+            add(b_of_bracket(alg, g, ds[k], ds[j]), x_op(k, dim), x_op(j, dim))
+            add(b_of_bracket(alg, g, xs[k], xs[j]), d_op(k, dim), d_op(j, dim))
+            add(-2 * b_of_bracket(alg, g, xs[k], ds[j]), x_op(j, dim), d_op(k, dim))
+    const = sum(b_of_bracket(alg, g, ds[l], xs[l]) for l in range(dim))
     uea.add_into(out, ((0,) * dim, (0,) * dim), -const)
     return out
 
@@ -133,6 +135,61 @@ def test_alpha_matches_the_product_oracle(group):
 def _typed(poly):
     """The terms of a polynomial in order, each coefficient with its type."""
     return [(mono, type(c), c) for mono, c in poly.items()]
+
+
+# every root datum with m, n <= 3 (gl(1|1) excluded), for each real form p + q = m
+ALL_DATA = [
+    (m, n, p, m - p)
+    for m in range(1, 4)
+    for n in range(1, 4)
+    if m + n > 2
+    for p in range(m + 1)
+]
+
+
+@pytest.mark.parametrize("group", ALL_DATA, ids=lambda g: "gl{}{}-p{}".format(*g[:3]))
+def test_alpha_matches_the_per_generator_loop(group):
+    """alpha(X) filled for every even X in one pass over the odd pairs is the
+    per-generator loop's alpha(X): the same terms in the same order, each
+    coefficient of the same value and type (an int, or a Fraction that is
+    not integral)."""
+    osc = Oscillator(Algebra(build_root_datum(*group)))
+    for g in osc.alg.even_generators():
+        alpha = osc.alpha_embed_gen(g)
+        assert _typed(alpha) == _typed(alpha_per_generator(osc, g)), g
+        assert all(type(c) is int or c.denominator != 1 for c in alpha.values()), g
+
+
+def test_alpha_evaluates_each_odd_bracket_once_per_oscillator(monkeypatch):
+    """One `Oscillator` makes 3(mn)^2 + mn `supercommutator` calls, the
+    brackets [d_k, d_j], [x_k, x_j], [x_k, d_j] and [d_l, x_l] once each,
+    whatever generators are asked for and in whatever order; an odd X raises
+    before any bracket is evaluated, and a second `Oscillator` evaluates them
+    again."""
+    calls = []
+    supercommutator = uea.Algebra.supercommutator
+
+    def counted(alg, a, b):
+        calls.append((a, b))
+        return supercommutator(alg, a, b)
+
+    monkeypatch.setattr(uea.Algebra, "supercommutator", counted)
+    for group in ((2, 1, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)):
+        alg = Algebra(build_root_datum(*group))
+        mn = alg.datum.mn
+        evens = alg.even_generators()
+        for order in (evens, evens[::-1]):
+            calls.clear()
+            osc = Oscillator(alg)
+            with pytest.raises(ValueError, match="even element"):
+                osc.alpha_embed_gen(alg.datum.odd_raising[0])
+            assert calls == []
+            osc.alpha_embed_gen(order[0])
+            assert len(calls) == 3 * mn**2 + mn
+            for g in order:
+                osc.alpha_embed_gen(g)
+            osc.measured_constant()
+            assert len(calls) == 3 * mn**2 + mn
 
 
 @pytest.mark.parametrize(
