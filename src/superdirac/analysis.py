@@ -12,7 +12,7 @@ from typing import Iterable
 from . import dirac, exactla, modules, oscillator
 from .dirac import BlockCollection
 from .modules import TruncatedModule, VirtualCharacter
-from .weights import RootDatum, Weight, harish_chandra_condition, subset_labels
+from .weights import RootDatum, Weight, subset_labels
 
 
 # ----- even decomposition ----------------------------------------------------------
@@ -201,7 +201,7 @@ def character_formula_check(
     )
 
 
-# ----- Vogan / Harish-Chandra consistency ---------------------------------------------------
+# ----- Vogan consistency ---------------------------------------------------------------------
 def vogan_consistency(
     datum: RootDatum, lam: Weight, hd_highest_weights: Iterable[Weight]
 ) -> bool:
@@ -214,12 +214,3 @@ def vogan_consistency(
         if not any(sigma.apply(shifted) == target for sigma in group):
             return False
     return True
-
-
-def harish_chandra_audit(coll: BlockCollection) -> bool:
-    """Every g0-constituent (`dirac.g0_constituents`) has a highest weight
-    satisfying the strict Harish-Chandra inequality. Not a unitarity check:
-    on sl(2|1) at N=4 it holds on refuted -3,0|-3, -2,0|3 and -1,0|-1 and
-    fails on the certified 0,0|0; the Dirac inequality agrees with `certify_unitarity`."""
-    entries = dirac.g0_constituents(coll)
-    return all(harish_chandra_condition(coll.module.datum, e.nu0) for e in entries)

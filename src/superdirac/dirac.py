@@ -1,16 +1,17 @@
 """Diagonal-weight blocks of M (x) M(g1), with an explicit matrix for the
 Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d'), the block
 Gram form, Dirac cohomology, index, the g0-constituents (`g0_constituents`:
-highest weight, multiplicity and D^2 scalar, where the Dirac inequality and
-the Harish-Chandra check are read), and the anti-selfadjointness and square
+highest weight, multiplicity and D^2 scalar, where the Dirac inequality is
+read), and the anti-selfadjointness and square
 audits. Each block assembles D alone: every entry of D changes the
 cohomological degree of the oscillator monomial by one, and the Kostant
 differential d is the degree-raising half of D/2 (d' is minus its
 G-adjoint), read off D where it is asked for.
 
 Dirac cohomology is counted by ranks: H_D = ker D / (ker D cap im D) per
-block, and its compact k-types are the dimension of the classes every
-compact X_D sends into im D (`hd_ktype_table`); no class vector is formed.
+block, and its compact k-types are h minus the rank of the compact X_D on a
+basis of ker D, read modulo im D of each target (`hd_ktype_table`); no
+class vector is formed.
 Over a g-module, it takes ranks only on the blocks below a block whose D^2
 scalar is 0: on every other block D is invertible, read off the weights
 (`dirac_cohomology`). Each block decides once whether its Gram form G is
@@ -644,28 +645,16 @@ def hd_ktype_table(
 ) -> dict[Weight, int]:
     """Compact-type multiplicities of H_D^+ (sign=+1) or H_D^- (sign=-1): the
     dimension of the classes killed by every compact raising operator, from
-    two ranks per block with h = hd^+- != 0.
+    one kernel and one rank per block with h = hd^+- != 0.
 
-    Let P be the coordinates of that parity and K the v in V_P with D v = 0
-    and X_D v in im D for every compact X. X_D commutes with D (`raising_maps`
-    asserts it), so it maps ker D to ker D of its target block, where a
-    kernel vector is a zero class iff it lies in im D; and K holds
-    ker D cap im D cap V_P, since X_D D w = D X_D w. So the killed classes
-    number dim K - (dim(ker D cap V_P) - h) = h - (rk S - rk D_P), where D_P
-    is D on P and S stacks D_P over each X_D on P reduced modulo im D of its
-    target: the kernel of S is K. Where the target has ker D cap im D = 0,
-    X_D v lies in im D only if it is 0, and the reduction is skipped."""
-    reducers: dict[Drop, SparseRationalMatrix | None] = {}
-
-    def reduction(tgt: DiracBlock) -> SparseRationalMatrix | None:
-        if tgt.drop not in reducers:
-            reducers[tgt.drop] = (
-                exactla.quotient(tgt.D.transpose().nonzero_rows(), tgt.dim).reduction
-                if report.per_block[tgt.nu].ker_cap_im
-                else None
-            )
-        return reducers[tgt.drop]
-
+    Let P be the coordinates of that parity and K a basis of ker D on P. X_D
+    commutes with D (`raising_maps` asserts it), so it maps ker D to ker D of
+    its target block, where a kernel vector is a zero class iff it lies in
+    im D, and it sends ker D cap im D into im D. So the killed classes number
+    (dim K - rk S) - dim(ker D cap im D cap V_P) = h - rk S, where S stacks
+    each X_D on K reduced modulo im D of its target. Where the target has
+    ker D cap im D = 0, X_D v lies in im D only if it is 0, and the
+    reduction is skipped."""
     parity = 0 if sign > 0 else 1
     table: dict[Weight, int] = {}
     for nu, bc in report.per_block.items():
@@ -674,13 +663,21 @@ def hd_ktype_table(
             continue
         block = coll.blocks[nu]
         cols = [i for i, p in enumerate(block.parity) if p == parity]
-        kill = block.D.submatrix(list(range(block.dim)), cols)
-        stack = [kill]
+        kernel = exactla.kernel_basis(block.D.submatrix(list(range(block.dim)), cols))
+        # the kernel vectors as columns, in block coordinates
+        k_mat = SparseRationalMatrix(
+            block.dim,
+            len(kernel),
+            {(cols[i], j): x for j, v in enumerate(kernel) for i, x in enumerate(v) if x},
+        )
+        stack = []
         for tgt, x in raising_maps(coll, block, "compact"):
-            x = x.submatrix(list(range(tgt.dim)), cols)
-            r = reduction(tgt)
-            stack.append(x if r is None else r.matmul(x))
-        k = h - exactla.rank(exactla.vstack(stack, len(cols))) + exactla.rank(kill)
+            image = x.matmul(k_mat)
+            if report.per_block[tgt.nu].ker_cap_im:
+                rows = tgt.D.transpose().nonzero_rows()
+                image = exactla.quotient(rows, tgt.dim).reduction.matmul(image)
+            stack.append(image)
+        k = h - exactla.rank(exactla.vstack(stack, len(kernel)))
         if k:
             table[nu] = k
     return table

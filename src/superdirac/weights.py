@@ -160,10 +160,10 @@ def pairing(w1: Weight, w2: Weight) -> Rational:
 
 @dataclass(frozen=True)
 class Root:
-    """A root of gl(m|n): +-(eps_i-eps_j), +-(del_k-del_l) or +-(eps_r-del_s)."""
+    """A root of gl(m|n): +-(eps_i-eps_j), +-(del_k-del_l) or +-(eps_r-del_s).
+    Its parity is the list it sits in (`RootDatum.pos_even` or `pos_odd`)."""
 
     weight: Weight
-    parity: str  # "even" | "odd"
     compactness: str  # "compact" | "noncompact" | "not-applicable"
 
     def __str__(self) -> str:  # pragma: no cover - convenience
@@ -285,10 +285,10 @@ def build_root_datum(m: int, n: int, p: int, q: int) -> RootDatum:
     for i in range(m):
         for j in range(i + 1, m):
             compact = "compact" if (j < p or i >= p) else "noncompact"
-            datum.pos_even.append(Root(datum.root_of_unit(i, j), "even", compact))
+            datum.pos_even.append(Root(datum.root_of_unit(i, j), compact))
     for k in range(n):
         for l in range(k + 1, n):
-            datum.pos_even.append(Root(datum.root_of_unit(m + k, m + l), "even", "compact"))
+            datum.pos_even.append(Root(datum.root_of_unit(m + k, m + l), "compact"))
 
     # odd positive roots, non-standard system p1 (+) q2, with the basis table
     # index k = (l-1)n + c for the pair (eps_l, del_c)
@@ -303,7 +303,7 @@ def build_root_datum(m: int, n: int, p: int, q: int) -> RootDatum:
                 datum.odd_lowering.append((l, m + c))  # +E_{l, m+c}
                 datum.odd_lowering_sign.append(1)
             w = datum.root_of_unit(*datum.odd_raising[-1])  # the root of r_k
-            datum.pos_odd.append(Root(w, "odd", "not-applicable"))
+            datum.pos_odd.append(Root(w, "not-applicable"))
 
     datum.pos_compact = [r for r in datum.pos_even if r.compactness == "compact"]
     datum.pos_noncompact = [r for r in datum.pos_even if r.compactness == "noncompact"]
@@ -384,9 +384,3 @@ def same_infinitesimal_character(datum: RootDatum, lam: Weight, mu: Weight) -> b
     return any(
         rank((w.apply(mu_rho) - lam_rho).coords()) == span_rank for w in datum.weyl_group()
     )
-
-
-def harish_chandra_condition(datum: RootDatum, lam: Weight) -> bool:
-    """Strict negativity (lam + rho0, beta) < 0 on all non-compact positive roots."""
-    shifted = lam + datum.rho0
-    return all(pairing(shifted, r.weight) < 0 for r in datum.pos_noncompact)

@@ -51,6 +51,9 @@
   the even or the compact raising operators, one generator at a time (the
   oracle for the rank count of `dirac.hd_ktype_table`, and the g0-types of
   H_D).
+- The strict Harish-Chandra inequality on a weight and on every
+  g0-constituent of a collection: a condition on the g0-types that
+  disagrees with unitarity, kept with the tests that pin its verdicts.
 - The odd-subset oracles (the oracles for `weights.subset_labels` and
   `modules.even_character_sum`): Gamma_S as a sum of root weights, the
   labels lam - Gamma_S over the subsets S that avoid the atypicality set,
@@ -943,6 +946,23 @@ def dirac_scalar_pairing(datum, lam, mu):
 def dirac_scalar_two_pairings(datum, lam, mu):
     """s = (mu + 2 rho, mu) - (lam + 2 rho, lam) as two pairings of weights."""
     return pairing(mu + datum.rho.scale(2), mu) - pairing(lam + datum.rho.scale(2), lam)
+
+
+# ----- the Harish-Chandra condition ------------------------------------------------------
+def harish_chandra_condition(datum, lam):
+    """Strict negativity (lam + rho0, beta) < 0 on all non-compact positive roots."""
+    shifted = lam + datum.rho0
+    return all(pairing(shifted, r.weight) < 0 for r in datum.pos_noncompact)
+
+
+def harish_chandra_audit(coll):
+    """Every g0-constituent (`dirac.g0_constituents`) has a highest weight
+    satisfying the strict Harish-Chandra inequality. Not a unitarity check:
+    on sl(2|1) at N=4 it holds on refuted -3,0|-3, -2,0|3 and -1,0|-1 and
+    fails on the certified 0,0|0; the Dirac inequality agrees with
+    `modules.certify_unitarity`."""
+    entries = dirac.g0_constituents(coll)
+    return all(harish_chandra_condition(coll.module.datum, e.nu0) for e in entries)
 
 
 # ----- odd-subset oracles ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from _helpers import (
     character_formula_per_mu,
     compact_character_old_bound,
+    harish_chandra_audit,
     oracle_cohomology,
     oracle_ktype_table,
 )
@@ -194,10 +195,10 @@ def test_vogan_consistency_detects_unlinked_weight(d21, lam_typical):
 
 
 def test_harish_chandra_audit(coll_typical3, coll_atypical2, coll_trivial21):
-    assert analysis.harish_chandra_audit(coll_typical3)
-    assert analysis.harish_chandra_audit(coll_atypical2)
+    assert harish_chandra_audit(coll_typical3)
+    assert harish_chandra_audit(coll_atypical2)
     # the zero weight sits on the closed boundary of the strict condition
-    assert not analysis.harish_chandra_audit(coll_trivial21)
+    assert not harish_chandra_audit(coll_trivial21)
 
 
 @pytest.mark.parametrize(
@@ -214,7 +215,7 @@ def test_harish_chandra_audit_is_not_a_unitarity_check(weight, harish_chandra, c
     lam = parse_weight(weight, 2, 1)
     coll = dirac.assemble_all(modules.simple_truncation(datum, lam, 4), 4)
     cert = modules.certify_unitarity(datum, lam, 4, coll.module)
-    assert analysis.harish_chandra_audit(coll) is harish_chandra
+    assert harish_chandra_audit(coll) is harish_chandra
     assert (cert.verdict == "certified-up-to-N") is certified
     assert all(e.s >= 0 for e in dirac.g0_constituents(coll)) is certified
 

@@ -24,6 +24,7 @@ from _helpers import (
     four_product_certificate,
     fraction_kernel,
     fraction_rref,
+    harish_chandra_audit,
     highest_vectors,
     highest_vectors_per_generator,
     identity_matrix,
@@ -331,11 +332,13 @@ SL21, SL22, SL23, GL33 = (2, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 2, 1)
         (GL33, "-3,0,0|1,1,1", 4, "simple", 24),
         # inputs with compact roots (sl(2|1) at p=1 has none, so its tables
         # are its hd counts), on each of which the k-type count changes
-        # when the rows of D are left out of its stack
+        # when all of V_P stands in for the basis of ker D on P
         (SL22, "-3,1|1,1", 6, "simple", None),
         (SL23, "-3,0|1,1,1", 4, "simple", None),
         (SL23, "-3,0|1,1,0", 4, "simple", None),
         (GL33, "-2,-2,1|1,1,1", 4, "simple", None),
+        # a Verma truncation on which the k-type count reduces modulo im D
+        (GL33, "-3,0,0|1,1,1", 4, "verma", 51),
     ],
 )
 def test_rank_cohomology_matches_intersection_oracle(group, weight, height, kind, ker_cap_im):
@@ -360,8 +363,8 @@ def test_dropping_either_ingredient_of_the_ktype_count_changes_a_table(monkeypat
     """The negative controls of the rank count, on the H_D^+ total (3 on
     both inputs, as the oracle has it): with no image reduced modulo im D (a
     report whose ker D cap im D is 0 on every block) gl(3|3) -3,0,0|1,1,1
-    at N=4 gives 1, and with the rows of D left out of the stack sl(2|2)
-    -3,1|1,1 at N=6 gives 11."""
+    at N=4 gives 1, and with all of V_P in place of a basis of ker D on P
+    sl(2|2) -3,1|1,1 at N=6 gives -9."""
 
     def plus_totals(case):
         """The collection, its report and the oracle's H_D^+ total."""
@@ -378,9 +381,56 @@ def test_dropping_either_ingredient_of_the_ktype_count_changes_a_table(monkeypat
     assert total(coll, replace(report, per_block=blocks)) == 1
     coll, report, oracle = plus_totals((SL22, "-3,1|1,1", 6))
     assert total(coll, report) == oracle == 3
-    vstack = exactla.vstack
-    monkeypatch.setattr(exactla, "vstack", lambda mats, cols: vstack(mats[1:], cols))
-    assert total(coll, report) == 11
+    monkeypatch.setattr(
+        exactla,
+        "kernel_basis",
+        lambda a: [tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)],
+    )
+    assert total(coll, report) == -9
+
+
+def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
+    """Over both signs on gl(3|3) -3,0,0|1,1,1 at N=4, `hd_ktype_table`
+    takes one `exactla.kernel_basis` (of D on the parity's columns) and one
+    `exactla.rank` per block with h != 0, and one `exactla.quotient` (modulo
+    im D of the target) per such block and compact target with
+    ker D cap im D != 0: 3 in all. No other elimination is run."""
+    coll = _collection(GL33, "-3,0,0|1,1,1", 4, "simple")
+    report = dirac.dirac_cohomology(coll)
+    kernels, quotients = [], []
+    for sign in (+1, -1):
+        for nu, bc in report.per_block.items():
+            if bc.hd_plus if sign > 0 else bc.hd_minus:
+                block = coll.blocks[nu]
+                kernels.append((block.dim, block.parity.count(0 if sign > 0 else 1)))
+                quotients += [
+                    tgt.dim
+                    for tgt, _ in dirac.raising_maps(coll, block, "compact")
+                    if report.per_block[tgt.nu].ker_cap_im
+                ]
+    assert len(quotients) == 3
+    calls = {}
+
+    def counted(name, shape):
+        original = getattr(exactla, name)
+        calls[name] = []
+
+        def wrapper(*args):
+            calls[name].append(shape(*args))
+            return original(*args)
+
+        monkeypatch.setattr(exactla, name, wrapper)
+
+    counted("kernel_basis", lambda a: (a.rows, a.cols))
+    counted("rank", lambda a: None)
+    counted("quotient", lambda rows, dim: dim)
+    counted("_rref", lambda rows: None)
+    for sign in (+1, -1):
+        dirac.hd_ktype_table(coll, report, sign)
+    assert sorted(calls["kernel_basis"]) == sorted(kernels)
+    assert len(calls["rank"]) == len(kernels)
+    assert sorted(calls["quotient"]) == sorted(quotients)
+    assert len(calls["_rref"]) == 2 * len(kernels) + len(quotients)
 
 
 def test_block_cohomology_holds_counts_only(rep_typical3):
@@ -1404,7 +1454,7 @@ def test_refuted_inputs_reach_the_inequality(group, weight, constituents, negati
     entries = dirac.g0_constituents(coll)
     assert len(entries) == constituents
     assert sum(e.s < 0 for e in entries) == negative
-    assert type(analysis.harish_chandra_audit(coll)) is bool
+    assert type(harish_chandra_audit(coll)) is bool
     with pytest.raises(AssertionError, match=r"D\^2 not semisimple with predicted scalars at nu="):
         dirac.dirac_square_audit(coll)
 

@@ -69,9 +69,6 @@ UNREFERENCED_ALLOWED = {
         for c in ("root_data", "decompose", "dirac_cohomology", "certify", "character",
                   "index", "verify")
     },
-    "harish_chandra_audit": "the strict Harish-Chandra inequality per g0-constituent, "
-    "a condition on the g0-types that disagrees with unitarity (its verdicts are "
-    "pinned in tests/test_analysis.py); kept until a suite reports it (ROADMAP)",
     "vogan_consistency": "the infinitesimal character of H_D, to be folded into the "
     "`cohomology` suite (ROADMAP)",
     "dot_action": "the rho / rho0 dot action the `branching` fix straightens by (ROADMAP)",

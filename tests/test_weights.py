@@ -15,6 +15,7 @@ from _helpers import (
     fraction_pairing,
     fraction_root_sort_key,
     gamma_of_subset,
+    harish_chandra_condition,
     odd_exterior_character,
 )
 from superdirac.weights import (
@@ -24,7 +25,6 @@ from superdirac.weights import (
     bounded_exponents,
     build_root_datum,
     dot_action,
-    harish_chandra_condition,
     pairing,
     parse_weight,
     same_infinitesimal_character,
