@@ -10,6 +10,7 @@ Exit codes: 0 = all checks concluded (pass or expected refutation),
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -147,6 +148,7 @@ def cache_lookup(cache_dir: str | None, key: str, required: tuple[str, ...]) -> 
 def cache_store(cache_dir: str | None, key: str, payload: dict) -> None:
     if not cache_dir:
         return
+    tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -154,6 +156,9 @@ def cache_store(cache_dir: str | None, key: str, payload: dict) -> None:
             fh.write(json.dumps(payload))  # one-shot and compact: the C encoder
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
     except OSError as exc:
+        if tmp is not None:  # a failed write or replace leaves no temporary file
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         click.echo(f"warning: cache unwritable ({exc}); continuing without cache", err=True)
 
 

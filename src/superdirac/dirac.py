@@ -150,64 +150,71 @@ def _block_bases(
     height = math.floor(height)  # every height below is an int
     gammas = [g.coords() for g in osc.partial_roots()]  # roots: int coordinates
     heights = [datum.drop_key(g)[0] for g in gammas]
-    # every x^a with ht(sum a_k gamma_k) <= height: (that height, a, sum a_k gamma_k)
+    # every x^a with ht(sum a_k gamma_k) <= height, in lexicographic order of a:
+    # (that height, a, sum a_k gamma_k)
     monos = []
     for a in bounded_exponents(heights, height, [None] * len(heights)):
         w = tuple(sum(map(operator.mul, a, coord)) for coord in zip(*gammas))
         monos.append((sum(map(operator.mul, a, heights)), a, w))
     bases: dict[Drop, list[BasisEntry]] = {}
-    for drop_m, b in module.by_drop.items():
-        room = height - datum.drop_key(drop_m)[0]
+    # module drops in `drop_key` order (each key formed once), and each one's
+    # monomials grouped by block in order of a, fill every basis in order
+    for key, drop_m in sorted((datum.drop_key(d), d) for d in module.by_drop):
+        room = height - key[0]
+        by_block: dict[Drop, list[tuple[int, ...]]] = {}
         for h, a, w in monos:
             if h <= room:
-                bases.setdefault(tuple(map(operator.add, drop_m, w)), []).extend(
-                    (drop_m, i, a) for i in range(b.dim)
-                )
-    for basis in bases.values():
-        basis.sort(key=lambda e: (datum.drop_key(e[0]), e[1], e[2]))
+                by_block.setdefault(tuple(map(operator.add, drop_m, w)), []).append(a)
+        dim = module.by_drop[drop_m].dim
+        for drop, exps in by_block.items():
+            bases.setdefault(drop, []).extend((drop_m, i, a) for i in range(dim) for a in exps)
     return {drop: bases[drop] for drop in sorted(bases, key=datum.drop_key)}
 
 
 def assemble_block(
-    module: TruncatedModule, drop: Drop, osc: Oscillator, basis: list[BasisEntry]
+    module: TruncatedModule, base: Weight, drop: Drop, osc: Oscillator, basis: list[BasisEntry]
 ) -> DiracBlock:
     """The Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) on the block
-    of drop `drop`, on the basis `_block_bases` lists, filled in one pass over
+    of drop `drop`, of weight nu = base - drop for base = L - rho1 (formed once
+    per collection), on the basis `_block_bases` lists, filled in one pass over
     the columns. A term moves the oscillator monomial of its column to a + e_k
     or a - e_k, and the (row, entry) pairs of one generator column have
     distinct rows, so every entry of D receives exactly one term."""
     datum = module.datum
-    alg = module.alg
-    nu = (module.highest_weight - datum.rho1).lower(drop)
-    mn = datum.mn
+    gen_drop = module.alg.gen_drop
     dim = len(basis)
     index = {e: i for i, e in enumerate(basis)}
     parity = [oscillator.monomial_parity(a) for (_, _, a) in basis]
+    # per odd direction k: d_k and its drop, the lowering matrix unit and its
+    # drop, and -2 times the sign of x_k (that unit times its sign)
+    odd = [
+        (k, up, gen_drop(up), down, gen_drop(down), -2 * sign)
+        for k, (up, down, sign) in enumerate(
+            zip(datum.odd_raising, datum.odd_lowering, datum.odd_lowering_sign)
+        )
+    ]
 
     entries = {}
     for col, (drop_m, i, a) in enumerate(basis):
-        for k in range(mn):
+        for k, up, up_drop, down, down_drop, sign in odd:
             # d_k (x) x_k: module vector raised, oscillator exponent +1
-            g = datum.odd_raising[k]
-            target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
+            target = tuple(map(operator.add, drop_m, up_drop))
             anew = a[:k] + (a[k] + 1,) + a[k + 1 :]
-            for r, c in module.gen_columns(g, drop_m)[i]:
+            for r, c in module.gen_columns(up, drop_m)[i]:
                 row = index.get((target, r, anew))
                 if row is not None:
                     entries[row, col] = exactla._rat(2 * c)
-            # x_k (x) d_k: module vector lowered, derivative on the oscillator;
-            # x_k is the lowering matrix unit times its sign
+            # x_k (x) d_k: module vector lowered, derivative on the oscillator
             if a[k] > 0:
-                g = datum.odd_lowering[k]
-                target = tuple(map(operator.add, drop_m, alg.gen_drop(g)))
+                target = tuple(map(operator.add, drop_m, down_drop))
                 anew = a[:k] + (a[k] - 1,) + a[k + 1 :]
-                f = a[k] * datum.odd_lowering_sign[k]
-                for r, c in module.gen_columns(g, drop_m)[i]:
+                f = a[k] * sign
+                for r, c in module.gen_columns(down, drop_m)[i]:
                     row = index.get((target, r, anew))
                     if row is not None:
-                        entries[row, col] = exactla._rat(-2 * f * c)
+                        entries[row, col] = exactla._rat(f * c)
     D = SparseRationalMatrix(dim, dim, entries)
-    return DiracBlock(nu, drop, module, osc, basis, parity, D, index)
+    return DiracBlock(base.lower(drop), drop, module, osc, basis, parity, D, index)
 
 
 # ----- even (g0) structure inside blocks ---------------------------------------------
@@ -256,8 +263,9 @@ class BlockCollection:
 def assemble_all(module: TruncatedModule, height) -> BlockCollection:
     osc = Oscillator(module.alg)
     height = min(Fraction(height), module.height)
+    base = module.highest_weight - module.datum.rho1
     blocks = [
-        assemble_block(module, drop, osc, basis)
+        assemble_block(module, base, drop, osc, basis)
         for drop, basis in _block_bases(module, osc, height).items()
     ]
     return BlockCollection(
@@ -286,8 +294,9 @@ def assemble_by_degree(module: TruncatedModule, max_degree: int) -> BlockCollect
         (datum.height(lam - w) for w in module.blocks if module.block_dim(w)), default=0
     ) + max_degree * max(datum.height(g) for g in osc.partial_roots())
     lifted = replace(module, height=max(height, module.height))
+    base = lam - datum.rho1
     blocks = [
-        assemble_block(lifted, drop, osc, basis)
+        assemble_block(lifted, base, drop, osc, basis)
         for drop, basis in _block_bases(module, osc, height).items()
         if any(sum(a) <= max_degree for _, _, a in basis)
     ]
@@ -371,8 +380,13 @@ def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
 
     Each (block, even raising generator) map X_D is built once, and
     `raising_maps` raises unless X_D D = D X_D. The kernel of the
-    block's maps is its highest vectors, and D^2 must act on them by one
-    scalar, read as D(D v). The Dirac inequality is `e.s >= 0` on an entry
+    block's maps, read off their rows with no stacked matrix formed, is its
+    highest vectors, kept sparse (`exactla.sparse_kernel`), and D^2 must
+    act on them by one scalar, read as D(D v): D is applied
+    column by column over the support of v, from its columns indexed once
+    per block. D^2 v = c v is checked on ints by cross multiplication
+    against the lead entry of v on every coordinate of its support, and
+    D^2 v must vanish off it. The Dirac inequality is `e.s >= 0` on an entry
     (strict: `e.s > 0`); on certified inputs it holds at every constituent.
     Nothing here needs D^2 semisimple, so refuted inputs give their
     constituents too."""
@@ -383,22 +397,26 @@ def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
         if block.dim == 0:
             continue
         maps = raising_maps(coll, block, "even")
-        hvs = exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
+        hvs = exactla.sparse_kernel((r for _, x in maps for r in x.nonzero_rows()), block.dim)
         if not hvs:
             continue
         mu = nu + datum.rho1  # = L - drop
         s = modules.dirac_scalar(datum, t, block.drop)
-        # measured scalar: D^2 must map each highest vector to a multiple of
-        # it, checked on ints by cross multiplication against the lead entry
+        by_col: dict[int, list] = {}  # D's columns: column -> (row, entry) pairs
+        for (i, j), a in block.D.entries.items():
+            by_col.setdefault(j, []).append((i, a))
         measured_vals = set()
         for v in hvs:
-            img = block.D.apply(block.D.apply(v))
-            lead = next(i for i, x in enumerate(v) if x)
-            if any(y * v[lead] != x * img[lead] for x, y in zip(v, img)):
+            img = _times(by_col, _times(by_col, v))
+            lead = min(v)
+            x, y = img.get(lead, 0), v[lead]
+            # D^2 v = (x / y) v, on ints: cross multiplied on supp(v), 0 off it
+            if any(img.get(j, 0) * y != x * vj for j, vj in v.items()) or any(
+                c for i, c in img.items() if i not in v
+            ):
                 raise AssertionError(
                     f"D^2 is not scalar on a highest vector at nu={nu.text()}"
                 )
-            x, y = img[lead], v[lead]
             measured_vals.add(
                 x // y if type(x) is int and not x % y else exactla._rat(Fraction(x, y))
             )
@@ -411,6 +429,17 @@ def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
             SquareAuditEntry(nu, mu, len(hvs), s, measured, measured == -2 * s, block.drop)
         )
     return entries
+
+
+def _times(by_col: dict[int, list[tuple[int, exactla.Rational]]], v: dict) -> dict:
+    """A v for a sparse vector v (index -> entry), A given by its columns
+    (column -> its (row, entry) pairs); the result may hold zeros."""
+    out: dict = {}
+    for j, x in v.items():
+        if x:
+            for i, a in by_col.get(j, ()):
+                out[i] = out.get(i, 0) + a * x
+    return out
 
 
 def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:

@@ -5,9 +5,11 @@ An exact entry is an `int` when it is integral and a `Fraction` otherwise
 quotient coordinates come from one sparse fraction-free elimination over
 row dicts (`_rref`); kernels and quotients back-substitute its echelon
 rows. Its pivots and row space are the RREF's, so none of the three depends
-on the order of the input rows. Definiteness certificates for symmetric
-Gram matrices clear the same integer rows (`_clear`) as a congruence, and
-only `quotient` and the pivots and witnesses of `definiteness` divide.
+on the order of the input rows. A kernel is read sparse (`sparse_kernel`),
+as column -> entry dicts, and `kernel_basis` densifies it. Definiteness
+certificates for symmetric Gram matrices clear the same integer rows
+(`_clear`) as a congruence, and only `quotient` and the pivots and witnesses
+of `definiteness` divide.
 Pivoting is deterministic, so results are reproducible bit-for-bit.
 """
 
@@ -98,7 +100,8 @@ class SparseRationalMatrix:
         acc: dict[tuple[int, int], Rational] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                acc[i, j] = acc.get((i, j), 0) + a * b
+                key = i, j
+                acc[key] = acc.get(key, 0) + a * b
         entries = {key: v for key, v in acc.items() if v}
         return SparseRationalMatrix(self.rows, other.cols, entries)
 
@@ -230,11 +233,21 @@ def _kernel(rows: Iterable[Row], cols: int) -> list[tuple[int, dict[int, int]]]:
     return out
 
 
+def sparse_kernel(rows: Iterable[Row], cols: int) -> list[dict[int, int]]:
+    """Basis of the kernel of the rows, on `cols` columns, in primitive
+    integer vectors, sparse (column -> nonzero entry): for each free column,
+    a positive multiple of its RREF kernel vector. The rows may come in any
+    order, from several matrices."""
+    return [v for _, v in _kernel(rows, cols)]
+
+
 def kernel_basis(a: SparseRationalMatrix) -> list[tuple[int, ...]]:
-    """Basis of ker A in primitive integer vectors, A·v = 0 for each: for each
-    free column, a positive multiple of its RREF kernel vector."""
-    basis = _kernel(a.nonzero_rows(), a.cols)
-    return [tuple([v.get(j, 0) for j in range(a.cols)]) for _, v in basis]
+    """Basis of ker A, A·v = 0 for each: the vectors of `sparse_kernel` of
+    its rows, dense."""
+    return [
+        tuple([v.get(j, 0) for j in range(a.cols)])
+        for v in sparse_kernel(a.nonzero_rows(), a.cols)
+    ]
 
 
 @dataclass

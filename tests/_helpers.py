@@ -45,7 +45,9 @@
   the g0-highest vectors of a
   block from one kernel of the maps built generator by generator (the
   oracle for `dirac.raising_maps`), beside the kernel of those maps as the
-  square audit stacks them; ker D cap im D from explicit bases, H_D from
+  square audit stacks them, dense, and the g0-constituents read from those
+  dense vectors with D^2 v as D.apply(D.apply(v)) (the oracle for the sparse
+  D^2 check of `dirac.g0_constituents`); ker D cap im D from explicit bases, H_D from
   them with explicit class vectors (the oracle for the rank counts of
   `dirac.block_cohomology`), and the H_D tables of those classes killed by
   the even or the compact raising operators, one generator at a time (the
@@ -919,10 +921,39 @@ def oracle_ktype_table(coll, oracle, sign, raising_set):
 
 def highest_vectors(coll, nu):
     """The g0-highest vectors of a block as `dirac.dirac_square_audit` takes
-    them: one kernel of the block's even `dirac.raising_maps`, stacked."""
+    them, dense: one kernel of the block's even `dirac.raising_maps`,
+    stacked."""
     block = coll.blocks[nu]
     maps = dirac.raising_maps(coll, block, "even")
     return exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
+
+
+def dense_g0_constituents(coll):
+    """`dirac.g0_constituents` on dense vectors: the highest vectors of each
+    block as `highest_vectors` gives them, D^2 v read as D.apply(D.apply(v))
+    and checked on every coordinate against the lead entry, and s as one
+    weight pairing (the oracle for the sparse D^2 check)."""
+    datum, lam = coll.module.datum, coll.module.highest_weight
+    entries = []
+    for nu, block in coll.blocks.items():
+        hvs = highest_vectors(coll, nu) if block.dim else []
+        if not hvs:
+            continue
+        measured = set()
+        for v in hvs:
+            img = block.D.apply(block.D.apply(v))
+            lead = next(i for i, x in enumerate(v) if x)
+            if any(y * v[lead] != x * img[lead] for x, y in zip(v, img)):
+                raise AssertionError(f"D^2 is not scalar on a highest vector at nu={nu.text()}")
+            measured.add(_rat(Fraction(img[lead], v[lead])))
+        if len(measured) != 1:
+            raise AssertionError(f"distinct D^2 scalars on one isotypic label at nu={nu.text()}")
+        c = measured.pop()
+        s = _rat(dirac_scalar_pairing(datum, lam, nu + datum.rho1))
+        entries.append(
+            dirac.SquareAuditEntry(nu, nu + datum.rho1, len(hvs), s, c, c == -2 * s, block.drop)
+        )
+    return entries
 
 
 def highest_vectors_per_generator(coll, nu):

@@ -318,6 +318,31 @@ def test_malformed_cache_entry_is_a_miss(runner, tmp_path, args, corrupt):
     assert json.loads(entry.read_text()) != bad  # stored again
 
 
+def test_a_failed_cache_store_leaves_no_temporary_file(runner, tmp_path, capsys):
+    """With the entry's path taken by a directory, `os.replace` fails: the
+    store warns on stderr and removes its temporary file, directly and under
+    a command, whose exit code and output are those of a run with no cache."""
+    from superdirac import cli
+
+    cache = tmp_path / "cache"
+    (cache / "k.json").mkdir(parents=True)
+    cli.cache_store(str(cache), "k", {"schema": 1})
+    assert "warning: cache unwritable" in capsys.readouterr().err
+    assert sorted(p.name for p in cache.iterdir()) == ["k.json"]
+
+    args = ["verify", *BASE21, "--weight", "-2,1|1", "--height", "2", "--suite", "square"]
+    plain = invoke(runner, args)
+    stored = tmp_path / "stored"
+    invoke(runner, [*args, "--cache-dir", str(stored)])
+    (entry,) = stored.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    res = invoke(runner, [*args, "--cache-dir", str(stored)])
+    assert res.exit_code == plain.exit_code == 0 and res.stdout == plain.stdout
+    assert res.stderr.startswith("warning: cache unwritable (")
+    assert sorted(p.name for p in stored.iterdir()) == [entry.name]
+
+
 def test_cache_key_depends_on_package_sources(monkeypatch):
     from superdirac import cli
 
@@ -391,8 +416,8 @@ def test_a_map_that_does_not_commute_with_D_exits_2(runner, monkeypatch):
     real = dirac.assemble_block
     spoiled = []
 
-    def spoiling(module, drop, osc, basis):
-        block = real(module, drop, osc, basis)
+    def spoiling(module, base, drop, osc, basis):
+        block = real(module, base, drop, osc, basis)
         if block.D.entries and not spoiled:
             spoiled.append(block.nu)
             key = min(block.D.entries)

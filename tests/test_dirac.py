@@ -19,6 +19,7 @@ from _helpers import (
     basis_weight,
     cap_basis,
     cone_sums,
+    dense_g0_constituents,
     dirac_quarters,
     dirac_scalar_pairing,
     four_product_certificate,
@@ -1330,6 +1331,174 @@ def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
         with pytest.raises(AssertionError, match=re.escape(message) + "$"):
             run(coll)
     assert squared == []
+
+
+# ----- the sparse D^2 check on highest vectors ---------------------------------------------
+def _entry_fields(entries):
+    return [
+        (e.nu0, e.mu, e.multiplicity, e.s, e.measured, type(e.measured), e.matched, e.drop)
+        for e in entries
+    ]
+
+
+@pytest.mark.parametrize("name", [*SHORTCUT_INPUTS, "by-degree"])
+def test_constituents_match_the_dense_oracle(name):
+    """On the simple, Verma, refuted, atypical and gl(3|3) inputs and the
+    trivial modules assembled by degree, the sparse D^2 check gives the
+    constituents of the dense one, field by field: nu0, mu, multiplicity, s,
+    measured (value and type) and matched."""
+    if name == "by-degree":
+        colls = [_degree_collection(group) for group in (SL21, SL22, SL23, GL33)]
+    else:
+        colls = [_collection(*SHORTCUT_INPUTS[name])]
+    for coll in colls:
+        entries = dirac.g0_constituents(coll)
+        assert entries
+        assert _entry_fields(entries) == _entry_fields(dense_g0_constituents(coll))
+
+
+def test_the_square_audit_applies_no_dense_matrix(monkeypatch):
+    """sl(2|1) -2,1|1 (certified) and 0,0|-1 (refuted) at N=6: the square
+    audit reads D^2 v on sparse highest vectors and never calls
+    `SparseRationalMatrix.apply`. The module's generator columns, which a
+    first even map builds through the quotient's `apply`, are built before
+    the count starts."""
+    colls = [_collection(SL21, weight, 6, "simple") for weight in ("-2,1|1", "0,0|-1")]
+    for coll in colls:
+        for block in coll.blocks.values():
+            dirac.raising_maps(coll, block, "even")
+    calls = []
+    apply = SparseRationalMatrix.apply
+
+    def counted(a, v):
+        calls.append(a)
+        return apply(a, v)
+
+    monkeypatch.setattr(SparseRationalMatrix, "apply", counted)
+    for coll in colls:
+        assert dirac.dirac_square_audit(coll).entries
+    assert calls == []
+
+
+def _sparse_highest_vectors(coll, block):
+    stack = exactla.vstack([x for _, x in dirac.raising_maps(coll, block, "even")], block.dim)
+    return exactla.sparse_kernel(stack.nonzero_rows(), block.dim)
+
+
+def _dense(v, dim):
+    return tuple(v.get(j, 0) for j in range(dim))
+
+
+def _free_coordinates(hvs):
+    """For each highest vector, a coordinate where it alone is nonzero (a
+    free column of the RREF)."""
+    return [min(j for j in v if not any(j in w for w in hvs if w is not v)) for v in hvs]
+
+
+def _with_operator(coll, block, hvs, images):
+    """`coll` with D on `block` replaced by D' = sum_i images[i] e_{f_i}^T,
+    the f_i from `_free_coordinates`, so D' v_i = v_i[f_i] images[i]. For
+    images[i] = v_i + delta_i with delta_i zero at every f_k, that gives
+    D'^2 v_i = v_i[f_i]^2 (v_i + delta_i)."""
+    free = _free_coordinates(hvs)
+    entries = {(r, f): x for f, u in zip(free, images) for r, x in u.items() if x}
+    spoiled = replace(block, D=SparseRationalMatrix(block.dim, block.dim, entries))
+    blocks = {nu: spoiled if b is block else b for nu, b in coll.blocks.items()}
+    return replace(coll, blocks=blocks, by_drop={b.drop: b for b in blocks.values()}), spoiled
+
+
+def _squares(block, hvs):
+    """D^2 v, dense, for each highest vector, read by the dense `apply`."""
+    return [block.D.apply(block.D.apply(_dense(v, block.dim))) for v in hvs]
+
+
+def _off_support(v, img):
+    return any(x for j, x in enumerate(img) if j not in v)
+
+
+def _off_ratio(v, img):
+    lead = min(v)
+    return any(img[j] * v[lead] != img[lead] * x for j, x in v.items())
+
+
+def _assert_square_check_raises(monkeypatch, coll, message):
+    """Every reader of the constituents, the dense oracle too, raises
+    `message`. A spoiled D no longer commutes with the X_D, and
+    `raising_maps` would raise that first, so `exactla.intertwines` is
+    stubbed to pass."""
+    monkeypatch.setattr(exactla, "intertwines", lambda x, src, tgt: True)
+    for run in (dirac.g0_constituents, dirac.dirac_square_audit, dense_g0_constituents):
+        with pytest.raises(AssertionError, match=re.escape(message) + "$"):
+            run(coll)
+
+
+def _blocks_with_highest_vectors(coll):
+    for block in coll.blocks.values():
+        if block.dim and (hvs := _sparse_highest_vectors(coll, block)):
+            yield block, hvs
+
+
+def test_the_square_check_sees_a_coordinate_off_the_support(monkeypatch):
+    """sl(2|1) -2,1|1 at N=4, D replaced on one block (`_with_operator`)
+    with delta = e_k on one highest vector v, k outside supp(v) and no free
+    coordinate: D'^2 v is a multiple of v on supp(v) and nonzero at k; every
+    other highest vector keeps D'^2 w = w[f]^2 w."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    block, hvs, i, k = next(
+        (block, hvs, i, k)
+        for block, hvs in _blocks_with_highest_vectors(coll)
+        for i, v in enumerate(hvs)
+        for k in range(block.dim)
+        if k not in v and k not in _free_coordinates(hvs)
+    )
+    images = [{**v, k: 1} if n == i else v for n, v in enumerate(hvs)]
+    coll, spoiled = _with_operator(coll, block, hvs, images)
+    squares = _squares(spoiled, hvs)
+    assert squares[i][k] and not any(_off_ratio(v, img) for v, img in zip(hvs, squares))
+    _assert_square_check_raises(
+        monkeypatch, coll, f"D^2 is not scalar on a highest vector at nu={block.nu.text()}"
+    )
+
+
+def test_the_square_check_sees_a_wrong_ratio_on_the_support(monkeypatch):
+    """sl(2|1) -2,1|1 at N=4, D replaced on one block (`_with_operator`)
+    with delta = v_j e_j on one highest vector v, j in supp(v) other than
+    its free coordinate: D'^2 v is zero off supp(v), but its entry at j is
+    doubled against the others; every other highest vector keeps
+    D'^2 w = w[f]^2 w."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    block, hvs, i, j = next(
+        (block, hvs, i, j)
+        for block, hvs in _blocks_with_highest_vectors(coll)
+        for i, (v, f) in enumerate(zip(hvs, _free_coordinates(hvs)))
+        for j in v
+        if j != f
+    )
+    images = [{**v, j: 2 * v[j]} if n == i else v for n, v in enumerate(hvs)]
+    coll, spoiled = _with_operator(coll, block, hvs, images)
+    squares = _squares(spoiled, hvs)
+    assert not any(_off_support(v, img) for v, img in zip(hvs, squares))
+    assert _off_ratio(hvs[i], squares[i])
+    _assert_square_check_raises(
+        monkeypatch, coll, f"D^2 is not scalar on a highest vector at nu={block.nu.text()}"
+    )
+
+
+def test_two_scalars_on_one_block_raise(monkeypatch):
+    """sl(2|1) -2,1|1 at N=4, D replaced on a block with highest vectors
+    v_1, ..., v_k (k >= 2) by images (i + 1) v_i (`_with_operator`): each
+    D'^2 v_i is ((i + 1) v_i[f_i])^2 v_i, a multiple of v_i, but the
+    scalars differ."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    block, hvs = next((b, hvs) for b, hvs in _blocks_with_highest_vectors(coll) if len(hvs) > 1)
+    images = [{j: (i + 1) * x for j, x in v.items()} for i, v in enumerate(hvs)]
+    coll, spoiled = _with_operator(coll, block, hvs, images)
+    squares = _squares(spoiled, hvs)
+    assert not any(_off_support(v, img) or _off_ratio(v, img) for v, img in zip(hvs, squares))
+    assert len({Fraction(img[min(v)], v[min(v)]) for v, img in zip(hvs, squares)}) == len(hvs)
+    _assert_square_check_raises(
+        monkeypatch, coll, f"distinct D^2 scalars on one isotypic label at nu={block.nu.text()}"
+    )
 
 
 # ----- rank-free cohomology outside the zero-scalar cone --------------------------------
