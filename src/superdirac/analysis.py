@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import dirac, exactla, modules, oscillator
+from . import dirac, exactla, modules
 from .dirac import BlockCollection
 from .modules import TruncatedModule, VirtualCharacter
 from .weights import RootDatum, Weight, subset_labels
@@ -105,9 +105,9 @@ class KostantReport:
 def kostant_cohomology(coll: BlockCollection) -> KostantReport:
     """H^k of the positive odd part with coefficients in the module, realized
     per diagonal block by its Kostant differential d on M (x) M(g1), the
-    degree-raising half of D/2 (`DiracBlock.d`), graded by
-    `oscillator.cohomological_degree`: with one rank
-    r_k = rk(d: C^k -> C^{k+1}) per degree, h^k = dim C^k - r_k - r_{k-1}."""
+    degree-raising half of D/2 (`DiracBlock.d`), graded by `DiracBlock.degrees`:
+    with one rank r_k = rk(d: C^k -> C^{k+1}) per degree,
+    h^k = dim C^k - r_k - r_{k-1}."""
     module = coll.module
     datum = module.datum
     per_degree: dict[int, dict[Weight, int]] = {}
@@ -119,8 +119,8 @@ def kostant_cohomology(coll: BlockCollection) -> KostantReport:
         if not d.matmul(d).is_zero():
             dd_zero = False
         idx_by_deg: dict[int, list[int]] = {}
-        for i, (_, _, a) in enumerate(block.basis):
-            idx_by_deg.setdefault(oscillator.cohomological_degree(datum, a), []).append(i)
+        for i, k in enumerate(block.degrees()):
+            idx_by_deg.setdefault(k, []).append(i)
         ranks = {  # r_k = 0 where C^{k+1} = 0
             k: exactla.rank(d.submatrix(idx_by_deg[k + 1], cols))
             for k, cols in idx_by_deg.items()

@@ -1,12 +1,13 @@
 """Diagonal-weight blocks of M (x) M(g1), with an explicit matrix for the
-Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d'), the block
-Gram form, Dirac cohomology, index, the g0-constituents (`g0_constituents`:
-highest weight, multiplicity and D^2 scalar, where the Dirac inequality is
-read), and the anti-selfadjointness and square
-audits. Each block assembles D alone: every entry of D changes the
-cohomological degree of the oscillator monomial by one, and the Kostant
-differential d is the degree-raising half of D/2 (d' is minus its
-G-adjoint), read off D where it is asked for.
+Dirac operator D = 2 sum_k (d_k (x) x_k - x_k (x) d_k) = 2(d + d'), Dirac
+cohomology, index, the g0-constituents (`g0_constituents`: highest weight,
+multiplicity and D^2 scalar, where the Dirac inequality is read), and the
+anti-selfadjointness and square audits. Each block stores D alone: every
+entry of D changes the cohomological degree of the oscillator monomial by
+one, and the Kostant differential d is the degree-raising half of D/2 (d'
+is minus its G-adjoint), read off D where it is asked for. The block Gram
+form G is never formed: G D is accumulated from the module forms where it
+is read (`_gram_D`), and dropped.
 
 Dirac cohomology is counted by ranks: H_D = ker D / (ker D cap im D) per
 block, and its compact k-types are h minus the rank of the compact X_D on a
@@ -17,11 +18,11 @@ scalar is 0: on every other block D is invertible, read off the weights
 (`dirac_cohomology`). Each block decides once whether its Gram form G is
 positive definite and D^T G + G D = 0
 (`DiracBlock.definite_anti_selfadjoint`). Where it holds, ker D cap im D = 0
-and D^2 is diagonalizable (Huang-Pandzic), so `block_cohomology` takes no
-rank of D^2 and `dirac_square_audit` forms no product of the (D^2 - c);
-every other block computes both as before. Both shortcuts and the k-type
-count rest on X_D D = D X_D, which `raising_maps` asserts on every map it
-builds.
+and D^2 is diagonalizable (Huang-Pandzic), so `block_cohomology` forms no
+parity half of D^2 and `dirac_square_audit` forms no D^2 and no product of
+the (D^2 - c); every other block forms and reads them. Both shortcuts and
+the k-type count rest on X_D D = D X_D, which `raising_maps` asserts on
+every map it builds.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ BasisEntry = tuple[Drop, int, OscMonomial]
 @dataclass
 class DiracBlock:
     """One diagonal block nu of M (x) M(g1) on its basis of (module vector,
-    oscillator monomial) pairs. D is its one stored matrix; the Kostant
-    differential d, D^2 and the Gram form G are derived from D and the
-    module, each once."""
+    oscillator monomial) pairs. D is its one stored matrix, and the one
+    cached value is `definite_anti_selfadjoint`; the Kostant differential d
+    is read off D where it is asked for, and the Gram form G is never
+    formed (`_gram_D`)."""
 
     nu: Weight
     drop: Drop  # (L - rho1) - nu
@@ -67,14 +69,18 @@ class DiracBlock:
     def dim(self) -> int:
         return len(self.basis)
 
-    @functools.cached_property
+    def degrees(self) -> list[int]:
+        """`oscillator.cohomological_degree` of each basis monomial, in order."""
+        datum = self.module.datum
+        return [oscillator.cohomological_degree(datum, a) for _, _, a in self.basis]
+
+    @property
     def d(self) -> SparseRationalMatrix:
         """The Kostant differential d = d^{p1} - delta^{q2}: the entries of D/2
-        that raise the cohomological degree (`oscillator.cohomological_degree`).
-        Every entry of D moves it by one; d^{q2} - delta^{p1}, the lowering
-        half d', is the rest, so D = 2(d + d')."""
-        datum = self.module.datum
-        deg = [oscillator.cohomological_degree(datum, a) for _, _, a in self.basis]
+        that raise the cohomological degree. Every entry of D moves it by
+        one; d^{q2} - delta^{p1}, the lowering half d', is the rest, so
+        D = 2(d + d'). Formed on each read."""
+        deg = self.degrees()
         entries = {
             (i, j): v // 2 if type(v) is int and not v % 2 else Fraction(v, 2)
             for (i, j), v in self.D.entries.items()
@@ -83,25 +89,14 @@ class DiracBlock:
         return SparseRationalMatrix(self.dim, self.dim, entries)
 
     @functools.cached_property
-    def D2(self) -> SparseRationalMatrix:
-        return self.D.matmul(self.D)
-
-    @functools.cached_property
-    def gram_D(self) -> SparseRationalMatrix:
-        """G D, kept between its two readers so it is formed once: the
-        predicate reads it where every module form is definite, and
-        `anti_selfadjoint_certificate` reads it and drops it."""
-        return self.gram.matmul(self.D)
-
-    @functools.cached_property
     def definite_anti_selfadjoint(self) -> bool:
         """G is positive definite and D^T G + G D = 0, decided once per block.
 
         G is the module form times a! on each (module block, x^a), so it is
         positive definite iff the form of every module block in the basis
         is; each module block caches its certificate. Only then is G D
-        formed (`gram_D`): G is symmetric, so the identity says that G D is
-        antisymmetric.
+        accumulated (`_gram_D`), and not kept: G is symmetric, so the
+        identity says that G D is antisymmetric.
         Then G D^2 = -D^T G D, so D^2 is G-selfadjoint, hence diagonalizable
         over the reals, and ker D cap im D = 0: for v = D w with D v = 0,
         <v, v> = <D w, v> = -<w, D v> = 0, so v = 0 (Huang-Pandzic, JAMS 15,
@@ -110,19 +105,8 @@ class DiracBlock:
         drops = {e[0] for e in self.basis}
         if any(self.module.by_drop[d].definiteness.verdict != "positive-definite" for d in drops):
             return False
-        g_D = self.gram_D.entries
+        g_D = _gram_D(self)
         return not any(v + g_D.get((j, i), 0) for (i, j), v in g_D.items())
-
-    @functools.cached_property
-    def gram(self) -> SparseRationalMatrix:
-        """G = (module Gram) (x) (Bargmann-Fock form), diagonal in the
-        monomials: the form of each module block times a! on its x^a."""
-        index, entries = self.index, {}
-        for drop_m, a in dict.fromkeys((e[0], e[2]) for e in self.basis):
-            bf = math.prod(map(math.factorial, a))
-            for (i2, i), v in self.module.by_drop[drop_m].form.entries.items():
-                entries[index[drop_m, i2, a], index[drop_m, i, a]] = exactla._rat(v * bf)
-        return SparseRationalMatrix(self.dim, self.dim, entries)
 
     def to_json(self) -> dict:
         return {
@@ -131,6 +115,29 @@ class DiracBlock:
             "dim_even": sum(1 for p in self.parity if p == 0),
             "dim_odd": sum(1 for p in self.parity if p == 1),
         }
+
+
+def _gram_D(block: DiracBlock) -> dict[tuple[int, int], exactla.Rational]:
+    """The entries of G D (zeros included), G the block Gram form, in one
+    accumulation over the entries of D; G is not formed. G is the form of
+    each module block times a! on each (module block, x^a), so column k of
+    G, for k = (drop_m, r, a), is column r of that form times a! at the rows
+    (drop_m, ., a); those columns are listed once per call and dropped."""
+    index, by_drop = block.index, block.module.by_drop
+    forms: dict[tuple[Drop, int], list] = {}  # (module drop, column) -> (row, entry)
+    for drop_m in {e[0] for e in block.basis}:
+        for (i, c), x in by_drop[drop_m].form.entries.items():
+            forms.setdefault((drop_m, c), []).append((i, x))
+    g_cols = [
+        [(index[drop_m, i, a], exactla._rat(x * bf)) for i, x in forms.get((drop_m, r), ())]
+        for drop_m, r, a in block.basis
+        for bf in (math.prod(map(math.factorial, a)),)
+    ]
+    acc: dict[tuple[int, int], exactla.Rational] = {}
+    for (k, j), v in block.D.entries.items():
+        for i, g in g_cols[k]:
+            acc[i, j] = acc.get((i, j), 0) + g * v
+    return acc
 
 
 def _block_bases(
@@ -450,17 +457,16 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
 
     The predicted scalars `cs` of a block are the measured ones of every
     constituent above it in the even cone (itself included). Semisimplicity
-    means that the product of (D^2 - c) over `cs` vanishes; this product is
-    formed only on blocks where `DiracBlock.definite_anti_selfadjoint` fails.
+    means that the product of (D^2 - c) over `cs` vanishes; D^2 = D D and this
+    product are formed only where `DiracBlock.definite_anti_selfadjoint` fails.
     Elsewhere it vanishes for this reason: D^2 is diagonalizable on the block
     (G-selfadjoint for a definite G), and every eigenvalue lies in `cs`. Take
     an eigenvector v of D^2 with eigenvalue c. Each X_D commutes with D
     (`raising_maps` asserts it), hence with D^2, so X_D v is zero or an
-    eigenvector for c in a block one even positive root higher. Raising v
-    while some X_D does not kill it ends, since the height drop falls, at a
-    nonzero vector every X_D kills: a highest vector for c, in a block above
-    in the even cone, where D^2 acts by that block's measured scalar. So c
-    is in `cs`."""
+    eigenvector for c in a block one even positive root higher. Raising v while
+    some X_D does not kill it ends, since the height drop falls, at a nonzero
+    vector every X_D kills: a highest vector for c, in a block above in the
+    even cone, where D^2 acts by that block's measured scalar. So c is in `cs`."""
     datum = coll.module.datum
     entries = g0_constituents(coll)
     # (`_cone_sums` of the constituent's drop, measured scalar)
@@ -478,9 +484,8 @@ def dirac_square_audit(coll: BlockCollection) -> SquareAuditReport:
         below = _cone_sums(block.drop, datum.m)
         cs = sorted({c for s0, c in by_nu0 if _in_even_cone(s0, below)})
         n = block.dim
-        steps = [
-            block.D2.add(SparseRationalMatrix(n, n, {(i, i): -c for i in range(n)})) for c in cs
-        ]
+        d2 = block.D.matmul(block.D)
+        steps = [d2.add(SparseRationalMatrix(n, n, {(i, i): -c for i in range(n)})) for c in cs]
         prod = steps[0] if steps else SparseRationalMatrix(n, n, {(i, i): 1 for i in range(n)})
         for step in steps[1:]:
             prod = prod.matmul(step)
@@ -582,7 +587,7 @@ class CohomologyReport:
 
 def block_cohomology(block: DiracBlock) -> BlockCohomology:
     """H_D of one block, as counts, from the ranks of B and C, and where
-    needed of the halves of D^2.
+    needed of CB and BC.
 
     D swaps oscillator parity, so on (even, odd) coordinates D = [[0, B], [C, 0]]
     with B: odd -> even and C: even -> odd. Then ker D = ker C + ker B and
@@ -592,21 +597,23 @@ def block_cohomology(block: DiracBlock) -> BlockCohomology:
     rk B = rk C: G is diagonal in the oscillator monomials, so it splits as
     G_even + G_odd, and D^T G + G D = 0 gives B = -G_even^-1 C^T G_odd. The
     predicate is read only where rk C is nonzero; where it holds, B is not
-    formed and no rk B, D^2 or D^2-half rank is taken. Elsewhere
-    D^2 = [[BC, 0], [0, CB]], so rk CB and rk BC are the ranks of its parity
-    halves, read off the block's one cached D^2 (the square audit's).
+    formed and no rk B or rank of a product is taken. Elsewhere CB and BC,
+    the parity halves of D^2 = [[BC, 0], [0, CB]], are formed from C and B
+    only where neither rank is 0.
     """
     even = [i for i, p in enumerate(block.parity) if p == 0]
     odd = [i for i, p in enumerate(block.parity) if p == 1]
-    rk_c = exactla.rank(block.D.submatrix(odd, even))
+    c = block.D.submatrix(odd, even)
+    rk_c = exactla.rank(c)
     if rk_c and block.definite_anti_selfadjoint:
         rk_b, cap_plus, cap_minus = rk_c, 0, 0
     else:
-        rk_b = exactla.rank(block.D.submatrix(even, odd))
+        b = block.D.submatrix(even, odd)
+        rk_b = exactla.rank(b)
         cap_plus, cap_minus = rk_b, rk_c  # CB and BC vanish when B or C does
         if rk_b and rk_c:
-            cap_plus -= exactla.rank(block.D2.submatrix(odd, odd))
-            cap_minus -= exactla.rank(block.D2.submatrix(even, even))
+            cap_plus -= exactla.rank(c.matmul(b))
+            cap_minus -= exactla.rank(b.matmul(c))
     ker_plus = len(even) - rk_c
     ker_minus = len(odd) - rk_b
     hd_plus = ker_plus - cap_plus
@@ -692,13 +699,11 @@ def hd_ktype_table(
             continue
         block = coll.blocks[nu]
         cols = [i for i, p in enumerate(block.parity) if p == parity]
-        kernel = exactla.kernel_basis(block.D.submatrix(list(range(block.dim)), cols))
+        rows = block.D.submatrix(list(range(block.dim)), cols).nonzero_rows()
+        kernel = exactla.sparse_kernel(rows, len(cols))
         # the kernel vectors as columns, in block coordinates
-        k_mat = SparseRationalMatrix(
-            block.dim,
-            len(kernel),
-            {(cols[i], j): x for j, v in enumerate(kernel) for i, x in enumerate(v) if x},
-        )
+        entries = {(cols[i], j): x for j, v in enumerate(kernel) for i, x in v.items()}
+        k_mat = SparseRationalMatrix(block.dim, len(kernel), entries)
         stack = []
         for tgt, x in raising_maps(coll, block, "compact"):
             image = x.matmul(k_mat)
@@ -729,24 +734,18 @@ class AdjointCertificate:
 
 def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     """D^T G + G D = 0 (`ok`) and 2(d^T G - G d) + G D = 0 (`halves_adjoint`:
-    d' = D/2 - d is minus the G-adjoint of d) from two products: the block's
-    G D (`DiracBlock.gram_D`, formed here unless the predicate formed it;
-    the block does not keep it after this call) and G d, formed on each
-    call. G is symmetric, so D^T G = (G D)^T and
-    d^T G = (G d)^T: the first identity is read entry by entry off G D, and
-    the left side of the second is added up in one pass over the entries of
-    G d on top of a copy of G D. No package code reads it;
-    `DiracBlock.definite_anti_selfadjoint` tests the first identity on the
-    same G D.
+    d' = D/2 - d is minus the G-adjoint of d), read off one accumulation of
+    G D (`_gram_D`), as the predicate reads it; nothing is kept. G keeps the
+    cohomological degree (it is diagonal in the monomials), so the entries
+    of G D that raise it are those of G (2d): G D = 2(G d + G d').
 
     The two identities are equivalent. Every entry of D changes the
     cohomological degree by one, d is the raising half of D/2 and d' the
-    lowering half, and G is diagonal in the oscillator monomials, so it
-    keeps the degree. So D^T G + G D = 2(d^T G + G d') + 2(d'^T G + G d):
-    the first term lowers the degree, and the second raises it and is the
-    first one's transpose, so the sum vanishes exactly when the first term
-    does. The left side of the halves identity is 2(d^T G - G d) + 2 G d +
-    2 G d' = 2(d^T G + G d'), that first term.
+    lowering half, and G keeps the degree. So D^T G + G D = 2(d^T G + G d') +
+    2(d'^T G + G d): the first term lowers the degree, and the second raises
+    it and is the first one's transpose, so the sum vanishes exactly when
+    the first term does. The left side of the halves identity is
+    2(d^T G - G d) + 2 G d + 2 G d' = 2(d^T G + G d'), that first term.
 
     The halves identity is in turn equivalent to <d v, w> = <v, delta w> for
     both halves (p1 and q2). Since d = d^{p1} - delta^{q2} and D/2 = d^{p1} +
@@ -755,12 +754,14 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
     preserves the bigrading (p1-degree, q2-degree) of the monomials; the two
     parts shift it by (-1, 0) and (0, +1), so each vanishes on its own, and
     the second is the transpose of the q2 one."""
-    g_D = block.gram_D.entries
-    # the last reader of G D: a collection keeps none once its blocks are
-    # certified (kept, the products would raise a pipeline's peak memory)
-    del block.gram_D
-    # D^T G + G D is symmetric: its entry at (i, j) and (j, i) is
-    # (G D)_ji + (G D)_ij, nonzero only where G D has an entry
+    g_D = _gram_D(block)
+    deg = block.degrees()
+    return _adjoint_certificate(g_D, {(i, j): v for (i, j), v in g_D.items() if deg[i] > deg[j]})
+
+
+def _adjoint_certificate(g_D: dict, g_2d: dict) -> AdjointCertificate:
+    """The certificate from the entries of G D and G (2d), G symmetric."""
+    # D^T G + G D = (G D)^T + G D, nonzero only where G D has an entry
     lhs = {}
     for (i, j), v in g_D.items():
         w = v + g_D.get((j, i), 0)
@@ -768,12 +769,11 @@ def anti_selfadjoint_certificate(block: DiracBlock) -> AdjointCertificate:
             lhs[i, j] = lhs[j, i] = w
     first = min(lhs, default=None)  # the witness entry, if any
     witness = None if first is None else (*first, lhs[first])
-    # 2(d^T G - G d) + G D: each entry v of G d at (i, j) adds 2v at (j, i)
-    # and -2v at (i, j)
+    # 2(d^T G - G d) + G D: each v of G (2d) at (i, j) adds v at (j, i), -v at (i, j)
     halves = dict(g_D)
-    for (i, j), v in block.gram.matmul(block.d).entries.items():
-        halves[j, i] = halves.get((j, i), 0) + 2 * v
-        halves[i, j] = halves.get((i, j), 0) - 2 * v
+    for (i, j), v in g_2d.items():
+        halves[j, i] = halves.get((j, i), 0) + v
+        halves[i, j] = halves.get((i, j), 0) - v
     return AdjointCertificate(first is None, witness, not any(halves.values()))
 
 

@@ -34,12 +34,14 @@
 - The even-cone test on weights with rational coordinates (partial sums
   split into floor and remainder), the oracle for the integer drop test
   `dirac._in_even_cone`.
-- The Dirac-block oracles: the four quarters d^{p1}, delta^{p1}, d^{q2},
-  delta^{q2} summed term by term, one dict per quarter (the oracle for the
-  single-pass assembly of D and for d read off it), the pairwise adjointness of
-  the quarters, the adjoint certificate from four products (D^T G, G D,
-  d^T G and G d) and from G D and G d read at the union of their keys (the
-  oracle for the certificate's one pass over G d), Kostant cohomology from
+- The Dirac-block oracles: the block Gram form G as a matrix (the oracle
+  for the G D that `dirac._gram_D` accumulates with no G formed), the four
+  quarters d^{p1}, delta^{p1}, d^{q2}, delta^{q2} summed term by term, one
+  dict per quarter (the oracle for the single-pass assembly of D and for d
+  read off it), the pairwise adjointness of the quarters, the adjoint
+  certificate from four products (D^T G, G D, d^T G and G d) and from G D
+  and G d read at the union of their keys (the oracle for the certificate's
+  one pass over G d), Kostant cohomology from
   two ranks per degree, and the Dirac scalar s as one and as two weight
   pairings (the oracles for the integer-drop `modules.dirac_scalar`), and
   the g0-highest vectors of a
@@ -671,6 +673,17 @@ def in_even_cone(w, below):
 
 
 # ----- the Dirac-block oracles --------------------------------------------------------
+def block_gram(block):
+    """G = (module Gram) (x) (Bargmann-Fock form), diagonal in the
+    monomials: the form of each module block times a! on its x^a."""
+    index, entries = block.index, {}
+    for drop_m, a in dict.fromkeys((e[0], e[2]) for e in block.basis):
+        bf = math.prod(map(math.factorial, a))
+        for (i2, i), v in block.module.by_drop[drop_m].form.entries.items():
+            entries[index[drop_m, i2, a], index[drop_m, i, a]] = _rat(v * bf)
+    return SparseRationalMatrix(block.dim, block.dim, entries)
+
+
 def dirac_quarters(block):
     """(d^{p1}, delta^{p1}, d^{q2}, delta^{q2}) of a Dirac block: the terms
     partial_k (x) x_k (d) and x_k (x) partial_k (delta), split by k < pn (p1)
@@ -747,7 +760,7 @@ def four_product_certificate(block):
     """(ok, witness, halves) of `dirac.anti_selfadjoint_certificate` from four
     products: D^T G + G D = 0, its first nonzero entry, and
     2(d^T G - G d) + G D = 0, with D^T G and d^T G formed as products."""
-    g = block.gram
+    g = block_gram(block)
     gd = g.matmul(block.D)
     lhs = block.D.transpose().matmul(g).add(gd)
     witness = None

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     basis_weight,
+    block_gram,
     cap_basis,
     cone_sums,
     dense_g0_constituents,
@@ -54,11 +55,6 @@ def test_highest_weight_vector_in_kernel(coll_typical3, d21, lam_typical):
     block = coll_typical3.blocks[top]
     assert block.dim == 1
     assert block.D.is_zero()
-
-
-def test_square_is_square_of_operator(coll_typical3):
-    for block in coll_typical3.blocks.values():
-        assert block.D2.to_rows() == block.D.matmul(block.D).to_rows()
 
 
 def test_square_audit_matches_pairing(coll_typical3, coll_atypical2, coll_trivial21):
@@ -111,9 +107,10 @@ def test_kernel_stabilizes_for_certified(coll_typical3):
     for block in coll_typical3.blocks.values():
         if block.dim == 0:
             continue
-        d3 = block.D2.matmul(block.D)
+        d2 = block.D.matmul(block.D)
+        d3 = d2.matmul(block.D)
         k1 = len(exactla.kernel_basis(block.D))
-        k2 = len(exactla.kernel_basis(block.D2))
+        k2 = len(exactla.kernel_basis(d2))
         k3 = len(exactla.kernel_basis(d3))
         assert k1 == k2 == k3
 
@@ -282,12 +279,13 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
 
     mod = coll_typical3.module
     for nu, block in coll_typical3.blocks.items():
+        gram = block_gram(block)
         for col, (drop_m, i, a) in enumerate(block.basis):
             bf = Fraction(math.prod(math.factorial(e) for e in a))
             g = mod.blocks[lam_typical.lower(drop_m)].gram_quot
             for row, (drop_m2, i2, a2) in enumerate(block.basis):
                 expected = g.entries.get((i2, i), 0) * bf if (drop_m2 == drop_m and a2 == a) else 0
-                assert block.gram.entries.get((row, col), 0) == expected
+                assert gram.entries.get((row, col), 0) == expected
 
 
 # ----- oracles: intersection-based cohomology and the even-cone search ---------------
@@ -382,20 +380,17 @@ def test_dropping_either_ingredient_of_the_ktype_count_changes_a_table(monkeypat
     assert total(coll, replace(report, per_block=blocks)) == 1
     coll, report, oracle = plus_totals((SL22, "-3,1|1,1", 6))
     assert total(coll, report) == oracle == 3
-    monkeypatch.setattr(
-        exactla,
-        "kernel_basis",
-        lambda a: [tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)],
-    )
+    monkeypatch.setattr(exactla, "sparse_kernel", lambda rows, cols: [{j: 1} for j in range(cols)])
     assert total(coll, report) == -9
 
 
 def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
     """Over both signs on gl(3|3) -3,0,0|1,1,1 at N=4, `hd_ktype_table`
-    takes one `exactla.kernel_basis` (of D on the parity's columns) and one
-    `exactla.rank` per block with h != 0, and one `exactla.quotient` (modulo
-    im D of the target) per such block and compact target with
-    ker D cap im D != 0: 3 in all. No other elimination is run."""
+    takes one `exactla.sparse_kernel` (of the rows of D on the parity's
+    columns) and one `exactla.rank` per block with h != 0, and one
+    `exactla.quotient` (modulo im D of the target) per such block and
+    compact target with ker D cap im D != 0: 3 in all. No other elimination
+    is run."""
     coll = _collection(GL33, "-3,0,0|1,1,1", 4, "simple")
     report = dirac.dirac_cohomology(coll)
     kernels, quotients = [], []
@@ -403,7 +398,9 @@ def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
         for nu, bc in report.per_block.items():
             if bc.hd_plus if sign > 0 else bc.hd_minus:
                 block = coll.blocks[nu]
-                kernels.append((block.dim, block.parity.count(0 if sign > 0 else 1)))
+                cols = [i for i, p in enumerate(block.parity) if p == (0 if sign > 0 else 1)]
+                on_p = block.D.submatrix(list(range(block.dim)), cols)
+                kernels.append((len(on_p.nonzero_rows()), len(cols)))
                 quotients += [
                     tgt.dim
                     for tgt, _ in dirac.raising_maps(coll, block, "compact")
@@ -422,13 +419,13 @@ def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
 
         monkeypatch.setattr(exactla, name, wrapper)
 
-    counted("kernel_basis", lambda a: (a.rows, a.cols))
+    counted("sparse_kernel", lambda rows, cols: (len(rows), cols))
     counted("rank", lambda a: None)
     counted("quotient", lambda rows, dim: dim)
     counted("_rref", lambda rows: None)
     for sign in (+1, -1):
         dirac.hd_ktype_table(coll, report, sign)
-    assert sorted(calls["kernel_basis"]) == sorted(kernels)
+    assert sorted(calls["sparse_kernel"]) == sorted(kernels)
     assert len(calls["rank"]) == len(kernels)
     assert sorted(calls["quotient"]) == sorted(quotients)
     assert len(calls["_rref"]) == 2 * len(kernels) + len(quotients)
@@ -445,7 +442,7 @@ def test_block_cohomology_holds_counts_only(rep_typical3):
 def test_block_ranks_match_sympy(data):
     """D = [[0, B], [C, 0]] on interleaved parities: the ranks of B, C, CB and
     BC agree with sympy, CB and BC also read as the odd and even parity
-    halves of D^2 (as `block_cohomology` reads them), and the block
+    halves of D^2 (`block_cohomology` forms them from C and B), and the block
     cohomology agrees with its formulas and with the intersection oracle."""
     n_even = data.draw(st.integers(0, 4))
     n_odd = data.draw(st.integers(0, 4))
@@ -470,8 +467,7 @@ def test_block_ranks_match_sympy(data):
     assert halves == [rk_cb, rk_bc]
     # a False predicate keeps the four-rank path under test
     block = SimpleNamespace(
-        nu=Weight([0], [0]), dim=dim, parity=list(parity), D=d, D2=d2,
-        definite_anti_selfadjoint=False,
+        nu=Weight([0], [0]), dim=dim, parity=list(parity), D=d, definite_anti_selfadjoint=False,
     )
     bc = dirac.block_cohomology(block)
     assert bc.ker == dim - rk_b - rk_c
@@ -809,7 +805,7 @@ def test_operator_and_kostant_differential_match_quarters(group, weight, height,
         assert block.D.entries == expected.entries, block.nu.text()
         assert block.d.entries == d_p1.add(scaled(delta_q2, -1)).entries, block.nu.text()
         cert = dirac.anti_selfadjoint_certificate(block)
-        assert cert.halves_adjoint == quarters_adjoint(block.gram, quarters)
+        assert cert.halves_adjoint == quarters_adjoint(block_gram(block), quarters)
         both_halves += bool(block.d.entries) and bool(block.D.add(scaled(block.d, -2)).entries)
     assert both_halves
 
@@ -841,7 +837,7 @@ def _oracle_certificate(block):
     shift: d^{p1} at (+1, 0) and -delta^{q2} at (0, -1) of d, d^{q2} at
     (0, +1) and -delta^{p1} at (-1, 0) of d'; an entry at any other shift
     fails the halves."""
-    g = block.gram
+    g = block_gram(block)
     lhs = block.D.transpose().matmul(g).add(g.matmul(block.D))
     witness = None
     if lhs.entries:
@@ -877,7 +873,7 @@ def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, r
     coll = request.getfixturevalue(fixture)
     seen = 0
     for block in coll.blocks.values():
-        assert block.gram.is_symmetric()
+        assert block_gram(block).is_symmetric()
         cert = dirac.anti_selfadjoint_certificate(block)
         assert (cert.ok, cert.witness, cert.halves_adjoint) == _oracle_certificate(block)
         assert (cert.ok, cert.witness, cert.halves_adjoint) == four_product_certificate(block)
@@ -894,62 +890,81 @@ def test_altered_block_fails_halves_exactly_when_pairwise_oracle_does(fixture, r
 
 
 def test_each_product_is_formed_once_per_block(d21, monkeypatch):
-    """sl(2|1) -2,1|1 (certified) and 0,0|-1 (refuted) at N=6, counting
-    `SparseRationalMatrix.matmul` calls through cohomology, the square audit
-    and the adjoint certificate: D D is formed once on every nonempty block
-    where `definite_anti_selfadjoint` fails and never where it holds (on the
-    certified input, nowhere). G D is formed exactly once per block over the
-    whole pass: by the predicate on every block whose module forms are all
-    positive definite (the predicate reads definiteness first), and by the
-    certificate on every other block, which forms G d once and leaves the
-    block holding no G D. With its D^2 and predicate cached,
-    `block_cohomology` forms no product again, and `raising_maps` forms
-    none: X_D D = D X_D is checked without forming either side."""
-    calls = []
-    matmul = SparseRationalMatrix.matmul
+    """sl(2|1) -2,1|1 (certified) and 0,0|-1 (refuted) at N=6, recording
+    every `SparseRationalMatrix.matmul` call, with the block `block_cohomology`
+    is working on, through the predicate, cohomology, the square audit, the
+    adjoint certificate and `raising_maps`. No product has a block Gram G as
+    an operand. The predicate, the certificate and `raising_maps` form none
+    (X_D D = D X_D is checked without forming either side). D D is formed
+    only by the audit: once on every nonempty block where
+    `definite_anti_selfadjoint` fails and never where it holds (on the
+    certified input, nowhere). `block_cohomology` forms C B and then B C,
+    from the C = D[odd, even] and B = D[even, odd] it ranks, exactly where
+    rk B and rk C are nonzero and the predicate fails."""
+    calls, current = [], []
+    matmul, block_cohomology = SparseRationalMatrix.matmul, dirac.block_cohomology
 
     def counted(a, b):
-        calls.append((a, b))
+        calls.append((current[-1] if current else None, a, b))
         return matmul(a, b)
 
-    def formed(block, m):
-        return sum(a is block.gram and c is getattr(block, m) for a, c in calls)
+    def counted_block_cohomology(block):
+        current.append(block)
+        try:
+            return block_cohomology(block)
+        finally:
+            current.pop()
 
-    monkeypatch.setattr(SparseRationalMatrix, "matmul", counted)
+    def squares(calls, blocks):
+        return [sum(a is b is block.D for _, a, b in calls) for block in blocks]
+
     for weight, certified in (("-2,1|1", True), ("0,0|-1", False)):
         lam = parse_weight(weight, d21.m, d21.n)
         coll = dirac.assemble_all(modules.simple_truncation(d21, lam, 6), 6)
         blocks = list(coll.blocks.values())
+        grams = [(g.rows, g.entries) for g in map(block_gram, blocks) if g.entries]
+        halves = []  # per block: (C, B) where both ranks are nonzero
+        for block in blocks:
+            even = [i for i, p in enumerate(block.parity) if p == 0]
+            odd = [i for i, p in enumerate(block.parity) if p == 1]
+            c, b = block.D.submatrix(odd, even), block.D.submatrix(even, odd)
+            halves.append((c, b) if exactla.rank(c) and exactla.rank(b) else None)
+        monkeypatch.setattr(SparseRationalMatrix, "matmul", counted)
+        monkeypatch.setattr(dirac, "block_cohomology", counted_block_cohomology)
         calls.clear()
-        dirac.dirac_cohomology(coll)
-        dirac.dirac_square_audit(coll)
         holds = [block.definite_anti_selfadjoint for block in blocks]
         assert any(holds) and all(holds) == certified
-        squares = [sum(a is b is block.D for a, b in calls) for block in blocks]
-        assert squares == [int(block.dim > 0 and not h) for block, h in zip(blocks, holds)]
-        definite = [
-            all(block.module.by_drop[e[0]].definiteness.verdict == "positive-definite"
-                for e in block.basis)
-            for block in blocks
-        ]
-        assert any(definite) and all(definite) == certified
-        assert [formed(b, "D") for b in blocks] == [int(f) for f in definite]
-        assert [formed(b, "d") for b in blocks] == [0] * len(blocks)
-        calls.clear()
+        assert calls == []
+        dirac.dirac_cohomology(coll)
+        in_cohomology = list(calls)
+        dirac.dirac_square_audit(coll)
+        in_audit = calls[len(in_cohomology):]
+        expected = [int(block.dim > 0 and not h) for block, h in zip(blocks, holds)]
+        assert squares(in_audit, blocks) == expected
+        assert all(blk is None for blk, _, _ in in_audit)
         for block in blocks:
-            dirac.block_cohomology(block)
+            dirac.anti_selfadjoint_certificate(block)
         maps = [
             dirac.raising_maps(coll, block, restriction)
             for block in blocks
             for restriction in ("even", "compact")
         ]
-        assert any(maps) and calls == []
+        assert any(maps) and calls == in_cohomology + in_audit
         for block in blocks:
-            dirac.anti_selfadjoint_certificate(block)
-        assert [formed(b, "D") for b in blocks] == [int(not f) for f in definite]
-        assert [formed(b, "d") for b in blocks] == [1] * len(blocks)
-        assert len(calls) == definite.count(False) + len(blocks)
-        assert not any("gram_D" in vars(b) for b in blocks)
+            dirac.block_cohomology(block)
+        direct = calls[len(in_cohomology) + len(in_audit):]
+        for block, h, pair in zip(blocks, holds, halves):
+            mine = [(a.entries, b.entries) for blk, a, b in direct if blk is block]
+            if h or pair is None:
+                assert mine == [], block.nu.text()
+            else:
+                c, b = pair
+                assert mine == [(c.entries, b.entries), (b.entries, c.entries)], block.nu.text()
+        assert any(pair and not h for pair, h in zip(halves, holds)) != certified
+        assert {blk.drop for blk, _, _ in in_cohomology} <= {blk.drop for blk, _, _ in direct}
+        assert squares(in_cohomology + direct, blocks) == [0] * len(blocks)
+        assert not any((m.rows, m.entries) in grams for _, a, b in calls for m in (a, b))
+        monkeypatch.undo()
 
 
 # ----- the integer fast path ----------------------------------------------------------
@@ -1010,8 +1025,8 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
                 actions += bool(x.entries)
         assert all(type(x) is int for x in block.D.entries.values())
         assert _canonical_values(block.d.entries.values())
-        assert all(type(x) is int for x in block.D2.entries.values())
-        assert _exact(block.gram.entries.values())
+        assert all(type(x) is int for x in block.D.matmul(block.D).entries.values())
+        assert _exact(block_gram(block).entries.values())
         image = exactla.quotient(block.D.transpose().to_rows(), block.dim)
         assert _exact(image.reduction.entries.values())
         for v in highest_vectors(coll, nu):
@@ -1097,21 +1112,35 @@ def _chain_product(coll, audit, block):
     below = cone_sums(block.nu)
     cs = {e.measured for e in audit.entries if in_even_cone(cone_sums(e.nu0), below)}
     n = block.dim
+    d2 = block.D.matmul(block.D)
     prod = identity_matrix(n)
     for c in sorted(cs):
-        prod = prod.matmul(block.D2.add(scaled(identity_matrix(n), -c)))
+        prod = prod.matmul(d2.add(scaled(identity_matrix(n), -c)))
     return prod
 
 
-def _spy_squares(monkeypatch):
-    """Record every block whose D^2 is read; D^2 is formed afresh each time."""
-    squared = []
+def _spy_squares(monkeypatch, coll):
+    """Record, for every `SparseRationalMatrix.matmul` call, the block whose
+    D^2 (or a parity half of it) it forms: the block `block_cohomology` is
+    working on (C B and B C), else the block of `coll` whose D is the left
+    factor (the square audit's D D), else None."""
+    squared, current = [], []
+    matmul, block_cohomology = SparseRationalMatrix.matmul, dirac.block_cohomology
+    by_D = {id(b.D): b for b in coll.blocks.values()}
 
-    def d2(block):
-        squared.append(block)
-        return block.D.matmul(block.D)
+    def spied_block_cohomology(block):
+        current.append(block)
+        try:
+            return block_cohomology(block)
+        finally:
+            current.pop()
 
-    monkeypatch.setattr(dirac.DiracBlock, "D2", property(d2))
+    def spied_matmul(a, b):
+        squared.append(current[-1] if current else by_D.get(id(a)))
+        return matmul(a, b)
+
+    monkeypatch.setattr(dirac, "block_cohomology", spied_block_cohomology)
+    monkeypatch.setattr(SparseRationalMatrix, "matmul", spied_matmul)
     return squared
 
 
@@ -1214,21 +1243,16 @@ def _certificate_triples(rng):
         yield g, D, d
 
 
-def _certificate_stand_in(g, D, d):
-    """What `anti_selfadjoint_certificate` reads of a block, for given G, D
-    and d."""
-    return SimpleNamespace(gram=g, D=D, d=d, gram_D=g.matmul(D))
-
-
 def test_one_pass_certificate_matches_the_key_union_oracle():
     """`ok`, the witness and `halves_adjoint` equal the key-union oracle's on
     seeded (G, D, d) where both identities hold, where only `ok` holds and
-    where neither does, and on every block of the shortcut inputs, each
-    once more with one D entry doubled (d read off the altered D)."""
+    where neither does (the certificate read off G D and G (2d)), and on
+    every block of the shortcut inputs, each once more with one D entry
+    doubled (d read off the altered D)."""
     rng = random.Random(29)
     seen = Counter()
     for g, D, d in _certificate_triples(rng):
-        cert = dirac.anti_selfadjoint_certificate(_certificate_stand_in(g, D, d))
+        cert = dirac._adjoint_certificate(g.matmul(D).entries, g.matmul(scaled(d, 2)).entries)
         expected = key_union_certificate(g.matmul(D).entries, g.matmul(d).entries)
         assert (cert.ok, cert.witness, cert.halves_adjoint) == expected
         seen[cert.ok, cert.halves_adjoint] += 1
@@ -1240,9 +1264,8 @@ def test_one_pass_certificate_matches_the_key_union_oracle():
             first = sorted(block.D.entries)[:1]
             for b in [block, *(replace(block, D=_doubled(block.D, key)) for key in first)]:
                 cert = dirac.anti_selfadjoint_certificate(b)
-                expected = key_union_certificate(
-                    b.gram.matmul(b.D).entries, b.gram.matmul(b.d).entries
-                )
+                g = block_gram(b)
+                expected = key_union_certificate(g.matmul(b.D).entries, g.matmul(b.d).entries)
                 assert (cert.ok, cert.witness, cert.halves_adjoint) == expected, (case, b.nu.text())
                 blocks += 1
     assert blocks
@@ -1259,20 +1282,93 @@ def test_predicate_equals_definite_gram_and_certificate(case):
     first = next(b for b in blocks if b.D.entries)
     blocks.append(replace(first, D=_doubled(first.D, min(first.D.entries))))
     for block in blocks:
-        definite = exactla.definiteness(block.gram).verdict == "positive-definite"
+        definite = exactla.definiteness(block_gram(block)).verdict == "positive-definite"
         expected = definite and dirac.anti_selfadjoint_certificate(block).ok
         assert block.definite_anti_selfadjoint == expected, block.nu.text()
     assert any(b.definite_anti_selfadjoint for b in blocks)
     assert not blocks[-1].definite_anti_selfadjoint
 
 
+def _nonzero(entries):
+    return {key: v for key, v in entries.items() if v}
+
+
+@ASSEMBLY_GRID
+def test_gram_accumulations_match_the_block_gram_oracle(group, weight, height, kind, monkeypatch):
+    """On every block of the grid inputs, the G D that `dirac._gram_D`
+    accumulates with no G formed, and the G D and G (2d) that
+    `anti_selfadjoint_certificate` reads, equal the products with the block
+    Gram matrix, `block_gram(b).matmul(...)`, entry by entry."""
+    coll = _collection(group, weight, height, kind)
+    read = []
+    monkeypatch.setattr(dirac, "_adjoint_certificate", lambda g_D, g_2d: read.append((g_D, g_2d)))
+    nonzero = 0
+    for block in coll.blocks.values():
+        g = block_gram(block)
+        g_D = g.matmul(block.D).entries
+        assert _nonzero(dirac._gram_D(block)) == g_D, block.nu.text()
+        dirac.anti_selfadjoint_certificate(block)
+        (read_D, read_2d), = read
+        read.clear()
+        assert _nonzero(read_D) == g_D, block.nu.text()
+        assert _nonzero(read_2d) == g.matmul(scaled(block.d, 2)).entries, block.nu.text()
+        nonzero += bool(read_2d) and len(read_2d) < len(read_D)
+    assert nonzero
+
+
+def test_a_spoiled_module_form_flips_the_predicate():
+    """sl(2|1) -2,1|1 at N=4: on a block where the predicate holds and D is
+    nonzero, one diagonal entry of one module form is doubled, on a row of
+    that form that D reaches. The form stays positive definite (a positive
+    multiple of e_r e_r^T is added), so the predicate reads G D, which is no
+    longer antisymmetric: it flips, with the certificate, while G stays
+    definite. The accumulation reads the spoiled entry."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    block = next(b for b in coll.blocks.values() if b.D.entries and b.definite_anti_selfadjoint)
+    drop_m, r, _ = block.basis[min(block.D.entries)[0]]
+    mb = block.module.by_drop[drop_m]
+    form = mb.form
+    entries = {**form.entries, (r, r): 2 * form.entries[r, r]}
+    spoiled = SparseRationalMatrix(form.rows, form.cols, entries)
+    mb = replace(mb, **{"gram" if mb.qmap is None else "gram_quot": spoiled})
+    module = replace(block.module, by_drop={**block.module.by_drop, drop_m: mb})
+    bad = replace(block, module=module)
+    assert exactla.definiteness(block_gram(bad)).verdict == "positive-definite"
+    assert _nonzero(dirac._gram_D(bad)) == block_gram(bad).matmul(bad.D).entries
+    assert dirac._gram_D(bad) != dirac._gram_D(block)
+    assert not bad.definite_anti_selfadjoint
+    assert not dirac.anti_selfadjoint_certificate(bad).ok
+    assert dirac.anti_selfadjoint_certificate(block).ok
+
+
+@pytest.mark.parametrize("case", list(SHORTCUT_INPUTS))
+def test_a_block_keeps_only_its_record_after_a_full_pipeline(case):
+    """After cohomology, both k-type tables, the square audit, Kostant
+    cohomology and the adjoint certificate on every block, each block holds
+    its dataclass fields and at most the cached predicate: no G, G D, D^2
+    or d is kept."""
+    coll = _collection(*SHORTCUT_INPUTS[case])
+    report = dirac.dirac_cohomology(coll)
+    for sign in (+1, -1):
+        dirac.hd_ktype_table(coll, report, sign)
+    dirac.dirac_square_audit(coll)
+    analysis.kostant_cohomology(coll)
+    for block in coll.blocks.values():
+        dirac.anti_selfadjoint_certificate(block)
+    record = {f.name for f in fields(dirac.DiracBlock)}
+    kept = [set(vars(b)) - record for b in coll.blocks.values()]
+    assert all(k <= {"definite_anti_selfadjoint"} for k in kept)
+    assert any(kept)
+
+
 def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
     """sl(2|1) -2,1|1 at N=4 with one entry of D doubled on the first block
     below a zero-scalar block (`_below_zero_scalar`: 3 of the 15 blocks)
     where D is nonzero: the predicate fails on that block alone, cohomology
-    reads D^2 only there and still matches the intersection oracle, and the
-    square audit raises on the map X_D that no longer commutes with D,
-    before it forms any chain. Outside that cone cohomology reads no
+    forms C B and B C, the parity halves of D^2, there and nowhere else and
+    still matches the intersection oracle, and the square audit raises on
+    the map X_D that no longer commutes with D, before it forms any product.
+    Outside that cone cohomology reads no
     matrix: H_D = 0 there rests on the X_D D = D X_D identity that the
     audit asserts, so a block spoiled there would show only in the audit."""
     coll = _collection(SL21, "-2,1|1", 4, "simple")
@@ -1284,9 +1380,9 @@ def test_a_spoiled_D_entry_sends_its_block_to_the_chain(monkeypatch):
     coll = replace(coll, blocks=blocks, by_drop={b.drop: b for b in blocks.values()})
     holds = [b.definite_anti_selfadjoint for b in blocks.values()]
     assert holds == [b is not spoiled for b in blocks.values()]
-    squared = _spy_squares(monkeypatch)
+    squared = _spy_squares(monkeypatch, coll)
     report = dirac.dirac_cohomology(coll)
-    assert squared and all(b is spoiled for b in squared)
+    assert squared == [spoiled, spoiled]
     assert report.per_block[spoiled.nu] == oracle_block_cohomology(spoiled).counts
     squared.clear()
     with pytest.raises(AssertionError, match="X_D does not commute with D at nu="):
@@ -1325,7 +1421,7 @@ def test_a_spoiled_commutation_sends_every_block_to_the_chain(monkeypatch):
         return _row_added(x, *spoil[2:]) if (src.drop, tgt.drop) == spoil[:2] else x
 
     monkeypatch.setattr(dirac, "diagonal_action_matrix", spoiled)
-    squared = _spy_squares(monkeypatch)
+    squared = _spy_squares(monkeypatch, coll)
     message = f"X_D does not commute with D at nu={coll.by_drop[spoil[0]].nu.text()}"
     for run in (dirac.g0_constituents, dirac.dirac_square_audit):
         with pytest.raises(AssertionError, match=re.escape(message) + "$"):
@@ -1581,14 +1677,15 @@ def test_an_even_simple_truncation_takes_every_rank():
     "group, weight, height", [(SL21, "-2,1|1", 6), (SL23, "-3,0|1,1,1", 4)], ids=["sl21", "sl23"]
 )
 def test_no_rank_is_taken_outside_the_zero_scalar_cone(group, weight, height, monkeypatch):
-    """Counting `exactla.rank` calls by the block whose `block_cohomology`
-    makes them: `dirac_cohomology` takes ranks only on blocks below a
-    zero-scalar block, and on the others forms no D^2 and never reads the
-    predicate."""
+    """Counting `exactla.rank` and `SparseRationalMatrix.matmul` calls by the
+    block whose `block_cohomology` makes them: `dirac_cohomology` takes
+    ranks and forms products only on blocks below a zero-scalar block, and
+    never reads the predicate on the others."""
     coll = _collection(group, weight, height, "simple")
     cone = _below_zero_scalar(coll)
     rank, block_cohomology = exactla.rank, dirac.block_cohomology
-    current, ranked = [], []
+    matmul = SparseRationalMatrix.matmul
+    current, ranked, products = [], [], []
 
     def counted_block_cohomology(block):
         current.append(block)
@@ -1601,12 +1698,18 @@ def test_no_rank_is_taken_outside_the_zero_scalar_cone(group, weight, height, mo
         ranked.append(current[-1].drop if current else None)
         return rank(a)
 
+    def counted_matmul(a, b):
+        products.append(current[-1].drop if current else None)
+        return matmul(a, b)
+
     monkeypatch.setattr(dirac, "block_cohomology", counted_block_cohomology)
     monkeypatch.setattr(exactla, "rank", counted_rank)
+    monkeypatch.setattr(SparseRationalMatrix, "matmul", counted_matmul)
     dirac.dirac_cohomology(coll)
     assert ranked and set(ranked) <= cone
+    assert set(products) <= cone
     outside = [b for b in coll.blocks.values() if b.drop not in cone]
-    assert outside and not any({"D2", "definite_anti_selfadjoint"} & vars(b).keys() for b in outside)
+    assert outside and not any("definite_anti_selfadjoint" in vars(b) for b in outside)
 
 
 # ----- the g0-constituents -----------------------------------------------------------

@@ -3,8 +3,9 @@ every function, class, method and module-level name it defines is referred
 to somewhere in the package (or allowed, with a reason); every defaulted
 parameter is set by some package call; every top-level helper in
 ``tests/_helpers.py`` is reached from some test module; no package code
-writes into a built ``SparseRationalMatrix``; and only a module block's
-JSON makes dense rows of one.
+writes into a built ``SparseRationalMatrix``; only a module block's
+JSON makes dense rows of one; and a Dirac block caches no value but its
+predicate.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -77,8 +78,8 @@ UNREFERENCED_ALLOWED = {
     "compact_simple_truncation": "F^mu on its own, kept by name: the perfbench tracer "
     "wraps it (tests/test_golden.py::test_every_traced_name_resolves)",
     "anti_selfadjoint_certificate": "the whole adjoint certificate of a Dirac block, "
-    "kept by name: the perfbench `deep-sl21` payload prints it and the tracer wraps it "
-    "(ROADMAP: it moves to tests/ with the next reference re-record)",
+    "kept by name: the perfbench `deep-sl21` payload calls it on every block and the "
+    "tracer wraps it; it stays until a benchmark change moves `deep-sl21` off it",
 }
 
 
@@ -393,6 +394,56 @@ def test_sparse_matrix_has_no_mutator():
         "from_rows", "to_rows", "nonzero_rows", "submatrix", "transpose", "is_zero",
         "is_symmetric", "matmul", "add", "apply",
     }
+
+
+# ----- a Dirac block caches its predicate alone -------------------------------------------
+# G, G D, D^2 and d are formed where they are read, so no block keeps them
+BLOCK_CACHES_ALLOWED = ["definite_anti_selfadjoint"]
+
+
+def _cached_properties(tree: ast.AST, cls: str) -> list[str]:
+    """The methods of each class named `cls` decorated with `cached_property`
+    (`functools.cached_property` or the bare name), in line order."""
+
+    def cached(d):
+        name = d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+        return name == "cached_property"
+
+    return [
+        f.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for f in node.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(cached, f.decorator_list))
+    ]
+
+
+def test_dirac_block_caches_only_its_predicate():
+    tree = ast.parse((SRC / "dirac.py").read_text())
+    assert _cached_properties(tree, "DiracBlock") == BLOCK_CACHES_ALLOWED
+
+
+def test_checker_flags_a_cached_matrix_on_a_dirac_block():
+    src = (
+        "import functools\n"
+        "from functools import cached_property\n"
+        "class DiracBlock:\n"
+        "    @functools.cached_property\n"
+        "    def gram(self): pass\n"
+        "    @property\n"
+        "    def d(self): pass\n"
+        "    @cached_property\n"
+        "    def D2(self): pass\n"
+        "    @functools.cached_property\n"
+        "    def definite_anti_selfadjoint(self): pass\n"
+        "class Block:\n"
+        "    @functools.cached_property\n"
+        "    def definiteness(self): pass\n"
+    )
+    assert _cached_properties(ast.parse(src), "DiracBlock") == [
+        "gram", "D2", "definite_anti_selfadjoint"
+    ]
 
 
 # ----- dense rows only where dense rows are the output ------------------------------------
