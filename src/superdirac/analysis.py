@@ -105,33 +105,33 @@ class KostantReport:
 def kostant_cohomology(coll: BlockCollection) -> KostantReport:
     """H^k of the positive odd part with coefficients in the module, realized
     per diagonal block by its Kostant differential d on M (x) M(g1), the
-    degree-raising half of D/2 (`DiracBlock.d`), graded by `DiracBlock.degrees`:
-    with one rank r_k = rk(d: C^k -> C^{k+1}) per degree,
-    h^k = dim C^k - r_k - r_{k-1}."""
+    degree-raising half of D/2, graded by `DiracBlock.degrees` into the C^k.
+    D's block A_k: C^k -> C^{k+1} is 2d there, so one rank r_k = rk A_k per
+    degree gives h^k = dim C^k - r_k - r_{k-1}, and d^2 = 0 iff every
+    A_{k+1} A_k = 0 (d^2 maps C^k to C^{k+2})."""
     module = coll.module
-    datum = module.datum
+    rho1 = module.datum.rho1
     per_degree: dict[int, dict[Weight, int]] = {}
     dd_zero = True
     for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
-        d = block.d
-        if not d.matmul(d).is_zero():
-            dd_zero = False
         idx_by_deg: dict[int, list[int]] = {}
         for i, k in enumerate(block.degrees()):
             idx_by_deg.setdefault(k, []).append(i)
-        ranks = {  # r_k = 0 where C^{k+1} = 0
-            k: exactla.rank(d.submatrix(idx_by_deg[k + 1], cols))
+        raising = {  # A_k, and r_k = 0 where C^{k+1} = 0
+            k: block.D.submatrix(idx_by_deg[k + 1], cols)
             for k, cols in idx_by_deg.items()
             if k + 1 in idx_by_deg
         }
+        dd_zero = dd_zero and all(
+            raising[k + 1].matmul(a).is_zero() for k, a in raising.items() if k + 1 in raising
+        )
+        ranks = {k: exactla.rank(a) for k, a in raising.items()}
         for k in sorted(idx_by_deg):
             h = len(idx_by_deg[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if h:
-                w = nu + datum.rho1
-                per_degree.setdefault(k, {})
-                per_degree[k][w] = per_degree[k].get(w, 0) + h
+                per_degree.setdefault(k, {})[nu + rho1] = h
     return KostantReport(per_degree, dd_zero, module)
 
 

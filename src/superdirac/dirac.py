@@ -5,9 +5,10 @@ multiplicity and D^2 scalar, where the Dirac inequality is read), and the
 anti-selfadjointness and square audits. Each block stores D alone: every
 entry of D changes the cohomological degree of the oscillator monomial by
 one, and the Kostant differential d is the degree-raising half of D/2 (d'
-is minus its G-adjoint), read off D where it is asked for. The block Gram
-form G is never formed: G D is accumulated from the module forms where it
-is read (`_gram_D`), and dropped.
+is minus its G-adjoint), so D's block C^{k+1} <- C^k between the degrees
+of `DiracBlock.degrees` is 2d on C^k; no matrix of d is formed. The block
+Gram form G is never formed: G D is accumulated from the module forms
+where it is read (`_gram_D`), and dropped.
 
 Dirac cohomology is counted by ranks: H_D = ker D / (ker D cap im D) per
 block, and its compact k-types are h minus the rank of the compact X_D on a
@@ -51,8 +52,9 @@ BasisEntry = tuple[Drop, int, OscMonomial]
 class DiracBlock:
     """One diagonal block nu of M (x) M(g1) on its basis of (module vector,
     oscillator monomial) pairs. D is its one stored matrix, and the one
-    cached value is `definite_anti_selfadjoint`; the Kostant differential d
-    is read off D where it is asked for, and the Gram form G is never
+    cached value is `definite_anti_selfadjoint`. D's block C^{k+1} <- C^k
+    between the `degrees` is twice the Kostant differential d on C^k, read
+    there (`analysis.kostant_cohomology`), and the Gram form G is never
     formed (`_gram_D`)."""
 
     nu: Weight
@@ -73,20 +75,6 @@ class DiracBlock:
         """`oscillator.cohomological_degree` of each basis monomial, in order."""
         datum = self.module.datum
         return [oscillator.cohomological_degree(datum, a) for _, _, a in self.basis]
-
-    @property
-    def d(self) -> SparseRationalMatrix:
-        """The Kostant differential d = d^{p1} - delta^{q2}: the entries of D/2
-        that raise the cohomological degree. Every entry of D moves it by
-        one; d^{q2} - delta^{p1}, the lowering half d', is the rest, so
-        D = 2(d + d'). Formed on each read."""
-        deg = self.degrees()
-        entries = {
-            (i, j): v // 2 if type(v) is int and not v % 2 else Fraction(v, 2)
-            for (i, j), v in self.D.entries.items()
-            if deg[i] > deg[j]
-        }
-        return SparseRationalMatrix(self.dim, self.dim, entries)
 
     @functools.cached_property
     def definite_anti_selfadjoint(self) -> bool:

@@ -688,8 +688,9 @@ def dirac_quarters(block):
     """(d^{p1}, delta^{p1}, d^{q2}, delta^{q2}) of a Dirac block: the terms
     partial_k (x) x_k (d) and x_k (x) partial_k (delta), split by k < pn (p1)
     and k >= pn (q2), each summed into its own dict. `dirac.assemble_block`
-    stores D = 2(d^{p1} + d^{q2} - delta^{p1} - delta^{q2}), and
-    `DiracBlock.d` reads d = d^{p1} - delta^{q2} off it."""
+    stores D = 2(d^{p1} + d^{q2} - delta^{p1} - delta^{q2}), so D's blocks
+    C^{k+1} <- C^k between the cohomological degrees hold 2d, with
+    d = d^{p1} - delta^{q2} (`kostant_d` reads d off D)."""
     module = block.module
     datum, alg = module.datum, module.alg
     d_p1, delta_p1, d_q2, delta_q2 = quarters = ({}, {}, {}, {})
@@ -730,18 +731,40 @@ def quarters_adjoint(gram, quarters):
     )
 
 
-def kostant_per_degree(coll):
-    """Kostant cohomology per degree with d = d^{p1} - delta^{q2} rebuilt from
-    `dirac_quarters`, each h^k as the kernel dimension in degree k minus the
-    rank of the image from degree k - 1 (two ranks per degree): the oracle
-    for `analysis.kostant_cohomology`."""
+def kostant_d(block):
+    """The Kostant differential d = d^{p1} - delta^{q2} of a Dirac block: the
+    entries of D/2 that raise the cohomological degree. Every entry of D
+    moves it by one; d^{q2} - delta^{p1}, the lowering half d', is the
+    rest, so D = 2(d + d')."""
+    deg = block.degrees()
+    entries = {
+        (i, j): v // 2 if type(v) is int and not v % 2 else Fraction(v, 2)
+        for (i, j), v in block.D.entries.items()
+        if deg[i] > deg[j]
+    }
+    return SparseRationalMatrix(block.dim, block.dim, entries)
+
+
+def quarters_d(block):
+    """d = d^{p1} - delta^{q2} rebuilt from `dirac_quarters`."""
+    d_p1, _, _, delta_q2 = dirac_quarters(block)
+    return d_p1.add(scaled(delta_q2, -1))
+
+
+def kostant_per_degree(coll, differential=quarters_d):
+    """(per_degree, dd_zero) of Kostant cohomology with each block's d given
+    by `differential` (rebuilt from `dirac_quarters` by default): each h^k
+    as the kernel dimension in degree k minus the rank of the image from
+    degree k - 1 (two ranks per degree), and d^2 = 0 read off d d formed on
+    the whole block. The oracle for `analysis.kostant_cohomology`."""
     datum = coll.module.datum
     per_degree = {}
+    dd_zero = True
     for nu, block in coll.blocks.items():
         if block.dim == 0:
             continue
-        d_p1, _, _, delta_q2 = dirac_quarters(block)
-        d = d_p1.add(scaled(delta_q2, -1))
+        d = differential(block)
+        dd_zero = dd_zero and d.matmul(d).is_zero()
         degs = [oscillator.cohomological_degree(datum, a) for (_, _, a) in block.basis]
         idx_by_deg = {k: [i for i, dg in enumerate(degs) if dg == k] for k in sorted(set(degs))}
         for k, cols in idx_by_deg.items():
@@ -753,7 +776,7 @@ def kostant_per_degree(coll):
                 table = per_degree.setdefault(k, {})
                 w = nu + datum.rho1
                 table[w] = table.get(w, 0) + h
-    return per_degree
+    return per_degree, dd_zero
 
 
 def four_product_certificate(block):
@@ -767,7 +790,8 @@ def four_product_certificate(block):
     if lhs.entries:
         (i, j), v = sorted(lhs.entries.items())[0]
         witness = (i, j, v)
-    d_adj = block.d.transpose().matmul(g).add(scaled(g.matmul(block.d), -1))
+    d = kostant_d(block)
+    d_adj = d.transpose().matmul(g).add(scaled(g.matmul(d), -1))
     return lhs.is_zero(), witness, scaled(d_adj, 2).add(gd).is_zero()
 
 

@@ -33,6 +33,7 @@ from _helpers import (
     in_even_cone,
     is_positive_multiple,
     key_union_certificate,
+    kostant_d,
     kostant_per_degree,
     monomials_of_degree,
     oracle_block_cohomology,
@@ -803,20 +804,107 @@ def test_operator_and_kostant_differential_match_quarters(group, weight, height,
         d_p1, delta_p1, d_q2, delta_q2 = quarters
         expected = scaled(d_p1.add(d_q2).add(scaled(delta_p1, -1)).add(scaled(delta_q2, -1)), 2)
         assert block.D.entries == expected.entries, block.nu.text()
-        assert block.d.entries == d_p1.add(scaled(delta_q2, -1)).entries, block.nu.text()
+        d = kostant_d(block)
+        assert d.entries == d_p1.add(scaled(delta_q2, -1)).entries, block.nu.text()
         cert = dirac.anti_selfadjoint_certificate(block)
         assert cert.halves_adjoint == quarters_adjoint(block_gram(block), quarters)
-        both_halves += bool(block.d.entries) and bool(block.D.add(scaled(block.d, -2)).entries)
+        both_halves += bool(d.entries) and bool(block.D.add(scaled(d, -2)).entries)
     assert both_halves
+
+
+def _assert_kostant_matches_oracle(coll):
+    """The per-degree tables, their key order and dd_zero of
+    `analysis.kostant_cohomology` equal the two-rank oracle's, whose d^2 is
+    the whole-block d d of d rebuilt from the quarters."""
+    report = analysis.kostant_cohomology(coll)
+    per_degree, dd_zero = kostant_per_degree(coll)
+    assert report.per_degree and report.per_degree == per_degree
+    assert list(report.per_degree) == list(per_degree)
+    assert report.dd_zero == dd_zero
 
 
 @ASSEMBLY_GRID
 def test_kostant_one_rank_per_degree_matches_two_rank_oracle(group, weight, height, kind):
-    coll = _grid_collection(group, weight, height, kind)
-    report = analysis.kostant_cohomology(coll)
-    oracle = kostant_per_degree(coll)
-    assert report.per_degree and report.per_degree == oracle
-    assert list(report.per_degree) == list(oracle)
+    _assert_kostant_matches_oracle(_grid_collection(group, weight, height, kind))
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [(SL21, "0,0|0", 4), (SL22, "-3,1|1,1", 2), (SL23, "-3,0|1,1,1", 2), (GL33, "-2,-2,1|1,1,1", 2)],
+    ids=["sl21-singular", "sl22", "sl23", "gl33-p2"],
+)
+def test_kostant_matches_the_oracle_on_verma_inputs(group, weight, height):
+    _assert_kostant_matches_oracle(_grid_collection(group, weight, height, "verma"))
+
+
+@DEGREE_GROUPS
+def test_kostant_matches_the_oracle_on_the_zero_weight_by_degree(group):
+    _assert_kostant_matches_oracle(_degree_collection(group))
+
+
+def _degree_blocks(block):
+    """D's blocks C^{k+1} <- C^k, for each k with C^k and C^{k+1} nonzero."""
+    by_deg = {}
+    for i, k in enumerate(block.degrees()):
+        by_deg.setdefault(k, []).append(i)
+    return [block.D.submatrix(by_deg[k + 1], cols) for k, cols in by_deg.items() if k + 1 in by_deg]
+
+
+def test_a_spoiled_raising_entry_makes_dd_nonzero():
+    """sl(2|1) -2,1|1 at N=4: on the first block where an entry of D from
+    C^{k+1} to C^{k+2} meets, in its column, an entry of D from C^k, that
+    entry is doubled, so A_{k+1} A_k != 0 for D's degree blocks A. Then
+    `kostant_cohomology` and the oracle, forming d d on the whole block
+    with d read off the spoiled D, both report dd_zero False, where both
+    report True before, and `injection_check` refutes with no weight."""
+    coll = _collection(SL21, "-2,1|1", 4, "simple")
+    assert analysis.kostant_cohomology(coll).dd_zero and kostant_per_degree(coll, kostant_d)[1]
+    for block in coll.blocks.values():
+        deg = block.degrees()
+        reached = {i for i, j in block.D.entries if deg[i] == deg[j] + 1}
+        keys = [(r, i) for r, i in sorted(block.D.entries) if deg[r] == deg[i] + 1 and i in reached]
+        if keys:
+            break
+    assert keys, "no block with three consecutive degrees linked by D"
+    bad = replace(block, D=_doubled(block.D, keys[0]))
+    a = _degree_blocks(bad)
+    assert any(a_next.matmul(a_k).entries for a_next, a_k in zip(a[1:], a))
+    spoiled = replace(
+        coll,
+        blocks={**coll.blocks, bad.nu: bad},
+        by_drop={**coll.by_drop, bad.drop: bad},
+    )
+    report = analysis.kostant_cohomology(spoiled)
+    assert not report.dd_zero
+    assert not kostant_per_degree(spoiled, kostant_d)[1]
+    assert analysis.injection_check(dirac.dirac_cohomology(spoiled), report) == (False, None)
+
+
+def test_kostant_products_and_ranks_are_degree_blocks(monkeypatch):
+    """gl(3|3) p=2 -2,-2,1|1,1,1 at N=4: every operand of a product and of a
+    rank that `kostant_cohomology` takes is one of D's degree blocks
+    C^{k+1} <- C^k, of shape (|C^{k+1}|, |C^k|), and never a whole block;
+    it takes one rank per (block, k) with C^k and C^{k+1} nonzero."""
+    coll = _collection(GL33, "-2,-2,1|1,1,1", 4, "simple")
+    blocks = [a for block in coll.blocks.values() for a in _degree_blocks(block)]
+    keys = {(a.rows, a.cols, frozenset(a.entries.items())) for a in blocks}
+    rank, matmul = exactla.rank, SparseRationalMatrix.matmul
+    ranked, multiplied = [], []
+
+    def counted_rank(a):
+        ranked.append(a)
+        return rank(a)
+
+    def counted_matmul(a, b):
+        multiplied.extend((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(exactla, "rank", counted_rank)
+    monkeypatch.setattr(SparseRationalMatrix, "matmul", counted_matmul)
+    assert analysis.kostant_cohomology(coll).dd_zero
+    assert multiplied and len(ranked) == len(blocks)
+    for a in ranked + multiplied:
+        assert (a.rows, a.cols, frozenset(a.entries.items())) in keys
 
 
 def _bidegree_parts(block, m):
@@ -843,8 +931,9 @@ def _oracle_certificate(block):
     if lhs.entries:
         (i, j), v = min(lhs.entries.items())
         witness = (i, j, v)
-    d_parts = _bidegree_parts(block, block.d)
-    dprime_parts = _bidegree_parts(block, scaled(block.D, Fraction(1, 2)).add(scaled(block.d, -1)))
+    d = kostant_d(block)
+    d_parts = _bidegree_parts(block, d)
+    dprime_parts = _bidegree_parts(block, scaled(block.D, Fraction(1, 2)).add(scaled(d, -1)))
     zero = SparseRationalMatrix(block.dim, block.dim)
     quarters = (
         d_parts.get((1, 0), zero),
@@ -1024,7 +1113,6 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
                 assert _canonical_values(x.entries.values()), (nu.text(), g)
                 actions += bool(x.entries)
         assert all(type(x) is int for x in block.D.entries.values())
-        assert _canonical_values(block.d.entries.values())
         assert all(type(x) is int for x in block.D.matmul(block.D).entries.values())
         assert _exact(block_gram(block).entries.values())
         image = exactla.quotient(block.D.transpose().to_rows(), block.dim)
@@ -1265,7 +1353,9 @@ def test_one_pass_certificate_matches_the_key_union_oracle():
             for b in [block, *(replace(block, D=_doubled(block.D, key)) for key in first)]:
                 cert = dirac.anti_selfadjoint_certificate(b)
                 g = block_gram(b)
-                expected = key_union_certificate(g.matmul(b.D).entries, g.matmul(b.d).entries)
+                expected = key_union_certificate(
+                    g.matmul(b.D).entries, g.matmul(kostant_d(b)).entries
+                )
                 assert (cert.ok, cert.witness, cert.halves_adjoint) == expected, (case, b.nu.text())
                 blocks += 1
     assert blocks
@@ -1311,7 +1401,7 @@ def test_gram_accumulations_match_the_block_gram_oracle(group, weight, height, k
         (read_D, read_2d), = read
         read.clear()
         assert _nonzero(read_D) == g_D, block.nu.text()
-        assert _nonzero(read_2d) == g.matmul(scaled(block.d, 2)).entries, block.nu.text()
+        assert _nonzero(read_2d) == g.matmul(scaled(kostant_d(block), 2)).entries, block.nu.text()
         nonzero += bool(read_2d) and len(read_2d) < len(read_D)
     assert nonzero
 

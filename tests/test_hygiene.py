@@ -397,17 +397,20 @@ def test_sparse_matrix_has_no_mutator():
 
 
 # ----- a Dirac block caches its predicate alone -------------------------------------------
-# G, G D, D^2 and d are formed where they are read, so no block keeps them
+# G, G D, D^2 and d are formed where they are read, so no block keeps them, and
+# no derived matrix is an attribute: `dim` is the one plain property
 BLOCK_CACHES_ALLOWED = ["definite_anti_selfadjoint"]
+BLOCK_PROPERTIES_ALLOWED = ["dim"]
 
 
-def _cached_properties(tree: ast.AST, cls: str) -> list[str]:
-    """The methods of each class named `cls` decorated with `cached_property`
-    (`functools.cached_property` or the bare name), in line order."""
+def _decorated_methods(tree: ast.AST, cls: str, decorator: str) -> list[str]:
+    """The methods of each class named `cls` decorated with `decorator`
+    (plain or as an attribute, e.g. `functools.cached_property`), in line
+    order."""
 
-    def cached(d):
+    def named(d):
         name = d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
-        return name == "cached_property"
+        return name == decorator
 
     return [
         f.name
@@ -415,35 +418,52 @@ def _cached_properties(tree: ast.AST, cls: str) -> list[str]:
         if isinstance(node, ast.ClassDef) and node.name == cls
         for f in node.body
         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(map(cached, f.decorator_list))
+        and any(map(named, f.decorator_list))
     ]
+
+
+_BLOCK_CHECKER_CONTROL = (
+    "import functools\n"
+    "from functools import cached_property\n"
+    "class DiracBlock:\n"
+    "    @property\n"
+    "    def dim(self): pass\n"
+    "    @functools.cached_property\n"
+    "    def gram(self): pass\n"
+    "    @property\n"
+    "    def d(self): pass\n"
+    "    @cached_property\n"
+    "    def D2(self): pass\n"
+    "    @functools.cached_property\n"
+    "    def definite_anti_selfadjoint(self): pass\n"
+    "class Block:\n"
+    "    @functools.cached_property\n"
+    "    def definiteness(self): pass\n"
+    "    @property\n"
+    "    def size(self): pass\n"
+)
 
 
 def test_dirac_block_caches_only_its_predicate():
     tree = ast.parse((SRC / "dirac.py").read_text())
-    assert _cached_properties(tree, "DiracBlock") == BLOCK_CACHES_ALLOWED
+    assert _decorated_methods(tree, "DiracBlock", "cached_property") == BLOCK_CACHES_ALLOWED
 
 
 def test_checker_flags_a_cached_matrix_on_a_dirac_block():
-    src = (
-        "import functools\n"
-        "from functools import cached_property\n"
-        "class DiracBlock:\n"
-        "    @functools.cached_property\n"
-        "    def gram(self): pass\n"
-        "    @property\n"
-        "    def d(self): pass\n"
-        "    @cached_property\n"
-        "    def D2(self): pass\n"
-        "    @functools.cached_property\n"
-        "    def definite_anti_selfadjoint(self): pass\n"
-        "class Block:\n"
-        "    @functools.cached_property\n"
-        "    def definiteness(self): pass\n"
-    )
-    assert _cached_properties(ast.parse(src), "DiracBlock") == [
-        "gram", "D2", "definite_anti_selfadjoint"
-    ]
+    assert _decorated_methods(
+        ast.parse(_BLOCK_CHECKER_CONTROL), "DiracBlock", "cached_property"
+    ) == ["gram", "D2", "definite_anti_selfadjoint"]
+
+
+def test_dirac_block_has_no_property_but_dim():
+    tree = ast.parse((SRC / "dirac.py").read_text())
+    assert _decorated_methods(tree, "DiracBlock", "property") == BLOCK_PROPERTIES_ALLOWED
+
+
+def test_checker_flags_a_derived_matrix_property_on_a_dirac_block():
+    assert _decorated_methods(
+        ast.parse(_BLOCK_CHECKER_CONTROL), "DiracBlock", "property"
+    ) == ["dim", "d"]
 
 
 # ----- dense rows only where dense rows are the output ------------------------------------
