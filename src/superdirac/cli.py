@@ -434,6 +434,16 @@ def cmd_verify(weight, height, suite, expect_unitarizable, **common):
     )
 
 
+def _verdict(payload: dict, ok: bool, **after) -> int:
+    """Set the suite's `status`, then each `after` field that is not None (a
+    `Weight` as its text), and return the suite's exit code."""
+    payload.update(
+        status="pass" if ok else "fail",
+        **{k: v.text() if isinstance(v, Weight) else v for k, v in after.items() if v is not None},
+    )
+    return EXIT_OK if ok else EXIT_ASSERTION
+
+
 def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
     payload: dict = {
         "theorem": suite,
@@ -441,23 +451,14 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
         "truncation": height,
     }
     if suite == "unitarity":
-        cert = modules.certify_unitarity(datum, lam, height)
-        payload.update(cert.to_json())
-        payload["status"] = "pass"
-        return payload, EXIT_OK
+        payload.update(modules.certify_unitarity(datum, lam, height).to_json())
+        return payload, _verdict(payload, True)
     if suite == "filtration":
         ok, diff = modules.verma_filtration_check(datum, lam, height)
-        payload["status"] = "pass" if ok else "fail"
-        if diff is not None:
-            payload["first_diff"] = diff.text()
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        return payload, _verdict(payload, ok, first_diff=diff)
     if suite == "branching":
         ok, diff, pred = analysis.even_decomposition_verify(datum, lam, height)
-        payload["status"] = "pass" if ok else "fail"
-        payload["prediction"] = pred.to_json()
-        if diff is not None:
-            payload["first_diff"] = diff.text()
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        return payload, _verdict(payload, ok, prediction=pred.to_json(), first_diff=diff)
 
     module = modules.simple_truncation(datum, lam, height)
     cert = modules.certify_unitarity(datum, lam, height, module=module)
@@ -473,9 +474,7 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
     if suite == "square":
         report = dirac.dirac_square_audit(coll)
         payload["scalar_audit"] = report.to_json()
-        ok = report.all_matched
-        payload["status"] = "pass" if ok else "fail"
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        return payload, _verdict(payload, report.all_matched)
     if suite == "cohomology":
         report = dirac.dirac_cohomology(coll)
         payload["blocks"] = report.to_json()["blocks"]
@@ -509,19 +508,15 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
         else:
             ok = True
             payload["comparison"] = "none (input not certified)"
-        payload["status"] = "pass" if ok else "fail"
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        return payload, _verdict(payload, ok)
     if suite == "kostant":
         kost = analysis.kostant_cohomology(coll)
-        ok1 = kost.dd_zero
-        ok2, diff = analysis.injection_check(dirac.dirac_cohomology(coll), kost)
-        payload["dd_zero"] = ok1
-        payload["injection"] = ok2
+        ok, diff = analysis.injection_check(dirac.dirac_cohomology(coll), kost)
+        payload["dd_zero"] = kost.dd_zero
+        payload["injection"] = ok
         if diff is not None:
             payload["first_diff"] = diff.text()
-        ok = ok1 and ok2
-        payload["status"] = "pass" if ok else "fail"
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        return payload, _verdict(payload, kost.dd_zero and ok)
     if suite == "character":
         oka, diffa = analysis.character_formula_check(coll, "kostant")
         okb, diffb = analysis.character_formula_check(coll, "dirac-index")
@@ -531,16 +526,12 @@ def _run_suite(datum: RootDatum, lam: Weight, height: int, suite: str):
             payload["first_diff_kostant"] = diffa.text()
         if diffb is not None:
             payload["first_diff_dirac_index"] = diffb.text()
-        ok = oka and okb
-        payload["status"] = "pass" if ok else "fail"
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        return payload, _verdict(payload, oka and okb)
     if suite == "index":
         report = dirac.dirac_cohomology(coll)
         idx = dirac.dirac_index(coll)
-        ok = idx == report.signed_table()
-        payload["status"] = "pass" if ok else "fail"
-        payload["index"] = modules.table_json(datum, lam - datum.rho1, idx)
-        return payload, EXIT_OK if ok else EXIT_ASSERTION
+        index = modules.table_json(datum, lam - datum.rho1, idx)
+        return payload, _verdict(payload, idx == report.signed_table(), index=index)
     raise ConfigError(f"unknown suite {suite!r}")
 
 

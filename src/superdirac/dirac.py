@@ -412,9 +412,7 @@ def g0_constituents(coll: BlockCollection) -> list[SquareAuditEntry]:
                 raise AssertionError(
                     f"D^2 is not scalar on a highest vector at nu={nu.text()}"
                 )
-            measured_vals.add(
-                x // y if type(x) is int and not x % y else exactla._rat(Fraction(x, y))
-            )
+            measured_vals.add(exactla._ratio(x, y))
         if len(measured_vals) != 1:
             raise AssertionError(
                 f"distinct D^2 scalars on one isotypic label at nu={nu.text()}"

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 An exact entry is an `int` when it is integral and a `Fraction` otherwise
-(`_rat`), so integer matrices multiply and add on ints. Ranks, kernels and
-quotient coordinates come from one sparse fraction-free elimination over
-row dicts (`_rref`); kernels and quotients back-substitute its echelon
-rows. Its pivots and row space are the RREF's, so none of the three depends
-on the order of the input rows. A kernel is read sparse (`sparse_kernel`),
-as column -> entry dicts, and `kernel_basis` densifies it. Definiteness
+(`_rat`; every quotient a / b in the package is made one by `_ratio`), so
+integer matrices multiply and add on ints. Ranks, kernels and quotient
+coordinates come from one sparse fraction-free elimination over row dicts
+(`_rref`); kernels and quotients back-substitute its echelon rows. Its
+pivots and row space are the RREF's, so none of the three depends on the
+order of the input rows. A kernel is read sparse (`sparse_kernel`), as
+column -> entry dicts, and `kernel_basis` densifies it. Definiteness
 certificates for symmetric Gram matrices clear the same integer rows
 (`_clear`) as a congruence, and only `quotient` and the pivots and witnesses
 of `definiteness` divide.
@@ -33,6 +34,12 @@ def _rat(x) -> Rational:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(a: Rational, b: int) -> Rational:
+    """a / b as an exact entry (`_rat`), a Fraction built only when b does
+    not divide the int a."""
+    return a // b if type(a) is int and not a % b else _rat(Fraction(a, b))
 
 
 @dataclass
@@ -277,14 +284,9 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
         rows[i][j] = x
     active = {k: _integer_row(row) for k, row in enumerate(rows)}
 
-    def over(x: int, c: int) -> Rational:
-        """x / c for a row's coordinate c > 0: a Fraction only if c does not
-        divide x (c is 1 on every 1 x 1 form)."""
-        return x // c if not x % c else Fraction(x, c)
-
     def coords(k: int, v: dict[int, int]) -> Vector:
         c = v[n + k]
-        return tuple([over(v.get(n + j, 0), c) for j in range(n)])
+        return tuple([_ratio(v.get(n + j, 0), c) for j in range(n)])
 
     pivot_record: list[tuple[int, Rational]] = []
     while active:
@@ -303,7 +305,7 @@ def definiteness(g: SparseRationalMatrix) -> DefinitenessCertificate:
                 "indefinite", tuple([_rat(x - s * y) for x, y in w]), pivot_record
             )
         e = active.pop(piv)
-        d = over(e[piv], e[n + piv])
+        d = _ratio(e[piv], e[n + piv])
         pivot_record.append((piv, d))
         if d < 0:
             return DefinitenessCertificate("indefinite", coords(piv, e), pivot_record)
@@ -332,9 +334,5 @@ def quotient(rows: Sequence[Row], dim: int) -> Quotient:
         if (max(row, default=-1) >= dim) if type(row) is dict else len(row) != dim:
             raise ValueError("row dimension mismatch in quotient")
     kernel = _kernel(rows, dim)
-    entries = {
-        (i, j): x // v[f] if not x % v[f] else Fraction(x, v[f])
-        for i, (f, v) in enumerate(kernel)
-        for j, x in v.items()
-    }
+    entries = {(i, j): _ratio(x, v[f]) for i, (f, v) in enumerate(kernel) for j, x in v.items()}
     return Quotient([f for f, _ in kernel], SparseRationalMatrix(len(kernel), dim, entries))

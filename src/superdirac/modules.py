@@ -5,8 +5,11 @@ unitarity certification via Gram-matrix definiteness.
 Everything a module computes rests on one operation, a generator applied to a
 PBW monomial at the highest weight vector (`act_word`), done by recursion on
 the monomial's first letter and memoized on the module, never by
-straightening in U(g). A Verma character is a count of PBW monomials per drop
-(`verma_filtration_check`), so it needs no module.
+straightening in U(g). Every weight block is stored in the coordinates of
+one quotient of its monomials: by the radical of the Gram for the simple
+kinds, by nothing (the identity) for the Verma kinds. A Verma character is a
+count of PBW monomials per drop (`verma_filtration_check`), so it needs no
+module.
 """
 
 from __future__ import annotations
@@ -68,11 +71,10 @@ def word_parity(alg: Algebra, mono: Word) -> int:
 # ----- block data -----------------------------------------------------------------
 @dataclass
 class Block:
-    """One weight block. A block of a simple kind carries the quotient map
-    and Gram of M/radical and is stored in quotient coordinates; any other
-    block is stored in Verma (monomial) coordinates. `qmap` is set exactly
-    for the simple kinds, so the block itself answers which coordinates it
-    stores (`dim`, `basis`, `form`, `reduce`). `drop` is L - weight."""
+    """One weight block, stored in the coordinates of its quotient `qmap`:
+    M/radical for the simple kinds, the identity quotient (no rows) for the
+    Verma kinds. `form` is the Shapovalov form on the kept coordinates and
+    `index` the position of each monomial. `drop` is L - weight."""
 
     weight: Weight
     drop: Drop
@@ -80,29 +82,19 @@ class Block:
     parity: list[int]
     gram: SparseRationalMatrix
     radical: list[tuple[int, ...]]
-    qmap: exactla.Quotient | None = None
-    gram_quot: SparseRationalMatrix | None = None
-
-    @property
-    def verma_dim(self) -> int:
-        return len(self.monomials)
+    qmap: exactla.Quotient
+    form: SparseRationalMatrix
+    index: dict[Word, int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         """Size of the block in stored coordinates."""
-        return self.verma_dim if self.qmap is None else len(self.qmap.kept)
+        return len(self.qmap.kept)
 
     @property
     def basis(self) -> list[Word]:
         """The monomials whose classes form the stored basis."""
-        if self.qmap is None:
-            return self.monomials
         return [self.monomials[i] for i in self.qmap.kept]
-
-    @property
-    def form(self) -> SparseRationalMatrix:
-        """The Shapovalov form in stored coordinates."""
-        return self.gram if self.qmap is None else self.gram_quot
 
     @functools.cached_property
     def definiteness(self) -> exactla.DefinitenessCertificate:
@@ -110,14 +102,10 @@ class Block:
         `certify_unitarity` and the Dirac blocks built on this module read it."""
         return exactla.definiteness(self.form)
 
-    def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Stored coordinates of a vector given in monomial coordinates."""
-        return tuple(vec) if self.qmap is None else self.qmap.reduction.apply(vec)
-
     def to_json(self) -> dict:
         return {
             "weight": self.weight.text(),
-            "dim": self.verma_dim,
+            "dim": len(self.monomials),
             "gram": [[str(x) for x in row] for row in self.gram.to_rows()],
             "radical_rank": len(self.radical),
             "parity": list(self.parity),
@@ -174,13 +162,13 @@ class TruncatedModule:
         if sdim == 0 or self.drop_dim(target) == 0:
             return ((),) * sdim
         tb = self.by_drop[target]
-        index = {m: i for i, m in enumerate(tb.monomials)}
         cols = []
         for mono in self.by_drop[source].basis:
-            vec = [0] * len(index)
+            vec = [0] * len(tb.index)
             for m, c in self.act(g, mono).items():
-                vec[index[m]] += c
-            cols.append(tuple((i, exactla._rat(c)) for i, c in enumerate(tb.reduce(vec)) if c))
+                vec[tb.index[m]] += c
+            reduced = tb.qmap.reduction.apply(vec)
+            cols.append(tuple((i, exactla._rat(c)) for i, c in enumerate(reduced) if c))
         return tuple(cols)
 
     def sorted_weights(self) -> list[Weight]:
@@ -230,9 +218,7 @@ def _monomials_by_drop(alg: Algebra, restriction: str, max_height) -> dict[Drop,
     return by_drop
 
 
-def _gram_block(
-    mod: TruncatedModule, drop: Drop, monos: list[Word], index: dict[Drop, dict[Word, int]]
-) -> SparseRationalMatrix:
+def _gram_block(mod: TruncatedModule, drop: Drop, monos: list[Word]) -> SparseRationalMatrix:
     """Shapovalov Gram of one weight block by the contravariant recursion.
 
     For X = g X' (g the first PBW letter), omega(X) Y = omega(X') omega(g) Y
@@ -252,7 +238,7 @@ def _gram_block(
         g = x[0]
         og, s = alg.omega_gen(g)
         above = tuple(map(operator.sub, drop, alg.gen_drop(g)))
-        above_index = index[above]
+        above_index = mod.by_drop[above].index
         above_gram = mod.by_drop[above].gram.entries
         row = above_index[x[1:]]
         for j in range(i, dim):
@@ -281,12 +267,14 @@ def _build(
     by_drop = _monomials_by_drop(alg, restriction, Fraction(height))
     mod = TruncatedModule(datum, alg, lam, Fraction(height), kind)
     simple = kind.endswith("simple")
-    index: dict[Drop, dict[Word, int]] = {}
     for drop in sorted(by_drop, key=datum.drop_key):
         monos = sorted(by_drop[drop], key=lambda m: [alg.order_key(g) for g in m])
-        index[drop] = {m: i for i, m in enumerate(monos)}
-        gram = _gram_block(mod, drop, monos, index)
+        gram = _gram_block(mod, drop, monos)
         radical = exactla.kernel_basis(gram)
+        rows = radical if simple else []
+        qmap = exactla.quotient(rows, len(monos))
+        if len(qmap.kept) != len(monos) - len(rows):
+            raise ValueError("dependent radical basis")
         block = Block(
             weight=lam.lower(drop),
             drop=drop,
@@ -294,12 +282,10 @@ def _build(
             parity=[word_parity(alg, m) for m in monos],
             gram=gram,
             radical=radical,
+            qmap=qmap,
+            form=gram.submatrix(qmap.kept, qmap.kept),
+            index={m: i for i, m in enumerate(monos)},
         )
-        if simple:
-            block.qmap = exactla.quotient(radical, len(monos))
-            if len(block.qmap.kept) != len(monos) - len(radical):
-                raise ValueError("dependent radical basis")
-            block.gram_quot = gram.submatrix(block.qmap.kept, block.qmap.kept)
         mod.blocks[block.weight] = mod.by_drop[drop] = block
     return mod
 
@@ -483,8 +469,15 @@ def dirac_scalar(datum: RootDatum, t: Sequence, drop: Sequence) -> exactla.Ratio
 def certify_unitarity(
     datum: RootDatum, lam: Weight, height, module: TruncatedModule | None = None
 ) -> UnitarityCertificate:
+    """Certify that the form on L(lam) is positive definite on every block up
+    to the height, or refute it at the first block where it is not. A given
+    `module` must be that truncation, `simple_truncation(datum, lam, height)`."""
     height = Fraction(height)
     module = module or simple_truncation(datum, lam, height)
+    if (module.datum, module.kind, module.highest_weight, module.height) != (
+        datum, "simple", lam, height
+    ):
+        raise ValueError("module is not the simple truncation of lam at this height")
     t = (lam + datum.rho).scale(2).coords()
     audit = [
         (mu, dirac_scalar(datum, t, (lam - mu).coords()))
@@ -495,7 +488,7 @@ def certify_unitarity(
     audit.sort(key=lambda t: datum.root_sort_key(lam - t[0]))
     for nu in module.sorted_weights():
         b = module.blocks[nu]
-        if b.gram_quot is None or b.gram_quot.rows == 0:
+        if b.dim == 0:
             continue
         cert = b.definiteness
         if cert.verdict != "positive-definite":

@@ -22,9 +22,7 @@ normalized form `b_form` takes half-integral values.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactla import Rational
+from .exactla import Rational, _ratio
 from .weights import Drop, RootDatum, Weight
 
 Gen = tuple[int, int]
@@ -129,5 +127,4 @@ class Algebra:
 
     def b_form(self, a: Gen, b: Gen) -> Rational:
         """Normalized invariant form: B = (1/2)(tr_D - tr_A) on products."""
-        v = -self.str_form(a, b)
-        return v // 2 if not v % 2 else Fraction(v, 2)
+        return _ratio(-self.str_form(a, b), 2)

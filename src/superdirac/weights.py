@@ -29,15 +29,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
-from .exactla import Rational, _rat
+from .exactla import Rational, _rat, _ratio
 
 # Integer eps/del coordinates of base - weight for a fixed base weight.
 Drop = tuple[int, ...]
-
-
-def _ratio(a: int, den: int) -> Rational:
-    """a / den as an exact entry (`exactla._rat`)."""
-    return a // den if a % den == 0 else Fraction(a, den)
 
 
 class Weight:

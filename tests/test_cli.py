@@ -354,6 +354,22 @@ def test_cache_key_depends_on_package_sources(monkeypatch):
     assert cli.cache_key(parts) != before
 
 
+
+def test_verdict_sets_status_then_the_given_fields():
+    from superdirac import cli
+    from superdirac.weights import parse_weight
+
+    payload = {"theorem": "branching"}
+    code = cli._verdict(payload, False, prediction=[1], first_diff=parse_weight("0,1|-2", 2, 1))
+    assert code == cli.EXIT_ASSERTION
+    assert list(payload.items()) == [
+        ("theorem", "branching"), ("status", "fail"), ("prediction", [1]),
+        ("first_diff", "0,1|-2"),
+    ]
+    payload = {}
+    assert cli._verdict(payload, True, first_diff=None) == cli.EXIT_OK
+    assert payload == {"status": "pass"}
+
 @pytest.mark.parametrize(
     "suite, weight, code",
     [

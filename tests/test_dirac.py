@@ -283,7 +283,7 @@ def test_block_gram_is_tensor_of_grams(coll_typical3, d21, lam_typical):
         gram = block_gram(block)
         for col, (drop_m, i, a) in enumerate(block.basis):
             bf = Fraction(math.prod(math.factorial(e) for e in a))
-            g = mod.blocks[lam_typical.lower(drop_m)].gram_quot
+            g = mod.blocks[lam_typical.lower(drop_m)].form
             for row, (drop_m2, i2, a2) in enumerate(block.basis):
                 expected = g.entries.get((i2, i), 0) * bf if (drop_m2 == drop_m and a2 == a) else 0
                 assert gram.entries.get((row, col), 0) == expected
@@ -1093,10 +1093,10 @@ def test_dirac_layer_runs_on_ints_and_never_on_floats(group, weight, height):
     mod = modules.simple_truncation(datum, parse_weight(weight, datum.m, datum.n), height)
     assert _canonical(mod.blocks)
     for b in mod.blocks.values():
-        assert _exact(b.gram.entries.values()) and _exact(b.gram_quot.entries.values())
+        assert _exact(b.gram.entries.values()) and _exact(b.form.entries.values())
         assert _exact(b.qmap.reduction.entries.values())
-        if b.gram_quot.rows:
-            cert = exactla.definiteness(b.gram_quot)
+        if b.form.rows:
+            cert = exactla.definiteness(b.form)
             assert _exact(p for _, p in cert.pivot_record)
     assert all(_ints(b.drop) for b in mod.blocks.values())
     coll = dirac.assemble_all(mod, height)
@@ -1420,7 +1420,7 @@ def test_a_spoiled_module_form_flips_the_predicate():
     form = mb.form
     entries = {**form.entries, (r, r): 2 * form.entries[r, r]}
     spoiled = SparseRationalMatrix(form.rows, form.cols, entries)
-    mb = replace(mb, **{"gram" if mb.qmap is None else "gram_quot": spoiled})
+    mb = replace(mb, form=spoiled)
     module = replace(block.module, by_drop={**block.module.by_drop, drop_m: mb})
     bad = replace(block, module=module)
     assert exactla.definiteness(block_gram(bad)).verdict == "positive-definite"

@@ -131,6 +131,13 @@ def test_from_rows_canonical_entries_and_ragged_rows():
             SparseRationalMatrix.from_rows(ragged)
 
 
+
+def test_ratio_is_an_int_exactly_when_the_quotient_is_integral():
+    cases = [(6, 3), (-6, 3), (5, -5), (-7, 2), (3, -6), (Fraction(3, 2), 3), (Fraction(2), 2)]
+    got = [exactla._ratio(a, b) for a, b in cases]
+    assert got == [2, -2, -1, Fraction(-7, 2), Fraction(-1, 2), Fraction(1, 2), 1]
+    assert [type(x) for x in got] == [int, int, int, Fraction, Fraction, Fraction, int]
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(3, 4))
 def test_kernel_and_rank(rows):

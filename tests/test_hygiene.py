@@ -3,9 +3,10 @@ every function, class, method and module-level name it defines is referred
 to somewhere in the package (or allowed, with a reason); every defaulted
 parameter is set by some package call; every top-level helper in
 ``tests/_helpers.py`` is reached from some test module; no package code
-writes into a built ``SparseRationalMatrix``; only a module block's
-JSON makes dense rows of one; and a Dirac block caches no value but its
-predicate.
+writes into a built ``SparseRationalMatrix`` or sets an attribute of a
+built module ``Block``; only a module block's JSON makes dense rows of one;
+a Dirac block caches no value but its predicate; and only ``exactla``
+divides two numbers into a ``Fraction``.
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -13,11 +14,13 @@ module, including inside a string annotation such as ``"Weight"``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from superdirac.exactla import SparseRationalMatrix
+from superdirac.modules import Block
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "superdirac"
 
@@ -662,4 +665,119 @@ def test_checker_flags_an_unset_default():
     )
     assert _unset_defaults({"m.py": src}) == [
         "m.py:1 f(b)", "m.py:1 f(d)", "m.py:6 m(j)", "m.py:9 s(k)"
+    ]
+
+
+# ----- a module block is built whole --------------------------------------------------------
+# `_build` forms every field of a `modules.Block` first and constructs it once
+BLOCK_ATTRIBUTES = {f.name for f in dataclasses.fields(Block)} | {
+    name for name in vars(Block) if not name.startswith("_")
+}
+
+
+def _block_attribute_stores(tree: ast.AST) -> list[str]:
+    """`line target` for each store into (or delete of) an attribute named
+    like one of `modules.Block`'s on anything but `self`, and `line
+    setattr name` for each `setattr` of such a name, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and node.attr in BLOCK_ATTRIBUTES
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in BLOCK_ATTRIBUTES
+        ):
+            found.append((node.lineno, f"setattr {node.args[1].value}"))
+    return [f"{line} {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_attribute_set_on_a_built_module_block(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stores = _block_attribute_stores(tree)
+    assert not stores, (
+        f"{path.name} sets an attribute of a built module block (form every "
+        f"field, then construct the Block): {', '.join(stores)}"
+    )
+
+
+def test_checker_flags_an_attribute_set_on_a_module_block():
+    src = (
+        "def f(block, mod, other, q, g):\n"
+        "    block.qmap = q\n"
+        "    mod.blocks[0].form = g\n"
+        "    self.form = g\n"
+        "    x = block.form\n"
+        "    block.dim += 1\n"
+        "    setattr(block, 'index', {})\n"
+        "    other.rows = 1\n"
+        "    del block.gram\n"
+        "    return x\n"
+    )
+    assert _block_attribute_stores(ast.parse(src)) == [
+        "2 block.qmap", "3 mod.blocks[0].form", "6 block.dim", "7 setattr index",
+        "9 block.gram",
+    ]
+
+
+# ----- only exactla divides into a Fraction ---------------------------------------------------
+# a quotient a / b becomes an exact entry by `exactla._ratio` alone; a
+# Fraction of two literals is a constant and may stand anywhere
+def _fraction_quotients(tree: ast.AST) -> list[str]:
+    """`line call` for each two-argument `Fraction(a, b)` call (plain or as
+    an attribute) with an operand that is not a number literal, in line
+    order."""
+
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    def named(f):
+        return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "Fraction"
+
+    found = [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and named(node.func)
+        and len(node.args) == 2
+        and not all(map(literal, node.args))
+    ]
+    return [f"{line} {call}" for line, call in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "exactla.py"), ids=lambda p: p.name
+)
+def test_no_fraction_quotient_outside_exactla(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _fraction_quotients(tree)
+    assert not calls, (
+        f"{path.name} divides into a Fraction (call `exactla._ratio(a, b)`): {', '.join(calls)}"
+    )
+
+
+def test_checker_flags_a_fraction_quotient():
+    src = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "HALF = Fraction(1, 2)\n"
+        "def f(a, b, x):\n"
+        "    y = Fraction(-1, 3) + Fraction(x)\n"
+        "    z = Fraction(a, b)\n"
+        "    w = fractions.Fraction(x, 2)\n"
+        "    return y, z, w, Fraction(-a, 4)\n"
+    )
+    assert _fraction_quotients(ast.parse(src)) == [
+        "6 Fraction(a, b)", "7 fractions.Fraction(x, 2)", "8 Fraction(-a, 4)",
     ]

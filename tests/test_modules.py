@@ -126,8 +126,40 @@ def test_gram_blocks_symmetric_and_radical_consistent(d21, lam_typical):
         if b.gram is None:
             continue
         assert b.gram.is_symmetric()
-        assert b.verma_dim - len(b.radical) == b.dim
+        assert len(b.monomials) - len(b.radical) == b.dim
 
+
+
+@pytest.mark.parametrize(
+    "group, weight, height",
+    [((2, 1, 1, 1), "-1,0|0", 4), ((2, 2, 1, 1), "-3,1|1,1", 3)],
+    ids=["sl21-atypical", "sl22"],
+)
+def test_every_block_stores_its_quotient(group, weight, height):
+    """One coordinate system for all five kinds: a Verma-kind block stores
+    the identity quotient (every coordinate kept, identity reduction, form =
+    Gram, basis = monomials), a simple-kind block the quotient by its radical
+    (form = Gram on the kept coordinates), and every block indexes its
+    monomials by position. The simple module has a radical here."""
+    datum = build_root_datum(*group)
+    lam = parse_weight(weight, datum.m, datum.n)
+    with_radical = set()
+    for kind in KINDS:
+        mod = modules._build(datum, lam, Fraction(height), kind)
+        for b in mod.blocks.values():
+            n = len(b.monomials)
+            assert b.index == {m: i for i, m in enumerate(b.monomials)}, kind
+            if kind.endswith("verma"):
+                assert b.qmap.kept == list(range(n)), kind
+                identity = SparseRationalMatrix(n, n, {(i, i): 1 for i in range(n)})
+                assert b.qmap.reduction == identity, kind
+                assert b.form.entries == b.gram.entries and b.basis == b.monomials, kind
+            else:
+                assert b.form == b.gram.submatrix(b.qmap.kept, b.qmap.kept), kind
+                assert b.dim == n - len(b.radical), kind
+                if b.radical:
+                    with_radical.add(kind)
+    assert "simple" in with_radical
 
 # ----- Gram blocks against the PBW straightening oracle --------------------------------
 def _assert_grams_match_oracle(datum, lam, height):
@@ -350,7 +382,7 @@ def _oracle_ktype_table(module):
     for nu in module.sorted_weights():
         b = module.blocks[nu]
         if simple:
-            cols = [b.monomials[i] for i in exactla.quotient(b.radical, b.verma_dim).kept]
+            cols = [b.monomials[i] for i in exactla.quotient(b.radical, len(b.monomials)).kept]
         else:
             cols = b.monomials
         if not cols:
@@ -361,7 +393,7 @@ def _oracle_ktype_table(module):
             if tb is None:
                 continue  # raising lands above the highest weight: image zero
             index = {m: i for i, m in enumerate(tb.monomials)}
-            reduction = exactla.quotient(tb.radical, tb.verma_dim).reduction
+            reduction = exactla.quotient(tb.radical, len(tb.monomials)).reduction
             coords = []
             for mono in cols:
                 vec = [Fraction(0)] * len(tb.monomials)
@@ -422,9 +454,26 @@ def test_refutation_blocks_and_witnesses(d21):
     assert c2.refuted_block.text() == "0,1|-2"
     for cert, lam in ((c1, "1,0|0"), (c2, "0,0|-1")):
         mod = modules.simple_truncation(d21, parse_weight(lam, 2, 1), 2)
-        gq = mod.blocks[cert.refuted_block].gram_quot
+        gq = mod.blocks[cert.refuted_block].form
         assert quadratic_value(gq, cert.witness) < 0
 
+
+
+def test_certify_rejects_a_verma_module(d21):
+    """The Verma truncation of a refuted weight is not L(lam): certifying
+    with it must raise, not read its blocks as the simple module's."""
+    lam = parse_weight("0,0|-1", 2, 1)
+    assert modules.certify_unitarity(d21, lam, 4).verdict == "refuted-at"
+    with pytest.raises(ValueError, match="simple truncation"):
+        modules.certify_unitarity(d21, lam, 4, module=modules.verma_truncation(d21, lam, 4))
+
+
+@pytest.mark.parametrize("weight, height", [("-2,1|1", 4), ("0,0|-1", 3)])
+def test_certify_rejects_the_simple_module_of_another_weight_or_height(d21, weight, height):
+    lam = parse_weight("0,0|-1", 2, 1)
+    other = modules.simple_truncation(d21, parse_weight(weight, 2, 1), height)
+    with pytest.raises(ValueError, match="simple truncation"):
+        modules.certify_unitarity(d21, lam, 4, module=other)
 
 def test_refuted_audit_contains_criterion_label(d21):
     # the violated component lam - (eps1 - del1) with scalar +2
