@@ -666,8 +666,8 @@ def hd_ktype_table(
     coll: BlockCollection, report: CohomologyReport, sign: int
 ) -> dict[Weight, int]:
     """Compact-type multiplicities of H_D^+ (sign=+1) or H_D^- (sign=-1): the
-    dimension of the classes killed by every compact raising operator, from
-    one kernel and one rank per block with h = hd^+- != 0.
+    dimension of the classes killed by every compact raising operator: one
+    kernel and one rank per block with h = hd^+- != 0 and a compact map.
 
     Let P be the coordinates of that parity and K a basis of ker D on P. X_D
     commutes with D (`raising_maps` asserts it), so it maps ker D to ker D of
@@ -684,22 +684,23 @@ def hd_ktype_table(
         if not h:
             continue
         block = coll.blocks[nu]
-        cols = [i for i, p in enumerate(block.parity) if p == parity]
-        rows = block.D.submatrix(list(range(block.dim)), cols).nonzero_rows()
-        kernel = exactla.sparse_kernel(rows, len(cols))
-        # the kernel vectors as columns, in block coordinates
-        entries = {(cols[i], j): x for j, v in enumerate(kernel) for i, x in v.items()}
-        k_mat = SparseRationalMatrix(block.dim, len(kernel), entries)
-        stack = []
-        for tgt, x in raising_maps(coll, block, "compact"):
-            image = x.matmul(k_mat)
-            if report.per_block[tgt.nu].ker_cap_im:
-                rows = tgt.D.transpose().nonzero_rows()
-                image = exactla.quotient(rows, tgt.dim).reduction.matmul(image)
-            stack.append(image)
-        k = h - exactla.rank(exactla.vstack(stack, len(kernel)))
-        if k:
-            table[nu] = k
+        if maps := raising_maps(coll, block, "compact"):
+            cols = [i for i, p in enumerate(block.parity) if p == parity]
+            rows = block.D.submatrix(list(range(block.dim)), cols).nonzero_rows()
+            kernel = exactla.sparse_kernel(rows, len(cols))
+            # the kernel vectors as columns, in block coordinates
+            entries = {(cols[i], j): x for j, v in enumerate(kernel) for i, x in v.items()}
+            k_mat = SparseRationalMatrix(block.dim, len(kernel), entries)
+            stack = []
+            for tgt, x in maps:
+                image = x.matmul(k_mat)
+                if report.per_block[tgt.nu].ker_cap_im:
+                    rows = tgt.D.transpose().nonzero_rows()
+                    image = exactla.quotient(rows, tgt.dim).reduction.matmul(image)
+                stack.append(image)
+            h -= exactla.rank(*stack)
+        if h:
+            table[nu] = h
     return table
 
 

@@ -4,13 +4,13 @@ An exact entry is an `int` when it is integral and a `Fraction` otherwise
 (`_rat`; every quotient a / b in the package is made one by `_ratio`), so
 integer matrices multiply and add on ints. Ranks, kernels and quotient
 coordinates come from one sparse fraction-free elimination over row dicts
-(`_rref`); kernels and quotients back-substitute its echelon rows. Its
-pivots and row space are the RREF's, so none of the three depends on the
-order of the input rows. A kernel is read sparse (`sparse_kernel`), as
-column -> entry dicts, and `kernel_basis` densifies it. Definiteness
-certificates for symmetric Gram matrices clear the same integer rows
-(`_clear`) as a congruence, and only `quotient` and the pivots and witnesses
-of `definiteness` divide.
+(`_rref`); kernels and quotients read each free column off its echelon
+rows cleared above their pivots (`_reduced`). Its pivots and row space are
+the RREF's, so none of the three depends on the order of the input rows. A
+kernel is read sparse (`sparse_kernel`), as column -> entry dicts, and
+`kernel_basis` densifies it. Definiteness certificates for symmetric Gram
+matrices clear the same integer rows (`_clear`) as a congruence, and only
+`quotient` and the pivots and witnesses of `definiteness` divide.
 Pivoting is deterministic, so results are reproducible bit-for-bit.
 """
 
@@ -153,18 +153,6 @@ def intertwines(
     return not any(acc.values())
 
 
-def vstack(mats: Sequence[SparseRationalMatrix], cols: int) -> SparseRationalMatrix:
-    """The matrices stacked top to bottom; each must have ``cols`` columns.
-    No matrices give the 0 x cols matrix."""
-    entries, rows = {}, 0
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in vstack")
-        entries.update(((rows + i, j), v) for (i, j), v in m.entries.items())
-        rows += m.rows
-    return SparseRationalMatrix(rows, cols, entries)
-
-
 def _clear(v: dict[int, int], e: dict[int, int], c: int) -> None:
     """Clear column c of v in place by the row e, fraction-free: v becomes
     (e[c] v - v[c] e) / gcd(e[c], v[c])."""
@@ -214,38 +202,42 @@ def _rref(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def rank(a: SparseRationalMatrix) -> int:
-    return len(_rref(a.nonzero_rows()))
-
-
-def _kernel(rows: Iterable[Row], cols: int) -> list[tuple[int, dict[int, int]]]:
-    """(f, v) for each free column f of the rows' RREF, v its RREF kernel vector
-    (1 at f, 0 at the other free columns) times a positive integer, primitive
-    and sparse: back-substituted through the echelon rows, rightmost first."""
+def _reduced(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
+    """The echelon rows of `_rref` by pivot, rightmost first, each cleared
+    (`_clear`) at the pivots right of its own by their reduced rows: row p
+    is a multiple of RREF row p, nonzero only at p and at free columns."""
     echelon = _rref(rows)
-    pivots = sorted(echelon, reverse=True)
-    out = []
-    for f in range(cols):
-        if f not in echelon:
-            v = {f: 1}
-            for p in pivots:
-                row = echelon[p]
-                s = sum(row.get(j, 0) * x for j, x in v.items())
-                if s:  # v[p] = -s / row[p], after scaling v by |row[p]| / g
-                    g = math.gcd(row[p], s)
-                    if (m := abs(row[p]) // g) != 1:
-                        v = {j: x * m for j, x in v.items()}
-                    v[p] = -s // g if row[p] > 0 else s // g
-            out.append((f, _primitive(v)))
-    return out
+    reduced = {}
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for c in [c for c in row if c in reduced]:
+            _clear(row, reduced[c], c)
+        reduced[p] = row
+    return reduced
+
+
+def rank(*mats: SparseRationalMatrix) -> int:
+    """Rank of the matrices stacked top to bottom, which must share a column
+    count; no matrices have rank 0."""
+    if len({m.cols for m in mats}) > 1:
+        raise ValueError("column mismatch in rank")
+    return len(_rref(r for m in mats for r in m.nonzero_rows()))
 
 
 def sparse_kernel(rows: Iterable[Row], cols: int) -> list[dict[int, int]]:
     """Basis of the kernel of the rows, on `cols` columns, in primitive
-    integer vectors, sparse (column -> nonzero entry): for each free column,
-    a positive multiple of its RREF kernel vector. The rows may come in any
-    order, from several matrices."""
-    return [v for _, v in _kernel(rows, cols)]
+    integer vectors, sparse (column -> nonzero entry): for each free column
+    f, its RREF kernel vector times the lcm L of the pivot entries of the
+    rows of `_reduced` holding f, made primitive; L at f and -L row[f] /
+    row[p] at the pivot p of each. The rows may come in any order."""
+    reduced = _reduced(rows)
+    out = []
+    for f in range(cols):
+        if f not in reduced:
+            held = [(p, row) for p, row in reduced.items() if f in row]
+            lcm = math.lcm(*[row[p] for p, row in held])
+            out.append(_primitive({f: lcm} | {p: -row[f] * lcm // row[p] for p, row in held}))
+    return out
 
 
 def kernel_basis(a: SparseRationalMatrix) -> list[tuple[int, ...]]:
@@ -333,6 +325,12 @@ def quotient(rows: Sequence[Row], dim: int) -> Quotient:
     for row in rows:
         if (max(row, default=-1) >= dim) if type(row) is dict else len(row) != dim:
             raise ValueError("row dimension mismatch in quotient")
-    kernel = _kernel(rows, dim)
-    entries = {(i, j): _ratio(x, v[f]) for i, (f, v) in enumerate(kernel) for j, x in v.items()}
-    return Quotient([f for f, _ in kernel], SparseRationalMatrix(len(kernel), dim, entries))
+    reduced = _reduced(rows)
+    kept = [f for f in range(dim) if f not in reduced]
+    entries = {}
+    for i, f in enumerate(kept):
+        entries[i, f] = 1
+        entries.update(
+            ((i, p), _ratio(-row[f], row[p])) for p, row in reduced.items() if f in row
+        )
+    return Quotient(kept, SparseRationalMatrix(len(kept), dim, entries))

@@ -367,7 +367,7 @@ def ktype_table(module: TruncatedModule) -> dict[Weight, int]:
             entries = {(r, j): c for j, col in enumerate(cols) for r, c in col}
             rows = module.drop_dim(tuple(map(operator.add, drop, alg.gen_drop(g))))
             mats.append(SparseRationalMatrix(rows, b.dim, entries))
-        k = b.dim - exactla.rank(exactla.vstack(mats, b.dim))
+        k = b.dim - exactla.rank(*mats)
         if k:
             table[b.weight] = k
     return table

@@ -27,7 +27,10 @@
   one degree by recursion (an oracle for `weights.bounded_exponents`).
 - The Bargmann-Fock form, the value of a quadratic form, and the Fraction
   elimination with its kernel basis kept as the oracles for the sparse
-  elimination `exactla._rref` and `exactla.kernel_basis`; the dense symmetric
+  elimination `exactla._rref` and `exactla.kernel_basis`; the kernel
+  back-substituted through the sparse echelon rows (the oracle for the
+  reduced read-off of `exactla.sparse_kernel` and `exactla.quotient`);
+  matrices stacked top to bottom; the dense symmetric
   congruence on Fractions kept as the oracle for `exactla.definiteness`; a
   sparse matrix times a scalar and the identity matrix, each built once from
   its entries.
@@ -568,6 +571,39 @@ def fraction_kernel(rows, cols):
     return basis
 
 
+def backsub_kernel(rows, cols):
+    """(f, v) for each free column f of the rows' RREF, v its RREF kernel
+    vector (1 at f, 0 at the other free columns) times a positive integer,
+    primitive and sparse: back-substituted through the echelon rows of
+    `exactla._rref`, rightmost first. The oracle for the reduced read-off of
+    `exactla.sparse_kernel` and `exactla.quotient`."""
+    echelon = exactla._rref(rows)
+    pivots = sorted(echelon, reverse=True)
+    out = []
+    for f in range(cols):
+        if f not in echelon:
+            v = {f: 1}
+            for p in pivots:
+                row = echelon[p]
+                s = sum(row.get(j, 0) * x for j, x in v.items())
+                if s:  # v[p] = -s / row[p], after scaling v by |row[p]| / g
+                    g = math.gcd(row[p], s)
+                    if (m := abs(row[p]) // g) != 1:
+                        v = {j: x * m for j, x in v.items()}
+                    v[p] = -s // g if row[p] > 0 else s // g
+            out.append((f, exactla._primitive(v)))
+    return out
+
+
+def stacked(mats, cols):
+    """The matrices stacked top to bottom, on `cols` columns."""
+    entries, rows = {}, 0
+    for m in mats:
+        entries.update(((rows + i, j), v) for (i, j), v in m.entries.items())
+        rows += m.rows
+    return SparseRationalMatrix(rows, cols, entries)
+
+
 def fraction_definiteness(g):
     """Symmetric Gaussian elimination with diagonal pivoting on a dense
     Fraction copy of G, tracking each working coordinate in the original
@@ -962,7 +998,7 @@ def highest_vectors(coll, nu):
     stacked."""
     block = coll.blocks[nu]
     maps = dirac.raising_maps(coll, block, "even")
-    return exactla.kernel_basis(exactla.vstack([x for _, x in maps], block.dim))
+    return exactla.kernel_basis(stacked([x for _, x in maps], block.dim))
 
 
 def dense_g0_constituents(coll):
@@ -1003,7 +1039,7 @@ def highest_vectors_per_generator(coll, nu):
         tgt = coll.by_drop.get(tuple(map(operator.add, block.drop, alg.gen_drop(g))))
         if tgt is not None:
             mats.append(dirac.diagonal_action_matrix(block, tgt, g))
-    return exactla.kernel_basis(exactla.vstack(mats, block.dim))
+    return exactla.kernel_basis(stacked(mats, block.dim))
 
 
 def dirac_scalar_pairing(datum, lam, mu):

@@ -41,6 +41,7 @@ from _helpers import (
     oracle_ktype_table,
     quarters_adjoint,
     scaled,
+    stacked,
 )
 from test_conformance import TABLE as CONFORMANCE_GRID
 
@@ -388,25 +389,22 @@ def test_dropping_either_ingredient_of_the_ktype_count_changes_a_table(monkeypat
 def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
     """Over both signs on gl(3|3) -3,0,0|1,1,1 at N=4, `hd_ktype_table`
     takes one `exactla.sparse_kernel` (of the rows of D on the parity's
-    columns) and one `exactla.rank` per block with h != 0, and one
-    `exactla.quotient` (modulo im D of the target) per such block and
-    compact target with ker D cap im D != 0: 3 in all. No other elimination
-    is run."""
+    columns) and one `exactla.rank` per block with h != 0 and a compact
+    map, and one `exactla.quotient` (modulo im D of the target) per such
+    block and compact target with ker D cap im D != 0: 3 in all. No other
+    elimination is run."""
     coll = _collection(GL33, "-3,0,0|1,1,1", 4, "simple")
     report = dirac.dirac_cohomology(coll)
     kernels, quotients = [], []
     for sign in (+1, -1):
         for nu, bc in report.per_block.items():
-            if bc.hd_plus if sign > 0 else bc.hd_minus:
-                block = coll.blocks[nu]
+            block = coll.blocks[nu]
+            maps = dirac.raising_maps(coll, block, "compact")
+            if maps and (bc.hd_plus if sign > 0 else bc.hd_minus):
                 cols = [i for i, p in enumerate(block.parity) if p == (0 if sign > 0 else 1)]
                 on_p = block.D.submatrix(list(range(block.dim)), cols)
                 kernels.append((len(on_p.nonzero_rows()), len(cols)))
-                quotients += [
-                    tgt.dim
-                    for tgt, _ in dirac.raising_maps(coll, block, "compact")
-                    if report.per_block[tgt.nu].ker_cap_im
-                ]
+                quotients += [tgt.dim for tgt, _ in maps if report.per_block[tgt.nu].ker_cap_im]
     assert len(quotients) == 3
     calls = {}
 
@@ -421,7 +419,7 @@ def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
         monkeypatch.setattr(exactla, name, wrapper)
 
     counted("sparse_kernel", lambda rows, cols: (len(rows), cols))
-    counted("rank", lambda a: None)
+    counted("rank", lambda *mats: None)
     counted("quotient", lambda rows, dim: dim)
     counted("_rref", lambda rows: None)
     for sign in (+1, -1):
@@ -430,6 +428,28 @@ def test_ktype_count_takes_one_kernel_and_one_rank_per_block(monkeypatch):
     assert len(calls["rank"]) == len(kernels)
     assert sorted(calls["quotient"]) == sorted(quotients)
     assert len(calls["_rref"]) == 2 * len(kernels) + len(quotients)
+
+
+@pytest.mark.parametrize("weight", ["-2,1|1", "-1,0|0", "0,0|-1"])
+def test_ktype_count_takes_no_kernel_without_a_compact_map(monkeypatch, weight):
+    """sl(2|1) has no compact raising generator, so on every block the
+    k-type count is h itself: `hd_ktype_table` takes no kernel, and both
+    tables still equal the oracle's."""
+    coll = _collection(SL21, weight, 6, "simple")
+    report = dirac.dirac_cohomology(coll)
+    assert any(bc.hd_plus or bc.hd_minus for bc in report.per_block.values())
+    oracle = oracle_cohomology(coll)
+    expected = [oracle_ktype_table(coll, oracle, sign, "compact") for sign in (+1, -1)]
+    kernels = []
+    sparse_kernel = exactla.sparse_kernel
+
+    def counted(rows, cols):
+        kernels.append(cols)
+        return sparse_kernel(rows, cols)
+
+    monkeypatch.setattr(exactla, "sparse_kernel", counted)
+    assert [dirac.hd_ktype_table(coll, report, sign) for sign in (+1, -1)] == expected
+    assert kernels == []
 
 
 def test_block_cohomology_holds_counts_only(rep_typical3):
@@ -1567,8 +1587,8 @@ def test_the_square_audit_applies_no_dense_matrix(monkeypatch):
 
 
 def _sparse_highest_vectors(coll, block):
-    stack = exactla.vstack([x for _, x in dirac.raising_maps(coll, block, "even")], block.dim)
-    return exactla.sparse_kernel(stack.nonzero_rows(), block.dim)
+    maps = dirac.raising_maps(coll, block, "even")
+    return exactla.sparse_kernel([r for _, x in maps for r in x.nonzero_rows()], block.dim)
 
 
 def _dense(v, dim):
@@ -1890,7 +1910,7 @@ def test_sparse_elimination_matches_fraction_oracle_on_dirac_blocks(group, weigh
     for block in coll.blocks.values():
         even = [i for i, p in enumerate(block.parity) if p == 0]
         odd = [i for i, p in enumerate(block.parity) if p == 1]
-        stack = exactla.vstack([x for _, x in dirac.raising_maps(coll, block, "even")], block.dim)
+        stack = stacked([x for _, x in dirac.raising_maps(coll, block, "even")], block.dim)
         for m in (block.D.submatrix(even, odd), block.D.submatrix(odd, even), stack):
             assert exactla.rank(m) == len(fraction_rref(m.to_rows())[1])
         hvs = exactla.kernel_basis(stack)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    backsub_kernel,
     fraction_definiteness,
     fraction_kernel,
     fraction_rref,
@@ -320,23 +321,6 @@ def test_quotient_matches_oracle_on_image_rows(rows, cols, data):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices(2, 3), matrices(1, 3))
-def test_vstack(top, bottom):
-    """Stacking keeps the rows in order; no matrices give 0 x cols, whose
-    kernel is the whole space; a column mismatch is rejected."""
-    a, b = SparseRationalMatrix.from_rows(top), SparseRationalMatrix.from_rows(bottom)
-    stacked = exactla.vstack([a, SparseRationalMatrix(0, 3), b], 3)
-    assert (stacked.rows, stacked.cols) == (3, 3)
-    assert stacked.to_rows() == top + bottom
-    empty = exactla.vstack([], 3)
-    assert (empty.rows, empty.cols) == (0, 3)
-    assert len(exactla.kernel_basis(empty)) == 3
-    assert exactla.rank(empty) == 0
-    with pytest.raises(ValueError):
-        exactla.vstack([a, SparseRationalMatrix(1, 2)], 3)
-
-
 # ----- the sparse _rref against the Fraction elimination -------------------------------
 def test_rat_keeps_integral_values_as_int():
     two = exactla._rat(Fraction(4, 2))
@@ -475,6 +459,58 @@ def test_sparse_elimination_matches_oracles(a):
         assert q.kept == kept
         assert q.reduction.entries == red.entries
         assert _canonical(q.reduction.entries.values())
+
+
+# ----- the reduced read-off against back-substitution -----------------------------------
+@st.composite
+def shuffled_sparse_rows(draw):
+    """(cols, rows): sparse rows of int and Fraction entries on 0-6 columns,
+    in a shuffled order, sometimes none, sometimes with a column left zero
+    on purpose and a row given twice."""
+    cols = draw(st.integers(0, 6))
+    blank = draw(st.integers(0, cols - 1)) if cols and draw(st.booleans()) else None
+    allowed = [c for c in range(cols) if c != blank]
+    entry = st.one_of(st.integers(-3, 3).filter(bool), nonzero)
+    row = st.dictionaries(st.sampled_from(allowed), entry, max_size=3) if allowed else st.just({})
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    return cols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_sparse_rows(), st.integers(1, 3))
+def test_reduced_read_off_matches_back_substitution(case, parts):
+    """Each kernel vector, each kept coordinate and reduction entry of the
+    quotient, and the rank of the rows split over several matrices, are the
+    back-substitution oracle's exactly."""
+    cols, rows = case
+    oracle = backsub_kernel(rows, cols)
+    assert exactla.sparse_kernel(rows, cols) == [v for _, v in oracle]
+    q = exactla.quotient(rows, cols)
+    assert q.kept == [f for f, _ in oracle]
+    assert q.reduction.entries == {
+        (i, j): exactla._ratio(x, v[f]) for i, (f, v) in enumerate(oracle) for j, x in v.items()
+    }
+    assert _canonical(q.reduction.entries.values())
+    mats = [
+        SparseRationalMatrix(
+            len(part), cols, {(i, j): x for i, row in enumerate(part) for j, x in row.items()}
+        )
+        for part in (rows[k::parts] for k in range(parts))
+    ]
+    assert exactla.rank(*mats) == cols - len(oracle)
+
+
+def test_rank_stacks_matrices_on_one_column_count():
+    """No matrices have rank 0, empty matrices add nothing, and matrices
+    with different column counts are rejected."""
+    a = SparseRationalMatrix.from_rows([[1, 2, 0]])
+    assert exactla.rank() == 0
+    assert exactla.rank(SparseRationalMatrix(0, 3)) == 0
+    assert exactla.rank(a, SparseRationalMatrix(0, 3), a) == 1
+    with pytest.raises(ValueError):
+        exactla.rank(a, SparseRationalMatrix(1, 2))
 
 
 def test_nonzero_rows_hold_each_nonzero_row():

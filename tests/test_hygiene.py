@@ -6,7 +6,8 @@ parameter is set by some package call; every top-level helper in
 writes into a built ``SparseRationalMatrix`` or sets an attribute of a
 built module ``Block``; only a module block's JSON makes dense rows of one;
 a Dirac block caches no value but its predicate; and only ``exactla``
-divides two numbers into a ``Fraction``.
+divides two numbers into a ``Fraction`` or calls a step of its elimination
+(``_rref``, ``_reduced``, ``_clear``).
 
 No linter ships with the project, so these checks parse each module with
 ``ast``. A name counts as used when it appears as a name anywhere in the
@@ -266,7 +267,8 @@ def _stored_names(target: ast.AST) -> list[ast.Name]:
 
 def _write_only_locals(tree: ast.AST) -> list[str]:
     """`function.name` for each local that is assigned (directly or as a
-    subscript target) and never read, nested functions included."""
+    subscript target) and never read, nested functions included; a
+    parameter written through a subscript counts as read."""
     out = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -292,7 +294,17 @@ def _write_only_locals(tree: ast.AST) -> list[str]:
             n.id for n in ast.walk(func)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in writes
         }
-        out += [f"{func.name}.{name}" for name in written if name not in read | declared]
+        # a parameter filled by subscript stores is read by the caller
+        params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        filled = {
+            n.id for t in targets for s in ast.walk(t)
+            if isinstance(s, ast.Subscript) and isinstance(s.ctx, ast.Store)
+            for n in _stored_names(s)
+        }
+        out += [
+            f"{func.name}.{name}" for name in written
+            if name not in read | declared | (filled & params)
+        ]
     return out
 
 
@@ -314,7 +326,8 @@ def test_checker_flags_a_write_only_local():
         "    total = 0\n"
         "    total += 1\n"
         "    a, b = xs\n"
-        "    def g():\n"
+        "    def g(out):\n"
+        "        out[0] = 1\n"
         "        return seen\n"
         "    return a, g\n"
     )
@@ -781,3 +794,46 @@ def test_checker_flags_a_fraction_quotient():
     assert _fraction_quotients(ast.parse(src)) == [
         "6 Fraction(a, b)", "7 fractions.Fraction(x, 2)", "8 Fraction(-a, 4)",
     ]
+
+
+# ----- the elimination stays behind exactla's readers ----------------------------------------
+# only `rank`, `sparse_kernel` and `quotient` (with `kernel_basis` and
+# `definiteness`) reach the echelon rows
+ELIMINATION = {"_rref", "_reduced", "_clear"}
+
+
+def _elimination_calls(tree: ast.AST) -> list[str]:
+    """`line name` for each call of an elimination step of `exactla`, plain
+    or as an attribute, in line order."""
+    found = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in ELIMINATION
+    ]
+    return [f"{line} {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "exactla.py"), ids=lambda p: p.name
+)
+def test_no_elimination_step_outside_exactla(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _elimination_calls(tree)
+    assert not calls, (
+        f"{path.name} runs an elimination step (call `exactla.rank`, "
+        f"`exactla.sparse_kernel` or `exactla.quotient`): {', '.join(calls)}"
+    )
+
+
+def test_checker_flags_an_elimination_step():
+    src = (
+        "from superdirac import exactla\n"
+        "from superdirac.exactla import _rref\n"
+        "def f(rows, v, e):\n"
+        "    k = exactla.sparse_kernel(rows, 3)\n"
+        "    r = len(_rref(rows)) + exactla.rank()\n"
+        "    exactla._clear(v, e, 0)\n"
+        "    return k, r, exactla._reduced(rows), exactla._rref\n"
+    )
+    assert _elimination_calls(ast.parse(src)) == ["5 _rref", "6 _clear", "7 _reduced"]
